@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation sweeps epochs, batch sizes and backends; this
 //! table isolates the individual proxy-level mechanisms DESIGN.md calls out
-//! by switching exactly one of them off (or to a deliberately bad value) at
+//! ("Proxy mechanisms") by switching exactly one of them off (or to a deliberately bad value) at
 //! a time and re-running the same YCSB mix on the same backend:
 //!
 //! * `baseline` — the tuned configuration;

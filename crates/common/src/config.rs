@@ -241,13 +241,6 @@ pub struct EpochConfig {
     /// deciding epoch wrote are pinned to the pre-decision snapshot until
     /// the decision publishes).  Depths beyond 2 are not supported.
     pub pipeline_depth: u32,
-    /// How many read batches the executor may have in flight against the
-    /// ORAM concurrently *within* one epoch.  `1` reproduces the old
-    /// strictly sequential executor; `2` (the default) lets the next
-    /// batch's physical fetches overlap the previous batch's, hiding
-    /// storage latency inside the epoch.  Batches are planned in order
-    /// under the client lock, so the access pattern stays oblivious.
-    pub read_batches_in_flight: usize,
 }
 
 impl Default for EpochConfig {
@@ -261,7 +254,6 @@ impl Default for EpochConfig {
             checkpoint_every: 16,
             durability: true,
             pipeline_depth: 2,
-            read_batches_in_flight: 2,
         }
     }
 }
@@ -280,7 +272,6 @@ impl EpochConfig {
             checkpoint_every: 16,
             durability: true,
             pipeline_depth: 2,
-            read_batches_in_flight: 2,
         }
     }
 
@@ -296,7 +287,6 @@ impl EpochConfig {
             checkpoint_every: 4,
             durability: true,
             pipeline_depth: 2,
-            read_batches_in_flight: 2,
         }
     }
 
@@ -334,11 +324,6 @@ impl EpochConfig {
                 "pipeline_depth must be 1 or 2, got {}",
                 self.pipeline_depth
             )));
-        }
-        if self.read_batches_in_flight == 0 {
-            return Err(ObladiError::Config(
-                "read_batches_in_flight must be at least 1".into(),
-            ));
         }
         Ok(())
     }
@@ -388,13 +373,6 @@ impl EpochConfig {
     /// Sets the epoch pipeline depth (1 = barrier, 2 = overlapped).
     pub fn with_pipeline_depth(mut self, depth: u32) -> Self {
         self.pipeline_depth = depth;
-        self
-    }
-
-    /// Sets how many read batches may be in flight concurrently within one
-    /// epoch (1 = strictly sequential).
-    pub fn with_read_batches_in_flight(mut self, n: usize) -> Self {
-        self.read_batches_in_flight = n;
         self
     }
 }

@@ -9,7 +9,9 @@
 //!   unit);
 //! * [`proxy`] — the epoch-based proxy ([`proxy::ObladiDb`]): fixed-size
 //!   read/write batches, deduplication and padding, delayed commit
-//!   visibility, epoch fate sharing, crash and recovery entry points;
+//!   visibility, epoch fate sharing, crash and recovery entry points — the
+//!   threads and I/O around the epoch lifecycle, which is itself a pure
+//!   state machine (the private `epoch` module; overview in DESIGN.md);
 //! * [`durability`] — write-ahead logging of read paths, delta/full
 //!   checkpoints of proxy metadata, the trusted counter, and the recovery
 //!   procedure of §8;
@@ -38,6 +40,7 @@ pub mod api;
 pub mod baselines;
 pub mod concurrency;
 pub mod durability;
+mod epoch;
 pub mod proxy;
 
 pub use api::{FrontDoor, KvDatabase, KvTransaction};

@@ -1,47 +1,41 @@
 //! The Obladi proxy: epochs, batching, delayed visibility (§5–§6).
 //!
-//! [`ObladiDb`] is the trusted proxy.  Client threads begin transactions,
-//! issue reads and writes, and request commit; a background *epoch
-//! executor* thread partitions time into fixed-size epochs of `R` read
-//! batches (shipped to the ORAM executor every `Δ`), and a companion
-//! *epoch decider* thread finalises each epoch (commit decisions, the
-//! write batch, durability) — a bounded pipeline that lets the next
-//! epoch's reads run while the previous epoch's decision is still in
-//! flight.  Clients are only notified of commit decisions once their
-//! epoch is durable.
+//! [`ObladiDb`] is the trusted proxy.  The epoch lifecycle — what a
+//! transaction may do in which phase, when an outcome may be acknowledged,
+//! what a crash wipes — is the pure state machine in `crate::epoch`
+//! (overview in DESIGN.md).  This module is its shell: client handles that
+//! lock, apply one transition and park or return, and three kinds of thread
+//! that perform the I/O the transitions describe:
 //!
-//! The data flow mirrors Figure 4 and Figure 5 of the paper:
+//! * the **executor** ships exactly `R` padded read batches per epoch on
+//!   the `Δ` rhythm, then seals the epoch into the pipeline slot and starts
+//!   the next one (at depth 1 only once the slot has drained);
+//! * **read-batch runners** execute the dispatched batches on the ORAM
+//!   read plane, overlapping their physical fetches;
+//! * the **decider** takes the sealed epoch through gate verdict, decision
+//!   record, padded write batch, flush and checkpoint on the ORAM
+//!   write-back engine, acknowledging outcomes rung by rung.
 //!
-//! * **Reads** first consult the epoch's version cache (the MVTSO version
-//!   chains, which hold both values fetched from the ORAM this epoch and
-//!   uncommitted writes of concurrent transactions).  Missing keys are
-//!   queued, deduplicated, padded to the fixed batch size and executed by
-//!   the parallel ORAM executor.  The calling thread blocks until the batch
-//!   containing its key has executed.
-//! * **Writes** are buffered in the version cache; only the last committed
-//!   version of each key is written to the ORAM at the epoch boundary
-//!   (write deduplication), padded to the fixed write-batch size.
-//! * **Commit requests** park the caller until the epoch ends; epoch
-//!   finalisation applies MVTSO's commit/abort decisions (including
-//!   cascading aborts), enforces the write-batch capacity, flushes the
-//!   ORAM's buffered buckets, checkpoints proxy metadata and only then
-//!   reports outcomes (epoch fate sharing).
-//! * **Crashes** wipe all volatile state; [`ObladiDb::recover`] rebuilds the
-//!   proxy from the recovery unit and resumes at the epoch after the last
-//!   durable one, replaying the aborted epoch's read paths.
+//! Locks: no I/O and no gate call runs under the state lock, and nothing
+//! acquires it while holding the reader or engine lock (a crash or a
+//! recovery takes those two under it, to swap the ORAM client atomically
+//! with the pipeline state).
 
 use crate::api::{KvDatabase, KvTransaction};
-use crate::concurrency::{CommitCandidate, MvtsoManager, ReadOutcome, TxnStatus};
+use crate::concurrency::CommitCandidate;
 use crate::durability::{DurabilityManager, RecoveryReport};
+use crate::epoch::{
+    is_reserved_batch, BatchPlan, Mode, Pipeline, ReadStep, READ_BATCHES_IN_FLIGHT,
+};
 use obladi_common::config::ObladiConfig;
 use obladi_common::error::{ObladiError, Result};
-use obladi_common::types::{AbortReason, EpochId, Key, TxnId, TxnOutcome, Value};
+use obladi_common::types::{EpochId, Key, TxnId, TxnOutcome, Value};
 use obladi_crypto::KeyMaterial;
 use obladi_oram::{ExecOptions, OramReader, RingOram, WritebackEngine};
 use obladi_storage::{build_backend, TrustedCounter, UntrustedStore};
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -185,156 +179,84 @@ pub struct ProxyStats {
     pub real_writes: u64,
 }
 
-/// The *executing* epoch: read batches still run, transactions begin and
-/// buffer reads/writes here.
-struct EpochState {
-    epoch: EpochId,
-    generation: u64,
-    mvtso: MvtsoManager,
-    pending_fetch: Vec<Key>,
-    pending_set: HashSet<Key>,
-    in_flight: HashSet<Key>,
-    batches_issued: u32,
-    active_txns: HashSet<TxnId>,
-}
-
-impl EpochState {
-    fn new(epoch: EpochId, generation: u64) -> Self {
-        EpochState {
-            epoch,
-            generation,
-            mvtso: MvtsoManager::new(),
-            pending_fetch: Vec::new(),
-            pending_set: HashSet::new(),
-            in_flight: HashSet::new(),
-            batches_issued: 0,
-            active_txns: HashSet::new(),
-        }
-    }
-}
-
-/// The *deciding* epoch: its read phase is over and its snapshot sits here
-/// from the moment the executor rolls the proxy over to the next epoch
-/// until the decider publishes its outcomes.  Commit requests (and aborts)
-/// for its transactions still land in this snapshot — the coordinator
-/// samples commit candidates at decision time, which may be well after the
-/// rollover — but no new reads or writes do.
-struct DecidingEpoch {
-    epoch: EpochId,
-    generation: u64,
-    mvtso: MvtsoManager,
-    active_txns: HashSet<TxnId>,
-    /// The *late-read batch*: keys deciding-epoch transactions asked to
-    /// read that missed the snapshot's version cache.  The executing
-    /// epoch's padded read batches carry them in their spare (padding)
-    /// slots — the ORAM still holds the pre-decision state the snapshot
-    /// read against, so a late fetch observes exactly what an in-epoch
-    /// fetch would have.  Swapping a real request into a slot that would
-    /// otherwise carry a dummy leaves the physical trace unchanged.
-    late_pending: Vec<Key>,
-    late_pending_set: HashSet<Key>,
-    late_in_flight: HashSet<Key>,
-    /// Late reads admitted so far (capacity enforcement: at most one
-    /// epoch's worth of reads may ride the next epoch's padding).
-    late_enqueued: usize,
-    /// Set once the decision has been applied (the permit verdict folded in
-    /// and the MVTSO finalized): from then on nothing can join the epoch.
-    closed: bool,
-}
-
-/// Everything behind the proxy's single state lock: the executing epoch,
-/// the deciding epoch (if one is in flight), the carry set pinning the
-/// executing epoch's reads to the pre-decision snapshot, and the published
-/// outcomes clients collect.
-struct ProxyState {
-    exec: EpochState,
-    deciding: Option<DecidingEpoch>,
-    /// Keys the deciding epoch wrote (committed or not).  A read of one of
-    /// these in the executing epoch must not fetch from the ORAM until the
-    /// decision publishes: the ORAM still holds the pre-decision value, and
-    /// serving either value early would leak an undecided epoch's fate.
-    carry_pending: HashSet<Key>,
-    outcomes: HashMap<TxnId, TxnOutcome>,
-}
-
-impl ProxyState {
-    fn new(epoch: EpochId, generation: u64) -> Self {
-        ProxyState {
-            exec: EpochState::new(epoch, generation),
-            deciding: None,
-            carry_pending: HashSet::new(),
-            outcomes: HashMap::new(),
-        }
-    }
-}
+/// Every transition that could release a parked client also notifies; the
+/// timeout only bounds the damage of a missed wakeup.
+const PARK_RECHECK: Duration = Duration::from_secs(10);
 
 struct ProxyInner {
     config: ObladiConfig,
     keys: KeyMaterial,
     store: Arc<dyn UntrustedStore>,
     durability: DurabilityManager,
-    /// The ORAM client's read plane, driven only by the epoch executor.
-    /// With the split client the executor and decider no longer contend on
-    /// one `&mut` client: epoch `N+1`'s read batches genuinely overlap
-    /// epoch `N`'s write-back I/O, coordinated inside the shared client
-    /// state (see `obladi_oram::split`).
+    /// The ORAM client's read plane.  Runners clone it out of the lock, so
+    /// batches never serialize here and a batch keeps its client alive even
+    /// if a crash empties the slot meanwhile.
     reader: Mutex<Option<OramReader>>,
-    /// The ORAM client's write-back engine, driven only by the epoch
-    /// decider (and by recovery).
+    /// The ORAM client's write-back engine, driven only by the decider (and
+    /// by recovery).
     engine: Mutex<Option<WritebackEngine>>,
-    state: Mutex<ProxyState>,
+    state: Mutex<Pipeline>,
     /// Wakes client threads waiting for read results or commit outcomes.
     client_wakeup: Condvar,
-    /// Wakes the epoch executor early (full batch, shutdown, recovery, a
-    /// freed pipeline slot).
+    /// Wakes the epoch executor (backlog, freed slot, crash, recovery,
+    /// shutdown).
     driver_wakeup: Condvar,
-    /// Wakes the epoch decider when a snapshot lands in the deciding slot.
+    /// Wakes the epoch decider when an epoch is sealed.
     decider_wakeup: Condvar,
+    /// Wakes the read-batch runners when a batch is dispatched, and the
+    /// executor when one finishes.
+    batch_wakeup: Condvar,
     next_ts: AtomicU64,
-    shutdown: AtomicBool,
-    crashed: AtomicBool,
-    /// Incremented (under the state lock) every time a recovery completes.
-    /// Storage failures observed by the epoch threads carry the life they
-    /// were observed in; a failure from a previous life must not fate-share
-    /// into a crash — with the pipelined split, a decider can surface an
-    /// I/O error from *before* a crash long after recovery already rebuilt
-    /// the state it would wipe.
-    lives: AtomicU64,
     stats: Mutex<ProxyStats>,
     epoch_gate: Mutex<Option<Arc<dyn EpochGate>>>,
-    /// Hands read batches to the pool of batch-runner threads so up to
-    /// `read_batches_in_flight` batches overlap their physical fetches
-    /// inside one epoch (the split client plans them in dispatch order
-    /// under its own lock, so the access pattern is unchanged).
-    read_dispatch: ReadDispatch,
 }
 
-/// The executor-to-runner handoff for read batches.
-struct ReadDispatch {
-    queue: Mutex<ReadQueue>,
-    cond: Condvar,
-}
-
-struct ReadQueue {
-    /// Batches dispatched but not yet picked up by a runner.
-    pending: usize,
-    /// Batches a runner is currently executing.
-    in_flight: usize,
-    /// Set at shutdown; runners exit, dispatch and drain stop blocking.
-    stop: bool,
-}
-
-impl ReadDispatch {
-    fn new() -> Self {
-        ReadDispatch {
-            queue: Mutex::new(ReadQueue {
-                pending: 0,
-                in_flight: 0,
-                stop: false,
-            }),
-            cond: Condvar::new(),
-        }
+impl ProxyInner {
+    fn gate(&self) -> Option<Arc<dyn EpochGate>> {
+        self.epoch_gate.lock().clone()
     }
+
+    /// Parks a client until something it may be waiting for happened.
+    fn park(&self, state: &mut MutexGuard<'_, Pipeline>) {
+        self.client_wakeup.wait_for(state, PARK_RECHECK);
+    }
+
+    /// Parks the executor while `blocked` holds (every such predicate gives
+    /// way when the proxy stops running), timing the wait.
+    fn wait_while(&self, blocked: fn(&Pipeline) -> bool) -> MutexGuard<'_, Pipeline> {
+        let started = Instant::now();
+        let mut state = self.state.lock();
+        while blocked(&state) {
+            self.driver_wakeup.wait(&mut state);
+        }
+        obladi_obs::global()
+            .histogram("proxy.phase.slot_wait_us")
+            .record_duration(started.elapsed());
+        state
+    }
+}
+
+/// The ORAM client options the proxy runs with.
+fn exec_options(config: &ObladiConfig, fast_init: bool) -> ExecOptions {
+    ExecOptions {
+        parallel: true,
+        threads: config.epoch.executor_threads,
+        deferred_writes: true,
+        encrypt: true,
+        fast_init,
+    }
+}
+
+fn spawn(
+    name: String,
+    inner: &Arc<ProxyInner>,
+    body: fn(Arc<ProxyInner>),
+) -> Result<std::thread::JoinHandle<()>> {
+    let inner = inner.clone();
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(move || body(inner))
+        .map_err(|e| ObladiError::Internal(format!("failed to spawn {name}: {e}")))
 }
 
 /// The Obladi database handle (the trusted proxy).
@@ -364,77 +286,55 @@ impl ObladiDb {
     ) -> Result<ObladiDb> {
         let mut config = config;
         // The stash must absorb everything that can accumulate between the
-        // engine's maintenance passes.  With the split client the executor
-        // *never* runs maintenance after a read batch (the monolithic
-        // facade did): every eviction owed by an epoch's read accesses is
-        // deferred to the decider's write-back, so the deciding epoch's
-        // read targets sit in the stash for its whole write-back window in
-        // addition to the up-to-`pipeline_depth` epochs of reads the
-        // pipelined barrier allows in flight.  Hence one extra epoch of
-        // read headroom over the pre-split bound, plus the write batch and
-        // an eviction-path margin.  A stash overflow mid-plan poisons the
-        // client (checkpoints refuse, the proxy fate-shares and recovers),
-        // so an undersized bound costs availability, never durability —
-        // but raise it here regardless.
-        // Each *extra* concurrently in-flight batch can additionally hold a
-        // batch's worth of planned-but-not-ingested blocks mid-air on top
-        // of the per-epoch accounting.
+        // engine's maintenance passes.  The executor never runs maintenance
+        // after a read batch: every eviction an epoch's reads owe is
+        // deferred to the decider's write-back, so the sealed epoch's read
+        // targets sit in the stash for its whole write-back window on top
+        // of the up-to-`pipeline_depth` epochs of reads in flight — hence
+        // one extra epoch of read headroom, plus the write batch, a batch
+        // of planned-but-not-ingested blocks per extra in-flight batch, and
+        // an eviction-path margin.  A stash overflow poisons the client
+        // (the proxy fate-shares and recovers), so an undersized bound
+        // costs availability, never durability.
         let stash_floor = (config.epoch.pipeline_depth.max(1) as usize + 1)
             * config.epoch.reads_per_epoch()
             + config.epoch.write_batch_size
-            + config.epoch.read_batches_in_flight.saturating_sub(1) * config.epoch.read_batch_size
+            + (READ_BATCHES_IN_FLIGHT - 1) * config.epoch.read_batch_size
             + 4 * config.oram.z as usize;
         config.oram.max_stash = config.oram.max_stash.max(stash_floor);
         config.validate()?;
         let durability = DurabilityManager::new(&keys, store.clone(), counter, &config.epoch);
-        let exec = ExecOptions {
-            parallel: true,
-            threads: config.epoch.executor_threads,
-            deferred_writes: true,
-            encrypt: true,
-            fast_init: config.oram.num_objects > 50_000,
-        };
+        let exec = exec_options(&config, config.oram.num_objects > 50_000);
         let oram = RingOram::new(config.oram, &keys, store.clone(), exec, config.seed)?;
         let (reader, engine) = oram.split();
         durability.set_current_epoch(1);
 
         let inner = Arc::new(ProxyInner {
+            state: Mutex::new(Pipeline::new(config.epoch, 1)),
             config,
             keys,
             store,
             durability,
             reader: Mutex::new(Some(reader)),
             engine: Mutex::new(Some(engine)),
-            state: Mutex::new(ProxyState::new(1, 0)),
             client_wakeup: Condvar::new(),
             driver_wakeup: Condvar::new(),
             decider_wakeup: Condvar::new(),
+            batch_wakeup: Condvar::new(),
             next_ts: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
-            crashed: AtomicBool::new(false),
-            lives: AtomicU64::new(0),
             stats: Mutex::new(ProxyStats::default()),
             epoch_gate: Mutex::new(None),
-            read_dispatch: ReadDispatch::new(),
         });
-        let exec_inner = inner.clone();
-        let executor = std::thread::Builder::new()
-            .name("obladi-epoch-executor".into())
-            .spawn(move || epoch_executor(exec_inner))
-            .map_err(|e| ObladiError::Internal(format!("failed to spawn epoch executor: {e}")))?;
-        let decide_inner = inner.clone();
-        let decider = std::thread::Builder::new()
-            .name("obladi-epoch-decider".into())
-            .spawn(move || epoch_decider(decide_inner))
-            .map_err(|e| ObladiError::Internal(format!("failed to spawn epoch decider: {e}")))?;
-        let mut threads = vec![executor, decider];
-        for i in 0..inner.config.epoch.read_batches_in_flight {
-            let runner_inner = inner.clone();
-            let runner = std::thread::Builder::new()
-                .name(format!("obladi-read-runner-{i}"))
-                .spawn(move || read_batch_runner(runner_inner))
-                .map_err(|e| ObladiError::Internal(format!("failed to spawn read runner: {e}")))?;
-            threads.push(runner);
+        let mut threads = vec![
+            spawn("obladi-epoch-executor".into(), &inner, epoch_executor)?,
+            spawn("obladi-epoch-decider".into(), &inner, epoch_decider)?,
+        ];
+        for i in 0..READ_BATCHES_IN_FLIGHT {
+            threads.push(spawn(
+                format!("obladi-read-runner-{i}"),
+                &inner,
+                read_batch_runner,
+            )?);
         }
         Ok(ObladiDb {
             inner,
@@ -482,82 +382,54 @@ impl ObladiDb {
 
     /// Like [`ObladiDb::begin_at`], but fails (retryably) unless the proxy
     /// still hosts the epoch identified by `generation` — either as the
-    /// executing epoch or as a still-open (not yet decided) deciding epoch.
+    /// executing epoch or as a sealed epoch whose decision is still open.
     ///
     /// The sharded front door draws a global timestamp, samples each
-    /// shard's target generation ([`ObladiDb::stamp_generation`]), and
+    /// shard's target generation ([`ObladiDb::stamp_targets`]), and
     /// opens legs lazily; a leg must open in the same local epoch the
     /// timestamp was sampled against, or the timestamp could be smaller
     /// than timestamps already folded into the epoch's base versions.
-    /// Checking the generation *inside* the proxy's state lock makes the
-    /// check atomic with the epoch rollover — no external barrier or
-    /// coordinator rendezvous is involved, so beginning a transaction never
-    /// blocks on an epoch decision.
+    /// The check is atomic with the epoch rollover (both happen under the
+    /// proxy's state lock), so beginning a transaction never blocks on an
+    /// epoch decision.
     ///
-    /// A leg that lands in a *deciding* epoch (its read phase is over, its
+    /// A leg that lands in a *sealed* epoch (its read phase is over, its
     /// cross-shard decision still in flight) joins with reduced powers: it
-    /// can read cached values, write keys the next epoch has not yet
-    /// fetched, and request commit — exactly what a transaction parked at
-    /// the old stop-the-world barrier could do.
+    /// can read cached values, fetch through the next epoch's spare batch
+    /// slots, write keys the next epoch has not yet fetched, and request
+    /// commit.
     pub fn begin_at_generation(&self, ts: TxnId, generation: u64) -> Result<ObladiTxn<'_>> {
         self.begin_at_checked(ts, Some(generation))
     }
 
     fn begin_at_checked(&self, ts: TxnId, generation: Option<u64>) -> Result<ObladiTxn<'_>> {
-        if self.inner.crashed.load(Ordering::SeqCst) {
-            return Err(ObladiError::ProxyUnavailable);
-        }
         self.inner.next_ts.fetch_max(ts, Ordering::SeqCst);
-        let mut state = self.inner.state.lock();
-        let target = match generation {
-            None => state.exec.generation,
-            Some(expected) if expected == state.exec.generation => expected,
-            Some(expected) => match state.deciding.as_ref() {
-                Some(deciding) if deciding.generation == expected && !deciding.closed => expected,
-                _ => {
-                    return Err(ObladiError::TxnAborted(AbortReason::EpochEnd.to_string()));
-                }
-            },
-        };
-        if target == state.exec.generation {
-            state.exec.mvtso.begin(ts);
-            state.exec.active_txns.insert(ts);
-        } else {
-            let deciding = state.deciding.as_mut().expect("checked above");
-            deciding.mvtso.begin(ts);
-            deciding.active_txns.insert(ts);
-        }
+        let generation = self.inner.state.lock().begin(ts, generation)?;
         Ok(ObladiTxn {
             db: self,
             id: ts,
-            generation: target,
+            generation,
             finished: false,
         })
     }
 
     /// The generations a new externally-stamped transaction can target on
-    /// this shard: the executing epoch's, and — while an epoch is sealed in
-    /// the deciding slot with its decision still open — that epoch's too.
+    /// this shard: the executing epoch's, and — while an epoch is sealed
+    /// with its decision still open — that epoch's too.
     ///
     /// The pair encodes which rendezvous each target decides at: an open
-    /// deciding epoch decides at the shard's *next* rendezvous and the
-    /// executing epoch one later; with no open deciding epoch the executing
+    /// sealed epoch decides at the shard's *next* rendezvous and the
+    /// executing epoch one later; with no open sealed epoch the executing
     /// epoch is itself next.  The sharded front door samples every shard's
     /// pair at stamping and picks per-leg targets that all decide at one
     /// rendezvous (see `ShardedDb::begin`).
     pub fn stamp_targets(&self) -> (u64, Option<u64>) {
-        let state = self.inner.state.lock();
-        let deciding = state
-            .deciding
-            .as_ref()
-            .filter(|deciding| !deciding.closed)
-            .map(|deciding| deciding.generation);
-        (state.exec.generation, deciding)
+        self.inner.state.lock().stamp_targets()
     }
 
     /// The generation of the epoch currently executing.
     pub fn current_generation(&self) -> u64 {
-        self.inner.state.lock().exec.generation
+        self.inner.state.lock().stamp_targets().0
     }
 
     /// Installs an [`EpochGate`] consulted before every epoch finalisation.
@@ -574,20 +446,15 @@ impl ObladiDb {
     /// until finalisation.  Retry loops (the sharded front door, clients)
     /// use this to wait exactly as long as needed and no longer.
     pub fn wait_epoch_rollover(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let mut state = self.inner.state.lock();
-        let generation = state.exec.generation;
+        let generation = state.stamp_targets().0;
         loop {
-            if state.exec.generation != generation {
+            if state.stamp_targets().0 != generation {
                 return true;
             }
-            if self.inner.shutdown.load(Ordering::SeqCst)
-                || self.inner.crashed.load(Ordering::SeqCst)
-            {
-                return false;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
+            let now = Instant::now();
+            if state.mode() != Mode::Running || now >= deadline {
                 return false;
             }
             self.inner
@@ -598,20 +465,20 @@ impl ObladiDb {
 
     /// The identifier of the epoch currently executing.
     pub fn current_epoch(&self) -> EpochId {
-        self.inner.state.lock().exec.epoch
+        self.inner.state.lock().exec_epoch()
     }
 
     /// The identifier of the epoch currently deciding (rendezvous, commit
     /// vote, write-back in flight), if any.
     pub fn deciding_epoch(&self) -> Option<EpochId> {
-        self.inner.state.lock().deciding.as_ref().map(|d| d.epoch)
+        self.inner.state.lock().to_decide().map(|sealed| sealed.0)
     }
 
     /// Simulates a proxy crash: all volatile state (epoch state, version
     /// cache, ORAM client metadata, stash) is dropped and every in-flight
     /// transaction aborts.  The trusted counter and cloud storage survive.
     pub fn crash(&self) {
-        crash_inner(&self.inner);
+        crash_proxy(&self.inner, None);
     }
 
     /// Recovers from a crash using the recovery unit (§8) and resumes
@@ -637,50 +504,31 @@ impl ObladiDb {
         &self,
         resolve: &dyn Fn(TxnId) -> bool,
     ) -> Result<(RecoveryReport, crate::durability::RecoveredTxns)> {
-        if !self.inner.crashed.load(Ordering::SeqCst) {
+        let inner = &self.inner;
+        if !self.is_crashed() {
             return Err(ObladiError::Recovery("proxy has not crashed".into()));
         }
-        let exec = ExecOptions {
-            parallel: true,
-            threads: self.inner.config.epoch.executor_threads,
-            deferred_writes: true,
-            encrypt: true,
-            fast_init: false,
-        };
-        let (oram, next_epoch, report, resolved) = self.inner.durability.recover_resolving(
-            self.inner.config.oram,
-            &self.inner.keys,
-            exec,
-            self.inner.config.seed,
+        let (oram, next_epoch, report, resolved) = inner.durability.recover_resolving(
+            inner.config.oram,
+            &inner.keys,
+            exec_options(&inner.config, false),
+            inner.config.seed,
             resolve,
         )?;
-        let (new_reader, new_engine) = oram.split();
+        let (reader, engine) = oram.split();
         {
-            // The fresh halves are installed *inside* the state-lock (and
-            // therefore `lives`) critical section, mirroring the wipe in
-            // `crash_inner_guarded`: a stale guarded self-crash — a decider
-            // surfacing a pre-crash I/O failure right now — either runs
-            // before this section (wiping the old, already-empty slots) or
-            // after it, where the bumped life token makes it a no-op.
-            // Installing the halves first and bumping `lives` later would
-            // leave a window where the stale crash wipes the freshly
-            // recovered client on a proxy about to be marked healthy.
-            let mut state = self.inner.state.lock();
-            *self.inner.reader.lock() = Some(new_reader);
-            *self.inner.engine.lock() = Some(new_engine);
-            let generation = state.exec.generation + 1;
-            let outcomes_carry = std::mem::take(&mut state.outcomes);
-            *state = ProxyState::new(next_epoch, generation);
-            state.outcomes = outcomes_carry;
-            // A new life: failures observed before this point must no
-            // longer fate-share into a crash (see `ProxyInner::lives`).
-            self.inner.lives.fetch_add(1, Ordering::SeqCst);
+            // The fresh halves go in under the state lock, together with the
+            // new life: a stale self-crash (a decider surfacing a pre-crash
+            // I/O failure right now) either ran before this section, wiping
+            // the old already-empty slots, or finds its life superseded.
+            let mut state = inner.state.lock();
+            *inner.reader.lock() = Some(reader);
+            *inner.engine.lock() = Some(engine);
+            state.recovered(next_epoch);
         }
-        self.inner.crashed.store(false, Ordering::SeqCst);
-        self.inner.driver_wakeup.notify_all();
-        self.inner.decider_wakeup.notify_all();
-        let gate = self.inner.epoch_gate.lock().clone();
-        if let Some(gate) = gate {
+        inner.driver_wakeup.notify_all();
+        inner.decider_wakeup.notify_all();
+        if let Some(gate) = inner.gate() {
             gate.proxy_recovered();
         }
         Ok((report, resolved))
@@ -688,28 +536,24 @@ impl ObladiDb {
 
     /// Whether the proxy is currently crashed.
     pub fn is_crashed(&self) -> bool {
-        self.inner.crashed.load(Ordering::SeqCst)
+        self.inner.state.lock().mode() == Mode::Crashed
     }
 
     /// Stops the epoch driver and releases resources.  Outstanding
     /// transactions abort.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        let inner = &self.inner;
+        inner.state.lock().stop();
         // The decider may be parked at a cross-shard rendezvous; tell the
         // gate this proxy is leaving so the coordinator releases it (and
         // stops counting it into future barriers).
-        let gate = self.inner.epoch_gate.lock().clone();
-        if let Some(gate) = gate {
+        if let Some(gate) = inner.gate() {
             gate.proxy_stopping();
         }
-        self.inner.driver_wakeup.notify_all();
-        self.inner.decider_wakeup.notify_all();
-        self.inner.client_wakeup.notify_all();
-        {
-            let mut queue = self.inner.read_dispatch.queue.lock();
-            queue.stop = true;
-            self.inner.read_dispatch.cond.notify_all();
-        }
+        inner.driver_wakeup.notify_all();
+        inner.decider_wakeup.notify_all();
+        inner.client_wakeup.notify_all();
+        inner.batch_wakeup.notify_all();
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
         }
@@ -739,8 +583,7 @@ impl KvDatabase for ObladiDb {
         match result {
             Ok(value) => {
                 // Client-observed commit latency: from the commit request to
-                // the acknowledged outcome (decision instant, decision
-                // durability or publish — whichever ack wave applied).
+                // the acknowledged outcome, whichever rung acknowledged it.
                 let commit_started = Instant::now();
                 txn.commit()?;
                 obladi_common::stats::record_commit_latency(commit_started.elapsed());
@@ -762,7 +605,11 @@ impl KvDatabase for ObladiDb {
 pub struct ObladiTxn<'db> {
     db: &'db ObladiDb,
     id: TxnId,
+    /// The generation of the epoch the transaction lives in.
     generation: u64,
+    /// Set once commit was requested or the transaction rolled back; until
+    /// then dropping the handle rolls back (also after a failed operation,
+    /// which leaves the proxy's cleanup to this).
     finished: bool,
 }
 
@@ -778,142 +625,19 @@ impl ObladiTxn<'_> {
         let inner = &self.db.inner;
         let mut state = inner.state.lock();
         loop {
-            if self.db.inner.crashed.load(Ordering::SeqCst) {
-                self.finished = true;
-                return Err(ObladiError::ProxyUnavailable);
-            }
-            if state.exec.generation != self.generation {
-                // A transaction that joined the *deciding* epoch (or was
-                // sealed into it) can still read values cached in that
-                // epoch's version chains.  A miss is routed through the
-                // epoch's late-read batch (the next epoch's padded batches
-                // carry it in their spare slots) while the decision is
-                // still open; once it has closed, or the batch is out of
-                // capacity, the read aborts retryably, exactly as at the
-                // old stop-the-world barrier.  No `closed` check is needed
-                // to keep finalized-but-not-yet-durable values from
-                // leaking here: `finalize()` settles every transaction of
-                // the epoch, so once the decision has been applied this
-                // transaction is Aborted (or Committed) in the snapshot's
-                // MVTSO and `read` fails its `check_active` instead of
-                // returning a value.
-                match state.deciding.as_mut() {
-                    Some(deciding) if deciding.generation == self.generation => {
-                        match deciding.mvtso.read(self.id, key)? {
-                            ReadOutcome::Value { value, .. } => return Ok(value),
-                            ReadOutcome::NeedsFetch => {
-                                // Depth 1 keeps the strict barrier shape
-                                // (no batches run while an epoch decides),
-                                // so late reads exist only at depth >= 2.
-                                let config = &inner.config.epoch;
-                                let queued = deciding.late_pending_set.contains(&key)
-                                    || deciding.late_in_flight.contains(&key);
-                                let admissible = config.pipeline_depth >= 2
-                                    && !deciding.closed
-                                    && (queued
-                                        || deciding.late_enqueued < config.reads_per_epoch());
-                                if !admissible {
-                                    deciding.mvtso.abort(self.id, AbortReason::BatchFull);
-                                    deciding.active_txns.remove(&self.id);
-                                    self.finished = true;
-                                    obladi_obs::global()
-                                        .counter("proxy.late_read.declined")
-                                        .inc();
-                                    return Err(ObladiError::BatchFull(format!(
-                                        "read of key {key} missed the cache of a deciding epoch"
-                                    )));
-                                }
-                                if !queued {
-                                    deciding.late_pending.push(key);
-                                    deciding.late_pending_set.insert(key);
-                                    deciding.late_enqueued += 1;
-                                }
-                            }
-                        }
+            match state.read(self.id, self.generation, key)? {
+                ReadStep::Value(value) => return Ok(value),
+                ReadStep::Park => {
+                    if state.backlog() {
+                        inner.driver_wakeup.notify_all();
                     }
-                    _ => {
-                        self.finished = true;
-                        return Err(ObladiError::TxnAborted(AbortReason::EpochEnd.to_string()));
-                    }
+                    inner.park(&mut state);
                 }
-                // Enqueued (or already in flight): wake the executor —
-                // which may be parked in its hold-back loop — and wait for
-                // the fetched value to register, the decision to settle
-                // this transaction, or the slot to clear.
-                inner.driver_wakeup.notify_all();
-                inner
-                    .client_wakeup
-                    .wait_for(&mut state, Duration::from_secs(10));
-                continue;
-            }
-            match state.exec.mvtso.read(self.id, key)? {
-                ReadOutcome::Value { value, .. } => return Ok(value),
-                ReadOutcome::NeedsFetch => {
-                    if inner.shutdown.load(Ordering::SeqCst) {
-                        self.finished = true;
-                        return Err(ObladiError::ProxyUnavailable);
-                    }
-                    if state.carry_pending.contains(&key) {
-                        // The deciding epoch wrote this key and its fate is
-                        // not yet published: fetching now would surface the
-                        // pre-decision value even if the write commits, and
-                        // registering the new value early would leak an
-                        // undecided epoch's write.  Park until the decision
-                        // publishes — it registers committed carry values as
-                        // this epoch's base versions and releases the rest
-                        // for normal fetching.
-                        inner
-                            .client_wakeup
-                            .wait_for(&mut state, Duration::from_secs(10));
-                        continue;
-                    }
-                    let late_conflict = state.deciding.as_ref().is_some_and(|deciding| {
-                        deciding.late_pending_set.contains(&key)
-                            || deciding.late_in_flight.contains(&key)
-                    });
-                    if late_conflict {
-                        // The deciding epoch is fetching (or queued to
-                        // fetch) this key through its late-read batch;
-                        // admitting it here too could put the same key into
-                        // two concurrently in-flight batches, which the
-                        // split client forbids (pairwise-disjoint read
-                        // sets).  Once that fetch ingests — or the decision
-                        // publishes — the key admits normally, resolving
-                        // from the stash at plan time.
-                        inner
-                            .client_wakeup
-                            .wait_for(&mut state, Duration::from_secs(10));
-                        continue;
-                    }
-                    if !state.exec.pending_set.contains(&key)
-                        && !state.exec.in_flight.contains(&key)
-                    {
-                        // Will the request fit into any remaining batch of
-                        // this epoch?
-                        let config = &inner.config.epoch;
-                        let remaining_batches = config
-                            .read_batches
-                            .saturating_sub(state.exec.batches_issued)
-                            as usize;
-                        let capacity = remaining_batches * config.read_batch_size;
-                        if state.exec.pending_fetch.len() >= capacity {
-                            state.exec.mvtso.abort(self.id, AbortReason::BatchFull);
-                            self.finished = true;
-                            state.exec.active_txns.remove(&self.id);
-                            return Err(ObladiError::BatchFull(format!(
-                                "read of key {key} does not fit in the epoch's remaining batches"
-                            )));
-                        }
-                        state.exec.pending_fetch.push(key);
-                        state.exec.pending_set.insert(key);
-                        if state.exec.pending_fetch.len() >= config.read_batch_size {
-                            inner.driver_wakeup.notify_all();
-                        }
-                    }
-                    // Wait for the batch to execute (or the epoch to end).
-                    inner
-                        .client_wakeup
-                        .wait_for(&mut state, Duration::from_secs(10));
+                ReadStep::Declined(err) => {
+                    obladi_obs::global()
+                        .counter("proxy.late_read.declined")
+                        .inc();
+                    return Err(err);
                 }
             }
         }
@@ -921,71 +645,8 @@ impl ObladiTxn<'_> {
 
     /// Buffers a write in the epoch's version cache.
     pub fn write(&mut self, key: Key, value: Value) -> Result<()> {
-        let inner = &self.db.inner;
-        let mut state = inner.state.lock();
-        if self.db.inner.crashed.load(Ordering::SeqCst) {
-            self.finished = true;
-            return Err(ObladiError::ProxyUnavailable);
-        }
-        if state.exec.generation != self.generation {
-            return self.write_deciding(&mut state, key, value);
-        }
-        match state.exec.mvtso.write(self.id, key, value) {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                self.finished = true;
-                state.exec.active_txns.remove(&self.id);
-                Err(err)
-            }
-        }
-    }
-
-    /// A write by a transaction living in the deciding epoch.  Allowed —
-    /// the decision has not sampled candidates with finality until the
-    /// epoch closes — but only while the *executing* epoch has not already
-    /// fetched (or begun fetching) the key: such a fetch registered the
-    /// pre-decision value as the next epoch's base, and a late commit of
-    /// this write would invalidate it.  The key joins the carry set so the
-    /// executing epoch's future reads wait for the decision.
-    fn write_deciding(
-        &mut self,
-        state: &mut MutexGuard<'_, ProxyState>,
-        key: Key,
-        value: Value,
-    ) -> Result<()> {
-        let fetched_by_next = state.exec.mvtso.has_base(key)
-            || state.exec.pending_set.contains(&key)
-            || state.exec.in_flight.contains(&key);
-        let Some(deciding) = state
-            .deciding
-            .as_mut()
-            .filter(|deciding| deciding.generation == self.generation)
-        else {
-            self.finished = true;
-            return Err(ObladiError::TxnAborted(AbortReason::EpochEnd.to_string()));
-        };
-        if fetched_by_next {
-            deciding.mvtso.abort(self.id, AbortReason::EpochEnd);
-            deciding.active_txns.remove(&self.id);
-            self.finished = true;
-            return Err(ObladiError::TxnAborted(format!(
-                "write to key {key} raced the next epoch's read of it"
-            )));
-        }
-        let result = deciding.mvtso.write(self.id, key, value);
-        if result.is_err() {
-            deciding.active_txns.remove(&self.id);
-        }
-        match result {
-            Ok(()) => {
-                state.carry_pending.insert(key);
-                Ok(())
-            }
-            Err(err) => {
-                self.finished = true;
-                Err(err)
-            }
-        }
+        let mut state = self.db.inner.state.lock();
+        state.write(self.id, self.generation, key, value)
     }
 
     /// Requests commit and blocks until the epoch ends, returning the
@@ -1004,30 +665,9 @@ impl ObladiTxn<'_> {
     /// outcomes.  After this call the transaction can no longer be rolled
     /// back by the client.
     pub fn request_commit(&mut self) -> Result<()> {
-        let inner = &self.db.inner;
-        let mut state = inner.state.lock();
+        let mut state = self.db.inner.state.lock();
+        state.request_commit(self.id, self.generation)?;
         self.finished = true;
-        if state.exec.generation == self.generation {
-            let requested = state.exec.mvtso.request_commit(self.id);
-            if requested.is_err() {
-                // The client observes the failure as an error; the epoch's
-                // published outcome would never be collected, so drop the
-                // transaction from the active set now (outcomes are only
-                // published for still-active transactions).
-                state.exec.active_txns.remove(&self.id);
-            }
-            requested?;
-        } else if let Some(deciding) = state.deciding.as_mut() {
-            if deciding.generation == self.generation {
-                // The transaction's epoch has rolled out of execution but
-                // its decision is still in flight: the request still counts,
-                // because the coordinator samples commit candidates at
-                // decision time.  A failure here means the decision already
-                // closed over this transaction; its (abort) outcome will be
-                // published like any other.
-                let _ = deciding.mvtso.request_commit(self.id);
-            }
-        }
         Ok(())
     }
 
@@ -1038,43 +678,20 @@ impl ObladiTxn<'_> {
     /// and everything else (durability disabled, decision-log fallback) at
     /// publish time.
     pub fn await_outcome(self) -> Result<TxnOutcome> {
+        let inner = &self.db.inner;
         let parked = Instant::now();
-        let result = self.await_outcome_parked();
+        let mut state = inner.state.lock();
+        let outcome = loop {
+            if let Some(outcome) = state.take_outcome(self.id, self.generation) {
+                break outcome;
+            }
+            inner.park(&mut state);
+        };
+        drop(state);
         obladi_obs::global()
             .histogram("proxy.phase.commit_wait_us")
             .record_duration(parked.elapsed());
-        result
-    }
-
-    /// The parked wait loop behind [`ObladiTxn::await_outcome`], timed
-    /// separately so commit parking is attributable on its own in
-    /// `--metrics-out` dumps (`proxy.phase.commit_wait_us`) rather than
-    /// disappearing between the executor's `slot_wait_us` sites.
-    fn await_outcome_parked(self) -> Result<TxnOutcome> {
-        let inner = &self.db.inner;
-        let mut state = inner.state.lock();
-        loop {
-            // The outcome map is the source of truth; it is populated once
-            // the transaction's epoch has been made durable.
-            if let Some(outcome) = state.outcomes.remove(&self.id) {
-                return Ok(outcome);
-            }
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return Ok(TxnOutcome::Aborted(AbortReason::EpochEnd));
-            }
-            // If our epoch's successor has itself finished and no outcome
-            // was ever published, this transaction's state was lost (e.g. a
-            // crash wiped the epoch) — report the abort rather than waiting
-            // forever.  (An epoch's outcomes publish before the pipeline
-            // slot frees, and the next rollover needs the free slot, so a
-            // two-generation gap really does imply a lost outcome.)
-            if state.exec.generation > self.generation + 1 {
-                return Ok(TxnOutcome::Aborted(AbortReason::EpochEnd));
-            }
-            inner
-                .client_wakeup
-                .wait_for(&mut state, Duration::from_secs(10));
-        }
+        Ok(outcome)
     }
 
     /// Aborts the transaction.
@@ -1083,24 +700,16 @@ impl ObladiTxn<'_> {
     }
 
     fn abort_internal(&mut self) {
-        if self.finished {
-            return;
+        if !self.finished {
+            self.finished = true;
+            let mut state = self.db.inner.state.lock();
+            state.rollback(self.id, self.generation);
         }
-        self.finished = true;
-        let inner = &self.db.inner;
-        let mut state = inner.state.lock();
-        if state.exec.generation == self.generation {
-            state.exec.mvtso.abort(self.id, AbortReason::UserRequested);
-            state.exec.active_txns.remove(&self.id);
-        } else if let Some(deciding) = state.deciding.as_mut() {
-            if deciding.generation == self.generation {
-                deciding.mvtso.abort(self.id, AbortReason::UserRequested);
-                deciding.active_txns.remove(&self.id);
-            }
-        }
-        // The client observed the abort through an error; its epoch-end
-        // outcome (if recorded) will never be collected, so drop it.
-        state.outcomes.remove(&self.id);
+    }
+
+    /// Consumes the transaction, committing it and mapping aborts to errors.
+    pub fn commit_or_err(self) -> Result<()> {
+        crate::api::outcome_to_result(self.commit()?)
     }
 }
 
@@ -1124,842 +733,332 @@ impl Drop for ObladiTxn<'_> {
     }
 }
 
-impl ObladiTxn<'_> {
-    /// Consumes the transaction, committing it and mapping aborts to errors.
-    pub fn commit_or_err(self) -> Result<()> {
-        crate::api::outcome_to_result(self.commit()?)
-    }
-}
-
 // ----------------------------------------------------------------------
-// Epoch pipeline: executor + decider
+// Thread drivers: executor, read-batch runners, decider
 // ----------------------------------------------------------------------
-//
-// The epoch lifecycle is split across two threads forming a bounded
-// pipeline (depth `config.epoch.pipeline_depth`):
-//
-// * the **executor** runs an epoch's `R` read batches, then snapshots the
-//   epoch's MVTSO state into the *deciding* slot, rolls the proxy over to
-//   the next epoch, and (at depth 2) immediately starts that epoch's read
-//   batches;
-// * the **decider** drains the slot: it consults the epoch gate (for a
-//   sharded deployment this is the cross-shard rendezvous + commit vote +
-//   durable prepares), applies the verdict, performs the write batch /
-//   flush / checkpoint, and publishes the outcomes — which frees the slot
-//   for the next epoch.
-//
-// The overlap this buys is exactly the ROADMAP "pipelined epoch barrier":
-// epoch `N+1`'s reads execute while epoch `N`'s decision is still in
-// flight, instead of every shard parking at the rendezvous.  Reads of keys
-// the deciding epoch wrote are pinned to the pre-decision snapshot via
-// `ProxyState::carry_pending` (see `ObladiTxn::read`), so no read ever
-// observes an undecided epoch's writes.  At depth 1 the executor waits for
-// the slot to drain before starting the next epoch's batches, restoring
-// the stop-the-world barrier (the differential baseline).
 
 fn epoch_executor(inner: Arc<ProxyInner>) {
+    let read_batches = inner.config.epoch.read_batches;
     loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            // Wake anyone still parked, then exit.
-            inner.client_wakeup.notify_all();
-            inner.decider_wakeup.notify_all();
-            return;
-        }
-        if inner.crashed.load(Ordering::SeqCst) {
-            // Park until recovery or shutdown.
+        {
             let mut state = inner.state.lock();
-            inner
-                .driver_wakeup
-                .wait_for(&mut state, Duration::from_millis(50));
-            continue;
-        }
-
-        // ---- R read batches, shipped every Δ. ----
-        //
-        // The first half fires on the normal Δ rhythm — with the pipeline,
-        // typically while the previous epoch's decision is still in flight
-        // (the overlap).  The second half is held back until the pipeline
-        // slot frees (the previous epoch published): if all R batches
-        // burned out early, reads arriving later in the epoch's window —
-        // and especially chains of dependent reads, which need one batch
-        // per link — would abort `BatchFull`, and the parked-window problem
-        // would just have moved one epoch ahead.  The split depends only on
-        // pipeline state, never on demand, so batch timing stays
-        // workload-independent; the count is always exactly R padded
-        // batches per epoch.
-        let read_batches = inner.config.epoch.read_batches;
-        let reserved = read_batches.div_ceil(2);
-        for batch_index in 0..read_batches {
-            if batch_index + reserved >= read_batches {
-                let hold_started = Instant::now();
-                let mut state = inner.state.lock();
-                // The hold releases early when the deciding epoch has late
-                // reads queued: spending one of the reserved batches on
-                // them *is* the reservation's purpose — a deciding-epoch
-                // leg parked on an uncached key would otherwise wait out
-                // the entire gate rendezvous this very loop is parked on.
-                // The hold lasts until the slot *frees* (not merely until
-                // the decision closes): clients collect outcomes at publish
-                // and immediately issue dependent reads, which must still
-                // find batches in this epoch.
-                while state.deciding.is_some()
-                    && !late_reads_pending(&state)
-                    && !inner.shutdown.load(Ordering::SeqCst)
-                    && !inner.crashed.load(Ordering::SeqCst)
-                {
-                    inner.driver_wakeup.wait(&mut state);
-                }
-                drop(state);
-                obladi_obs::global()
-                    .histogram("proxy.phase.slot_wait_us")
-                    .record_duration(hold_started.elapsed());
+            while state.mode() == Mode::Crashed {
+                inner.driver_wakeup.wait(&mut state);
             }
-            wait_for_batch(&inner);
-            if inner.shutdown.load(Ordering::SeqCst) || inner.crashed.load(Ordering::SeqCst) {
-                break;
+            if state.mode() == Mode::Stopping {
+                return;
+            }
+        }
+        // Exactly R padded batches, shipped every Δ; the reserved half only
+        // once the slot frees or the sealed epoch asks for a fetch.
+        for batch_index in 0..read_batches {
+            if is_reserved_batch(read_batches, batch_index) {
+                drop(inner.wait_while(Pipeline::hold_reserved_batch));
             }
             if !dispatch_read_batch(&inner) {
                 break;
             }
         }
-        // Every batch of this epoch must land before the rollover: a batch
-        // registers its fetched values against the epoch it planned in, so
-        // none may straddle the snapshot.
-        drain_read_batches(&inner);
-        if inner.shutdown.load(Ordering::SeqCst) || inner.crashed.load(Ordering::SeqCst) {
-            continue;
-        }
-
-        // ---- Hand the epoch to the decider and roll over. ----
-        let rollover_started = Instant::now();
-        let mut state = inner.state.lock();
-        // Bounded depth: at most one epoch may be deciding.
-        while state.deciding.is_some()
-            && !inner.shutdown.load(Ordering::SeqCst)
-            && !inner.crashed.load(Ordering::SeqCst)
         {
-            inner.driver_wakeup.wait(&mut state);
+            // Every batch lands before the seal; a failed one finishes its
+            // fate-sharing crash first, so the seal below sees it.
+            let mut state = inner.state.lock();
+            while state.batches_outstanding() && state.mode() != Mode::Stopping {
+                inner.batch_wakeup.wait(&mut state);
+            }
         }
-        obladi_obs::global()
-            .histogram("proxy.phase.slot_wait_us")
-            .record_duration(rollover_started.elapsed());
-        if inner.shutdown.load(Ordering::SeqCst) || inner.crashed.load(Ordering::SeqCst) {
+        // Bounded depth: at most one epoch may be sealed.
+        let sealed = inner.wait_while(Pipeline::slot_occupied).seal();
+        if !sealed {
             continue;
         }
-        let next_epoch = state.exec.epoch + 1;
-        let next_generation = state.exec.generation + 1;
-        let snapshot = std::mem::replace(
-            &mut state.exec,
-            EpochState::new(next_epoch, next_generation),
-        );
-        state.carry_pending = snapshot.mvtso.written_keys();
-        state.deciding = Some(DecidingEpoch {
-            epoch: snapshot.epoch,
-            generation: snapshot.generation,
-            mvtso: snapshot.mvtso,
-            active_txns: snapshot.active_txns,
-            late_pending: Vec::new(),
-            late_pending_set: HashSet::new(),
-            late_in_flight: HashSet::new(),
-            late_enqueued: 0,
-            closed: false,
-        });
         obladi_obs::global().gauge("proxy.pipeline.deciding").set(1);
-        drop(state);
         inner.decider_wakeup.notify_all();
-        // Readers parked on batches of the snapshotted epoch must wake and
-        // observe the rollover.
+        // Readers parked on the sealed epoch's batches observe the rollover.
         inner.client_wakeup.notify_all();
         if inner.config.epoch.pipeline_depth <= 1 {
-            // Depth 1: stop-the-world barrier semantics — no batch of the
-            // next epoch executes until the decision has fully published.
-            let barrier_started = Instant::now();
-            let mut state = inner.state.lock();
-            while state.deciding.is_some()
-                && !inner.shutdown.load(Ordering::SeqCst)
-                && !inner.crashed.load(Ordering::SeqCst)
-            {
-                inner.driver_wakeup.wait(&mut state);
-            }
-            drop(state);
-            obladi_obs::global()
-                .histogram("proxy.phase.slot_wait_us")
-                .record_duration(barrier_started.elapsed());
+            // Stop-the-world barrier: no batch of the next epoch executes
+            // until the decision has fully published.
+            drop(inner.wait_while(Pipeline::slot_occupied));
         }
     }
 }
 
-/// Dispatches one read batch to the runner pool.  Returns `false` if the
-/// proxy is stopping or crashed.
-///
-/// Overlap is demand-gated: a second batch is dispatched while the first
-/// is still in flight only when a full batch of keys is already queued (or
-/// the deciding epoch has late reads waiting) — that backlog is exactly
-/// the case where overlapping the physical fetches hides storage latency.
-/// With less than a full batch pending, dispatch falls back to the old
-/// one-at-a-time rhythm: the next batch plans only after the previous one
-/// has ingested, so a chain of dependent reads (read → ingest → next read)
-/// catches one batch per link instead of watching the whole epoch's batch
-/// budget burn in a few Δ intervals and aborting `BatchFull`.
-fn dispatch_read_batch(inner: &Arc<ProxyInner>) -> bool {
-    let full_cap = inner.config.epoch.read_batches_in_flight;
-    let batch_size = inner.config.epoch.read_batch_size;
-    loop {
-        let backlog = {
-            let state = inner.state.lock();
-            state.exec.pending_fetch.len() >= batch_size || late_reads_pending(&state)
-        };
-        let cap = if backlog { full_cap } else { 1 };
-        let mut queue = inner.read_dispatch.queue.lock();
-        if queue.stop || inner.crashed.load(Ordering::SeqCst) {
-            return false;
-        }
-        if queue.pending + queue.in_flight < cap {
-            queue.pending += 1;
-            inner.read_dispatch.cond.notify_all();
+/// Waits out the batch interval — unless a backlog makes the batch worth
+/// firing early — then hands the batch to the runner pool as soon as the
+/// in-flight cap allows.  Returns `false` once the proxy stopped running.
+fn dispatch_read_batch(inner: &ProxyInner) -> bool {
+    let mut state = inner.state.lock();
+    if !state.backlog() {
+        inner
+            .driver_wakeup
+            .wait_for(&mut state, inner.config.epoch.batch_interval);
+    }
+    while state.mode() == Mode::Running {
+        if state.dispatch_batch() {
+            inner.batch_wakeup.notify_all();
             return true;
         }
-        // Re-sample the backlog once a slot frees or after a short nap —
-        // demand may have built up while the in-flight batch fetched.
+        // Re-sample once a batch finishes or after a short nap: a backlog
+        // may have built up while the in-flight batch fetched.
         inner
-            .read_dispatch
-            .cond
-            .wait_for(&mut queue, Duration::from_millis(1));
+            .batch_wakeup
+            .wait_for(&mut state, Duration::from_millis(1));
     }
+    false
 }
 
-/// Blocks until every dispatched read batch has completed (or the proxy is
-/// stopping).  The executor calls this before the epoch rollover; failed
-/// batches finish their fate-sharing crash before they count as drained,
-/// so the executor's crash check right after is conclusive.
-fn drain_read_batches(inner: &Arc<ProxyInner>) {
-    let mut queue = inner.read_dispatch.queue.lock();
-    while queue.pending + queue.in_flight > 0 && !queue.stop {
-        inner.read_dispatch.cond.wait(&mut queue);
-    }
-}
-
-/// One read-batch runner thread: executes the batches the epoch executor
-/// dispatches, so up to `read_batches_in_flight` batches overlap their
-/// physical fetches inside one epoch.  Plans still serialize (briefly) on
-/// the split client's state lock in dispatch order; only the storage
-/// round-trips overlap.
 fn read_batch_runner(inner: Arc<ProxyInner>) {
+    let plan_timer = obladi_obs::global().histogram("proxy.phase.read_plan_us");
     loop {
-        {
-            let mut queue = inner.read_dispatch.queue.lock();
-            while queue.pending == 0 && !queue.stop {
-                inner.read_dispatch.cond.wait(&mut queue);
-            }
-            if queue.stop {
-                return;
-            }
-            queue.pending -= 1;
-            queue.in_flight += 1;
-        }
-        // The life token is sampled right before the I/O it guards: the
-        // batch runs against the reader it clones under the reader lock,
-        // and the clone keeps that client alive for the whole batch even
-        // if a recovery swaps in a fresh one meanwhile — so a failure here
-        // always belongs to the life sampled here, making the stale-failure
-        // check in `self_crash` exact.
-        let life = inner.lives.load(Ordering::SeqCst);
-        let result = execute_read_batch(&inner);
-        if let Err(err) = result {
-            // Storage failure mid-epoch: the ORAM client's in-memory
-            // metadata may already have diverged from what the failed
-            // reads actually delivered, so continuing (and checkpointing
-            // that state in later epochs) would make the divergence
-            // durable.  Fate sharing treats the failure as a crash: drop
-            // all volatile state and wait for recovery (§8).  The crash
-            // completes before the batch counts as drained (below), so the
-            // executor's post-drain crash check is conclusive.
-            self_crash(&inner, life, &err);
-        }
-        {
-            let mut queue = inner.read_dispatch.queue.lock();
-            queue.in_flight -= 1;
-            inner.read_dispatch.cond.notify_all();
-        }
-    }
-}
-
-fn epoch_decider(inner: Arc<ProxyInner>) {
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            inner.client_wakeup.notify_all();
-            return;
-        }
-        // Wait for a snapshot to decide.
-        let pending = {
+        let plan = {
             let mut state = inner.state.lock();
             loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break None;
+                if state.mode() == Mode::Stopping {
+                    return;
                 }
-                match state.deciding.as_ref() {
-                    Some(deciding) if !inner.crashed.load(Ordering::SeqCst) => {
-                        break Some((
-                            deciding.epoch,
-                            deciding.generation,
-                            inner.lives.load(Ordering::SeqCst),
-                        ));
-                    }
-                    _ => inner.decider_wakeup.wait(&mut state),
+                let started = Instant::now();
+                if let Some(plan) = state.claim_batch() {
+                    plan_timer.record_duration(started.elapsed());
+                    break plan;
                 }
+                inner.batch_wakeup.wait(&mut state);
             }
         };
-        let Some((epoch, generation, life)) = pending else {
-            continue;
-        };
-        // The epoch's transactions have already been told they aborted if
-        // this fails (epoch fate sharing); the client state may be torn in
-        // the same way as a failed read batch, so treat it as a crash too.
-        if let Err(err) = decide_epoch(&inner, epoch, generation) {
-            self_crash(&inner, life, &err);
+        if let Err(err) = execute_read_batch(&inner, &plan) {
+            // Storage failure mid-epoch: the ORAM client's in-memory
+            // metadata may have diverged from what the failed reads
+            // delivered, and checkpointing it later would make the
+            // divergence durable.  Fate sharing treats it as a crash (§8),
+            // which completes before the batch counts as finished.
+            self_crash(&inner, plan.life, &err);
         }
+        inner.state.lock().batch_done();
+        inner.batch_wakeup.notify_all();
     }
 }
 
-/// Crash entry point for the epoch threads' fate-sharing paths.
-///
-/// `ProxyUnavailable` means the ORAM client was already taken away by a
-/// concurrent external [`ObladiDb::crash`]; re-crashing here would race an
-/// interleaved [`ObladiDb::recover`] and wipe the freshly recovered state,
-/// so the thread just parks (the crashed flag, or its absence after a
-/// completed recovery, steers the main loop).  `life` guards the same race
-/// for genuine storage failures: a failure observed before a crash that has
-/// since been *recovered* (the executor and decider run concurrently, so a
-/// decider's slow failing write-back can outlive a whole crash-and-recover
-/// cycle) must not wipe the fresh state.  Every current-life error is a
-/// genuine storage/integrity failure discovered by this thread, which owns
-/// the decision to fate-share it into a crash.
-fn self_crash(inner: &Arc<ProxyInner>, life: u64, err: &ObladiError) {
-    if matches!(err, ObladiError::ProxyUnavailable) {
-        return;
-    }
-    crash_inner_guarded(inner, Some(life));
-}
-
-/// Drops all volatile proxy state after a crash (simulated or storage-fault
-/// induced): the ORAM client is discarded, every in-flight transaction
-/// aborts, and the proxy refuses work until [`ObladiDb::recover`] runs.
-/// Already-published outcomes are preserved so waiting clients can still
-/// collect their verdicts.
-fn crash_inner(inner: &Arc<ProxyInner>) {
-    crash_inner_guarded(inner, None);
-}
-
-fn crash_inner_guarded(inner: &Arc<ProxyInner>, life: Option<u64>) {
-    let mut state = inner.state.lock();
-    // `lives` only changes under the state lock (recovery), so the check
-    // and the wipe are atomic with respect to it.
-    if let Some(life) = life {
-        if inner.lives.load(Ordering::SeqCst) != life {
-            return;
-        }
-    }
-    inner.crashed.store(true, Ordering::SeqCst);
-    let mut active: Vec<TxnId> = state.exec.active_txns.drain().collect();
-    if let Some(deciding) = state.deciding.as_mut() {
-        // The deciding epoch's volatile half dies with the crash too; its
-        // waiting clients get the same crash abort (recovery may still
-        // finish durably-prepared cross-shard halves later).
-        active.extend(deciding.active_txns.drain());
-    }
-    for txn in active {
-        state
-            .outcomes
-            .insert(txn, TxnOutcome::Aborted(AbortReason::Crash));
-    }
-    let epoch = state.exec.epoch;
-    let generation = state.exec.generation + 1;
-    let outcomes_carry = std::mem::take(&mut state.outcomes);
-    *state = ProxyState::new(epoch, generation);
-    state.outcomes = outcomes_carry;
-    obladi_obs::global().counter("proxy.crashes").inc();
-    obladi_obs::global().gauge("proxy.pipeline.deciding").set(0);
-    obladi_obs::trace::global().record("proxy.crash", epoch, 0);
-    // Volatile ORAM client state is lost.  The wipe happens *inside* the
-    // state-lock (and therefore `lives`) critical section: if it happened
-    // after the lock dropped, a recovery interleaving in that window could
-    // install a fresh ORAM only to have this stale wipe destroy it on a
-    // proxy already marked un-crashed.  Nothing holds the reader or engine
-    // lock while acquiring the state lock, so the nesting cannot deadlock
-    // (it can wait for an in-flight read batch or write-back to finish,
-    // which is fine — the crashed flag is already set, and the split
-    // client's internal waits all terminate without external help).
-    *inner.reader.lock() = None;
-    *inner.engine.lock() = None;
-    drop(state);
-    inner.client_wakeup.notify_all();
-    inner.driver_wakeup.notify_all();
-    inner.decider_wakeup.notify_all();
-    // The executor may be parked waiting for a free dispatch slot.
-    inner.read_dispatch.cond.notify_all();
-    // Tell the gate (if any) with no proxy locks held: an external epoch
-    // coordinator must stop waiting for this proxy at the rendezvous, or a
-    // self-inflicted crash (storage-fault fate sharing) would stall every
-    // peer behind the barrier.
-    let gate = inner.epoch_gate.lock().clone();
-    if let Some(gate) = gate {
-        gate.proxy_crashed();
-    }
-}
-
-/// Whether the deciding epoch has late reads waiting for a batch's spare
-/// slots (only while the decision is still open — a closed epoch's queue
-/// is settled by its `finalize`, not by fetching).
-fn late_reads_pending(state: &ProxyState) -> bool {
-    state
-        .deciding
-        .as_ref()
-        .is_some_and(|deciding| !deciding.closed && !deciding.late_pending.is_empty())
-}
-
-/// Sleeps until the batch interval elapses, a full batch is queued, or the
-/// deciding epoch has late reads waiting to ride the batch's spare slots.
-fn wait_for_batch(inner: &Arc<ProxyInner>) {
-    let interval = inner.config.epoch.batch_interval;
-    let batch_size = inner.config.epoch.read_batch_size;
-    let mut state = inner.state.lock();
-    if state.exec.pending_fetch.len() >= batch_size || late_reads_pending(&state) {
-        return;
-    }
-    inner.driver_wakeup.wait_for(&mut state, interval);
-}
-
-fn execute_read_batch(inner: &Arc<ProxyInner>) -> Result<()> {
+fn execute_read_batch(inner: &ProxyInner, plan: &BatchPlan) -> Result<()> {
     let obs = obladi_obs::global();
     let batch_size = inner.config.epoch.read_batch_size;
-    // Take up to `b_read` pending keys (deduplicated at enqueue time).
-    let plan_started = Instant::now();
-    let (epoch, keys, late) = {
-        let mut state = inner.state.lock();
-        let take = state.exec.pending_fetch.len().min(batch_size);
-        let keys: Vec<Key> = state.exec.pending_fetch.drain(..take).collect();
-        for key in &keys {
-            state.exec.pending_set.remove(key);
-            state.exec.in_flight.insert(*key);
-        }
-        // The batch's spare (padding) slots carry the deciding epoch's
-        // late reads.  The ORAM still holds the state that epoch read
-        // against (its write-back starts only after the decision), so a
-        // late fetch is indistinguishable from one the epoch issued in
-        // its own read phase — and a real request in a slot that would
-        // have carried a dummy leaves the physical trace unchanged.
-        let mut late: Option<(u64, Vec<Key>)> = None;
-        let state = &mut *state;
-        if let Some(deciding) = state.deciding.as_mut() {
-            if !deciding.closed && !deciding.late_pending.is_empty() {
-                let spare = batch_size - keys.len();
-                if spare > 0 {
-                    // A late key the executing epoch is itself fetching (or
-                    // has queued) is deferred, not dropped: concurrently
-                    // in-flight batches must never carry the same key twice
-                    // (the split client requires pairwise-disjoint read
-                    // sets), and once the executing epoch's fetch ingests,
-                    // a later batch resolves the deferred key from the
-                    // stash at plan time.
-                    let mut late_keys: Vec<Key> = Vec::with_capacity(spare);
-                    let mut deferred: Vec<Key> = Vec::new();
-                    for key in deciding.late_pending.drain(..) {
-                        if late_keys.len() < spare
-                            && !state.exec.pending_set.contains(&key)
-                            && !state.exec.in_flight.contains(&key)
-                        {
-                            deciding.late_pending_set.remove(&key);
-                            deciding.late_in_flight.insert(key);
-                            late_keys.push(key);
-                        } else {
-                            deferred.push(key);
-                        }
-                    }
-                    deciding.late_pending = deferred;
-                    if !late_keys.is_empty() {
-                        late = Some((deciding.generation, late_keys));
-                    }
-                }
-            }
-        }
-        state.exec.batches_issued += 1;
-        (state.exec.epoch, keys, late)
-    };
-    obs.histogram("proxy.phase.read_plan_us")
-        .record_duration(plan_started.elapsed());
-
-    // Overlap instrumentation: with pipelining this fires for epoch N+1
-    // while epoch N's permit_commits call may still be in flight.
-    let gate = inner.epoch_gate.lock().clone();
+    let gate = inner.gate();
     if let Some(gate) = &gate {
-        gate.read_batch_starting(epoch);
+        gate.read_batch_starting(plan.epoch);
     }
-
     inner.durability.begin_read_batch();
-
-    // Pad the batch to its fixed size with dummy requests; late reads of
-    // the deciding epoch ride what would otherwise be padding.
-    let mut requests: Vec<Option<Key>> = keys.iter().copied().map(Some).collect();
-    if let Some((_, late_keys)) = &late {
-        requests.extend(late_keys.iter().copied().map(Some));
-    }
+    // Every leg's keys, padded to the fixed size with dummy requests.
+    let mut requests: Vec<Option<Key>> = plan
+        .legs
+        .iter()
+        .flat_map(|(_, keys)| keys.iter().copied().map(Some))
+        .collect();
     requests.resize(batch_size, None);
-
     let values = {
-        let _span = obladi_obs::trace::global().span("proxy.read_fetch", epoch);
-        let fetch_timer = obs.histogram("proxy.phase.read_fetch_us");
-        // Clone the reader out of the lock: the read plane is `Clone` (all
-        // clones share the client state), so concurrent runners never
-        // serialize on this proxy-level lock — their batches overlap inside
-        // the split client, which plans each under its own lock and runs
-        // the physical fetches lock-free.  The clone also keeps the client
-        // alive for the whole batch even if a crash wipes the slot.
+        let _span = obladi_obs::trace::global().span("proxy.read_fetch", plan.epoch);
         let reader = inner
             .reader
             .lock()
             .as_ref()
             .ok_or(ObladiError::ProxyUnavailable)?
             .clone();
-        // The logger carries this epoch explicitly: the decider's write-back
-        // logs the *deciding* epoch's paths concurrently through its own
-        // tagged logger, so the two threads cannot mislabel each other's
-        // records.
-        let logger = inner.durability.logger_for(epoch);
-        fetch_timer.time(|| reader.read_batch(&requests, &logger))?
+        // The logger carries the epoch explicitly: the decider's write-back
+        // logs the sealed epoch's paths concurrently through its own.
+        let logger = inner.durability.logger_for(plan.epoch);
+        obs.histogram("proxy.phase.read_fetch_us")
+            .time(|| reader.read_batch(&requests, &logger))?
     };
-
     {
         let mut stats = inner.stats.lock();
         stats.read_batches += 1;
-        stats.real_reads += keys.len() as u64;
-        stats.padded_reads += (batch_size - keys.len()) as u64;
+        // Only the executing epoch's own requests count as real.
+        let real = plan.legs[0].1.len();
+        stats.real_reads += real as u64;
+        stats.padded_reads += (batch_size - real) as u64;
     }
-
-    let ingest_started = Instant::now();
-    let mut values = values.into_iter();
-    let exec_values: Vec<Option<Value>> = values.by_ref().take(keys.len()).collect();
-    let mut state = inner.state.lock();
-    if state.exec.epoch == epoch {
-        for (key, value) in keys.iter().zip(exec_values) {
-            state.exec.mvtso.register_base(*key, value);
-            state.exec.in_flight.remove(key);
-        }
+    let sealed_served = obs
+        .histogram("proxy.phase.read_ingest_us")
+        .time(|| inner.state.lock().ingest(plan, values));
+    if plan.legs.len() > 1 {
+        obs.counter("proxy.late_read.served").add(sealed_served);
     }
-    if let Some((late_generation, late_keys)) = late {
-        let mut served = 0u64;
-        if let Some(deciding) = state.deciding.as_mut() {
-            if deciding.generation == late_generation {
-                for (key, value) in late_keys.iter().zip(values.take(late_keys.len())) {
-                    deciding.late_in_flight.remove(key);
-                    // A decision that closed while the fetch was in flight
-                    // already settled every reader; the value is stale
-                    // against nothing (the snapshot never changes), but
-                    // registering it would be pointless.
-                    if !deciding.closed {
-                        deciding.mvtso.register_base(*key, value);
-                        served += 1;
-                    }
-                }
-            }
-        }
-        obs.counter("proxy.late_read.served").add(served);
-    }
-    drop(state);
-    obs.histogram("proxy.phase.read_ingest_us")
-        .record_duration(ingest_started.elapsed());
     inner.client_wakeup.notify_all();
     if let Some(gate) = &gate {
-        gate.read_batch_finished(epoch);
+        gate.read_batch_finished(plan.epoch);
     }
     Ok(())
 }
 
-/// Decides, writes back and publishes the epoch sitting in the deciding
-/// slot.  Runs on the decider thread; the executor is meanwhile free to run
-/// the next epoch's read batches.
+fn epoch_decider(inner: Arc<ProxyInner>) {
+    loop {
+        let (epoch, generation, life) = {
+            let mut state = inner.state.lock();
+            loop {
+                if state.mode() == Mode::Stopping {
+                    return;
+                }
+                match state.to_decide() {
+                    Some(sealed) => break sealed,
+                    None => inner.decider_wakeup.wait(&mut state),
+                }
+            }
+        };
+        // A failure leaves the ORAM client possibly torn, like a failed
+        // read batch; the epoch's unacknowledged transactions have already
+        // been told they aborted (epoch fate sharing).
+        if let Err(err) = decide_epoch(&inner, epoch, generation) {
+            self_crash(&inner, life, &err);
+        }
+    }
+}
+
+/// Fate-shares a storage or integrity failure an epoch thread observed in
+/// `life` into a crash.  `ProxyUnavailable` is not such a failure: it means
+/// a concurrent crash already took the ORAM client away.
+fn self_crash(inner: &ProxyInner, life: u64, err: &ObladiError) {
+    if !matches!(err, ObladiError::ProxyUnavailable) {
+        crash_proxy(inner, Some(life));
+    }
+}
+
+/// Drops all volatile proxy state (see [`Pipeline::crash`]) and the ORAM
+/// client; the proxy refuses work until [`ObladiDb::recover`] runs.
+fn crash_proxy(inner: &ProxyInner, observed_life: Option<u64>) {
+    let mut state = inner.state.lock();
+    let epoch = state.exec_epoch();
+    if !state.crash(observed_life) {
+        return;
+    }
+    obladi_obs::global().counter("proxy.crashes").inc();
+    obladi_obs::global().gauge("proxy.pipeline.deciding").set(0);
+    obladi_obs::trace::global().record("proxy.crash", epoch, 0);
+    // The client is wiped under the state lock, like recovery installs it:
+    // otherwise a recovery interleaving here could install a fresh client
+    // only for this wipe to destroy it.  (This can wait for an in-flight
+    // batch or write-back holding the lock; those finish on their own.)
+    *inner.reader.lock() = None;
+    *inner.engine.lock() = None;
+    drop(state);
+    inner.client_wakeup.notify_all();
+    inner.driver_wakeup.notify_all();
+    inner.decider_wakeup.notify_all();
+    // An external coordinator must stop waiting for this proxy at the
+    // rendezvous, or a self-inflicted crash would stall every peer.
+    if let Some(gate) = inner.gate() {
+        gate.proxy_crashed();
+    }
+}
+
+/// Asks the gate which of the sealed epoch's commit candidates may commit.
+/// The call may block on the cross-shard barrier, so no proxy lock is held
+/// across it; the closures it hands out take the state lock when called.
+fn gate_verdict(
+    inner: &Arc<ProxyInner>,
+    gate: &dyn EpochGate,
+    epoch: EpochId,
+    generation: u64,
+) -> HashSet<TxnId> {
+    let obs = obladi_obs::global();
+    let source = inner.clone();
+    let candidates: CandidateSource = Arc::new(move || source.state.lock().candidates(generation));
+    let prep = inner.clone();
+    let preparer: TxnPreparer = Arc::new(move |txns: &[TxnId]| {
+        let gathered = prep.state.lock().txn_writes(generation, txns)?;
+        // Timed apart from the enclosing gate wait: the WAL appends are
+        // this proxy's own cost, the rest is time spent waiting on peers.
+        let prepare_timer = obladi_obs::global().histogram("proxy.phase.prepare_io_us");
+        prepare_timer.time(|| {
+            for (txn, writes) in gathered {
+                prep.durability.prepare_txn(epoch, txn, &writes)?;
+            }
+            Ok(())
+        })
+    });
+    let _span = obladi_obs::trace::global().span("proxy.gate_wait", epoch);
+    let gate_timer = obs.histogram("proxy.phase.gate_wait_us");
+    match gate_timer.time(|| gate.permit_commits(epoch, candidates, preparer)) {
+        Ok(permits) => permits.into_iter().collect(),
+        Err(err) => {
+            // The gate reached no decision (the barrier watchdog fired).
+            // That is a liveness hiccup, not a fault: every candidate
+            // aborts retryably and the pipeline keeps moving.
+            obs.counter("proxy.gate.stalled").inc();
+            eprintln!(
+                "obladi: epoch gate failed for epoch {epoch} \
+                 (generation {generation}), aborting its candidates: {err}"
+            );
+            HashSet::new()
+        }
+    }
+}
+
+/// Counts commits acknowledged at one rung of the ack ladder.
+fn count_acks(rung: &str, commits: u64) {
+    if commits > 0 {
+        obladi_obs::global().counter(rung).add(commits);
+    }
+}
+
+/// Takes the sealed epoch from decision to publish; the executor meanwhile
+/// runs the next epoch's read batches.  An `Err` is a storage failure the
+/// caller fate-shares into a crash.
 fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Result<()> {
     let obs = obladi_obs::global();
     let tracer = obladi_obs::trace::global();
-    let write_capacity = inner.config.epoch.write_batch_size;
-    let gate = inner.epoch_gate.lock().clone();
+    let gate = inner.gate();
+    let permitted = gate
+        .as_deref()
+        .map(|gate| gate_verdict(inner, gate, epoch, generation));
 
-    // Phase 0 (only when an epoch gate is installed): hand the gate a live
-    // view of this epoch's commit candidates and collect the permitted set.
-    // The gate call may block on the cross-shard epoch barrier, so no proxy
-    // lock is held across it; the candidate source re-samples (and
-    // capacity-enforces) the snapshot's commit-requested set whenever the
-    // coordinator asks, so commit requests that land while this epoch is
-    // already deciding still make the vote.
-    let permitted: Option<HashSet<TxnId>> = match &gate {
-        None => None,
-        Some(gate) => {
-            let source_inner = inner.clone();
-            let candidates: CandidateSource = Arc::new(move || {
-                let mut state = source_inner.state.lock();
-                match state.deciding.as_mut() {
-                    Some(deciding) if deciding.generation == generation => {
-                        enforce_write_capacity(&mut deciding.mvtso, write_capacity);
-                        deciding.mvtso.commit_candidates()
-                    }
-                    // The snapshot was wiped (crash): nothing can commit.
-                    _ => Vec::new(),
-                }
-            });
-            // The preparer runs at the coordinator's decision time, before
-            // this shard's vote counts for a cross-shard transaction: it
-            // snapshots each transaction's buffered write set under the
-            // state lock, then appends the sealed prepare records to the
-            // WAL (no proxy lock held across the storage writes).
-            let prep_inner = inner.clone();
-            let preparer: TxnPreparer = Arc::new(move |txns: &[TxnId]| {
-                let gathered: Vec<(TxnId, Vec<(Key, Value)>)> = {
-                    let state = prep_inner.state.lock();
-                    match state.deciding.as_ref() {
-                        Some(deciding) if deciding.generation == generation => txns
-                            .iter()
-                            .map(|&txn| (txn, deciding.mvtso.txn_writes(txn)))
-                            .collect(),
-                        _ => return Err(ObladiError::ProxyUnavailable),
-                    }
-                };
-                // Prepare I/O is timed apart from the enclosing gate wait:
-                // the WAL appends are this proxy's own cost, the rest of the
-                // rendezvous is time spent waiting on peers.
-                let prepare_timer = obladi_obs::global().histogram("proxy.phase.prepare_io_us");
-                prepare_timer.time(|| {
-                    for (txn, writes) in gathered {
-                        prep_inner.durability.prepare_txn(epoch, txn, &writes)?;
-                    }
-                    Ok(())
-                })
-            });
-            let _span = tracer.span("proxy.gate_wait", epoch);
-            let gate_timer = obs.histogram("proxy.phase.gate_wait_us");
-            match gate_timer.time(|| gate.permit_commits(epoch, candidates, preparer)) {
-                Ok(permits) => Some(permits.into_iter().collect()),
-                Err(err) => {
-                    // The gate reached no decision (the barrier watchdog
-                    // fired).  Fate-sharing this into a crash would turn a
-                    // liveness hiccup into lost volatile state on a healthy
-                    // shard; instead the verdict is an empty permit set —
-                    // every candidate aborts retryably, the epoch finalises
-                    // and the pipeline keeps moving.
-                    obs.counter("proxy.gate.stalled").inc();
-                    eprintln!(
-                        "obladi: epoch gate failed for epoch {epoch} \
-                         (generation {generation}), aborting its candidates: {err}"
-                    );
-                    Some(HashSet::new())
-                }
-            }
-        }
-    };
-
-    // Phase 1 (under the state lock): apply the verdict to the snapshot and
-    // decide commits.  The epoch rollover already happened when the
-    // executor snapshotted this epoch, so transactions that began or
-    // requested commit since then live in the *next* epoch.  No outcome
-    // surfaces before this decision instant — after the epoch closed — so
-    // delayed visibility is preserved; *when* each outcome surfaces depends
-    // on what it needs to stay truthful:
-    //
-    //   - aborts and dependency-free read-only commits are acknowledged
-    //     here, at the decision instant (an abort is exactly what recovery
-    //     would presume; a read-only transaction without same-epoch read
-    //     dependencies observed only already-durable base versions);
-    //   - the remaining commits are acknowledged once the decision record
-    //     is durable in the WAL (phase 1.5) — before write-back and
-    //     checkpoint, which recovery replays from that record alone;
-    //   - with durability disabled there is no decision record to lean on,
-    //     so every outcome waits for publish (phase 3), as before.
+    // Decision.  Nothing surfaces before this instant — after the epoch
+    // closed — so delayed visibility holds whatever rung acknowledges.
+    // Without a decision record to lean on everything waits for publish.
     let early_ack = inner.durability.enabled();
     let decide_started = Instant::now();
-    let (writes, committed, mut held, mut publish, aborted_count, mut acked_commits) = {
+    let decision = obs.histogram("proxy.phase.decide_us").time(|| {
         let mut state = inner.state.lock();
-        let Some(deciding) = state
-            .deciding
-            .as_mut()
-            .filter(|deciding| deciding.generation == generation)
-        else {
-            // A concurrent crash wiped the snapshot mid-decision.
-            return Err(ObladiError::ProxyUnavailable);
-        };
-
-        // Apply the gate's verdict: every commit-requested transaction the
-        // coordinator did not permit — including requests that raced in
-        // after the decision — aborts retryably.
-        if let Some(permits) = &permitted {
-            for txn in deciding.mvtso.commit_requested_txns() {
-                if !permits.contains(&txn) {
-                    deciding.mvtso.abort(txn, AbortReason::EpochEnd);
-                }
-            }
-        }
-
-        // Enforce the write-batch capacity: commit-requested transactions
-        // are admitted in timestamp order until their combined (deduplicated)
-        // write set no longer fits; the rest abort with `BatchFull`.  (With
-        // a gate this re-runs over the already-enforced permitted set and is
-        // a no-op.)
-        enforce_write_capacity(&mut deciding.mvtso, write_capacity);
-
-        // Sample which candidates are read-only and dependency-free while
-        // they are still commit-requested: `finalize` below consumes the
-        // dependency bookkeeping.
-        let mut decision_ackable: HashSet<TxnId> = HashSet::new();
-        if early_ack {
-            for candidate in deciding.mvtso.commit_candidates() {
-                if candidate.deps.is_empty() && deciding.mvtso.write_set(candidate.txn).is_empty() {
-                    decision_ackable.insert(candidate.txn);
-                }
-            }
-        }
-
-        let (committed, aborted) = deciding.mvtso.finalize();
-        deciding.closed = true;
-        let writes = deciding.mvtso.committed_tail_writes();
-
-        // Outcomes are acknowledged only for transactions still in the
-        // epoch's active set: a transaction that already surfaced its
-        // abort to the client as an error (and was dropped from the set)
-        // has no one left to collect the outcome, and the entry would
-        // leak in the outcomes map forever.  (The crash path makes the
-        // same choice.)  Every committed transaction is necessarily still
-        // active — an error-aborted one can never reach `Committed`.
-        let committed: Vec<TxnId> = committed
-            .into_iter()
-            .filter(|txn| deciding.active_txns.contains(txn))
-            .collect();
-        let mut ack_now: Vec<(TxnId, TxnOutcome)> = Vec::new();
-        let mut held: Vec<TxnId> = Vec::new();
-        let mut publish: Vec<(TxnId, TxnOutcome)> = Vec::new();
-        let mut acked_commits = 0u64;
-        for txn in &committed {
-            if decision_ackable.contains(txn) {
-                acked_commits += 1;
-                ack_now.push((*txn, TxnOutcome::Committed));
-            } else if early_ack {
-                held.push(*txn);
-            } else {
-                publish.push((*txn, TxnOutcome::Committed));
-            }
-        }
-        let mut aborted_count = 0u64;
-        for txn in &aborted {
-            if !deciding.active_txns.contains(txn) {
-                continue;
-            }
-            aborted_count += 1;
-            let reason = match deciding.mvtso.status(*txn) {
-                Some(TxnStatus::Aborted(reason)) => reason,
-                _ => AbortReason::EpochEnd,
-            };
-            if early_ack {
-                ack_now.push((*txn, TxnOutcome::Aborted(reason)));
-            } else {
-                publish.push((*txn, TxnOutcome::Aborted(reason)));
-            }
-        }
-        // First ack wave, at the decision instant.  An acknowledged
-        // transaction leaves the active set so a later crash cannot
-        // overwrite its truthful outcome with `Aborted(Crash)`.
-        for (txn, _) in &ack_now {
-            deciding.active_txns.remove(txn);
-        }
-        if acked_commits > 0 {
-            obs.counter("proxy.commit.acked_at_decision")
-                .add(acked_commits);
-        }
-        for (txn, outcome) in ack_now {
-            state.outcomes.insert(txn, outcome);
-        }
-        (
-            writes,
-            committed,
-            held,
-            publish,
-            aborted_count,
-            acked_commits,
-        )
-    };
-    obs.histogram("proxy.phase.decide_us")
-        .record_duration(decide_started.elapsed());
-    // The epoch just closed: the executor's reserved-batch hold releases at
-    // `closed` (the batches it frees overlap the write-back below), and
-    // readers parked on this epoch's late slots must re-check.  The
-    // first-wave acknowledgements ride the same wakeup.
+        state.decide(generation, permitted.as_ref(), early_ack)
+    })?;
+    count_acks("proxy.commit.acked_at_decision", decision.acked);
     inner.driver_wakeup.notify_all();
     inner.client_wakeup.notify_all();
 
-    // Phase 1.5: write transactions are acknowledged as soon as the commit
-    // decision is durable.  The decision record (committed set + merged
-    // writes) lands in the WAL *before* write-back and checkpoint run;
-    // recovery replays a decided epoch from that record alone, so
-    // acked-implies-durable holds by construction.  If the append fails
-    // nothing has been acknowledged yet: the held transactions fall back to
-    // the publish path and fate-share whatever phase 2 decides.
-    if !held.is_empty() {
-        let decision_result = obs.histogram("proxy.phase.decision_log_us").time(|| {
+    // Decision durability: the record lands in the WAL before write-back
+    // and checkpoint run, and recovery replays the epoch from it alone.
+    let mut acked_commits = decision.acked;
+    let mut awaiting_publish = decision.parked;
+    if !decision.held.is_empty() {
+        let appended = obs.histogram("proxy.phase.decision_log_us").time(|| {
             inner
                 .durability
-                .decision_durable(epoch, &committed, &writes)
+                .decision_durable(epoch, &decision.committed, &decision.writes)
         });
-        match decision_result {
+        match appended {
             Ok(()) => {
-                let mut state = inner.state.lock();
-                if let Some(deciding) = state
-                    .deciding
-                    .as_mut()
-                    .filter(|deciding| deciding.generation == generation)
-                {
-                    held.retain(|txn| deciding.active_txns.remove(txn));
-                } else {
-                    // A crash wiped the slot after the decision was already
-                    // appended: the crash path has published an (ambiguous)
-                    // `Aborted(Crash)` for every parked waiter, and recovery
-                    // will still replay the decision record.
-                    held.clear();
-                }
-                if !held.is_empty() {
-                    acked_commits += held.len() as u64;
-                    obs.counter("proxy.commit.acked_at_durable")
-                        .add(held.len() as u64);
-                    for txn in held.drain(..) {
-                        state.outcomes.insert(txn, TxnOutcome::Committed);
-                    }
-                    drop(state);
-                    inner.client_wakeup.notify_all();
-                }
+                let acked = inner.state.lock().ack(generation, &decision.held, true);
+                count_acks("proxy.commit.acked_at_durable", acked);
+                acked_commits += acked;
+                inner.client_wakeup.notify_all();
             }
             Err(err) => {
+                // Nothing was acknowledged on the strength of the record:
+                // the held commits wait for publish with the rest.
                 eprintln!(
                     "obladi: decision log append failed for epoch {epoch}, \
                      falling back to publish-time acks: {err}"
                 );
-                publish.extend(held.drain(..).map(|txn| (txn, TxnOutcome::Committed)));
+                awaiting_publish += decision.held.len();
             }
         }
     }
-    // Every outcome that will ever be acknowledged ahead of publish has
-    // been by now; commit visibility closes here unless a remainder is
-    // still parked for phase 3.
-    if publish.is_empty() {
+    if awaiting_publish == 0 {
         obs.histogram("proxy.phase.commit_visible_us")
             .record_duration(decide_started.elapsed());
     }
 
-    // Phase 2 (no state lock held): apply the write batch (padded to its
-    // fixed size), flush all buffered bucket writes, then checkpoint (§8
-    // ordering) — all on the write-back engine half of the split client.
-    // The executor's concurrent read batches for the next epoch run on the
-    // read plane meanwhile: the two halves coordinate inside the shared
-    // client state (limbo keys, the write fence), so this entire phase —
-    // the eviction round-trips, the bucket flush, the checkpoint append —
-    // overlaps the next epoch's read I/O instead of blocking it behind one
-    // client lock.  The WAL's epoch-ordering rule still guarantees that
-    // none of the next epoch's records is acknowledged ahead of this
-    // decision's.  If this fails, the epoch's transactions are reported as
-    // aborted (epoch fate sharing).
+    // Write-back: the padded write batch, the bucket flush, then the
+    // checkpoint (§8 ordering), all on the engine half of the split client
+    // while the read plane serves the next epoch.
+    let write_capacity = inner.config.epoch.write_batch_size;
     let io_result = (|| -> Result<()> {
         let _span = tracer.span("proxy.write_back", epoch);
         let mut engine_guard = inner.engine.lock();
@@ -1969,7 +1068,7 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
         }
         let logger = inner.durability.logger_for(epoch);
         obs.histogram("proxy.phase.write_back_us").time(|| {
-            engine.write_batch_padded(&writes, write_capacity, &logger)?;
+            engine.write_batch_padded(&decision.writes, write_capacity, &logger)?;
             engine.flush_writes(&logger)
         })?;
         obs.histogram("proxy.phase.checkpoint_us")
@@ -1980,86 +1079,46 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
         Ok(())
     })();
 
-    // Phase 3: publish the remaining outcomes (downgraded to aborts if the
-    // write-back or checkpoint failed — outcomes acknowledged early stay
-    // truthful regardless: their commits replay from the decision record),
-    // resolve the carry set, free the pipeline slot and wake everyone.
+    // Publish: acknowledge what still waits (as crash aborts if the I/O
+    // failed — early acknowledgements stay truthful, their commits replay
+    // from the decision record), resolve the carry set, free the slot.
     let publish_started = Instant::now();
-    let mut state = inner.state.lock();
-    let slot_live = matches!(
-        state.deciding.as_ref(),
-        Some(deciding) if deciding.generation == generation
-    );
-    if slot_live {
-        state.deciding = None;
+    let io_ok = io_result.is_ok();
+    let published = inner
+        .state
+        .lock()
+        .publish(generation, io_ok, &decision.writes);
+    if published.is_some() {
         obs.gauge("proxy.pipeline.deciding").set(0);
     }
-    let late_publish = !publish.is_empty();
-    let mut publish_commits = 0u64;
-    for (txn, outcome) in publish {
-        let outcome = if io_result.is_ok() {
-            outcome
-        } else {
-            TxnOutcome::Aborted(AbortReason::Crash)
-        };
-        if outcome.is_committed() {
-            publish_commits += 1;
-        }
-        state.outcomes.insert(txn, outcome);
-    }
-    if publish_commits > 0 {
-        obs.counter("proxy.commit.acked_at_publish")
-            .add(publish_commits);
-    }
-    if slot_live && io_result.is_ok() {
-        // Carry resolution: the epoch's committed writes are durable now,
-        // so they become the executing epoch's base versions (sparing a
-        // pointless re-fetch); keys whose writers aborted are released for
-        // normal fetching.  Readers parked on carry keys wake below.  On a
-        // *failed* write-back the carry set is deliberately left pinned:
-        // releasing it here would let a parked reader fetch a half-applied
-        // epoch's write from the torn ORAM in the window before the
-        // imminent fate-sharing crash (which resets the carry set) lands.
-        if state.exec.generation == generation + 1 {
-            for (key, value) in &writes {
-                state.exec.mvtso.register_base(*key, Some(value.clone()));
-            }
-        }
-        state.carry_pending.clear();
-    }
-    drop(state);
-    if late_publish {
+    count_acks("proxy.commit.acked_at_publish", published.unwrap_or(0));
+    if awaiting_publish > 0 {
         obs.histogram("proxy.phase.commit_visible_us")
             .record_duration(decide_started.elapsed());
     }
 
-    // When the epoch's I/O failed, the early-acknowledged commits are the
-    // only ones that stay committed (their decision record replays at
-    // recovery); everything held for publish was downgraded above.
-    let committed_count = if io_result.is_ok() {
-        committed.len() as u64
-    } else {
-        acked_commits
-    };
-    let aborted_total = aborted_count + (committed.len() as u64 - committed_count);
+    // When the I/O failed only the early-acknowledged commits stay
+    // committed; everything published was downgraded.
+    let committed = decision.committed.len() as u64;
+    let committed_count = if io_ok { committed } else { acked_commits };
+    let aborted_total = decision.aborted + (committed - committed_count);
     {
         let mut stats = inner.stats.lock();
         stats.epochs += 1;
         stats.committed += committed_count;
         stats.aborted += aborted_total;
-        stats.real_writes += writes.len() as u64;
+        stats.real_writes += decision.writes.len() as u64;
     }
     obs.counter("proxy.epochs").inc();
     obs.counter("proxy.txn.committed").add(committed_count);
     obs.counter("proxy.txn.aborted").add(aborted_total);
     inner.client_wakeup.notify_all();
-    // The executor may be waiting for the freed slot.
     inner.driver_wakeup.notify_all();
     if let Some(gate) = &gate {
-        if io_result.is_ok() {
-            // The full committed set — early-acknowledged and published
-            // alike — retires at the coordinator here.
-            gate.epoch_durable(epoch, &committed);
+        if io_ok {
+            // Early-acknowledged and published commits alike retire at the
+            // coordinator here.
+            gate.epoch_durable(epoch, &decision.committed);
         }
         gate.epoch_finalized(epoch);
     }
@@ -2067,22 +1126,6 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
         .record_duration(publish_started.elapsed());
     tracer.record("proxy.epoch_done", epoch, 0);
     io_result
-}
-
-/// Enforces the write-batch capacity: commit-requested transactions are
-/// admitted in timestamp order until their combined (deduplicated) write set
-/// no longer fits; the rest abort with [`AbortReason::BatchFull`].
-fn enforce_write_capacity(mvtso: &mut MvtsoManager, write_capacity: usize) {
-    let mut planned: HashSet<Key> = HashSet::new();
-    for txn in mvtso.commit_requested_txns() {
-        let write_set = mvtso.write_set(txn);
-        let new_keys = write_set.iter().filter(|k| !planned.contains(*k)).count();
-        if planned.len() + new_keys > write_capacity {
-            mvtso.abort(txn, AbortReason::BatchFull);
-        } else {
-            planned.extend(write_set);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2098,6 +1141,19 @@ mod tests {
 
     fn val(v: u64) -> Value {
         v.to_le_bytes().to_vec()
+    }
+
+    /// Reads `key` in a transaction of its own.  A read that straddles an
+    /// epoch boundary aborts retryably, and an epoch whose batches are spent
+    /// aborts every read until it ends — so each retry waits for the next.
+    fn read_committed(db: &ObladiDb, key: Key) -> Option<Value> {
+        for _ in 0..20 {
+            match db.execute(&mut |txn| txn.read(key)) {
+                Err(err) if err.is_retryable() => db.wait_epoch_rollover(Duration::from_secs(1)),
+                result => return result.unwrap(),
+            };
+        }
+        panic!("key {key} could not be read in 20 epochs");
     }
 
     #[test]
@@ -2207,9 +1263,17 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..5u64 {
                     let key = t * 100 + i;
-                    let mut txn = db.begin().unwrap();
-                    txn.write(key, val(key)).unwrap();
-                    assert!(txn.commit().unwrap().is_committed());
+                    // A commit requested after the epoch's decision aborts
+                    // retryably (`execute` would not report that).
+                    loop {
+                        let mut txn = db.begin().unwrap();
+                        if txn.write(key, val(key)).is_err() {
+                            continue;
+                        }
+                        if matches!(txn.commit(), Ok(outcome) if outcome.is_committed()) {
+                            break;
+                        }
+                    }
                 }
             }));
         }
@@ -2220,9 +1284,7 @@ mod tests {
         for t in 0..4u64 {
             for i in 0..5u64 {
                 let key = t * 100 + i;
-                let mut txn = db.begin().unwrap();
-                assert_eq!(txn.read(key).unwrap(), Some(val(key)), "key {key}");
-                txn.commit().unwrap();
+                assert_eq!(read_committed(&db, key), Some(val(key)), "key {key}");
             }
         }
         let stats = db.stats();
@@ -2277,6 +1339,87 @@ mod tests {
         assert_eq!(txn.read(100).unwrap(), None);
         txn.commit().unwrap();
         db.shutdown();
+    }
+
+    /// A gate that, once armed, holds every `permit_commits` call — and
+    /// with it the sealed epoch's decision — until released.
+    #[derive(Default)]
+    struct HoldingGate {
+        /// `(armed, calls currently held)`.
+        state: Mutex<(bool, usize)>,
+        changed: Condvar,
+    }
+
+    impl EpochGate for HoldingGate {
+        fn permit_commits(
+            &self,
+            _epoch: EpochId,
+            candidates: CandidateSource,
+            _preparer: TxnPreparer,
+        ) -> Result<Vec<TxnId>> {
+            let mut state = self.state.lock();
+            state.1 += 1;
+            self.changed.notify_all();
+            while state.0 {
+                self.changed.wait(&mut state);
+            }
+            state.1 -= 1;
+            drop(state);
+            Ok(candidates().into_iter().map(|c| c.txn).collect())
+        }
+    }
+
+    #[test]
+    fn reader_parked_on_a_sealed_epoch_is_released_by_shutdown() {
+        let db = test_db();
+        let gate = Arc::new(HoldingGate::default());
+        db.set_epoch_gate(gate.clone());
+        // Hold the next sealed epoch undecided and join it.
+        let mut held = gate.state.lock();
+        held.0 = true;
+        while held.1 == 0 {
+            gate.changed.wait(&mut held);
+        }
+        drop(held);
+        let (_, sealed) = db.stamp_targets();
+        let mut txn = db
+            .begin_at_generation(1_000_000, sealed.expect("an epoch is held sealed"))
+            .unwrap();
+
+        std::thread::scope(|scope| {
+            let (progress, events) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                // Each fetch rides one of the next epoch's batches; once they
+                // are spent (the slot stays occupied) the read parks for good.
+                for key in 0.. {
+                    let result = txn.read(key);
+                    let failed = result.is_err();
+                    progress.send(result).unwrap();
+                    if failed {
+                        return;
+                    }
+                }
+            });
+            // Wait until the reader makes no more progress.
+            while let Ok(Ok(_)) = events.recv_timeout(Duration::from_millis(300)) {}
+            // `shutdown` joins the decider, which the gate still holds.
+            let stopper = scope.spawn(|| db.shutdown());
+            let released = loop {
+                match events.recv_timeout(Duration::from_secs(5)) {
+                    Ok(Ok(_)) => continue,
+                    Ok(Err(err)) => break Some(err),
+                    Err(_) => break None,
+                }
+            };
+            gate.state.lock().0 = false;
+            gate.changed.notify_all();
+            stopper.join().unwrap();
+            assert_eq!(
+                released,
+                Some(ObladiError::ProxyUnavailable),
+                "the parked reader outlived shutdown"
+            );
+        });
     }
 
     #[test]

@@ -31,13 +31,14 @@
 //!   so epoch `N+1`'s reads overlap epoch `N`'s write-back I/O).
 //!
 //! Two deliberate deviations from canonical Ring ORAM, both documented in
-//! DESIGN.md, keep the batched implementation tractable without changing the
-//! behaviour the evaluation measures: evictions owed in the middle of a
-//! batch are performed at the end of that batch (the paper itself defers all
-//! physical writes to the epoch boundary), and buckets that have already
-//! been logically rewritten during the epoch are served from the local
-//! buffer instead of being physically re-read (the paper's "reads are served
-//! locally from the buffered buckets", §7).
+//! DESIGN.md ("Deviations from canonical Ring ORAM"), keep the batched
+//! implementation tractable without changing the behaviour the evaluation
+//! measures: evictions owed in the middle of a batch are performed at the
+//! end of that batch (the paper itself defers all physical writes to the
+//! epoch boundary), and buckets that have already been logically rewritten
+//! during the epoch are served from the local buffer instead of being
+//! physically re-read (the paper's "reads are served locally from the
+//! buffered buckets", §7).
 
 use crate::codec::{Decoder, Encoder};
 use crate::metadata::{MetaDelta, OramMeta};

@@ -23,8 +23,9 @@
 //!   hooks and recovery support.
 //!
 //! See DESIGN.md at the repository root for how these pieces map onto the
-//! sections of the paper and for the two documented deviations from
-//! canonical Ring ORAM (batch-boundary evictions and buffer-served reads).
+//! sections of the paper ("Paper map") and for the two documented
+//! deviations from canonical Ring ORAM (batch-boundary evictions and
+//! buffer-served reads).
 
 #![warn(missing_docs)]
 
