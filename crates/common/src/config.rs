@@ -485,14 +485,6 @@ pub struct ShardConfig {
     pub shard: ObladiConfig,
     /// Where the shards' untrusted storage servers live.
     pub storage: StorageBackend,
-    /// Per-shard executor pool sizes overriding the template's
-    /// `epoch.executor_threads`: entry `i` sizes shard `i`'s ORAM executor
-    /// pool (`0` = use the template).  Empty means every shard uses the
-    /// template.  Lets a deployment give a hot or latency-bound shard more
-    /// I/O parallelism without inflating the others; each shard's decider
-    /// remains a single dedicated thread by design (its work is the ordered
-    /// epoch decision, which does not fan out).
-    pub executor_threads_per_shard: Vec<usize>,
     /// Watchdog deadline for the cross-shard epoch barrier: a shard parked
     /// at the rendezvous longer than this dumps barrier diagnostics to
     /// stderr and converts the park into a typed, retryable
@@ -511,14 +503,12 @@ impl ShardConfig {
             shards,
             shard: ObladiConfig::small_for_tests(objects_per_shard),
             storage: StorageBackend::InProcess,
-            executor_threads_per_shard: Vec::new(),
             barrier_watchdog: Duration::from_secs(15),
         }
     }
 
     /// Derives the configuration of shard `index`: the template with a
-    /// per-shard seed (so randomness streams are independent across shards)
-    /// and, when configured, the shard's own executor pool size.
+    /// per-shard seed (so randomness streams are independent across shards).
     pub fn shard_config(&self, index: usize) -> ObladiConfig {
         let mut config = self.shard.clone();
         // SplitMix64-style mixing keeps per-shard seeds independent even for
@@ -526,24 +516,12 @@ impl ShardConfig {
         let mut x = (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         config.seed = self.shard.seed ^ x;
-        if let Some(&threads) = self.executor_threads_per_shard.get(index) {
-            if threads > 0 {
-                config.epoch.executor_threads = threads;
-            }
-        }
         config
     }
 
     /// Sets the storage backend placement.
     pub fn with_storage(mut self, storage: StorageBackend) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Sets per-shard executor pool sizes (see
-    /// [`ShardConfig::executor_threads_per_shard`]).
-    pub fn with_executor_threads_per_shard(mut self, threads: Vec<usize>) -> Self {
-        self.executor_threads_per_shard = threads;
         self
     }
 
@@ -576,16 +554,6 @@ impl ShardConfig {
                 )));
             }
         }
-        if !self.executor_threads_per_shard.is_empty()
-            && self.executor_threads_per_shard.len() != self.shards
-        {
-            return Err(ObladiError::Config(format!(
-                "{} per-shard executor sizes supplied for {} shards \
-                 (must be empty or one per shard)",
-                self.executor_threads_per_shard.len(),
-                self.shards
-            )));
-        }
         if self.barrier_watchdog.is_zero() {
             return Err(ObladiError::Config(
                 "barrier_watchdog must be non-zero".into(),
@@ -601,7 +569,6 @@ impl Default for ShardConfig {
             shards: 4,
             shard: ObladiConfig::default(),
             storage: StorageBackend::InProcess,
-            executor_threads_per_shard: Vec::new(),
             barrier_watchdog: Duration::from_secs(30),
         }
     }
@@ -682,20 +649,6 @@ mod tests {
         bad.barrier_watchdog = Duration::ZERO;
         assert!(bad.validate().is_err(), "zero watchdog must fail");
         ShardConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn per_shard_executor_sizing_applies_and_validates() {
-        let cfg =
-            ShardConfig::small_for_tests(3, 256).with_executor_threads_per_shard(vec![0, 5, 9]);
-        cfg.validate().unwrap();
-        let template = cfg.shard.epoch.executor_threads;
-        assert_eq!(cfg.shard_config(0).epoch.executor_threads, template);
-        assert_eq!(cfg.shard_config(1).epoch.executor_threads, 5);
-        assert_eq!(cfg.shard_config(2).epoch.executor_threads, 9);
-
-        let bad = ShardConfig::small_for_tests(3, 256).with_executor_threads_per_shard(vec![1, 2]);
-        assert!(bad.validate().is_err(), "length mismatch must fail");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! logic runs unchanged on Obladi, on the NoPriv baseline, and on the
 //! MySQL-like 2PL engine — exactly the comparison Figure 9 makes.
 
-use obladi_common::error::Result;
+use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{Key, TxnOutcome, Value};
+use std::time::Instant;
 
 /// One executing transaction.
 ///
@@ -35,6 +36,11 @@ pub trait KvDatabase: Send + Sync {
     where
         Self: Sized;
 
+    /// Called by [`KvDatabase::execute_with_retries`] between a retryable
+    /// abort and the next attempt.  The default retries at once; an engine
+    /// whose abort says "not before some event" waits for that event here.
+    fn before_retry(&self, _abort: &ObladiError) {}
+
     /// Runs `body`, retrying up to `retries` times on retryable aborts.
     fn execute_with_retries<T>(
         &self,
@@ -50,6 +56,7 @@ pub trait KvDatabase: Send + Sync {
                 Ok(value) => return Ok(value),
                 Err(err) if err.is_retryable() && attempt < retries => {
                     attempt += 1;
+                    self.before_retry(&err);
                 }
                 Err(err) => return Err(err),
             }
@@ -81,10 +88,19 @@ pub trait FrontDoor: KvDatabase {
 pub fn outcome_to_result(outcome: TxnOutcome) -> Result<()> {
     match outcome {
         TxnOutcome::Committed => Ok(()),
-        TxnOutcome::Aborted(reason) => Err(obladi_common::error::ObladiError::TxnAborted(
-            reason.to_string(),
-        )),
+        TxnOutcome::Aborted(reason) => Err(ObladiError::TxnAborted(reason.to_string())),
     }
+}
+
+/// The commit half of an Obladi engine's [`KvDatabase::execute`]: runs
+/// `commit`, records the client-observed commit latency (from the commit
+/// request to the acknowledged outcome, whichever rung acknowledged it) and
+/// reports an aborted commit as the error the trait promises.
+pub fn commit_timed(commit: impl FnOnce() -> Result<TxnOutcome>) -> Result<()> {
+    let started = Instant::now();
+    let outcome = commit()?;
+    obladi_common::stats::record_commit_latency(started.elapsed());
+    outcome_to_result(outcome)
 }
 
 #[cfg(test)]

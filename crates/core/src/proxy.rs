@@ -579,20 +579,17 @@ impl crate::api::FrontDoor for ObladiDb {
 impl KvDatabase for ObladiDb {
     fn execute<T>(&self, body: &mut dyn FnMut(&mut dyn KvTransaction) -> Result<T>) -> Result<T> {
         let mut txn = self.begin()?;
-        let result = body(&mut txn);
-        match result {
-            Ok(value) => {
-                // Client-observed commit latency: from the commit request to
-                // the acknowledged outcome, whichever rung acknowledged it.
-                let commit_started = Instant::now();
-                txn.commit()?;
-                obladi_common::stats::record_commit_latency(commit_started.elapsed());
-                Ok(value)
-            }
-            Err(err) => {
-                txn.rollback();
-                Err(err)
-            }
+        // A failed body drops the handle, which rolls the transaction back.
+        let value = body(&mut txn)?;
+        crate::api::commit_timed(|| txn.commit())?;
+        Ok(value)
+    }
+
+    /// An epoch whose batches are spent aborts every read until it ends:
+    /// the retry waits for the next epoch instead of burning its attempts.
+    fn before_retry(&self, abort: &ObladiError) {
+        if matches!(abort, ObladiError::BatchFull(_)) {
+            self.wait_epoch_rollover(Duration::from_secs(2));
         }
     }
 
@@ -1144,16 +1141,11 @@ mod tests {
     }
 
     /// Reads `key` in a transaction of its own.  A read that straddles an
-    /// epoch boundary aborts retryably, and an epoch whose batches are spent
-    /// aborts every read until it ends — so each retry waits for the next.
+    /// epoch boundary aborts retryably, and so does every read in an epoch
+    /// whose batches are spent — `execute_with_retries` waits that one out.
     fn read_committed(db: &ObladiDb, key: Key) -> Option<Value> {
-        for _ in 0..20 {
-            match db.execute(&mut |txn| txn.read(key)) {
-                Err(err) if err.is_retryable() => db.wait_epoch_rollover(Duration::from_secs(1)),
-                result => return result.unwrap(),
-            };
-        }
-        panic!("key {key} could not be read in 20 epochs");
+        db.execute_with_retries(20, &mut |txn| txn.read(key))
+            .unwrap()
     }
 
     #[test]
@@ -1191,9 +1183,7 @@ mod tests {
         let mut t1 = db.begin().unwrap();
         t1.write(3, val(33)).unwrap();
         t1.rollback();
-        let mut t2 = db.begin().unwrap();
-        assert_eq!(t2.read(3).unwrap(), None);
-        t2.commit().unwrap();
+        assert_eq!(read_committed(&db, 3), None);
         db.shutdown();
     }
 
@@ -1255,6 +1245,20 @@ mod tests {
     }
 
     #[test]
+    fn execute_reports_an_aborted_commit_as_a_retryable_error() {
+        let db = test_db();
+        // One more blind write than the epoch's write batch holds: every
+        // write is accepted, the commit is denied at the epoch boundary.
+        let writes = db.config().epoch.write_batch_size as u64 + 1;
+        let err = db
+            .execute(&mut |txn| (0..writes).try_for_each(|key| txn.write(key, val(key))))
+            .expect_err("the commit aborted, so `execute` must not report success");
+        assert!(err.is_retryable(), "{err}");
+        assert_eq!(read_committed(&db, 0), None);
+        db.shutdown();
+    }
+
+    #[test]
     fn many_threads_commit_disjoint_keys() {
         let db = Arc::new(test_db());
         let mut handles = Vec::new();
@@ -1264,16 +1268,9 @@ mod tests {
                 for i in 0..5u64 {
                     let key = t * 100 + i;
                     // A commit requested after the epoch's decision aborts
-                    // retryably (`execute` would not report that).
-                    loop {
-                        let mut txn = db.begin().unwrap();
-                        if txn.write(key, val(key)).is_err() {
-                            continue;
-                        }
-                        if matches!(txn.commit(), Ok(outcome) if outcome.is_committed()) {
-                            break;
-                        }
-                    }
+                    // retryably.
+                    db.execute_with_retries(100, &mut |txn| txn.write(key, val(key)))
+                        .unwrap();
                 }
             }));
         }
@@ -1428,10 +1425,11 @@ mod tests {
         // Commit a couple of transactions, then check that padded reads were
         // issued (batches are always full-size).
         for k in 0..3u64 {
-            let mut txn = db.begin().unwrap();
-            txn.read(k).unwrap();
-            txn.write(k, val(k)).unwrap();
-            txn.commit().unwrap();
+            db.execute_with_retries(20, &mut |txn| {
+                txn.read(k)?;
+                txn.write(k, val(k))
+            })
+            .unwrap();
         }
         let stats = db.stats();
         assert!(stats.read_batches > 0);

@@ -8,161 +8,51 @@
 //! transaction that wrote on shards A and B must become visible on A and B
 //! in the *same* global epoch, or on neither.
 //!
-//! The coordinator achieves this with one rendezvous per global epoch.
-//! Every shard's epoch driver, just before finalising its local epoch, calls
-//! [`EpochCoordinator::arrive`] through its [`ShardGate`], handing over a
-//! *candidate source* — a closure the coordinator can sample for the shard's
-//! current commit-requested transactions.  The call blocks until every live
-//! shard has arrived; the coordinator then samples every shard's candidates
-//! **at decision time** and decides, atomically for the whole deployment:
+//! One rendezvous per global epoch does that.  Every shard's epoch driver,
+//! just before finalising its local epoch, calls
+//! [`EpochCoordinator::arrive`] through its [`ShardGate`] and parks until
+//! every live shard has arrived; the last one then samples every shard's
+//! commit candidates **at decision time**, has every participant of a
+//! cross-shard transaction durably log a prepare record (2PC-in-WAL,
+//! presumed abort), and permits exactly the transactions every touched
+//! shard voted for.
 //!
-//! * a transaction commits iff **every shard it touched** is live and lists
-//!   it as a candidate (unanimous vote);
-//! * everything else aborts with a retryable reason on every shard.
-//!
-//! Sampling at decision time (rather than at each shard's arrival) matters:
-//! shards arrive at the barrier at different moments, and a multi-shard
-//! commit whose per-shard requests land while some shard is already parked
-//! would otherwise be counted on some shards but not others — aborting a
-//! perfectly good transaction.  For the same reason the front door brackets
-//! its burst of per-shard commit requests in a [`CommitIntake`] guard: the
-//! decision waits for in-flight bursts, and new bursts wait for a pending
-//! decision, so no burst ever straddles a decision.
-//!
-//! Crashed shards are excluded from the rendezvous (a barrier over a dead
-//! shard would halt the world); transactions touching a crashed shard abort
-//! until it recovers and re-joins.
-//!
-//! # Durable cross-shard prepare (2PC-in-WAL, presumed abort)
-//!
-//! A unanimous vote alone leaves a window: a shard that crashes *between*
-//! its commit vote and its epoch commit loses its half of a cross-shard
-//! transaction the peers made durable.  The coordinator therefore runs the
-//! decision as classic two-phase commit with presumed abort, using each
-//! shard's write-ahead log as the prepare log:
-//!
-//! * **Prepare.**  Before a cross-shard transaction's votes count, every
-//!   participating shard durably appends a `Prepare{txn, epoch, write set}`
-//!   record through its [`TxnPreparer`].  A shard whose prepare fails
-//!   withholds its vote and the transaction aborts retryably everywhere.
-//! * **Decide.**  Once all participants hold durable prepares, the
-//!   coordinator records the commit decision in its decision log and
-//!   permits the transaction.  Anything not in the log is *presumed
-//!   aborted* — no abort records are ever written.
-//! * **Forget.**  Each shard acknowledges the decision when its epoch
-//!   commits durably ([`EpochCoordinator::ack_durable`], wired through
-//!   `EpochGate::epoch_durable`); once every participant has acknowledged,
-//!   the decision is retired.  Stale prepare records (their epoch is at or
-//!   below the shard's durable frontier) are retired by WAL compaction.
-//!
-//! Recovery of a crashed shard asks [`EpochCoordinator::decision`] about
-//! every in-doubt prepare it finds and replays the committed ones from
-//! their prepare records, then acknowledges them — so a voted cross-shard
-//! transaction is finished (or rolled back) instead of silently torn.
-//!
-//! The vote is also kept *closed under cascading aborts*: a candidate whose
-//! same-epoch dependency (an uncommitted write it observed) is denied would
-//! be cascade-aborted locally after the vote, so the coordinator denies it
-//! on every shard up front.
+//! Every rule of that — who may do what in which phase, the vote, the
+//! decision log — is the pure state machine in [`crate::rendezvous`]
+//! (overview in DESIGN.md, "The rendezvous").  This module is its shell:
+//! one lock, one condvar, the watchdog deadline, and the two things the
+//! machine never sees — the shards' candidate and prepare closures, and
+//! the prepare I/O, which runs with the lock released.
 
+pub use crate::rendezvous::TxnDecision;
+use crate::rendezvous::{Poll, Rendezvous};
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{EpochId, TxnId};
-use obladi_core::{CandidateSource, CommitCandidate, EpochGate, TxnPreparer};
+use obladi_core::{CandidateSource, EpochGate, TxnPreparer};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What the coordinator knows about a transaction's fate (presumed abort:
-/// only commit decisions are recorded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnDecision {
-    /// Every participant durably prepared and the coordinator permitted the
-    /// commit; a recovering participant must replay its half.
-    Committed,
-    /// No commit decision is on record: the transaction never achieved a
-    /// fully prepared unanimous vote, so no shard can have committed it.
-    PresumedAborted,
-}
-
-/// One shard's rendezvous arrival: its live candidate view and its durable
-/// prepare hook.
-struct ShardArrival {
-    candidates: CandidateSource,
-    preparer: TxnPreparer,
-}
-
-struct CoordState {
-    /// Which shards currently participate in the rendezvous.
-    live: Vec<bool>,
-    /// Arrivals of shards for the current round.
-    arrivals: HashMap<usize, ShardArrival>,
-    /// Decided-but-uncollected permit lists, one entry per arrived shard.
-    permits: HashMap<usize, Vec<TxnId>>,
-    /// Completed rounds — the deployment's global epoch counter.
-    round: u64,
-    /// Which shards each in-flight transaction has touched.
-    participants: HashMap<TxnId, HashSet<usize>>,
-    /// The 2PC decision log: committed cross-shard transactions mapped to
-    /// the participants that have not yet acknowledged the commit durable.
-    decisions: HashMap<TxnId, HashSet<usize>>,
-    /// Commit verdicts for the *front door*, kept until the transaction is
-    /// forgotten.  Unlike `decisions`, participant acknowledgements do not
-    /// erase these — otherwise a transaction whose every leg crashed could
-    /// have its decision replayed and fully retired by recovery before the
-    /// front door samples the verdict, and the client would be told
-    /// "aborted" about durably committed writes.
-    committed_verdicts: HashSet<TxnId>,
-    /// Commit-request bursts currently in flight (see [`CommitIntake`]).
-    intake_in_flight: usize,
-    /// A decision is draining in-flight bursts and sampling candidates;
-    /// intake blocks only for this (short, in-memory) window.
-    decision_pending: bool,
-    /// The in-flight decision slot: the round whose decision has started
-    /// (candidates sampled) but not yet completed.  Unlike
-    /// `decision_pending`, this stays occupied across the decision's
-    /// prepare I/O, which runs *outside* the coordinator lock — so every
-    /// other entry point stays responsive while a latency-bound store
-    /// absorbs the parallel prepare appends.
-    deciding_round: Option<u64>,
-    /// When the previous round completed (feeds the epoch-period
-    /// histogram).
-    last_round_at: Option<Instant>,
-    shutdown: bool,
-}
-
-/// A decision sampled under the coordinator lock, carried across the
-/// unlocked parallel-prepare phase and applied by
-/// [`EpochCoordinator::complete_decision`].
-struct DecisionPlan {
-    /// Decision-time candidate sample per arrived shard.
-    sampled: HashMap<usize, Vec<CommitCandidate>>,
-    /// Transactions the vote permits so far (unanimous + cascade-closed).
-    permitted: HashSet<TxnId>,
-    /// Union of same-epoch dependencies per transaction.
-    deps: HashMap<TxnId, HashSet<TxnId>>,
-    /// Durable-prepare work: one disjoint WAL append batch per participant.
-    prepares: Vec<(usize, Vec<TxnId>, TxnPreparer)>,
-    /// Transactions already failed (a participant never arrived).
-    prepare_failed: HashSet<TxnId>,
-}
-
-impl CoordState {
-    fn all_live_arrived(&self) -> bool {
-        let live: Vec<usize> = (0..self.live.len()).filter(|&s| self.live[s]).collect();
-        !live.is_empty() && live.iter().all(|s| self.arrivals.contains_key(s))
-    }
-}
+/// A parked shard's live candidate view and its durable-prepare hook.
+type Hooks = HashMap<usize, (CandidateSource, TxnPreparer)>;
 
 /// Barrier + commit-vote coordinator shared by all shards of a deployment.
 pub struct EpochCoordinator {
-    state: Mutex<CoordState>,
+    state: Mutex<Rendezvous>,
     changed: Condvar,
     /// Bounded-wait watchdog for the rendezvous: a shard parked in
     /// [`EpochCoordinator::arrive`] past this deadline dumps barrier
     /// diagnostics to stderr and returns a typed, retryable
     /// [`ObladiError::BarrierStalled`] instead of hanging forever.
     watchdog: Duration,
+    /// The hooks of the shards parked for the current round, removed when
+    /// the shard stops waiting (they keep its proxy alive).  Never locked
+    /// before `state`.
+    hooks: Mutex<Hooks>,
+    /// When the previous round completed (feeds the epoch-period
+    /// histogram).
+    last_round_at: Mutex<Option<Instant>>,
 }
 
 impl EpochCoordinator {
@@ -175,22 +65,11 @@ impl EpochCoordinator {
     /// Creates a coordinator for `shards` shards, all initially live.
     pub fn new(shards: usize) -> Self {
         EpochCoordinator {
-            state: Mutex::new(CoordState {
-                live: vec![true; shards],
-                arrivals: HashMap::new(),
-                permits: HashMap::new(),
-                round: 0,
-                participants: HashMap::new(),
-                decisions: HashMap::new(),
-                committed_verdicts: HashSet::new(),
-                intake_in_flight: 0,
-                decision_pending: false,
-                deciding_round: None,
-                last_round_at: None,
-                shutdown: false,
-            }),
+            state: Mutex::new(Rendezvous::new(shards)),
             changed: Condvar::new(),
             watchdog: Self::DEFAULT_WATCHDOG,
+            hooks: Mutex::new(HashMap::new()),
+            last_round_at: Mutex::new(None),
         }
     }
 
@@ -204,117 +83,34 @@ impl EpochCoordinator {
 
     /// Number of completed global epochs.
     pub fn global_epoch(&self) -> u64 {
-        self.state.lock().round
+        self.state.lock().round()
     }
 
-    /// Records that `txn` has begun work on `shard`.
-    pub fn register_participant(&self, txn: TxnId, shard: usize) {
-        self.state
-            .lock()
-            .participants
-            .entry(txn)
-            .or_default()
-            .insert(shard);
-    }
-
-    /// The shards `txn` has touched (diagnostics and tests).
-    pub fn participants(&self, txn: TxnId) -> Vec<usize> {
-        let state = self.state.lock();
-        let mut shards: Vec<usize> = state
-            .participants
-            .get(&txn)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default();
-        shards.sort_unstable();
-        shards
-    }
-
-    /// Drops the participant registration (and the front-door commit
-    /// verdict) of a finished transaction.  The 2PC decision log is *not*
-    /// touched here: a decision outlives the front door's bookkeeping,
-    /// because a crashed participant may still need it at recovery time.
-    pub fn forget_txn(&self, txn: TxnId) {
-        let mut state = self.state.lock();
-        state.participants.remove(&txn);
-        state.committed_verdicts.remove(&txn);
-    }
-
-    /// Whether the coordinator decided to commit `txn` — the front door's
-    /// verdict source.  Unlike [`EpochCoordinator::decision`], this stays
-    /// true even after every participant has acknowledged (recovery may
-    /// retire the decision before the front door samples the outcome); it
-    /// is cleared by [`EpochCoordinator::forget_txn`].
-    pub fn was_committed(&self, txn: TxnId) -> bool {
-        let state = self.state.lock();
-        state.committed_verdicts.contains(&txn) || state.decisions.contains_key(&txn)
-    }
-
-    /// The coordinator's verdict on a transaction, queried by a recovering
-    /// shard for every in-doubt prepare record it finds (presumed abort:
-    /// absence from the decision log means no shard can have committed).
-    pub fn decision(&self, txn: TxnId) -> TxnDecision {
-        if self.state.lock().decisions.contains_key(&txn) {
-            TxnDecision::Committed
-        } else {
-            TxnDecision::PresumedAborted
-        }
-    }
-
-    /// Acknowledges that `shard` has made the listed transactions' commits
-    /// durable (either through its normal epoch commit or by replaying them
-    /// during recovery).  A decision is retired once every participant has
-    /// acknowledged it; ids without a pending decision are ignored.
-    pub fn ack_durable(&self, shard: usize, txns: &[TxnId]) {
-        let mut state = self.state.lock();
-        for txn in txns {
-            if let Some(pending) = state.decisions.get_mut(txn) {
-                pending.remove(&shard);
-                if pending.is_empty() {
-                    state.decisions.remove(txn);
-                }
-            }
-        }
-    }
-
-    /// Number of commit decisions awaiting participant acknowledgements
-    /// (diagnostics and tests; a healthy deployment trends to zero).
-    pub fn pending_decisions(&self) -> usize {
-        self.state.lock().decisions.len()
-    }
-
-    /// The round whose decision is currently in flight (candidates sampled,
-    /// prepare I/O possibly still running), if any.
-    pub fn deciding_round(&self) -> Option<u64> {
-        self.state.lock().deciding_round
+    /// The locked state machine, for the per-transaction bookkeeping that
+    /// wakes nobody: `register`, `forget`, `was_committed`, `decision`,
+    /// `ack_durable`, `pending_decisions`.  Everything a parked shard or a
+    /// blocked commit burst must hear about goes through the methods of
+    /// this type, which also notify.
+    pub(crate) fn machine(&self) -> MutexGuard<'_, Rendezvous> {
+        self.state.lock()
     }
 
     /// Opens a commit-intake window: while the guard lives, no rendezvous
-    /// decision is taken, so a burst of per-shard commit requests is atomic
-    /// with respect to the vote.  Blocks while a decision is pending.
+    /// decision samples its candidates, so a burst of per-shard commit
+    /// requests is atomic with respect to the vote.  Blocks only while a
+    /// decision drains and samples (in memory), never for its prepare I/O.
     pub fn begin_commit_intake(&self) -> CommitIntake<'_> {
         let mut state = self.state.lock();
-        while state.decision_pending && !state.shutdown {
+        while !state.intake_open() {
             self.changed.wait(&mut state);
         }
-        state.intake_in_flight += 1;
         CommitIntake { coordinator: self }
     }
 
     /// Marks a shard live (recovered) or dead (crashed).  Dead shards are
     /// dropped from the rendezvous, which may complete the current round.
     pub fn set_live(&self, shard: usize, alive: bool) {
-        let mut state = self.state.lock();
-        if state.live[shard] == alive {
-            return;
-        }
-        state.live[shard] = alive;
-        if !alive {
-            // A stale arrival from a now-dead shard must not vote.
-            state.arrivals.remove(&shard);
-        }
-        drop(state);
-        // The change may have completed the round (one fewer shard to wait
-        // for) — wake everyone so the last arriver re-evaluates.
+        self.state.lock().set_live(shard, alive);
         self.changed.notify_all();
     }
 
@@ -322,15 +118,14 @@ impl EpochCoordinator {
     /// deployment shutdown).  Blocked and future arrivals get their own
     /// candidates back unchanged, matching single-proxy shutdown semantics.
     pub fn shutdown(&self) {
-        self.state.lock().shutdown = true;
+        self.state.lock().stop();
         self.changed.notify_all();
     }
 
     /// The rendezvous: blocks until all live shards have arrived for this
-    /// round, samples every shard's candidates, and returns those the
-    /// coordinator permits `shard` to commit.  Cross-shard transactions are
-    /// durably prepared on every participant (through the shards'
-    /// `preparer` hooks) before their votes count.
+    /// round and returns the transactions the coordinator permits `shard`
+    /// to commit.  The shard that completes the barrier leads the decision
+    /// (`decide`) on behalf of all.
     ///
     /// On shutdown the shard's own candidates pass through unchanged
     /// (matching single-proxy shutdown semantics).  A shard that has been
@@ -338,133 +133,100 @@ impl EpochCoordinator {
     /// committing locally after the deployment has already excluded its
     /// votes could make half of a cross-shard transaction durable.
     ///
-    /// A shard parked here past the watchdog deadline withdraws its
-    /// arrival, dumps the barrier state and `obs::report()` to stderr and
-    /// returns [`ObladiError::BarrierStalled`] — a typed, retryable
-    /// liveness error.  Withdrawing the arrival matters: a rendezvous that
-    /// completes later must not sample the departed shard's stale
-    /// candidate closure.  The shard's epoch finalises with an empty
-    /// permit set (its candidates abort retryably) and it re-arrives for
-    /// the same round at its next epoch, so a transient stall heals on its
-    /// own.
+    /// A shard parked here past the watchdog deadline withdraws, dumps the
+    /// barrier state to stderr and returns [`ObladiError::BarrierStalled`]
+    /// — a typed, retryable liveness error.  Its epoch finalises with an
+    /// empty permit set (its candidates abort retryably, on every shard if
+    /// they were already sampled) and it re-arrives at its next epoch, so a
+    /// transient stall heals on its own.
     pub fn arrive(
         &self,
         shard: usize,
         candidates: CandidateSource,
         preparer: TxnPreparer,
     ) -> Result<Vec<TxnId>> {
-        let mut state = self.state.lock();
-        if state.shutdown {
-            drop(state);
-            return Ok(candidates().into_iter().map(|c| c.txn).collect());
-        }
-        if !state.live[shard] {
-            return Ok(Vec::new());
-        }
-        state.arrivals.insert(
-            shard,
-            ShardArrival {
-                candidates: candidates.clone(),
-                preparer,
-            },
-        );
-        let target = state.round + 1;
         let arrived_at = Instant::now();
-        let deadline = arrived_at + self.watchdog;
-
-        // Wait until this round is decided; the last arriver (or a waiter
-        // woken by a liveness change that completed the barrier) performs
-        // the decision itself.
+        let mut state = self.state.lock();
+        let target = state.arrive(shard);
+        self.hooks
+            .lock()
+            .insert(shard, (candidates.clone(), preparer));
         loop {
-            if state.round >= target || state.shutdown || !state.live[shard] {
-                break;
-            }
-            if state.all_live_arrived() && state.deciding_round.is_none() {
-                // This thread decides.  First drain in-flight commit bursts
-                // so no burst straddles the candidate sample.
-                state.deciding_round = Some(target);
-                obladi_obs::global()
-                    .gauge("shard.pipeline.decision_in_flight")
-                    .set(1);
-                state.decision_pending = true;
-                self.changed.notify_all();
-                while state.intake_in_flight > 0 && !state.shutdown {
-                    self.changed.wait(&mut state);
+            let step = state.poll(shard, target);
+            obladi_obs::global()
+                .gauge("shard.pipeline.decision_in_flight")
+                .set(state.deciding().into());
+            match step {
+                Poll::Done(permits) => return Ok(permits),
+                Poll::Excluded => {
+                    self.hooks.lock().remove(&shard);
+                    return Ok(Vec::new());
                 }
-                if state.shutdown {
-                    state.decision_pending = false;
-                    state.deciding_round = None;
-                    obladi_obs::global()
-                        .gauge("shard.pipeline.decision_in_flight")
-                        .set(0);
-                    break;
-                }
-                // Liveness may have changed while draining; re-check that
-                // the barrier still holds before deciding.
-                if state.all_live_arrived() {
-                    let plan = Self::plan_decision(&mut state);
-                    // The sample is frozen: intake may resume while the
-                    // prepare I/O runs.
-                    state.decision_pending = false;
-                    self.changed.notify_all();
-                    // The parallel prepare appends target disjoint stores
-                    // and run with the coordinator unlocked, so no entry
-                    // point stalls behind a latency-bound store.
+                Poll::Passthrough => {
+                    self.hooks.lock().remove(&shard);
                     drop(state);
-                    let prepare_failed = Self::run_prepares(&plan);
-                    state = self.state.lock();
-                    self.complete_decision(&mut state, plan, prepare_failed);
-                } else {
-                    state.decision_pending = false;
+                    return Ok(candidates().into_iter().map(|c| c.txn).collect());
                 }
-                state.deciding_round = None;
-                obladi_obs::global()
-                    .gauge("shard.pipeline.decision_in_flight")
-                    .set(0);
-                self.changed.notify_all();
-                continue;
+                Poll::Lead => {
+                    state = self.decide(state);
+                    continue;
+                }
+                Poll::Wait => {}
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return self.watchdog_fire(state, shard, target, arrived_at);
+            let waited = arrived_at.elapsed();
+            if waited >= self.watchdog {
+                return Err(self.watchdog_fire(state, shard, target, waited));
             }
-            self.changed.wait_for(&mut state, deadline - now);
+            self.changed.wait_for(&mut state, self.watchdog - waited);
         }
+    }
 
-        if state.round < target {
-            // Released early: pass through on shutdown, abort-all when the
-            // shard itself was marked dead mid-wait.
-            if state.shutdown {
-                drop(state);
-                return Ok(candidates().into_iter().map(|c| c.txn).collect());
-            }
-            return Ok(Vec::new());
+    /// Leads one decision.  The candidates are sampled under the lock,
+    /// with commit intake refused, so no burst straddles the sample (the
+    /// candidate sources take their shard's state lock, which no caller of
+    /// the coordinator holds).  The durable prepares — a cross-shard
+    /// transaction's votes only count once every participant has a prepare
+    /// record in its WAL — are the one step outside the lock: they are
+    /// store I/O, and every other entry point, commit intake included,
+    /// must stay responsive while a latency-bound store absorbs them.
+    fn decide<'a>(&'a self, mut state: MutexGuard<'a, Rendezvous>) -> MutexGuard<'a, Rendezvous> {
+        let hooks = std::mem::take(&mut *self.hooks.lock());
+        let samples = state
+            .arrived()
+            .filter_map(|shard| Some((shard, (hooks.get(&shard)?.0)())))
+            .collect();
+        let plan = state.plan(samples);
+        self.changed.notify_all();
+        drop(state);
+        let prepare_failed = run_prepares(&plan.prepares, &hooks);
+        let mut state = self.state.lock();
+        state.complete(plan, &prepare_failed);
+        self.changed.notify_all();
+
+        let obs = obladi_obs::global();
+        let now = Instant::now();
+        if let Some(previous) = self.last_round_at.lock().replace(now) {
+            obs.histogram("shard.epoch.period_us")
+                .record_duration(now.duration_since(previous));
         }
-        Ok(state.permits.remove(&shard).unwrap_or_default())
+        obs.gauge("shard.epoch.global").set(state.round() as i64);
+        obladi_obs::trace::global().record("shard.round_decided", state.round(), 0);
+        state
     }
 
     /// The watchdog path of [`EpochCoordinator::arrive`]: withdraw the
-    /// shard's arrival, dump barrier diagnostics to stderr and surface the
-    /// park as a typed, retryable error.
+    /// shard, dump barrier diagnostics to stderr and surface the park as a
+    /// typed, retryable error.
     fn watchdog_fire(
         &self,
-        mut state: MutexGuard<'_, CoordState>,
+        mut state: MutexGuard<'_, Rendezvous>,
         shard: usize,
         target: u64,
-        arrived_at: Instant,
-    ) -> Result<Vec<TxnId>> {
-        state.arrivals.remove(&shard);
-        let waited = arrived_at.elapsed();
-        let round = state.round;
-        let deciding_round = state.deciding_round;
-        let live: Vec<usize> = (0..state.live.len()).filter(|&s| state.live[s]).collect();
-        let mut arrived: Vec<usize> = state.arrivals.keys().copied().collect();
-        arrived.sort_unstable();
-        let missing: Vec<usize> = live
-            .iter()
-            .copied()
-            .filter(|s| *s != shard && !state.arrivals.contains_key(s))
-            .collect();
+        waited: Duration,
+    ) -> ObladiError {
+        let barrier = format!("{state:?}");
+        state.withdraw(shard);
+        self.hooks.lock().remove(&shard);
         drop(state);
         // A withdrawn arrival can change what the barrier is waiting for;
         // make sure everyone re-evaluates.
@@ -474,8 +236,7 @@ impl EpochCoordinator {
             .inc();
         eprintln!(
             "obladi: epoch-barrier watchdog fired: shard {shard} waited {waited:?} for round \
-             {target} (completed rounds {round}, deciding round {deciding_round:?}, live shards \
-             {live:?}, arrived {arrived:?}, missing {missing:?})"
+             {target} ({barrier})"
         );
         eprintln!("{}", obladi_obs::report());
         // The metrics report samples totals; the span-trace tail shows the
@@ -486,251 +247,55 @@ impl EpochCoordinator {
             "{}",
             obladi_obs::report::render_trace_json(&obladi_obs::trace::global().events(), 0)
         );
-        Err(ObladiError::BarrierStalled {
+        ObladiError::BarrierStalled {
             shard,
             round: target,
             waited_ms: waited.as_millis() as u64,
-        })
-    }
-
-    /// Samples every arrived shard's candidates and computes the tentative
-    /// permit set — everything that can be decided in memory.  Runs with
-    /// the coordinator lock held; candidate sources take their shard's
-    /// state lock, which no caller of the coordinator holds.  The durable
-    /// prepare I/O is *not* performed here: [`EpochCoordinator::run_prepares`]
-    /// executes it in parallel with the coordinator unlocked.
-    fn plan_decision(state: &mut CoordState) -> DecisionPlan {
-        let arrivals = std::mem::take(&mut state.arrivals);
-        let sampled: HashMap<usize, Vec<CommitCandidate>> = arrivals
-            .iter()
-            .map(|(&shard, arrival)| (shard, (arrival.candidates)()))
-            .collect();
-
-        // Which shards are ready to commit each transaction, and the union
-        // of its same-epoch dependencies across shards.
-        let mut ready: HashMap<TxnId, HashSet<usize>> = HashMap::new();
-        let mut deps: HashMap<TxnId, HashSet<TxnId>> = HashMap::new();
-        for (&shard, candidates) in &sampled {
-            for candidate in candidates {
-                ready.entry(candidate.txn).or_default().insert(shard);
-                deps.entry(candidate.txn)
-                    .or_default()
-                    .extend(candidate.deps.iter().copied());
-            }
-        }
-
-        // Unanimity: every shard the transaction touched must be live and
-        // ready to commit it.  Transactions with no registration are local
-        // to the listing shard by construction.
-        let mut permitted: HashSet<TxnId> = HashSet::new();
-        for (&txn, ready_on) in &ready {
-            let unanimous = match state.participants.get(&txn) {
-                Some(touched) => touched
-                    .iter()
-                    .all(|shard| state.live[*shard] && ready_on.contains(shard)),
-                None => true,
-            };
-            if unanimous {
-                permitted.insert(txn);
-            }
-        }
-        Self::close_under_deps(&mut permitted, &deps);
-
-        // Plan the durable prepares: one batch of WAL appends per
-        // participant of each permitted cross-shard transaction.
-        let mut by_shard: HashMap<usize, Vec<TxnId>> = HashMap::new();
-        for &txn in &permitted {
-            if let Some(touched) = state.participants.get(&txn) {
-                if touched.len() > 1 {
-                    for &shard in touched {
-                        by_shard.entry(shard).or_default().push(txn);
-                    }
-                }
-            }
-        }
-        let mut prepare_failed: HashSet<TxnId> = HashSet::new();
-        let mut prepares: Vec<(usize, Vec<TxnId>, TxnPreparer)> = Vec::new();
-        for (shard, mut txns) in by_shard {
-            txns.sort_unstable();
-            match arrivals.get(&shard) {
-                Some(arrival) => prepares.push((shard, txns, arrival.preparer.clone())),
-                // Unanimity requires every participant to have arrived;
-                // defensively withhold the vote if one has not.
-                None => prepare_failed.extend(txns),
-            }
-        }
-        DecisionPlan {
-            sampled,
-            permitted,
-            deps,
-            prepares,
-            prepare_failed,
-        }
-    }
-
-    /// Durable prepare: a cross-shard transaction's votes only count once
-    /// every participant has a prepare record in its WAL.  The per-shard
-    /// append batches target disjoint stores, so they run in parallel —
-    /// and the caller holds no coordinator lock, so with a latency-bound
-    /// store every other coordinator entry point stays responsive for the
-    /// duration.  Returns the transactions whose prepare failed.
-    fn run_prepares(plan: &DecisionPlan) -> HashSet<TxnId> {
-        let mut prepare_failed = plan.prepare_failed.clone();
-        if plan.prepares.len() <= 1 {
-            // Zero or one participant: nothing to parallelise.
-            for (_, txns, preparer) in &plan.prepares {
-                if preparer(txns).is_err() {
-                    prepare_failed.extend(txns.iter().copied());
-                }
-            }
-            return prepare_failed;
-        }
-        let failures: Vec<Vec<TxnId>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = plan
-                .prepares
-                .iter()
-                .map(|(_, txns, preparer)| {
-                    let handle = scope.spawn(move || {
-                        if preparer(txns).is_err() {
-                            txns.clone()
-                        } else {
-                            Vec::new()
-                        }
-                    });
-                    (txns, handle)
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A panicked preparer never produced a durable record: its
-                // shard's whole batch must withhold its votes, exactly like
-                // an ordinary prepare failure.
-                .map(|(txns, handle)| handle.join().unwrap_or_else(|_| txns.clone()))
-                .collect()
-        });
-        for failed in failures {
-            prepare_failed.extend(failed);
-        }
-        prepare_failed
-    }
-
-    /// Applies the prepare results and completes the round: failed prepares
-    /// withhold votes (re-closing the dependency set — dropping a
-    /// transaction may orphan dependents), shards that died during the
-    /// prepare I/O lose their transactions' votes, surviving cross-shard
-    /// commits enter the decision log, and every arrived shard gets its
-    /// permit list.
-    fn complete_decision(
-        &self,
-        state: &mut CoordState,
-        plan: DecisionPlan,
-        prepare_failed: HashSet<TxnId>,
-    ) {
-        let DecisionPlan {
-            sampled,
-            mut permitted,
-            deps,
-            ..
-        } = plan;
-        if !prepare_failed.is_empty() {
-            permitted.retain(|txn| !prepare_failed.contains(txn));
-            Self::close_under_deps(&mut permitted, &deps);
-        }
-        // Liveness may have changed while the coordinator was unlocked for
-        // the prepare I/O: a transaction touching a now-dead shard must not
-        // commit (its prepared half would resolve at recovery, but the live
-        // halves would commit an epoch the dead shard never voted into).
-        let dead_touched: Vec<TxnId> = permitted
-            .iter()
-            .filter(|txn| {
-                state
-                    .participants
-                    .get(txn)
-                    .is_some_and(|touched| touched.iter().any(|shard| !state.live[*shard]))
-            })
-            .copied()
-            .collect();
-        if !dead_touched.is_empty() {
-            for txn in dead_touched {
-                permitted.remove(&txn);
-            }
-            Self::close_under_deps(&mut permitted, &deps);
-        }
-
-        // Record the commit decisions for the surviving cross-shard
-        // transactions; they are retired as participants acknowledge
-        // durability (or after a crashed participant replays at recovery).
-        // The front-door verdict is recorded separately and lives until the
-        // transaction is forgotten.
-        let cross_committed: Vec<(TxnId, HashSet<usize>)> = permitted
-            .iter()
-            .filter_map(|&txn| {
-                state
-                    .participants
-                    .get(&txn)
-                    .filter(|touched| touched.len() > 1)
-                    .map(|touched| (txn, touched.clone()))
-            })
-            .collect();
-        for (txn, touched) in cross_committed {
-            state.decisions.insert(txn, touched);
-            state.committed_verdicts.insert(txn);
-        }
-
-        for (shard, candidates) in sampled {
-            let permits = candidates
-                .into_iter()
-                .map(|c| c.txn)
-                .filter(|txn| state.live[shard] && permitted.contains(txn))
-                .collect();
-            state.permits.insert(shard, permits);
-        }
-        state.round += 1;
-        let obs = obladi_obs::global();
-        let now = Instant::now();
-        if let Some(previous) = state.last_round_at.replace(now) {
-            obs.histogram("shard.epoch.period_us")
-                .record_duration(now.duration_since(previous));
-        }
-        obs.gauge("shard.epoch.global").set(state.round as i64);
-        obladi_obs::trace::global().record("shard.round_decided", state.round, 0);
-    }
-
-    /// Shrinks `permitted` to its largest subset closed under `deps`: a
-    /// transaction whose dependency is denied would be cascade-aborted on
-    /// the shard that recorded the dependency, so permitting it elsewhere
-    /// would tear the commit.
-    fn close_under_deps(permitted: &mut HashSet<TxnId>, deps: &HashMap<TxnId, HashSet<TxnId>>) {
-        loop {
-            let dropped: Vec<TxnId> = permitted
-                .iter()
-                .filter(|txn| {
-                    deps.get(txn)
-                        .is_some_and(|d| d.iter().any(|dep| !permitted.contains(dep)))
-                })
-                .copied()
-                .collect();
-            if dropped.is_empty() {
-                return;
-            }
-            for txn in dropped {
-                permitted.remove(&txn);
-            }
         }
     }
 }
 
-/// RAII window during which no rendezvous decision is taken (see
-/// [`EpochCoordinator::begin_commit_intake`]).
+/// Runs the planned prepare batches and returns the transactions whose
+/// prepare failed.  The batches target disjoint stores, so they run in
+/// parallel.  A panicked preparer (or a missing hook) never produced a
+/// durable record: its whole batch withholds its votes, exactly like an
+/// ordinary prepare failure.
+fn run_prepares(prepares: &HashMap<usize, Vec<TxnId>>, hooks: &Hooks) -> HashSet<TxnId> {
+    let prepared = &|(shard, txns): (&usize, &Vec<TxnId>)| {
+        hooks
+            .get(shard)
+            .is_some_and(|(_, preparer)| preparer(txns).is_ok())
+    };
+    let outcomes: Vec<bool> = if prepares.len() <= 1 {
+        // Zero or one participant: nothing to parallelise.
+        prepares.iter().map(prepared).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = prepares
+                .iter()
+                .map(|batch| scope.spawn(move || prepared(batch)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().unwrap_or(false))
+                .collect()
+        })
+    };
+    let failed = prepares.iter().zip(outcomes).filter(|(_, ok)| !ok);
+    failed
+        .flat_map(|((_, txns), _)| txns.iter().copied())
+        .collect()
+}
+
+/// RAII window during which no rendezvous decision samples its candidates
+/// (see [`EpochCoordinator::begin_commit_intake`]).
 pub struct CommitIntake<'a> {
     coordinator: &'a EpochCoordinator,
 }
 
 impl Drop for CommitIntake<'_> {
     fn drop(&mut self) {
-        let mut state = self.coordinator.state.lock();
-        state.intake_in_flight -= 1;
-        drop(state);
+        self.coordinator.state.lock().intake_close();
         self.coordinator.changed.notify_all();
     }
 }
@@ -762,7 +327,9 @@ impl EpochGate for ShardGate {
     fn epoch_durable(&self, _epoch: EpochId, committed: &[TxnId]) {
         // The shard's epoch commit is durable: retire this shard's share of
         // the 2PC decisions, so fully acknowledged ones can be forgotten.
-        self.coordinator.ack_durable(self.shard, committed);
+        self.coordinator
+            .machine()
+            .ack_durable(self.shard, committed);
     }
 
     fn proxy_crashed(&self) {
@@ -787,9 +354,16 @@ impl EpochGate for ShardGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use obladi_core::CommitCandidate;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::thread;
-    use std::time::Duration;
+
+    /// Blocks until `shard` is parked at the barrier.
+    fn wait_parked(coordinator: &EpochCoordinator, shard: usize) {
+        while !coordinator.machine().arrived().any(|s| s == shard) {
+            thread::yield_now();
+        }
+    }
 
     fn source(candidates: Vec<TxnId>) -> CandidateSource {
         Arc::new(move || {
@@ -836,7 +410,7 @@ mod tests {
     #[test]
     fn single_shard_round_passes_candidates_through() {
         let coordinator = EpochCoordinator::new(1);
-        coordinator.register_participant(5, 0);
+        coordinator.machine().register(5, 0);
         assert_eq!(
             coordinator
                 .arrive(0, source(vec![5, 6]), prepare_ok())
@@ -851,9 +425,9 @@ mod tests {
         let coordinator = Arc::new(EpochCoordinator::new(2));
         // Txn 10 touched both shards but only shard 0 is ready to commit it;
         // txn 11 is local to shard 1.
-        coordinator.register_participant(10, 0);
-        coordinator.register_participant(10, 1);
-        coordinator.register_participant(11, 1);
+        coordinator.machine().register(10, 0);
+        coordinator.machine().register(10, 1);
+        coordinator.machine().register(11, 1);
 
         let c = coordinator.clone();
         let other = thread::spawn(move || c.arrive(1, source(vec![11]), prepare_ok()).unwrap());
@@ -867,7 +441,7 @@ mod tests {
         );
         assert_eq!(permits1, vec![11]);
         assert_eq!(
-            coordinator.decision(10),
+            coordinator.machine().decision(10),
             TxnDecision::PresumedAborted,
             "a denied transaction must never enter the decision log"
         );
@@ -876,8 +450,8 @@ mod tests {
     #[test]
     fn unanimous_cross_shard_txn_is_permitted_on_both_shards() {
         let coordinator = Arc::new(EpochCoordinator::new(2));
-        coordinator.register_participant(7, 0);
-        coordinator.register_participant(7, 1);
+        coordinator.machine().register(7, 0);
+        coordinator.machine().register(7, 1);
 
         let prepared = Arc::new(AtomicU64::new(0));
         let c = coordinator.clone();
@@ -898,30 +472,33 @@ mod tests {
             2,
             "both participants must durably prepare before the vote counts"
         );
-        assert_eq!(coordinator.decision(7), TxnDecision::Committed);
+        assert_eq!(coordinator.machine().decision(7), TxnDecision::Committed);
 
         // Both shards report the commit durable: the decision retires, but
         // the front-door verdict survives until the txn is forgotten —
         // otherwise a fully-crashed-and-recovered transaction could be
         // reported aborted after recovery already committed it everywhere.
-        coordinator.ack_durable(0, &[7]);
-        assert_eq!(coordinator.decision(7), TxnDecision::Committed);
-        coordinator.ack_durable(1, &[7]);
-        assert_eq!(coordinator.decision(7), TxnDecision::PresumedAborted);
-        assert_eq!(coordinator.pending_decisions(), 0);
+        coordinator.machine().ack_durable(0, &[7]);
+        assert_eq!(coordinator.machine().decision(7), TxnDecision::Committed);
+        coordinator.machine().ack_durable(1, &[7]);
+        assert_eq!(
+            coordinator.machine().decision(7),
+            TxnDecision::PresumedAborted
+        );
+        assert_eq!(coordinator.machine().pending_decisions(), 0);
         assert!(
-            coordinator.was_committed(7),
+            coordinator.machine().was_committed(7),
             "verdict must outlive the acks"
         );
-        coordinator.forget_txn(7);
-        assert!(!coordinator.was_committed(7));
+        coordinator.machine().forget(7);
+        assert!(!coordinator.machine().was_committed(7));
     }
 
     #[test]
     fn failed_prepare_withholds_the_vote_everywhere() {
         let coordinator = Arc::new(EpochCoordinator::new(2));
-        coordinator.register_participant(21, 0);
-        coordinator.register_participant(21, 1);
+        coordinator.machine().register(21, 0);
+        coordinator.machine().register(21, 1);
 
         // Shard 1's WAL refuses the prepare append: the transaction must be
         // denied on both shards and no decision recorded.
@@ -933,7 +510,10 @@ mod tests {
         let permits1 = other.join().unwrap();
         assert!(permits0.is_empty(), "{permits0:?}");
         assert!(permits1.is_empty(), "{permits1:?}");
-        assert_eq!(coordinator.decision(21), TxnDecision::PresumedAborted);
+        assert_eq!(
+            coordinator.machine().decision(21),
+            TxnDecision::PresumedAborted
+        );
     }
 
     #[test]
@@ -942,11 +522,11 @@ mod tests {
         // uncommitted write on shard 0, so committing 32 anywhere would tear
         // once shard 0 cascades the abort.  Txn 33 is independent.
         let coordinator = Arc::new(EpochCoordinator::new(2));
-        coordinator.register_participant(31, 0);
-        coordinator.register_participant(31, 1);
-        coordinator.register_participant(32, 0);
-        coordinator.register_participant(32, 1);
-        coordinator.register_participant(33, 1);
+        coordinator.machine().register(31, 0);
+        coordinator.machine().register(31, 1);
+        coordinator.machine().register(32, 0);
+        coordinator.machine().register(32, 1);
+        coordinator.machine().register(33, 1);
 
         let c = coordinator.clone();
         // Shard 1 never lists 31 (not ready), so 31 fails unanimity.
@@ -983,13 +563,13 @@ mod tests {
         // request lands on shard 0 while it is parked at the barrier.  The
         // decision-time sample must still see it.
         let coordinator = Arc::new(EpochCoordinator::new(2));
-        coordinator.register_participant(42, 0);
-        coordinator.register_participant(42, 1);
+        coordinator.machine().register(42, 0);
+        coordinator.machine().register(42, 1);
 
-        let requested = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let requested = Arc::new(AtomicBool::new(false));
         let flag = requested.clone();
         let live_source: CandidateSource = Arc::new(move || {
-            if flag.load(std::sync::atomic::Ordering::SeqCst) {
+            if flag.load(Ordering::SeqCst) {
                 vec![CommitCandidate::local(42)]
             } else {
                 vec![]
@@ -998,11 +578,11 @@ mod tests {
 
         let c = coordinator.clone();
         let early = thread::spawn(move || c.arrive(0, live_source, prepare_ok()).unwrap());
-        thread::sleep(Duration::from_millis(20));
+        wait_parked(&coordinator, 0);
         // The burst: request on both shards inside an intake window.
         {
             let _intake = coordinator.begin_commit_intake();
-            requested.store(true, std::sync::atomic::Ordering::SeqCst);
+            requested.store(true, Ordering::SeqCst);
         }
         let permits1 = coordinator
             .arrive(1, source(vec![42]), prepare_ok())
@@ -1028,8 +608,8 @@ mod tests {
         // two shards' appends run in parallel, not back to back.
         let prepare_delay = Duration::from_millis(400);
         let coordinator = Arc::new(EpochCoordinator::new(2));
-        coordinator.register_participant(5, 0);
-        coordinator.register_participant(5, 1);
+        coordinator.machine().register(5, 0);
+        coordinator.machine().register(5, 1);
 
         let decision_started = std::time::Instant::now();
         let c = coordinator.clone();
@@ -1046,7 +626,7 @@ mod tests {
         // Wait for the decision slot to be taken (sampling is in-memory and
         // quick; the rest of the slot's lifetime is the prepare I/O).
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while coordinator.deciding_round().is_none() {
+        while !coordinator.machine().deciding() {
             assert!(
                 std::time::Instant::now() < deadline,
                 "decision never started"
@@ -1057,10 +637,10 @@ mod tests {
         // Every entry point — including commit intake — must answer in a
         // fraction of the prepare duration.
         let probe_start = std::time::Instant::now();
-        let _ = coordinator.pending_decisions();
-        let _ = coordinator.was_committed(5);
-        let _ = coordinator.decision(5);
-        coordinator.register_participant(6, 0);
+        let _ = coordinator.machine().pending_decisions();
+        let _ = coordinator.machine().was_committed(5);
+        let _ = coordinator.machine().decision(5);
+        coordinator.machine().register(6, 0);
         drop(coordinator.begin_commit_intake());
         let probed = probe_start.elapsed();
         assert!(
@@ -1079,14 +659,14 @@ mod tests {
             total < prepare_delay * 2,
             "prepares ran sequentially: {total:?}"
         );
-        assert_eq!(coordinator.deciding_round(), None);
+        assert!(!coordinator.machine().deciding());
     }
 
     #[test]
     fn dead_shard_is_excluded_and_its_transactions_abort() {
         let coordinator = Arc::new(EpochCoordinator::new(2));
-        coordinator.register_participant(9, 0);
-        coordinator.register_participant(9, 1);
+        coordinator.machine().register(9, 0);
+        coordinator.machine().register(9, 1);
         coordinator.set_live(1, false);
         // Shard 1 never arrives, yet the round completes; txn 9 touched the
         // dead shard and must not be permitted.
@@ -1103,7 +683,7 @@ mod tests {
         let c = coordinator.clone();
         let waiter = thread::spawn(move || c.arrive(0, source(vec![1]), prepare_ok()).unwrap());
         // Let the waiter block, then kill the missing shard.
-        thread::sleep(Duration::from_millis(20));
+        wait_parked(&coordinator, 0);
         coordinator.set_live(1, false);
         let permits = waiter.join().unwrap();
         assert_eq!(permits, vec![1], "local txn commits once shard 1 is out");
@@ -1114,19 +694,9 @@ mod tests {
         let coordinator = Arc::new(EpochCoordinator::new(2));
         let c = coordinator.clone();
         let waiter = thread::spawn(move || c.arrive(0, source(vec![3]), prepare_ok()).unwrap());
-        thread::sleep(Duration::from_millis(20));
+        wait_parked(&coordinator, 0);
         coordinator.shutdown();
         assert_eq!(waiter.join().unwrap(), vec![3]);
-    }
-
-    #[test]
-    fn forget_txn_clears_registration() {
-        let coordinator = EpochCoordinator::new(2);
-        coordinator.register_participant(4, 0);
-        coordinator.register_participant(4, 1);
-        assert_eq!(coordinator.participants(4), vec![0, 1]);
-        coordinator.forget_txn(4);
-        assert!(coordinator.participants(4).is_empty());
     }
 
     #[test]
@@ -1189,6 +759,48 @@ mod tests {
             vec![8],
             "re-arrival decides the same round cleanly"
         );
+        assert_eq!(coordinator.global_epoch(), 1);
+    }
+
+    #[test]
+    fn watchdog_during_the_prepare_io_cannot_tear_a_cross_shard_commit() {
+        // Shard 0's watchdog fires while the leader (shard 1) is out running
+        // the prepares: shard 0 finalises its epoch with an empty permit set
+        // *after* its candidates were sampled, so txn 5 must be denied on
+        // shard 1 too and never enter the decision log.
+        let coordinator =
+            Arc::new(EpochCoordinator::new(2).with_watchdog(Duration::from_millis(50)));
+        coordinator.machine().register(5, 0);
+        coordinator.machine().register(5, 1);
+
+        let c = coordinator.clone();
+        let stalled = thread::spawn(move || c.arrive(0, source(vec![5]), prepare_ok()));
+        wait_parked(&coordinator, 0);
+        // Shard 1's prepare append hangs until shard 0 has given up.
+        let released = Arc::new(AtomicBool::new(false));
+        let gate = released.clone();
+        let slow: TxnPreparer = Arc::new(move |_| {
+            while !gate.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            Ok(())
+        });
+        let c = coordinator.clone();
+        let leader = thread::spawn(move || c.arrive(1, source(vec![5]), slow));
+
+        let err = stalled.join().unwrap().expect_err("shard 0 must stall");
+        assert!(matches!(err, ObladiError::BarrierStalled { shard: 0, .. }));
+        released.store(true, Ordering::SeqCst);
+        let permits1 = leader.join().unwrap().unwrap();
+        assert!(
+            permits1.is_empty(),
+            "shard 1 was permitted {permits1:?}, which shard 0 was told to abort"
+        );
+        assert_eq!(
+            coordinator.machine().decision(5),
+            TxnDecision::PresumedAborted
+        );
+        assert!(!coordinator.machine().was_committed(5));
         assert_eq!(coordinator.global_epoch(), 1);
     }
 }

@@ -212,7 +212,7 @@ impl ShardedDb {
     /// (a healthy deployment trends to zero; a nonzero steady state means
     /// some shard never made a voted transaction durable).
     pub fn pending_decisions(&self) -> usize {
-        self.coordinator.pending_decisions()
+        self.coordinator.machine().pending_decisions()
     }
 
     /// Pulls each storage daemon's own telemetry over the RPC transport
@@ -324,16 +324,17 @@ impl ShardedDb {
     /// again), everything else is presumed aborted.
     pub fn recover_shard(&self, index: usize) -> Result<RecoveryReport> {
         let coordinator = self.coordinator.clone();
-        let resolve = move |txn: TxnId| coordinator.decision(txn) == TxnDecision::Committed;
+        let resolve =
+            move |txn: TxnId| coordinator.machine().decision(txn) == TxnDecision::Committed;
         let (report, recovered) = self.shards[index].recover_resolving(&resolve)?;
         // Acknowledge everything this shard can vouch for — the halves just
         // replayed *and* prepares that were already durable before the
         // crash (the crash may have interrupted the normal epoch-durable
         // acknowledgement, which would pin the decision forever) — so fully
         // acknowledged decisions can retire, then rejoin the rendezvous.
-        self.coordinator.ack_durable(index, &recovered.replayed);
-        self.coordinator
-            .ack_durable(index, &recovered.stale_prepared);
+        let ack = |txns: &[TxnId]| self.coordinator.machine().ack_durable(index, txns);
+        ack(&recovered.replayed);
+        ack(&recovered.stale_prepared);
         self.coordinator.set_live(index, true);
         Ok(report)
     }
@@ -431,21 +432,10 @@ impl obladi_core::FrontDoor for ShardedDb {
 impl KvDatabase for ShardedDb {
     fn execute<T>(&self, body: &mut dyn FnMut(&mut dyn KvTransaction) -> Result<T>) -> Result<T> {
         let mut txn = self.begin()?;
-        match body(&mut txn) {
-            Ok(value) => {
-                // Client-observed commit latency: from the commit request to
-                // the slowest leg's acknowledged outcome.
-                let commit_started = std::time::Instant::now();
-                let outcome = txn.commit()?;
-                obladi_common::stats::record_commit_latency(commit_started.elapsed());
-                obladi_core::api::outcome_to_result(outcome)?;
-                Ok(value)
-            }
-            Err(err) => {
-                txn.rollback();
-                Err(err)
-            }
-        }
+        // A failed body drops the handle, which rolls every leg back.
+        let value = body(&mut txn)?;
+        obladi_core::api::commit_timed(|| txn.commit())?;
+        Ok(value)
     }
 
     fn engine_name(&self) -> &'static str {
@@ -530,7 +520,7 @@ impl<'db> LegPlan<'db> {
             // coordinator rendezvous is consulted — opening a leg does not
             // block on an in-flight epoch decision.
             let sub = db.shards[shard].begin_at_generation(self.id, target)?;
-            db.coordinator.register_participant(self.id, shard);
+            db.coordinator.machine().register(self.id, shard);
             self.subs[shard] = Some(sub);
         }
         Ok(self.subs[shard].as_mut().expect("leg just installed"))
@@ -782,7 +772,7 @@ impl<'db> ShardedTxn<'db> {
         }
         if let Some((cause, err)) = replay_error {
             twin.rollback_legs();
-            self.db.coordinator.forget_txn(twin.id);
+            self.db.coordinator.machine().forget(twin.id);
             obladi_obs::global()
                 .counter(&format!("shard.twin.discarded.{cause}"))
                 .inc();
@@ -790,7 +780,7 @@ impl<'db> ShardedTxn<'db> {
         }
         let mut losing = std::mem::replace(&mut self.primary, twin);
         losing.rollback_legs();
-        self.db.coordinator.forget_txn(losing.id);
+        self.db.coordinator.machine().forget(losing.id);
         self.targets = targets;
         obladi_obs::global().counter("shard.twin.promoted").inc();
         Ok(())
@@ -804,7 +794,7 @@ impl<'db> ShardedTxn<'db> {
     /// check forever.
     fn restart_fresh(&mut self, shard: usize) {
         self.primary.rollback_legs();
-        self.db.coordinator.forget_txn(self.primary.id);
+        self.db.coordinator.machine().forget(self.primary.id);
         self.db.shards[shard].wait_epoch_rollover(Duration::from_secs(2));
         let (id, targets) = self.db.stamp();
         self.primary = LegPlan::new(id, self.db.shards.len());
@@ -818,7 +808,7 @@ impl<'db> ShardedTxn<'db> {
         }
         self.finished = true;
         self.primary.rollback_legs();
-        self.db.coordinator.forget_txn(self.primary.id);
+        self.db.coordinator.machine().forget(self.primary.id);
         self.db
             .record_outcome(&TxnOutcome::Aborted(AbortReason::UserRequested), 0);
     }
@@ -881,14 +871,13 @@ impl<'db> ShardedTxn<'db> {
                     obladi_obs::global()
                         .counter(&format!("shard.{shard}.retry.{}", err.cause_label()))
                         .inc();
-                    if matches!(err, ObladiError::BatchFull(_)) {
-                        // The shard's epoch has no spare read-batch budget
-                        // left; a twin stamped into the same congested
-                        // epoch would replay straight into the exhausted
-                        // batches.  Let the epoch roll over first so the
-                        // twin samples fresh capacity.
-                        self.db.shards[shard].wait_epoch_rollover(Duration::from_secs(2));
-                    }
+                    // After `BatchFull` the shard's epoch has no spare
+                    // read-batch budget left; a twin stamped into the same
+                    // congested epoch would replay straight into the
+                    // exhausted batches.  The shard's own retry rule lets
+                    // the epoch roll over first, so the twin samples fresh
+                    // capacity.
+                    self.db.shards[shard].before_retry(&err);
                     if self.rebuild_twin(Some(shard)).is_err() {
                         obladi_obs::global()
                             .counter(&format!("shard.{shard}.abort.{}", err.cause_label()))
@@ -968,14 +957,14 @@ impl<'db> ShardedTxn<'db> {
 
         // A transaction that touched nothing commits vacuously.
         if shards_touched == 0 {
-            self.db.coordinator.forget_txn(self.primary.id);
+            self.db.coordinator.machine().forget(self.primary.id);
             let outcome = TxnOutcome::Committed;
             self.db.record_outcome(&outcome, 0);
             return Ok(outcome);
         }
 
         let mut result = commit_plan(self.db, &mut self.primary);
-        self.db.coordinator.forget_txn(self.primary.id);
+        self.db.coordinator.machine().forget(self.primary.id);
 
         // A denied vote most often means the final legs' rendezvous
         // contradicted the live epoch-set — typically a deciding epoch
@@ -995,7 +984,7 @@ impl<'db> ShardedTxn<'db> {
                 break;
             }
             result = commit_plan(self.db, &mut self.primary);
-            self.db.coordinator.forget_txn(self.primary.id);
+            self.db.coordinator.machine().forget(self.primary.id);
         }
 
         match result {
@@ -1097,7 +1086,7 @@ fn commit_plan<'db>(db: &'db ShardedDb, plan: &mut LegPlan<'db>) -> Result<TxnOu
     if let Some(err) = request_error {
         return Err(err);
     }
-    if any_committed || db.coordinator.was_committed(plan.id) {
+    if any_committed || db.coordinator.machine().was_committed(plan.id) {
         Ok(TxnOutcome::Committed)
     } else {
         Ok(abort.unwrap_or(TxnOutcome::Committed))

@@ -45,6 +45,7 @@
 pub mod coordinator;
 pub mod db;
 pub mod oracle;
+pub mod rendezvous;
 pub mod router;
 
 pub use coordinator::{EpochCoordinator, ShardGate, TxnDecision};

@@ -85,7 +85,16 @@ fn run_case(seed: u64, victim_second: bool, crash_during_replay: bool) -> Result
         return Err(format!("voted transaction incomplete: {first:?}"));
     }
 
-    // Idempotence: recover again (clean crash, no faults) — same set.
+    // Idempotence: recover again (clean crash, no faults) — same set.  The
+    // reads above were cross-shard commits of their own, acknowledged at
+    // their decision; let their epochs become durable first, or the crash
+    // leaves *their* prepares in doubt.
+    wait_for(
+        "the read transactions' epochs to become durable",
+        Duration::from_secs(20),
+        &|| db.pending_decisions() == 0,
+    )
+    .map_err(|e| e.to_string())?;
     db.crash_shard(victim);
     let again = db
         .recover_shard(victim)

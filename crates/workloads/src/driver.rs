@@ -13,9 +13,15 @@ use obladi_common::stats::{LatencyRecorder, RunStats};
 use obladi_core::{FrontDoor, KvDatabase};
 use std::time::{Duration, Instant};
 
+/// Attempts a loader gives each of its transactions: a load transaction
+/// that meets a retryable abort (an epoch boundary, a full batch, a denied
+/// cross-shard vote) must be retried, or the database silently misses rows.
+pub const SETUP_RETRIES: usize = 100;
+
 /// A transactional workload (TPC-C, SmallBank, FreeHealth, YCSB).
 pub trait Workload: Send + Sync {
-    /// Loads the initial database state.
+    /// Loads the initial database state, retrying each load transaction up
+    /// to [`SETUP_RETRIES`] times.
     fn setup<D: KvDatabase>(&self, db: &D) -> Result<()>;
 
     /// Executes one transaction chosen from the workload mix.

@@ -9,7 +9,7 @@
 //! transaction types over it, keeping the workload's defining properties:
 //! short, read-heavy transactions centred on episode creation and lookup.
 
-use crate::driver::Workload;
+use crate::driver::{Workload, SETUP_RETRIES};
 use crate::encoding::{pack_key, read_row, write_row, Row};
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::rng::DetRng;
@@ -495,7 +495,7 @@ impl Workload for FreeHealthWorkload {
     fn setup<D: KvDatabase>(&self, db: &D) -> Result<()> {
         let cfg = &self.config;
         // Users.
-        db.execute(&mut |txn: &mut dyn KvTransaction| {
+        db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
             for user in 0..cfg.users {
                 write_row(txn, Self::user_key(user), &Row::new(vec![1, user]))?;
             }
@@ -506,7 +506,7 @@ impl Workload for FreeHealthWorkload {
         let mut start = 0;
         while start < cfg.drugs {
             let end = (start + chunk).min(cfg.drugs);
-            db.execute(&mut |txn: &mut dyn KvTransaction| {
+            db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                 for drug in start..end {
                     write_row(txn, Self::drug_key(drug), &Row::new(vec![drug, drug % 5]))?;
                 }
@@ -518,7 +518,7 @@ impl Workload for FreeHealthWorkload {
         let mut patient = 0;
         while patient < cfg.patients {
             let end = (patient + 8).min(cfg.patients);
-            db.execute(&mut |txn: &mut dyn KvTransaction| {
+            db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                 for p in patient..end {
                     let mut row = Row::new(vec![0; 3]);
                     row.set_num(patient_fields::CREATOR, p % cfg.users.max(1));

@@ -13,7 +13,7 @@
 //! | WriteCheck       | 2     | 1      | 25 % |
 //! | SendPayment      | 2     | 2      | 15 % |
 
-use crate::driver::Workload;
+use crate::driver::{Workload, SETUP_RETRIES};
 use crate::encoding::{pack_key, read_row, write_row, Row};
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::rng::DetRng;
@@ -272,7 +272,7 @@ impl Workload for SmallBankWorkload {
         let mut start = 0u64;
         while start < self.config.num_accounts {
             let end = (start + chunk).min(self.config.num_accounts);
-            db.execute(&mut |txn: &mut dyn KvTransaction| {
+            db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                 for account in start..end {
                     Self::write_balance(txn, Self::checking_key(account), INITIAL_BALANCE)?;
                     Self::write_balance(txn, Self::savings_key(account), INITIAL_BALANCE)?;

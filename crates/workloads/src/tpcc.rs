@@ -15,7 +15,7 @@
 //! numeric identifiers.  None of these change the transactions' read/write
 //! footprints on the tables the evaluation exercises.
 
-use crate::driver::Workload;
+use crate::driver::{Workload, SETUP_RETRIES};
 use crate::encoding::{pack_key, read_row, write_row, Row};
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::rng::DetRng;
@@ -537,7 +537,7 @@ impl Workload for TpccWorkload {
         let mut start = 0;
         while start < cfg.items {
             let end = (start + chunk).min(cfg.items);
-            db.execute(&mut |txn: &mut dyn KvTransaction| {
+            db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                 for item in start..end {
                     write_row(
                         txn,
@@ -553,7 +553,7 @@ impl Workload for TpccWorkload {
             let mut start = 0;
             while start < cfg.items {
                 let end = (start + chunk).min(cfg.items);
-                db.execute(&mut |txn: &mut dyn KvTransaction| {
+                db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                     for item in start..end {
                         write_row(
                             txn,
@@ -569,17 +569,17 @@ impl Workload for TpccWorkload {
 
         // Warehouses, districts, customers and the by-name index.
         for w in 0..cfg.warehouses {
-            db.execute(&mut |txn: &mut dyn KvTransaction| {
+            db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                 write_row(txn, Self::warehouse_key(w), &Row::new(vec![0]))
             })?;
             for d in 0..cfg.districts_per_warehouse {
-                db.execute(&mut |txn: &mut dyn KvTransaction| {
+                db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                     write_row(txn, Self::district_key(w, d), &Row::new(vec![0, 0, 0]))
                 })?;
                 let mut start = 0;
                 while start < cfg.customers_per_district {
                     let end = (start + chunk).min(cfg.customers_per_district);
-                    db.execute(&mut |txn: &mut dyn KvTransaction| {
+                    db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                         for c in start..end {
                             let name = self.customer_last_name(c);
                             let mut row = Row::new(vec![0; 5]);
@@ -592,7 +592,7 @@ impl Workload for TpccWorkload {
                     start = end;
                 }
                 // Name index rows (one per last name).
-                db.execute(&mut |txn: &mut dyn KvTransaction| {
+                db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                     for name in 0..cfg.last_names {
                         let ids: Vec<u64> = (0..cfg.customers_per_district)
                             .filter(|c| self.customer_last_name(*c) == name)

@@ -6,7 +6,7 @@
 //! population, matching the YCSB core workloads A–C depending on the
 //! read/write mix.
 
-use crate::driver::Workload;
+use crate::driver::{Workload, SETUP_RETRIES};
 use crate::encoding::{pack_key, read_row, write_row, Row};
 use obladi_common::error::Result;
 use obladi_common::rng::DetRng;
@@ -106,9 +106,7 @@ impl Workload for YcsbWorkload {
         let mut start = 0u64;
         while start < self.config.num_keys {
             let end = (start + chunk).min(self.config.num_keys);
-            // Retries absorb the retryable epoch-boundary aborts a sharded,
-            // pipelined deployment can hand a multi-shard load transaction.
-            db.execute_with_retries(100, &mut |txn: &mut dyn KvTransaction| {
+            db.execute_with_retries(SETUP_RETRIES, &mut |txn: &mut dyn KvTransaction| {
                 for index in start..end {
                     write_row(txn, self.key_for(index), &self.value_row(index, 0))?;
                 }

@@ -178,29 +178,19 @@ fn concurrent_clients_on_obladi_commit_their_writes() {
     // 24 dependent reads need 24 of one epoch's batches: an attempt that
     // starts late in an epoch aborts retryably, and so does every retry
     // inside that epoch — so retry in the next one, like any client.
-    let mut attempts = 0;
-    loop {
-        let verified = db.execute(&mut |txn| {
-            for t in 0..4u64 {
-                for i in 0..6u64 {
-                    let key = 10_000 + t * 100 + i;
-                    assert_eq!(
-                        txn.read(key)?,
-                        Some(key.to_le_bytes().to_vec()),
-                        "lost write for key {key}"
-                    );
-                }
+    db.execute_with_retries(20, &mut |txn| {
+        for t in 0..4u64 {
+            for i in 0..6u64 {
+                let key = 10_000 + t * 100 + i;
+                assert_eq!(
+                    txn.read(key)?,
+                    Some(key.to_le_bytes().to_vec()),
+                    "lost write for key {key}"
+                );
             }
-            Ok(())
-        });
-        match verified {
-            Ok(()) => break,
-            Err(err) if err.is_retryable() && attempts < 20 => {
-                attempts += 1;
-                db.wait_epoch_rollover(Duration::from_secs(1));
-            }
-            Err(err) => panic!("verification read failed: {err}"),
         }
-    }
+        Ok(())
+    })
+    .expect("verification read failed");
     db.shutdown();
 }

@@ -25,11 +25,11 @@ fn put(db: &ObladiDb, key: Key, value: &[u8]) -> bool {
     txn.commit().map(|o| o.is_committed()).unwrap_or(false)
 }
 
+/// Reads `key` in a transaction of its own; a read that lands in an epoch
+/// whose batches are spent aborts retryably and is retried in the next.
 fn get(db: &ObladiDb, key: Key) -> Option<Value> {
-    let mut txn = db.begin().unwrap();
-    let value = txn.read(key).unwrap();
-    let _ = txn.commit();
-    value
+    db.execute_with_retries(20, &mut |txn| txn.read(key))
+        .unwrap()
 }
 
 #[test]

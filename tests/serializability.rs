@@ -139,23 +139,11 @@ fn transfers_preserve_total_balance() {
     // that straddle an epoch boundary.
     let mut total = 0u64;
     for account in 0..accounts {
-        let mut balance = None;
-        for _ in 0..10 {
-            let mut txn = db.begin().unwrap();
-            match txn.read(account) {
-                Ok(value) => {
-                    balance = value;
-                    let _ = txn.commit();
-                    break;
-                }
-                Err(err) if err.is_retryable() => {
-                    // An epoch whose batches are spent aborts every read
-                    // until it ends; retrying inside it is pointless.
-                    db.wait_epoch_rollover(Duration::from_secs(1));
-                }
-                Err(err) => panic!("unexpected error reading account {account}: {err}"),
-            }
-        }
+        // (An epoch whose batches are spent aborts every read until it
+        // ends; the retry waits for the next one.)
+        let balance = db
+            .execute_with_retries(10, &mut |txn| txn.read(account))
+            .unwrap();
         total += amount(&balance.expect("account vanished"));
     }
     assert_eq!(

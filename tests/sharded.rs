@@ -328,20 +328,3 @@ fn sharded_front_door_runs_the_generic_execute_api() {
     assert_eq!(value, Some(vec![7, 7]));
     db.shutdown();
 }
-
-#[test]
-fn per_shard_executor_pool_sizing_reaches_each_shard() {
-    // The ROADMAP's "per-shard OS threads" item, first half: one shard can
-    // run a bigger ORAM executor pool than its neighbour.
-    let config = sharded_config(2).with_executor_threads_per_shard(vec![2, 5]);
-    let db = ShardedDb::open(config).unwrap();
-    assert_eq!(db.shard(0).config().epoch.executor_threads, 2);
-    assert_eq!(db.shard(1).config().epoch.executor_threads, 5);
-    // The asymmetric deployment still serves transactions on both shards.
-    let pair = obladi_testkit::cross_shard_pair(&db);
-    let mut history = obladi_testkit::history::History::new();
-    let committed =
-        obladi_testkit::shard_chaos::write_pair_tagged(&db, pair, &mut history, 100, &|| false);
-    assert!(committed.is_some(), "cross-shard commit failed");
-    db.shutdown();
-}
