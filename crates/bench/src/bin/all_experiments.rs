@@ -1,4 +1,6 @@
 //! Runs every figure and table of the evaluation in sequence.
+
+#![forbid(unsafe_code)]
 fn main() {
     let opts = obladi_bench::BenchOpts::from_args();
     println!("# Obladi reproduction — full evaluation run");

@@ -1,4 +1,6 @@
 //! Regenerates Table 11b (recovery time breakdown).
+
+#![forbid(unsafe_code)]
 fn main() {
     let opts = obladi_bench::BenchOpts::from_args();
     obladi_bench::fig11::run_fig11b(&opts);

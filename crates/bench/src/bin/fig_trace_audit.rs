@@ -2,6 +2,8 @@
 //! stores and requires their traces to be indistinguishable (the §9
 //! obliviousness argument, made executable).  With `--mutate`, arms the
 //! test-only dummy-pad leak and succeeds only if the auditor catches it.
+
+#![forbid(unsafe_code)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mutate = args.iter().any(|arg| arg == "--mutate");

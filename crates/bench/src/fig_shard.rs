@@ -9,7 +9,9 @@
 //! both the scaling win (independent epoch pipelines) and the new costs
 //! (the global epoch barrier, cross-shard commit votes).
 
-use crate::harness::{fmt1, print_header, print_row, write_metrics_out, write_trace_out};
+use crate::harness::{
+    fmt1, host_json, print_header, print_row, write_metrics_out, write_trace_out,
+};
 use crate::opts::BenchOpts;
 use crate::profiles::StorageProfile;
 use obladi_common::config::{ObladiConfig, ShardConfig};
@@ -375,9 +377,10 @@ fn write_pipeline_json(opts: &BenchOpts, cells: &[PipelineCell]) {
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"shard_pipeline\",\n  \"shards\": 3,\n  \"duration_s\": {:.1},\n  \
-         \"seed\": {},\n  \"cells\": [\n",
+         \"seed\": {},\n  \"host\": {},\n  \"cells\": [\n",
         opts.duration.as_secs_f64(),
-        opts.seed
+        opts.seed,
+        host_json()
     ));
     for (index, cell) in cells.iter().enumerate() {
         let comma = if index + 1 == cells.len() { "" } else { "," };

@@ -12,7 +12,7 @@
 //! ratio (`> 1` means concurrent requests genuinely shared wire
 //! submissions).  Results go to stdout and `BENCH_transport.json`.
 
-use crate::harness::{fmt1, print_header, print_row};
+use crate::harness::{fmt1, host_json, print_header, print_row};
 use crate::opts::BenchOpts;
 use crate::profiles::StorageProfile;
 use obladi_common::config::{ObladiConfig, ShardConfig};
@@ -168,9 +168,10 @@ fn write_transport_json(opts: &BenchOpts, cells: &[TransportCell]) {
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"transport\",\n  \"shards\": {SHARDS},\n  \"duration_s\": {:.1},\n  \
-         \"seed\": {},\n  \"cells\": [\n",
+         \"seed\": {},\n  \"host\": {},\n  \"cells\": [\n",
         opts.duration.as_secs_f64(),
-        opts.seed
+        opts.seed,
+        host_json()
     ));
     for (index, cell) in cells.iter().enumerate() {
         let comma = if index + 1 == cells.len() { "" } else { "," };

@@ -9,10 +9,30 @@ use obladi_storage::{InMemoryStore, LatencyStore, TrustedCounter, UntrustedStore
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Prints a table header row.
+/// The host block of every figure and `BENCH_*.json`: what the numbers
+/// were measured on, as one JSON object — cores, CPU model and the crypto
+/// kernels `obladi_crypto` selected there, so a file from a CPU without the
+/// SHA extensions or AVX2 explains its own crypto cost.
+pub fn host_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|line| line.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown".into());
+    format!(
+        "{{\"cores\": {cores}, \"cpu\": \"{cpu}\", \"crypto_kernels\": \"{}\"}}",
+        obladi_crypto::kernels::selected()
+    )
+}
+
+/// Prints a table header row, under the host the table was measured on.
 pub fn print_header(title: &str, columns: &[&str]) {
     println!();
     println!("== {title} ==");
+    println!("host: {}", host_json());
     println!("{}", columns.join("\t"));
 }
 

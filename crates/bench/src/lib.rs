@@ -14,6 +14,7 @@
 //! modes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod fig09;

@@ -22,6 +22,15 @@ use crate::error::{ObladiError, Result};
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
+/// Bits of a sealed slot's MAC location that hold its physical slot index;
+/// the bucket id sits above them (`(bucket << 12) | slot`).  The layout is
+/// frozen — every slot on storage is MACed under it — so instead of
+/// widening it [`OramConfig::validate`] bounds `Z + S` by what it can tell
+/// apart: with more, slot 4096 of bucket `b` would share a location with
+/// slot 0 of bucket `b + 1` and a malicious store could swap the two
+/// undetected.
+pub const SLOT_LOCATION_BITS: u32 = 12;
+
 /// Which simulated storage backend the evaluation harness should use.
 ///
 /// These correspond to the four backends of §11.2: a `dummy` backend that
@@ -189,6 +198,14 @@ impl OramConfig {
         }
         if self.block_size == 0 {
             return Err(ObladiError::Config("block size must be non-zero".into()));
+        }
+        let slots = self.z as u64 + self.s as u64;
+        if slots > 1 << SLOT_LOCATION_BITS {
+            return Err(ObladiError::Config(format!(
+                "Z + S = {slots} slots per bucket exceeds the {} a slot's MAC location can tell \
+                 apart",
+                1u64 << SLOT_LOCATION_BITS
+            )));
         }
         Ok(())
     }
@@ -607,6 +624,15 @@ mod tests {
         let mut cfg = OramConfig::for_capacity(1000, 4);
         cfg.levels = 1;
         assert!(cfg.validate().is_err(), "capacity too small must fail");
+
+        // Slot 4096 would MAC under the next bucket's slot 0.
+        let mut cfg = OramConfig::for_capacity(1000, 4);
+        (cfg.z, cfg.s) = (100, 3996);
+        cfg.validate().expect("4096 slots are slots 0..=4095");
+        cfg.s += 1;
+        assert!(cfg.validate().is_err(), "slot 4096 aliases the next bucket");
+        (cfg.z, cfg.s) = (u32::MAX, u32::MAX);
+        assert!(cfg.validate().is_err(), "the sum must not wrap");
 
         let mut cfg = EpochConfig::small_for_tests();
         cfg.read_batches = 0;

@@ -12,6 +12,7 @@
 //! the substrate-independent pieces.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod config;

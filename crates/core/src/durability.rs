@@ -26,10 +26,11 @@
 use obladi_common::config::{EpochConfig, OramConfig};
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{EpochId, Key, TxnId, Value};
-use obladi_crypto::{Envelope, KeyMaterial, SealedBlock, Sha256};
+use obladi_crypto::envelope::{PLAINTEXT_OFFSET, TAG_LEN};
+use obladi_crypto::{Envelope, KeyMaterial, Sha256};
 use obladi_oram::client::{PathLogger, SlotRead};
 use obladi_oram::{CheckpointSource, ExecOptions, MetaDelta, OramMeta, RingOram};
-use obladi_storage::wal::{WalRecord, WalRecordKind, WriteAheadLog};
+use obladi_storage::wal::{WalRecord, WalRecordKind, WriteAheadLog, FRAME_HEADER_LEN};
 use obladi_storage::{TrustedCounter, UntrustedStore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,15 +75,25 @@ type ResolvedInDoubt = (Vec<(Key, Value)>, RecoveredTxns);
 /// epoch's merged write set.
 type DecodedDecision = (Vec<TxnId>, Vec<(Key, Value)>);
 
-fn encode_writes(writes: &[(Key, Value)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + writes.len() * 16);
+fn encode_writes_into(out: &mut Vec<u8>, writes: &[(Key, Value)]) {
     out.extend_from_slice(&(writes.len() as u32).to_le_bytes());
     for (key, value) in writes {
         out.extend_from_slice(&key.to_le_bytes());
         out.extend_from_slice(&(value.len() as u32).to_le_bytes());
         out.extend_from_slice(value);
     }
-    out
+}
+
+/// Appends `epoch || SHA-256(body) || body` to `out`, the plaintext shape of
+/// prepare and decision records: the body is written where it stays and
+/// its digest filled in behind it.
+fn digest_bound_into(out: &mut Vec<u8>, epoch: EpochId, body: impl FnOnce(&mut Vec<u8>)) {
+    out.extend_from_slice(&epoch.to_le_bytes());
+    let digest_at = out.len();
+    out.extend_from_slice(&[0u8; 32]);
+    body(out);
+    let digest = Sha256::digest(&out[digest_at + 32..]);
+    out[digest_at..digest_at + 32].copy_from_slice(&digest);
 }
 
 fn decode_writes(body: &[u8]) -> Result<Vec<(Key, Value)>> {
@@ -226,17 +237,53 @@ impl DurabilityManager {
         if !self.enabled {
             return Ok(());
         }
-        let body = encode_writes(writes);
-        let digest = Sha256::digest(&body);
-        let mut plain = Vec::with_capacity(8 + 32 + body.len());
-        plain.extend_from_slice(&epoch.to_le_bytes());
-        plain.extend_from_slice(&digest);
-        plain.extend_from_slice(&body);
-        let sealed = self.envelope.seal(LOC_PREPARE, txn, &plain, plain.len())?;
-        let mut payload = Vec::with_capacity(8 + sealed.bytes.len());
-        payload.extend_from_slice(&txn.to_le_bytes());
-        payload.extend_from_slice(&sealed.bytes);
-        self.wal.append(WalRecordKind::Prepare, epoch, &payload)?;
+        self.append_sealed(
+            WalRecordKind::Prepare,
+            LOC_PREPARE,
+            epoch,
+            Some(txn),
+            |out| {
+                digest_bound_into(out, epoch, |out| encode_writes_into(out, writes));
+                Ok(())
+            },
+        )
+    }
+
+    /// Builds, seals and appends one WAL record in a single buffer laid
+    /// out as the store will hold it —
+    /// `frame header || clear || nonce || length || plaintext || tag` — so
+    /// even a checkpoint is written once: `plaintext` appends the record's
+    /// plaintext behind the reserved front, the envelope seals it where it
+    /// lies, and the WAL fills in its header and hands the buffer on.
+    /// The MAC binds `(location, epoch)` — except for a prepare, which is
+    /// bound to its transaction id instead (`prepared`), written in the
+    /// clear in front of the envelope so recovery knows what to open it
+    /// under.
+    fn append_sealed(
+        &self,
+        kind: WalRecordKind,
+        location: u64,
+        epoch: EpochId,
+        prepared: Option<TxnId>,
+        plaintext: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
+        let mut record = vec![0u8; FRAME_HEADER_LEN];
+        if let Some(txn) = prepared {
+            record.extend_from_slice(&txn.to_le_bytes());
+        }
+        let envelope_at = record.len();
+        record.resize(envelope_at + PLAINTEXT_OFFSET, 0);
+        plaintext(&mut record)?;
+        let plaintext_len = record.len() - envelope_at - PLAINTEXT_OFFSET;
+        record.resize(record.len() + TAG_LEN, 0);
+        let counter = prepared.unwrap_or(epoch);
+        self.envelope.seal_in_place(
+            location,
+            counter,
+            &mut record[envelope_at..],
+            plaintext_len,
+        )?;
+        self.wal.append_framed(kind, epoch, record)?;
         Ok(())
     }
 
@@ -262,32 +309,24 @@ impl DurabilityManager {
         if !self.enabled {
             return Ok(());
         }
-        let mut body = Vec::with_capacity(4 + committed.len() * 8);
-        body.extend_from_slice(&(committed.len() as u32).to_le_bytes());
-        for txn in committed {
-            body.extend_from_slice(&txn.to_le_bytes());
-        }
-        body.extend_from_slice(&encode_writes(writes));
-        let digest = Sha256::digest(&body);
-        let mut plain = Vec::with_capacity(8 + 32 + body.len());
-        plain.extend_from_slice(&epoch.to_le_bytes());
-        plain.extend_from_slice(&digest);
-        plain.extend_from_slice(&body);
-        let sealed = self
-            .envelope
-            .seal(LOC_DECISION, epoch, &plain, plain.len())?;
-        self.wal
-            .append(WalRecordKind::Decision, epoch, &sealed.bytes)?;
-        Ok(())
+        self.append_sealed(WalRecordKind::Decision, LOC_DECISION, epoch, None, |out| {
+            digest_bound_into(out, epoch, |body| {
+                body.extend_from_slice(&(committed.len() as u32).to_le_bytes());
+                for txn in committed {
+                    body.extend_from_slice(&txn.to_le_bytes());
+                }
+                encode_writes_into(body, writes);
+            });
+            Ok(())
+        })
     }
 
     /// Opens and verifies one decision record, returning the committed
     /// transaction ids and the epoch's merged write set.
     fn decode_decision(&self, record: &WalRecord) -> Result<DecodedDecision> {
-        let sealed = SealedBlock {
-            bytes: record.payload.to_vec(),
-        };
-        let plain = self.envelope.open(LOC_DECISION, record.epoch, &sealed)?;
+        let plain = self
+            .envelope
+            .open_bytes(LOC_DECISION, record.epoch, &record.payload)?;
         if plain.len() < 40 {
             return Err(ObladiError::Codec("decision payload too short".into()));
         }
@@ -368,10 +407,9 @@ impl DurabilityManager {
             return Err(ObladiError::Codec("prepare record too short".into()));
         }
         let txn = u64::from_le_bytes(record.payload[..8].try_into().unwrap());
-        let sealed = SealedBlock {
-            bytes: record.payload[8..].to_vec(),
-        };
-        let plain = self.envelope.open(LOC_PREPARE, txn, &sealed)?;
+        let plain = self
+            .envelope
+            .open_bytes(LOC_PREPARE, txn, &record.payload[8..])?;
         if plain.len() < 40 {
             return Err(ObladiError::Codec("prepare payload too short".into()));
         }
@@ -496,20 +534,25 @@ impl DurabilityManager {
         // epoch refreshes the base.
         let full = epoch == 1 || epoch.is_multiple_of(self.checkpoint_every as u64);
         if full {
-            let payload = oram.checkpoint_full()?;
-            let sealed = self
-                .envelope
-                .seal(LOC_FULL, epoch, &payload, payload.len())?;
-            self.wal
-                .append(WalRecordKind::CheckpointFull, epoch, &sealed.bytes)?;
+            self.append_sealed(
+                WalRecordKind::CheckpointFull,
+                LOC_FULL,
+                epoch,
+                None,
+                |out| oram.checkpoint_full_into(out),
+            )?;
         } else {
             let delta = oram.checkpoint_delta(self.max_position_delta)?;
-            let payload = delta.encode();
-            let sealed = self
-                .envelope
-                .seal(LOC_DELTA, epoch, &payload, payload.len())?;
-            self.wal
-                .append(WalRecordKind::CheckpointDelta, epoch, &sealed.bytes)?;
+            self.append_sealed(
+                WalRecordKind::CheckpointDelta,
+                LOC_DELTA,
+                epoch,
+                None,
+                |out| {
+                    delta.encode_into(out);
+                    Ok(())
+                },
+            )?;
         }
         self.wal.append(WalRecordKind::EpochCommit, epoch, &[])?;
         self.counter.advance_epoch_to(epoch);
@@ -587,10 +630,9 @@ impl DurabilityManager {
             .iter()
             .filter(|r| r.kind == WalRecordKind::CheckpointFull && r.epoch <= durable_epochs)
         {
-            let sealed = SealedBlock {
-                bytes: record.payload.to_vec(),
-            };
-            let plain = self.envelope.open(LOC_FULL, record.epoch, &sealed)?;
+            let plain = self
+                .envelope
+                .open_bytes(LOC_FULL, record.epoch, &record.payload)?;
             meta = Some(OramMeta::decode_full(&plain)?);
             base_epoch = record.epoch;
         }
@@ -651,10 +693,9 @@ impl DurabilityManager {
             deltas.insert(record.epoch, record);
         }
         for record in deltas.into_values() {
-            let sealed = SealedBlock {
-                bytes: record.payload.to_vec(),
-            };
-            let plain = self.envelope.open(LOC_DELTA, record.epoch, &sealed)?;
+            let plain = self
+                .envelope
+                .open_bytes(LOC_DELTA, record.epoch, &record.payload)?;
             let delta = MetaDelta::decode(&plain)?;
             meta.apply_delta(&delta);
         }
@@ -720,10 +761,9 @@ impl DurabilityManager {
             .iter()
             .filter(|r| r.kind == WalRecordKind::PathLog && r.epoch == epoch)
         {
-            let sealed = SealedBlock {
-                bytes: record.payload.to_vec(),
-            };
-            let plain = self.envelope.open(LOC_PATH_LOG, record.epoch, &sealed)?;
+            let plain = self
+                .envelope
+                .open_bytes(LOC_PATH_LOG, record.epoch, &record.payload)?;
             let reads = SlotRead::decode_list(&plain)?;
             report.reads_replayed += reads.len() as u64;
             oram.replay_reads(&reads)?;
@@ -827,13 +867,10 @@ impl DurabilityManager {
         if !self.enabled || reads.is_empty() {
             return Ok(());
         }
-        let payload = SlotRead::encode_list(reads);
-        let sealed = self
-            .envelope
-            .seal(LOC_PATH_LOG, epoch, &payload, payload.len())?;
-        self.wal
-            .append(WalRecordKind::PathLog, epoch, &sealed.bytes)?;
-        Ok(())
+        self.append_sealed(WalRecordKind::PathLog, LOC_PATH_LOG, epoch, None, |out| {
+            SlotRead::encode_list_into(reads, out);
+            Ok(())
+        })
     }
 }
 

@@ -308,6 +308,17 @@ impl ObladiDb {
         let oram = RingOram::new(config.oram, &keys, store.clone(), exec, config.seed)?;
         let (reader, engine) = oram.split();
         durability.set_current_epoch(1);
+        // Which crypto kernels this proxy seals with, once per open, as an
+        // info gauge (the name carries the value): a snapshot taken on a CPU
+        // without the extensions then explains its own crypto lines.
+        // Trusted side only — a function of the proxy's CPU, never exported
+        // by the storage daemons.
+        obladi_obs::global()
+            .gauge(&format!(
+                "proxy.crypto.kernels.{}",
+                obladi_crypto::kernels::selected()
+            ))
+            .set(1);
 
         let inner = Arc::new(ProxyInner {
             state: Mutex::new(Pipeline::new(config.epoch, 1)),

@@ -19,8 +19,8 @@
 use crate::chacha20::ChaCha20;
 use crate::hmac::HmacSha256;
 use crate::keys::KeyMaterial;
+use crate::random;
 use obladi_common::error::{ObladiError, Result};
-use rand::RngCore;
 
 /// Length of the MAC tag appended to each envelope.
 pub const TAG_LEN: usize = 32;
@@ -28,6 +28,9 @@ pub const TAG_LEN: usize = 32;
 pub const NONCE_LEN: usize = 12;
 /// Length prefix encoding the true payload size inside the padded plaintext.
 const LEN_PREFIX: usize = 4;
+/// Where the plaintext sits in a buffer handed to
+/// [`Envelope::seal_in_place`]: behind the nonce and the length prefix.
+pub const PLAINTEXT_OFFSET: usize = NONCE_LEN + LEN_PREFIX;
 
 /// A sealed (encrypted + authenticated) block as stored on the server.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,79 +83,121 @@ impl Envelope {
         plaintext: &[u8],
         padded_capacity: usize,
     ) -> Result<SealedBlock> {
-        if plaintext.len() > padded_capacity {
-            return Err(ObladiError::Codec(format!(
-                "plaintext of {} bytes exceeds padded capacity {}",
-                plaintext.len(),
-                padded_capacity
-            )));
-        }
-        let mut nonce = [0u8; NONCE_LEN];
-        rand::thread_rng().fill_bytes(&mut nonce);
-
-        // length prefix || payload || zero padding
-        let mut body = Vec::with_capacity(LEN_PREFIX + padded_capacity);
-        body.extend_from_slice(&(plaintext.len() as u32).to_le_bytes());
-        body.extend_from_slice(plaintext);
-        body.resize(LEN_PREFIX + padded_capacity, 0);
-
-        self.cipher.apply_keystream(&nonce, 1, &mut body);
-
-        let tag = self.hmac.mac_parts(&[
-            &location.to_le_bytes(),
-            &counter.to_le_bytes(),
-            &nonce,
-            &body,
-        ]);
-
         let mut bytes = Vec::with_capacity(Self::sealed_len(padded_capacity));
-        bytes.extend_from_slice(&nonce);
-        bytes.extend_from_slice(&body);
-        bytes.extend_from_slice(&tag);
+        bytes.extend_from_slice(&[0u8; PLAINTEXT_OFFSET]);
+        bytes.extend_from_slice(plaintext);
+        bytes.resize(Self::sealed_len(padded_capacity), 0);
+        self.seal_in_place(location, counter, &mut bytes, plaintext.len())?;
         Ok(SealedBlock { bytes })
+    }
+
+    /// Seals a block where it lies.  `buf` is the whole envelope,
+    /// `nonce || length || capacity || tag` — [`Envelope::sealed_len`] of
+    /// the capacity — in which the caller has written `plaintext_len` bytes
+    /// of plaintext at [`PLAINTEXT_OFFSET`]; whatever else it holds is
+    /// overwritten.  The envelope draws the nonce, writes the length
+    /// prefix, zeroes the rest of the capacity, encrypts and appends the
+    /// tag, all inside `buf`: the bytes [`Envelope::seal`] would have
+    /// returned, without the copies.
+    ///
+    /// Returns an error if the plaintext does not fit in the capacity.
+    pub fn seal_in_place(
+        &self,
+        location: u64,
+        counter: u64,
+        buf: &mut [u8],
+        plaintext_len: usize,
+    ) -> Result<()> {
+        let mut nonce = [0u8; NONCE_LEN];
+        random::fill(&mut nonce);
+        self.seal_in_place_with_nonce(location, counter, buf, plaintext_len, &nonce)
+    }
+
+    /// [`Envelope::seal_in_place`] with the nonce supplied: the one sealing
+    /// implementation, and what the golden-fixture tests re-seal through.
+    fn seal_in_place_with_nonce(
+        &self,
+        location: u64,
+        counter: u64,
+        buf: &mut [u8],
+        plaintext_len: usize,
+        nonce: &[u8; NONCE_LEN],
+    ) -> Result<()> {
+        let capacity = buf
+            .len()
+            .checked_sub(Self::sealed_len(0))
+            .filter(|capacity| plaintext_len <= *capacity)
+            .ok_or_else(|| {
+                ObladiError::Codec(format!(
+                    "plaintext of {plaintext_len} bytes exceeds the padded capacity of a {}-byte \
+                     envelope",
+                    buf.len()
+                ))
+            })?;
+        let length = u32::try_from(plaintext_len)
+            .map_err(|_| ObladiError::Codec("plaintext longer than u32::MAX".into()))?;
+
+        let (sealed, tag) = buf.split_at_mut(PLAINTEXT_OFFSET + capacity);
+        sealed[..NONCE_LEN].copy_from_slice(nonce);
+        sealed[NONCE_LEN..PLAINTEXT_OFFSET].copy_from_slice(&length.to_le_bytes());
+        sealed[PLAINTEXT_OFFSET + plaintext_len..].fill(0);
+        self.cipher
+            .apply_keystream(nonce, 1, &mut sealed[NONCE_LEN..]);
+        // The MAC covers `location || counter || nonce || ciphertext`.
+        let mac = self.hmac.mac_parts(&[&binding(location, counter), sealed]);
+        tag.copy_from_slice(&mac);
+        Ok(())
     }
 
     /// Opens a sealed block, verifying the MAC against `(location, counter)`.
     pub fn open(&self, location: u64, counter: u64, sealed: &SealedBlock) -> Result<Vec<u8>> {
-        let bytes = &sealed.bytes;
-        if bytes.len() < NONCE_LEN + LEN_PREFIX + TAG_LEN {
+        self.open_bytes(location, counter, &sealed.bytes)
+    }
+
+    /// [`Envelope::open`] over borrowed bytes — a slot or WAL record as the
+    /// store returned it.  The MAC is verified on `sealed` as it lies; only
+    /// an authentic body is copied out and decrypted.
+    pub fn open_bytes(&self, location: u64, counter: u64, sealed: &[u8]) -> Result<Vec<u8>> {
+        if sealed.len() < Self::sealed_len(0) {
             return Err(ObladiError::Codec(format!(
                 "sealed block too short: {} bytes",
-                bytes.len()
+                sealed.len()
             )));
         }
-        let (nonce_bytes, rest) = bytes.split_at(NONCE_LEN);
-        let (body, tag) = rest.split_at(rest.len() - TAG_LEN);
-
-        let ok = self.hmac.verify_parts(
-            &[
-                &location.to_le_bytes(),
-                &counter.to_le_bytes(),
-                nonce_bytes,
-                body,
-            ],
-            tag,
-        );
-        if !ok {
+        let (nonce_and_ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        let authentic = self
+            .hmac
+            .verify_parts(&[&binding(location, counter), nonce_and_ciphertext], tag);
+        if !authentic {
             return Err(ObladiError::Integrity(format!(
                 "MAC verification failed for location {location} counter {counter}"
             )));
         }
 
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce.copy_from_slice(nonce_bytes);
+        let (nonce, body) = nonce_and_ciphertext.split_at(NONCE_LEN);
+        let nonce: &[u8; NONCE_LEN] = nonce.try_into().expect("split at NONCE_LEN");
         let mut plain = body.to_vec();
-        self.cipher.apply_keystream(&nonce, 1, &mut plain);
+        self.cipher.apply_keystream(nonce, 1, &mut plain);
 
+        let capacity = plain.len() - LEN_PREFIX;
         let len = u32::from_le_bytes([plain[0], plain[1], plain[2], plain[3]]) as usize;
-        if len > plain.len() - LEN_PREFIX {
+        if len > capacity {
             return Err(ObladiError::Codec(format!(
-                "corrupt length prefix {len} for body of {}",
-                plain.len() - LEN_PREFIX
+                "corrupt length prefix {len} for body of {capacity}"
             )));
         }
-        Ok(plain[LEN_PREFIX..LEN_PREFIX + len].to_vec())
+        plain.copy_within(LEN_PREFIX..LEN_PREFIX + len, 0);
+        plain.truncate(len);
+        Ok(plain)
     }
+}
+
+/// `location || counter`, the part of the MAC input that is not stored.
+fn binding(location: u64, counter: u64) -> [u8; 16] {
+    let mut binding = [0u8; 16];
+    binding[..8].copy_from_slice(&location.to_le_bytes());
+    binding[8..].copy_from_slice(&counter.to_le_bytes());
+    binding
 }
 
 impl std::fmt::Debug for Envelope {
@@ -247,5 +292,146 @@ mod tests {
             env.open(0, 0, &sealed),
             Err(ObladiError::Codec(_))
         ));
+    }
+
+    #[test]
+    fn sealing_in_place_overwrites_whatever_the_buffer_held() {
+        let env = envelope();
+        let plaintext = b"written where it is sealed";
+        let nonce = [0x5Au8; NONCE_LEN];
+        for capacity in [plaintext.len(), 64, 212] {
+            // Whatever the buffer held before — stale nonce, padding, tag —
+            // must not reach the result.
+            let mut in_place = vec![0xEEu8; Envelope::sealed_len(capacity)];
+            in_place[PLAINTEXT_OFFSET..PLAINTEXT_OFFSET + plaintext.len()]
+                .copy_from_slice(plaintext);
+            env.seal_in_place_with_nonce(7, 8, &mut in_place, plaintext.len(), &nonce)
+                .unwrap();
+
+            let mut clean = vec![0u8; Envelope::sealed_len(capacity)];
+            clean[PLAINTEXT_OFFSET..PLAINTEXT_OFFSET + plaintext.len()].copy_from_slice(plaintext);
+            env.seal_in_place_with_nonce(7, 8, &mut clean, plaintext.len(), &nonce)
+                .unwrap();
+            assert_eq!(in_place, clean, "capacity {capacity}");
+            assert_eq!(env.open_bytes(7, 8, &in_place).unwrap(), plaintext);
+        }
+        let mut short = vec![0u8; Envelope::sealed_len(0) - 1];
+        assert!(env.seal_in_place(1, 1, &mut short, 0).is_err());
+        let mut tight = vec![0u8; Envelope::sealed_len(4)];
+        assert!(env.seal_in_place(1, 1, &mut tight, 5).is_err());
+    }
+
+    /// One blob sealed by the parent commit's `Envelope::seal` (PR 13,
+    /// `90a72c4`, scalar kernels, copying implementation) under
+    /// `KeyMaterial::for_tests(0xF1C5)`.
+    struct Golden {
+        name: &'static str,
+        location: u64,
+        counter: u64,
+        capacity: usize,
+        plaintext: Vec<u8>,
+        sealed: Vec<u8>,
+    }
+
+    /// `fixtures/envelope_parent.txt`: one blob per line as
+    /// `name location counter capacity plaintext_len salt hex`, the
+    /// plaintext being byte `i` = `31 * i + salt`.
+    fn golden() -> Vec<Golden> {
+        include_str!("../fixtures/envelope_parent.txt")
+            .lines()
+            .map(|line| {
+                let fields: Vec<&'static str> = line.split(' ').collect();
+                let number = |i: usize| fields[i].parse::<u64>().expect("numeric field");
+                let salt = number(5) as u8;
+                Golden {
+                    name: fields[0],
+                    location: number(1),
+                    counter: number(2),
+                    capacity: number(3) as usize,
+                    plaintext: (0..number(4) as usize)
+                        .map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt))
+                        .collect(),
+                    sealed: crate::test_util::unhex(fields[6]),
+                }
+            })
+            .collect()
+    }
+
+    fn golden_envelope() -> Envelope {
+        Envelope::new(&KeyMaterial::for_tests(0xF1C5))
+    }
+
+    #[test]
+    fn blobs_sealed_by_the_parent_commit_open_and_reseal_byte_for_byte() {
+        let env = golden_envelope();
+        let blobs = golden();
+        let names: Vec<&str> = blobs.iter().map(|blob| blob.name).collect();
+        assert_eq!(names, ["slot", "bulk", "empty"]);
+        for blob in blobs {
+            assert_eq!(
+                blob.sealed.len(),
+                Envelope::sealed_len(blob.capacity),
+                "{}",
+                blob.name
+            );
+            let opened = env
+                .open_bytes(blob.location, blob.counter, &blob.sealed)
+                .unwrap();
+            assert_eq!(opened, blob.plaintext, "{} opens", blob.name);
+
+            let nonce: [u8; NONCE_LEN] = blob.sealed[..NONCE_LEN].try_into().unwrap();
+            let mut resealed = vec![0u8; blob.sealed.len()];
+            resealed[PLAINTEXT_OFFSET..PLAINTEXT_OFFSET + blob.plaintext.len()]
+                .copy_from_slice(&blob.plaintext);
+            env.seal_in_place_with_nonce(
+                blob.location,
+                blob.counter,
+                &mut resealed,
+                blob.plaintext.len(),
+                &nonce,
+            )
+            .unwrap();
+            assert!(
+                resealed == blob.sealed,
+                "{} re-seals identically",
+                blob.name
+            );
+        }
+    }
+
+    #[test]
+    fn one_flipped_bit_anywhere_in_a_parent_blob_fails_integrity() {
+        let env = golden_envelope();
+        let blob = golden().into_iter().find(|b| b.name == "slot").unwrap();
+        let end = blob.sealed.len();
+        let regions = [
+            ("nonce", 0..NONCE_LEN),
+            ("length prefix", NONCE_LEN..PLAINTEXT_OFFSET),
+            (
+                "body",
+                PLAINTEXT_OFFSET..PLAINTEXT_OFFSET + blob.plaintext.len(),
+            ),
+            (
+                "padding",
+                PLAINTEXT_OFFSET + blob.plaintext.len()..end - TAG_LEN,
+            ),
+            ("tag", end - TAG_LEN..end),
+        ];
+        for (region, bytes) in regions {
+            assert!(!bytes.is_empty(), "{region} is part of the blob");
+            for at in bytes {
+                for bit in 0..8 {
+                    let mut tampered = blob.sealed.clone();
+                    tampered[at] ^= 1 << bit;
+                    assert!(
+                        matches!(
+                            env.open_bytes(blob.location, blob.counter, &tampered),
+                            Err(ObladiError::Integrity(_))
+                        ),
+                        "{region} byte {at} bit {bit}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! `subkey = HMAC(master, label)`.
 
 use crate::hmac::HmacSha256;
-use rand::RngCore;
+use crate::random;
 
 /// The proxy's long-term secrets.
 ///
@@ -31,10 +31,11 @@ impl KeyMaterial {
         }
     }
 
-    /// Generates fresh random key material from the OS RNG.
+    /// Generates fresh random key material from the OS RNG (through this
+    /// thread's keystream, see `random.rs`).
     pub fn generate() -> Self {
         let mut master = [0u8; 32];
-        rand::thread_rng().fill_bytes(&mut master);
+        random::fill(&mut master);
         KeyMaterial::from_master(master)
     }
 

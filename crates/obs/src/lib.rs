@@ -26,6 +26,8 @@
 //! ([`set_enabled`]) so the overhead bench can A/B the instrumented
 //! binary against itself.
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod metrics;
 pub mod report;

@@ -51,11 +51,17 @@ impl Block {
     /// Plaintext encoding: `key || leaf || value` (the envelope adds its own
     /// length prefix and padding).
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(16 + self.value.len());
+        let mut out = Vec::with_capacity(Self::padded_capacity(self.value.len()));
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the plaintext encoding to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut enc = Encoder::new(out);
         enc.put_u64(self.key);
         enc.put_u64(self.leaf);
         enc.put_bytes(&self.value);
-        enc.finish()
     }
 
     /// Decodes a plaintext block.

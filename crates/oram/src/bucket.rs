@@ -131,7 +131,7 @@ impl BucketMeta {
     }
 
     /// Serialises the metadata.
-    pub fn encode(&self, enc: &mut Encoder) {
+    pub fn encode(&self, enc: &mut Encoder<'_>) {
         enc.put_u32(self.perm.len() as u32);
         for &p in &self.perm {
             enc.put_u32(p);
@@ -282,9 +282,8 @@ mod tests {
         m.real[2] = Some((3, 7));
         m.mark_read(1);
 
-        let mut enc = Encoder::new();
-        m.encode(&mut enc);
-        let bytes = enc.finish();
+        let mut bytes = Vec::new();
+        m.encode(&mut Encoder::new(&mut bytes));
         let mut dec = Decoder::new(&bytes);
         let decoded = BucketMeta::decode(&mut dec).unwrap();
         dec.expect_end().unwrap();

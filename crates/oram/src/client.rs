@@ -163,14 +163,21 @@ pub struct SlotRead {
 impl SlotRead {
     /// Encodes a list of slot reads (for the durability path log).
     pub fn encode_list(reads: &[SlotRead]) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(8 + reads.len() * 20);
+        let mut out = Vec::new();
+        Self::encode_list_into(reads, &mut out);
+        out
+    }
+
+    /// Appends the encoding of `reads` to `out`.
+    pub fn encode_list_into(reads: &[SlotRead], out: &mut Vec<u8>) {
+        out.reserve(8 + reads.len() * 20);
+        let mut enc = Encoder::new(out);
         enc.put_u64(reads.len() as u64);
         for r in reads {
             enc.put_u64(r.bucket);
             enc.put_u32(r.slot);
             enc.put_u64(r.version);
         }
-        enc.finish()
     }
 
     /// Decodes a list written by [`SlotRead::encode_list`].
@@ -313,7 +320,7 @@ impl RingOram {
     /// Produces a full checkpoint of the client metadata.  Fails if the
     /// read plane is poisoned (see [`CheckpointSource`]).
     pub fn checkpoint_full(&self) -> Result<Vec<u8>> {
-        CheckpointSource::checkpoint_full(&self.engine)
+        CheckpointSource::checkpoint_full(self)
     }
 
     // ------------------------------------------------------------------
@@ -412,8 +419,8 @@ impl RingOram {
 }
 
 impl CheckpointSource for RingOram {
-    fn checkpoint_full(&self) -> Result<Vec<u8>> {
-        RingOram::checkpoint_full(self)
+    fn checkpoint_full_into(&self, out: &mut Vec<u8>) -> Result<()> {
+        self.engine.checkpoint_full_into(out)
     }
 
     fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta> {

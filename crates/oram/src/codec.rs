@@ -7,23 +7,21 @@
 
 use obladi_common::error::{ObladiError, Result};
 
-/// Append-only encoder.
-#[derive(Debug, Default, Clone)]
-pub struct Encoder {
-    buf: Vec<u8>,
+/// Append-only encoder over a caller-owned buffer.
+///
+/// Every `encode_into` in this crate appends to the `Vec` it is handed, so
+/// a checkpoint or path log is written exactly once, straight into the
+/// buffer the durability layer seals in place and frames for the WAL —
+/// behind whatever header bytes that layer reserved up front.
+#[derive(Debug)]
+pub struct Encoder<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Encoder {
-    /// Creates an empty encoder.
-    pub fn new() -> Self {
-        Encoder { buf: Vec::new() }
-    }
-
-    /// Creates an encoder with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Encoder {
-            buf: Vec::with_capacity(cap),
-        }
+impl<'a> Encoder<'a> {
+    /// Continues `buf`: everything is appended behind what it holds.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        Encoder { buf }
     }
 
     /// Appends a `u64`.
@@ -52,19 +50,21 @@ impl Encoder {
         self.buf.extend_from_slice(v);
     }
 
-    /// Consumes the encoder and returns the bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
+    /// Appends `len` zero bytes behind their length prefix (padding values).
+    pub fn put_zeroed_bytes(&mut self, len: usize) {
+        self.put_u32(len as u32);
+        self.buf.resize(self.buf.len() + len, 0);
     }
 
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// Appends a length-prefixed section written by `section` in place: the
+    /// same bytes as `put_bytes(&encoded_section)`, without encoding the
+    /// section somewhere else first.
+    pub fn put_section(&mut self, section: impl FnOnce(&mut Encoder<'_>)) {
+        let prefix_at = self.buf.len();
+        self.put_u32(0);
+        section(self);
+        let len = (self.buf.len() - prefix_at - 4) as u32;
+        self.buf[prefix_at..prefix_at + 4].copy_from_slice(&len.to_le_bytes());
     }
 }
 
@@ -120,8 +120,14 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<Vec<u8>> {
+        Ok(self.get_slice()?.to_vec())
+    }
+
+    /// Reads a length-prefixed byte slice without copying it (a nested
+    /// section handed to its own decoder).
+    pub fn get_slice(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
 
     /// Number of bytes remaining.
@@ -147,7 +153,8 @@ mod tests {
 
     #[test]
     fn roundtrip_all_types() {
-        let mut enc = Encoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = Encoder::new(&mut bytes);
         enc.put_u64(0xDEAD_BEEF_1234_5678);
         enc.put_u32(77);
         enc.put_u8(3);
@@ -155,7 +162,6 @@ mod tests {
         enc.put_bool(false);
         enc.put_bytes(b"hello");
         enc.put_bytes(b"");
-        let bytes = enc.finish();
 
         let mut dec = Decoder::new(&bytes);
         assert_eq!(dec.get_u64().unwrap(), 0xDEAD_BEEF_1234_5678);
@@ -170,19 +176,18 @@ mod tests {
 
     #[test]
     fn overrun_is_detected() {
-        let mut enc = Encoder::new();
-        enc.put_u32(5);
-        let bytes = enc.finish();
+        let mut bytes = Vec::new();
+        Encoder::new(&mut bytes).put_u32(5);
         let mut dec = Decoder::new(&bytes);
         assert!(dec.get_u64().is_err());
     }
 
     #[test]
     fn trailing_bytes_are_detected() {
-        let mut enc = Encoder::new();
+        let mut bytes = Vec::new();
+        let mut enc = Encoder::new(&mut bytes);
         enc.put_u32(1);
         enc.put_u32(2);
-        let bytes = enc.finish();
         let mut dec = Decoder::new(&bytes);
         dec.get_u32().unwrap();
         assert!(dec.expect_end().is_err());
@@ -192,9 +197,8 @@ mod tests {
 
     #[test]
     fn corrupt_length_prefix_fails_cleanly() {
-        let mut enc = Encoder::new();
-        enc.put_bytes(b"abc");
-        let mut bytes = enc.finish();
+        let mut bytes = Vec::new();
+        Encoder::new(&mut bytes).put_bytes(b"abc");
         // Claim a huge length.
         bytes[0] = 0xff;
         bytes[1] = 0xff;
@@ -203,10 +207,26 @@ mod tests {
     }
 
     #[test]
-    fn encoder_capacity_and_len() {
-        let mut enc = Encoder::with_capacity(64);
-        assert!(enc.is_empty());
-        enc.put_u8(1);
-        assert_eq!(enc.len(), 1);
+    fn encoder_appends_behind_a_reserved_prefix() {
+        let mut bytes = vec![0xEE; 9];
+        Encoder::new(&mut bytes).put_u8(1);
+        assert_eq!(bytes, [&[0xEE; 9][..], &[1]].concat());
+    }
+
+    #[test]
+    fn sections_and_zeroed_bytes_equal_their_copying_forms() {
+        let mut inner = Vec::new();
+        let mut enc = Encoder::new(&mut inner);
+        enc.put_u64(7);
+        enc.put_bytes(&[0u8; 5]);
+        let mut copied = vec![0xAB];
+        Encoder::new(&mut copied).put_bytes(&inner);
+
+        let mut in_place = vec![0xAB];
+        Encoder::new(&mut in_place).put_section(|enc| {
+            enc.put_u64(7);
+            enc.put_zeroed_bytes(5);
+        });
+        assert_eq!(in_place, copied);
     }
 }

@@ -28,6 +28,7 @@
 //! buffer-served reads).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod block;
 pub mod bucket;

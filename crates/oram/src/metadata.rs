@@ -79,7 +79,18 @@ impl OramMeta {
 
     /// Serialises the complete state (full checkpoint).
     pub fn encode_full(&self) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(1024 + self.buckets.len() * 64);
+        let mut out = Vec::new();
+        self.encode_full_into(&mut out);
+        out
+    }
+
+    /// Appends the complete state to `out` in one pass: the nested position
+    /// map and padded stash are written where they end up, not encoded
+    /// aside and copied in.
+    pub fn encode_full_into(&self, out: &mut Vec<u8>) {
+        let stash_len = self.config.max_stash * (20 + self.config.block_size);
+        out.reserve(1024 + self.position.len() * 16 + stash_len + self.buckets.len() * 64);
+        let mut enc = Encoder::new(out);
         enc.put_u64(self.config.num_objects);
         enc.put_u32(self.config.z);
         enc.put_u32(self.config.s);
@@ -89,17 +100,15 @@ impl OramMeta {
         enc.put_u64(self.config.max_stash as u64);
         enc.put_u64(self.access_count);
         enc.put_u64(self.evict_count);
-        enc.put_bytes(&self.position.encode());
-        enc.put_bytes(
-            &self
-                .stash
-                .encode_padded(self.config.max_stash, self.config.block_size),
-        );
+        enc.put_section(|enc| self.position.encode_to(enc));
+        enc.put_section(|enc| {
+            self.stash
+                .encode_padded_to(self.config.max_stash, self.config.block_size, enc)
+        });
         enc.put_u64(self.buckets.len() as u64);
         for bucket in &self.buckets {
             bucket.encode(&mut enc);
         }
-        enc.finish()
     }
 
     /// Assembles metadata from already-reconstructed parts (generation
@@ -144,8 +153,8 @@ impl OramMeta {
         };
         let access_count = dec.get_u64()?;
         let evict_count = dec.get_u64()?;
-        let position = PositionMap::decode(&dec.get_bytes()?)?;
-        let stash = Stash::decode_padded(&dec.get_bytes()?)?;
+        let position = PositionMap::decode(dec.get_slice()?)?;
+        let stash = Stash::decode_padded(dec.get_slice()?)?;
         let bucket_count = dec.get_u64()? as usize;
         if bucket_count != config.num_buckets() as usize {
             return Err(ObladiError::Codec(format!(
@@ -253,23 +262,37 @@ pub struct MetaDelta {
 impl MetaDelta {
     /// Serialises the delta.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the delta to `out` in one pass (see
+    /// [`OramMeta::encode_full_into`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(
+            256 + self.max_position_delta * 17
+                + self.buckets.len() * 64
+                + self.stash_pad * (20 + self.block_size),
+        );
+        let mut enc = Encoder::new(out);
         enc.put_u64(self.access_count);
         enc.put_u64(self.evict_count);
-        enc.put_bytes(&PositionMap::encode_delta(
-            &self.position_delta,
-            self.max_position_delta,
-        ));
+        enc.put_section(|enc| {
+            PositionMap::encode_delta_to(&self.position_delta, self.max_position_delta, enc)
+        });
         enc.put_u64(self.buckets.len() as u64);
         for (bucket, meta) in &self.buckets {
             enc.put_u64(*bucket);
             meta.encode(&mut enc);
         }
-        enc.put_bytes(&self.stash.encode_padded(self.stash_pad, self.block_size));
+        enc.put_section(|enc| {
+            self.stash
+                .encode_padded_to(self.stash_pad, self.block_size, enc)
+        });
         enc.put_u64(self.stash_pad as u64);
         enc.put_u64(self.block_size as u64);
         enc.put_u64(self.max_position_delta as u64);
-        enc.finish()
     }
 
     /// Deserialises a delta.
@@ -277,14 +300,14 @@ impl MetaDelta {
         let mut dec = Decoder::new(bytes);
         let access_count = dec.get_u64()?;
         let evict_count = dec.get_u64()?;
-        let position_delta = PositionMap::decode_delta(&dec.get_bytes()?)?;
+        let position_delta = PositionMap::decode_delta(dec.get_slice()?)?;
         let bucket_count = dec.get_u64()? as usize;
         let mut buckets = Vec::with_capacity(bucket_count);
         for _ in 0..bucket_count {
             let id = dec.get_u64()?;
             buckets.push((id, BucketMeta::decode(&mut dec)?));
         }
-        let stash = Stash::decode_padded(&dec.get_bytes()?)?;
+        let stash = Stash::decode_padded(dec.get_slice()?)?;
         let stash_pad = dec.get_u64()? as usize;
         let block_size = dec.get_u64()? as usize;
         let max_position_delta = dec.get_u64()? as usize;

@@ -96,15 +96,20 @@ impl PositionMap {
 
     /// Serialises the full map.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + self.positions.len() * 16);
+        self.encode_to(&mut Encoder::new(&mut out));
+        out
+    }
+
+    /// Appends the full map to `enc`.
+    pub fn encode_to(&self, enc: &mut Encoder<'_>) {
         let mut entries: Vec<(Key, Leaf)> = self.positions.iter().map(|(k, v)| (*k, *v)).collect();
         entries.sort_unstable();
-        let mut enc = Encoder::with_capacity(8 + entries.len() * 16);
         enc.put_u64(entries.len() as u64);
         for (key, leaf) in entries {
             enc.put_u64(key);
             enc.put_u64(leaf);
         }
-        enc.finish()
     }
 
     /// Deserialises a full map.
@@ -128,7 +133,17 @@ impl PositionMap {
     /// `padded_entries` so the ciphertext length does not reveal how many
     /// keys were actually touched.
     pub fn encode_delta(delta: &[(Key, Option<Leaf>)], padded_entries: usize) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(8 + padded_entries * 18);
+        let mut out = Vec::with_capacity(8 + padded_entries * 17);
+        Self::encode_delta_to(delta, padded_entries, &mut Encoder::new(&mut out));
+        out
+    }
+
+    /// Appends a padded delta to `enc` (see [`PositionMap::encode_delta`]).
+    pub fn encode_delta_to(
+        delta: &[(Key, Option<Leaf>)],
+        padded_entries: usize,
+        enc: &mut Encoder<'_>,
+    ) {
         enc.put_u64(delta.len() as u64);
         for (key, leaf) in delta {
             enc.put_u64(*key);
@@ -149,7 +164,6 @@ impl PositionMap {
             enc.put_bool(false);
             enc.put_u64(0);
         }
-        enc.finish()
     }
 
     /// Decodes a delta written by [`PositionMap::encode_delta`].

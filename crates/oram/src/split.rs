@@ -75,9 +75,11 @@ use crate::metadata::{MetaDelta, OramMeta};
 use crate::pool::ThreadPool;
 use crate::tree::TreeGeometry;
 use obladi_common::config::OramConfig;
+use obladi_common::config::SLOT_LOCATION_BITS;
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::rng::DetRng;
 use obladi_common::types::{BucketId, Key, Leaf, Value, Version};
+use obladi_crypto::envelope::PLAINTEXT_OFFSET;
 use obladi_crypto::{Envelope, KeyMaterial};
 use obladi_storage::UntrustedStore;
 use parking_lot::{Condvar, Mutex};
@@ -116,8 +118,15 @@ pub fn set_leak_skip_dummy_pads(enabled: bool) {
 /// proxy's fate-sharing crash + recovery rebuilds a clean client from the
 /// last durable checkpoint.
 pub trait CheckpointSource {
+    /// Appends the complete client state (full checkpoint) to `out`, which
+    /// may already hold bytes the caller reserved in front of it.
+    fn checkpoint_full_into(&self, out: &mut Vec<u8>) -> Result<()>;
     /// Serialises the complete client state (full checkpoint).
-    fn checkpoint_full(&self) -> Result<Vec<u8>>;
+    fn checkpoint_full(&self) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.checkpoint_full_into(&mut out)?;
+        Ok(out)
+    }
     /// Produces a delta checkpoint and clears the dirty sets.
     fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta>;
 }
@@ -323,33 +332,73 @@ fn from_parts(
 // Shared helpers (sealing, opening, fetching)
 // ----------------------------------------------------------------------
 
-/// Seals a block for `(bucket, slot)` at `version`.
-pub(crate) fn seal_block(
-    envelope: &Envelope,
-    encrypt: bool,
-    bucket: BucketId,
-    slot: u32,
-    version: Version,
-    block: &Block,
-    capacity: usize,
-) -> Result<bytes::Bytes> {
-    let plain = block.encode();
+/// Bytes one slot occupies on storage: a sealed envelope, or in
+/// unencrypted mode `length || plaintext || zero padding`, so dummy and
+/// real slots are the same length either way.
+fn slot_len(encrypt: bool, capacity: usize) -> usize {
     if encrypt {
-        let location = slot_location(bucket, slot);
-        let sealed = envelope.seal(location, version, &plain, capacity)?;
-        Ok(bytes::Bytes::from(sealed.bytes))
+        Envelope::sealed_len(capacity)
     } else {
-        // Unencrypted mode still pads to a fixed size so dummy and real
-        // slots remain the same length on storage.
-        let mut padded = Vec::with_capacity(capacity + 4);
-        padded.extend_from_slice(&(plain.len() as u32).to_le_bytes());
-        padded.extend_from_slice(&plain);
-        padded.resize(capacity + 4, 0);
-        Ok(bytes::Bytes::from(padded))
+        CLEAR_LEN_PREFIX + capacity
     }
 }
 
-/// Opens a slot payload fetched from storage.
+/// Length prefix of an unencrypted slot.
+const CLEAR_LEN_PREFIX: usize = 4;
+
+/// Seals one bucket image at `version`: `blocks[i]` goes to physical slot
+/// `i`, `None` being a dummy.
+///
+/// One allocation holds the whole bucket.  Each block's plaintext is
+/// encoded straight into the place it is sealed in (the dummy's is encoded
+/// once and copied there) and the returned `Bytes` are windows onto that
+/// allocation.
+pub(crate) fn seal_bucket(
+    envelope: &Envelope,
+    encrypt: bool,
+    bucket: BucketId,
+    version: Version,
+    blocks: &[Option<&Block>],
+    capacity: usize,
+) -> Result<Vec<bytes::Bytes>> {
+    let slot_len = slot_len(encrypt, capacity);
+    let plaintext_at = if encrypt {
+        PLAINTEXT_OFFSET
+    } else {
+        CLEAR_LEN_PREFIX
+    };
+    let dummy = Block::dummy().encode();
+    let mut image = Vec::with_capacity(blocks.len() * slot_len);
+    for (slot, block) in blocks.iter().enumerate() {
+        let slot_at = image.len();
+        image.resize(slot_at + plaintext_at, 0);
+        match block {
+            Some(block) => block.encode_into(&mut image),
+            None => image.extend_from_slice(&dummy),
+        }
+        let plaintext_len = image.len() - slot_at - plaintext_at;
+        if plaintext_len > capacity {
+            return Err(ObladiError::Codec(format!(
+                "block of {plaintext_len} bytes exceeds slot capacity {capacity}"
+            )));
+        }
+        image.resize(slot_at + slot_len, 0);
+        let out = &mut image[slot_at..];
+        if encrypt {
+            let location = slot_location(bucket, slot as u32);
+            envelope.seal_in_place(location, version, out, plaintext_len)?;
+        } else {
+            out[..CLEAR_LEN_PREFIX].copy_from_slice(&(plaintext_len as u32).to_le_bytes());
+        }
+    }
+    let image = bytes::Bytes::from(image);
+    Ok((0..blocks.len())
+        .map(|slot| image.slice(slot * slot_len..(slot + 1) * slot_len))
+        .collect())
+}
+
+/// Opens a slot payload fetched from storage.  The MAC is checked on the
+/// fetched bytes as they lie; nothing is copied or decrypted before that.
 fn open_block(
     envelope: &Envelope,
     encrypt: bool,
@@ -358,20 +407,17 @@ fn open_block(
 ) -> Result<Block> {
     if encrypt {
         let location = slot_location(read.bucket, read.slot);
-        let sealed = obladi_crypto::SealedBlock {
-            bytes: bytes.to_vec(),
-        };
-        let plain = envelope.open(location, read.version, &sealed)?;
+        let plain = envelope.open_bytes(location, read.version, bytes)?;
         Block::decode(&plain)
     } else {
-        if bytes.len() < 4 {
+        if bytes.len() < CLEAR_LEN_PREFIX {
             return Err(ObladiError::Codec("slot payload too short".into()));
         }
         let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        if bytes.len() < 4 + len {
+        if bytes.len() < CLEAR_LEN_PREFIX + len {
             return Err(ObladiError::Codec("slot payload truncated".into()));
         }
-        Block::decode(&bytes[4..4 + len])
+        Block::decode(&bytes[CLEAR_LEN_PREFIX..CLEAR_LEN_PREFIX + len])
     }
 }
 
@@ -385,37 +431,30 @@ fn build_bucket_slots(
     blocks: &[Block],
     capacity: usize,
 ) -> Result<Vec<bytes::Bytes>> {
-    let total = meta.perm.len();
-    let next_version = meta.version + 1;
     let by_key: HashMap<Key, &Block> = blocks.iter().map(|b| (b.key, b)).collect();
-    let dummy = Block::dummy();
-    let mut slots: Vec<bytes::Bytes> = vec![bytes::Bytes::new(); total];
-    for logical in 0..total {
-        let physical = meta.perm[logical] as usize;
-        let block: &Block = if logical < meta.z() {
-            match &meta.real[logical] {
-                Some((key, _)) => by_key.get(key).copied().unwrap_or(&dummy),
-                None => &dummy,
-            }
-        } else {
-            &dummy
-        };
-        slots[physical] = seal_block(
-            envelope,
-            encrypt,
-            bucket,
-            physical as u32,
-            next_version,
-            block,
-            capacity,
-        )?;
+    let mut physical: Vec<Option<&Block>> = vec![None; meta.perm.len()];
+    for (logical, real) in meta.real.iter().enumerate() {
+        if let Some((key, _)) = real {
+            physical[meta.perm[logical] as usize] = by_key.get(key).copied();
+        }
     }
-    Ok(slots)
+    seal_bucket(
+        envelope,
+        encrypt,
+        bucket,
+        meta.version + 1,
+        &physical,
+        capacity,
+    )
 }
 
 /// Location tag binding a sealed slot to its bucket and physical position.
+/// The slot takes the low [`SLOT_LOCATION_BITS`] bits, which is why
+/// `OramConfig::validate` bounds `slots_per_bucket()`: a wider slot index
+/// would alias the next bucket's slot 0.
 fn slot_location(bucket: BucketId, slot: u32) -> u64 {
-    (bucket << 12) | slot as u64
+    debug_assert!((slot as u64) < (1 << SLOT_LOCATION_BITS));
+    (bucket << SLOT_LOCATION_BITS) | slot as u64
 }
 
 impl OramCore {
@@ -1152,23 +1191,11 @@ impl WritebackEngine {
         let store = self.core.store.clone();
         let results: Vec<Result<(BucketId, Version)>> = self.pool.map(buckets, move |bucket| {
             let slots: Vec<bytes::Bytes> = if fast {
-                let sealed =
-                    seal_block(&envelope, encrypt, bucket, 0, 1, &Block::dummy(), capacity)?;
-                vec![sealed; slots_per_bucket]
+                let sealed = seal_bucket(&envelope, encrypt, bucket, 1, &[None], capacity)?;
+                vec![sealed[0].clone(); slots_per_bucket]
             } else {
-                let mut slots = Vec::with_capacity(slots_per_bucket);
-                for slot in 0..slots_per_bucket {
-                    slots.push(seal_block(
-                        &envelope,
-                        encrypt,
-                        bucket,
-                        slot as u32,
-                        1,
-                        &Block::dummy(),
-                        capacity,
-                    )?);
-                }
-                slots
+                let dummies = vec![None; slots_per_bucket];
+                seal_bucket(&envelope, encrypt, bucket, 1, &dummies, capacity)?
             };
             let version = store.write_bucket(bucket, slots)?;
             Ok((bucket, version))
@@ -1601,14 +1628,14 @@ impl CheckpointSource for WritebackEngine {
     /// lock released.  Refuses if a past fetch failed and left a block
     /// permanently unaccounted for (the poison flag; see
     /// [`CheckpointSource`]).
-    fn checkpoint_full(&self) -> Result<Vec<u8>> {
+    fn checkpoint_full_into(&self, out: &mut Vec<u8>) -> Result<()> {
         let pinned = {
             let mut state = self.core.shared.state.lock();
             check_poisoned(&state)?;
             pin_latest(&self.core, &mut state)
         };
-        let meta = pinned.meta();
-        Ok(meta.encode_full())
+        pinned.meta().encode_full_into(out);
+        Ok(())
     }
 
     fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta> {
@@ -1817,6 +1844,62 @@ mod tests {
             fast_init: false,
         };
         new_split(config, &keys, store, options, 1).expect("client must open")
+    }
+
+    #[test]
+    fn built_bucket_slots_have_one_length_and_open_only_where_they_were_sealed() {
+        let config = OramConfig::small_for_tests(64);
+        let capacity = Block::padded_capacity(config.block_size);
+        let envelope = Envelope::new(&KeyMaterial::for_tests(1));
+        let mut rng = DetRng::new(3);
+        let mut meta = BucketMeta::fresh(config.z, config.s, &mut rng);
+        meta.rewrite(&[(KEY_A, 1), (KEY_B, 2)], &mut rng);
+        let blocks = [
+            Block::real(KEY_A, 1, vec![0xAA; config.block_size]),
+            Block::real(KEY_B, 2, Vec::new()),
+        ];
+        let bucket: BucketId = 5;
+        let version = meta.version + 1;
+
+        for encrypt in [true, false] {
+            let slots =
+                build_bucket_slots(&envelope, encrypt, bucket, &meta, &blocks, capacity).unwrap();
+            assert_eq!(slots.len(), config.slots_per_bucket() as usize);
+            let expected = if encrypt {
+                Envelope::sealed_len(capacity)
+            } else {
+                4 + capacity
+            };
+            assert!(slots.iter().all(|slot| slot.len() == expected));
+
+            let open = |slot: u32, bytes: &bytes::Bytes| {
+                let read = SlotRead {
+                    bucket,
+                    slot,
+                    version,
+                };
+                open_block(&envelope, encrypt, read, bytes)
+            };
+            let opened: Vec<Block> = (0..slots.len())
+                .map(|slot| open(slot as u32, &slots[slot]).unwrap())
+                .collect();
+            for block in &blocks {
+                let at = meta.perm[meta.find_key(block.key).unwrap()] as usize;
+                assert_eq!(&opened[at], block, "a real block sits at its permuted slot");
+            }
+            assert_eq!(
+                opened.iter().filter(|b| b.is_dummy()).count(),
+                slots.len() - 2
+            );
+            if encrypt {
+                // Bound to its physical slot: a sealed slot moved within
+                // the bucket no longer verifies.
+                assert!(matches!(open(1, &slots[0]), Err(ObladiError::Integrity(_))));
+            }
+        }
+
+        let oversized = [Block::real(KEY_A, 1, vec![0; config.block_size + 1])];
+        assert!(build_bucket_slots(&envelope, true, bucket, &meta, &oversized, capacity).is_err());
     }
 
     /// Stages the exact mid-batch failure the poison flag guards against:

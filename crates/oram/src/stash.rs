@@ -105,9 +105,20 @@ impl Stash {
     /// Serialises the stash, padding to `padded_entries` blocks of
     /// `block_size` payload bytes each so the encoding length is constant.
     pub fn encode_padded(&self, padded_entries: usize, block_size: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(8 + padded_entries * (20 + block_size));
+        self.encode_padded_to(padded_entries, block_size, &mut Encoder::new(&mut out));
+        out
+    }
+
+    /// Appends the padded stash to `enc` (see [`Stash::encode_padded`]).
+    pub fn encode_padded_to(
+        &self,
+        padded_entries: usize,
+        block_size: usize,
+        enc: &mut Encoder<'_>,
+    ) {
         let mut entries: Vec<(&Key, &(Leaf, Value))> = self.blocks.iter().collect();
         entries.sort_unstable_by_key(|(k, _)| **k);
-        let mut enc = Encoder::with_capacity(8 + padded_entries * (20 + block_size));
         enc.put_u64(self.blocks.len() as u64);
         for (key, (leaf, value)) in &entries {
             enc.put_u64(**key);
@@ -115,13 +126,11 @@ impl Stash {
             enc.put_bytes(value);
         }
         // Pad with dummy entries so ciphertext length is workload independent.
-        let pad_value = vec![0u8; block_size];
         for _ in entries.len()..padded_entries {
             enc.put_u64(u64::MAX);
             enc.put_u64(0);
-            enc.put_bytes(&pad_value);
+            enc.put_zeroed_bytes(block_size);
         }
-        enc.finish()
     }
 
     /// Decodes a stash written by [`Stash::encode_padded`].

@@ -29,6 +29,7 @@
 //! this crate, mirroring the trust boundary of the real system.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod counter;

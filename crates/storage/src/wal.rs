@@ -23,10 +23,14 @@
 //! epochs, in order, above a contiguous durable prefix.
 
 use crate::traits::UntrustedStore;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use obladi_common::error::{ObladiError, Result};
 use parking_lot::Mutex;
 use std::sync::Arc;
+
+/// Bytes of framing in front of every record's payload on storage:
+/// `kind (1) || epoch (8, little endian)`.
+pub const FRAME_HEADER_LEN: usize = 9;
 
 /// Record types stored in the write-ahead log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,15 +221,36 @@ impl WriteAheadLog {
     /// and its paths are never replayed), so it is dropped without error
     /// and [`WriteAheadLog::DROPPED_SEQ`] is returned.
     pub fn append(&self, kind: WalRecordKind, epoch: u64, payload: &[u8]) -> Result<u64> {
+        let mut framed = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+        framed.resize(FRAME_HEADER_LEN, 0);
+        framed.extend_from_slice(payload);
+        self.append_framed(kind, epoch, framed)
+    }
+
+    /// [`WriteAheadLog::append`] for a caller that built the record where
+    /// it will be stored: `framed` is [`FRAME_HEADER_LEN`] reserved bytes
+    /// followed by the payload.  The header is written into the reserved
+    /// bytes and the buffer handed to the store as it is, so a
+    /// checkpoint-sized payload is not copied once more on its way out.
+    pub fn append_framed(
+        &self,
+        kind: WalRecordKind,
+        epoch: u64,
+        mut framed: Vec<u8>,
+    ) -> Result<u64> {
         match self.check_order(kind, epoch)? {
             Admission::Append => {}
             Admission::DropStale => return Ok(Self::DROPPED_SEQ),
         }
-        let mut framed = BytesMut::with_capacity(1 + 8 + payload.len());
-        framed.extend_from_slice(&[kind.to_byte()]);
-        framed.extend_from_slice(&epoch.to_le_bytes());
-        framed.extend_from_slice(payload);
-        let seq = self.store.append_log(framed.freeze())?;
+        let Some(header) = framed.first_chunk_mut::<FRAME_HEADER_LEN>() else {
+            return Err(ObladiError::Codec(format!(
+                "framed WAL record of {} bytes has no room for its header",
+                framed.len()
+            )));
+        };
+        header[0] = kind.to_byte();
+        header[1..].copy_from_slice(&epoch.to_le_bytes());
+        let seq = self.store.append_log(Bytes::from(framed))?;
         if kind == WalRecordKind::EpochCommit {
             let mut frontier = self.commit_frontier.lock();
             match *frontier {
@@ -237,7 +262,7 @@ impl WriteAheadLog {
     }
 
     fn decode(seq: u64, data: Bytes) -> Result<WalRecord> {
-        if data.len() < 9 {
+        if data.len() < FRAME_HEADER_LEN {
             return Err(ObladiError::Codec(format!(
                 "WAL record {seq} too short ({} bytes)",
                 data.len()
@@ -245,12 +270,12 @@ impl WriteAheadLog {
         }
         let kind = WalRecordKind::from_byte(data[0])?;
         let mut epoch_bytes = [0u8; 8];
-        epoch_bytes.copy_from_slice(&data[1..9]);
+        epoch_bytes.copy_from_slice(&data[1..FRAME_HEADER_LEN]);
         Ok(WalRecord {
             seq,
             kind,
             epoch: u64::from_le_bytes(epoch_bytes),
-            payload: data.slice(9..),
+            payload: data.slice(FRAME_HEADER_LEN..),
         })
     }
 

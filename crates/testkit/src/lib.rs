@@ -29,6 +29,7 @@
 //! share one implementation of the checks.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod audit;
 pub mod chaos;

@@ -16,6 +16,8 @@
 //! flushed per-operation anyway) and survives `kill -9` by replaying its
 //! op-log at the next start.
 
+#![forbid(unsafe_code)]
+
 use obladi_storage::DurableStore;
 use obladi_transport::{serve, SocketSpec};
 use std::path::PathBuf;

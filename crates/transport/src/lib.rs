@@ -29,6 +29,7 @@
 //! the socket just makes the observer boundary honest.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod client;

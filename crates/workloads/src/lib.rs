@@ -15,6 +15,7 @@
 //! mapping.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod encoding;

@@ -47,6 +47,7 @@
 //! the paper's evaluation.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use obladi_common as common;
 pub use obladi_core as core;
