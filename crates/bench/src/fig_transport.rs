@@ -155,6 +155,9 @@ pub fn run_fig_transport(opts: &BenchOpts) {
                 flushes,
                 requests_per_flush,
             });
+            // `daemon.*` metrics (op-log compaction pauses among them) join
+            // the local registry for `--metrics-out`.
+            db.publish_daemon_metrics();
             db.shutdown();
             built.shutdown();
         }

@@ -13,7 +13,9 @@
 //!   (position map delta, permutation/validity metadata of dirty buckets,
 //!   the padded stash, and the access/eviction counters) is encrypted and
 //!   logged.  Every `checkpoint_every` epochs a *full* checkpoint replaces
-//!   the delta chain (Figure 11a sweeps this frequency).
+//!   the delta chain (Figure 11a sweeps this frequency) — literally: once
+//!   it is durable and acknowledged, the log in front of it is retired
+//!   ([`WriteAheadLog::acked`]; DESIGN.md, "WAL retention").
 //! * **Epoch-commit records and the trusted counter** — an epoch becomes
 //!   durable only once its commit record is logged and the trusted counter
 //!   `F_epc` advances; recovery reverts everything newer.
@@ -126,6 +128,9 @@ pub struct RecoveryReport {
     pub total_ms: f64,
     /// Time spent reading recovery data from storage.
     pub network_ms: f64,
+    /// WAL records the scan returned: the suffix retention keeps, so it
+    /// does not grow with how long the proxy ran.
+    pub records_read: u64,
     /// Time spent decrypting / decoding position-map state.
     pub position_ms: f64,
     /// Time spent decrypting / decoding permutation (bucket) state.
@@ -232,11 +237,9 @@ impl DurabilityManager {
     /// move a stale prepare above the durable frontier and trick recovery
     /// into replaying old writes).  Prepare records from epochs at or below
     /// the durable frontier are stale (the epoch's fate is known) and are
-    /// retired by normal log compaction.
+    /// retired with the log in front of the next acknowledged full
+    /// checkpoint.
     pub fn prepare_txn(&self, epoch: EpochId, txn: TxnId, writes: &[(Key, Value)]) -> Result<()> {
-        if !self.enabled {
-            return Ok(());
-        }
         self.append_sealed(
             WalRecordKind::Prepare,
             LOC_PREPARE,
@@ -258,7 +261,7 @@ impl DurabilityManager {
     /// The MAC binds `(location, epoch)` — except for a prepare, which is
     /// bound to its transaction id instead (`prepared`), written in the
     /// clear in front of the envelope so recovery knows what to open it
-    /// under.
+    /// under.  With durability off nothing is built or logged.
     fn append_sealed(
         &self,
         kind: WalRecordKind,
@@ -267,6 +270,9 @@ impl DurabilityManager {
         prepared: Option<TxnId>,
         plaintext: impl FnOnce(&mut Vec<u8>) -> Result<()>,
     ) -> Result<()> {
+        if !self.enabled {
+            return Ok(());
+        }
         let mut record = vec![0u8; FRAME_HEADER_LEN];
         if let Some(txn) = prepared {
             record.extend_from_slice(&txn.to_le_bytes());
@@ -306,9 +312,6 @@ impl DurabilityManager {
         committed: &[TxnId],
         writes: &[(Key, Value)],
     ) -> Result<()> {
-        if !self.enabled {
-            return Ok(());
-        }
         self.append_sealed(WalRecordKind::Decision, LOC_DECISION, epoch, None, |out| {
             digest_bound_into(out, epoch, |body| {
                 body.extend_from_slice(&(committed.len() as u32).to_le_bytes());
@@ -321,44 +324,46 @@ impl DurabilityManager {
         })
     }
 
-    /// Opens and verifies one decision record, returning the committed
-    /// transaction ids and the epoch's merged write set.
-    fn decode_decision(&self, record: &WalRecord) -> Result<DecodedDecision> {
-        let plain = self
-            .envelope
-            .open_bytes(LOC_DECISION, record.epoch, &record.payload)?;
+    /// Opens the sealed `epoch || SHA-256(body) || body` plaintext of a
+    /// prepare or decision record and returns the verified body.  The clear
+    /// frame epoch must match the sealed one: the frame alone is
+    /// unauthenticated.
+    fn open_digest_bound(
+        &self,
+        location: u64,
+        counter: u64,
+        record: &WalRecord,
+        sealed: &[u8],
+    ) -> Result<Vec<u8>> {
+        let what = format_args!("{:?} record {}", record.kind, record.seq);
+        let mut plain = self.envelope.open_bytes(location, counter, sealed)?;
         if plain.len() < 40 {
-            return Err(ObladiError::Codec("decision payload too short".into()));
+            return Err(ObladiError::Codec(format!("{what}: payload too short")));
         }
         let sealed_epoch = u64::from_le_bytes(plain[..8].try_into().unwrap());
         if sealed_epoch != record.epoch {
             return Err(ObladiError::Integrity(format!(
-                "decision record: clear epoch {} contradicts sealed epoch {sealed_epoch} (frame \
-                 tampering)",
+                "{what}: clear epoch {} contradicts sealed epoch {sealed_epoch} (frame tampering)",
                 record.epoch
             )));
         }
-        let (digest, body) = plain[8..].split_at(32);
-        if Sha256::digest(body) != digest {
-            return Err(ObladiError::Integrity(format!(
-                "decision record for epoch {} fails its digest",
-                record.epoch
-            )));
+        let body = plain.split_off(40);
+        if Sha256::digest(&body) != plain[8..] {
+            return Err(ObladiError::Integrity(format!("{what} fails its digest")));
         }
-        if body.len() < 4 {
-            return Err(ObladiError::Codec("decision id section truncated".into()));
-        }
-        let count = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
-        let ids_end = 4usize
-            .checked_add(
-                count
-                    .checked_mul(8)
-                    .ok_or_else(|| ObladiError::Codec("decision id count overflows".into()))?,
-            )
-            .ok_or_else(|| ObladiError::Codec("decision id count overflows".into()))?;
-        let ids_bytes = body
-            .get(4..ids_end)
-            .ok_or_else(|| ObladiError::Codec("decision id section truncated".into()))?;
+        Ok(body)
+    }
+
+    /// Opens and verifies one decision record, returning the committed
+    /// transaction ids and the epoch's merged write set.
+    fn decode_decision(&self, record: &WalRecord) -> Result<DecodedDecision> {
+        let body = self.open_digest_bound(LOC_DECISION, record.epoch, record, &record.payload)?;
+        let truncated = || ObladiError::Codec("decision id section truncated".into());
+        let count = body.get(..4).ok_or_else(truncated)?;
+        let count = u32::from_le_bytes(count.try_into().unwrap()) as usize;
+        let ids_end = count.checked_mul(8).and_then(|n| n.checked_add(4));
+        let ids_end = ids_end.ok_or_else(truncated)?;
+        let ids_bytes = body.get(4..ids_end).ok_or_else(truncated)?;
         let committed = ids_bytes
             .chunks_exact(8)
             .map(|chunk| u64::from_le_bytes(chunk.try_into().unwrap()))
@@ -367,77 +372,67 @@ impl DurabilityManager {
         Ok((committed, writes))
     }
 
-    /// Finds the deciding epoch's durable commit decision, if one reached
-    /// the WAL before the crash.  A garbled decision record at the log tail
-    /// is a torn append — the acknowledgements it would have authorised
-    /// never happened, so presumed abort is correct — and is retired like a
-    /// torn prepare; anywhere else it poisons recovery.
-    fn find_decision(
+    /// Opens and verifies one prepare record.
+    fn decode_prepare(&self, record: &WalRecord) -> Result<InDoubtTxn> {
+        let txn = record
+            .payload
+            .first_chunk::<8>()
+            .map(|b| u64::from_le_bytes(*b));
+        let txn = txn.ok_or_else(|| ObladiError::Codec("prepare record too short".into()))?;
+        let body = self.open_digest_bound(LOC_PREPARE, txn, record, &record.payload[8..])?;
+        Ok(InDoubtTxn {
+            txn,
+            writes: decode_writes(&body)?,
+        })
+    }
+
+    /// Decodes the in-doubt records `wanted` selects.  One that fails to
+    /// decode is dropped — and physically retired from the log — if it is
+    /// the final WAL record: a torn append, so the vote never counted and
+    /// the acknowledgements a decision would have authorised never
+    /// happened.  Anywhere else it poisons recovery.
+    fn decode_in_doubt<T>(
         &self,
         records: &[WalRecord],
-        epoch: EpochId,
+        wanted: impl Fn(&WalRecord) -> bool,
+        decode: impl Fn(&WalRecord) -> Result<T>,
         report: &mut RecoveryReport,
-    ) -> Result<Option<DecodedDecision>> {
+    ) -> Result<Vec<T>> {
         let last_seq = records.last().map(|r| r.seq);
-        let mut found = None;
-        for record in records
-            .iter()
-            .filter(|r| r.kind == WalRecordKind::Decision && r.epoch == epoch)
-        {
-            match self.decode_decision(record) {
-                Ok(decision) => found = Some(decision),
+        let mut decoded = Vec::new();
+        for record in records.iter().filter(|r| wanted(r)) {
+            match decode(record) {
+                Ok(item) => decoded.push(item),
                 Err(_) if Some(record.seq) == last_seq => {
                     self.wal.truncate_tail(record.seq)?;
                     report.dropped_records += 1;
                 }
                 Err(err) => {
                     return Err(ObladiError::Recovery(format!(
-                        "undecodable decision record {} amid later valid records: {err}",
-                        record.seq
+                        "undecodable {:?} record {} amid later valid records: {err}",
+                        record.kind, record.seq
                     )))
                 }
             }
         }
-        Ok(found)
+        Ok(decoded)
     }
 
-    /// Opens and verifies one prepare record.
-    fn decode_prepare(&self, record: &WalRecord) -> Result<InDoubtTxn> {
-        if record.payload.len() < 8 {
-            return Err(ObladiError::Codec("prepare record too short".into()));
-        }
-        let txn = u64::from_le_bytes(record.payload[..8].try_into().unwrap());
-        let plain = self
-            .envelope
-            .open_bytes(LOC_PREPARE, txn, &record.payload[8..])?;
-        if plain.len() < 40 {
-            return Err(ObladiError::Codec("prepare payload too short".into()));
-        }
-        let sealed_epoch = u64::from_le_bytes(plain[..8].try_into().unwrap());
-        if sealed_epoch != record.epoch {
-            return Err(ObladiError::Integrity(format!(
-                "prepare record for txn {txn}: clear epoch {} contradicts sealed epoch \
-                 {sealed_epoch} (frame tampering)",
-                record.epoch
-            )));
-        }
-        let (digest, body) = plain[8..].split_at(32);
-        if Sha256::digest(body) != digest {
-            return Err(ObladiError::Integrity(format!(
-                "prepare record for txn {txn} fails its write-set digest"
-            )));
-        }
-        Ok(InDoubtTxn {
-            txn,
-            writes: decode_writes(body)?,
-        })
+    /// Finds the deciding epoch's durable commit decision, if one reached
+    /// the WAL before the crash.
+    fn find_decision(
+        &self,
+        records: &[WalRecord],
+        epoch: EpochId,
+        report: &mut RecoveryReport,
+    ) -> Result<Option<DecodedDecision>> {
+        let wanted = |r: &WalRecord| r.kind == WalRecordKind::Decision && r.epoch == epoch;
+        let found = self.decode_in_doubt(records, wanted, |r| self.decode_decision(r), report)?;
+        Ok(found.into_iter().next_back())
     }
 
     /// Scans `records` for in-doubt prepares (epoch past the durable
-    /// frontier) and resolves them through `resolve`.  A prepare that fails
-    /// to decode is dropped — and physically retired from the log — if it
-    /// is the final WAL record (a torn append — the vote never counted);
-    /// anywhere else it poisons recovery.
+    /// frontier) and resolves them through `resolve`.
     ///
     /// Returns the merged, timestamp-ordered writes of the committed
     /// transactions (last writer per key wins, mirroring the write
@@ -449,33 +444,13 @@ impl DurabilityManager {
         resolve: &dyn Fn(TxnId) -> bool,
         report: &mut RecoveryReport,
     ) -> Result<ResolvedInDoubt> {
-        let last_seq = records.last().map(|r| r.seq);
-        let mut in_doubt: Vec<InDoubtTxn> = Vec::new();
-        for record in records
-            .iter()
-            .filter(|r| r.kind == WalRecordKind::Prepare && r.epoch > durable_epochs)
-        {
-            match self.decode_prepare(record) {
-                Ok(prepared) => {
-                    // Re-prepared after an earlier recovery: keep one copy.
-                    if !in_doubt.iter().any(|p| p.txn == prepared.txn) {
-                        in_doubt.push(prepared);
-                    }
-                }
-                Err(_) if Some(record.seq) == last_seq => {
-                    self.wal.truncate_tail(record.seq)?;
-                    report.dropped_records += 1;
-                }
-                Err(err) => {
-                    return Err(ObladiError::Recovery(format!(
-                        "undecodable prepare record {} amid later valid records: {err}",
-                        record.seq
-                    )))
-                }
-            }
-        }
+        let wanted = |r: &WalRecord| r.kind == WalRecordKind::Prepare && r.epoch > durable_epochs;
+        let mut in_doubt =
+            self.decode_in_doubt(records, wanted, |r| self.decode_prepare(r), report)?;
+        // Re-prepared after an earlier recovery: keep one copy.
+        in_doubt.sort_by_key(|p| p.txn);
+        in_doubt.dedup_by_key(|p| p.txn);
         report.in_doubt = in_doubt.len() as u64;
-        in_doubt.sort_unstable_by_key(|p| p.txn);
 
         let mut merged: std::collections::BTreeMap<Key, Value> = std::collections::BTreeMap::new();
         let mut committed = Vec::new();
@@ -616,6 +591,7 @@ impl DurabilityManager {
         // mid-log corruption and poison every later recovery. ----
         let net_start = std::time::Instant::now();
         let (records, torn) = self.wal.read_from_tolerant(0)?;
+        report.records_read = records.len() as u64;
         if let Some(torn_seq) = torn {
             self.wal.truncate_tail(torn_seq)?;
             report.dropped_records += 1;
@@ -799,29 +775,27 @@ impl DurabilityManager {
         let decision = self
             .find_decision(records, aborted_epoch, report)?
             .filter(|(committed, _)| !committed.is_empty());
-        if let Some((committed, writes)) = decision {
+        let (writes, recovered) = if let Some((committed, writes)) = decision {
             report.in_doubt = records
                 .iter()
                 .filter(|r| r.kind == WalRecordKind::Prepare && r.epoch > durable_epochs)
                 .count() as u64;
             report.replayed_commits = committed.len() as u64;
-            self.set_current_epoch(aborted_epoch);
-            let capacity = self.write_batch_size.max(writes.len());
-            oram.write_batch_padded(&writes, capacity, self)?;
-            oram.flush_writes(self)?;
-            self.commit_epoch(aborted_epoch, oram)?;
-            report.recovered_epoch = aborted_epoch;
-            return Ok(RecoveredTxns {
-                replayed: committed,
-                stale_prepared: self.stale_prepared(records, durable_epochs),
-            });
-        }
-        let (writes, recovered) =
-            self.resolve_in_doubt(records, durable_epochs, resolve, report)?;
+            let stale_prepared = self.stale_prepared(records, durable_epochs);
+            (
+                writes,
+                RecoveredTxns {
+                    replayed: committed,
+                    stale_prepared,
+                },
+            )
+        } else {
+            self.resolve_in_doubt(records, durable_epochs, resolve, report)?
+        };
         if recovered.replayed.is_empty() {
             return Ok(recovered);
         }
-        // Replay the coordinator-committed write set exactly as the crashed
+        // Replay the committed write set exactly as the crashed
         // epoch would have written it — padded to the fixed write-batch size
         // so the recovery trace matches a normal epoch's — then make the
         // epoch durable.  Durability is atomic with the epoch commit, which
@@ -837,13 +811,10 @@ impl DurabilityManager {
         Ok(recovered)
     }
 
-    /// Truncates WAL records that precede the most recent full checkpoint
-    /// (log compaction; keeps recovery bounded).
-    pub fn compact(&self) -> Result<()> {
-        if let Some(full) = self.wal.latest_of_kind(WalRecordKind::CheckpointFull)? {
-            self.wal.truncate(full.seq)?;
-        }
-        Ok(())
+    /// The write-ahead log: the decider reports acknowledged epochs to it
+    /// ([`WriteAheadLog::acked`]) and samples what it retains.
+    pub fn wal(&self) -> &WriteAheadLog {
+        &self.wal
     }
 }
 
@@ -864,7 +835,7 @@ impl DurabilityManager {
     }
 
     fn log_reads_for_epoch(&self, epoch: EpochId, reads: &[SlotRead]) -> Result<()> {
-        if !self.enabled || reads.is_empty() {
+        if reads.is_empty() {
             return Ok(());
         }
         self.append_sealed(WalRecordKind::PathLog, LOC_PATH_LOG, epoch, None, |out| {
@@ -898,6 +869,7 @@ mod tests {
     use super::*;
     use obladi_common::config::ObladiConfig;
     use obladi_oram::NoopPathLogger;
+    use obladi_storage::retention::Cut;
     use obladi_storage::InMemoryStore;
 
     fn setup(durability: bool) -> (DurabilityManager, RingOram, Arc<dyn UntrustedStore>) {
@@ -1432,54 +1404,123 @@ mod tests {
         assert_eq!(result[0], Some(vec![2; 8]));
     }
 
-    #[test]
-    fn compaction_retires_stale_prepare_records() {
-        let (manager, mut oram, store) = setup(true);
-        // checkpoint_every = 4: epoch 4 writes a full checkpoint, so by
-        // epoch 5 the epoch-2 prepare is behind the latest full checkpoint.
-        for epoch in 1..=5u64 {
-            manager.set_current_epoch(epoch);
-            if epoch == 2 {
-                manager.prepare_txn(2, 70, &[(epoch, vec![7; 4])]).unwrap();
-            }
-            oram.write_batch(&[(epoch, vec![epoch as u8; 4])], &manager)
-                .unwrap();
-            oram.flush_writes(&NoopPathLogger).unwrap();
-            manager.commit_epoch(epoch, &mut oram).unwrap();
-        }
-        let wal = WriteAheadLog::new(store);
-        assert!(wal
-            .read_from(0)
-            .unwrap()
-            .iter()
-            .any(|r| r.kind == WalRecordKind::Prepare));
-        manager.compact().unwrap();
-        assert!(
-            !wal.read_from(0)
-                .unwrap()
-                .iter()
-                .any(|r| r.kind == WalRecordKind::Prepare),
-            "stale prepare records must be retired by compaction"
-        );
+    /// Runs `epoch` the way the decider does — write-back, checkpoint,
+    /// commit marker, then the acknowledgement — and reports the cut.
+    fn run_acked_epoch(
+        manager: &DurabilityManager,
+        oram: &mut RingOram,
+        epoch: u64,
+    ) -> Option<Cut> {
+        manager.set_current_epoch(epoch);
+        oram.write_batch(&[(epoch % 64, vec![epoch as u8; 4])], manager)
+            .unwrap();
+        oram.flush_writes(&NoopPathLogger).unwrap();
+        manager.commit_epoch(epoch, oram).unwrap();
+        manager.wal().acked(epoch).unwrap()
     }
 
     #[test]
-    fn compaction_keeps_recovery_working() {
-        let (manager, mut oram, _store) = setup(true);
-        for epoch in 1..=8u64 {
-            manager.set_current_epoch(epoch);
-            oram.write_batch(&[(epoch, vec![epoch as u8; 4])], &manager)
-                .unwrap();
-            oram.flush_writes(&NoopPathLogger).unwrap();
-            manager.commit_epoch(epoch, &mut oram).unwrap();
+    fn an_acknowledged_full_checkpoint_retires_stale_prepare_records() {
+        let (manager, mut oram, store) = setup(true);
+        let wal = WriteAheadLog::new(store);
+        let prepares = || {
+            let records = wal.read_from(0).unwrap();
+            records
+                .iter()
+                .filter(|r| r.kind == WalRecordKind::Prepare)
+                .count()
+        };
+        // checkpoint_every = 4: epochs 1 and 4 write full checkpoints, so
+        // the epoch-2 prepare sits in front of Full(4).
+        for epoch in 1..=5u64 {
+            if epoch == 2 {
+                manager.prepare_txn(2, 70, &[(epoch, vec![7; 4])]).unwrap();
+            }
+            let cut = run_acked_epoch(&manager, &mut oram, epoch);
+            assert_eq!(cut.is_some(), epoch == 1 || epoch == 4, "epoch {epoch}");
+            let expected = usize::from((2..4).contains(&epoch));
+            assert_eq!(prepares(), expected, "after epoch {epoch}");
         }
-        manager.compact().unwrap();
-        let config = *oram.config();
-        drop(oram);
-        let (mut recovered, _epoch, _report) = manager
-            .recover(config, &keys(), ExecOptions::default(), 19)
-            .unwrap();
-        let result = recovered.read_batch(&[Some(8)], &NoopPathLogger).unwrap();
-        assert_eq!(result[0], Some(vec![8u8; 4]));
+    }
+
+    #[test]
+    fn recovery_reads_a_suffix_that_does_not_grow_with_the_run() {
+        let mut records_read = Vec::new();
+        for epochs in [8u64, 64] {
+            let (manager, mut oram, store) = setup(true);
+            for epoch in 1..=epochs {
+                run_acked_epoch(&manager, &mut oram, epoch);
+            }
+            let config = *oram.config();
+            drop(oram);
+            let (mut recovered, next_epoch, report) = manager
+                .recover(config, &keys(), ExecOptions::default(), 19)
+                .unwrap();
+            assert_eq!(next_epoch, epochs + 1);
+            let retained = store.read_log_from(0).unwrap().len();
+            assert_eq!(report.records_read as usize, retained);
+            records_read.push(report.records_read);
+            for epoch in epochs - 7..=epochs {
+                let result = recovered
+                    .read_batch(&[Some(epoch % 64)], &NoopPathLogger)
+                    .unwrap();
+                assert_eq!(result[0], Some(vec![epoch as u8; 4]), "epoch {epoch}");
+                recovered.flush_writes(&NoopPathLogger).unwrap();
+            }
+        }
+        assert_eq!(records_read[0], records_read[1], "8 epochs vs 64");
+    }
+
+    #[test]
+    fn the_retained_log_and_the_store_snapshot_stay_bounded_over_200_epochs() {
+        let mut config = ObladiConfig::small_for_tests(128);
+        config.epoch.durability = true;
+        let every = config.epoch.checkpoint_every as u64;
+        let store = Arc::new(InMemoryStore::new());
+        let manager =
+            DurabilityManager::new(&keys(), store.clone(), TrustedCounter::new(), &config.epoch);
+        let mut oram = RingOram::new(
+            config.oram,
+            &keys(),
+            store.clone(),
+            ExecOptions::default(),
+            7,
+        )
+        .unwrap();
+        // The most one epoch appends, in records and in snapshot bytes
+        // (12 bytes of sequence number and length frame each record).
+        let (mut epoch_records, mut epoch_bytes) = (0, 0);
+        for epoch in 1..=200u64 {
+            let before = manager.wal().retained();
+            let cut = run_acked_epoch(&manager, &mut oram, epoch).unwrap_or(Cut {
+                up_to: 0,
+                records: 0,
+                bytes: 0,
+            });
+            let after = manager.wal().retained();
+            let records = after.0 + cut.records - before.0;
+            epoch_records = epoch_records.max(records);
+            epoch_bytes = epoch_bytes.max(after.1 + cut.bytes - before.1 + 12 * records);
+            assert_eq!(
+                store.log_len() as u64,
+                after.0,
+                "the index is the store's log"
+            );
+            assert!(
+                after.0 <= (2 * every + 2) * epoch_records,
+                "epoch {epoch}: {} records retained",
+                after.0
+            );
+        }
+        // The log's share of the snapshot the storage daemon compacts its
+        // op-log into: what dropping the whole log would save.
+        let snapshot = store.export_snapshot();
+        let without_log = InMemoryStore::import_snapshot(&snapshot).unwrap();
+        without_log.truncate_log(u64::MAX).unwrap();
+        let log_share = snapshot.len() - without_log.export_snapshot().len();
+        assert!(
+            log_share as u64 <= (2 * every + 2) * epoch_bytes,
+            "{log_share} snapshot bytes of log after 200 epochs"
+        );
     }
 }

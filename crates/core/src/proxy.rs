@@ -1122,18 +1122,30 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
     obs.counter("proxy.txn.aborted").add(aborted_total);
     inner.client_wakeup.notify_all();
     inner.driver_wakeup.notify_all();
-    if let Some(gate) = &gate {
-        if io_ok {
+    let mut retired = Ok(None);
+    if io_ok {
+        if let Some(gate) = &gate {
             // Early-acknowledged and published commits alike retire at the
             // coordinator here.
             gate.epoch_durable(epoch, &decision.committed);
         }
+        // Durable and acknowledged: the log in front of a full checkpoint
+        // goes, after publish and off the engine lock.
+        retired = inner.durability.wal().acked(epoch);
+    }
+    if let Some(gate) = &gate {
         gate.epoch_finalized(epoch);
     }
+    if let Ok(Some(cut)) = &retired {
+        obs.counter("proxy.wal.retired_records").add(cut.records);
+    }
+    let (records, bytes) = inner.durability.wal().retained();
+    obs.gauge("proxy.wal.retained_records").set(records as i64);
+    obs.gauge("proxy.wal.retained_bytes").set(bytes as i64);
     obs.histogram("proxy.phase.publish_us")
         .record_duration(publish_started.elapsed());
     tracer.record("proxy.epoch_done", epoch, 0);
-    io_result
+    io_result.and(retired.map(drop))
 }
 
 #[cfg(test)]
@@ -1428,6 +1440,86 @@ mod tests {
                 "the parked reader outlived shutdown"
             );
         });
+    }
+
+    /// Samples the store's log length when an epoch's durability is
+    /// acknowledged and again when the epoch is finalised.
+    struct LogWatcher {
+        store: Arc<obladi_storage::InMemoryStore>,
+        at_durable: Mutex<usize>,
+        /// `(epoch, records at the acknowledgement, records at the end)`.
+        seen: Mutex<Vec<(EpochId, usize, usize)>>,
+    }
+
+    impl EpochGate for LogWatcher {
+        fn permit_commits(
+            &self,
+            _epoch: EpochId,
+            candidates: CandidateSource,
+            _preparer: TxnPreparer,
+        ) -> Result<Vec<TxnId>> {
+            Ok(candidates().into_iter().map(|c| c.txn).collect())
+        }
+
+        fn epoch_durable(&self, _epoch: EpochId, _committed: &[TxnId]) {
+            *self.at_durable.lock() = self.store.log_len();
+        }
+
+        fn epoch_finalized(&self, epoch: EpochId) {
+            let seen = (epoch, *self.at_durable.lock(), self.store.log_len());
+            self.seen.lock().push(seen);
+        }
+    }
+
+    #[test]
+    fn the_log_is_cut_once_per_checkpoint_cycle_after_the_acknowledgement() {
+        let mut config = ObladiConfig::small_for_tests(512);
+        config.epoch.batch_interval = Duration::from_millis(1);
+        let every = config.epoch.checkpoint_every as u64;
+        let store = Arc::new(obladi_storage::InMemoryStore::new());
+        let keys = KeyMaterial::for_tests(5);
+        let db = ObladiDb::open_with(config, store.clone(), TrustedCounter::new(), keys).unwrap();
+        let watcher = Arc::new(LogWatcher {
+            store,
+            at_durable: Mutex::new(0),
+            seen: Mutex::new(Vec::new()),
+        });
+        db.set_epoch_gate(watcher.clone());
+        // Idle epochs tick on their own; a few writes give them decisions
+        // and write sets to log.
+        for key in 0..40u64 {
+            db.execute_with_retries(20, &mut |txn| txn.write(key, val(key)))
+                .unwrap();
+        }
+        while watcher.seen.lock().last().is_none_or(|seen| seen.0 < 40) {
+            assert!(db.wait_epoch_rollover(Duration::from_secs(10)));
+        }
+        db.shutdown();
+        let seen = watcher.seen.lock().clone();
+        for &(epoch, at_ack, at_end) in &seen {
+            // Whatever the executor appends between the two samples is a
+            // handful of path logs; a cut drops a whole cycle (except the
+            // first, behind Full(1), which has one epoch to drop).
+            let cut = at_end < at_ack;
+            let full = epoch % every == 0;
+            assert!(
+                cut == full || epoch == 1,
+                "epoch {epoch}: {at_ack} -> {at_end}"
+            );
+        }
+        // However long the run, the log holds at most `2 * every + 2`
+        // epochs of records, an epoch's worth being the most the log grew
+        // from one acknowledgement to the next.
+        let growth = seen
+            .windows(2)
+            .map(|pair| pair[1].1.saturating_sub(pair[0].1));
+        let bound = (2 * every as usize + 2) * growth.max().unwrap();
+        let peak = seen.iter().map(|seen| seen.1).max().unwrap();
+        assert!(peak <= bound, "{peak} records retained, bound {bound}");
+        let obs = obladi_obs::global().snapshot();
+        assert!(obs.counter("proxy.wal.retired_records") > 0);
+        assert!(obs.gauge("proxy.wal.retained_records") > 0);
+        assert!(obs.gauge("proxy.wal.retained_bytes") > 0);
     }
 
     #[test]

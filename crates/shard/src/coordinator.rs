@@ -327,6 +327,8 @@ impl EpochGate for ShardGate {
     fn epoch_durable(&self, _epoch: EpochId, committed: &[TxnId]) {
         // The shard's epoch commit is durable: retire this shard's share of
         // the 2PC decisions, so fully acknowledged ones can be forgotten.
+        // The proxy retires the epoch's prepare records from its WAL only
+        // after this returns — a crash before it must still find them.
         self.coordinator
             .machine()
             .ack_durable(self.shard, committed);

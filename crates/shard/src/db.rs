@@ -332,6 +332,9 @@ impl ShardedDb {
         // crash (the crash may have interrupted the normal epoch-durable
         // acknowledgement, which would pin the decision forever) — so fully
         // acknowledged decisions can retire, then rejoin the rendezvous.
+        // The ids come from the recovery's own scan, not from the log as it
+        // is now: the resumed proxy may already be retiring the records
+        // behind its next acknowledged full checkpoint.
         let ack = |txns: &[TxnId]| self.coordinator.machine().ack_durable(index, txns);
         ack(&recovered.replayed);
         ack(&recovered.stale_prepared);

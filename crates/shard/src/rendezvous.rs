@@ -24,7 +24,7 @@ pub enum TxnDecision {
 }
 
 /// Where the current round's decision stands.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 enum Phase {
     /// Waiting for every live shard to arrive.  Commit intake is open.
     #[default]
@@ -75,7 +75,7 @@ pub struct Plan {
 /// commit — so a verdict can neither vanish before the front door reads it
 /// (recovery may collect every acknowledgement first) nor before a crashed
 /// participant asks for it.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct TxnEntry {
     touched: HashSet<usize>,
     /// `Some` once the coordinator decided to commit: the participants
@@ -98,8 +98,9 @@ impl TxnEntry {
 }
 
 /// Barrier, commit vote and decision log of one sharded deployment.  Its
-/// `Debug` form is what the watchdog dumps.
-#[derive(Debug, Default)]
+/// `Debug` form is what the watchdog dumps; a clone is a fork of the whole
+/// deployment's decision state (crash-point tests recover each fork).
+#[derive(Debug, Clone, Default)]
 pub struct Rendezvous {
     /// Which shards currently take part in the rendezvous.
     live: Vec<bool>,

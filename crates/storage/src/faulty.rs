@@ -30,6 +30,11 @@ pub enum CrashOp {
     /// read phase (an eviction's path reads, a read batch's fetches),
     /// which issues no log appends or bucket writes of its own.
     SlotRead,
+    /// Any `truncate_log` (WAL retention's cut).
+    LogTruncate,
+    /// Anything that changes what a later recovery finds: a log append, a
+    /// bucket write or a log truncation.
+    Mutation,
     /// Any fallible storage operation.
     AnyOp,
 }
@@ -152,15 +157,6 @@ pub struct FaultyStore {
     tripped: AtomicBool,
 }
 
-/// Internal classification of an operation for crash-point matching.
-#[derive(Clone, Copy)]
-enum OpClass {
-    LogAppend(Option<u8>),
-    BucketWrite,
-    SlotRead,
-    Other,
-}
-
 impl FaultyStore {
     /// Wraps `inner` with the given fault plan.
     pub fn new(inner: Arc<dyn UntrustedStore>, plan: FaultPlan, seed: u64) -> Self {
@@ -218,10 +214,12 @@ impl FaultyStore {
         Ok(())
     }
 
-    /// Evaluates the sticky crash trigger against one operation.  The firing
-    /// operation fails, as does everything after it, so the deterministic
-    /// crash point behaves like the start of a permanent outage.
-    fn check_crash_point(&self, op: OpClass) -> Result<()> {
+    /// Evaluates the sticky crash trigger against one operation, named by
+    /// the most specific [`CrashOp`] it is (`AnyOp` for the rest).  The
+    /// firing operation fails, as does everything after it, so the
+    /// deterministic crash point behaves like the start of a permanent
+    /// outage.
+    fn check_crash_point(&self, op: CrashOp) -> Result<()> {
         if self.tripped.load(Ordering::SeqCst) {
             return Err(ObladiError::Storage(
                 "injected crash point (outage in effect)".into(),
@@ -232,21 +230,22 @@ impl FaultyStore {
         };
         if let Some(arm_kind) = point.arm_on_log_kind {
             if !self.armed.load(Ordering::SeqCst) {
-                if let OpClass::LogAppend(Some(kind)) = op {
-                    if kind == arm_kind {
-                        self.armed.store(true, Ordering::SeqCst);
-                    }
+                if op == CrashOp::LogAppendKind(arm_kind) {
+                    self.armed.store(true, Ordering::SeqCst);
                 }
                 // The arming append itself succeeds and does not count.
                 return Ok(());
             }
         }
+        let mutation = matches!(
+            op,
+            CrashOp::LogAppendKind(_) | CrashOp::BucketWrite | CrashOp::LogTruncate
+        );
         let matches = match point.on {
-            CrashOp::LogAppendKind(k) => matches!(op, OpClass::LogAppend(Some(kind)) if kind == k),
-            CrashOp::AnyLogAppend => matches!(op, OpClass::LogAppend(_)),
-            CrashOp::BucketWrite => matches!(op, OpClass::BucketWrite),
-            CrashOp::SlotRead => matches!(op, OpClass::SlotRead),
             CrashOp::AnyOp => true,
+            CrashOp::Mutation => mutation,
+            CrashOp::AnyLogAppend => matches!(op, CrashOp::LogAppendKind(_)),
+            on => on == op,
         };
         if matches {
             let n = self.trigger_matches.fetch_add(1, Ordering::SeqCst) + 1;
@@ -281,7 +280,7 @@ impl FaultyStore {
 
 impl UntrustedStore for FaultyStore {
     fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        self.check_crash_point(OpClass::SlotRead)?;
+        self.check_crash_point(CrashOp::SlotRead)?;
         self.check_hard_failure()?;
         let serve_stale = {
             let probability = self.plan.lock().stale_read_prob;
@@ -304,13 +303,13 @@ impl UntrustedStore for FaultyStore {
     }
 
     fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        self.check_crash_point(OpClass::Other)?;
+        self.check_crash_point(CrashOp::AnyOp)?;
         self.check_hard_failure()?;
         self.inner.read_bucket(bucket)
     }
 
     fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        self.check_crash_point(OpClass::BucketWrite)?;
+        self.check_crash_point(CrashOp::BucketWrite)?;
         self.check_hard_failure()?;
         // Remember the previous version so stale reads can replay it later.
         if self.plan.lock().stale_read_prob > 0.0 {
@@ -328,19 +327,19 @@ impl UntrustedStore for FaultyStore {
     }
 
     fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.check_crash_point(OpClass::Other)?;
+        self.check_crash_point(CrashOp::AnyOp)?;
         self.check_hard_failure()?;
         self.inner.revert_bucket(bucket, version)
     }
 
     fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        self.check_crash_point(OpClass::Other)?;
+        self.check_crash_point(CrashOp::AnyOp)?;
         self.check_hard_failure()?;
         self.inner.put_meta(key, value)
     }
 
     fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        self.check_crash_point(OpClass::Other)?;
+        self.check_crash_point(CrashOp::AnyOp)?;
         self.check_hard_failure()?;
         match self.inner.get_meta(key)? {
             Some(v) => Ok(Some(self.maybe_corrupt(v))),
@@ -349,22 +348,26 @@ impl UntrustedStore for FaultyStore {
     }
 
     fn append_log(&self, record: Bytes) -> Result<u64> {
-        self.check_crash_point(OpClass::LogAppend(record.first().copied()))?;
+        // An empty record has no kind byte; 0 is no kind's tag.
+        let kind = record.first().copied().unwrap_or(0);
+        self.check_crash_point(CrashOp::LogAppendKind(kind))?;
         self.check_hard_failure()?;
         self.inner.append_log(record)
     }
 
     fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        self.check_crash_point(OpClass::Other)?;
+        self.check_crash_point(CrashOp::AnyOp)?;
         self.check_hard_failure()?;
         self.inner.read_log_from(from)
     }
 
     fn truncate_log(&self, up_to: u64) -> Result<()> {
+        self.check_crash_point(CrashOp::LogTruncate)?;
         self.inner.truncate_log(up_to)
     }
 
     fn truncate_log_tail(&self, from: u64) -> Result<()> {
+        self.check_crash_point(CrashOp::AnyOp)?;
         self.inner.truncate_log_tail(from)
     }
 
@@ -491,6 +494,36 @@ mod tests {
         assert!(store
             .write_bucket(0, vec![Bytes::from_static(b"post")])
             .is_err());
+        assert!(store.has_tripped());
+    }
+
+    #[test]
+    fn mutation_crash_point_counts_appends_bucket_writes_and_truncations_only() {
+        let point = CrashPoint {
+            arm_on_log_kind: None,
+            on: CrashOp::Mutation,
+            nth: 4,
+        };
+        let store = FaultyStore::new(base(), FaultPlan::crash_at(point), 8);
+        assert!(store.append_log(Bytes::from_static(&[1, 0])).is_ok());
+        assert!(store.read_slot(0, 0).is_ok());
+        assert!(store.write_bucket(0, vec![Bytes::new()]).is_ok());
+        assert!(store.read_log_from(0).is_ok());
+        assert!(store.truncate_log(1).is_ok());
+        assert_eq!(store.read_log_from(0).unwrap().len(), 0);
+        assert!(store.append_log(Bytes::from_static(&[4])).is_err());
+        // The outage covers truncations too.
+        assert!(store.truncate_log(0).is_err());
+        assert!(store.truncate_log_tail(0).is_err());
+    }
+
+    #[test]
+    fn truncate_crash_point_fails_the_cut_itself() {
+        let point = CrashPoint::after_log_kind(3, CrashOp::LogTruncate, 1);
+        let store = FaultyStore::new(base(), FaultPlan::crash_at(point), 8);
+        assert!(store.truncate_log(0).is_ok(), "not armed yet");
+        assert!(store.append_log(Bytes::from_static(&[3, 0])).is_ok());
+        assert!(store.truncate_log(1).is_err());
         assert!(store.has_tripped());
     }
 

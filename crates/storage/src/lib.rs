@@ -13,7 +13,8 @@
 //!   DynamoDB client's bounded parallelism;
 //! * [`faulty::FaultyStore`] — a fault-injection wrapper used by tests to
 //!   exercise integrity verification and retry paths;
-//! * [`wal::WriteAheadLog`] — sequence-numbered append-only log storage;
+//! * [`wal::WriteAheadLog`] — sequence-numbered append-only log storage,
+//!   cut behind each durable full checkpoint by the [`retention`] rule;
 //! * [`counter::TrustedCounter`] — the persistent epoch/read-batch counter
 //!   `F_epc` of Appendix A/B that survives proxy crashes;
 //! * [`proto`] — the wire schema of every store operation, shared by the
@@ -38,6 +39,7 @@ pub mod faulty;
 pub mod latency;
 pub mod memory;
 pub mod proto;
+pub mod retention;
 pub mod traits;
 pub mod wal;
 

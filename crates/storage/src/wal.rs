@@ -21,7 +21,15 @@
 //! append that would run ahead of the frontier is refused — never durably
 //! acknowledged — so recovery can rely on finding at most two in-doubt
 //! epochs, in order, above a contiguous durable prefix.
+//!
+//! # Retention
+//!
+//! The log sees every append — the bare commit marker and recovery's own
+//! included — so it feeds them to [`Retention`], and once a full checkpoint
+//! is durable and acknowledged ([`WriteAheadLog::acked`]) drops everything
+//! recovery can no longer need with one `truncate_log` call.
 
+use crate::retention::{Cut, Retention};
 use crate::traits::UntrustedStore;
 use bytes::Bytes;
 use obladi_common::error::{ObladiError, Result};
@@ -60,7 +68,9 @@ pub enum WalRecordKind {
 }
 
 impl WalRecordKind {
-    fn to_byte(self) -> u8 {
+    /// The on-storage tag byte of this kind (the first byte of every framed
+    /// record; fault-injection harnesses key crash triggers on it).
+    pub fn tag(self) -> u8 {
         match self {
             WalRecordKind::PathLog => 1,
             WalRecordKind::CheckpointDelta => 2,
@@ -70,12 +80,6 @@ impl WalRecordKind {
             WalRecordKind::Prepare => 6,
             WalRecordKind::Decision => 7,
         }
-    }
-
-    /// The on-storage tag byte of this kind (the first byte of every framed
-    /// record; fault-injection harnesses key crash triggers on it).
-    pub fn tag(self) -> u8 {
-        self.to_byte()
     }
 
     fn from_byte(b: u8) -> Result<Self> {
@@ -122,10 +126,11 @@ enum Admission {
 /// Sequenced, typed write-ahead log on top of an [`UntrustedStore`].
 pub struct WriteAheadLog {
     store: Arc<dyn UntrustedStore>,
-    /// Highest epoch whose `EpochCommit` marker went through this instance
-    /// (`None` until [`WriteAheadLog::set_commit_frontier`] or the first
-    /// commit marker establishes it; ordering is unenforced while unknown).
-    commit_frontier: Mutex<Option<u64>>,
+    /// What the log retains, and the commit frontier: the highest epoch
+    /// whose `EpochCommit` marker went through this instance (`None` until
+    /// [`WriteAheadLog::set_commit_frontier`] or the first commit marker
+    /// establishes it; ordering is unenforced while unknown).
+    retention: Mutex<Retention>,
 }
 
 impl WriteAheadLog {
@@ -133,7 +138,7 @@ impl WriteAheadLog {
     pub fn new(store: Arc<dyn UntrustedStore>) -> Self {
         WriteAheadLog {
             store,
-            commit_frontier: Mutex::new(None),
+            retention: Mutex::new(Retention::default()),
         }
     }
 
@@ -141,12 +146,12 @@ impl WriteAheadLog {
     /// counter's durable epoch), enabling the ordering rule from the first
     /// append.
     pub fn set_commit_frontier(&self, epoch: u64) {
-        *self.commit_frontier.lock() = Some(epoch);
+        self.retention.lock().set_frontier(epoch);
     }
 
     /// The current commit frontier, if known.
     pub fn commit_frontier(&self) -> Option<u64> {
-        *self.commit_frontier.lock()
+        self.retention.lock().frontier()
     }
 
     /// Checks the epoch-ordering rule for one append.  The frontier itself
@@ -154,8 +159,7 @@ impl WriteAheadLog {
     /// or failed append must leave the retry path open), in
     /// [`WriteAheadLog::append`].
     fn check_order(&self, kind: WalRecordKind, epoch: u64) -> Result<Admission> {
-        let frontier = self.commit_frontier.lock();
-        let Some(durable) = *frontier else {
+        let Some(durable) = self.commit_frontier() else {
             // Unknown frontier (raw WAL uses, adversarial test harnesses):
             // it is learned from the first successful commit marker, and
             // nothing is enforced until then.
@@ -170,12 +174,8 @@ impl WriteAheadLog {
         match kind {
             // The commit path is strictly sequential: epoch N+1's decision
             // artifacts may not be acknowledged ahead of N's decision.
-            WalRecordKind::EpochCommit => {
-                if epoch != durable + 1 {
-                    return refuse("is not the epoch immediately above the frontier");
-                }
-            }
-            WalRecordKind::CheckpointDelta
+            WalRecordKind::EpochCommit
+            | WalRecordKind::CheckpointDelta
             | WalRecordKind::CheckpointFull
             | WalRecordKind::Prepare
             | WalRecordKind::Decision => {
@@ -248,16 +248,12 @@ impl WriteAheadLog {
                 framed.len()
             )));
         };
-        header[0] = kind.to_byte();
+        header[0] = kind.tag();
         header[1..].copy_from_slice(&epoch.to_le_bytes());
+        let len = framed.len();
+        self.retention.lock().admitted(epoch);
         let seq = self.store.append_log(Bytes::from(framed))?;
-        if kind == WalRecordKind::EpochCommit {
-            let mut frontier = self.commit_frontier.lock();
-            match *frontier {
-                Some(durable) if epoch <= durable => {}
-                _ => *frontier = Some(epoch),
-            }
-        }
+        self.retention.lock().appended(kind, epoch, seq, len);
         Ok(seq)
     }
 
@@ -300,44 +296,58 @@ impl WriteAheadLog {
     /// the fragment with [`WriteAheadLog::truncate_tail`] before appending
     /// anything: once fresh records sit behind it, the fragment reads as
     /// unexplained mid-log corruption and poisons every later recovery.
+    ///
+    /// This is recovery's scan, so it also restarts retention from what the
+    /// store actually holds — at the frontier the trusted counter set, not
+    /// at whatever commit markers the store serves.
     pub fn read_from_tolerant(&self, from: u64) -> Result<(Vec<WalRecord>, Option<u64>)> {
         let raw = self.store.read_log_from(from)?;
         let last_seq = raw.last().map(|(seq, _)| *seq);
         let mut records = Vec::with_capacity(raw.len());
         let mut dropped = None;
+        let mut retention = Retention::default();
         for (seq, data) in raw {
             match Self::decode(seq, data) {
-                Ok(record) => records.push(record),
+                Ok(record) => {
+                    let len = FRAME_HEADER_LEN + record.payload.len();
+                    retention.admitted(record.epoch);
+                    retention.appended(record.kind, record.epoch, seq, len);
+                    records.push(record);
+                }
                 Err(_) if Some(seq) == last_seq => dropped = Some(seq),
                 Err(err) => return Err(err),
             }
         }
+        let mut current = self.retention.lock();
+        retention.inherit(&current);
+        *current = retention;
         Ok((records, dropped))
     }
 
     /// Physically erases records with sequence numbers at or above `from`
     /// (torn-tail retirement; see [`WriteAheadLog::read_from_tolerant`]).
     pub fn truncate_tail(&self, from: u64) -> Result<()> {
-        self.store.truncate_log_tail(from)
+        self.store.truncate_log_tail(from)?;
+        self.retention.lock().tail_dropped(from);
+        Ok(())
     }
 
-    /// Reads all records belonging to `epoch`.
-    pub fn read_epoch(&self, epoch: u64) -> Result<Vec<WalRecord>> {
-        Ok(self
-            .read_from(0)?
-            .into_iter()
-            .filter(|r| r.epoch == epoch)
-            .collect())
+    /// `epoch` is durable *and* that has been acknowledged to whoever
+    /// tracks it (the gate's `epoch_durable`; trivially so without a gate):
+    /// if this completes a checkpoint cycle, the prefix [`Retention`] no
+    /// longer holds is retired with one `truncate_log`.  The decider calls
+    /// it after publish, off every proxy lock.
+    pub fn acked(&self, epoch: u64) -> Result<Option<Cut>> {
+        let cut = self.retention.lock().acked(epoch);
+        if let Some(cut) = cut {
+            self.store.truncate_log(cut.up_to)?;
+        }
+        Ok(cut)
     }
 
-    /// Returns the most recent record of the given kind, if any.
-    pub fn latest_of_kind(&self, kind: WalRecordKind) -> Result<Option<WalRecord>> {
-        Ok(self.read_from(0)?.into_iter().rfind(|r| r.kind == kind))
-    }
-
-    /// Drops records with sequence numbers below `up_to`.
-    pub fn truncate(&self, up_to: u64) -> Result<()> {
-        self.store.truncate_log(up_to)
+    /// `(records, framed bytes)` the log retains.
+    pub fn retained(&self) -> (u64, u64) {
+        self.retention.lock().retained()
     }
 }
 
@@ -367,47 +377,116 @@ mod tests {
         assert_eq!(records[1].kind, WalRecordKind::CheckpointDelta);
     }
 
-    #[test]
-    fn read_epoch_filters() {
-        let wal = wal();
-        wal.append(WalRecordKind::PathLog, 1, b"a").unwrap();
-        wal.append(WalRecordKind::PathLog, 2, b"b").unwrap();
-        wal.append(WalRecordKind::EpochCommit, 2, b"").unwrap();
-        let epoch2 = wal.read_epoch(2).unwrap();
-        assert_eq!(epoch2.len(), 2);
-        assert!(epoch2.iter().all(|r| r.epoch == 2));
+    /// One epoch as the proxy logs it: a path log, the checkpoint, the
+    /// commit marker.
+    fn run_epoch(wal: &WriteAheadLog, epoch: u64, full: bool) {
+        wal.append(WalRecordKind::PathLog, epoch, b"paths").unwrap();
+        let checkpoint = if full {
+            WalRecordKind::CheckpointFull
+        } else {
+            WalRecordKind::CheckpointDelta
+        };
+        wal.append(checkpoint, epoch, b"checkpoint").unwrap();
+        wal.append(WalRecordKind::EpochCommit, epoch, b"").unwrap();
     }
 
     #[test]
-    fn latest_of_kind_returns_newest() {
+    fn an_acknowledged_full_checkpoint_retires_everything_behind_it() {
         let wal = wal();
-        wal.append(WalRecordKind::CheckpointFull, 1, b"old")
-            .unwrap();
-        wal.append(WalRecordKind::PathLog, 2, b"x").unwrap();
-        wal.append(WalRecordKind::CheckpointFull, 5, b"new")
-            .unwrap();
-        let latest = wal
-            .latest_of_kind(WalRecordKind::CheckpointFull)
-            .unwrap()
-            .unwrap();
-        assert_eq!(latest.epoch, 5);
-        assert_eq!(&latest.payload[..], b"new");
-        assert!(wal
-            .latest_of_kind(WalRecordKind::EarlyReshuffle)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn truncation_drops_old_records() {
-        let wal = wal();
-        for epoch in 0..5 {
-            wal.append(WalRecordKind::EpochCommit, epoch, b"").unwrap();
+        wal.set_commit_frontier(0);
+        for epoch in 1..=4 {
+            run_epoch(&wal, epoch, epoch == 1 || epoch == 4);
+            let cut = wal.acked(epoch).unwrap();
+            assert_eq!(cut.is_some(), epoch == 1 || epoch == 4, "epoch {epoch}");
         }
-        wal.truncate(3).unwrap();
         let remaining = wal.read_from(0).unwrap();
-        assert_eq!(remaining.len(), 2);
-        assert_eq!(remaining[0].epoch, 3);
+        assert_eq!(
+            remaining.len(),
+            2,
+            "the newest full checkpoint and its marker"
+        );
+        assert_eq!(remaining[0].kind, WalRecordKind::CheckpointFull);
+        assert_eq!(remaining[0].epoch, 4);
+        assert_eq!(&remaining[0].payload[..], b"checkpoint");
+        assert_eq!(wal.retained().0, 2);
+        // Sequence numbers keep counting across the cut.
+        let next = wal.append(WalRecordKind::PathLog, 5, b"x").unwrap();
+        assert_eq!(next, remaining[1].seq + 1);
+    }
+
+    #[test]
+    fn retirement_waits_for_the_marker_and_for_the_acknowledgement() {
+        let wal = wal();
+        wal.set_commit_frontier(3);
+        wal.append(WalRecordKind::PathLog, 4, b"paths").unwrap();
+        wal.append(WalRecordKind::CheckpointFull, 4, b"full")
+            .unwrap();
+        assert_eq!(wal.acked(4).unwrap(), None, "no marker yet");
+        wal.append(WalRecordKind::EpochCommit, 4, b"").unwrap();
+        assert_eq!(wal.acked(3).unwrap(), None, "epoch 4 not acknowledged");
+        assert_eq!(wal.read_from(0).unwrap().len(), 3);
+        let cut = wal.acked(4).unwrap().expect("durable and acknowledged");
+        assert_eq!((cut.up_to, cut.records), (1, 1));
+        assert_eq!(wal.read_from(0).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn executing_epoch_path_logs_in_front_of_the_checkpoint_survive_the_cut() {
+        let wal = wal();
+        wal.set_commit_frontier(3);
+        wal.append(WalRecordKind::PathLog, 4, b"deciding").unwrap();
+        wal.append(WalRecordKind::PathLog, 5, b"before").unwrap();
+        wal.append(WalRecordKind::CheckpointFull, 4, b"full")
+            .unwrap();
+        wal.append(WalRecordKind::PathLog, 5, b"after").unwrap();
+        wal.append(WalRecordKind::EpochCommit, 4, b"").unwrap();
+        wal.acked(4).unwrap().expect("a cut");
+        let paths: Vec<_> = wal
+            .read_from(0)
+            .unwrap()
+            .into_iter()
+            .filter(|r| r.kind == WalRecordKind::PathLog)
+            .map(|r| (r.epoch, r.payload))
+            .collect();
+        assert_eq!(
+            paths,
+            vec![
+                (5, Bytes::from_static(b"before")),
+                (5, Bytes::from_static(b"after"))
+            ],
+            "epoch 5 would replay both after a crash; epoch 4's are dead"
+        );
+    }
+
+    #[test]
+    fn the_recovery_scan_restarts_retention_from_the_store() {
+        let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
+        let first_life = WriteAheadLog::new(store.clone());
+        first_life.set_commit_frontier(0);
+        for epoch in 1..=4 {
+            run_epoch(&first_life, epoch, epoch == 1 || epoch == 4);
+        }
+        first_life
+            .append(WalRecordKind::PathLog, 5, b"in doubt")
+            .unwrap();
+        // A new life knows nothing until it has scanned the log.
+        let wal = WriteAheadLog::new(store);
+        wal.set_commit_frontier(4);
+        assert_eq!(wal.acked(5).unwrap(), None);
+        let (records, _) = wal.read_from_tolerant(0).unwrap();
+        assert_eq!(wal.retained().0, records.len() as u64);
+        // The crash may have eaten the cut behind Full(4); the first
+        // acknowledgement of the new life makes it.
+        run_epoch(&wal, 5, false);
+        let cut = wal.acked(5).unwrap().expect("the recovered checkpoint");
+        let remaining = wal.read_from(0).unwrap();
+        assert_eq!(remaining[0].seq, cut.up_to);
+        assert_eq!(remaining[0].kind, WalRecordKind::CheckpointFull);
+        assert_eq!(
+            &remaining[2].payload[..],
+            b"in doubt",
+            "a pre-crash record of an epoch above the frontier stays"
+        );
     }
 
     #[test]

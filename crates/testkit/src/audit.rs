@@ -50,6 +50,27 @@ pub fn level_profile(ops: &[AuditOp]) -> Vec<u64> {
     counts
 }
 
+/// Checks the WAL retention rhythm of one trace: every shard truncates its
+/// log once per `checkpoint_every` epochs — behind each acknowledged full
+/// checkpoint — whatever the workload.  The count may be off by the cycle
+/// the run started in and the one it stopped in, per shard.
+pub fn truncation_rhythm_failure(
+    shape: &TraceShape,
+    shards: usize,
+    checkpoint_every: u32,
+) -> Option<String> {
+    let seen = shape.kind(AuditKind::TruncateLog).count as f64;
+    let expected = shards as f64 * shape.epochs as f64 / f64::from(checkpoint_every);
+    let slack = 2.0 * shards as f64;
+    ((seen - expected).abs() > slack).then(|| {
+        format!(
+            "{}: {seen} log truncations over {} epochs on {shards} shards, expected one per \
+             {checkpoint_every} epochs per shard ({expected:.1} +- {slack})",
+            shape.label, shape.epochs
+        )
+    })
+}
+
 /// Pairwise-compares every shape against every other, returning all
 /// failure lines (empty means the whole set is indistinguishable).
 /// Beyond the shape comparison, the slot-read *level profiles* of each
@@ -150,6 +171,21 @@ mod tests {
             failures.iter().any(|f| f.contains("level profiles")),
             "{failures:?}"
         );
+    }
+
+    #[test]
+    fn truncation_rhythm_is_one_per_checkpoint_cycle_per_shard() {
+        let trace = |truncations: u64| {
+            let mut op = read_op(0);
+            op.kind = AuditKind::TruncateLog;
+            let ops = vec![op; truncations as usize];
+            TraceShape::from_ops("t", &ops, 1_000_000, 40)
+        };
+        // 40 epochs, 2 shards, a full checkpoint every 4th: 20 cuts.
+        assert_eq!(truncation_rhythm_failure(&trace(20), 2, 4), None);
+        assert_eq!(truncation_rhythm_failure(&trace(17), 2, 4), None);
+        assert!(truncation_rhythm_failure(&trace(0), 2, 4).is_some());
+        assert!(truncation_rhythm_failure(&trace(40), 2, 4).is_some());
     }
 
     #[test]

@@ -243,7 +243,13 @@ fn epoch_counter_advances_even_when_idle() {
     // proxy keeps issuing its fixed batch schedule) even with no clients.
     let db = test_db();
     let before = db.stats().epochs;
-    std::thread::sleep(Duration::from_millis(100));
+    // How long the first epoch takes depends on the host (an unoptimised
+    // build sharing two cores with seven other tests needs more than
+    // 100 ms about one run in three): poll, with a generous bound.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while db.stats().epochs == before && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     let after = db.stats().epochs;
     assert!(
         after > before,

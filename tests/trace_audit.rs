@@ -11,14 +11,16 @@
 use obladi_common::config::{ObladiConfig, ShardConfig};
 use obladi_obs::audit::{AuditTolerances, TraceShape};
 use obladi_shard::ShardedDb;
-use obladi_testkit::audit::{cross_check, level_profile, recording_stores};
+use obladi_testkit::audit::{
+    cross_check, level_profile, recording_stores, truncation_rhythm_failure,
+};
 use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 2;
 const MAX_LEVEL_TVD: f64 = 0.12;
 
-fn audit_config() -> ShardConfig {
+fn audit_config(depth: u32) -> ShardConfig {
     // Mirrors the bench sweep's shard template: 64-byte YCSB values (plus
     // row framing) need 192-byte blocks, and the epoch batches must be
     // large enough to absorb the workload's load phase.
@@ -29,6 +31,7 @@ fn audit_config() -> ShardConfig {
     shard.epoch.read_batches = 4;
     shard.epoch.read_batch_size = 32;
     shard.epoch.write_batch_size = 64;
+    shard.epoch.pipeline_depth = depth;
     ShardConfig {
         shards: SHARDS,
         shard,
@@ -38,9 +41,14 @@ fn audit_config() -> ShardConfig {
 
 /// Runs one recorded cell: a short YCSB burst against a fresh deployment
 /// whose stores share an audit ring, reduced to the adversary-view shape.
-fn run_cell(label: &str, read_proportion: f64, zipf_theta: f64) -> (TraceShape, Vec<u64>) {
+fn run_cell(
+    depth: u32,
+    label: &str,
+    read_proportion: f64,
+    zipf_theta: f64,
+) -> (TraceShape, Vec<u64>) {
     let (stores, ring) = recording_stores(SHARDS);
-    let db = ShardedDb::open_with_stores(audit_config(), stores).unwrap();
+    let db = ShardedDb::open_with_stores(audit_config(depth), stores).unwrap();
     let workload = YcsbWorkload::new(YcsbConfig {
         num_keys: 512,
         read_proportion,
@@ -70,9 +78,9 @@ fn adversary_view_audit_end_to_end() {
     // Phase 1 — differential: contrasting workloads (uniform read-only,
     // 50/50 read-write, skewed read-only) must be indistinguishable.
     let shapes = vec![
-        run_cell("read", 1.0, 0.6),
-        run_cell("rw50", 0.5, 0.6),
-        run_cell("zipf", 1.0, 0.95),
+        run_cell(2, "read", 1.0, 0.6),
+        run_cell(2, "rw50", 0.5, 0.6),
+        run_cell(2, "zipf", 1.0, 0.95),
     ];
     let failures = cross_check(&shapes, &tol, MAX_LEVEL_TVD);
     assert!(
@@ -81,12 +89,24 @@ fn adversary_view_audit_end_to_end() {
         failures.join("\n  ")
     );
 
+    // WAL retention adds one op to the adversary's view, on a rhythm of its
+    // own: every shard truncates its log once per `checkpoint_every` epochs
+    // in every mix, at depth 1 as at depth 2.
+    let mut cells = shapes;
+    cells.push(run_cell(1, "read/d1", 1.0, 0.6));
+    cells.push(run_cell(1, "rw50/d1", 0.5, 0.6));
+    let checkpoint_every = audit_config(1).shard.epoch.checkpoint_every;
+    for (shape, _) in &cells {
+        let failure = truncation_rhythm_failure(shape, SHARDS, checkpoint_every);
+        assert_eq!(failure, None);
+    }
+
     // Phase 2 — mutation: skipping dummy pads makes the physical read
     // rate occupancy-dependent; the auditor must catch it, proving the
     // differential check has teeth.
-    let clean = run_cell("read", 1.0, 0.6);
+    let clean = run_cell(2, "read", 1.0, 0.6);
     obladi_oram::set_leak_skip_dummy_pads(true);
-    let mut leaky = run_cell("read", 1.0, 0.6);
+    let mut leaky = run_cell(2, "read", 1.0, 0.6);
     obladi_oram::set_leak_skip_dummy_pads(false);
     leaky.0.label = "read-leaky".to_string();
     let failures = cross_check(&[clean, leaky], &tol, MAX_LEVEL_TVD);
