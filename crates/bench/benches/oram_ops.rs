@@ -1,15 +1,22 @@
 //! Criterion microbenchmarks for the Ring ORAM client over zero-latency
-//! in-memory storage: batched reads, dummiless writes and epoch flushes.
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+//! in-memory storage: batched reads, dummiless writes, epoch flushes, one
+//! epoch's maintenance as a wave and one path at a time, and the worker
+//! pool's dispatch on its own.
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use obladi_common::config::OramConfig;
 use obladi_common::rng::DetRng;
 use obladi_crypto::KeyMaterial;
-use obladi_oram::{ExecOptions, NoopPathLogger, RingOram};
+use obladi_oram::{ExecOptions, NoopPathLogger, RingOram, ThreadPool};
 use obladi_storage::InMemoryStore;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 fn build_oram(parallel: bool) -> RingOram {
-    let config = OramConfig::for_capacity(4_096, 8).with_block_size(64);
+    // The derived stash bound (64 at Z = 8) is one block short of what
+    // loading 256 rows per batch reaches.
+    let config = OramConfig::for_capacity(4_096, 8)
+        .with_block_size(64)
+        .with_max_stash(512);
     let keys = KeyMaterial::for_tests(3);
     let store = Arc::new(InMemoryStore::new());
     let exec = if parallel {
@@ -77,9 +84,76 @@ fn bench_oram(c: &mut Criterion) {
     group.finish();
 }
 
+/// One epoch's maintenance on a `perf` shard: `accesses` logical accesses
+/// (read batches of 32, which run no maintenance) make `accesses / A`
+/// evictions come due and exhaust the top of the tree; the timed routine is
+/// the pass that runs them, as one wave or — through the test seam — one
+/// path at a time.  The flush that empties the buffer is untimed.
+fn bench_maintenance(c: &mut Criterion) {
+    let mut group = c.benchmark_group("maintenance");
+    // (`perf` workload, objects per shard, accesses per epoch).
+    let geometries = [("ycsb", 2_048, 4 * 32 + 64), ("tpcc", 4_096, 32 * 32 + 256)];
+    for (geometry, objects, accesses) in geometries {
+        for (schedule, cap) in [("wave", None), ("one_path_at_a_time", Some(1))] {
+            let mut config = OramConfig::small_for_tests(objects).with_block_size(192);
+            config.max_stash = 4_096;
+            let keys = KeyMaterial::for_tests(3);
+            let store = Arc::new(InMemoryStore::new());
+            let exec = ExecOptions::parallel(2).with_fast_init();
+            let mut oram = RingOram::new(config, &keys, store, exec, 3).unwrap();
+            let rows: Vec<(u64, Vec<u8>)> = (0..1_024).map(|k| (k, vec![k as u8; 64])).collect();
+            for chunk in rows.chunks(64) {
+                oram.write_batch(chunk, &NoopPathLogger).unwrap();
+                oram.flush_writes(&NoopPathLogger).unwrap();
+            }
+            let (reader, mut engine) = oram.split();
+            if let Some(paths) = cap {
+                engine.cap_wave_for_tests(paths);
+            }
+            let engine = RefCell::new(engine);
+            let mut rng = DetRng::new(12);
+            group.throughput(Throughput::Elements((accesses / 7) as u64));
+            group.bench_function(&format!("{schedule}/{geometry}"), |b| {
+                b.iter_batched(
+                    || {
+                        engine.borrow_mut().flush_writes(&NoopPathLogger).unwrap();
+                        for _ in 0..accesses / 32 {
+                            let mut batch: Vec<Option<u64>> =
+                                (0..32).map(|_| Some(rng.below(1_024))).collect();
+                            batch.sort_unstable();
+                            batch.dedup();
+                            batch.resize(32, None);
+                            reader.read_batch(&batch, &NoopPathLogger).unwrap();
+                        }
+                    },
+                    |()| {
+                        let mut engine = engine.borrow_mut();
+                        engine.run_pending_maintenance(&NoopPathLogger).unwrap()
+                    },
+                    BatchSize::SmallInput,
+                )
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The pool's own cost for one YCSB epoch's worth of slot reads (2,386 on
+/// two shards at the parent commit, one boxed job and two channel messages
+/// each): near-free items, so what is timed is the dispatch.
+fn bench_pool(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pool");
+    let pool = ThreadPool::new(2);
+    group.throughput(Throughput::Elements(2_386));
+    group.bench_function("map_2386_items", |b| {
+        b.iter(|| pool.map(2_386, |range| range.map(black_box).collect::<Vec<usize>>()))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_oram
+    targets = bench_oram, bench_maintenance, bench_pool
 }
 criterion_main!(benches);

@@ -1181,9 +1181,7 @@ mod tests {
         let outcome = txn.commit().unwrap();
         assert!(outcome.is_committed());
 
-        let mut txn = db.begin().unwrap();
-        assert_eq!(txn.read(1).unwrap(), Some(val(10)));
-        txn.commit().unwrap();
+        assert_eq!(read_committed(&db, 1), Some(val(10)));
         db.shutdown();
     }
 
@@ -1194,9 +1192,7 @@ mod tests {
         let mut t1 = db.begin().unwrap();
         t1.write(7, val(70)).unwrap();
         assert!(t1.commit().unwrap().is_committed());
-        let mut t2 = db.begin().unwrap();
-        assert_eq!(t2.read(7).unwrap(), Some(val(70)));
-        t2.commit().unwrap();
+        assert_eq!(read_committed(&db, 7), Some(val(70)));
         db.shutdown();
     }
 
@@ -1349,15 +1345,13 @@ mod tests {
 
         let report = db.recover().unwrap();
         assert!(report.recovered_epoch >= 1);
+        // A reader parked across an epoch boundary aborts retryably, so the
+        // read-backs go through the retrying helper.
         for k in 0..8u64 {
-            let mut txn = db.begin().unwrap();
-            assert_eq!(txn.read(k).unwrap(), Some(val(k + 1)), "key {k}");
-            txn.commit().unwrap();
+            assert_eq!(read_committed(&db, k), Some(val(k + 1)), "key {k}");
         }
         // The uncommitted write must be gone.
-        let mut txn = db.begin().unwrap();
-        assert_eq!(txn.read(100).unwrap(), None);
-        txn.commit().unwrap();
+        assert_eq!(read_committed(&db, 100), None);
         db.shutdown();
     }
 

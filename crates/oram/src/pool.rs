@@ -4,12 +4,15 @@
 //! never reads the same physical slot twice between reshuffles, and write
 //! deduplication guarantees each bucket is written at most once per epoch),
 //! so they can all be issued concurrently.  Workers are plain OS threads:
-//! most of their time is spent blocked on simulated storage latency, so a
-//! generous thread count is cheap and models the asynchronous I/O of the
-//! original Java implementation.
+//! over a socket or a latency model they sit blocked on round trips, so a
+//! generous count is cheap; over an in-memory store their work is sealing
+//! and opening slots, pure CPU, and one per core is all that helps.  Either
+//! way the pool's own cost stays off the per-slot path: [`ThreadPool::map`]
+//! dispatches one job per *worker*, not one per item.
 
 use crossbeam::channel::{unbounded, Sender};
-use std::sync::mpsc;
+use std::ops::Range;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -51,52 +54,52 @@ impl ThreadPool {
         self.size
     }
 
-    /// Runs `f` over every item of `items` on the pool and returns the
-    /// results in input order.  Blocks until all items have completed.
+    /// Computes `len` results in index order: `0..len` is cut into one
+    /// contiguous range per worker, `f` runs once on each range — so it can
+    /// hand a whole chunk to the store in one call — and must return one
+    /// result per index of its range, in order.  Blocks until every range
+    /// has completed.
     ///
-    /// `f` must be cheap to clone (it is shared by reference through an
-    /// `Arc` internally); items are moved to the workers.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    /// A worker costs one boxed job and one reply message however long its
+    /// range is.  A single range runs on the calling thread.
+    pub fn map<R, F>(&self, len: usize, f: F) -> Vec<R>
     where
-        T: Send + 'static,
         R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
+        F: Fn(Range<usize>) -> Vec<R> + Send + Sync + 'static,
     {
-        if items.is_empty() {
+        if len == 0 {
             return Vec::new();
         }
-        // For a single item (or a single worker) avoid the scatter/gather
-        // overhead entirely.
-        if items.len() == 1 {
-            let mut items = items;
-            return vec![f(items.pop().expect("len checked"))];
+        let chunk = len.div_ceil(self.size);
+        let chunks = len.div_ceil(chunk);
+        let range_of = move |index: usize| index * chunk..((index + 1) * chunk).min(len);
+        if chunks == 1 {
+            let results = f(range_of(0));
+            assert_eq!(results.len(), len, "one result per index");
+            return results;
         }
 
-        let shared = std::sync::Arc::new(f);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
-        let count = items.len();
+        let shared = Arc::new(f);
+        let (result_tx, result_rx) = mpsc::channel::<(usize, Vec<R>)>();
         let sender = self.sender.as_ref().expect("pool not shut down");
-        for (idx, item) in items.into_iter().enumerate() {
+        for index in 0..chunks {
             let f = shared.clone();
             let tx = result_tx.clone();
             let job: Job = Box::new(move || {
-                let result = f(item);
                 // The receiver only disappears if the caller panicked.
-                let _ = tx.send((idx, result));
+                let _ = tx.send((index, f(range_of(index))));
             });
             sender.send(job).expect("worker pool channel closed");
         }
         drop(result_tx);
 
-        let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-        for _ in 0..count {
-            let (idx, result) = result_rx.recv().expect("worker dropped result");
-            slots[idx] = Some(result);
+        let mut parts: Vec<Vec<R>> = (0..chunks).map(|_| Vec::new()).collect();
+        for _ in 0..chunks {
+            let (index, part) = result_rx.recv().expect("worker dropped result");
+            assert_eq!(part.len(), range_of(index).len(), "one result per index");
+            parts[index] = part;
         }
-        slots
-            .into_iter()
-            .map(|r| r.expect("all results received"))
-            .collect()
+        parts.into_iter().flatten().collect()
     }
 }
 
@@ -114,29 +117,58 @@ impl Drop for ThreadPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::Mutex;
     use std::time::{Duration, Instant};
+
+    /// `map` with a per-index function, the shape most tests want.
+    fn map_each<R: Send + 'static>(
+        pool: &ThreadPool,
+        len: usize,
+        f: impl Fn(usize) -> R + Send + Sync + 'static,
+    ) -> Vec<R> {
+        pool.map(len, move |range| range.map(&f).collect())
+    }
 
     #[test]
     fn map_preserves_order() {
         let pool = ThreadPool::new(4);
-        let results = pool.map((0..100).collect(), |x: i32| x * 2);
-        assert_eq!(results, (0..100).map(|x| x * 2).collect::<Vec<i32>>());
+        let results = map_each(&pool, 100, |x| x * 2);
+        assert_eq!(results, (0..100).map(|x| x * 2).collect::<Vec<usize>>());
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         let pool = ThreadPool::new(2);
-        let empty: Vec<i32> = pool.map(Vec::<i32>::new(), |x| x);
-        assert!(empty.is_empty());
-        assert_eq!(pool.map(vec![5], |x: i32| x + 1), vec![6]);
+        assert!(map_each(&pool, 0, |x| x).is_empty());
+        assert_eq!(map_each(&pool, 1, |x| x + 6), vec![6]);
+    }
+
+    #[test]
+    fn ranges_are_contiguous_disjoint_and_one_per_worker() {
+        for (size, len) in [(1, 7), (3, 7), (4, 4), (4, 5), (8, 3), (2, 2_386)] {
+            let pool = ThreadPool::new(size);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let log = seen.clone();
+            let results = pool.map(len, move |range| {
+                log.lock().unwrap().push(range.clone());
+                range.collect()
+            });
+            assert_eq!(results, (0..len).collect::<Vec<usize>>());
+            let mut ranges = seen.lock().unwrap().clone();
+            ranges.sort_by_key(|r| r.start);
+            assert!(ranges.len() <= size, "{size} workers, {len} items");
+            assert_eq!(ranges.first().map(|r| r.start), Some(0));
+            assert_eq!(ranges.last().map(|r| r.end), Some(len));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(ranges.iter().all(|r| !r.is_empty()));
+        }
     }
 
     #[test]
     fn work_actually_runs_concurrently() {
         let pool = ThreadPool::new(8);
         let start = Instant::now();
-        pool.map((0..8).collect(), |_x: i32| {
+        map_each(&pool, 8, |_| {
             std::thread::sleep(Duration::from_millis(50));
         });
         // Eight 50 ms sleeps on eight workers should take well under 400 ms.
@@ -152,7 +184,7 @@ mod tests {
         let pool = ThreadPool::new(3);
         let counter = Arc::new(AtomicUsize::new(0));
         let c = counter.clone();
-        pool.map((0..500).collect(), move |_x: i32| {
+        map_each(&pool, 500, move |_| {
             c.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 500);
@@ -162,14 +194,14 @@ mod tests {
     fn pool_of_size_zero_is_clamped_to_one() {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.size(), 1);
-        assert_eq!(pool.map(vec![1, 2, 3], |x: i32| x), vec![1, 2, 3]);
+        assert_eq!(map_each(&pool, 3, |x| x), vec![0, 1, 2]);
     }
 
     #[test]
     fn pool_can_be_reused_across_many_batches() {
         let pool = ThreadPool::new(4);
         for round in 0..20 {
-            let results = pool.map((0..50).collect(), move |x: i32| x + round);
+            let results = map_each(&pool, 50, move |x| x + round);
             assert_eq!(results.len(), 50);
             assert_eq!(results[0], round);
         }

@@ -26,12 +26,12 @@
 //! physical I/O happens outside it, reader batches and an engine write-back
 //! genuinely overlap in time.  Three protocols keep the interleavings safe:
 //!
-//! * **Limbo keys.**  When the engine plans an eviction it marks the real
-//!   blocks it is about to pull out of the tree as *in limbo*: they are
-//!   physically in flight towards the stash and findable nowhere.  A reader
-//!   batch that requests a limbo key parks on the shared condvar until the
-//!   engine's ingest lands (at which point the key is in the stash and the
-//!   read resolves locally).
+//! * **Limbo keys.**  When the engine plans a maintenance wave it marks the
+//!   real blocks it is about to pull out of the tree as *in limbo*: they are
+//!   physically in flight and findable nowhere.  A reader batch that
+//!   requests a limbo key parks on the shared condvar until the key's path
+//!   has been applied (at which point the key is in the stash, or placed in
+//!   a buffered bucket, and the read resolves locally).
 //! * **Generations + the per-bucket fence.**  Committed client state is
 //!   published as an immutable *generation* at the end of every flush (see
 //!   the `generations` module): checkpoints and pinned readers materialize
@@ -62,10 +62,28 @@
 //! disjoint — which the Obladi proxy guarantees with its carry-pending set
 //! and per-epoch read de-duplication.
 //!
+//! # Write-back in waves
+//!
+//! The eviction schedule is deterministic and every rewritten bucket stays
+//! buffered until the flush, so which slots eviction `k+1` reads from the
+//! store does not depend on eviction `k`'s outcome.  A maintenance pass is
+//! therefore one *wave* ([`WritebackEngine::run_pending_maintenance`]):
+//!
+//! 1. **Plan** (one lock hold): every owed eviction in schedule order, then
+//!    the early reshuffles that are due and on none of those paths.  A
+//!    bucket's `Z` reads are planned at the first path that reaches it,
+//!    unless it is buffered — exactly where a one-path-at-a-time pass reads
+//!    it, since that path's rewrite buffers it for every later one.
+//! 2. **Fetch** (unlocked): one path-log record per path, then all of the
+//!    wave's reads in one dispatch.
+//! 3. **Apply** (one lock hold per path, in schedule order): the path's
+//!    blocks enter the stash — from the wave's staging area, never earlier,
+//!    so stash occupancy means what it did — or from the buffer where an
+//!    earlier path rewrote the bucket; placement runs deepest-first; the
+//!    path's limbo keys are released.
+//!
 //! [`RingOram`](crate::client::RingOram) remains as a thin facade composing
-//! the two halves for sequential callers (baselines, recovery, tests); its
-//! behaviour — including RNG consumption order, and therefore the physical
-//! access sequence — is unchanged from the monolithic client.
+//! the two halves for sequential callers (baselines, recovery, tests).
 
 use crate::block::Block;
 use crate::bucket::BucketMeta;
@@ -171,7 +189,8 @@ struct SharedState {
     rng: DetRng,
     stats: OramStats,
     /// Keys whose blocks the engine is physically pulling towards the stash
-    /// (mid-eviction / mid-reshuffle).  Readers wait for them.
+    /// (planned into a maintenance wave, their path not yet applied).
+    /// Readers wait for them.
     limbo: HashSet<Key>,
     /// Monotonic per-bucket rewrite counters.  A reader batch records the
     /// stamp of every bucket it targets, so a generation publish can tell
@@ -232,6 +251,9 @@ struct OramCore {
     envelope: Envelope,
     options: ExecOptions,
     shared: Arc<SharedOram>,
+    /// `oram.split.exhausted_skips`, resolved once (a reader access bumps
+    /// them under the shared lock): the total, then one per tree level.
+    exhausted_skips: Arc<[obladi_obs::Counter]>,
 }
 
 /// Where a planned access resolves its value.
@@ -290,12 +312,17 @@ fn from_parts(
     let mut generations = GenerationChain::new();
     generations.seed(meta.stash.clone(), meta.access_count, meta.evict_count);
     let rewrite_stamps = vec![0u64; meta.buckets.len()];
+    let skips = std::iter::once("oram.split.exhausted_skips".to_string())
+        .chain((0..config.levels).map(|l| format!("oram.split.exhausted_skips.level_{l}")));
     let core = OramCore {
         config,
         geometry: TreeGeometry::new(&config),
         store,
         envelope: Envelope::new(keys),
         options,
+        exhausted_skips: skips
+            .map(|name| obladi_obs::global().counter(&name))
+            .collect(),
         shared: Arc::new(SharedOram {
             state: Mutex::new(SharedState {
                 meta,
@@ -324,7 +351,15 @@ fn from_parts(
         core: core.clone(),
         pool: pool.clone(),
     };
-    let engine = WritebackEngine { core, pool };
+    let engine = WritebackEngine {
+        core,
+        pool,
+        wave_cap: if options.deferred_writes {
+            usize::MAX
+        } else {
+            1
+        },
+    };
     (reader, engine)
 }
 
@@ -448,6 +483,21 @@ fn build_bucket_slots(
     )
 }
 
+/// One worker's share of a bucket write-out (tree initialisation, flush):
+/// seals its buckets, then hands the whole chunk to the store in one call.
+/// One new version per bucket, in order; a sealing failure fails the chunk
+/// before anything of it is written.
+fn write_chunk(
+    store: &dyn UntrustedStore,
+    sealed: impl ExactSizeIterator<Item = Result<(BucketId, Vec<bytes::Bytes>)>>,
+) -> Vec<Result<Version>> {
+    let count = sealed.len();
+    match sealed.collect::<Result<Vec<_>>>() {
+        Ok(sealed) => store.write_buckets(sealed),
+        Err(err) => vec![Err(err); count],
+    }
+}
+
 /// Location tag binding a sealed slot to its bucket and physical position.
 /// The slot takes the low [`SLOT_LOCATION_BITS`] bits, which is why
 /// `OramConfig::validate` bounds `slots_per_bucket()`: a wider slot index
@@ -458,49 +508,34 @@ fn slot_location(bucket: BucketId, slot: u32) -> u64 {
 }
 
 impl OramCore {
-    /// Fetches the given slots with no lock held.  Only indices in
-    /// `targets` are decrypted; dummy reads are fetched (for obliviousness)
-    /// but their payloads are discarded.  The caller accounts
-    /// `stats.physical_reads`.
+    /// Fetches `reads` with no lock held: one dispatch, each worker handing
+    /// its share to the store in one call.  Only reads flagged in `real`
+    /// are opened; dummy reads are fetched (for obliviousness) but their
+    /// payloads are discarded.  The caller accounts `stats.physical_reads`.
     fn fetch_slots(
         &self,
         pool: &ThreadPool,
-        reads: &[SlotRead],
-        targets: &HashSet<usize>,
+        reads: Vec<SlotRead>,
+        real: Vec<bool>,
     ) -> Result<Vec<Option<Block>>> {
-        if reads.is_empty() {
-            return Ok(Vec::new());
-        }
         let envelope = self.envelope.clone();
         let encrypt = self.options.encrypt;
         let store = self.store.clone();
-        let jobs: Vec<(usize, SlotRead, bool)> = reads
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i, *r, targets.contains(&i)))
-            .collect();
-
-        let run = move |(idx, read, is_target): (usize, SlotRead, bool)| -> Result<(usize, Option<Block>)> {
-            let bytes = store.read_slot(read.bucket, read.slot)?;
-            if !is_target {
-                return Ok((idx, None));
-            }
-            let block = open_block(&envelope, encrypt, read, &bytes)?;
-            Ok((idx, Some(block)))
-        };
-
-        let results: Vec<Result<(usize, Option<Block>)>> = if self.options.parallel {
-            pool.map(jobs, run)
-        } else {
-            jobs.into_iter().map(run).collect()
-        };
-
-        let mut out: Vec<Option<Block>> = vec![None; reads.len()];
-        for result in results {
-            let (idx, block) = result?;
-            out[idx] = block;
-        }
-        Ok(out)
+        let fetched = pool.map(reads.len(), move |range| {
+            let wanted: Vec<(BucketId, u32)> = reads[range.clone()]
+                .iter()
+                .map(|read| (read.bucket, read.slot))
+                .collect();
+            let open = |(i, bytes): (usize, Result<bytes::Bytes>)| -> Result<Option<Block>> {
+                let bytes = bytes?;
+                if !real[i] {
+                    return Ok(None);
+                }
+                open_block(&envelope, encrypt, reads[i], &bytes).map(Some)
+            };
+            range.zip(store.read_slots(&wanted)).map(open).collect()
+        });
+        fetched.into_iter().collect()
     }
 
     /// Common accessors used by both halves and the facade.
@@ -881,16 +916,16 @@ impl OramReader {
         };
 
         // Phase 2 (unlocked): log, then issue the physical reads.
-        let targets: HashSet<usize> = plans
-            .iter()
-            .filter_map(|p| match p.target {
-                Target::Physical(idx) => Some(idx),
-                _ => None,
-            })
-            .collect();
+        let mut real = vec![false; physical.len()];
+        for plan in &plans {
+            if let Target::Physical(idx) = plan.target {
+                real[idx] = true;
+            }
+        }
+        let has_targets = real.contains(&true);
         let fetched = (|| -> Result<Vec<Option<Block>>> {
             logger.log_reads(&physical)?;
-            self.core.fetch_slots(&self.pool, &physical, &targets)
+            self.core.fetch_slots(&self.pool, physical, real)
         })();
 
         // Phase 3 (locked): deregister the batch on *every* path — the
@@ -947,7 +982,7 @@ impl OramReader {
             }
             Ok(results)
         })(&mut state);
-        if result.is_err() && !targets.is_empty() {
+        if result.is_err() && has_targets {
             // A physical target block was cleared from its bucket at plan
             // time and never reached the stash: the live metadata no longer
             // accounts for it.  Poison the client so a concurrent engine
@@ -1006,7 +1041,7 @@ fn plan_access(
     };
     let mut resolved = matches!(target, Target::Ready(Some(_)));
 
-    for &bucket in &core.geometry.path(old_leaf) {
+    for (level, &bucket) in core.geometry.path(old_leaf).iter().enumerate() {
         let is_buffered = state.buffer.contains_key(&bucket);
         let key_slot = match (key, exists) {
             (Some(k), true) => state.meta.buckets[bucket as usize].find_key(k),
@@ -1100,6 +1135,8 @@ fn plan_access(
                 // Skipping the physical read here is the recovery action
                 // canonical Ring ORAM avoids by reshuffling earlier.
                 state.needs_reshuffle.insert(bucket);
+                core.exhausted_skips[0].inc();
+                core.exhausted_skips[1 + level].inc();
             }
         }
     }
@@ -1121,6 +1158,11 @@ fn plan_access(
 pub struct WritebackEngine {
     core: OramCore,
     pool: Arc<ThreadPool>,
+    /// Most units one wave may hold: everything owed, except that
+    /// write-through mode (`ExecOptions::sequential()`) rewrites storage as
+    /// each path is applied, so the next must be planned after it — a wave
+    /// of one.
+    wave_cap: usize,
 }
 
 impl WritebackEngine {
@@ -1189,22 +1231,24 @@ impl WritebackEngine {
 
         let buckets: Vec<BucketId> = self.core.geometry.all_buckets().collect();
         let store = self.core.store.clone();
-        let results: Vec<Result<(BucketId, Version)>> = self.pool.map(buckets, move |bucket| {
-            let slots: Vec<bytes::Bytes> = if fast {
-                let sealed = seal_bucket(&envelope, encrypt, bucket, 1, &[None], capacity)?;
-                vec![sealed[0].clone(); slots_per_bucket]
-            } else {
-                let dummies = vec![None; slots_per_bucket];
-                seal_bucket(&envelope, encrypt, bucket, 1, &dummies, capacity)?
+        let results = self.pool.map(buckets.len(), move |range| {
+            let seal = |index: usize| {
+                let bucket = buckets[index];
+                let slots: Vec<bytes::Bytes> = if fast {
+                    let sealed = seal_bucket(&envelope, encrypt, bucket, 1, &[None], capacity)?;
+                    vec![sealed[0].clone(); slots_per_bucket]
+                } else {
+                    let dummies = vec![None; slots_per_bucket];
+                    seal_bucket(&envelope, encrypt, bucket, 1, &dummies, capacity)?
+                };
+                Ok((bucket, slots))
             };
-            let version = store.write_bucket(bucket, slots)?;
-            Ok((bucket, version))
+            write_chunk(store.as_ref(), range.map(seal))
         });
         let mut state = self.core.shared.state.lock();
-        for result in results {
-            let (bucket, version) = result?;
+        for (bucket, version) in self.core.geometry.all_buckets().zip(results) {
             state.note_bucket(bucket);
-            state.meta.bucket_mut(bucket).version = version;
+            state.meta.bucket_mut(bucket).version = version?;
         }
         // The initialised tree is the first committed state worth pinning.
         publish_generation(&self.core, &mut state);
@@ -1254,7 +1298,7 @@ impl WritebackEngine {
                 state.meta.access_count.is_multiple_of(a)
             };
             if run_maintenance {
-                self.run_pending_maintenance(logger)?;
+                self.run_waves(logger, false)?;
             }
         }
         {
@@ -1310,17 +1354,18 @@ impl WritebackEngine {
         let encrypt = self.core.options.encrypt;
         let envelope = self.core.envelope.clone();
         let store = self.core.store.clone();
-        let results: Vec<Result<(BucketId, Version)>> =
-            self.pool.map(jobs, move |(bucket, meta, blocks)| {
-                let slots =
-                    build_bucket_slots(&envelope, encrypt, bucket, &meta, &blocks, capacity)?;
-                let version = store.write_bucket(bucket, slots)?;
-                Ok((bucket, version))
-            });
+        let flushed: Vec<BucketId> = jobs.iter().map(|(bucket, _, _)| *bucket).collect();
+        let results = self.pool.map(jobs.len(), move |range| {
+            let seal = |(bucket, meta, blocks): &(BucketId, Arc<BucketMeta>, Vec<Block>)| {
+                let slots = build_bucket_slots(&envelope, encrypt, *bucket, meta, blocks, capacity);
+                Ok((*bucket, slots?))
+            };
+            write_chunk(store.as_ref(), jobs[range].iter().map(seal))
+        });
 
         let mut state = self.core.shared.state.lock();
-        for result in results {
-            let (bucket, version) = result?;
+        for (bucket, version) in flushed.into_iter().zip(results) {
+            let version = version?;
             // The version install is a metadata mutation like any other: a
             // pinned generation must keep pointing at the bucket's *old*
             // storage version (shadow paging reverts to it on recovery).
@@ -1365,196 +1410,133 @@ impl WritebackEngine {
     }
 
     // ------------------------------------------------------------------
-    // Evictions, early reshuffles
+    // Evictions, early reshuffles: the maintenance wave
     // ------------------------------------------------------------------
 
-    /// Runs every eviction and early reshuffle that has come due.  The
-    /// proxy's decider drives this once per epoch (right before the flush);
-    /// the facade drives it at the monolithic client's points (after every
-    /// read batch and interleaved with large write batches).
+    /// Runs every eviction and early reshuffle that has come due, as one
+    /// wave (see the module docs).  The proxy's decider drives this once
+    /// per epoch (right before the flush); the facade drives it at the
+    /// monolithic client's points (after every read batch).
     pub fn run_pending_maintenance(&mut self, logger: &dyn PathLogger) -> Result<()> {
-        loop {
-            // Evictions owed: one per `A` logical accesses.
-            let next_target = {
-                let state = self.core.shared.state.lock();
-                check_poisoned(&state)?;
-                let owed = state.meta.access_count / self.core.config.a as u64;
-                if state.meta.evict_count < owed {
-                    Some(self.core.geometry.evict_target(state.meta.evict_count))
-                } else {
-                    None
+        self.run_waves(logger, true)
+    }
+
+    /// Test seam: caps a wave at `paths` units; `1` is the one-path-at-a-time
+    /// schedule the differential tests and `maintenance/*` micro-benchmarks
+    /// compare the wave against.
+    #[doc(hidden)]
+    pub fn cap_wave_for_tests(&mut self, paths: usize) {
+        self.wave_cap = paths.max(1);
+    }
+
+    /// Plans, fetches and applies waves until nothing is owed.  Early
+    /// reshuffles join only when `reshuffles` is set: the passes a large
+    /// write batch interleaves run evictions alone, so which reshuffles an
+    /// epoch issues never depends on how many real writes it carried.
+    fn run_waves(&mut self, logger: &dyn PathLogger, reshuffles: bool) -> Result<()> {
+        while let Some(wave) = self.plan_wave(reshuffles)? {
+            let record = |name, value| obladi_obs::global().histogram(name).record(value);
+            record("oram.split.wave_paths", wave.units.len() as u64);
+            record("oram.split.wave_reads", wave.reads.len() as u64);
+
+            // ----- Fetch (lock released): one path-log record per unit,
+            // each before any of its reads, then every read at once -----
+            let Wave { units, reads, real } = wave;
+            let fetch_started = Instant::now();
+            let fetched = (|| -> Result<Vec<Option<Block>>> {
+                for unit in &units {
+                    logger.log_reads(&reads[unit.reads.clone()])?;
+                }
+                self.core.fetch_slots(&self.pool, reads, real)
+            })();
+            let fetch_us = fetch_started.elapsed().as_micros() as u64;
+            record("oram.split.wave_fetch_us", fetch_us);
+
+            // ----- Apply (one lock hold per unit, in schedule order) -----
+            let mut staged = match fetched {
+                Ok(staged) => staged,
+                Err(err) => {
+                    self.abandon_wave(&mut self.core.shared.state.lock());
+                    return Err(err);
                 }
             };
-            match next_target {
-                Some(target) => {
-                    self.evict_path(target, logger)?;
-                    let mut state = self.core.shared.state.lock();
-                    state.meta.evict_count += 1;
-                    state.stats.evictions += 1;
+            let mut longest_hold = Duration::ZERO;
+            for unit in &units {
+                let mut state = self.core.shared.state.lock();
+                let hold_started = Instant::now();
+                if let Err(err) = apply_unit(&self.core, &mut state, unit, &mut staged) {
+                    self.abandon_wave(&mut state);
+                    return Err(err);
                 }
-                None => break,
+                self.core.shared.cond.notify_all();
+                drop(state);
+                longest_hold = longest_hold.max(hold_started.elapsed());
             }
-        }
-        // Early reshuffles for exhausted buckets.
-        let pending: Vec<BucketId> = {
-            let mut state = self.core.shared.state.lock();
-            let mut v: Vec<BucketId> = state.needs_reshuffle.drain().collect();
-            v.sort_unstable();
-            v
-        };
-        for bucket in pending {
-            // A bucket freshly rewritten by an eviction no longer needs it.
-            let skip = {
-                let state = self.core.shared.state.lock();
-                state.buffer.contains_key(&bucket)
-                    || !state.meta.buckets[bucket as usize].needs_early_reshuffle()
-            };
-            if skip {
-                continue;
-            }
-            self.early_reshuffle(bucket, logger)?;
-            let mut state = self.core.shared.state.lock();
-            state.stats.early_reshuffles += 1;
+            record("oram.split.apply_hold_us", longest_hold.as_micros() as u64);
         }
         Ok(())
     }
 
-    fn evict_path(&mut self, target_leaf: Leaf, logger: &dyn PathLogger) -> Result<()> {
-        let path = self.core.geometry.path(target_leaf);
+    /// Plans the next wave under one hold of the shared lock: every owed
+    /// eviction in schedule order, then — if asked — the early reshuffles
+    /// that are due and that no eviction of the wave subsumes.  `None` when
+    /// nothing is owed.
+    fn plan_wave(&self, reshuffles: bool) -> Result<Option<Wave>> {
+        let mut guard = self.core.shared.state.lock();
+        let state = &mut *guard;
+        check_poisoned(state)?;
+        let mut wave = Wave::default();
+        // Buckets some unit of this wave rewrites.
+        let mut reached: HashSet<BucketId> = HashSet::new();
 
-        // ----- Read phase (planned under the lock) -----
-        let (physical, expected_real, limbo_keys) = {
-            let mut state = self.core.shared.state.lock();
-            let state = &mut *state;
-            let mut physical: Vec<SlotRead> = Vec::new();
-            let mut expected_real: Vec<usize> = Vec::new();
-            let mut limbo_keys: Vec<Key> = Vec::new();
-            for &bucket in &path {
-                if let Some(blocks) = state.buffer.remove(&bucket) {
-                    // The bucket's current contents live locally; pull them
-                    // back into the stash without physical reads.
-                    state.stats.buffered_reads += 1;
-                    for block in blocks {
-                        if let Err(err) = ingest_evicted_block(&self.core, state, block) {
-                            // The bucket's blocks just left the buffered
-                            // overlay and the ingest failed part-way; the
-                            // live metadata can no longer be trusted to
-                            // account for every value, so checkpoints must
-                            // refuse it (see [`CheckpointSource`]).
-                            state.poisoned = true;
-                            return Err(err);
-                        }
-                    }
-                    state.note_bucket(bucket);
-                    let meta = state.meta.bucket_mut(bucket);
-                    for logical in 0..meta.z() {
-                        meta.clear_real(logical);
-                    }
-                    continue;
-                }
-                let reals = plan_bucket_reads(state, bucket, &mut physical, &mut limbo_keys);
-                expected_real.extend(reals);
-            }
-            // The real blocks are now physically in flight towards the
-            // stash and findable nowhere; readers must wait for them.
-            for key in &limbo_keys {
-                state.limbo.insert(*key);
-            }
-            state.stats.physical_reads += physical.len() as u64;
-            (physical, expected_real, limbo_keys)
-        };
-
-        // ----- Physical reads (lock released) -----
-        let targets: HashSet<usize> = expected_real.iter().copied().collect();
-        let fetched = (|| -> Result<Vec<Option<Block>>> {
-            logger.log_reads(&physical)?;
-            self.core.fetch_slots(&self.pool, &physical, &targets)
-        })();
-
-        // ----- Ingest + write phase (one critical section, so no reader
-        // ever observes the gap between a block entering the stash and its
-        // bucket being rewritten) -----
-        let mut state = self.core.shared.state.lock();
-        for key in &limbo_keys {
-            state.limbo.remove(key);
+        // Evictions owed: one per `A` logical accesses.
+        let owed = state.meta.access_count / self.core.config.a as u64;
+        let first = state.meta.evict_count;
+        for g in first..owed.min(first.saturating_add(self.wave_cap as u64)) {
+            let path = self.core.geometry.path(self.core.geometry.evict_target(g));
+            plan_unit(state, path, true, &mut reached, &mut wave);
         }
-        self.core.shared.cond.notify_all();
-        let result = (|state: &mut SharedState| -> Result<()> {
-            let mut raw = fetched?;
-            for idx in expected_real {
-                // Each index is visited once; move the block out, no clone.
-                if let Some(block) = raw.get_mut(idx).and_then(|b| b.take()) {
-                    ingest_evicted_block(&self.core, state, block)?;
+
+        // Early reshuffles for exhausted buckets.
+        if reshuffles {
+            let mut due: Vec<BucketId> = state.needs_reshuffle.iter().copied().collect();
+            due.sort_unstable();
+            for bucket in due {
+                if wave.units.len() >= self.wave_cap {
+                    break;
+                }
+                state.needs_reshuffle.remove(&bucket);
+                // A bucket an eviction rewrites — in this wave, or earlier
+                // in the epoch (it is buffered) — no longer needs it.
+                if !reached.contains(&bucket)
+                    && !state.buffer.contains_key(&bucket)
+                    && state.meta.buckets[bucket as usize].needs_early_reshuffle()
+                {
+                    plan_unit(state, vec![bucket], false, &mut reached, &mut wave);
                 }
             }
-
-            // Write phase (deepest bucket first).
-            for &bucket in path.iter().rev() {
-                place_eligible_blocks(&self.core, state, bucket)?;
-            }
-            Ok(())
-        })(&mut state);
-        if result.is_err() {
-            // Real blocks were pulled out of their buckets (their limbo
-            // entries are gone and their slots consumed) or out of the
-            // stash for a rewrite that never landed.  Poison so that
-            // checkpoints refuse this state outright — the refusal must
-            // hold on its own and not depend on the caller aborting before
-            // its next checkpoint (an implicit thread-topology invariant).
-            state.poisoned = true;
         }
-        result
+
+        if wave.units.is_empty() {
+            return Ok(None);
+        }
+        // The real blocks are now physically in flight towards the staging
+        // area and findable nowhere; readers must wait for them.
+        for unit in &wave.units {
+            state.limbo.extend(&unit.limbo);
+        }
+        state.stats.physical_reads += wave.reads.len() as u64;
+        Ok(Some(wave))
     }
 
-    fn early_reshuffle(&mut self, bucket: BucketId, logger: &dyn PathLogger) -> Result<()> {
-        // Read the remaining valid real blocks of the bucket.
-        let (physical, limbo_keys) = {
-            let mut state = self.core.shared.state.lock();
-            let state = &mut *state;
-            let mut physical: Vec<SlotRead> = Vec::new();
-            let mut limbo_keys: Vec<Key> = Vec::new();
-            plan_bucket_reads(state, bucket, &mut physical, &mut limbo_keys);
-            for key in &limbo_keys {
-                state.limbo.insert(*key);
-            }
-            state.stats.physical_reads += physical.len() as u64;
-            (physical, limbo_keys)
-        };
-
-        // Every read that corresponds to a real slot is a target.
-        let targets: HashSet<usize> = (0..physical.len()).collect();
-        let fetched = (|| -> Result<Vec<Option<Block>>> {
-            logger.log_reads(&physical)?;
-            self.core.fetch_slots(&self.pool, &physical, &targets)
-        })();
-
-        let mut state = self.core.shared.state.lock();
-        for key in &limbo_keys {
-            state.limbo.remove(key);
-        }
+    /// A wave failed after its plan: real blocks left their buckets (their
+    /// slots consumed) or the stash for a rewrite that never landed.  Poison,
+    /// so checkpoints refuse this state on their own whatever the caller
+    /// does next, and wake readers parked on the wave's limbo keys to it.
+    fn abandon_wave(&self, state: &mut SharedState) {
+        state.poisoned = true;
+        state.limbo.clear();
         self.core.shared.cond.notify_all();
-        let result = (|state: &mut SharedState| -> Result<()> {
-            let raw = fetched?;
-            for block in raw.into_iter().flatten() {
-                if !block.is_dummy() {
-                    ingest_evicted_block(&self.core, state, block)?;
-                }
-            }
-
-            // Re-place eligible stash blocks into the bucket (this includes
-            // the blocks just read, whose paths necessarily pass through
-            // it).
-            place_eligible_blocks(&self.core, state, bucket)?;
-            Ok(())
-        })(&mut state);
-        if result.is_err() {
-            // Same reasoning as [`WritebackEngine::evict_path`]: real
-            // blocks left their bucket (or the stash) without landing
-            // anywhere durable-able, so checkpoints must refuse this state
-            // regardless of what the caller does next.
-            state.poisoned = true;
-        }
-        result
     }
 
     // ------------------------------------------------------------------
@@ -1565,8 +1547,10 @@ impl WritebackEngine {
     /// results (recovery replays the aborted epoch's access pattern, §8).
     pub fn replay_reads(&mut self, reads: &[SlotRead]) -> Result<()> {
         let store = self.core.store.clone();
-        let _ = self.pool.map(reads.to_vec(), move |read| {
-            let _ = store.read_slot(read.bucket, read.slot);
+        let wanted: Vec<(BucketId, u32)> = reads.iter().map(|r| (r.bucket, r.slot)).collect();
+        self.pool.map(wanted.len(), move |range| {
+            let replayed = store.read_slots(&wanted[range]);
+            replayed.into_iter().map(drop).collect()
         });
         self.core.shared.state.lock().stats.physical_reads += reads.len() as u64;
         Ok(())
@@ -1689,53 +1673,142 @@ fn dummiless_write(core: &OramCore, state: &mut SharedState, key: Key, value: Va
     Ok(())
 }
 
+/// One unit of a maintenance wave: a scheduled eviction path, or a single
+/// bucket due an early reshuffle.
+struct WaveUnit {
+    /// The buckets the unit rewrites, root first.
+    buckets: Vec<BucketId>,
+    /// A scheduled eviction (advances `evict_count`), not a reshuffle.
+    eviction: bool,
+    /// The unit's share of the wave's reads: one path-log record before the
+    /// fetch, staged after it until the unit is applied.
+    reads: std::ops::Range<usize>,
+    /// Keys of the real blocks among those reads: in limbo until then.
+    limbo: Vec<Key>,
+}
+
+/// A planned maintenance wave (see the module docs).
+#[derive(Default)]
+struct Wave {
+    units: Vec<WaveUnit>,
+    /// Every slot read of the wave, unit after unit.
+    reads: Vec<SlotRead>,
+    /// `real[i]`: read `i` fetches a real block; the rest pad with dummies.
+    real: Vec<bool>,
+}
+
+/// Plans one unit of a wave.  A bucket's reads are planned where a
+/// one-unit-at-a-time pass would issue them: at the first unit that reaches
+/// it, unless it is buffered.  Later units of the wave skip it for the same
+/// reason the sequential pass would — by then the earlier unit's rewrite
+/// has buffered it.
+fn plan_unit(
+    state: &mut SharedState,
+    buckets: Vec<BucketId>,
+    eviction: bool,
+    reached: &mut HashSet<BucketId>,
+    wave: &mut Wave,
+) {
+    let first_read = wave.reads.len();
+    let mut limbo = Vec::new();
+    for &bucket in &buckets {
+        if reached.insert(bucket) && !state.buffer.contains_key(&bucket) {
+            plan_bucket_reads(state, bucket, wave, &mut limbo);
+        }
+    }
+    wave.units.push(WaveUnit {
+        buckets,
+        eviction,
+        reads: first_read..wave.reads.len(),
+        limbo,
+    });
+}
+
 /// Plans a full-bucket maintenance read (every valid real slot plus dummy
 /// padding to `Z` reads, as canonical Ring ORAM does) and marks the bucket
-/// dirty.  The reals' keys are appended to `limbo_keys` — the caller
-/// registers them so readers wait for the in-flight blocks — and the
-/// returned indices locate the real reads within `physical`.  Shared by
-/// [`WritebackEngine::evict_path`] and [`WritebackEngine::early_reshuffle`].
+/// dirty.  The reals' keys are appended to `limbo` — the caller registers
+/// them so readers wait for the in-flight blocks.
 fn plan_bucket_reads(
     state: &mut SharedState,
     bucket: BucketId,
-    physical: &mut Vec<SlotRead>,
-    limbo_keys: &mut Vec<Key>,
-) -> Vec<usize> {
+    wave: &mut Wave,
+    limbo: &mut Vec<Key>,
+) {
     state.note_bucket(bucket);
     let meta = state.meta.bucket_mut(bucket);
     let reals = meta.valid_reals();
-    let real_count = reals.len();
-    let mut real_indices = Vec::with_capacity(real_count);
+    let dummies_needed = meta.z().saturating_sub(reals.len());
+    let mut plan_read = |meta: &mut BucketMeta, logical: usize, real: bool| {
+        wave.reads.push(SlotRead {
+            bucket,
+            slot: meta.mark_read(logical),
+            version: meta.version,
+        });
+        wave.real.push(real);
+    };
     for logical in reals {
         if let Some((key, _)) = meta.real[logical] {
-            limbo_keys.push(key);
+            limbo.push(key);
         }
-        let slot = meta.mark_read(logical);
-        let version = meta.version;
-        physical.push(SlotRead {
-            bucket,
-            slot,
-            version,
-        });
-        real_indices.push(physical.len() - 1);
+        plan_read(meta, logical, true);
     }
-    let dummies_needed = meta.z().saturating_sub(real_count);
     for _ in 0..dummies_needed {
         match meta.pick_valid_dummy(&mut state.rng) {
-            Some(logical) => {
-                let slot = meta.mark_read(logical);
-                let version = meta.version;
-                physical.push(SlotRead {
-                    bucket,
-                    slot,
-                    version,
-                });
-            }
+            Some(logical) => plan_read(meta, logical, false),
             None => break,
         }
     }
     state.meta.mark_bucket_dirty(bucket);
-    real_indices
+}
+
+/// Applies one unit of a wave under the shared lock — one critical section,
+/// so no reader ever observes the gap between a block entering the stash
+/// and its bucket being rewritten: the unit's blocks enter the stash (from
+/// the staging area, or from the buffer where an earlier rewrite of this
+/// epoch — an earlier unit of this wave included — holds the bucket), every
+/// bucket is rewritten, deepest first, and the unit's keys leave limbo.
+fn apply_unit(
+    core: &OramCore,
+    state: &mut SharedState,
+    unit: &WaveUnit,
+    staged: &mut [Option<Block>],
+) -> Result<()> {
+    check_poisoned(state)?;
+    for &bucket in &unit.buckets {
+        if let Some(blocks) = state.buffer.remove(&bucket) {
+            // The bucket's current contents live locally; pull them back
+            // into the stash without physical reads.
+            state.stats.buffered_reads += 1;
+            for block in blocks {
+                ingest_evicted_block(core, state, block)?;
+            }
+            state.note_bucket(bucket);
+            let meta = state.meta.bucket_mut(bucket);
+            for logical in 0..meta.z() {
+                meta.clear_real(logical);
+            }
+        }
+    }
+    // Each staged block is visited once; move it out, no clone.
+    for block in staged[unit.reads.clone()]
+        .iter_mut()
+        .filter_map(Option::take)
+    {
+        ingest_evicted_block(core, state, block)?;
+    }
+    for &bucket in unit.buckets.iter().rev() {
+        place_eligible_blocks(core, state, bucket)?;
+    }
+    if unit.eviction {
+        state.meta.evict_count += 1;
+        state.stats.evictions += 1;
+    } else {
+        state.stats.early_reshuffles += 1;
+    }
+    for key in &unit.limbo {
+        state.limbo.remove(key);
+    }
+    Ok(())
 }
 
 /// Moves up to `Z` eligible stash blocks into `bucket` and installs the
@@ -1828,6 +1901,7 @@ mod tests {
     use crate::client::NoopPathLogger;
     use obladi_common::config::OramConfig;
     use obladi_storage::InMemoryStore;
+    use parking_lot::Mutex;
 
     const KEY_A: Key = 7;
     const KEY_B: Key = 9;
@@ -1998,6 +2072,331 @@ mod tests {
         engine
             .checkpoint_full()
             .expect("no physical target was cleared, so the client is not poisoned");
+    }
+
+    // ------------------------------------------------------------------
+    // Wave ≡ sequence, by counting
+    // ------------------------------------------------------------------
+
+    const WAVE_KEYS: u64 = 96;
+
+    fn wave_options() -> ExecOptions {
+        ExecOptions::parallel(2).without_crypto()
+    }
+
+    /// What every unit of a maintenance pass logs: the buckets it reads, in
+    /// order, and how many reads.
+    #[derive(Default)]
+    struct UnitLog(Mutex<Vec<(Vec<BucketId>, usize)>>);
+
+    impl PathLogger for UnitLog {
+        fn log_reads(&self, reads: &[SlotRead]) -> Result<()> {
+            let mut buckets: Vec<BucketId> = reads.iter().map(|r| r.bucket).collect();
+            buckets.dedup();
+            self.0.lock().push((buckets, reads.len()));
+            Ok(())
+        }
+    }
+
+    /// What a maintenance pass leaves behind whatever its wave size:
+    /// placement sorts keys, so none of this depends on the RNG (which
+    /// permutations and dummy choices do, and the two schedules consume it
+    /// in different orders).
+    fn rng_free_state(engine: &WritebackEngine) -> (Vec<Key>, Vec<Vec<Key>>, u64, usize) {
+        let meta = engine.meta_snapshot();
+        let mut stash: Vec<Key> = meta.stash.iter().map(|(key, _)| key).collect();
+        stash.sort_unstable();
+        let buckets = meta
+            .buckets
+            .iter()
+            .map(|bucket| {
+                let mut keys: Vec<Key> = bucket.real.iter().flatten().map(|(k, _)| *k).collect();
+                keys.sort_unstable();
+                keys
+            })
+            .collect();
+        (stash, buckets, meta.evict_count, meta.stash.peak())
+    }
+
+    /// A loaded, flushed client, and its store.
+    fn loaded_base(seed: u64) -> (OramReader, WritebackEngine, Arc<dyn UntrustedStore>) {
+        let config = OramConfig::small_for_tests(WAVE_KEYS * 2);
+        let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
+        let keys = KeyMaterial::for_tests(1);
+        let (reader, mut engine) =
+            new_split(config, &keys, store.clone(), wave_options(), seed).expect("client opens");
+        let writes: Vec<(Key, Value)> = (0..WAVE_KEYS).map(|k| (k, vec![k as u8])).collect();
+        engine.write_batch(&writes, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+        (reader, engine, store)
+    }
+
+    fn random_reads(rng: &mut DetRng, count: usize) -> Vec<Option<Key>> {
+        let mut seen = HashSet::new();
+        (0..count)
+            .map(|_| Some(rng.below(WAVE_KEYS)).filter(|k| rng.below(4) > 0 && seen.insert(*k)))
+            .collect()
+    }
+
+    /// A client restored from `meta` over `store` and driven — the same way
+    /// for the same seed, and without a single store write — into owing
+    /// maintenance: on two seeds of three an unflushed write batch leaves
+    /// buffered buckets behind, then reader batches (which run no
+    /// maintenance) make evictions come due and run the top of the tree out
+    /// of dummies.
+    fn owing_client(
+        meta: &OramMeta,
+        store: &Arc<dyn UntrustedStore>,
+        seed: u64,
+    ) -> (OramReader, WritebackEngine) {
+        let keys = KeyMaterial::for_tests(1);
+        let (reader, mut engine) =
+            from_meta_split(meta.clone(), &keys, store.clone(), wave_options(), seed);
+        let mut rng = DetRng::new(seed ^ 0x0a7e);
+        if !seed.is_multiple_of(3) {
+            let writes: Vec<(Key, Value)> = (0..8 + rng.below(16))
+                .map(|_| (rng.below(WAVE_KEYS), vec![seed as u8]))
+                .collect();
+            engine.write_batch(&writes, &NoopPathLogger).unwrap();
+        }
+        for _ in 0..1 + rng.below(3) {
+            let requests = random_reads(&mut rng, 8);
+            reader.read_batch(&requests, &NoopPathLogger).unwrap();
+        }
+        (reader, engine)
+    }
+
+    #[test]
+    fn a_wave_reads_and_leaves_what_one_path_at_a_time_does() {
+        let (base_reader, mut base, store) = loaded_base(11);
+        let mut rng = DetRng::new(77);
+        let (mut multi_path, mut with_buffered, mut with_reshuffles) = (0, 0, 0);
+        for seed in 0..240u64 {
+            let meta = base.meta_snapshot();
+            let (_, mut wave) = owing_client(&meta, &store, seed);
+            let (_, mut sequence) = owing_client(&meta, &store, seed);
+            assert_eq!(
+                wave.meta_snapshot(),
+                sequence.meta_snapshot(),
+                "seed {seed}: the two clients must start from one state"
+            );
+            sequence.cap_wave_for_tests(1);
+            let (wave_log, sequence_log) = (UnitLog::default(), UnitLog::default());
+            let before = wave.stats();
+            let buffered_before = wave.buffered_buckets();
+            wave.run_pending_maintenance(&wave_log).unwrap();
+            sequence.run_pending_maintenance(&sequence_log).unwrap();
+
+            assert_eq!(
+                *wave_log.0.lock(),
+                *sequence_log.0.lock(),
+                "seed {seed}: per unit, the same buckets and read count"
+            );
+            assert_eq!(
+                rng_free_state(&wave),
+                rng_free_state(&sequence),
+                "seed {seed}: stash keys, bucket keys, evict_count, stash peak"
+            );
+            let (after, other) = (wave.stats(), sequence.stats());
+            assert_eq!(after.evictions, other.evictions, "seed {seed}");
+            assert_eq!(
+                after.early_reshuffles, other.early_reshuffles,
+                "seed {seed}"
+            );
+            assert_eq!(after.physical_reads, other.physical_reads, "seed {seed}");
+            multi_path += (after.evictions - before.evictions >= 2) as u32;
+            with_buffered += (buffered_before > 0) as u32;
+            with_reshuffles += (after.early_reshuffles > before.early_reshuffles) as u32;
+
+            // Move the base on, so the next seed starts somewhere else.
+            let requests = random_reads(&mut rng, 6);
+            base_reader.read_batch(&requests, &NoopPathLogger).unwrap();
+            let key = rng.below(WAVE_KEYS);
+            base.write_batch(&[(key, vec![seed as u8; 2])], &NoopPathLogger)
+                .unwrap();
+            base.flush_writes(&NoopPathLogger).unwrap();
+        }
+        assert!(multi_path >= 100, "waves of several paths: {multi_path}");
+        assert!(with_buffered >= 100, "buffered states: {with_buffered}");
+        assert!(
+            with_reshuffles >= 50,
+            "reshuffling passes: {with_reshuffles}"
+        );
+    }
+
+    #[test]
+    fn an_epoch_logs_as_many_path_records_with_no_real_write_as_with_a_full_batch() {
+        const WRITE_BATCH: usize = 24;
+        let (base_reader, mut base, store) = loaded_base(5);
+        let mut rng = DetRng::new(3);
+        for seed in 0..40u64 {
+            let meta = base.meta_snapshot();
+            let epoch_log = |writes: Vec<(Key, Value)>| {
+                let (_, mut engine) = owing_client(&meta, &store, seed);
+                let log = UnitLog::default();
+                engine
+                    .write_batch_padded(&writes, WRITE_BATCH, &log)
+                    .unwrap();
+                log.0.into_inner()
+            };
+            let batch = |first: Key| (first..first + WRITE_BATCH as u64).map(|k| (k, vec![0xEE]));
+            let idle = epoch_log(Vec::new());
+            assert!(!idle.is_empty(), "seed {seed}: the epoch owes maintenance");
+            // New keys disturb no bucket: record for record the same log,
+            // however many passes the real writes forced.
+            assert_eq!(idle, epoch_log(batch(WAVE_KEYS).collect()), "seed {seed}");
+            // Overwrites may clear the last valid slot of an exhausted
+            // bucket (one read fewer, the `exhausted_skips` residual); the
+            // units — one `log_reads` call each — stay the same.
+            let overwriting = epoch_log(batch(seed % 64).collect());
+            assert_eq!(
+                idle.len(),
+                overwriting.len(),
+                "seed {seed}: units per epoch"
+            );
+            let buckets = |log: &[(Vec<BucketId>, usize)]| -> usize {
+                log.iter().map(|(buckets, _)| buckets.len()).sum()
+            };
+            assert!(buckets(&overwriting) <= buckets(&idle), "seed {seed}");
+
+            let requests = random_reads(&mut rng, 6);
+            base_reader.read_batch(&requests, &NoopPathLogger).unwrap();
+            base.run_pending_maintenance(&NoopPathLogger).unwrap();
+            base.flush_writes(&NoopPathLogger).unwrap();
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Faults inside a wave
+    // ------------------------------------------------------------------
+
+    /// Every key of a loaded base reads back from a client rebuilt over the
+    /// base's last committed state, as recovery rebuilds it.
+    fn assert_rebuilt_client_reads_everything(meta: OramMeta, store: Arc<dyn UntrustedStore>) {
+        let keys = KeyMaterial::for_tests(1);
+        let (reader, mut engine) = from_meta_split(meta, &keys, store, wave_options(), 9);
+        engine.revert_storage_to_meta().unwrap();
+        for key in 0..WAVE_KEYS {
+            let read = reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
+            assert_eq!(
+                read[0],
+                Some(vec![key as u8]),
+                "key {key} after the rebuild"
+            );
+            engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+            engine.flush_writes(&NoopPathLogger).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_failed_slot_read_anywhere_in_a_wave_poisons_and_the_last_checkpoint_recovers() {
+        use obladi_storage::{CrashOp, CrashPoint, FaultPlan, FaultyStore};
+        let (_, base, store) = loaded_base(21);
+        let meta = base.meta_snapshot();
+        let healthy = UnitLog::default();
+        let mut reference = owing_client(&meta, &store, 4).1;
+        reference.run_pending_maintenance(&healthy).unwrap();
+        let wave_reads: usize = healthy.0.lock().iter().map(|(_, reads)| reads).sum();
+        assert!(wave_reads > 20, "a wave worth failing: {wave_reads} reads");
+        // The first read of the wave (every path-log record of the wave is
+        // out, nothing fetched), one in the middle, and the last.
+        for nth in [1, wave_reads as u64 / 2, wave_reads as u64] {
+            let faulty = Arc::new(FaultyStore::new(store.clone(), FaultPlan::none(), 5));
+            let (reader, mut engine) =
+                owing_client(&meta, &(faulty.clone() as Arc<dyn UntrustedStore>), 4);
+            faulty.set_plan(FaultPlan::crash_at(CrashPoint {
+                arm_on_log_kind: None,
+                on: CrashOp::SlotRead,
+                nth,
+            }));
+            let log = UnitLog::default();
+            let err = engine.run_pending_maintenance(&log).unwrap_err();
+            assert!(
+                matches!(err, ObladiError::Storage(_)),
+                "read {nth}: {err:?}"
+            );
+            assert!(faulty.has_tripped(), "read {nth}: the wave is that long");
+            let logged: usize = log.0.lock().iter().map(|(_, reads)| reads).sum();
+            assert_eq!(
+                logged, wave_reads,
+                "the whole wave is logged before its fetch"
+            );
+            // Poisoned: limbo is empty again (a parked reader wakes to the
+            // refusal), and nothing persists or plans against this state.
+            assert!(engine.core.shared.state.lock().limbo.is_empty());
+            for refusal in [
+                engine.checkpoint_full().unwrap_err(),
+                engine.run_pending_maintenance(&log).unwrap_err(),
+                reader.read_batch(&[Some(1)], &NoopPathLogger).unwrap_err(),
+            ] {
+                assert!(refusal.to_string().contains("poisoned"), "got {refusal}");
+            }
+        }
+        assert_rebuilt_client_reads_everything(meta, store);
+    }
+
+    /// Logs the stash high-water mark at the start of every unit of a
+    /// one-unit-at-a-time pass, i.e. once the unit before it is applied.
+    struct PeakLog(OramReader, Mutex<Vec<u64>>);
+
+    impl PathLogger for PeakLog {
+        fn log_reads(&self, _reads: &[SlotRead]) -> Result<()> {
+            self.1.lock().push(self.0.stats().stash_peak);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failure_between_two_paths_of_the_apply_keeps_the_earlier_ones_and_poisons() {
+        // The apply does no I/O, so nothing a store does can fail it; a
+        // stash one block too small does.  A one-unit-at-a-time pass tells
+        // which unit first pushes the stash to a new high-water mark; a
+        // bound one below that mark lets the units before it through and
+        // fails that one — and the wave must do exactly the same.
+        let (_, base, store) = loaded_base(33);
+        // Through the codec: a decoded stash forgets its old peak.
+        let mut meta = OramMeta::decode_full(&base.meta_snapshot().encode_full()).unwrap();
+        let staged = (0..64u64).find_map(|seed| {
+            let (reader, mut sequence) = owing_client(&meta, &store, seed);
+            sequence.cap_wave_for_tests(1);
+            let log = PeakLog(reader, Mutex::new(Vec::new()));
+            sequence.run_pending_maintenance(&log).unwrap();
+            let mut peaks = log.1.into_inner();
+            peaks.push(sequence.stats().stash_peak);
+            // `peaks[k + 1]` is the mark once unit `k` is applied.
+            let failing = (1..peaks.len() - 1).find(|&k| peaks[k + 1] > peaks[k])?;
+            Some((seed, failing, peaks[failing + 1] as usize - 1))
+        });
+        let (seed, failing, max_stash) = staged.expect("some seed peaks after its first unit");
+        meta.config.max_stash = max_stash;
+
+        let (reader, mut engine) = owing_client(&meta, &store, seed);
+        let before = engine.stats();
+        let log = UnitLog::default();
+        let err = engine.run_pending_maintenance(&log).unwrap_err();
+        assert!(matches!(err, ObladiError::StashOverflow { .. }), "{err:?}");
+        let units = log.0.lock().len();
+        assert!(units > failing, "one wave planned all {units} units");
+        let after = engine.stats();
+        let applied = (after.evictions - before.evictions)
+            + (after.early_reshuffles - before.early_reshuffles);
+        assert_eq!(applied, failing as u64, "the units before it stay applied");
+        assert_eq!(
+            engine.meta_snapshot().evict_count - meta.evict_count,
+            after.evictions,
+            "evict_count moves with each applied path, not with the wave"
+        );
+        // Poisoned, with the later units' limbo keys released: a reader
+        // parked on one wakes to the refusal instead of waiting forever.
+        assert!(engine.core.shared.state.lock().limbo.is_empty());
+        for refusal in [
+            engine.checkpoint_full().unwrap_err(),
+            reader.read_batch(&[Some(2)], &NoopPathLogger).unwrap_err(),
+        ] {
+            assert!(refusal.to_string().contains("poisoned"), "got {refusal}");
+        }
+        meta.config.max_stash = base.config().max_stash;
+        assert_rebuilt_client_reads_everything(meta, store);
     }
 
     #[test]

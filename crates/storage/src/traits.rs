@@ -80,6 +80,26 @@ pub trait UntrustedStore: Send + Sync {
     /// Returns the new version number.
     fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version>;
 
+    /// Reads a chunk of `(bucket, slot)` pairs: one result per pair, in
+    /// order, each what [`UntrustedStore::read_slot`] would return.
+    ///
+    /// The ORAM executor hands over each worker's share of a batch in one
+    /// call.  The default issues the reads one by one, so wrappers that
+    /// count, time, delay or fault *operations* see each; a store with a
+    /// round trip to amortise overrides it to submit the whole chunk before
+    /// waiting (the same requests, pipelined).
+    fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<Bytes>> {
+        let read = |&(bucket, slot)| self.read_slot(bucket, slot);
+        reads.iter().map(read).collect()
+    }
+
+    /// Writes a chunk of buckets: one new version per bucket, in order, as
+    /// [`UntrustedStore::write_bucket`]; the chunk form of `read_slots`.
+    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
+        let write = |(bucket, slots)| self.write_bucket(bucket, slots);
+        writes.into_iter().map(write).collect()
+    }
+
     /// Current version of a bucket (0 if never written).
     fn bucket_version(&self, bucket: BucketId) -> Result<Version>;
 

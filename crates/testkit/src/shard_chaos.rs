@@ -476,6 +476,7 @@ pub fn overlap_crash_schedule() -> Vec<OverlapCrashCase> {
     let prepare = WalRecordKind::Prepare.tag();
     let path_log = WalRecordKind::PathLog.tag();
     let epoch_commit = WalRecordKind::EpochCommit.tag();
+    let decision = WalRecordKind::Decision.tag();
     let mut cases = Vec::new();
     for victim_second in [false, true] {
         let side = if victim_second { "second" } else { "first" };
@@ -514,6 +515,22 @@ pub fn overlap_crash_schedule() -> Vec<OverlapCrashCase> {
             name: leak_name(format!("deep-overlap-slot-reads/{side}")),
             victim_second,
             trigger: CrashPoint::after_log_kind(prepare, CrashOp::SlotRead, 40),
+        });
+        // Maintenance-wave points.  The decision record is the last append
+        // before the engine's write-back, whose wave logs every path it
+        // owes and only then fetches them all at once: the first slot read
+        // after the decision lands between the wave's path-log appends and
+        // its fetch, a later one deep inside the one fetch (or, as above,
+        // in a next-epoch read batch that got there first).
+        cases.push(OverlapCrashCase {
+            name: leak_name(format!("wave-logged-not-fetched/{side}")),
+            victim_second,
+            trigger: CrashPoint::after_log_kind(decision, CrashOp::SlotRead, 1),
+        });
+        cases.push(OverlapCrashCase {
+            name: leak_name(format!("wave-nth-slot-read/{side}")),
+            victim_second,
+            trigger: CrashPoint::after_log_kind(decision, CrashOp::SlotRead, 25),
         });
         cases.push(OverlapCrashCase {
             name: leak_name(format!("writeback-engine-first-flush-write/{side}")),

@@ -10,12 +10,14 @@
 //! round trip.  A [`RemoteStore`] multiplexes all callers onto **one
 //! connection**:
 //!
-//! * each caller registers its request id, hands the encoded frame to the
-//!   *writer thread* and blocks on a private channel;
-//! * the writer drains every frame queued at that moment into a single
-//!   buffered write and flushes **once** per drain — concurrent callers
-//!   share flushes (and, on TCP, packets), which is the measured
-//!   `requests / flushes > 1` batching the benchmark asserts;
+//! * each caller registers its request ids, hands the encoded frames to
+//!   the *writer thread* as one message and blocks on a private channel —
+//!   a chunk call (`read_slots` / `write_buckets`) queues every frame of
+//!   the chunk before it waits for any reply;
+//! * the writer drains every message queued at that moment into a single
+//!   buffered write and flushes **once** per drain — a chunk shares a flush
+//!   by construction, concurrent callers share flushes (and, on TCP,
+//!   packets) on top: the `requests / flushes > 1` the benchmark asserts;
 //! * a *reader thread* decodes response frames and wakes each caller by
 //!   request id, so responses interleave freely with in-flight requests.
 //!
@@ -127,12 +129,15 @@ impl Default for Counters {
     }
 }
 
-type PendingMap = Mutex<HashMap<u64, mpsc::Sender<Result<StoreResponse>>>>;
+/// Where the reader delivers one response: the channel of the chunk the
+/// request belongs to, and the request's index within that chunk.
+type Waiter = (mpsc::Sender<(usize, Result<StoreResponse>)>, usize);
+type PendingMap = Mutex<HashMap<u64, Waiter>>;
 
 /// One live connection: writer queue, pending-response map, and the means
 /// to tear it all down.
 struct LiveConn {
-    tx: crossbeam::channel::Sender<Frame>,
+    tx: crossbeam::channel::Sender<Vec<Frame>>,
     pending: Arc<PendingMap>,
     dead: Arc<AtomicBool>,
     stream: Stream,
@@ -148,10 +153,9 @@ impl LiveConn {
 
 fn fail_all(pending: &PendingMap, why: &str) {
     let mut map = pending.lock();
-    for (_, waiter) in map.drain() {
-        let _ = waiter.send(Err(ObladiError::Storage(format!(
-            "storage daemon connection lost: {why}"
-        ))));
+    for (_, (waiter, index)) in map.drain() {
+        let lost = ObladiError::Storage(format!("storage daemon connection lost: {why}"));
+        let _ = waiter.send((index, Err(lost)));
     }
 }
 
@@ -272,7 +276,7 @@ impl RemoteStore {
 
         let pending: Arc<PendingMap> = Arc::new(Mutex::new(HashMap::new()));
         let dead = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = crossbeam::channel::unbounded::<Frame>();
+        let (tx, rx) = crossbeam::channel::unbounded::<Vec<Frame>>();
 
         // Writer: drain everything queued right now into one buffered
         // write, flush once — the batching the bench measures.
@@ -288,11 +292,14 @@ impl RemoteStore {
                 let mut buf = Vec::with_capacity(16 * 1024);
                 while let Ok(first) = rx.recv() {
                     buf.clear();
-                    encode_frame(&mut buf, &first);
-                    let mut drained = 1u64;
-                    while let Some(next) = rx.try_recv() {
-                        encode_frame(&mut buf, &next);
-                        drained += 1;
+                    let mut drained = 0u64;
+                    let mut next = Some(first);
+                    while let Some(frames) = next {
+                        for frame in &frames {
+                            encode_frame(&mut buf, frame);
+                        }
+                        drained += frames.len() as u64;
+                        next = rx.try_recv();
                     }
                     if write_half
                         .write_all(&buf)
@@ -342,13 +349,12 @@ impl RemoteStore {
                         match decoder.next_frame() {
                             Ok(Some(frame)) => {
                                 let waiter = reader_pending.lock().remove(&frame.id);
-                                if let Some(waiter) = waiter {
+                                if let Some((waiter, index)) = waiter {
                                     reader_counters.responses.fetch_add(1, Ordering::Relaxed);
                                     reader_counters.obs_responses.inc();
-                                    let _ = waiter.send(
-                                        StoreResponse::decode(&frame.payload)
-                                            .and_then(StoreResponse::into_result),
-                                    );
+                                    let response = StoreResponse::decode(&frame.payload)
+                                        .and_then(StoreResponse::into_result);
+                                    let _ = waiter.send((index, response));
                                 }
                             }
                             Ok(None) => break,
@@ -396,43 +402,83 @@ impl RemoteStore {
 
     /// Ships one request and blocks for its response.
     fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
-        let conn = self.live()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let frame = Frame::for_message(id, request.encode())?;
+        self.call_many(vec![request])
+            .pop()
+            .expect("one result per request")
+    }
+
+    /// Ships a chunk of requests — every frame is registered and queued
+    /// before any reply is awaited, so the writer sends them in one flush —
+    /// and blocks for the responses: one result per request, in order.
+    fn call_many(&self, requests: Vec<StoreRequest>) -> Vec<Result<StoreResponse>> {
+        let count = requests.len();
+        let first_id = self.next_id.fetch_add(count as u64, Ordering::Relaxed);
+        let ids = first_id..first_id + count as u64;
+        let frames = ids
+            .clone()
+            .zip(requests)
+            .map(|(id, request)| Frame::for_message(id, request.encode()))
+            .collect::<Result<Vec<Frame>>>();
+        let (conn, frames) = match self.live().and_then(|conn| Ok((conn, frames?))) {
+            Ok(ready) => ready,
+            Err(err) => return vec![Err(err); count],
+        };
         let (tx, rx) = mpsc::channel();
-        conn.pending.lock().insert(id, tx);
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        self.counters.obs_requests.inc();
-        if conn.tx.send(frame).is_err() {
-            conn.pending.lock().remove(&id);
-            return Err(ObladiError::Storage(
-                "storage daemon connection lost: writer gone".into(),
-            ));
-        }
-        // Close the register/collapse race: if the reader declared the
-        // connection dead between our liveness check and the insert above,
-        // its fail_all may have drained the map *before* our waiter was in
-        // it — and a first write into a dead TCP socket can still succeed
-        // into the kernel buffer, so nothing else would ever wake us.  If
-        // our entry is still present on a dead connection, fail it
-        // ourselves; if it is gone, fail_all owned it and recv() below
-        // returns promptly.
-        if conn.dead.load(Ordering::SeqCst) && conn.pending.lock().remove(&id).is_some() {
-            return Err(ObladiError::Storage(
-                "storage daemon connection lost: died while request was in flight".into(),
-            ));
-        }
-        match rx.recv_timeout(self.request_timeout) {
-            Ok(result) => result,
-            Err(_) => {
-                conn.pending.lock().remove(&id);
-                conn.close();
-                Err(ObladiError::Storage(format!(
-                    "storage request {id} timed out after {:?}",
-                    self.request_timeout
-                )))
+        {
+            let mut pending = conn.pending.lock();
+            for (index, id) in ids.clone().enumerate() {
+                pending.insert(id, (tx.clone(), index));
             }
         }
+        drop(tx);
+        self.counters
+            .requests
+            .fetch_add(count as u64, Ordering::Relaxed);
+        self.counters.obs_requests.add(count as u64);
+        let mut results: Vec<Option<Result<StoreResponse>>> = vec![None; count];
+        let fail_unanswered = |results: &mut Vec<Option<Result<StoreResponse>>>, why: &str| {
+            let mut pending = conn.pending.lock();
+            for (id, result) in ids.clone().zip(results.iter_mut()) {
+                if pending.remove(&id).is_some() {
+                    *result = Some(Err(ObladiError::Storage(why.into())));
+                }
+            }
+        };
+        if conn.tx.send(frames).is_err() {
+            fail_unanswered(&mut results, "storage daemon connection lost: writer gone");
+        }
+        // Close the register/collapse race: if the reader declared the
+        // connection dead between our liveness check and the inserts above,
+        // its fail_all may have drained the map *before* our waiters were
+        // in it — and a first write into a dead TCP socket can still
+        // succeed into the kernel buffer, so nothing else would ever wake
+        // us.  Entries still present on a dead connection we fail
+        // ourselves; those gone, fail_all owned and has already answered.
+        if conn.dead.load(Ordering::SeqCst) {
+            let why = "storage daemon connection lost: died while requests were in flight";
+            fail_unanswered(&mut results, why);
+        }
+        let deadline = Instant::now() + self.request_timeout;
+        let unanswered = |results: &[Option<_>]| results.iter().filter(|r| r.is_none()).count();
+        let mut waiting = unanswered(&results);
+        while waiting > 0 {
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok((index, result)) => {
+                    results[index] = Some(result);
+                    waiting -= 1;
+                }
+                Err(_) => {
+                    let timeout = self.request_timeout;
+                    let why = format!("storage requests {ids:?} timed out after {timeout:?}");
+                    fail_unanswered(&mut results, &why);
+                    conn.close();
+                    // What is left was claimed by the reader: its replies
+                    // are already on their way through the channel.
+                    waiting = unanswered(&results);
+                }
+            }
+        }
+        results.into_iter().flatten().collect()
     }
 }
 
@@ -448,10 +494,21 @@ fn unexpected(what: &str, got: &StoreResponse) -> ObladiError {
 
 impl UntrustedStore for RemoteStore {
     fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        match self.call(StoreRequest::ReadSlot { bucket, slot })? {
+        let mut one = self.read_slots(&[(bucket, slot)]);
+        one.pop().expect("one result per read")
+    }
+
+    fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<Bytes>> {
+        let requests = reads
+            .iter()
+            .map(|&(bucket, slot)| StoreRequest::ReadSlot { bucket, slot })
+            .collect();
+        let decode = |response| match response {
             StoreResponse::Slot(data) => Ok(data),
             other => Err(unexpected("read_slot", &other)),
-        }
+        };
+        let responses = self.call_many(requests).into_iter();
+        responses.map(|r| r.and_then(decode)).collect()
     }
 
     fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
@@ -462,10 +519,21 @@ impl UntrustedStore for RemoteStore {
     }
 
     fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        match self.call(StoreRequest::WriteBucket { bucket, slots })? {
+        let mut one = self.write_buckets(vec![(bucket, slots)]);
+        one.pop().expect("one result per write")
+    }
+
+    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
+        let requests = writes
+            .into_iter()
+            .map(|(bucket, slots)| StoreRequest::WriteBucket { bucket, slots })
+            .collect();
+        let decode = |response| match response {
             StoreResponse::Version(version) => Ok(version),
             other => Err(unexpected("write_bucket", &other)),
-        }
+        };
+        let responses = self.call_many(requests).into_iter();
+        responses.map(|r| r.and_then(decode)).collect()
     }
 
     fn bucket_version(&self, bucket: BucketId) -> Result<Version> {

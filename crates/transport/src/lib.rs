@@ -142,6 +142,98 @@ mod tests {
     }
 
     #[test]
+    fn a_chunk_call_is_the_single_calls_pipelined_into_one_flush() {
+        let (mut handle, store) = spawn_memory_server();
+        let client = RemoteStore::connect(handle.spec().clone(), Duration::from_secs(5)).unwrap();
+        let slots = |bucket: u64| vec![bytes::Bytes::from(bucket.to_le_bytes().to_vec())];
+
+        let before = client.transport_stats();
+        let versions = client.write_buckets((0..64).map(|b| (b, slots(b))).collect());
+        assert!(versions.iter().all(|v| matches!(v, Ok(1))), "{versions:?}");
+        // One unreadable slot in the middle fails alone, in its place.
+        let mut reads: Vec<(u64, u32)> = (0..64).map(|b| (b, 0)).collect();
+        reads[40] = (999, 0);
+        let fetched = client.read_slots(&reads);
+        assert_eq!(fetched.len(), 64);
+        for (&(bucket, slot), result) in reads.iter().zip(&fetched) {
+            assert_eq!(result, &store.read_slot(bucket, slot), "bucket {bucket}");
+            assert_eq!(result, &client.read_slot(bucket, slot), "bucket {bucket}");
+        }
+        assert!(fetched[40].is_err() && fetched[39].is_ok() && fetched[41].is_ok());
+
+        // Same wire requests as 128 single calls, in two flushes.
+        let after = client.transport_stats();
+        assert_eq!(after.requests - before.requests, 128 + 64);
+        assert_eq!(after.responses, after.requests);
+        assert_eq!(after.flushes - before.flushes, 2 + 64);
+        assert_eq!(
+            store.stats().slot_reads,
+            3 * 64,
+            "chunk, oracle, single calls"
+        );
+        assert!(client.read_slots(&[]).is_empty());
+        handle.stop();
+    }
+
+    /// A server that answers only the first `answered` slot reads of the
+    /// first `expected` it receives, then drops the connection.
+    fn spawn_half_answering_server(expected: usize, answered: usize) -> SocketSpec {
+        use crate::frame::{encode_frame, encode_hello, HELLO_LEN};
+        use obladi_storage::StoreResponse;
+        use std::io::{Read, Write};
+        let listener = Listener::bind(&SocketSpec::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+        let spec = listener.local_spec().unwrap();
+        std::thread::spawn(move || {
+            let mut stream = listener.accept().unwrap();
+            let mut hello = [0u8; HELLO_LEN];
+            stream.read_exact(&mut hello).unwrap();
+            stream.write_all(&encode_hello(PROTOCOL_VERSION)).unwrap();
+            let mut decoder = FrameDecoder::new();
+            let mut requests = Vec::new();
+            let mut chunk = [0u8; 4096];
+            while requests.len() < expected {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "the client hung up early");
+                decoder.extend(&chunk[..n]);
+                while let Some(frame) = decoder.next_frame().unwrap() {
+                    requests.push(frame);
+                }
+            }
+            let mut out = Vec::new();
+            for request in &requests[..answered] {
+                let payload = StoreResponse::Slot(bytes::Bytes::from_static(b"ok")).encode();
+                let reply = Frame::for_message(request.id, payload).unwrap();
+                encode_frame(&mut out, &reply);
+            }
+            stream.write_all(&out).unwrap();
+            stream.flush().unwrap();
+            stream.shutdown();
+        });
+        spec
+    }
+
+    #[test]
+    fn a_connection_dying_mid_chunk_fails_every_unanswered_waiter_promptly() {
+        let spec = spawn_half_answering_server(16, 8);
+        let client = RemoteStore::connect(spec, Duration::from_secs(5)).unwrap();
+        let started = std::time::Instant::now();
+        let results = client.read_slots(&[(1, 0); 16]);
+        // Nowhere near the 60 s request timeout: the reader's collapse
+        // wakes all eight waiters of the chunk at once.
+        assert!(started.elapsed() < Duration::from_secs(10));
+        assert_eq!(results.len(), 16);
+        for (index, result) in results.iter().enumerate() {
+            match result {
+                Ok(data) => assert!(index < 8 && &data[..] == b"ok", "read {index}"),
+                Err(err) => assert!(index >= 8 && err.to_string().contains("lost"), "{err}"),
+            }
+        }
+        // Nothing lingers: the next call finds the daemon gone, at once.
+        assert!(client.read_slot(1, 0).is_err());
+        assert!(started.elapsed() < Duration::from_secs(20));
+    }
+
+    #[test]
     fn server_death_fails_fast_and_reconnect_recovers() {
         let (mut handle, _) = spawn_memory_server();
         let spec = handle.spec().clone();

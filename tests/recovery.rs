@@ -154,21 +154,7 @@ fn crash_during_activity_from_multiple_threads_is_safe() {
     // Scan in small chunks so each verification transaction fits within one
     // epoch's read batches.
     for key in 1_000..1_150u64 {
-        // Retry reads that straddle an epoch boundary.
-        let mut value = None;
-        for _ in 0..10 {
-            let mut txn = db.begin().unwrap();
-            match txn.read(key) {
-                Ok(v) => {
-                    value = v;
-                    let _ = txn.commit();
-                    break;
-                }
-                Err(err) if err.is_retryable() => continue,
-                Err(err) => panic!("unexpected error reading key {key}: {err}"),
-            }
-        }
-        if let Some(value) = value {
+        if let Some(value) = get(&db, key) {
             assert_eq!(value, key.to_le_bytes().to_vec(), "torn value at key {key}");
         }
     }

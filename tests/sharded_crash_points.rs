@@ -104,28 +104,37 @@ fn writeback_engine_crash_smoke() {
     // Fast tier of the split-client crash points: a slot-read outage inside
     // the decide/execute overlap window — the engine's eviction fetches
     // (limbo keys in flight) or the read plane's batch fetches, whichever
-    // the outage hits first — and require the same invariant battery to
-    // hold through the two-epoch recovery.
+    // the outage hits first — and the two maintenance-wave points: the
+    // wave's path-log records all appended but nothing fetched, and a read
+    // deep inside its one fetch.  Each must fate-share into crash +
+    // recovery and pass the same invariant battery (acknowledged values
+    // read back, all-or-nothing, idempotent two-epoch recovery).
     let schedule = overlap_crash_schedule();
-    let case = schedule
-        .iter()
-        .find(|case| case.name == "engine-eviction-reads-vs-next-reads/first")
-        .expect("the overlap schedule names the split-client cases");
-    let report = run_overlap_crash_case(case, 0x5B11).unwrap_or_else(|err| panic!("{err}"));
-    assert!(
-        report.attempts.iter().sum::<usize>() > 0,
-        "the hammers never drove a transaction: {report:?}"
-    );
+    for (name, seed) in [
+        ("engine-eviction-reads-vs-next-reads/first", 0x5B11),
+        ("wave-logged-not-fetched/first", 0x5B12),
+        ("wave-nth-slot-read/second", 0x5B13),
+    ] {
+        let case = schedule
+            .iter()
+            .find(|case| case.name == name)
+            .expect("the overlap schedule names the split-client cases");
+        let report = run_overlap_crash_case(case, seed).unwrap_or_else(|err| panic!("{err}"));
+        assert!(
+            report.attempts.iter().sum::<usize>() > 0,
+            "{name}: the hammers never drove a transaction: {report:?}"
+        );
+    }
 }
 
 #[test]
-#[ignore = "overlapping-epoch crash sweep (~16 deployments); run via the chaos CI job"]
+#[ignore = "overlapping-epoch crash sweep (~20 deployments); run via the chaos CI job"]
 fn every_overlapping_epoch_crash_point_recovers_cleanly() {
     let schedule = overlap_crash_schedule();
     assert!(
-        schedule.len() >= 16,
-        "the overlap sweep must cover at least 16 crash points (incl. the split-client \
-         slot-read and flush-write points), got {}",
+        schedule.len() >= 20,
+        "the overlap sweep must cover at least 20 crash points (incl. the split-client \
+         slot-read, maintenance-wave and flush-write points), got {}",
         schedule.len()
     );
     let mut two_epoch_replays = 0u32;
