@@ -312,10 +312,12 @@ impl EpochConfig {
         self.read_batches as usize * self.read_batch_size
     }
 
-    /// Upper bound on position-map entries that can change in one epoch;
-    /// used to pad checkpoint deltas (§8, Optimizations).
+    /// Upper bound on the position-map entries, and on the stash blocks,
+    /// that can change between two consecutive checkpoints; used to pad
+    /// checkpoint deltas (§8, Optimizations).  One epoch writes between two
+    /// generation publishes, but at depth 2 the read batches of two land.
     pub fn max_position_delta(&self) -> usize {
-        self.reads_per_epoch() + self.write_batch_size
+        self.pipeline_depth as usize * self.reads_per_epoch() + self.write_batch_size
     }
 
     /// Validates the configuration.
@@ -650,7 +652,9 @@ mod tests {
             .with_read_batch_size(10)
             .with_write_batch_size(7);
         assert_eq!(cfg.reads_per_epoch(), 50);
-        assert_eq!(cfg.max_position_delta(), 57);
+        assert_eq!(cfg.pipeline_depth, 2);
+        assert_eq!(cfg.max_position_delta(), 107);
+        assert_eq!(cfg.with_pipeline_depth(1).max_position_delta(), 57);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!   write-ahead log.  After a crash, recovery replays those reads so the
 //!   adversary observes the same access pattern whether or not the epoch
 //!   aborted.
-//! * **Checkpoints** — at the end of every epoch the proxy metadata
-//!   (position map delta, permutation/validity metadata of dirty buckets,
-//!   the padded stash, and the access/eviction counters) is encrypted and
-//!   logged.  Every `checkpoint_every` epochs a *full* checkpoint replaces
+//! * **Checkpoints** — at the end of every epoch what the epoch changed of
+//!   the proxy metadata (position map delta, permutation/validity metadata
+//!   of dirty buckets, the stash change set, each padded to what one
+//!   pipeline window can touch, and the access/eviction counters) is
+//!   encrypted and logged.  Every `checkpoint_every` epochs a *full*
+//!   checkpoint (the whole stash, padded to its bound) replaces
 //!   the delta chain (Figure 11a sweeps this frequency) — literally: once
 //!   it is durable and acknowledged, the log in front of it is retired
 //!   ([`WriteAheadLog::acked`]; DESIGN.md, "WAL retention").
@@ -525,6 +527,12 @@ impl DurabilityManager {
                 None,
                 |out| {
                     delta.encode_into(out);
+                    if delta.exceeds_pad() {
+                        // Never logged: its length follows what the epoch did.
+                        return Err(ObladiError::Internal(format!(
+                            "epoch {epoch}'s checkpoint delta exceeds its pad"
+                        )));
+                    }
                     Ok(())
                 },
             )?;
@@ -667,6 +675,14 @@ impl DurabilityManager {
             .filter(|r| r.epoch > base_epoch && r.epoch <= durable_epochs)
         {
             deltas.insert(record.epoch, record);
+        }
+        // A delta says what changed since the one before: no gaps.
+        if deltas.len() as u64 != durable_epochs - base_epoch {
+            return Err(ObladiError::Recovery(format!(
+                "delta chain broken: {} checkpoint deltas for epochs {}..={durable_epochs}",
+                deltas.len(),
+                base_epoch + 1
+            )));
         }
         for record in deltas.into_values() {
             let plain = self
@@ -1040,6 +1056,72 @@ mod tests {
                 .unwrap();
             assert_eq!(result[0], Some(vec![epoch as u8; 8]), "epoch {epoch} write");
         }
+    }
+
+    /// One epoch of `writes` one-byte values, committed (or refused).
+    fn commit_writes(
+        manager: &DurabilityManager,
+        oram: &mut RingOram,
+        epoch: u64,
+        writes: u64,
+    ) -> Result<()> {
+        manager.set_current_epoch(epoch);
+        let writes: Vec<(u64, Vec<u8>)> = (0..writes).map(|k| (k, vec![epoch as u8])).collect();
+        oram.write_batch(&writes, manager).unwrap();
+        oram.flush_writes(&NoopPathLogger).unwrap();
+        manager.commit_epoch(epoch, oram)
+    }
+
+    #[test]
+    fn a_delta_that_exceeds_its_pad_is_refused() {
+        let (manager, mut oram, _store) = setup(true);
+        let pad = EpochConfig::small_for_tests().max_position_delta() as u64;
+        commit_writes(&manager, &mut oram, 1, 4).unwrap();
+        commit_writes(&manager, &mut oram, 2, pad).expect("a window as full as its pad");
+        let overflows = obladi_obs::global().counter("oram.checkpoint.pad_overflow");
+        let before = overflows.get();
+        // More changes than one pipeline window can hold: the record would
+        // be longer than the configuration says, so the epoch fails (and the
+        // proxy fate-shares the failure into a crash).
+        let err = commit_writes(&manager, &mut oram, 3, pad + 1).unwrap_err();
+        assert!(err.to_string().contains("exceeds its pad"), "{err}");
+        assert_eq!(manager.counter().epoch(), 2, "nothing became durable");
+        assert!(overflows.get() > before);
+        let config = *oram.config();
+        drop(oram);
+        let (mut recovered, next_epoch, _) = manager
+            .recover(config, &keys(), ExecOptions::default(), 17)
+            .unwrap();
+        assert_eq!(next_epoch, 3);
+        let read = recovered.read_batch(&[Some(1)], &NoopPathLogger).unwrap();
+        assert_eq!(read[0], Some(vec![2]));
+    }
+
+    #[test]
+    fn a_delta_chain_with_a_gap_is_refused() {
+        let (manager, mut oram, store) = setup(true);
+        for epoch in 1..=3 {
+            commit_writes(&manager, &mut oram, epoch, 4).unwrap();
+        }
+        let config = *oram.config();
+        drop(oram);
+        let recover = || manager.recover(config, &keys(), ExecOptions::default(), 17);
+        assert_eq!(recover().expect("the whole chain").1, 4);
+        // The same log without epoch 2's delta: epoch 3's says what changed
+        // since a state recovery cannot rebuild.
+        let log = store.read_log_from(0).unwrap();
+        let gap = log
+            .iter()
+            .position(|(_, frame)| frame[0] == WalRecordKind::CheckpointDelta.tag())
+            .expect("epoch 2 wrote a delta");
+        store.truncate_log_tail(log[gap].0).unwrap();
+        for (_, frame) in &log[gap + 1..] {
+            store.append_log(frame.clone()).unwrap();
+        }
+        let err = recover().err().expect("a chain with a gap");
+        assert!(matches!(err, ObladiError::Recovery(_)), "{err}");
+        let expected = "delta chain broken: 1 checkpoint deltas for epochs 2..=3";
+        assert!(err.to_string().contains(expected), "{err}");
     }
 
     #[test]

@@ -222,16 +222,18 @@ impl ProxyInner {
     }
 
     /// Parks the executor while `blocked` holds (every such predicate gives
-    /// way when the proxy stops running), timing the wait.
-    fn wait_while(&self, blocked: fn(&Pipeline) -> bool) -> MutexGuard<'_, Pipeline> {
+    /// way when the proxy stops running), timing the wait: as `phase`, and
+    /// in `slot_wait_us`, the sum of the executor's waits.
+    fn wait_while(&self, phase: &str, blocked: fn(&Pipeline) -> bool) -> MutexGuard<'_, Pipeline> {
         let started = Instant::now();
         let mut state = self.state.lock();
         while blocked(&state) {
             self.driver_wakeup.wait(&mut state);
         }
-        obladi_obs::global()
-            .histogram("proxy.phase.slot_wait_us")
-            .record_duration(started.elapsed());
+        for name in ["proxy.phase.slot_wait_us", phase] {
+            let waited = obladi_obs::global().histogram(name);
+            waited.record_duration(started.elapsed());
+        }
         state
     }
 }
@@ -761,7 +763,8 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
         // once the slot frees or the sealed epoch asks for a fetch.
         for batch_index in 0..read_batches {
             if is_reserved_batch(read_batches, batch_index) {
-                drop(inner.wait_while(Pipeline::hold_reserved_batch));
+                let hold = Pipeline::hold_reserved_batch;
+                drop(inner.wait_while("proxy.phase.reserved_hold_us", hold));
             }
             if !dispatch_read_batch(&inner) {
                 break;
@@ -776,7 +779,8 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
             }
         }
         // Bounded depth: at most one epoch may be sealed.
-        let sealed = inner.wait_while(Pipeline::slot_occupied).seal();
+        let seal_wait = "proxy.phase.seal_wait_us";
+        let sealed = inner.wait_while(seal_wait, Pipeline::slot_occupied).seal();
         if !sealed {
             continue;
         }
@@ -787,7 +791,7 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
         if inner.config.epoch.pipeline_depth <= 1 {
             // Stop-the-world barrier: no batch of the next epoch executes
             // until the decision has fully published.
-            drop(inner.wait_while(Pipeline::slot_occupied));
+            drop(inner.wait_while(seal_wait, Pipeline::slot_occupied));
         }
     }
 }
@@ -897,7 +901,9 @@ fn execute_read_batch(inner: &ProxyInner, plan: &BatchPlan) -> Result<()> {
 }
 
 fn epoch_decider(inner: Arc<ProxyInner>) {
+    let idle = obladi_obs::global().histogram("proxy.phase.decider_idle_us");
     loop {
+        let idle_since = Instant::now();
         let (epoch, generation, life) = {
             let mut state = inner.state.lock();
             loop {
@@ -910,6 +916,7 @@ fn epoch_decider(inner: Arc<ProxyInner>) {
                 }
             }
         };
+        idle.record_duration(idle_since.elapsed());
         // A failure leaves the ORAM client possibly torn, like a failed
         // read batch; the epoch's unacknowledged transactions have already
         // been told they aborted (epoch fate sharing).

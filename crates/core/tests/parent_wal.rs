@@ -16,7 +16,7 @@ use bytes::Bytes;
 use obladi_common::config::{EpochConfig, OramConfig};
 use obladi_core::DurabilityManager;
 use obladi_crypto::KeyMaterial;
-use obladi_oram::{ExecOptions, NoopPathLogger};
+use obladi_oram::{Block, ExecOptions, MetaDelta, NoopPathLogger};
 use obladi_storage::wal::{WalRecordKind, WriteAheadLog};
 use obladi_storage::{InMemoryStore, TrustedCounter, UntrustedStore};
 use std::sync::Arc;
@@ -114,4 +114,47 @@ fn a_store_written_by_the_parent_commit_recovers() {
     assert_eq!(read(12), Some(b"decided".to_vec()), "decided epoch");
     assert_eq!(read(3), Some(b"over".to_vec()), "decided overwrite");
     assert_eq!(read(13), None);
+}
+
+/// The delta layout this code writes (PR 19: a marker, then a stash change
+/// set, every section padded to a byte length), frozen beside the parent's
+/// store: `fixtures/delta_layout.txt` is the plaintext of one delta, in hex.
+#[test]
+fn the_delta_layout_this_code_writes_is_frozen() {
+    let bucket = obladi_oram::BucketMeta {
+        perm: vec![2, 0, 4, 1, 3],
+        valid: vec![true, true, false, true, true],
+        real: vec![None, Some((7, 5))],
+        reads_since_shuffle: 1,
+        version: 9,
+    };
+    let delta = MetaDelta {
+        access_count: 1_000,
+        evict_count: 250,
+        position_delta: vec![(3, None), (7, Some(5)), (11, Some(2))],
+        max_position_delta: 4,
+        buckets: vec![(6, Arc::new(bucket))],
+        stash_added: vec![
+            Block::real(11, 2, b"eleven".to_vec()),
+            Block::real(12, 0, Vec::new()),
+        ],
+        stash_removed: vec![3, 7],
+        stash_replaced: false,
+        stash_pad: 3,
+        block_size: 8,
+    };
+    let golden = unhex(include_str!("fixtures/delta_layout.txt").trim());
+    let encoded = delta.encode();
+    let hex: String = encoded.iter().map(|byte| format!("{byte:02x}")).collect();
+    assert!(
+        encoded == golden[..],
+        "the layout moved; this code writes {hex}"
+    );
+    assert_eq!(MetaDelta::decode(&golden).unwrap(), delta);
+    // Marker, counters; three sections behind length prefixes, padded to 4
+    // position entries, min(4, 3) blocks and 3 keys; one bucket of 5 slots
+    // with Z = 2 real ones behind its id; the three pads.
+    let sections = (4 + 8 + 4 * 17) + (4 + 8 + 3 * (20 + 8)) + (4 + 8 + 3 * 8);
+    let bucket = 8 + (4 + 5 * 4) + 5 + (4 + 2 * 17 + 4) + 4 + 8;
+    assert_eq!(golden.len(), 3 * 8 + sections + 8 + bucket + 3 * 8);
 }

@@ -60,10 +60,19 @@ impl<'a> Encoder<'a> {
     /// same bytes as `put_bytes(&encoded_section)`, without encoding the
     /// section somewhere else first.
     pub fn put_section(&mut self, section: impl FnOnce(&mut Encoder<'_>)) {
+        self.put_padded_section(0, section)
+    }
+
+    /// Like [`Encoder::put_section`], zero-filled behind what `section`
+    /// wrote to `len` bytes, so the section's length says nothing of how
+    /// much of it is real.  A section that wrote more keeps its length.
+    pub fn put_padded_section(&mut self, len: usize, section: impl FnOnce(&mut Encoder<'_>)) {
         let prefix_at = self.buf.len();
         self.put_u32(0);
         section(self);
-        let len = (self.buf.len() - prefix_at - 4) as u32;
+        let end = self.buf.len().max(prefix_at + 4 + len);
+        self.buf.resize(end, 0);
+        let len = (end - prefix_at - 4) as u32;
         self.buf[prefix_at..prefix_at + 4].copy_from_slice(&len.to_le_bytes());
     }
 }

@@ -19,8 +19,8 @@
 //!   copy-on-write `Arc<BucketMeta>` representation: recording a pre-image
 //!   is one `Arc` clone, and [`OramMeta::bucket_mut`] clones the bucket data
 //!   only when a snapshot actually still shares it.
-//! * `stash` / counters — snapshotted eagerly at publish (the flush's delta
-//!   checkpoint clones the stash anyway, so this comes for free).
+//! * `stash` / counters — snapshotted eagerly at publish (one clone of a
+//!   stash that is all but empty at a flush's end, shared from then on).
 //!
 //! Materializing a generation is therefore: clone the live position map and
 //! bucket pointer vector, apply the entry's undo overlays, attach the
@@ -31,10 +31,14 @@
 //! assert.
 //!
 //! Each entry also carries the **frozen delta** its publish captured
-//! (`OramMeta::take_delta` output, patched by the publisher so in-flight
-//! reader targets stay accounted for).  A delta checkpoint consumes it; if
-//! nobody does before the next publish, it is merged into the successor's
-//! delta so the checkpoint chain never loses a change.
+//! (`OramMeta::take_delta` output — positions, shared bucket pointers,
+//! counters, no stash — patched by the publisher so in-flight reader
+//! targets stay accounted for), merged into the successor's if no
+//! checkpoint consumes it before the next publish.  A delta checkpoint
+//! consumes it and adds the **stash change set**: the generation's stash
+//! against that of the last checkpoint of either kind, which the chain
+//! keeps.  A full checkpoint consumes the window too, so the delta behind
+//! it covers one window, not two.
 
 use crate::bucket::BucketMeta;
 use crate::metadata::{MetaDelta, OramMeta};
@@ -51,7 +55,7 @@ struct GenEntry {
     /// Pre-images of buckets mutated since this generation published.
     bucket_undo: HashMap<BucketId, Arc<BucketMeta>>,
     /// Stash at publish time.
-    stash: Stash,
+    stash: Arc<Stash>,
     access_count: u64,
     evict_count: u64,
     /// The delta this publish captured; consumed by at most one delta
@@ -67,6 +71,9 @@ struct GenEntry {
 pub(crate) struct GenerationChain {
     entries: Vec<GenEntry>,
     next_id: u64,
+    /// Stash of the generation the last checkpoint, full or delta,
+    /// captured: what the next delta's stash change set is against.
+    checkpointed_stash: Arc<Stash>,
 }
 
 impl GenerationChain {
@@ -74,20 +81,24 @@ impl GenerationChain {
         GenerationChain {
             entries: Vec::new(),
             next_id: 0,
+            checkpointed_stash: Arc::default(),
         }
     }
 
     /// Publishes the construction-time state as generation 0 so the chain
-    /// is never empty (checkpoints and pins always have a target).
+    /// is never empty (checkpoints and pins always have a target).  The
+    /// first delta is against it: a recovered client starts from the state
+    /// its last checkpoint described.
     pub(crate) fn seed(&mut self, stash: Stash, access_count: u64, evict_count: u64) {
         debug_assert!(self.entries.is_empty(), "seed on a non-empty chain");
         let id = self.next_id;
         self.next_id += 1;
+        self.checkpointed_stash = Arc::new(stash);
         self.entries.push(GenEntry {
             id,
             position_undo: HashMap::new(),
             bucket_undo: HashMap::new(),
-            stash,
+            stash: self.checkpointed_stash.clone(),
             access_count,
             evict_count,
             frozen_delta: None,
@@ -172,7 +183,7 @@ impl GenerationChain {
             id,
             position_undo,
             bucket_undo,
-            stash,
+            stash: Arc::new(stash),
             access_count,
             evict_count,
             frozen_delta: Some(frozen_delta),
@@ -183,9 +194,10 @@ impl GenerationChain {
     }
 
     /// Consumes the latest generation's frozen delta for a delta
-    /// checkpoint.  If it was already consumed (no publish since), returns
-    /// an *empty* delta carrying the generation's counters and stash — a
-    /// no-op on apply, keeping the checkpoint chain contiguous.
+    /// checkpoint, stamping in the pads and the stash change set against
+    /// the previous checkpoint.  If it was already consumed (no publish
+    /// since) the delta carries the generation's counters and nothing else
+    /// — a no-op on apply, keeping the checkpoint chain contiguous.
     pub(crate) fn take_frozen_delta(
         &mut self,
         max_position_delta: usize,
@@ -196,15 +208,22 @@ impl GenerationChain {
         let mut delta = entry.frozen_delta.take().unwrap_or_else(|| MetaDelta {
             access_count: entry.access_count,
             evict_count: entry.evict_count,
-            position_delta: Vec::new(),
-            max_position_delta,
-            buckets: Vec::new(),
-            stash: entry.stash.clone(),
-            stash_pad,
-            block_size,
+            ..MetaDelta::default()
         });
-        delta.max_position_delta = max_position_delta;
+        (delta.max_position_delta, delta.stash_pad, delta.block_size) =
+            (max_position_delta, stash_pad, block_size);
+        (delta.stash_added, delta.stash_removed) =
+            entry.stash.changes_since(&self.checkpointed_stash);
+        self.checkpointed_stash = entry.stash.clone();
         delta
+    }
+
+    /// A full checkpoint captured the latest generation: the window's
+    /// frozen delta is spent, and the next delta starts from here.
+    pub(crate) fn full_checkpoint_taken(&mut self) {
+        let entry = self.entries.last_mut().expect("chain is never empty");
+        entry.frozen_delta = None;
+        self.checkpointed_stash = entry.stash.clone();
     }
 
     /// Reconstructs the full metadata of generation `id` from the live
@@ -232,7 +251,7 @@ impl GenerationChain {
             live.config,
             position,
             buckets,
-            entry.stash.clone(),
+            (*entry.stash).clone(),
             entry.access_count,
             entry.evict_count,
         ))
@@ -249,21 +268,16 @@ impl GenerationChain {
 
 /// Folds an unconsumed frozen delta into its successor.  Deltas carry
 /// absolute values, so the newer entry wins per key / bucket and the merge
-/// is idempotent; counters, stash and padding come from the newer delta.
+/// is idempotent; everything else comes from the newer delta.
 fn merge_frozen(older: MetaDelta, newer: MetaDelta) -> MetaDelta {
     let mut position: BTreeMap<Key, Option<Leaf>> = older.position_delta.into_iter().collect();
     position.extend(newer.position_delta);
-    let mut buckets: BTreeMap<BucketId, BucketMeta> = older.buckets.into_iter().collect();
+    let mut buckets: BTreeMap<BucketId, Arc<BucketMeta>> = older.buckets.into_iter().collect();
     buckets.extend(newer.buckets);
     MetaDelta {
-        access_count: newer.access_count,
-        evict_count: newer.evict_count,
         position_delta: position.into_iter().collect(),
-        max_position_delta: newer.max_position_delta,
         buckets: buckets.into_iter().collect(),
-        stash: newer.stash,
-        stash_pad: newer.stash_pad,
-        block_size: newer.block_size,
+        ..newer
     }
 }
 
@@ -283,12 +297,7 @@ mod tests {
         MetaDelta {
             access_count: meta.access_count,
             evict_count: meta.evict_count,
-            position_delta: Vec::new(),
-            max_position_delta: 8,
-            buckets: Vec::new(),
-            stash: meta.stash.clone(),
-            stash_pad: meta.config.max_stash,
-            block_size: meta.config.block_size,
+            ..MetaDelta::default()
         }
     }
 
@@ -399,5 +408,64 @@ mod tests {
         assert!(empty.position_delta.is_empty());
         assert!(empty.buckets.is_empty());
         assert_eq!(empty.access_count, 4);
+    }
+
+    fn publish(chain: &mut GenerationChain, live: &mut OramMeta) {
+        let delta = live.take_delta(0);
+        let (stash, accesses, evictions) = (live.stash.clone(), live.access_count, 0);
+        chain.publish(
+            delta,
+            stash,
+            accesses,
+            evictions,
+            HashMap::new(),
+            HashMap::new(),
+        );
+    }
+
+    #[test]
+    fn the_stash_change_set_is_against_the_last_checkpoint_of_either_kind() {
+        let mut live = live_meta();
+        live.stash.insert(1, 1, vec![1], 100).unwrap();
+        live.stash.insert(2, 2, vec![2], 100).unwrap();
+        let mut chain = GenerationChain::new();
+        chain.seed(live.stash.clone(), 0, 0);
+        let keys =
+            |blocks: &[crate::block::Block]| blocks.iter().map(|b| b.key).collect::<Vec<_>>();
+
+        // Two windows pass unconsumed: key 3 comes and goes inside them, key
+        // 2 leaves, key 1 is overwritten, key 4 arrives.
+        live.stash.insert(3, 3, vec![3], 100).unwrap();
+        live.stash.remove(2);
+        publish(&mut chain, &mut live);
+        live.stash.remove(3);
+        live.stash.insert(1, 1, vec![9], 100).unwrap();
+        live.stash.insert(4, 4, vec![4], 100).unwrap();
+        publish(&mut chain, &mut live);
+        let delta = chain.take_frozen_delta(8, 4, 8);
+        assert_eq!(keys(&delta.stash_added), vec![1, 4]);
+        assert_eq!(delta.stash_added[0].value, vec![9]);
+        assert_eq!(delta.stash_removed, vec![2]);
+        assert!(!delta.stash_replaced);
+        let again = chain.take_frozen_delta(8, 4, 8);
+        assert!(again.stash_added.is_empty() && again.stash_removed.is_empty());
+
+        // A full checkpoint spends the window: the delta behind it holds
+        // only what came after.
+        live.position.set(7, 7);
+        live.stash.insert(5, 5, vec![5], 100).unwrap();
+        publish(&mut chain, &mut live);
+        chain.full_checkpoint_taken();
+        live.position.set(8, 8);
+        live.stash.remove(4);
+        publish(&mut chain, &mut live);
+        let delta = chain.take_frozen_delta(8, 4, 8);
+        assert_eq!(delta.position_delta, vec![(8, Some(8))]);
+        assert!(delta.stash_added.is_empty());
+        assert_eq!(delta.stash_removed, vec![4]);
+        assert_eq!(
+            (delta.max_position_delta, delta.stash_pad, delta.block_size),
+            (8, 4, 8)
+        );
     }
 }

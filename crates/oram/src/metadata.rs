@@ -3,10 +3,13 @@
 //! Obladi's recovery design (§8) hinges on being able to persist and restore
 //! everything the Ring ORAM client keeps in memory: the position map, the
 //! per-bucket permutation / validity metadata, the stash, and the access /
-//! eviction counters.  [`OramMeta`] gathers that state; full and delta
-//! checkpoints are produced here and encrypted / logged by
-//! `obladi-core::durability`.
+//! eviction counters.  [`OramMeta`] gathers that state; full checkpoints
+//! (everything, the stash padded to `max_stash`) and delta checkpoints
+//! ([`MetaDelta`]: what changed since the previous checkpoint, padded to
+//! what one pipeline window can touch) are produced here and encrypted /
+//! logged by `obladi-core::durability`.
 
+use crate::block::Block;
 use crate::bucket::BucketMeta;
 use crate::codec::{Decoder, Encoder};
 use crate::position_map::PositionMap;
@@ -178,26 +181,26 @@ impl OramMeta {
         })
     }
 
-    /// Produces a delta checkpoint: the position-map delta (padded to
-    /// `max_position_delta` entries), the metadata of dirty buckets, the
-    /// full (padded) stash and the counters.  Clears the dirty sets.
+    /// Produces a delta checkpoint of everything but the stash: the
+    /// position-map delta (padded to `max_position_delta` entries), the
+    /// metadata of dirty buckets (shared, not copied) and the counters.
+    /// Clears the dirty sets.  The stash change set is against the previous
+    /// checkpoint's, which only the caller has ([`Stash::changes_since`]).
     pub fn take_delta(&mut self, max_position_delta: usize) -> MetaDelta {
-        let position_delta = self.position.take_delta();
         let mut dirty: Vec<BucketId> = self.dirty_buckets.drain().collect();
         dirty.sort_unstable();
-        let buckets = dirty
-            .iter()
-            .map(|&b| (b, (*self.buckets[b as usize]).clone()))
-            .collect();
         MetaDelta {
             access_count: self.access_count,
             evict_count: self.evict_count,
-            position_delta,
+            position_delta: self.position.take_delta(),
             max_position_delta,
-            buckets,
-            stash: self.stash.clone(),
+            buckets: dirty
+                .iter()
+                .map(|&b| (b, self.buckets[b as usize].clone()))
+                .collect(),
             stash_pad: self.config.max_stash,
             block_size: self.config.block_size,
+            ..MetaDelta::default()
         }
     }
 
@@ -207,9 +210,20 @@ impl OramMeta {
         self.evict_count = delta.evict_count;
         self.position.apply_delta(&delta.position_delta);
         for (bucket, meta) in &delta.buckets {
-            self.buckets[*bucket as usize] = Arc::new(meta.clone());
+            self.buckets[*bucket as usize] = meta.clone();
         }
-        self.stash = delta.stash.clone();
+        if delta.stash_replaced {
+            self.stash = Stash::new();
+        }
+        for key in &delta.stash_removed {
+            self.stash.remove(*key);
+        }
+        for block in delta.stash_added.iter().cloned() {
+            let added = self
+                .stash
+                .insert(block.key, block.leaf, block.value, usize::MAX);
+            added.expect("no bound to exceed");
+        }
     }
 
     /// Sanity check: every key in the position map is present in exactly one
@@ -238,8 +252,18 @@ pub enum KeyLocation {
     Missing,
 }
 
-/// A delta checkpoint of the proxy's ORAM metadata.
-#[derive(Debug, Clone, PartialEq)]
+/// First `u64` of a delta record.  The layout before it (whole stash,
+/// padded to `max_stash`) began with the access counter, which never gets
+/// here; that layout is still decoded and never written.
+const DELTA_LAYOUT: u64 = u64::MAX;
+
+/// What an empty real slot of a bucket encodes shorter than a full one.
+const FREE_SLOT_PAD: usize = 16;
+
+/// A delta checkpoint of the proxy's ORAM metadata: what changed since the
+/// previous checkpoint, full or delta.  Every section is padded to a byte
+/// length the configuration alone decides (see DESIGN.md, "Checkpoints").
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetaDelta {
     /// Logical access counter at checkpoint time.
     pub access_count: u64,
@@ -247,19 +271,33 @@ pub struct MetaDelta {
     pub evict_count: u64,
     /// Position-map changes since the previous checkpoint.
     pub position_delta: Vec<(Key, Option<Leaf>)>,
-    /// Number of entries the position delta is padded to when encoded.
+    /// Entries the position delta and the stash additions (those to at most
+    /// `stash_pad`) are padded to: what one pipeline window can touch.
     pub max_position_delta: usize,
     /// Metadata of buckets touched since the previous checkpoint.
-    pub buckets: Vec<(BucketId, BucketMeta)>,
-    /// Full stash at checkpoint time.
-    pub stash: Stash,
-    /// Number of entries the stash is padded to when encoded.
+    pub buckets: Vec<(BucketId, Arc<BucketMeta>)>,
+    /// Stash blocks that are new, remapped or overwritten since the
+    /// previous checkpoint, in key order.
+    pub stash_added: Vec<Block>,
+    /// Keys that left the stash since the previous checkpoint, in key order.
+    pub stash_removed: Vec<Key>,
+    /// Decoded from the old layout: `stash_added` is the whole stash.
+    pub stash_replaced: bool,
+    /// `max_stash`: the entries the stash removals are padded to.
     pub stash_pad: usize,
     /// Block size used for stash padding.
     pub block_size: usize,
 }
 
 impl MetaDelta {
+    /// Whether a section holds more than it is padded to, so that the
+    /// record is longer than the configuration says.
+    pub fn exceeds_pad(&self) -> bool {
+        self.position_delta.len() > self.max_position_delta
+            || self.stash_added.len() > self.max_position_delta.min(self.stash_pad)
+            || self.stash_removed.len() > self.stash_pad
+    }
+
     /// Serialises the delta.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -270,12 +308,13 @@ impl MetaDelta {
     /// Appends the delta to `out` in one pass (see
     /// [`OramMeta::encode_full_into`]).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(
-            256 + self.max_position_delta * 17
-                + self.buckets.len() * 64
-                + self.stash_pad * (20 + self.block_size),
-        );
+        debug_assert!(!self.stash_replaced, "the old layout is never written");
+        let start = out.len();
+        let added_len = 8 + self.max_position_delta.min(self.stash_pad) * (20 + self.block_size);
+        let removed_len = 8 + self.stash_pad * 8;
+        out.reserve(added_len + removed_len + (self.max_position_delta + self.buckets.len()) * 128);
         let mut enc = Encoder::new(out);
+        enc.put_u64(DELTA_LAYOUT);
         enc.put_u64(self.access_count);
         enc.put_u64(self.evict_count);
         enc.put_section(|enc| {
@@ -285,29 +324,65 @@ impl MetaDelta {
         for (bucket, meta) in &self.buckets {
             enc.put_u64(*bucket);
             meta.encode(&mut enc);
+            enc.put_zeroed_bytes(FREE_SLOT_PAD * meta.real.iter().filter(|r| r.is_none()).count());
         }
-        enc.put_section(|enc| {
-            self.stash
-                .encode_padded_to(self.stash_pad, self.block_size, enc)
+        enc.put_padded_section(added_len, |enc| {
+            enc.put_u64(self.stash_added.len() as u64);
+            for block in &self.stash_added {
+                enc.put_u64(block.key);
+                enc.put_u64(block.leaf);
+                enc.put_bytes(&block.value);
+            }
+        });
+        enc.put_padded_section(removed_len, |enc| {
+            enc.put_u64(self.stash_removed.len() as u64);
+            for key in &self.stash_removed {
+                enc.put_u64(*key);
+            }
         });
         enc.put_u64(self.stash_pad as u64);
         enc.put_u64(self.block_size as u64);
         enc.put_u64(self.max_position_delta as u64);
+
+        let obs = obladi_obs::global();
+        let record = |name: &str, value: usize| obs.histogram(name).record(value as u64);
+        record("oram.checkpoint.stash_added", self.stash_added.len());
+        record("oram.checkpoint.stash_removed", self.stash_removed.len());
+        record("oram.checkpoint.delta_bytes", out.len() - start);
+        if self.exceeds_pad() {
+            obs.counter("oram.checkpoint.pad_overflow").inc();
+        }
     }
 
-    /// Deserialises a delta.
+    /// Deserialises a delta of either layout.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut dec = Decoder::new(bytes);
-        let access_count = dec.get_u64()?;
+        let mut access_count = dec.get_u64()?;
+        let stash_replaced = access_count != DELTA_LAYOUT;
+        if !stash_replaced {
+            access_count = dec.get_u64()?;
+        }
         let evict_count = dec.get_u64()?;
         let position_delta = PositionMap::decode_delta(dec.get_slice()?)?;
         let bucket_count = dec.get_u64()? as usize;
-        let mut buckets = Vec::with_capacity(bucket_count);
+        let mut buckets = Vec::with_capacity(bucket_count.min(1 << 16));
         for _ in 0..bucket_count {
             let id = dec.get_u64()?;
-            buckets.push((id, BucketMeta::decode(&mut dec)?));
+            buckets.push((id, Arc::new(BucketMeta::decode(&mut dec)?)));
+            if !stash_replaced {
+                dec.get_slice()?;
+            }
         }
-        let stash = Stash::decode_padded(dec.get_slice()?)?;
+        // Additions are laid out as a stash is; the old layout's whole
+        // stash reads as nothing but additions.
+        let stash_added = Stash::decode_padded(dec.get_slice()?)?.to_blocks();
+        let mut stash_removed = Vec::new();
+        if !stash_replaced {
+            let mut removed = Decoder::new(dec.get_slice()?);
+            for _ in 0..removed.get_u64()? {
+                stash_removed.push(removed.get_u64()?);
+            }
+        }
         let stash_pad = dec.get_u64()? as usize;
         let block_size = dec.get_u64()? as usize;
         let max_position_delta = dec.get_u64()? as usize;
@@ -318,7 +393,9 @@ impl MetaDelta {
             position_delta,
             max_position_delta,
             buckets,
-            stash,
+            stash_added,
+            stash_removed,
+            stash_replaced,
             stash_pad,
             block_size,
         })
@@ -374,15 +451,113 @@ mod tests {
         meta.stash.insert(5, 0, vec![1], 100).unwrap();
         meta.access_count = 9;
 
-        let delta = meta.take_delta(16);
+        replica.stash.insert(6, 0, vec![2], 100).unwrap();
+        let mut delta = meta.take_delta(16);
+        (delta.stash_added, delta.stash_removed) = meta.stash.changes_since(&replica.stash);
         let decoded = MetaDelta::decode(&delta.encode()).unwrap();
         assert_eq!(decoded, delta);
+        assert!(!decoded.exceeds_pad());
 
         replica.apply_delta(&decoded);
         assert_eq!(replica.position.get(1), Some(3));
         assert_eq!(replica.buckets[2].real[0], Some((1, 3)));
-        assert!(replica.stash.contains(5));
+        assert_eq!(replica.stash.to_blocks(), meta.stash.to_blocks());
         assert_eq!(replica.access_count, 9);
+    }
+
+    /// The layout PR 17 wrote: no marker, the whole stash padded to
+    /// `stash_pad` dummy entries, buckets unpadded.  Decoded, never written.
+    fn encode_old_layout(delta: &MetaDelta, stash: &Stash) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut enc = Encoder::new(&mut out);
+        enc.put_u64(delta.access_count);
+        enc.put_u64(delta.evict_count);
+        enc.put_section(|enc| {
+            PositionMap::encode_delta_to(&delta.position_delta, delta.max_position_delta, enc)
+        });
+        enc.put_u64(delta.buckets.len() as u64);
+        for (bucket, meta) in &delta.buckets {
+            enc.put_u64(*bucket);
+            meta.encode(&mut enc);
+        }
+        enc.put_section(|enc| stash.encode_padded_to(delta.stash_pad, delta.block_size, enc));
+        enc.put_u64(delta.stash_pad as u64);
+        enc.put_u64(delta.block_size as u64);
+        enc.put_u64(delta.max_position_delta as u64);
+        out
+    }
+
+    #[test]
+    fn the_old_layout_decodes_and_replaces_the_stash() {
+        let mut meta = small_meta();
+        let mut replica = meta.clone();
+        replica.stash.insert(6, 0, vec![2], 100).unwrap();
+        meta.position.set(1, 3);
+        meta.bucket_mut(2).real[0] = Some((1, 3));
+        meta.mark_bucket_dirty(2);
+        meta.stash.insert(5, 0, vec![1], 100).unwrap();
+        meta.access_count = 9;
+        let delta = meta.take_delta(16);
+
+        let decoded = MetaDelta::decode(&encode_old_layout(&delta, &meta.stash)).unwrap();
+        assert!(decoded.stash_replaced);
+        assert_eq!(decoded.stash_added, meta.stash.to_blocks());
+        assert_eq!(decoded.buckets, delta.buckets);
+        replica.apply_delta(&decoded);
+        assert_eq!(replica.stash.to_blocks(), meta.stash.to_blocks());
+        assert_eq!(replica.position.get(1), Some(3));
+        assert_eq!(replica.access_count, 9);
+    }
+
+    #[test]
+    fn delta_length_is_a_function_of_the_pads_and_the_dirty_bucket_count() {
+        let mut meta = small_meta();
+        meta.mark_bucket_dirty(1);
+        meta.mark_bucket_dirty(2);
+        let empty = meta.take_delta(8);
+        let expected = empty.encode().len();
+
+        // Fuller buckets, every pad filled to the brim, values of any length.
+        meta.bucket_mut(1).real[0] = Some((1, 3));
+        meta.bucket_mut(2).real = vec![Some((7, 1)); meta.config.z as usize];
+        meta.mark_bucket_dirty(1);
+        meta.mark_bucket_dirty(2);
+        for key in 0..8 {
+            meta.position.set(key, key);
+        }
+        let mut full = meta.take_delta(8);
+        let block =
+            |key: u64| Block::real(key, key, vec![9; key as usize % meta.config.block_size]);
+        full.stash_added = (0..8).map(block).collect();
+        full.stash_removed = (100..100 + meta.config.max_stash as u64).collect();
+        assert!(!full.exceeds_pad());
+        assert_eq!(full.encode().len(), expected);
+        assert_eq!(MetaDelta::decode(&full.encode()).unwrap(), full);
+
+        // The additions' pad is capped at the stash's own bound.
+        let grow_window = |by: usize| {
+            let mut wider = full.clone();
+            wider.max_position_delta += by;
+            wider.encode().len() - expected
+        };
+        let entry = 20 + meta.config.block_size;
+        assert_eq!(grow_window(1), 17 + entry);
+        let to_cap = meta.config.max_stash - 8;
+        assert_eq!(grow_window(to_cap + 5), (to_cap + 5) * 17 + to_cap * entry);
+
+        // One entry over a pad: the record grows, and says so.
+        let overflows = obladi_obs::global().counter("oram.checkpoint.pad_overflow");
+        let before = overflows.get();
+        full.position_delta.push((99, None));
+        assert!(full.exceeds_pad());
+        assert_eq!(full.encode().len(), expected + 17);
+        assert!(overflows.get() > before);
+        full.position_delta.pop();
+        full.stash_added.push(block(8));
+        assert!(
+            full.exceeds_pad(),
+            "short values may hide an entry too many"
+        );
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub trait CheckpointSource {
         self.checkpoint_full_into(&mut out)?;
         Ok(out)
     }
-    /// Produces a delta checkpoint and clears the dirty sets.
+    /// Produces a delta checkpoint: the changes since the last of either kind.
     fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta>;
 }
 
@@ -680,11 +680,10 @@ fn publish_generation(core: &OramCore, guard: &mut parking_lot::MutexGuard<'_, S
         }
     }
     delta.position_delta.sort_unstable_by_key(|(k, _)| *k);
-    for (&bucket, arc) in &bucket_undo {
-        let patched = (**arc).clone();
+    for (&bucket, patched) in &bucket_undo {
         match delta.buckets.iter_mut().find(|(b, _)| *b == bucket) {
-            Some(entry) => entry.1 = patched,
-            None => delta.buckets.push((bucket, patched)),
+            Some(entry) => entry.1 = patched.clone(),
+            None => delta.buckets.push((bucket, patched.clone())),
         }
     }
     delta.buckets.sort_by_key(|(b, _)| *b);
@@ -1616,6 +1615,7 @@ impl CheckpointSource for WritebackEngine {
         let pinned = {
             let mut state = self.core.shared.state.lock();
             check_poisoned(&state)?;
+            state.generations.full_checkpoint_taken();
             pin_latest(&self.core, &mut state)
         };
         pinned.meta().encode_full_into(out);
@@ -1774,13 +1774,15 @@ fn apply_unit(
     staged: &mut [Option<Block>],
 ) -> Result<()> {
     check_poisoned(state)?;
+    // Keys of the blocks this unit pulls off its path into the stash.
+    let mut pulled: HashSet<Key> = HashSet::new();
     for &bucket in &unit.buckets {
         if let Some(blocks) = state.buffer.remove(&bucket) {
             // The bucket's current contents live locally; pull them back
             // into the stash without physical reads.
             state.stats.buffered_reads += 1;
             for block in blocks {
-                ingest_evicted_block(core, state, block)?;
+                ingest_evicted_block(core, state, block, &mut pulled)?;
             }
             state.note_bucket(bucket);
             let meta = state.meta.bucket_mut(bucket);
@@ -1794,10 +1796,10 @@ fn apply_unit(
         .iter_mut()
         .filter_map(Option::take)
     {
-        ingest_evicted_block(core, state, block)?;
+        ingest_evicted_block(core, state, block, &mut pulled)?;
     }
     for &bucket in unit.buckets.iter().rev() {
-        place_eligible_blocks(core, state, bucket)?;
+        place_eligible_blocks(core, state, bucket, &pulled)?;
     }
     if unit.eviction {
         state.meta.evict_count += 1;
@@ -1814,13 +1816,25 @@ fn apply_unit(
 /// Moves up to `Z` eligible stash blocks into `bucket` and installs the
 /// rewritten bucket (buffered or written through, per the exec options).
 /// Shared by the eviction write phase and the early-reshuffle re-place.
-fn place_eligible_blocks(core: &OramCore, state: &mut SharedState, bucket: BucketId) -> Result<()> {
+///
+/// Blocks the unit `pulled` off its path go ahead of blocks already in the
+/// stash, then by key.  Eligibility sets are nested prefixes of the path,
+/// so the order decides *which* blocks stay behind, never how many; and as
+/// a pulled block fits its old bucket, deepest-first re-places them all: a
+/// unit adds no key to the stash (DESIGN.md, "Checkpoints").
+fn place_eligible_blocks(
+    core: &OramCore,
+    state: &mut SharedState,
+    bucket: BucketId,
+    pulled: &HashSet<Key>,
+) -> Result<()> {
     let level = core.geometry.level_of(bucket);
     let geometry = core.geometry;
-    let eligible = state
+    let mut eligible = state
         .meta
         .stash
         .eligible_for(|leaf| geometry.bucket_at(leaf, level) == bucket);
+    eligible.sort_by_key(|key| !pulled.contains(key));
     let chosen: Vec<Key> = eligible.into_iter().take(core.config.z as usize).collect();
     let mut placed: Vec<Block> = Vec::with_capacity(chosen.len());
     for key in chosen {
@@ -1872,9 +1886,15 @@ fn rewrite_bucket(
     Ok(())
 }
 
-/// Puts a block read during eviction back into the stash, discarding it if
-/// it is stale (superseded by a dummiless write or remapped since).
-fn ingest_evicted_block(core: &OramCore, state: &mut SharedState, block: Block) -> Result<()> {
+/// Puts a block read during eviction back into the stash and notes its key
+/// in `pulled`, discarding it if it is stale (superseded by a dummiless
+/// write or remapped since).
+fn ingest_evicted_block(
+    core: &OramCore,
+    state: &mut SharedState,
+    block: Block,
+    pulled: &mut HashSet<Key>,
+) -> Result<()> {
     if block.is_dummy() {
         return Ok(());
     }
@@ -1884,6 +1904,7 @@ fn ingest_evicted_block(core: &OramCore, state: &mut SharedState, block: Block) 
     }
     match state.meta.position.get(block.key) {
         Some(leaf) if leaf == block.leaf => {
+            pulled.insert(block.key);
             state
                 .meta
                 .stash
@@ -2264,6 +2285,144 @@ mod tests {
             base.run_pending_maintenance(&NoopPathLogger).unwrap();
             base.flush_writes(&NoopPathLogger).unwrap();
         }
+    }
+
+    // ------------------------------------------------------------------
+    // The stash between two checkpoints
+    // ------------------------------------------------------------------
+
+    /// `run_waves`, asserting after every unit that it added no key to the
+    /// stash.  Returns how many units found the stash occupied.
+    fn run_waves_checking_units(engine: &mut WritebackEngine, reshuffles: bool) -> usize {
+        let mut over_a_stash = 0;
+        while let Some(Wave { units, reads, real }) = engine.plan_wave(reshuffles).unwrap() {
+            let mut staged = engine.core.fetch_slots(&engine.pool, reads, real).unwrap();
+            for unit in &units {
+                let mut state = engine.core.shared.state.lock();
+                let before: HashSet<Key> = state.meta.stash.iter().map(|(key, _)| key).collect();
+                apply_unit(&engine.core, &mut state, unit, &mut staged).unwrap();
+                let added: Vec<Key> = (state.meta.stash.iter().map(|(key, _)| key))
+                    .filter(|key| !before.contains(key))
+                    .collect();
+                assert!(added.is_empty(), "a unit left {added:?} in the stash");
+                over_a_stash += usize::from(!before.is_empty());
+            }
+        }
+        over_a_stash
+    }
+
+    /// `write_batch_padded`'s schedule over [`run_waves_checking_units`].
+    fn write_checking_units(
+        engine: &mut WritebackEngine,
+        writes: &[(Key, Value)],
+        padded_to: usize,
+    ) -> usize {
+        let a = engine.core.config.a as u64;
+        let mut over_a_stash = 0;
+        for (key, value) in writes {
+            let mut state = engine.core.shared.state.lock();
+            dummiless_write(&engine.core, &mut state, *key, value.clone()).unwrap();
+            let owed = state.meta.access_count.is_multiple_of(a);
+            drop(state);
+            if owed {
+                over_a_stash += run_waves_checking_units(engine, false);
+            }
+        }
+        engine.core.shared.state.lock().meta.access_count += (padded_to - writes.len()) as u64;
+        over_a_stash + run_waves_checking_units(engine, true)
+    }
+
+    #[test]
+    fn a_unit_adds_no_key_to_the_stash_and_a_window_adds_what_it_read_and_wrote() {
+        const WRITE_BATCH: usize = 12;
+        let (reader, mut engine, _store) = loaded_base(31);
+        let mut rng = DetRng::new(0x57a5);
+        let stash_of = |engine: &WritebackEngine| engine.meta_snapshot().stash;
+        engine.checkpoint_full().unwrap();
+        let mut checkpointed = stash_of(&engine);
+        // What the window read and wrote for real, and what left the stash
+        // in an earlier one.
+        let (mut touched, mut real_ops) = (HashSet::new(), 0usize);
+        let mut evicted: Vec<Key> = Vec::new();
+        let (mut over_a_stash, mut buffered_hits, mut stash_overwrites) = (0, 0, 0);
+        let (mut came_and_went, mut came_back_changed, mut largest) = (0, 0, 0);
+        for epoch in 0..360u64 {
+            let read = |count: usize, touched: &mut HashSet<Key>, rng: &mut DetRng| {
+                let requests = random_reads(rng, count);
+                touched.extend(requests.iter().flatten());
+                reader.read_batch(&requests, &NoopPathLogger).unwrap();
+                requests.iter().flatten().count()
+            };
+            for _ in 0..1 + rng.below(3) {
+                real_ops += read(8, &mut touched, &mut rng);
+            }
+            // Fresh values for random keys, for one sitting in the stash and
+            // for one an earlier window evicted (read back next epoch).
+            let mut writes: HashMap<Key, Value> = (0..rng.below(WRITE_BATCH as u64 - 2))
+                .map(|_| {
+                    (
+                        rng.below(WAVE_KEYS),
+                        vec![epoch as u8; 1 + rng.below(30) as usize],
+                    )
+                })
+                .collect();
+            if let Some((key, _)) = stash_of(&engine).iter().next() {
+                writes.insert(key, vec![0x55, epoch as u8]);
+                stash_overwrites += 1;
+            }
+            if let Some(key) = evicted.pop() {
+                writes.insert(key, vec![0x77, epoch as u8]);
+            }
+            let writes: Vec<(Key, Value)> = writes.into_iter().collect();
+            touched.extend(writes.iter().map(|(key, _)| *key));
+            real_ops += writes.len();
+            over_a_stash += write_checking_units(&mut engine, &writes, WRITE_BATCH);
+            // The next epoch's first batch lands before the flush, against
+            // buffered buckets (depth 2), or between flush and checkpoint.
+            let buffered_before = engine.stats().buffered_reads;
+            if !epoch.is_multiple_of(3) {
+                real_ops += read(8, &mut touched, &mut rng);
+            }
+            buffered_hits += usize::from(engine.stats().buffered_reads > buffered_before);
+            engine.flush_writes(&NoopPathLogger).unwrap();
+            let published = stash_of(&engine);
+            let (mut next_touched, mut next_ops) = (HashSet::new(), 0);
+            if epoch.is_multiple_of(4) {
+                next_ops = read(8, &mut next_touched, &mut rng);
+            }
+
+            if epoch % 5 == 4 {
+                engine.checkpoint_full().unwrap();
+            } else {
+                let delta = engine.checkpoint_delta(64).unwrap();
+                assert_eq!(
+                    (delta.stash_added.clone(), delta.stash_removed.clone()),
+                    published.changes_since(&checkpointed),
+                    "epoch {epoch}: against the last checkpoint of either kind"
+                );
+                let strangers: Vec<Key> = (delta.stash_added.iter().map(|b| b.key))
+                    .filter(|key| !touched.contains(key))
+                    .collect();
+                assert!(strangers.is_empty(), "epoch {epoch}: {strangers:?} added");
+                assert!(delta.stash_added.len() <= real_ops, "epoch {epoch}");
+                largest = largest.max(delta.stash_added.len());
+                came_back_changed += (delta.stash_added.iter())
+                    .filter(|b| b.value.first() == Some(&0x77))
+                    .count();
+                evicted.extend(&delta.stash_removed);
+            }
+            came_and_went += (writes.iter())
+                .filter(|(key, _)| !published.contains(*key) && !checkpointed.contains(*key))
+                .count();
+            checkpointed = published;
+            (touched, real_ops) = (next_touched, next_ops);
+        }
+        assert!(over_a_stash >= 300, "units over a stash: {over_a_stash}");
+        assert!(buffered_hits >= 100, "buffered reads: {buffered_hits}");
+        assert!(stash_overwrites >= 100, "overwrites: {stash_overwrites}");
+        assert!(came_and_went >= 300, "written and evicted: {came_and_went}");
+        assert!(came_back_changed >= 20, "re-read: {came_back_changed}");
+        assert!(largest >= 8, "largest change set: {largest}");
     }
 
     // ------------------------------------------------------------------

@@ -149,7 +149,23 @@ impl Stash {
         Ok(Stash { blocks, peak })
     }
 
-    /// Converts the stash contents into [`Block`]s (test/debug helper).
+    /// What turns `before` into this stash, each in key order: the blocks
+    /// that are new or whose leaf or value changed, and the keys that left.
+    pub fn changes_since(&self, before: &Stash) -> (Vec<Block>, Vec<Key>) {
+        let mut added: Vec<Block> = self
+            .blocks
+            .iter()
+            .filter(|(key, block)| before.blocks.get(key) != Some(block))
+            .map(|(key, (leaf, value))| Block::real(*key, *leaf, value.clone()))
+            .collect();
+        added.sort_unstable_by_key(|b| b.key);
+        let mut removed: Vec<Key> = before.blocks.keys().copied().collect();
+        removed.retain(|key| !self.blocks.contains_key(key));
+        removed.sort_unstable();
+        (added, removed)
+    }
+
+    /// The stash contents as [`Block`]s, in key order.
     pub fn to_blocks(&self) -> Vec<Block> {
         let mut blocks: Vec<Block> = self
             .blocks

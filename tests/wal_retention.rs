@@ -29,7 +29,9 @@
 //! The same comparison finally runs against stores that lie about
 //! truncation: one that ignores it, one that re-serves retired records in
 //! front of the retained suffix, and one that truncates past the cut —
-//! which must fail closed.
+//! which must fail closed.  So must a store that withholds one checkpoint
+//! delta from the chain behind the base: a delta holds what changed since
+//! the one before it, and recovery refuses a chain with a gap.
 
 use bytes::Bytes;
 use obladi_common::config::ObladiConfig;
@@ -101,6 +103,13 @@ struct LyingLog {
     mutations: Mutex<Vec<u8>>,
     forking: AtomicBool,
     forks: Mutex<Vec<Fork>>,
+    /// The epoch whose checkpoint delta the store never serves back.
+    withheld_delta: Mutex<Option<EpochId>>,
+}
+
+/// The clear epoch field of a framed record of `kind`.
+fn epoch_of(frame: &Bytes, kind: WalRecordKind) -> Option<EpochId> {
+    (frame[0] == kind.tag()).then(|| u64::from_le_bytes(frame[1..9].try_into().unwrap()))
 }
 
 impl LyingLog {
@@ -152,6 +161,10 @@ impl UntrustedStore for LyingLog {
         let mut records = self.resurrected.lock().clone();
         records.retain(|(seq, _)| *seq >= from);
         records.extend(self.inner.read_log_from(from)?);
+        if let Some(epoch) = *self.withheld_delta.lock() {
+            let delta = WalRecordKind::CheckpointDelta;
+            records.retain(|(_, frame)| epoch_of(frame, delta) != Some(epoch));
+        }
         Ok(records)
     }
     fn truncate_log(&self, up_to: u64) -> Result<()> {
@@ -288,6 +301,7 @@ impl Run {
             mutations: Mutex::new(Vec::new()),
             forking: AtomicBool::new(false),
             forks: Mutex::new(Vec::new()),
+            withheld_delta: Mutex::new(None),
         });
         let store = Arc::new(FaultyStore::new(log.clone(), FaultPlan::none(), 1));
         let config = config();
@@ -523,8 +537,8 @@ fn holds_a_durable_full_checkpoint(fork: &Fork) -> bool {
     let store = InMemoryStore::import_snapshot(&fork.store).unwrap();
     let log = store.read_log_from(0).unwrap();
     let records = fork.resurrected.iter().chain(&log);
-    let mut fulls = records.filter(|(_, frame)| frame[0] == WalRecordKind::CheckpointFull.tag());
-    fulls.any(|(_, frame)| u64::from_le_bytes(frame[1..9].try_into().unwrap()) <= fork.durable)
+    let mut fulls = records.filter_map(|(_, frame)| epoch_of(frame, WalRecordKind::CheckpointFull));
+    fulls.any(|epoch| epoch <= fork.durable)
 }
 
 /// The run that never retires, at one depth: its mutation trace and the
@@ -697,5 +711,44 @@ fn a_proxy_crashed_around_a_cut_recovers_and_keeps_retiring_safely() {
                 "{at}"
             );
         }
+    }
+}
+
+#[test]
+fn a_store_that_withholds_a_delta_from_the_chain_is_refused() {
+    for depth in [1, 2] {
+        let mode = Mode::honest(depth, true);
+        let (_, forks) = forks_of(mode);
+        let mut refused = 0;
+        for fork in forks.iter().step_by(2) {
+            // Full checkpoints at epochs 1, 4, 8 and 12: the deltas behind
+            // the base are those of the durable epochs past the last one.
+            let base = [12, 8, 4, 1, 0]
+                .into_iter()
+                .find(|full| *full <= fork.durable);
+            for withheld in base.unwrap() + 1..=fork.durable {
+                let at = format!(
+                    "depth {depth}, durable {}, no delta {withheld}",
+                    fork.durable
+                );
+                let mut run = Run::open(mode, Some(fork));
+                *run.log.withheld_delta.lock() = Some(withheld);
+                let Err(err) = run.recover() else {
+                    panic!("{at}: recovered over a broken chain");
+                };
+                assert!(matches!(err, ObladiError::Recovery(_)), "{at}: {err}");
+                assert!(
+                    err.to_string().contains("delta chain broken"),
+                    "{at}: {err}"
+                );
+                // The refusal cost nothing recovery needs: with the record
+                // back, the same store recovers.
+                *run.log.withheld_delta.lock() = None;
+                run.recover()
+                    .unwrap_or_else(|err| panic!("{at}, record back: {err}"));
+                refused += 1;
+            }
+        }
+        assert!(refused > forks.len() / 4, "depth {depth}: {refused}");
     }
 }
