@@ -22,7 +22,6 @@ pub mod fig10;
 pub mod fig11;
 pub mod fig_shard;
 pub mod fig_trace_audit;
-pub mod fig_transport;
 pub mod harness;
 pub mod obs_overhead;
 pub mod opts;

@@ -315,7 +315,8 @@ impl EpochConfig {
     /// Upper bound on the position-map entries, and on the stash blocks,
     /// that can change between two consecutive checkpoints; used to pad
     /// checkpoint deltas (§8, Optimizations).  One epoch writes between two
-    /// generation publishes, but at depth 2 the read batches of two land.
+    /// publishes of the ORAM client, but at depth 2 the read batches of two
+    /// land.
     pub fn max_position_delta(&self) -> usize {
         self.pipeline_depth as usize * self.reads_per_epoch() + self.write_batch_size
     }

@@ -499,9 +499,10 @@ impl DurabilityManager {
     ///
     /// `oram` is whichever half of the client can produce checkpoints: the
     /// monolithic [`RingOram`] facade (recovery replay) or the proxy's
-    /// [`obladi_oram::WritebackEngine`], whose checkpoint methods quiesce
-    /// the concurrent read plane first so the delta can never capture a
-    /// block that is physically in flight and findable nowhere.
+    /// [`obladi_oram::WritebackEngine`], whose checkpoint methods read the
+    /// state its last flush published — not the live one the concurrent read
+    /// plane keeps planning against — so neither form can capture a block
+    /// that is physically in flight and findable nowhere.
     pub fn commit_epoch(&self, epoch: EpochId, oram: &mut dyn CheckpointSource) -> Result<()> {
         if !self.enabled {
             return Ok(());

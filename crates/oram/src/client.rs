@@ -4,11 +4,11 @@
 //! The client implementation lives in [`crate::split`]: a concurrent
 //! **read plane** ([`crate::split::OramReader`]) and a background
 //! **write-back engine** ([`crate::split::WritebackEngine`]) sharing the
-//! versioned client state (position map, per-bucket metadata, stash,
-//! buffered-bucket overlay) behind one fine-grained lock.  [`RingOram`]
-//! composes the two halves back into the original single-threaded client
-//! surface — the batch-oriented interface the Obladi proxy's recovery path,
-//! the baselines and the benchmarks use:
+//! client state (position map, per-bucket metadata, stash, buffered-bucket
+//! overlay) behind one fine-grained lock.  [`RingOram`] composes the two
+//! halves back into the original single-threaded client surface — the
+//! batch-oriented interface the Obladi proxy's recovery path, the baselines
+//! and the benchmarks use:
 //!
 //! * [`RingOram::read_batch`] — executes one read batch: a metadata-only
 //!   planning pass chooses exactly one slot per non-buffered bucket on each
@@ -22,7 +22,8 @@
 //!   physical reads, while still advancing the eviction schedule;
 //! * [`RingOram::flush_writes`] — seals and writes every buffered bucket
 //!   back to storage, once per bucket (write deduplication), which is the
-//!   only moment physical writes happen;
+//!   only moment physical writes happen — and the moment the client state
+//!   is published: checkpoints describe the last flush, not the live state;
 //! * [`RingOram::access`] — a sequential single-operation interface used by
 //!   the non-batched baseline of Figure 10a;
 //! * [`RingOram::split`] — hands the two halves to a caller that wants to

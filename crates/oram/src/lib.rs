@@ -9,14 +9,16 @@
 //!   bits, real-slot assignments);
 //! * [`position_map`] / [`stash`] — the remaining client-side state, with
 //!   padded serialization used by durability checkpoints;
-//! * [`metadata`] — aggregate client state plus full/delta checkpoints;
+//! * [`metadata`] — aggregate client state plus the full/delta checkpoint
+//!   records; `committed` (private) — the one published snapshot of that
+//!   state both records are read from;
 //! * [`pool`] — the worker pool used for intra- and inter-request
 //!   parallelism;
 //! * [`split`] — the split client: [`split::OramReader`] (the concurrent
 //!   read plane) and [`split::WritebackEngine`] (the background write-back
-//!   engine), sharing the versioned client state behind one fine-grained
-//!   lock so a proxy can overlap one epoch's reads with the previous
-//!   epoch's write-back I/O;
+//!   engine), sharing the client state behind one fine-grained lock so a
+//!   proxy can overlap one epoch's reads with the previous epoch's
+//!   write-back I/O;
 //! * [`client`] — [`client::RingOram`], the single-threaded facade over the
 //!   split halves: the batched executor with dummiless writes, epoch-local
 //!   bucket buffering (delayed visibility), early reshuffles, path logging
@@ -34,7 +36,7 @@ pub mod block;
 pub mod bucket;
 pub mod client;
 pub mod codec;
-mod generations;
+mod committed;
 pub mod metadata;
 pub mod pool;
 pub mod position_map;
@@ -48,8 +50,6 @@ pub use client::{ExecOptions, NoopPathLogger, OramStats, PathLogger, RingOram, S
 pub use metadata::{MetaDelta, OramMeta};
 pub use pool::ThreadPool;
 pub use position_map::PositionMap;
-pub use split::{
-    set_leak_skip_dummy_pads, CheckpointSource, OramReader, PinnedGeneration, WritebackEngine,
-};
+pub use split::{set_leak_skip_dummy_pads, CheckpointSource, OramReader, WritebackEngine};
 pub use stash::Stash;
 pub use tree::TreeGeometry;

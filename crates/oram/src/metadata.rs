@@ -29,10 +29,9 @@ pub struct OramMeta {
     /// Key → leaf map.
     pub position: PositionMap,
     /// Per-bucket metadata, indexed by bucket id.  Buckets are shared
-    /// copy-on-write: a generation snapshot holds the old `Arc` while the
-    /// live state mutates through [`OramMeta::bucket_mut`], so pinning a
-    /// snapshot costs one pointer per since-modified bucket, not a tree
-    /// clone.
+    /// copy-on-write: the committed snapshot holds the old `Arc` while the
+    /// live state mutates through [`OramMeta::bucket_mut`], so a snapshot
+    /// costs one pointer per since-modified bucket, not a tree clone.
     pub buckets: Vec<Arc<BucketMeta>>,
     /// The client stash.
     pub stash: Stash,
@@ -68,16 +67,11 @@ impl OramMeta {
         self.dirty_buckets.insert(bucket);
     }
 
-    /// Mutable access to one bucket's metadata, copy-on-write: if a
-    /// generation snapshot still shares the bucket's `Arc`, the bucket is
+    /// Mutable access to one bucket's metadata, copy-on-write: if the
+    /// committed snapshot still shares the bucket's `Arc`, the bucket is
     /// cloned first so the snapshot keeps observing its frozen state.
     pub fn bucket_mut(&mut self, bucket: BucketId) -> &mut BucketMeta {
         Arc::make_mut(&mut self.buckets[bucket as usize])
-    }
-
-    /// Number of dirty buckets.
-    pub fn dirty_bucket_count(&self) -> usize {
-        self.dirty_buckets.len()
     }
 
     /// Serialises the complete state (full checkpoint).
@@ -114,8 +108,8 @@ impl OramMeta {
         }
     }
 
-    /// Assembles metadata from already-reconstructed parts (generation
-    /// materialization; see `crate::generations`).
+    /// Assembles metadata from already-reconstructed parts (the committed
+    /// state read whole; see `crate::committed`).
     pub(crate) fn from_snapshot_parts(
         config: OramConfig,
         position: PositionMap,
@@ -181,27 +175,11 @@ impl OramMeta {
         })
     }
 
-    /// Produces a delta checkpoint of everything but the stash: the
-    /// position-map delta (padded to `max_position_delta` entries), the
-    /// metadata of dirty buckets (shared, not copied) and the counters.
-    /// Clears the dirty sets.  The stash change set is against the previous
-    /// checkpoint's, which only the caller has ([`Stash::changes_since`]).
-    pub fn take_delta(&mut self, max_position_delta: usize) -> MetaDelta {
-        let mut dirty: Vec<BucketId> = self.dirty_buckets.drain().collect();
-        dirty.sort_unstable();
-        MetaDelta {
-            access_count: self.access_count,
-            evict_count: self.evict_count,
-            position_delta: self.position.take_delta(),
-            max_position_delta,
-            buckets: dirty
-                .iter()
-                .map(|&b| (b, self.buckets[b as usize].clone()))
-                .collect(),
-            stash_pad: self.config.max_stash,
-            block_size: self.config.block_size,
-            ..MetaDelta::default()
-        }
+    /// Drains the ids dirtied since the last drain — keys, then buckets —
+    /// leaving their values to the caller (`crate::committed`).
+    pub(crate) fn take_dirty(&mut self) -> (HashSet<Key>, HashSet<BucketId>) {
+        let buckets = std::mem::take(&mut self.dirty_buckets);
+        (self.position.take_dirty(), buckets)
     }
 
     /// Applies a delta checkpoint on top of the current state.
@@ -405,11 +383,21 @@ impl MetaDelta {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::committed::Committed;
+    use std::collections::HashMap;
 
     fn small_meta() -> OramMeta {
         let config = OramConfig::small_for_tests(64);
         let mut rng = DetRng::new(3);
         OramMeta::new(config, &mut rng)
+    }
+
+    /// The delta a client checkpointed at `since` logs once it has published
+    /// `meta`.
+    fn delta_since(since: &OramMeta, meta: &mut OramMeta, max_position_delta: usize) -> MetaDelta {
+        let mut committed = Committed::new(since);
+        committed.publish(meta, HashMap::new(), HashMap::new());
+        committed.take_delta(meta, max_position_delta)
     }
 
     #[test]
@@ -452,8 +440,8 @@ mod tests {
         meta.access_count = 9;
 
         replica.stash.insert(6, 0, vec![2], 100).unwrap();
-        let mut delta = meta.take_delta(16);
-        (delta.stash_added, delta.stash_removed) = meta.stash.changes_since(&replica.stash);
+        let delta = delta_since(&replica, &mut meta, 16);
+        assert_eq!(delta.stash_removed, vec![6]);
         let decoded = MetaDelta::decode(&delta.encode()).unwrap();
         assert_eq!(decoded, delta);
         assert!(!decoded.exceeds_pad());
@@ -497,7 +485,7 @@ mod tests {
         meta.mark_bucket_dirty(2);
         meta.stash.insert(5, 0, vec![1], 100).unwrap();
         meta.access_count = 9;
-        let delta = meta.take_delta(16);
+        let delta = delta_since(&replica, &mut meta, 16);
 
         let decoded = MetaDelta::decode(&encode_old_layout(&delta, &meta.stash)).unwrap();
         assert!(decoded.stash_replaced);
@@ -514,7 +502,7 @@ mod tests {
         let mut meta = small_meta();
         meta.mark_bucket_dirty(1);
         meta.mark_bucket_dirty(2);
-        let empty = meta.take_delta(8);
+        let empty = delta_since(&meta.clone(), &mut meta, 8);
         let expected = empty.encode().len();
 
         // Fuller buckets, every pad filled to the brim, values of any length.
@@ -525,7 +513,7 @@ mod tests {
         for key in 0..8 {
             meta.position.set(key, key);
         }
-        let mut full = meta.take_delta(8);
+        let mut full = delta_since(&meta.clone(), &mut meta, 8);
         let block =
             |key: u64| Block::real(key, key, vec![9; key as usize % meta.config.block_size]);
         full.stash_added = (0..8).map(block).collect();
@@ -561,16 +549,14 @@ mod tests {
     }
 
     #[test]
-    fn delta_is_cleared_after_take() {
+    fn dirty_ids_are_drained_once() {
         let mut meta = small_meta();
         meta.position.set(1, 1);
         meta.mark_bucket_dirty(0);
-        let first = meta.take_delta(8);
-        assert_eq!(first.buckets.len(), 1);
-        assert_eq!(first.position_delta.len(), 1);
-        let second = meta.take_delta(8);
-        assert!(second.buckets.is_empty());
-        assert!(second.position_delta.is_empty());
+        let (keys, buckets) = meta.take_dirty();
+        assert_eq!((keys.len(), buckets.len()), (1, 1));
+        let (keys, buckets) = meta.take_dirty();
+        assert!(keys.is_empty() && buckets.is_empty());
     }
 
     #[test]

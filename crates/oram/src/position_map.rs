@@ -52,10 +52,15 @@ impl PositionMap {
         self.positions.remove(&key)
     }
 
-    /// Clears dirty tracking without producing a delta (used when a cloned
-    /// map is a read-only snapshot whose dirtiness is meaningless).
-    pub(crate) fn clear_dirty(&mut self) {
-        self.dirty.clear();
+    /// Marks `key` dirty for the next delta although its entry stands.
+    pub(crate) fn mark_dirty(&mut self, key: Key) {
+        self.dirty.insert(key);
+    }
+
+    /// Drains the keys modified since the last drain or
+    /// [`PositionMap::take_delta`], leaving their values to the caller.
+    pub(crate) fn take_dirty(&mut self) -> HashSet<Key> {
+        std::mem::take(&mut self.dirty)
     }
 
     /// Whether `key` exists.

@@ -7,8 +7,8 @@
 //! remote `obladi-stored` daemon) blocked every read planned behind them.
 //!
 //! This module splits the client into two cooperating halves that share the
-//! versioned client state ([`OramMeta`], the buffered-bucket overlay, the
-//! eviction schedule) behind one *fine-grained* lock:
+//! client state ([`OramMeta`], the buffered-bucket overlay, the eviction
+//! schedule) behind one *fine-grained* lock:
 //!
 //! * [`OramReader`] — the **read plane**.  It serves `read_batch` by
 //!   planning slot selections against the current metadata + buffered-bucket
@@ -32,21 +32,19 @@
 //!   requests a limbo key parks on the shared condvar until the key's path
 //!   has been applied (at which point the key is in the stash, or placed in
 //!   a buffered bucket, and the read resolves locally).
-//! * **Generations + the per-bucket fence.**  Committed client state is
-//!   published as an immutable *generation* at the end of every flush (see
-//!   the `generations` module): checkpoints and pinned readers materialize
-//!   a generation instead of quiescing the read plane, so the old global
-//!   write fence — "drain every in-flight reader fetch before flushing or
-//!   checkpointing" — is gone.  What remains is a *per-bucket* fence: a
-//!   flush waits only for in-flight reader batches holding physical reads
-//!   against the specific buckets it is about to write (a fetch planned
-//!   before a bucket entered the buffered overlay could otherwise race
-//!   that bucket's write and fail freshness verification).  New batches
-//!   never plan physical reads against buffered buckets — the overlay
-//!   serves them — so unrelated batches keep flowing while a flush drains.
-//!   A generation older than the latest is retired the moment its last pin
-//!   drops; a reader pinned to generation `G` keeps materializing `G`
-//!   byte-for-byte across any number of later publishes.
+//! * **The committed snapshot + the per-bucket fence.**  The client state
+//!   is *published* at the end of every flush (see the `committed` module)
+//!   and checkpoints read the published state through an undo overlay, so
+//!   nothing quiesces the read plane to checkpoint.  Reader batches need no
+//!   hold on the snapshot: they plan against the live state, and a publish
+//!   that overlaps one patches its mid-air targets back in.  What orders the
+//!   planes is a *per-bucket* fence: a flush waits only for in-flight reader
+//!   batches holding physical reads against the specific buckets it is
+//!   about to write (a fetch planned before a bucket entered the buffered
+//!   overlay could otherwise race that bucket's write and fail freshness
+//!   verification).  New batches never plan physical reads against buffered
+//!   buckets — the overlay serves them — so unrelated batches keep flowing
+//!   while a flush drains.
 //! * **Plan-time resolution.**  Reads whose target lives in the stash or in
 //!   a buffered bucket capture the value at plan time, under the lock, so
 //!   no concurrent eviction can whisk the block away between plan and
@@ -56,11 +54,11 @@
 //! the read plane may be driven by several threads concurrently (the
 //! proxy's batch runners).  Plans serialize briefly on the shared lock,
 //! physical fetches overlap freely, and every in-flight batch is tracked
-//! with the buckets it touches so the flush fence and the generation
-//! publish account for it.  The caller must keep concurrently written and
-//! read key sets disjoint — and concurrently *read* key sets pairwise
-//! disjoint — which the Obladi proxy guarantees with its carry-pending set
-//! and per-epoch read de-duplication.
+//! with the buckets it touches so the flush fence and the publish account
+//! for it.  The caller must keep concurrently written and read key sets
+//! disjoint — and concurrently *read* key sets pairwise disjoint — which the
+//! Obladi proxy guarantees with its carry-pending set and per-epoch read
+//! de-duplication.
 //!
 //! # Write-back in waves
 //!
@@ -88,7 +86,7 @@
 use crate::block::Block;
 use crate::bucket::BucketMeta;
 use crate::client::{ExecOptions, OramStats, PathLogger, SlotRead};
-use crate::generations::GenerationChain;
+use crate::committed::Committed;
 use crate::metadata::{MetaDelta, OramMeta};
 use crate::pool::ThreadPool;
 use crate::tree::TreeGeometry;
@@ -123,10 +121,10 @@ pub fn set_leak_skip_dummy_pads(enabled: bool) {
 
 /// Produces the encrypted-checkpoint payloads durability logs at the end of
 /// every epoch.  Implemented by the monolithic facade and by the write-back
-/// engine (which reads the latest committed *generation*, so a checkpoint
-/// can never capture a block that is physically in flight and findable
-/// nowhere — in-flight reader targets are patched back into the generation
-/// at publish time).
+/// engine (which reads the committed snapshot, so a checkpoint can never
+/// capture a block that is physically in flight and findable nowhere —
+/// in-flight reader targets are patched back into the snapshot at publish
+/// time).
 ///
 /// Both methods fail when the read plane is *poisoned*: a read batch with
 /// physical target blocks failed between plan and ingest, so a block that
@@ -151,15 +149,13 @@ pub trait CheckpointSource {
 
 /// One reader batch with physical reads in flight (planned, not ingested).
 struct InFlightBatch {
-    /// The generation the batch pinned at plan time.
-    generation: u64,
     /// Every bucket the batch physically reads (targets and dummies); the
     /// flush's per-bucket fence waits on intersections with its buffer.
     buckets: HashSet<BucketId>,
     /// The batch's physical *target* slots: blocks cleared from their
     /// buckets at plan time that are mid-air towards the stash.  A publish
     /// overlapping the batch patches these pre-images back into the
-    /// committed generation (see [`publish_generation`]).
+    /// committed snapshot (see [`publish`]).
     targets: Vec<TargetUndo>,
 }
 
@@ -173,7 +169,7 @@ struct TargetUndo {
     old_leaf: Leaf,
     /// `rewrite_stamps[bucket]` at plan time; a publish refuses to patch
     /// against a bucket rewritten since (never happens in the proxy flow —
-    /// see [`publish_generation`]).
+    /// see [`publish`]).
     stamp: u64,
 }
 
@@ -193,17 +189,16 @@ struct SharedState {
     /// Readers wait for them.
     limbo: HashSet<Key>,
     /// Monotonic per-bucket rewrite counters.  A reader batch records the
-    /// stamp of every bucket it targets, so a generation publish can tell
-    /// whether an in-flight batch's undo still applies to the live layout.
+    /// stamp of every bucket it targets, so a publish can tell whether an
+    /// in-flight batch's undo still applies to the live layout.
     rewrite_stamps: Vec<u64>,
     /// Reader batches with physical reads in flight, keyed by batch id.
     /// Replaces the old single `reader_fetches` counter: the flush fence
     /// waits per bucket, so several batches overlap inside one epoch.
     in_flight: HashMap<u64, InFlightBatch>,
     next_batch_id: u64,
-    /// Retained committed generations (the MVCC chain; see the
-    /// `generations` module).
-    generations: GenerationChain,
+    /// The last published state (see the `committed` module).
+    committed: Committed,
     /// Set when an operation failed after destructive metadata mutation:
     /// a read batch with physical targets failed between plan and ingest
     /// (or mid-plan, after an earlier request in the batch cleared its
@@ -219,20 +214,20 @@ struct SharedState {
 }
 
 impl SharedState {
-    /// Records the pre-image of `key` (its current live position) into
-    /// every retained generation that has not seen the key change yet.
-    /// Must run before every live position-map mutation.
+    /// Records the pre-image of `key` (its current live position) unless
+    /// the committed snapshot has seen the key change already.  Must run
+    /// before every live position-map mutation.
     fn note_position(&mut self, key: Key) {
-        self.generations
+        self.committed
             .note_position(key, self.meta.position.get(key));
     }
 
     /// Records the pre-image of `bucket` (one `Arc` clone of its current
-    /// live metadata) into every retained generation that has not seen the
-    /// bucket change yet.  Must run before the first mutation of `bucket`
-    /// in any operation.
+    /// live metadata) unless the committed snapshot has seen the bucket
+    /// change already.  Must run before the first mutation of `bucket` in
+    /// any operation.
     fn note_bucket(&mut self, bucket: BucketId) {
-        self.generations
+        self.committed
             .note_bucket(bucket, &self.meta.buckets[bucket as usize]);
     }
 }
@@ -307,10 +302,7 @@ fn from_parts(
     rng: DetRng,
 ) -> (OramReader, WritebackEngine) {
     let config = meta.config;
-    // Seed the generation chain with the construction-time state so pins
-    // and checkpoints always have a committed generation to target.
-    let mut generations = GenerationChain::new();
-    generations.seed(meta.stash.clone(), meta.access_count, meta.evict_count);
+    let committed = Committed::new(&meta);
     let rewrite_stamps = vec![0u64; meta.buckets.len()];
     let skips = std::iter::once("oram.split.exhausted_skips".to_string())
         .chain((0..config.levels).map(|l| format!("oram.split.exhausted_skips.level_{l}")));
@@ -334,7 +326,7 @@ fn from_parts(
                 rewrite_stamps,
                 in_flight: HashMap::new(),
                 next_batch_id: 0,
-                generations,
+                committed,
                 poisoned: false,
             }),
             cond: Condvar::new(),
@@ -560,75 +552,21 @@ impl OramCore {
 }
 
 // ----------------------------------------------------------------------
-// Generations: pinning, publishing
+// Publishing
 // ----------------------------------------------------------------------
 
-/// A guard pinning one committed generation.  While it lives, the
-/// generation stays materializable — byte-identical no matter how far the
-/// live state advances — and is retired (its overlays freed) when the last
-/// pin drops.
-pub struct PinnedGeneration {
-    shared: Arc<SharedOram>,
-    id: u64,
-}
-
-impl PinnedGeneration {
-    /// The pinned generation's id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Materializes the pinned generation's full metadata.
-    pub fn meta(&self) -> OramMeta {
-        let state = self.shared.state.lock();
-        state
-            .generations
-            .materialize(self.id, &state.meta)
-            .expect("a pinned generation is never retired")
-    }
-}
-
-impl Drop for PinnedGeneration {
-    fn drop(&mut self) {
-        let mut state = self.shared.state.lock();
-        let retired = state.generations.unpin(self.id);
-        let obs = obladi_obs::global();
-        if retired > 0 {
-            obs.counter("oram.split.generation_retired")
-                .add(retired as u64);
-        }
-        obs.gauge("oram.split.pinned_readers")
-            .set(state.generations.total_pins() as i64);
-    }
-}
-
-/// Pins the latest committed generation under an already-held lock.
-fn pin_latest(core: &OramCore, state: &mut SharedState) -> PinnedGeneration {
-    let id = state.generations.pin_latest();
-    obladi_obs::global()
-        .gauge("oram.split.pinned_readers")
-        .set(state.generations.total_pins() as i64);
-    PinnedGeneration {
-        shared: core.shared.clone(),
-        id,
-    }
-}
-
-/// Publishes the current committed state as a new generation.  Runs at the
-/// end of every flush (the decider's per-epoch commit point, including
-/// flushes with an empty buffer), at `init_tree`, and implicitly at
-/// construction (the seed generation).
+/// Publishes the live client state as the committed one.  Runs at the end
+/// of every flush (the decider's per-epoch commit point, including flushes
+/// with an empty buffer) and at `init_tree`.
 ///
 /// In-flight reader batches have physical *target* blocks mid-air: cleared
 /// from their buckets at plan time but not yet ingested into the stash.
-/// The committed generation must keep accounting for those blocks, so the
+/// The committed state must keep accounting for those blocks, so the
 /// publish patches every in-flight target back in — the key restored into
 /// its bucket slot at its pre-plan leaf, which is exactly the state the
 /// last landed write produced (reads never mutate storage, so the slot is
-/// physically present at the bucket's committed version).  The patched
-/// entries are re-marked dirty in the live tracking so the *next* publish's
-/// delta records their post-ingest values.
-fn publish_generation(core: &OramCore, guard: &mut parking_lot::MutexGuard<'_, SharedState>) {
+/// physically present at the bucket's committed version).
+fn publish(core: &OramCore, guard: &mut parking_lot::MutexGuard<'_, SharedState>) {
     // A batch whose target bucket was rewritten since its plan cannot be
     // patched against the new layout.  The proxy flow never produces this —
     // every rewrite lands in the flush buffer, and the flush's per-bucket
@@ -668,58 +606,14 @@ fn publish_generation(core: &OramCore, guard: &mut parking_lot::MutexGuard<'_, S
         }
     }
 
-    // Freeze this epoch's delta and overlay the patches: the delta must
-    // describe the patched (committed) state, not the mid-air one.  The
-    // real `max_position_delta` is stamped in when a checkpoint consumes
-    // the delta.
-    let mut delta = state.meta.take_delta(0);
-    for (&key, &pre) in &position_undo {
-        match delta.position_delta.iter_mut().find(|(k, _)| *k == key) {
-            Some(entry) => entry.1 = pre,
-            None => delta.position_delta.push((key, pre)),
-        }
-    }
-    delta.position_delta.sort_unstable_by_key(|(k, _)| *k);
-    for (&bucket, patched) in &bucket_undo {
-        match delta.buckets.iter_mut().find(|(b, _)| *b == bucket) {
-            Some(entry) => entry.1 = patched.clone(),
-            None => delta.buckets.push((bucket, patched.clone())),
-        }
-    }
-    delta.buckets.sort_by_key(|(b, _)| *b);
-
-    // Re-mark the patched entries dirty so the next publish's delta records
-    // their live (post-ingest) values.
-    for &key in position_undo.keys() {
-        match state.meta.position.get(key) {
-            Some(live) => {
-                state.meta.position.set(key, live);
-            }
-            None => {
-                state.meta.position.remove(key);
-            }
-        }
-    }
-    for &bucket in bucket_undo.keys() {
-        state.meta.mark_bucket_dirty(bucket);
-    }
-
     // The stash never holds mid-air blocks (a physical target enters it
     // only at ingest), so the live stash is the committed stash.
-    let (_, retired) = state.generations.publish(
-        delta,
-        state.meta.stash.clone(),
-        state.meta.access_count,
-        state.meta.evict_count,
-        position_undo,
-        bucket_undo,
-    );
-    let obs = obladi_obs::global();
-    obs.counter("oram.split.generation_published").inc();
-    if retired > 0 {
-        obs.counter("oram.split.generation_retired")
-            .add(retired as u64);
-    }
+    state
+        .committed
+        .publish(&mut state.meta, position_undo, bucket_undo);
+    obladi_obs::global()
+        .counter("oram.split.generation_published")
+        .inc();
 }
 
 /// Measures one *logical* limbo park of a reader batch.  The old code
@@ -802,15 +696,6 @@ impl OramReader {
         &self.core.store
     }
 
-    /// Pins the latest committed generation.  The returned guard
-    /// materializes byte-identical metadata until dropped, no matter how
-    /// far the live state advances (checkpoints, tests, diagnostics).
-    pub fn pin_generation(&self) -> Result<PinnedGeneration> {
-        let mut state = self.core.shared.state.lock();
-        check_poisoned(&state)?;
-        Ok(pin_latest(&self.core, &mut state))
-    }
-
     /// Executes one read batch.  `requests[i] == None` denotes a padding
     /// (dummy) request that reads a uniformly random path.
     ///
@@ -850,7 +735,7 @@ impl OramReader {
                     .record_duration(parked);
             }
             let mut physical: Vec<SlotRead> = Vec::new();
-            let mut undo: Vec<TargetUndo> = Vec::new();
+            let mut targets: Vec<TargetUndo> = Vec::new();
             let mut plans: Vec<OpPlan> = Vec::with_capacity(requests.len());
             for request in requests {
                 if request.is_none() && LEAK_SKIP_DUMMY_PADS.load(Ordering::Relaxed) {
@@ -863,7 +748,13 @@ impl OramReader {
                     });
                     continue;
                 }
-                match plan_access(&self.core, &mut state, *request, &mut physical, &mut undo) {
+                match plan_access(
+                    &self.core,
+                    &mut state,
+                    *request,
+                    &mut physical,
+                    &mut targets,
+                ) {
                     Ok(plan) => plans.push(plan),
                     Err(err) => {
                         // Planning failed mid-batch (a buffered-hit stash
@@ -889,26 +780,16 @@ impl OramReader {
             }
             state.stats.physical_reads += physical.len() as u64;
             // Register the batch *before* releasing the lock so the
-            // engine's per-bucket fence cannot miss it, pinning the
-            // generation the plan ran against.
+            // engine's per-bucket fence and publish cannot miss it.
             let batch = if physical.is_empty() {
                 None
             } else {
                 let id = state.next_batch_id;
                 state.next_batch_id += 1;
-                let generation = state.generations.pin_latest();
-                obladi_obs::global()
-                    .gauge("oram.split.pinned_readers")
-                    .set(state.generations.total_pins() as i64);
                 let buckets: HashSet<BucketId> = physical.iter().map(|r| r.bucket).collect();
-                state.in_flight.insert(
-                    id,
-                    InFlightBatch {
-                        generation,
-                        buckets,
-                        targets: undo,
-                    },
-                );
+                state
+                    .in_flight
+                    .insert(id, InFlightBatch { buckets, targets });
                 Some(id)
             };
             (plans, physical, batch)
@@ -932,16 +813,7 @@ impl OramReader {
         // failed — then ingest the target blocks into the stash.
         let mut state = self.core.shared.state.lock();
         if let Some(id) = batch {
-            if let Some(entry) = state.in_flight.remove(&id) {
-                let retired = state.generations.unpin(entry.generation);
-                let obs = obladi_obs::global();
-                if retired > 0 {
-                    obs.counter("oram.split.generation_retired")
-                        .add(retired as u64);
-                }
-                obs.gauge("oram.split.pinned_readers")
-                    .set(state.generations.total_pins() as i64);
-            }
+            state.in_flight.remove(&id);
             self.core.shared.cond.notify_all();
         }
         let result = (|state: &mut SharedState| -> Result<Vec<Option<Value>>> {
@@ -996,8 +868,8 @@ impl OramReader {
 /// Plans one access under the shared lock: remaps the key, chooses exactly
 /// one slot per non-buffered bucket on the path, and resolves stash /
 /// buffered targets to their values immediately.  Physical targets append a
-/// [`TargetUndo`] so an overlapping generation publish can keep accounting
-/// for the mid-air block.
+/// [`TargetUndo`] so an overlapping publish can keep accounting for the
+/// mid-air block.
 fn plan_access(
     core: &OramCore,
     state: &mut SharedState,
@@ -1203,15 +1075,16 @@ impl WritebackEngine {
     }
 
     /// A snapshot of the *live* client metadata (tests and diagnostics);
-    /// checkpoints use the latest committed generation instead.
+    /// checkpoints describe [`WritebackEngine::committed_meta`] instead.
     pub fn meta_snapshot(&self) -> OramMeta {
         self.core.shared.state.lock().meta.clone()
     }
 
-    /// Number of generations currently retained (the latest plus any
-    /// pinned history) — test / diagnostic helper.
-    pub fn generations_retained(&self) -> usize {
-        self.core.shared.state.lock().generations.len()
+    /// The committed client metadata — what a full checkpoint taken now
+    /// would encode (tests and diagnostics).
+    pub fn committed_meta(&self) -> OramMeta {
+        let state = self.core.shared.state.lock();
+        state.committed.meta(&state.meta)
     }
 
     // ------------------------------------------------------------------
@@ -1249,8 +1122,8 @@ impl WritebackEngine {
             state.note_bucket(bucket);
             state.meta.bucket_mut(bucket).version = version?;
         }
-        // The initialised tree is the first committed state worth pinning.
-        publish_generation(&self.core, &mut state);
+        // The initialised tree is the first state worth checkpointing.
+        publish(&self.core, &mut state);
         Ok(())
     }
 
@@ -1316,7 +1189,7 @@ impl WritebackEngine {
 
     /// Seals and writes every buffered bucket back to storage (one write per
     /// bucket — the last version wins), clears the buffer, and publishes the
-    /// resulting state as a new generation.
+    /// resulting state.
     ///
     /// Issues the physical writes with the shared lock released.  The
     /// per-bucket fence first waits out in-flight reader batches holding
@@ -1328,9 +1201,9 @@ impl WritebackEngine {
             let mut state = self.core.shared.state.lock();
             check_poisoned(&state)?;
             if state.buffer.is_empty() {
-                // Nothing to write, but the epoch still commits: publish a
-                // generation so checkpoints capture the current state.
-                publish_generation(&self.core, &mut state);
+                // Nothing to write, but the epoch still commits: publish,
+                // so checkpoints capture the current state.
+                publish(&self.core, &mut state);
                 return Ok(());
             }
             self.wait_buffered_bucket_fetches(&mut state)?;
@@ -1365,16 +1238,17 @@ impl WritebackEngine {
         let mut state = self.core.shared.state.lock();
         for (bucket, version) in flushed.into_iter().zip(results) {
             let version = version?;
-            // The version install is a metadata mutation like any other: a
-            // pinned generation must keep pointing at the bucket's *old*
-            // storage version (shadow paging reverts to it on recovery).
+            // The version install is a metadata mutation like any other:
+            // until the publish below the committed state must keep pointing
+            // at the bucket's *old* storage version (shadow paging reverts
+            // to it on recovery).
             state.note_bucket(bucket);
             state.meta.bucket_mut(bucket).version = version;
             state.meta.mark_bucket_dirty(bucket);
             state.buffer.remove(&bucket);
             state.stats.physical_writes += 1;
         }
-        publish_generation(&self.core, &mut state);
+        publish(&self.core, &mut state);
         self.core.shared.cond.notify_all();
         Ok(())
     }
@@ -1605,31 +1479,29 @@ fn check_poisoned(state: &SharedState) -> Result<()> {
 }
 
 impl CheckpointSource for WritebackEngine {
-    /// Serialises the latest committed generation.  No quiescence: the pin
-    /// keeps the generation materializable while concurrent reader batches
-    /// keep planning, and encoding — the expensive part — runs with the
-    /// lock released.  Refuses if a past fetch failed and left a block
+    /// Serialises the committed state.  No quiescence: the state is read,
+    /// and its window marked spent, in one hold of the lock concurrent
+    /// reader batches plan under; encoding — the expensive part — runs with
+    /// it released.  Refuses if a past fetch failed and left a block
     /// permanently unaccounted for (the poison flag; see
     /// [`CheckpointSource`]).
     fn checkpoint_full_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        let pinned = {
-            let mut state = self.core.shared.state.lock();
-            check_poisoned(&state)?;
-            state.generations.full_checkpoint_taken();
-            pin_latest(&self.core, &mut state)
+        let meta = {
+            let mut guard = self.core.shared.state.lock();
+            let state = &mut *guard;
+            check_poisoned(state)?;
+            state.committed.full_taken();
+            state.committed.meta(&state.meta)
         };
-        pinned.meta().encode_full_into(out);
+        meta.encode_full_into(out);
         Ok(())
     }
 
     fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta> {
-        let mut state = self.core.shared.state.lock();
-        check_poisoned(&state)?;
-        let stash_pad = self.core.config.max_stash;
-        let block_size = self.core.config.block_size;
-        Ok(state
-            .generations
-            .take_frozen_delta(max_position_delta, stash_pad, block_size))
+        let mut guard = self.core.shared.state.lock();
+        let state = &mut *guard;
+        check_poisoned(state)?;
+        Ok(state.committed.take_delta(&state.meta, max_position_delta))
     }
 }
 
@@ -2586,52 +2458,89 @@ mod tests {
     }
 
     #[test]
-    fn empty_flush_still_publishes_a_generation() {
-        let (_reader, mut engine) = open(8);
-        assert_eq!(engine.generations_retained(), 1);
-        // Consume the init-time delta, flush with an empty buffer, and the
-        // next delta must come from the *new* generation (not error out).
+    fn empty_flush_still_publishes() {
+        let (reader, mut engine) = open(8);
         engine.checkpoint_delta(8).expect("delta after init");
+        // A padding read moves the live state and buffers nothing; the
+        // flush has nothing to write, and must publish all the same.
+        reader.read_batch(&[None], &NoopPathLogger).unwrap();
+        let accesses = engine.meta_snapshot().access_count;
+        assert_ne!(engine.committed_meta().access_count, accesses);
         engine
             .flush_writes(&NoopPathLogger)
             .expect("empty flush succeeds");
-        assert_eq!(engine.generations_retained(), 1, "old generation retired");
-        engine.checkpoint_delta(8).expect("delta after empty flush");
+        let delta = engine.checkpoint_delta(8).expect("delta after empty flush");
+        assert_eq!(delta.access_count, accesses);
     }
 
     #[test]
-    fn pinned_generation_materializes_byte_identically_across_publishes() {
+    fn the_committed_state_moves_only_at_a_publish() {
         let (reader, mut engine) = open(64);
         engine
             .write_batch(&[(KEY_A, vec![0xAA])], &NoopPathLogger)
             .unwrap();
         engine.flush_writes(&NoopPathLogger).unwrap();
-        let pinned = reader.pin_generation().unwrap();
-        let before = pinned.meta().encode_full();
-        // Two full write+flush cycles publish two newer generations while
-        // the pin holds the old one alive.
+        let before = engine.committed_meta().encode_full();
+        // Both planes move the live state on; nothing is published.
+        let read = reader.read_batch(&[Some(KEY_A), None], &NoopPathLogger);
+        assert_eq!(read.unwrap()[0], Some(vec![0xAA]));
         engine
             .write_batch(&[(KEY_B, vec![0xBB])], &NoopPathLogger)
             .unwrap();
+        assert_ne!(engine.meta_snapshot().encode_full(), before);
+        assert_eq!(engine.committed_meta().encode_full(), before);
+        assert_eq!(engine.checkpoint_full().unwrap(), before);
         engine.flush_writes(&NoopPathLogger).unwrap();
-        engine
-            .write_batch(&[(KEY_A, vec![0xCC])], &NoopPathLogger)
-            .unwrap();
-        engine.flush_writes(&NoopPathLogger).unwrap();
-        assert!(
-            engine.generations_retained() >= 2,
-            "the pinned generation must stay retained"
-        );
         assert_eq!(
-            pinned.meta().encode_full(),
-            before,
-            "a pinned generation is an immutable snapshot"
+            engine.committed_meta().encode_full(),
+            engine.meta_snapshot().encode_full(),
+            "quiesced, the published state is the live one"
         );
-        drop(pinned);
-        assert_eq!(
-            engine.generations_retained(),
-            1,
-            "dropping the last pin retires the old generation"
-        );
+    }
+
+    #[test]
+    fn a_driver_that_never_checkpoints_holds_each_id_at_most_once() {
+        const KEYS: u64 = 64;
+        let (reader, mut engine) = open(64);
+        let ids = KEYS as usize + engine.config().num_buckets() as usize;
+        let mut rng = DetRng::new(5);
+        let mut epoch = |engine: &mut WritebackEngine, round: u64| {
+            let write = (rng.below(KEYS), vec![round as u8]);
+            engine.write_batch(&[write], &NoopPathLogger).unwrap();
+            let reads = [Some(rng.below(KEYS)), None];
+            reader.read_batch(&reads, &NoopPathLogger).unwrap();
+            engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+            engine.flush_writes(&NoopPathLogger).unwrap();
+        };
+        let pending = |engine: &WritebackEngine| {
+            let state = engine.core.shared.state.lock();
+            state.committed.pending_ids()
+        };
+        let mut most = 0;
+        for round in 0..400 {
+            epoch(&mut engine, round);
+            most = most.max(pending(&engine));
+            assert!(most <= ids, "round {round}: {most} ids pending of {ids}");
+        }
+        assert!(most > ids / 2, "the window filled up: {most} of {ids}");
+
+        // However long the window ran, a `Full` spends it, and the deltas
+        // behind it — one per publish or one per two — add up to the
+        // committed state.
+        let full = engine.checkpoint_full().unwrap();
+        assert_eq!(pending(&engine), 0);
+        let mut replica = OramMeta::decode_full(&full).unwrap();
+        for round in 0..24 {
+            epoch(&mut engine, round);
+            if round % 3 == 2 {
+                continue;
+            }
+            let delta = engine.checkpoint_delta(16).unwrap();
+            replica.apply_delta(&MetaDelta::decode(&delta.encode()).unwrap());
+            assert!(
+                replica.encode_full() == engine.committed_meta().encode_full(),
+                "round {round}"
+            );
+        }
     }
 }

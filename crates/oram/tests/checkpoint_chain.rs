@@ -1,13 +1,13 @@
 //! Differential test of the checkpoint chain: after every checkpoint, the
 //! last full checkpoint plus every delta behind it — encoded, decoded and
-//! applied, as recovery does — is the generation the checkpoint captured
+//! applied, as recovery does — is the committed state the checkpoint captured
 //! (position map, buckets, stash, counters: `encode_full` sorts all of
 //! them), and a client rebuilt from it reads every key.  A delta holds a
 //! stash *change set* against the previous checkpoint of either kind, so a
 //! slip anywhere in the chain shows in every later comparison.
 //!
 //! The schedule is the pipelined proxy's: reader batches, the padded write
-//! batch, the flush (which publishes the generation), sometimes another
+//! batch, the flush (which publishes), sometimes another
 //! reader batch between the flush and the checkpoint (depth 2), then a full
 //! checkpoint every fifth epoch and a delta otherwise — sequentially, and
 //! with a second thread's read batch held in flight, between its plan and
@@ -55,8 +55,8 @@ struct Chain {
 
 impl Chain {
     /// Takes epoch `epoch`'s checkpoint from `engine`, applies it, and holds
-    /// the result against the generation the checkpoint captured.
-    fn checkpoint(&mut self, epoch: u64, reader: &OramReader, engine: &mut WritebackEngine) {
+    /// the result against the committed state the checkpoint captured.
+    fn checkpoint(&mut self, epoch: u64, engine: &mut WritebackEngine) {
         if epoch % 5 == 4 {
             self.replica = OramMeta::decode_full(&engine.checkpoint_full().unwrap()).unwrap();
             self.deltas_behind_full = 0;
@@ -67,12 +67,12 @@ impl Chain {
                 .apply_delta(&MetaDelta::decode(&delta.encode()).unwrap());
             self.deltas_behind_full += 1;
         }
-        // Only this thread publishes, so the latest generation is still
-        // the one the checkpoint captured.
-        let captured = reader.pin_generation().unwrap().meta();
+        // Only this thread publishes, so the committed state is still the
+        // one the checkpoint captured.
+        let captured = engine.committed_meta();
         assert!(
             self.replica.encode_full() == captured.encode_full(),
-            "epoch {epoch}: full + {} deltas is not the checkpointed generation",
+            "epoch {epoch}: full + {} deltas is not the checkpointed state",
             self.deltas_behind_full
         );
     }
@@ -178,9 +178,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
                 let batch = requests(&mut rng, &mine, 8);
                 reader.read_batch(&batch, &NoopPathLogger).unwrap();
             }
-            let pinned_behind = engine.generations_retained() - 1;
-            assert_eq!(pinned_behind, usize::from(reads_in_flight), "epoch {epoch}");
-            chain.checkpoint(epoch, &reader, &mut engine);
+            chain.checkpoint(epoch, &mut engine);
             if reads_in_flight {
                 held.0.wait();
             } else if epoch % 16 == 9 {
@@ -191,7 +189,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
         if reads_in_flight {
             // Quiesced: the store holds exactly what the chain describes.
             engine.flush_writes(&NoopPathLogger).unwrap();
-            chain.checkpoint(0, &reader, &mut engine);
+            chain.checkpoint(0, &mut engine);
         }
         chain.assert_reads(epochs, &store, &model);
     });
