@@ -4,8 +4,9 @@
 //! timings, abort causes, pipeline occupancy.  This module records the
 //! other vantage point: the sequence of storage operations an adversary
 //! watching the cloud endpoint sees, reduced to exactly the information
-//! the threat model grants it — operation kind, physical address, sealed
-//! payload *length* (never plaintext), wire frame sizes, and timing.
+//! the threat model grants it — operation kind, physical address (bucket,
+//! and slot for a slot read), sealed payload *length* (never plaintext),
+//! wire frame sizes, and timing.
 //!
 //! Two halves:
 //!
@@ -118,6 +119,8 @@ pub struct AuditOp {
     /// Physical address: bucket id for bucket/slot operations, a hash of
     /// the key for metadata operations, 0 where not applicable.
     pub addr: u64,
+    /// The slot of the bucket a slot read asked for; 0 for every other kind.
+    pub slot: u32,
     /// Sealed payload bytes (response body for reads, request body for
     /// writes) — lengths only, never contents.
     pub payload_len: u32,
@@ -153,35 +156,20 @@ impl AuditRing {
         }
     }
 
-    /// Records one operation, stamped with the ring-relative time.
+    /// Records `op`, stamped with the ring-relative time (its own `at_us`
+    /// is ignored).
     #[inline]
-    pub fn record(
-        &self,
-        store: u32,
-        kind: AuditKind,
-        addr: u64,
-        payload_len: u32,
-        req_frame: u32,
-        resp_frame: u32,
-    ) {
+    pub fn record(&self, mut op: AuditOp) {
         if !ENABLED.load(Ordering::Relaxed) {
             return;
         }
-        let at_us = self.started.lock().elapsed().as_micros() as u64;
+        op.at_us = self.started.lock().elapsed().as_micros() as u64;
         let mut ops = self.ops.lock();
         if ops.len() >= self.capacity {
             ops.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ops.push_back(AuditOp {
-            at_us,
-            store,
-            kind,
-            addr,
-            payload_len,
-            req_frame,
-            resp_frame,
-        });
+        ops.push_back(op);
     }
 
     /// The retained operations, in record order.
@@ -236,11 +224,12 @@ pub fn render_audit_json(ops: &[AuditOp], dropped: u64, indent: usize) -> String
         let _ = writeln!(
             out,
             "{field}{{\"at_us\": {}, \"store\": {}, \"kind\": \"{}\", \"addr\": {}, \
-             \"payload_len\": {}, \"req_frame\": {}, \"resp_frame\": {}}}{comma}",
+             \"slot\": {}, \"payload_len\": {}, \"req_frame\": {}, \"resp_frame\": {}}}{comma}",
             op.at_us,
             op.store,
             op.kind.label(),
             op.addr,
+            op.slot,
             op.payload_len,
             op.req_frame,
             op.resp_frame,
@@ -532,6 +521,7 @@ mod tests {
             store: 0,
             kind,
             addr: 7,
+            slot: 3,
             payload_len,
             req_frame: 26,
             resp_frame: 18 + payload_len,
@@ -549,7 +539,10 @@ mod tests {
     fn ring_bounds_and_resets() {
         let ring = AuditRing::new(4);
         for i in 0..6 {
-            ring.record(0, AuditKind::ReadSlot, i, 64, 26, 82);
+            ring.record(AuditOp {
+                addr: i,
+                ..op(0, AuditKind::ReadSlot, 64)
+            });
         }
         assert_eq!(ring.len(), 4);
         assert_eq!(ring.dropped(), 2);
@@ -564,7 +557,7 @@ mod tests {
     fn disabled_switch_silences_recording() {
         let ring = AuditRing::new(8);
         crate::set_enabled(false);
-        ring.record(0, AuditKind::ReadSlot, 1, 64, 26, 82);
+        ring.record(op(0, AuditKind::ReadSlot, 64));
         crate::set_enabled(true);
         assert!(ring.is_empty());
     }
@@ -657,6 +650,7 @@ mod tests {
         assert!(json.contains("\"dropped\": 3"));
         assert!(json.contains("\"kind\": \"read_slot\""));
         assert!(json.contains("\"kind\": \"put_meta\""));
+        assert!(json.contains("\"addr\": 7, \"slot\": 3, \"payload_len\": 64"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains(",\n  ]"));
     }

@@ -13,18 +13,20 @@
 //! with a second thread's read batch held in flight, between its plan and
 //! its fetch, across every publish and checkpoint.
 
+mod common;
+
+use common::held_in_flight;
 use obladi_common::config::{EpochConfig, OramConfig};
-use obladi_common::error::Result;
 use obladi_common::rng::DetRng;
 use obladi_common::types::{Key, Value};
 use obladi_crypto::KeyMaterial;
 use obladi_oram::{
-    CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, OramReader, PathLogger,
-    RingOram, SlotRead, WritebackEngine,
+    CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, OramReader, RingOram,
+    WritebackEngine,
 };
 use obladi_storage::{InMemoryStore, UntrustedStore};
 use std::collections::{HashMap, HashSet};
-use std::sync::{mpsc, Arc, Barrier};
+use std::sync::{mpsc, Arc};
 
 const KEYSPACE: u64 = 96;
 const WRITE_BATCH: usize = 12;
@@ -100,19 +102,6 @@ impl Chain {
     }
 }
 
-/// Holds a read batch between its plan and its fetch until the other
-/// thread has been through the barrier twice: once to learn that the batch
-/// is planned, once to let it go.
-struct HeldInFlight(Barrier);
-
-impl PathLogger for HeldInFlight {
-    fn log_reads(&self, _reads: &[SlotRead]) -> Result<()> {
-        self.0.wait();
-        self.0.wait();
-        Ok(())
-    }
-}
-
 fn run_epochs(epochs: u64, reads_in_flight: bool) {
     let (reader, mut engine, store) = open(OramConfig::small_for_tests(KEYSPACE * 2));
     let mut rng = DetRng::new(SEED ^ 0xc4a1);
@@ -128,10 +117,13 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
     } else {
         (0..KEYSPACE).collect()
     };
-    let held = HeldInFlight(Barrier::new(2));
+    let (held, is_planned, let_go) = held_in_flight();
     let (to_plan, batches) = mpsc::channel::<Vec<Option<Key>>>();
 
     std::thread::scope(|scope| {
+        // Dropped with this closure, unwinding or not: a failed assertion
+        // below releases the held reader and ends its loop.
+        let (to_plan, let_go) = (to_plan, let_go);
         let (second_reader, held) = (reader.clone(), &held);
         scope.spawn(move || {
             for batch in batches {
@@ -170,7 +162,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
                 // batch's targets back in, and the next delta records where
                 // they went.
                 to_plan.send(requests(&mut rng, &odd, 8)).unwrap();
-                held.0.wait();
+                is_planned.recv().unwrap();
             }
             engine.flush_writes(&NoopPathLogger).unwrap();
             if epoch % 4 == 0 {
@@ -180,7 +172,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
             }
             chain.checkpoint(epoch, &mut engine);
             if reads_in_flight {
-                held.0.wait();
+                let_go.send(()).unwrap();
             } else if epoch % 16 == 9 {
                 chain.assert_reads(epoch, &store, &model);
             }

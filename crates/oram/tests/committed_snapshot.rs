@@ -10,18 +10,20 @@
 //! accounting for the blocks in mid-air, and that the chain of checkpoints
 //! records where they went once they land.
 
+mod common;
+
+use common::held_in_flight;
 use obladi_common::config::OramConfig;
-use obladi_common::error::Result;
 use obladi_common::types::{Key, Value};
 use obladi_crypto::KeyMaterial;
 use obladi_oram::metadata::KeyLocation;
 use obladi_oram::{
-    CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, OramReader, PathLogger,
-    RingOram, SlotRead, WritebackEngine,
+    CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, OramReader, RingOram,
+    WritebackEngine,
 };
 use obladi_storage::{InMemoryStore, UntrustedStore};
 use proptest::prelude::*;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 
 const KEYSPACE: u64 = 64;
 
@@ -145,23 +147,6 @@ proptest! {
     }
 }
 
-/// Holds a read batch between its plan and its fetch (`checkpoint_chain.rs`
-/// has the barrier form): says that the batch is planned, then waits to be
-/// let go — or for the other thread to unwind, so that a failed assertion
-/// over there is what the test reports, not a hang.
-struct HeldInFlight {
-    planned: mpsc::Sender<()>,
-    let_go: Mutex<mpsc::Receiver<()>>,
-}
-
-impl PathLogger for HeldInFlight {
-    fn log_reads(&self, _reads: &[SlotRead]) -> Result<()> {
-        self.planned.send(()).expect("the test waits for the plan");
-        let _ = self.let_go.lock().unwrap().recv();
-        Ok(())
-    }
-}
-
 /// Whether `meta` holds `key` in the stash or in any bucket.
 fn accounted_for(meta: &OramMeta, key: Key) -> bool {
     let everywhere: Vec<u64> = (0..meta.buckets.len() as u64).collect();
@@ -190,12 +175,7 @@ fn a_batch_held_across_two_publishes_is_accounted_for_throughout() {
         delta
     };
 
-    let (planned, is_planned) = mpsc::channel();
-    let (let_go, held) = mpsc::channel();
-    let held = HeldInFlight {
-        planned,
-        let_go: Mutex::new(held),
-    };
+    let (held, is_planned, let_go) = held_in_flight();
     let batch: Vec<Option<Key>> = (0..8).map(|i| Some(8 * i + 1)).collect();
     std::thread::scope(|scope| {
         // Dropped with this closure, unwinding or not.

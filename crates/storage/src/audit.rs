@@ -2,13 +2,14 @@
 //!
 //! [`RecordingStore`] wraps any store and records, for every operation,
 //! exactly what an adversary co-located with the storage server observes:
-//! the operation kind, the physical address, the sealed payload *length*
-//! (never plaintext — everything below this boundary is already sealed by
-//! the proxy), and the wire frame sizes the operation would occupy on the
-//! `obladi-transport` framing.  Frame sizes are computed analytically from
-//! the `proto` encoding, so an in-process store produces the same trace
-//! shape a real socket would carry — the whole point is comparing traces
-//! across workloads, not across transports.
+//! the operation kind, the physical address (bucket, and slot for a slot
+//! read), the sealed payload *length* (never plaintext — everything below
+//! this boundary is already sealed by the proxy), and the wire frame sizes
+//! the operation would occupy on the `obladi-transport` framing.  Frame
+//! sizes are computed analytically from the `proto` encoding, so an
+//! in-process store produces the same trace shape a real socket would carry
+//! — the whole point is comparing traces across workloads, not across
+//! transports.
 //!
 //! [`record_server_op`] is the other half of the tap: the transport
 //! server loop calls it per decoded frame, so an `obladi-stored` daemon
@@ -20,7 +21,7 @@ use crate::traits::{BucketSnapshot, StoreStats, UntrustedStore};
 use bytes::Bytes;
 use obladi_common::error::Result;
 use obladi_common::types::{BucketId, Version};
-use obladi_obs::audit::{AuditKind, AuditRing};
+use obladi_obs::audit::{AuditKind, AuditOp, AuditRing};
 use std::sync::Arc;
 
 /// Bytes the transport adds around a proto payload: the 4-byte length
@@ -30,6 +31,28 @@ const FRAME_OVERHEAD: usize = 13;
 /// Total on-the-wire size of a frame carrying `payload_len` proto bytes.
 fn wire_frame(payload_len: usize) -> u32 {
     (FRAME_OVERHEAD + payload_len) as u32
+}
+
+/// One trace entry of `store`, for proto payloads of the given lengths; the
+/// slot is 0 until a slot-read site sets its own.
+fn op(
+    store: u32,
+    kind: AuditKind,
+    addr: u64,
+    payload_len: usize,
+    req_payload: usize,
+    resp_payload: usize,
+) -> AuditOp {
+    AuditOp {
+        at_us: 0,
+        store,
+        kind,
+        addr,
+        slot: 0,
+        payload_len: payload_len as u32,
+        req_frame: wire_frame(req_payload),
+        resp_frame: wire_frame(resp_payload),
+    }
 }
 
 /// FNV-1a over a metadata key: a stable physical address for the trace
@@ -76,20 +99,28 @@ pub fn record_server_op(opcode: u8, req_payload: &[u8], resp_payload_len: usize)
         }
         _ => 0,
     };
+    // A slot read names its slot right behind the bucket.
+    let slot = match opcode {
+        0x01 if req_payload.len() >= 13 => {
+            u32::from_le_bytes(req_payload[9..13].try_into().unwrap())
+        }
+        _ => 0,
+    };
     let payload_len = match kind {
         AuditKind::WriteBucket | AuditKind::PutMeta | AuditKind::AppendLog => {
             req_payload.len().saturating_sub(1)
         }
         _ => resp_payload_len.saturating_sub(1),
     };
-    obladi_obs::audit::global().record(
+    let op = op(
         0,
         kind,
         addr,
-        payload_len as u32,
-        wire_frame(req_payload.len()),
-        wire_frame(resp_payload_len),
+        payload_len,
+        req_payload.len(),
+        resp_payload_len,
     );
+    obladi_obs::audit::global().record(AuditOp { slot, ..op });
 }
 
 /// A store wrapper recording the adversary-visible trace of every
@@ -125,14 +156,15 @@ impl RecordingStore {
         req_payload: usize,
         resp_payload: usize,
     ) {
-        self.ring.record(
+        let op = op(
             self.store_id,
             kind,
             addr,
-            payload_len as u32,
-            wire_frame(req_payload),
-            wire_frame(resp_payload),
+            payload_len,
+            req_payload,
+            resp_payload,
         );
+        self.ring.record(op);
     }
 }
 
@@ -140,7 +172,15 @@ impl UntrustedStore for RecordingStore {
     fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
         let data = self.inner.read_slot(bucket, slot)?;
         // req: tag + bucket + slot; resp: tag + len-prefixed payload.
-        self.record(AuditKind::ReadSlot, bucket, data.len(), 13, 5 + data.len());
+        let read = op(
+            self.store_id,
+            AuditKind::ReadSlot,
+            bucket,
+            data.len(),
+            13,
+            5 + data.len(),
+        );
+        self.ring.record(AuditOp { slot, ..read });
         Ok(data)
     }
 
@@ -266,15 +306,15 @@ mod tests {
     fn slot_reads_record_length_not_contents() {
         let (store, ring) = recorded();
         store
-            .write_bucket(7, vec![Bytes::from_static(b"sealedsealed")])
+            .write_bucket(7, vec![Bytes::from_static(b"sealedsealed"); 2])
             .unwrap();
-        store.read_slot(7, 0).unwrap();
+        store.read_slot(7, 1).unwrap();
         let ops = ring.ops();
         assert_eq!(ops.len(), 2);
         let read = ops[1];
         assert_eq!(read.kind, AuditKind::ReadSlot);
         assert_eq!(read.store, 3);
-        assert_eq!(read.addr, 7);
+        assert_eq!((read.addr, read.slot), (7, 1));
         assert_eq!(read.payload_len, 12);
         // req: 13 framing + tag + bucket + slot; resp: 13 + tag + 4 + 12.
         assert_eq!(read.req_frame, 26);
@@ -358,7 +398,7 @@ mod tests {
         let ops = obladi_obs::audit::global().ops();
         let op = *ops.last().expect("tap recorded");
         assert_eq!(op.kind, AuditKind::ReadSlot);
-        assert_eq!(op.addr, 9);
+        assert_eq!((op.addr, op.slot), (9, 1));
         assert_eq!(op.req_frame, 26);
         assert_eq!(op.resp_frame, 26);
         assert_eq!(op.payload_len, 12, "tag stripped from the data direction");

@@ -8,10 +8,21 @@
 //! positional check that slot reads spread over the tree identically —
 //! a real request in a batch must be placed exactly like a dummy pad
 //! (§9's "the adversary sees a fixed sequence of uniformly chosen
-//! paths").
+//! paths").  At the level of one ORAM client it adds §4's two invariants
+//! on what the store observed: access-phase paths are uniform over the
+//! leaves ([`RecordedOram`], [`leaf_histogram`]) and no slot is read
+//! twice between two writes of its bucket ([`slot_reread`]).
 
+use obladi_common::config::OramConfig;
+use obladi_common::error::Result;
+use obladi_common::types::Key;
+use obladi_crypto::KeyMaterial;
 use obladi_obs::audit::{compare, AuditKind, AuditOp, AuditRing, AuditTolerances, TraceShape};
+use obladi_oram::{
+    ExecOptions, NoopPathLogger, OramReader, RingOram, TreeGeometry, WritebackEngine,
+};
 use obladi_storage::{InMemoryStore, RecordingStore, UntrustedStore};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Builds `shards` in-memory stores that all record into one fresh ring
@@ -48,6 +59,93 @@ pub fn level_profile(ops: &[AuditOp]) -> Vec<u64> {
         counts[level] += 1;
     }
     counts
+}
+
+/// The split halves of one ORAM client over a recording in-memory store:
+/// the adversary's seat at a single client, for §4's invariants.
+pub struct RecordedOram {
+    /// The read plane.
+    pub reader: OramReader,
+    /// The write-back engine.
+    pub engine: WritebackEngine,
+    /// What the store has been asked since the last [`AuditRing::reset`].
+    pub ring: Arc<AuditRing>,
+}
+
+impl RecordedOram {
+    /// Opens a client over a fresh store.
+    pub fn open(config: OramConfig, seed: u64) -> Result<Self> {
+        let (mut stores, ring) = recording_stores(1);
+        let (keys, options) = (KeyMaterial::for_tests(seed), ExecOptions::parallel(2));
+        let (reader, engine) =
+            RingOram::new(config, &keys, stores.remove(0), options, seed)?.split();
+        Ok(RecordedOram {
+            reader,
+            engine,
+            ring,
+        })
+    }
+
+    /// Runs one read batch the way the `RingOram` facade sequences it and
+    /// returns what the store saw of each phase: the batch's own fetches —
+    /// one uniformly chosen path per request, whatever the workload (§4) —
+    /// and then the maintenance that came due plus the flush, whose eviction
+    /// reads follow the public reverse-lexicographic schedule and are no
+    /// function of the workload.
+    pub fn read_batch_by_phase(
+        &mut self,
+        requests: &[Option<Key>],
+    ) -> Result<(Vec<AuditOp>, Vec<AuditOp>)> {
+        self.ring.reset();
+        self.reader.read_batch(requests, &NoopPathLogger)?;
+        let access = self.ring.ops();
+        self.engine.run_pending_maintenance(&NoopPathLogger)?;
+        self.engine.flush_writes(&NoopPathLogger)?;
+        let maintenance = self.ring.ops().split_off(access.len());
+        Ok((access, maintenance))
+    }
+}
+
+/// Histogram of the slot reads in `ops` that landed on leaf-level buckets,
+/// by leaf label `0..num_leaves`.  Under the path invariant the leaf-level
+/// accesses of a long access-phase trace are uniform over the leaves; this
+/// is what the tests feed to [`crate::stats::chi_square_uniform`].
+pub fn leaf_histogram(ops: &[AuditOp], geometry: &TreeGeometry) -> Vec<u64> {
+    let first_leaf_bucket = geometry.num_leaves() - 1;
+    let mut counts = vec![0u64; geometry.num_leaves() as usize];
+    for op in ops.iter().filter(|op| op.kind == AuditKind::ReadSlot) {
+        if let Some(count) = op
+            .addr
+            .checked_sub(first_leaf_bucket)
+            .and_then(|leaf| counts.get_mut(leaf as usize))
+        {
+            *count += 1;
+        }
+    }
+    counts
+}
+
+/// The bucket invariant of §4 on what the store observed: between two
+/// writes (or reverts) of a bucket, no slot of it is read twice.  Returns
+/// the first violation.
+pub fn slot_reread(ops: &[AuditOp]) -> Option<String> {
+    let mut read_since_write: HashMap<(u32, u64), HashSet<u32>> = HashMap::new();
+    for op in ops {
+        let bucket = (op.store, op.addr);
+        match op.kind {
+            AuditKind::WriteBucket | AuditKind::RevertBucket => {
+                read_since_write.remove(&bucket);
+            }
+            AuditKind::ReadSlot if !read_since_write.entry(bucket).or_default().insert(op.slot) => {
+                return Some(format!(
+                    "slot {} of bucket {} (store {}) read twice between two writes of the bucket",
+                    op.slot, op.addr, op.store
+                ));
+            }
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Checks the WAL retention rhythm of one trace: every shard truncates its
@@ -129,6 +227,7 @@ mod tests {
             store: 0,
             kind: AuditKind::ReadSlot,
             addr: bucket,
+            slot: 0,
             payload_len: 64,
             req_frame: 26,
             resp_frame: 82,
@@ -141,6 +240,45 @@ mod tests {
         let ops = vec![read_op(0), read_op(1), read_op(2), read_op(3)];
         let profile = level_profile(&ops);
         assert_eq!(profile, vec![1, 2, 1]);
+    }
+
+    #[test]
+    fn a_slot_may_be_read_again_only_behind_a_write_of_its_bucket() {
+        let write = |bucket| AuditOp {
+            kind: AuditKind::WriteBucket,
+            ..read_op(bucket)
+        };
+        let other_slot = AuditOp {
+            slot: 1,
+            ..read_op(3)
+        };
+        let other_store = AuditOp {
+            store: 1,
+            ..read_op(3)
+        };
+        let fine = [read_op(3), other_slot, other_store, read_op(4)];
+        assert_eq!(slot_reread(&fine), None);
+        assert_eq!(slot_reread(&[read_op(3), write(3), read_op(3)]), None);
+        let twice = slot_reread(&[read_op(3), write(4), read_op(3)]);
+        assert!(twice.unwrap().contains("slot 0 of bucket 3"));
+    }
+
+    #[test]
+    fn leaf_histogram_counts_leaf_level_slot_reads_only() {
+        // Four leaves: buckets 3..=6 of a seven-bucket tree.
+        let geometry = TreeGeometry::with_levels(3);
+        assert_eq!(geometry.num_leaves(), 4);
+        let mut log = read_op(5);
+        log.kind = AuditKind::AppendLog;
+        let ops = [
+            read_op(0),
+            read_op(2),
+            read_op(3),
+            read_op(6),
+            read_op(6),
+            log,
+        ];
+        assert_eq!(leaf_histogram(&ops, &geometry), vec![1, 0, 0, 2]);
     }
 
     #[test]

@@ -9,20 +9,19 @@
 //!   attributable to its writer;
 //! * [`recorder`] — thread-safe collection of per-transaction traces from
 //!   concurrent client threads;
-//! * [`trace`] — a [`obladi_oram::client::PathLogger`] that records the
-//!   physical access trace the storage server observes, with helpers for
-//!   the path-uniformity and bucket-invariant checks of §4/§9;
 //! * [`stats`] — chi-square uniformity and total-variation distance used to
 //!   compare adversary-visible traces across workloads;
 //! * [`audit`] — the obliviousness oracle over `obladi_obs::audit`
-//!   adversary-view traces: recording deployments, trace-shape reduction
-//!   and the pairwise differential indistinguishability assertion;
-//! * [`chaos`] — a crash-point injection harness for the epoch fate-sharing
-//!   durability guarantee of §8;
-//! * [`shard_chaos`] — a deterministic crash-schedule explorer for the
-//!   sharded 2PC commit path: it enumerates every prepare/vote/commit
-//!   interleaving crash point of a cross-shard transaction and checks
-//!   all-or-nothing visibility plus serializability after recovery.
+//!   adversary-view traces, the one recorder of what the storage server
+//!   sees: recording deployments and split clients, trace-shape reduction,
+//!   the pairwise differential indistinguishability assertion, and the
+//!   path-uniformity and bucket-invariant checks of §4/§9;
+//! * [`chaos`] — the one fault schedule and the one case runner for the
+//!   epoch fate-sharing guarantee of §8: every named crash point of the
+//!   sharded 2PC commit path, the pipelined epoch overlap and the spawned
+//!   storage daemons, driven through one sequence and judged by
+//!   all-or-nothing visibility, acknowledged-implies-durable, recovery
+//!   idempotence and serializability; plus the single-proxy script runner.
 //!
 //! Keeping these oracles in a dedicated crate keeps the system crates free
 //! of test-only code while letting every test target (and the benches)
@@ -34,33 +33,25 @@
 pub mod audit;
 pub mod chaos;
 pub mod history;
-pub mod proc_chaos;
 pub mod recorder;
-pub mod shard_chaos;
 pub mod stats;
-pub mod trace;
 
 pub use audit::{assert_trace_indistinguishable, cross_check, level_profile, recording_stores};
-pub use chaos::{put_acknowledged, read_with_retries, run_script_with_crash, CrashRun};
+pub use chaos::{
+    commit_with_retries, cross_shard_pair, put_acknowledged, read_with_retries, run_case,
+    run_script_with_crash, schedule, CaseReport, CrashRun, Expected, Fault, FaultCase, Load,
+};
 pub use history::{
     check_serializable, parse_tag, tag_value, History, HistoryOp, SerializabilityReport, TxnRecord,
     Violation, WriteTag,
 };
-pub use proc_chaos::{proc_kill_schedule, run_proc_kill_case, ProcKillCase, ProcKillReport};
 pub use recorder::{HistoryRecorder, TxnTrace};
-pub use shard_chaos::{
-    crash_schedule, cross_shard_pair, cross_shard_pair_through, hammer_pair_tagged,
-    hammer_pair_tagged_observed, open_faulty_deployment, overlap_crash_schedule,
-    run_overlap_crash_case, run_shard_crash_case, Expected, FaultyDeployment, OverlapCrashCase,
-    OverlapCrashReport, PairAttempt, ShardCrashCase, ShardCrashReport,
-};
 pub use stats::{
     chi_square_critical, chi_square_uniform, is_plausibly_uniform, total_variation_distance,
 };
-pub use trace::{leaf_histogram_of, TraceRecorder};
 
 /// Dumps the process-wide observability report to stderr, labelled with the
-/// failing case.  The chaos harnesses call this the moment an invariant
+/// failing case.  The chaos runner calls this the moment an invariant
 /// breaks, so a failing sweep ships its own diagnosis: phase timings,
 /// abort-cause counters and the trace tail of the epochs leading into the
 /// crash.

@@ -2,13 +2,16 @@
 //! shard's `obladi-stored` daemon mid-epoch, respawn it, recover the
 //! shard, and assert the full oracle battery (all-or-nothing,
 //! acknowledged-implies-durable, recovery idempotence, serializability,
-//! 2PC decision drain).
+//! 2PC decision drain).  The cases are the `Fault::KillDaemon` rows of the
+//! one fault schedule in `obladi_testkit::chaos`, run by the same
+//! `run_case` as the in-process crash points: that the stores are spawned
+//! daemons follows from the fault.
 //!
 //! A fast smoke case runs in the default tier; the full schedule (kill
 //! depths × victim sides) is `#[ignore]`d for the release chaos job
 //! (`cargo test --release -- --ignored`).
 
-use obladi_testkit::{proc_kill_schedule, run_proc_kill_case};
+use obladi_testkit::chaos::{case, run_case, schedule, Fault};
 use obladi_transport::STORED_BIN_ENV;
 
 fn set_stored_bin() {
@@ -20,17 +23,15 @@ fn set_stored_bin() {
 #[test]
 fn storage_daemon_kill9_smoke() {
     set_stored_bin();
-    let schedule = proc_kill_schedule();
-    let case = schedule
-        .iter()
-        .find(|case| case.kill_after_acked == 1 && !case.victim_second)
-        .expect("schedule has the smoke case");
-    let report = run_proc_kill_case(case, 0xD1E5_0001).unwrap();
+    let case = case("stored-kill9-after-1-acked/first");
+    assert_eq!(case.fault, Fault::KillDaemon { after_acked: 1 });
+    let report = run_case(&case, 0xD1E5_0001).unwrap();
     assert!(
-        report.attempts[0] + report.attempts[1] > 0,
+        report.attempts.iter().sum::<usize>() > 0,
         "hammers never attempted anything: {report:?}"
     );
-    assert_ne!(report.pids.0, report.pids.1, "respawn must change the pid");
+    let (before, after) = report.pids.expect("a spawned daemon has a pid");
+    assert_ne!(before, after, "respawn must change the pid");
 }
 
 /// The full sweep: every kill depth on either side of the pair.
@@ -38,23 +39,33 @@ fn storage_daemon_kill9_smoke() {
 #[ignore = "full process-kill sweep; run with --ignored in the release chaos job"]
 fn storage_daemon_kill9_sweep() {
     set_stored_bin();
+    let kills = schedule()
+        .into_iter()
+        .filter(|case| matches!(case.fault, Fault::KillDaemon { .. }));
     let mut failures = Vec::new();
-    for (index, case) in proc_kill_schedule().iter().enumerate() {
-        match run_proc_kill_case(case, 0xD1E5_1000 + index as u64) {
+    let mut ran = 0;
+    for (index, case) in kills.enumerate() {
+        ran += 1;
+        match run_case(&case, 0xD1E5_1000 + index as u64) {
             Ok(report) => {
                 println!(
                     "[{}] acked={:?} attempts={:?} in_doubt={} replayed={} pids={:?}",
                     report.name,
                     report.acked,
                     report.attempts,
-                    report.in_doubt,
-                    report.replayed_commits,
+                    report.recovery.in_doubt,
+                    report.recovery.replayed_commits,
                     report.pids
                 );
+                let pids = report.pids;
+                if pids.is_none_or(|(before, after)| before == after) {
+                    failures.push(format!("{}: respawn kept the pid: {pids:?}", case.name));
+                }
             }
             Err(err) => failures.push(format!("{}: {err}", case.name)),
         }
     }
+    assert_eq!(ran, 6, "three kill depths on either side of the pair");
     assert!(
         failures.is_empty(),
         "failed cases:\n{}",

@@ -1,6 +1,7 @@
 //! `StorageBackend::RemoteAddr` end to end: the deployment connects to
 //! storage servers it does *not* supervise — the multi-machine shape,
-//! here hosted on threads with real TCP sockets in between.
+//! here hosted on threads with real TCP sockets in between.  (Commits go
+//! through the deadline-based retry helper of `obladi_testkit::chaos`.)
 
 use obladi_common::config::{ShardConfig, StorageBackend};
 use obladi_shard::ShardedDb;
@@ -9,7 +10,7 @@ use obladi_transport::{serve, SocketSpec};
 use std::sync::Arc;
 use std::time::Duration;
 
-use obladi_testkit::shard_chaos::commit_with_retries;
+use obladi_testkit::chaos::commit_with_retries;
 
 #[test]
 fn sharded_db_over_remote_addr_tcp_servers() {

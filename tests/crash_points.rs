@@ -6,9 +6,15 @@
 //! writes never resurface.  A second test replays the same script and crash
 //! point twice and checks that the recovered state is identical — the
 //! deterministic-recovery property that the read-path log exists to provide.
+//!
+//! This is the single-proxy script runner of `obladi_testkit::chaos`: an
+//! `ObladiDb` with no epoch gate in front of it, which the sharded fault
+//! schedule (`tests/sharded_crash_points.rs`) cannot reach.  Its
+//! post-recovery reads retry against a deadline, not a count, so the sweep
+//! does not depend on the host being idle.
 
 use obladi::prelude::*;
-use obladi_testkit::chaos::{read_with_retries, run_script_with_crash};
+use obladi_testkit::chaos::{put_acknowledged, read_with_retries, run_script_with_crash};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -88,8 +94,8 @@ fn recovery_is_deterministic_for_identical_runs() {
     for (key, value) in &state_a {
         if let Some(other) = state_b.get(key) {
             if value == other {
-                let got_a = read_with_retries(&run_a.db, *key, 20).unwrap();
-                let got_b = read_with_retries(&run_b.db, *key, 20).unwrap();
+                let got_a = read_with_retries(&run_a.db, *key).unwrap();
+                let got_b = read_with_retries(&run_b.db, *key).unwrap();
                 assert_eq!(got_a, got_b, "recovered state diverged for key {key}");
                 assert_eq!(got_a, Some(value.clone()));
             }
@@ -108,7 +114,7 @@ fn repeated_crashes_between_every_write_still_preserve_acknowledgements() {
     for i in 0..10u64 {
         let key = i % 4;
         let value = format!("hostile-{i}").into_bytes();
-        let acknowledged = obladi_testkit::put_acknowledged(&db, key, &value);
+        let acknowledged = put_acknowledged(&db, key, &value);
         if acknowledged {
             expected.retain(|(k, _)| *k != key);
             expected.push((key, value));
@@ -118,7 +124,7 @@ fn repeated_crashes_between_every_write_still_preserve_acknowledgements() {
     }
     for (key, value) in expected {
         assert_eq!(
-            read_with_retries(&db, key, 20).unwrap(),
+            read_with_retries(&db, key).unwrap(),
             Some(value),
             "key {key} lost across repeated crashes"
         );

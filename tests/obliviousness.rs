@@ -3,68 +3,56 @@
 //! The security argument of §9 rests on the storage-visible behaviour being
 //! generatable without knowledge of the workload: fixed-size padded batches,
 //! uniformly distributed paths, every slot read at most once between bucket
-//! rewrites.  These tests check those properties empirically by recording
-//! the physical trace under adversarially different workloads.
+//! rewrites.  These tests check those properties empirically on the trace
+//! the store observed (`obladi_testkit::audit::RecordedOram`, the one
+//! adversary recorder) under adversarially different workloads.
 
 use obladi_common::config::OramConfig;
 use obladi_common::rng::DetRng;
 use obladi_common::types::Key;
-use obladi_crypto::KeyMaterial;
-use obladi_oram::client::PathLogger;
-use obladi_oram::{ExecOptions, NoopPathLogger, RingOram, SlotRead};
-use obladi_storage::{InMemoryStore, UntrustedStore};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::Arc;
+use obladi_obs::audit::{AuditKind, AuditOp};
+use obladi_oram::NoopPathLogger;
+use obladi_testkit::audit::{leaf_histogram, slot_reread, RecordedOram};
 
-/// A `PathLogger` that records every physical read for later analysis.
-#[derive(Default)]
-struct TraceLogger {
-    reads: Mutex<Vec<SlotRead>>,
-}
-
-impl PathLogger for TraceLogger {
-    fn log_reads(&self, reads: &[SlotRead]) -> obladi_common::error::Result<()> {
-        self.reads.lock().extend_from_slice(reads);
-        Ok(())
-    }
-}
-
-fn build_oram(seed: u64) -> RingOram {
+fn build_oram(seed: u64) -> RecordedOram {
     let config = OramConfig::small_for_tests(512).with_max_stash(2_048);
-    let keys = KeyMaterial::for_tests(seed);
-    let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
-    let mut oram = RingOram::new(config, &keys, store, ExecOptions::parallel(2), seed).unwrap();
+    let mut oram = RecordedOram::open(config, seed).unwrap();
     let writes: Vec<(Key, Vec<u8>)> = (0..256).map(|k| (k, vec![k as u8; 8])).collect();
     for chunk in writes.chunks(64) {
-        oram.write_batch(chunk, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        oram.engine.write_batch(chunk, &NoopPathLogger).unwrap();
+        oram.engine.flush_writes(&NoopPathLogger).unwrap();
     }
     oram
 }
 
 /// Runs `batches` fixed-size read batches drawn from `pick` and returns the
-/// physical trace plus per-batch physical read counts.
+/// trace the store observed (fetches, maintenance and flushes) plus its
+/// slot-read count per batch.
 fn run_trace(
-    oram: &mut RingOram,
+    oram: &mut RecordedOram,
     batches: usize,
     batch_size: usize,
     mut pick: impl FnMut(usize, &mut DetRng) -> Key,
     seed: u64,
-) -> (Vec<SlotRead>, Vec<u64>) {
-    let logger = TraceLogger::default();
+) -> (Vec<AuditOp>, Vec<u64>) {
     let mut rng = DetRng::new(seed);
+    let mut trace = Vec::new();
     let mut per_batch = Vec::new();
     for b in 0..batches {
-        let before = oram.stats().physical_reads;
         let requests: Vec<Option<Key>> = (0..batch_size)
             .map(|i| Some(pick(b * batch_size + i, &mut rng)))
             .collect();
-        oram.read_batch(&requests, &logger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        per_batch.push(oram.stats().physical_reads - before);
+        let (access, maintenance) = oram.read_batch_by_phase(&requests).unwrap();
+        let seen = trace.len();
+        trace.extend(access);
+        trace.extend(maintenance);
+        let slot_reads = trace[seen..]
+            .iter()
+            .filter(|op| op.kind == AuditKind::ReadSlot);
+        per_batch.push(slot_reads.count() as u64);
     }
-    (logger.reads.into_inner(), per_batch)
+    assert_eq!(oram.ring.dropped(), 0, "the ring holds a whole batch");
+    (trace, per_batch)
 }
 
 #[test]
@@ -92,30 +80,16 @@ fn hot_and_uniform_workloads_issue_identical_request_counts() {
 #[test]
 fn no_slot_is_read_twice_between_bucket_writes() {
     // The bucket invariant (§4): between two writes of a bucket, every
-    // physical slot is read at most once.
+    // physical slot is read at most once — judged on the reads and writes
+    // the store was asked for, reads interleaved with flushes.
     let mut oram = build_oram(2);
-    let logger = TraceLogger::default();
-    let mut rng = DetRng::new(9);
-
-    // Interleave reads and flushes; track bucket versions to scope the check
-    // to "since the bucket was last written".
-    let mut seen: HashMap<(u64, u64, u32), u64> = HashMap::new();
-    for _ in 0..8 {
-        let requests: Vec<Option<Key>> = (0..16).map(|_| Some(rng.below(256))).collect();
-        oram.read_batch(&requests, &logger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-    }
-    for read in logger.reads.lock().iter() {
-        let entry = seen
-            .entry((read.bucket, read.version, read.slot))
-            .or_insert(0);
-        *entry += 1;
-        assert_eq!(
-            *entry, 1,
-            "slot {} of bucket {} (version {}) was read twice between rewrites",
-            read.slot, read.bucket, read.version
-        );
-    }
+    let (trace, _) = run_trace(&mut oram, 8, 16, |_, rng| rng.below(256), 9);
+    assert_eq!(slot_reread(&trace), None);
+    // The run is long enough to put the check to work: slots do get read
+    // again, each time behind a rewrite of their bucket.
+    let mut reads_only = trace;
+    reads_only.retain(|op| op.kind != AuditKind::WriteBucket);
+    assert!(slot_reread(&reads_only).is_some());
 }
 
 #[test]
@@ -127,23 +101,17 @@ fn accessed_buckets_cover_the_tree_uniformly() {
     let mut oram = build_oram(3);
     let (trace, _) = run_trace(&mut oram, 12, 16, |_, _| 42, 77);
 
-    let geometry = oram.geometry();
-    let leaf_level_start = geometry.num_leaves() - 1; // first leaf bucket id
-    let mut leaf_bucket_hits: HashMap<u64, u64> = HashMap::new();
-    for read in &trace {
-        if read.bucket >= leaf_level_start {
-            *leaf_bucket_hits.entry(read.bucket).or_insert(0) += 1;
-        }
-    }
-    let distinct = leaf_bucket_hits.len() as u64;
+    let geometry = oram.reader.geometry();
+    let leaf_bucket_hits = leaf_histogram(&trace, &geometry);
+    let distinct = leaf_bucket_hits.iter().filter(|hits| **hits > 0).count() as u64;
     assert!(
         distinct >= geometry.num_leaves() / 3,
         "accesses concentrated on {distinct} of {} leaf buckets — paths are not uniform",
         geometry.num_leaves()
     );
     // No single leaf bucket should dominate the trace.
-    let max_hits = leaf_bucket_hits.values().copied().max().unwrap_or(0);
-    let total_hits: u64 = leaf_bucket_hits.values().sum();
+    let max_hits = leaf_bucket_hits.iter().copied().max().unwrap_or(0);
+    let total_hits: u64 = leaf_bucket_hits.iter().sum();
     assert!(
         (max_hits as f64) < 0.35 * total_hits as f64,
         "one leaf bucket absorbed {max_hits}/{total_hits} accesses"

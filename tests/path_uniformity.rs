@@ -1,4 +1,7 @@
-//! Statistical checks on the physical access trace (§4 invariants, §9).
+//! Statistical checks on the physical access trace (§4 invariants, §9) —
+//! the trace the *store* observed, recorded by the one adversary recorder
+//! (`obladi_storage::RecordingStore` into an `AuditRing`), not the paths the
+//! proxy logs.
 //!
 //! `obliviousness.rs` checks coarse properties (request counts, no
 //! slot reuse, broad leaf coverage) with hand-rolled thresholds; these tests
@@ -8,63 +11,50 @@
 //! traces produced by two adversarially different workloads are close in
 //! total-variation distance.
 
-use obladi::crypto::KeyMaterial;
-use obladi::oram::{ExecOptions, NoopPathLogger, RingOram, SlotRead};
+use obladi::obs::audit::AuditOp;
+use obladi::oram::NoopPathLogger;
 use obladi::prelude::*;
-use obladi::storage::{InMemoryStore, UntrustedStore};
-use obladi_testkit::{
-    is_plausibly_uniform, leaf_histogram_of, total_variation_distance, TraceRecorder,
-};
-use std::sync::Arc;
+use obladi_testkit::audit::{leaf_histogram, slot_reread, RecordedOram};
+use obladi_testkit::{is_plausibly_uniform, total_variation_distance};
 
-fn build_oram(seed: u64) -> RingOram {
+fn build_oram(seed: u64) -> RecordedOram {
     let config = OramConfig::small_for_tests(512).with_max_stash(4_096);
-    let keys = KeyMaterial::for_tests(seed);
-    let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
-    let mut oram = RingOram::new(config, &keys, store, ExecOptions::parallel(2), seed).unwrap();
+    let mut oram = RecordedOram::open(config, seed).unwrap();
     let writes: Vec<(Key, Value)> = (0..256).map(|k| (k, vec![k as u8; 8])).collect();
     for chunk in writes.chunks(64) {
-        oram.write_batch(chunk, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        oram.engine.write_batch(chunk, &NoopPathLogger).unwrap();
+        oram.engine.flush_writes(&NoopPathLogger).unwrap();
     }
     oram
 }
 
 /// Runs `batches` batches of `batch_size` reads picked by `pick`.
 ///
-/// Returns the access-phase reads (the first log entry of every
-/// `read_batch`, whose paths the path invariant makes uniform), the
-/// maintenance reads (eviction / reshuffle logs, which are deterministic),
-/// and the full recorder for invariant checks.
+/// Returns what the store saw of the access phases (the batches' own
+/// fetches, whose paths the path invariant makes uniform) and the whole
+/// trace, maintenance included (eviction / reshuffle reads, which are
+/// deterministic, and the flushes), for the invariant checks.
 fn trace_of(
-    oram: &mut RingOram,
+    oram: &mut RecordedOram,
     batches: usize,
     batch_size: usize,
     mut pick: impl FnMut(usize, &mut obladi::common::rng::DetRng) -> Key,
     seed: u64,
-) -> (Vec<SlotRead>, Vec<SlotRead>, TraceRecorder) {
-    let full = TraceRecorder::new();
+) -> (Vec<AuditOp>, Vec<AuditOp>) {
     let mut access_phase = Vec::new();
-    let mut maintenance = Vec::new();
+    let mut full = Vec::new();
     let mut rng = obladi::common::rng::DetRng::new(seed);
     for batch in 0..batches {
         let requests: Vec<Option<Key>> = (0..batch_size)
             .map(|i| Some(pick(batch * batch_size + i, &mut rng)))
             .collect();
-        let recorder = TraceRecorder::new();
-        oram.read_batch(&requests, &recorder).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        for (index, logged) in recorder.batches().into_iter().enumerate() {
-            use obladi::oram::PathLogger;
-            full.log_reads(&logged).unwrap();
-            if index == 0 {
-                access_phase.extend(logged);
-            } else {
-                maintenance.extend(logged);
-            }
-        }
+        let (access, maintenance) = oram.read_batch_by_phase(&requests).unwrap();
+        access_phase.extend(&access);
+        full.extend(access);
+        full.extend(maintenance);
     }
-    (access_phase, maintenance, full)
+    assert_eq!(oram.ring.dropped(), 0, "the ring holds a whole batch");
+    (access_phase, full)
 }
 
 #[test]
@@ -75,11 +65,11 @@ fn leaf_access_histogram_is_chi_square_uniform_even_for_a_hot_key() {
     // excluded: they are public information, not a function of the
     // workload.)
     let mut oram = build_oram(41);
-    let (access_phase, _, full) = trace_of(&mut oram, 40, 16, |_, _| 99, 5);
+    let (access_phase, full) = trace_of(&mut oram, 40, 16, |_, _| 99, 5);
 
-    let geometry = oram.geometry();
-    full.check_bucket_invariant().unwrap();
-    let histogram = leaf_histogram_of(&access_phase, &geometry);
+    let geometry = oram.reader.geometry();
+    assert_eq!(slot_reread(&full), None);
+    let histogram = leaf_histogram(&access_phase, &geometry);
     assert!(
         histogram.iter().sum::<u64>() > 0,
         "trace recorded no leaf-level accesses"
@@ -98,9 +88,9 @@ fn hot_and_uniform_workload_traces_are_statistically_close() {
     // Both workloads issue batches of 16 *distinct* keys (the proxy's
     // deduplication guarantees this in the full system); the hot workload
     // only ever touches 16 keys while the uniform one cycles over all 256.
-    let (hot_access, _, hot_full) =
+    let (hot_access, hot_full) =
         trace_of(&mut hot_oram, 40, 16, |index, _| (index % 16) as Key, 11);
-    let (uniform_access, _, uniform_full) = trace_of(
+    let (uniform_access, uniform_full) = trace_of(
         &mut uniform_oram,
         40,
         16,
@@ -113,18 +103,18 @@ fn hot_and_uniform_workload_traces_are_statistically_close() {
     // the client-side caching of §6.3; the proxy restores a fixed volume by
     // padding its batches, which `proxy_level_trace_stays_uniform…` below
     // checks end to end.)
-    hot_full.check_bucket_invariant().unwrap();
-    uniform_full.check_bucket_invariant().unwrap();
+    assert_eq!(slot_reread(&hot_full), None);
+    assert_eq!(slot_reread(&uniform_full), None);
 
     // The paths that *are* physically read stay uniformly distributed for
     // both workloads, so their access-phase leaf histograms are close in
     // total-variation distance.  (Two independent uniform samples of this
     // size typically land around 0.15–0.2; a workload-revealing skew pushes
     // the distance towards 1.)
-    let geometry = hot_oram.geometry();
+    let geometry = hot_oram.reader.geometry();
     let distance = total_variation_distance(
-        &leaf_histogram_of(&hot_access, &geometry),
-        &leaf_histogram_of(&uniform_access, &geometry),
+        &leaf_histogram(&hot_access, &geometry),
+        &leaf_histogram(&uniform_access, &geometry),
     );
     assert!(
         distance < 0.35,

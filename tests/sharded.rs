@@ -1,10 +1,11 @@
 //! End-to-end tests of the sharded deployment: cross-shard atomic
 //! visibility, serializability of concurrent multi-shard histories (checked
 //! by the testkit oracle), and single-shard crash / recovery behind the
-//! front door.
+//! front door (the crash-window regression selects its case from the one
+//! fault schedule of `obladi_testkit::chaos`).
 
 use obladi::prelude::*;
-use obladi_testkit::cross_shard_pair;
+use obladi_testkit::chaos::{commit_with_retries, cross_shard_pair};
 use obladi_testkit::history::{check_serializable, tag_value, History, TxnRecord};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,10 +17,6 @@ fn sharded_config(shards: usize) -> ShardConfig {
     config.shard.epoch.batch_interval = Duration::from_millis(1);
     config
 }
-
-/// Commits `body` with retries on retryable aborts, returning the
-/// transaction id it committed under (shared testkit helper).
-use obladi_testkit::shard_chaos::commit_with_retries;
 
 #[test]
 fn cross_shard_transaction_commits_and_reads_back() {
@@ -55,7 +52,7 @@ fn cross_shard_writes_become_visible_atomically() {
     let db = Arc::new(ShardedDb::open(sharded_config(3)).unwrap());
     let (a, b) = cross_shard_pair(&db);
 
-    commit_with_retries(&db, |txn| {
+    commit_with_retries(&*db, |txn| {
         txn.write(a, vec![0])?;
         txn.write(b, vec![0])
     })
@@ -92,7 +89,7 @@ fn cross_shard_writes_become_visible_atomically() {
 
         // Writer: bump both halves in lockstep.
         for round in 1..=10u8 {
-            commit_with_retries(&db, |txn| {
+            commit_with_retries(&*db, |txn| {
                 txn.write(a, vec![round])?;
                 txn.write(b, vec![round])
             })
@@ -284,19 +281,15 @@ fn shard_crash_between_commit_vote_and_epoch_commit_is_atomic_after_recovery() {
     // The exact ROADMAP scenario the durable-prepare protocol closes: a
     // shard votes to commit a cross-shard transaction (its prepare record
     // is durable), the peer makes its half durable, and the victim crashes
-    // before its own epoch-commit record lands.  The testkit explorer
+    // before its own epoch-commit record lands.  The testkit runner
     // drives the scenario and already enforces all-or-nothing visibility,
     // acknowledged-implies-durable, recovery idempotence, serializability
     // of the recorded history, and that every 2PC decision retires; this
     // regression pins the ROADMAP-specific expectations on top.
-    use obladi_testkit::{crash_schedule, run_shard_crash_case};
+    use obladi_testkit::chaos::{case, run_case};
 
-    let schedule = crash_schedule();
-    let case = schedule
-        .iter()
-        .find(|case| case.name == "commit-record-lost/first")
-        .expect("the vote-durable/commit-record-lost point is in the schedule");
-    let report = run_shard_crash_case(case, 0xD00D).unwrap_or_else(|err| panic!("{err}"));
+    let case = case("commit-record-lost/first");
+    let report = run_case(&case, 0xD00D).unwrap_or_else(|err| panic!("{err}"));
     assert!(
         report.acknowledged_commit,
         "the peer committed, so the front door must report the commit: {report:?}"
@@ -306,7 +299,7 @@ fn shard_crash_between_commit_vote_and_epoch_commit_is_atomic_after_recovery() {
         "the voted transaction must be visible on all shards after recovery: {report:?}"
     );
     assert!(
-        report.in_doubt >= 1 && report.replayed_commits >= 1,
+        report.recovery.in_doubt >= 1 && report.recovery.replayed_commits >= 1,
         "recovery must find and replay the voted transaction: {report:?}"
     );
     assert_eq!(

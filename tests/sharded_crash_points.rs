@@ -1,31 +1,35 @@
 //! Crash-point sweep over the sharded 2PC commit path.
 //!
 //! `tests/crash_points.rs` sweeps crash points over a single proxy; this
-//! suite does the same for the cross-shard commit protocol.  The testkit's
-//! `shard_chaos` explorer drives a 2-of-3-shard transaction into a chosen
-//! point of the prepare/vote/write-back/checkpoint/commit sequence on one
-//! participant (via a deterministic `FaultyStore` trigger), recovers the
-//! victim, and checks all-or-nothing visibility, acknowledged-implies-
-//! durable, recovery idempotence, and serializability of the full recorded
-//! history.
+//! suite does the same for the cross-shard commit protocol and the
+//! pipelined epoch barrier, selecting its cases from the one fault schedule
+//! of `obladi_testkit::chaos` (`DESIGN.md`, "Fault schedules").  The one
+//! case runner drives a 2-of-3-shard load into a chosen point of the
+//! prepare/vote/write-back/checkpoint/commit sequence on one participant
+//! (a deterministic `FaultyStore` trigger), recovers the victim, and checks
+//! all-or-nothing visibility, acknowledged-implies-durable, recovery
+//! idempotence, and serializability of the full recorded history.
 //!
-//! The fast test below covers the three qualitatively distinct regions
-//! (before the durable vote / between vote and commit record / after full
-//! durability); the `#[ignore]`d sweep runs every enumerated point on both
-//! participants and is exercised by the release chaos CI job
-//! (`cargo test --release -- --ignored`).
+//! The fast tests below cover the qualitatively distinct regions (before
+//! the durable vote / between vote and commit record / after the early
+//! acknowledgement / after full durability / inside the decide-execute
+//! overlap); the `#[ignore]`d sweeps run every in-process case of the
+//! schedule on both participants and are exercised by the release chaos CI
+//! job (`cargo test --release -- --ignored`).
 
-use obladi_testkit::shard_chaos::{
-    crash_schedule, overlap_crash_schedule, run_overlap_crash_case, run_shard_crash_case, Expected,
+use obladi_testkit::chaos::{
+    case, run_case, schedule, CaseReport, Expected, Fault, FaultCase, Load,
 };
 
-fn run_case_by_name(name: &str, seed: u64) -> obladi_testkit::ShardCrashReport {
-    let schedule = crash_schedule();
-    let case = schedule
-        .iter()
-        .find(|case| case.name == name)
-        .unwrap_or_else(|| panic!("case {name} missing from the schedule"));
-    run_shard_crash_case(case, seed).unwrap_or_else(|err| panic!("{err}"))
+fn run_case_by_name(name: &str, seed: u64) -> CaseReport {
+    run_case(&case(name), seed).unwrap_or_else(|err| panic!("{err}"))
+}
+
+/// The in-process cases of the schedule under `load`, in schedule order.
+fn in_process(load: Load) -> Vec<FaultCase> {
+    let wanted =
+        |case: &FaultCase| case.load == load && !matches!(case.fault, Fault::KillDaemon { .. });
+    schedule().into_iter().filter(wanted).collect()
 }
 
 #[test]
@@ -35,7 +39,7 @@ fn crash_before_the_durable_vote_aborts_everywhere() {
     assert!(!report.committed_visible, "{report:?}");
     assert!(report.tripped, "the crash point never fired: {report:?}");
     assert_eq!(
-        report.in_doubt, 0,
+        report.recovery.in_doubt, 0,
         "a failed prepare append must leave nothing in doubt: {report:?}"
     );
 }
@@ -49,7 +53,7 @@ fn crash_between_vote_and_commit_record_is_finished_by_recovery() {
     assert!(report.committed_visible, "{report:?}");
     assert!(report.tripped, "{report:?}");
     assert!(
-        report.in_doubt >= 1 && report.replayed_commits >= 1,
+        report.recovery.in_doubt >= 1 && report.recovery.replayed_commits >= 1,
         "recovery must replay the in-doubt prepared commit: {report:?}"
     );
 }
@@ -64,7 +68,7 @@ fn crash_after_early_ack_before_write_back_replays_the_decision() {
     assert!(report.committed_visible, "{report:?}");
     assert!(report.tripped, "{report:?}");
     assert!(
-        report.replayed_commits >= 1,
+        report.recovery.replayed_commits >= 1,
         "recovery must replay the decided epoch: {report:?}"
     );
 }
@@ -75,7 +79,7 @@ fn crash_after_full_durability_changes_nothing() {
     assert!(report.acknowledged_commit, "{report:?}");
     assert!(report.committed_visible, "{report:?}");
     assert_eq!(
-        report.replayed_commits, 0,
+        report.recovery.replayed_commits, 0,
         "nothing is in doubt once the epoch is durable: {report:?}"
     );
 }
@@ -87,12 +91,7 @@ fn overlapping_epoch_crash_smoke() {
     // checks all-or-nothing per epoch, acknowledged-implies-durable with
     // in-epoch-order durability, recovery idempotence across both in-doubt
     // epochs, serializability, and 2PC decision drain.
-    let schedule = overlap_crash_schedule();
-    let case = schedule
-        .iter()
-        .find(|case| case.name == "deciding-while-next-reads/first")
-        .expect("the overlap schedule names its cases");
-    let report = run_overlap_crash_case(case, 0x0E0E).unwrap_or_else(|err| panic!("{err}"));
+    let report = run_case_by_name("deciding-while-next-reads/first", 0x0E0E);
     assert!(
         report.attempts.iter().sum::<usize>() > 0,
         "the hammers never drove a transaction: {report:?}"
@@ -109,17 +108,12 @@ fn writeback_engine_crash_smoke() {
     // deep inside its one fetch.  Each must fate-share into crash +
     // recovery and pass the same invariant battery (acknowledged values
     // read back, all-or-nothing, idempotent two-epoch recovery).
-    let schedule = overlap_crash_schedule();
     for (name, seed) in [
         ("engine-eviction-reads-vs-next-reads/first", 0x5B11),
         ("wave-logged-not-fetched/first", 0x5B12),
         ("wave-nth-slot-read/second", 0x5B13),
     ] {
-        let case = schedule
-            .iter()
-            .find(|case| case.name == name)
-            .expect("the overlap schedule names the split-client cases");
-        let report = run_overlap_crash_case(case, seed).unwrap_or_else(|err| panic!("{err}"));
+        let report = run_case_by_name(name, seed);
         assert!(
             report.attempts.iter().sum::<usize>() > 0,
             "{name}: the hammers never drove a transaction: {report:?}"
@@ -130,18 +124,19 @@ fn writeback_engine_crash_smoke() {
 #[test]
 #[ignore = "overlapping-epoch crash sweep (~20 deployments); run via the chaos CI job"]
 fn every_overlapping_epoch_crash_point_recovers_cleanly() {
-    let schedule = overlap_crash_schedule();
-    assert!(
-        schedule.len() >= 20,
-        "the overlap sweep must cover at least 20 crash points (incl. the split-client \
-         slot-read, maintenance-wave and flush-write points), got {}",
-        schedule.len()
+    let schedule = in_process(Load::Hammer);
+    assert_eq!(
+        schedule.len(),
+        20,
+        "the overlap sweep covers the 20 points of the golden list (incl. the split-client \
+         slot-read, maintenance-wave and flush-write points)"
     );
     let mut two_epoch_replays = 0u32;
     for (index, case) in schedule.iter().enumerate() {
-        let report = run_overlap_crash_case(case, 0xBEEF ^ ((index as u64) << 5))
-            .unwrap_or_else(|err| panic!("{err}"));
-        if report.epochs_replayed >= 2 {
+        let report =
+            run_case(case, 0xBEEF ^ ((index as u64) << 5)).unwrap_or_else(|err| panic!("{err}"));
+        assert!(report.tripped, "{}: crash point never fired", case.name);
+        if report.recovery.epochs_replayed >= 2 {
             two_epoch_replays += 1;
         }
     }
@@ -155,20 +150,21 @@ fn every_overlapping_epoch_crash_point_recovers_cleanly() {
 }
 
 #[test]
-#[ignore = "full crash-point sweep (~16 deployments); run via the chaos CI job"]
+#[ignore = "full crash-point sweep (~18 deployments); run via the chaos CI job"]
 fn every_crash_point_recovers_to_an_all_or_nothing_outcome() {
-    let schedule = crash_schedule();
-    assert!(
-        schedule.len() >= 16,
-        "the sweep must cover at least 16 distinct crash points (incl. the \
-         early-acknowledgement windows), got {}",
-        schedule.len()
+    let schedule = in_process(Load::OneTxn);
+    assert_eq!(
+        schedule.len(),
+        18,
+        "the sweep covers the 16 distinct crash points of the golden list (incl. the \
+         early-acknowledgement windows) and the interrupted replay, on either side"
     );
     for (index, case) in schedule.iter().enumerate() {
-        let report = run_shard_crash_case(case, 0xC0FFEE ^ (index as u64) << 4)
-            .unwrap_or_else(|err| panic!("{err}"));
+        let report =
+            run_case(case, 0xC0FFEE ^ (index as u64) << 4).unwrap_or_else(|err| panic!("{err}"));
         assert!(report.tripped, "{}: crash point never fired", case.name);
-        match case.expected {
+        let expected = case.expected.expect("the point determines the outcome");
+        match expected {
             Expected::Commit => assert!(
                 report.committed_visible,
                 "{}: durable vote lost: {report:?}",
@@ -182,9 +178,9 @@ fn every_crash_point_recovers_to_an_all_or_nothing_outcome() {
         }
         // Points between the durable vote and the commit record must
         // actually exercise the in-doubt replay path.
-        if case.trigger.is_some() && case.expected == Expected::Commit {
+        if matches!(case.fault, Fault::Store(_)) && expected == Expected::Commit {
             assert!(
-                report.replayed_commits >= 1,
+                report.recovery.replayed_commits >= 1,
                 "{}: expected an in-doubt replay: {report:?}",
                 case.name
             );

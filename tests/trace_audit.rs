@@ -2,17 +2,18 @@
 //! stores must produce indistinguishable traces under contrasting
 //! workloads, and the auditor must catch an injected obliviousness leak.
 //!
-//! Complements `tests/obliviousness.rs` (which checks the logical path
-//! trace inside one ORAM client): here the recorder sits at the storage
-//! boundary — the op kinds, physical addresses, sealed payload lengths,
+//! Complements `tests/obliviousness.rs` (the same recorder under one ORAM
+//! client driven by hand): here it sits at the storage boundary of whole
+//! deployments — the op kinds, physical addresses, sealed payload lengths,
 //! wire-frame sizes and timing the *cloud* would see — and the
-//! differential comparison is the testkit's standing oracle.
+//! differential comparison is the testkit's standing oracle.  Every cell is
+//! also held to §4's bucket invariant on what its stores observed.
 
 use obladi_common::config::{ObladiConfig, ShardConfig};
 use obladi_obs::audit::{AuditTolerances, TraceShape};
 use obladi_shard::ShardedDb;
 use obladi_testkit::audit::{
-    cross_check, level_profile, recording_stores, truncation_rhythm_failure,
+    cross_check, level_profile, recording_stores, slot_reread, truncation_rhythm_failure,
 };
 use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
 use std::time::{Duration, Instant};
@@ -63,6 +64,7 @@ fn run_cell(
     let wall_us = start.elapsed().as_micros() as u64;
     let ops = ring.ops();
     assert!(!ops.is_empty(), "recorder captured nothing for {label}");
+    assert_eq!(slot_reread(&ops), None, "{label}, depth {depth}");
     (
         TraceShape::from_ops(label, &ops, wall_us, stats.global_epochs),
         level_profile(&ops),
