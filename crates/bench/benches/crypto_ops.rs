@@ -49,6 +49,12 @@ fn bench_slot(c: &mut Criterion) {
             })
         })
     });
+    // What a dummy slot costs instead of `seal_in_place`: its bytes drawn
+    // from the thread's keystream.
+    group.bench_function("envelope_dummy_fill_slot212_x1000", |b| {
+        let mut buf = sealed.bytes.clone();
+        b.iter(|| batched(&mut || Envelope::fill_dummy(black_box(&mut buf))))
+    });
     group.bench_function("envelope_open_slot212_x1000", |b| {
         b.iter(|| {
             batched(&mut || {

@@ -8,8 +8,9 @@
 //!    re-encrypting the same plaintext yields an unrelated ciphertext
 //!    ("randomized encryption", §4).
 //! 2. **Indistinguishability**: plaintexts are padded to a fixed size before
-//!    sealing, so real and dummy blocks produce byte-identical-length
-//!    ciphertexts.
+//!    sealing, so every block seals to one length; a slot that is never
+//!    opened (a Ring ORAM dummy) is that many fresh keystream bytes instead
+//!    ([`Envelope::fill_dummy`]), which only the keys tell apart.
 //! 3. **Integrity and freshness** (Appendix A): an HMAC over
 //!    `location || counter || nonce || ciphertext` lets the proxy detect a
 //!    malicious server substituting stale or relocated data.  `location`
@@ -149,6 +150,16 @@ impl Envelope {
         Ok(())
     }
 
+    /// Fills `buf` with fresh keystream bytes: what a slot nobody opens (a
+    /// dummy) holds instead of an envelope.  Sound because a sealed slot —
+    /// CSPRNG nonce, ChaCha20 ciphertext, HMAC tag — is computationally
+    /// indistinguishable from uniform bytes of its length, which the caller
+    /// keeps; Appendix A never verified an unopened slot's MAC (opening these
+    /// fails); and real slots seal as before, so old stores still recover.
+    pub fn fill_dummy(buf: &mut [u8]) {
+        random::fill(buf);
+    }
+
     /// Opens a sealed block, verifying the MAC against `(location, counter)`.
     pub fn open(&self, location: u64, counter: u64, sealed: &SealedBlock) -> Result<Vec<u8>> {
         self.open_bytes(location, counter, &sealed.bytes)
@@ -280,6 +291,20 @@ mod tests {
         let other = Envelope::new(&KeyMaterial::for_tests(43));
         let sealed = env.seal(1, 1, b"data", 32).unwrap();
         assert!(other.open(1, 1, &sealed).is_err());
+    }
+
+    #[test]
+    fn a_dummy_fill_is_fresh_every_time_and_never_opens() {
+        let env = envelope();
+        let mut a = vec![0u8; Envelope::sealed_len(64)];
+        let mut b = a.clone();
+        Envelope::fill_dummy(&mut a);
+        Envelope::fill_dummy(&mut b);
+        assert_ne!(a, b);
+        assert!(matches!(
+            env.open_bytes(1, 1, &a),
+            Err(ObladiError::Integrity(_))
+        ));
     }
 
     #[test]

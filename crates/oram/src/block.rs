@@ -1,51 +1,32 @@
 //! Plaintext representation of ORAM blocks and their on-storage encoding.
 //!
-//! A *real* block carries a logical key, the leaf the key is currently
-//! mapped to, and the value payload.  A *dummy* block carries no
-//! information; its only purpose is to be indistinguishable from a real
-//! block once sealed.  Obladi seals every slot with
-//! [`obladi_crypto::Envelope`], which pads plaintexts to a fixed capacity so
-//! the two kinds are the same size on the wire; when encryption is disabled
-//! (the `Parallel` series of Figure 10a measures the ORAM without crypto
-//! cost) blocks are padded to the same fixed size in the clear.
+//! A block carries a logical key, the leaf the key is currently mapped to,
+//! and the value payload.  Only real blocks exist: a dummy slot is never
+//! opened, so it holds no block at all — fresh keystream bytes of a sealed
+//! slot's length ([`obladi_crypto::Envelope::fill_dummy`]), or zeros when
+//! encryption is disabled (the `Parallel` series of Figure 10a measures the
+//! ORAM without crypto cost), where real blocks are padded to the same
+//! fixed size in the clear.  An opened slot is a real block by construction.
 
 use crate::codec::{Decoder, Encoder};
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{Key, Leaf, Value};
 
-/// Sentinel key marking a dummy block.
-pub const DUMMY_KEY: Key = u64::MAX;
-
 /// A decrypted ORAM block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
-    /// Logical key, or [`DUMMY_KEY`] for dummies.
+    /// Logical key.
     pub key: Key,
-    /// Leaf the key is mapped to (meaningless for dummies).
+    /// Leaf the key is mapped to.
     pub leaf: Leaf,
-    /// Value payload (empty for dummies).
+    /// Value payload.
     pub value: Value,
 }
 
 impl Block {
     /// Creates a real block.
     pub fn real(key: Key, leaf: Leaf, value: Value) -> Self {
-        debug_assert_ne!(key, DUMMY_KEY, "DUMMY_KEY is reserved");
         Block { key, leaf, value }
-    }
-
-    /// Creates a dummy block.
-    pub fn dummy() -> Self {
-        Block {
-            key: DUMMY_KEY,
-            leaf: 0,
-            value: Vec::new(),
-        }
-    }
-
-    /// Whether this block is a dummy.
-    pub fn is_dummy(&self) -> bool {
-        self.key == DUMMY_KEY
     }
 
     /// Plaintext encoding: `key || leaf || value` (the envelope adds its own
@@ -103,20 +84,13 @@ mod tests {
         let block = Block::real(42, 7, vec![1, 2, 3, 4]);
         let decoded = Block::decode(&block.encode()).unwrap();
         assert_eq!(decoded, block);
-        assert!(!decoded.is_dummy());
-    }
-
-    #[test]
-    fn dummy_block_roundtrip() {
-        let block = Block::dummy();
-        let decoded = Block::decode(&block.encode()).unwrap();
-        assert!(decoded.is_dummy());
-        assert!(decoded.value.is_empty());
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert!(Block::decode(&[1, 2, 3]).is_err());
+        // What a clear-mode dummy slot holds behind its length prefix.
+        assert!(Block::decode(&[]).is_err());
         let mut good = Block::real(1, 1, vec![9; 10]).encode();
         good.push(0);
         assert!(Block::decode(&good).is_err(), "trailing byte must fail");

@@ -67,10 +67,10 @@ pub struct ExecOptions {
     /// scheduling cost from its crypto cost (the `Parallel` vs
     /// `ParallelCrypto` series of Figure 10a).
     pub encrypt: bool,
-    /// Initialise the tree by cloning a single sealed dummy per bucket
-    /// instead of sealing every slot individually.  Initialisation is a
-    /// one-off, offline step in a real deployment; this flag only shortens
-    /// benchmark start-up and never affects steady-state behaviour.
+    /// Initialise the tree by sharing one dummy slot image across each
+    /// bucket instead of drawing every slot's bytes, which saves memory on
+    /// the 1M-object figure trees.  Initialisation is a one-off, offline
+    /// step in a real deployment; this flag never affects steady state.
     pub fast_init: bool,
 }
 

@@ -4,7 +4,7 @@
 //!
 //! * [`tree`] — binary tree geometry, deterministic reverse-lexicographic
 //!   eviction order;
-//! * [`block`] — real/dummy block representation and fixed-size encoding;
+//! * [`block`] — block representation and fixed-size encoding;
 //! * [`bucket`] — client-side per-bucket metadata (permutation map, validity
 //!   bits, real-slot assignments);
 //! * [`position_map`] / [`stash`] — the remaining client-side state, with

@@ -80,6 +80,13 @@
 //!    earlier path rewrote the bucket; placement runs deepest-first; the
 //!    path's limbo keys are released.
 //!
+//! # Dummy slots
+//!
+//! The one `open_block` call, in `OramCore::fetch_slots`, opens only reads
+//! flagged real (read targets, maintenance `valid_reals`), so a bucket image
+//! seals only its real blocks: every other slot is keystream bytes
+//! ([`Envelope::fill_dummy`]), or zeros in clear mode, and opening one fails.
+//!
 //! [`RingOram`](crate::client::RingOram) remains as a thin facade composing
 //! the two halves for sequential callers (baselines, recovery, tests).
 
@@ -177,8 +184,9 @@ struct TargetUndo {
 struct SharedState {
     meta: OramMeta,
     /// Buckets logically rewritten this epoch, awaiting flush: real blocks
-    /// placed in each (metadata lives in `meta.buckets`).
-    buffer: HashMap<BucketId, Vec<Block>>,
+    /// placed in each (metadata lives in `meta.buckets`).  Shared with the
+    /// flush's jobs, which seal them outside the lock.
+    buffer: HashMap<BucketId, Arc<Vec<Block>>>,
     /// Buckets that ran out of valid dummy slots and need an early
     /// reshuffle before they can be accessed again.
     needs_reshuffle: HashSet<BucketId>,
@@ -249,6 +257,10 @@ struct OramCore {
     /// `oram.split.exhausted_skips`, resolved once (a reader access bumps
     /// them under the shared lock): the total, then one per tree level.
     exhausted_skips: Arc<[obladi_obs::Counter]>,
+    /// `oram.flush.slots_{sealed,filled}`, resolved once: per flush, the
+    /// slots written as real blocks and as dummies.
+    slots_sealed: obladi_obs::Histogram,
+    slots_filled: obladi_obs::Histogram,
 }
 
 /// Where a planned access resolves its value.
@@ -315,6 +327,8 @@ fn from_parts(
         exhausted_skips: skips
             .map(|name| obladi_obs::global().counter(&name))
             .collect(),
+        slots_sealed: obladi_obs::global().histogram("oram.flush.slots_sealed"),
+        slots_filled: obladi_obs::global().histogram("oram.flush.slots_filled"),
         shared: Arc::new(SharedOram {
             state: Mutex::new(SharedState {
                 meta,
@@ -373,13 +387,13 @@ fn slot_len(encrypt: bool, capacity: usize) -> usize {
 /// Length prefix of an unencrypted slot.
 const CLEAR_LEN_PREFIX: usize = 4;
 
-/// Seals one bucket image at `version`: `blocks[i]` goes to physical slot
-/// `i`, `None` being a dummy.
+/// Writes one bucket image at `version`: `blocks[i]` goes to physical slot
+/// `i`, `None` being a dummy — fresh keystream bytes, or zeros in clear
+/// mode, since no dummy is ever opened (the module docs, "Dummy slots").
 ///
 /// One allocation holds the whole bucket.  Each block's plaintext is
-/// encoded straight into the place it is sealed in (the dummy's is encoded
-/// once and copied there) and the returned `Bytes` are windows onto that
-/// allocation.
+/// encoded straight into the place it is sealed in, and the returned
+/// `Bytes` are windows onto that allocation.
 pub(crate) fn seal_bucket(
     envelope: &Envelope,
     encrypt: bool,
@@ -394,15 +408,18 @@ pub(crate) fn seal_bucket(
     } else {
         CLEAR_LEN_PREFIX
     };
-    let dummy = Block::dummy().encode();
     let mut image = Vec::with_capacity(blocks.len() * slot_len);
     for (slot, block) in blocks.iter().enumerate() {
         let slot_at = image.len();
+        let Some(block) = block else {
+            image.resize(slot_at + slot_len, 0);
+            if encrypt {
+                Envelope::fill_dummy(&mut image[slot_at..]);
+            }
+            continue;
+        };
         image.resize(slot_at + plaintext_at, 0);
-        match block {
-            Some(block) => block.encode_into(&mut image),
-            None => image.extend_from_slice(&dummy),
-        }
+        block.encode_into(&mut image);
         let plaintext_len = image.len() - slot_at - plaintext_at;
         if plaintext_len > capacity {
             return Err(ObladiError::Codec(format!(
@@ -449,7 +466,8 @@ fn open_block(
 }
 
 /// Builds the full physical slot array of a bucket from its metadata and the
-/// real blocks placed in it.
+/// real blocks placed in it.  The two must name the same keys: a real slot
+/// without its block would be written as a dummy, and the block lost.
 fn build_bucket_slots(
     envelope: &Envelope,
     encrypt: bool,
@@ -458,12 +476,20 @@ fn build_bucket_slots(
     blocks: &[Block],
     capacity: usize,
 ) -> Result<Vec<bytes::Bytes>> {
-    let by_key: HashMap<Key, &Block> = blocks.iter().map(|b| (b.key, b)).collect();
+    let mismatch = |what: String| ObladiError::Internal(format!("bucket {bucket}: {what}"));
     let mut physical: Vec<Option<&Block>> = vec![None; meta.perm.len()];
     for (logical, real) in meta.real.iter().enumerate() {
         if let Some((key, _)) = real {
-            physical[meta.perm[logical] as usize] = by_key.get(key).copied();
+            let block = blocks.iter().find(|block| block.key == *key);
+            let block = block.ok_or_else(|| mismatch(format!("no block for key {key}")))?;
+            physical[meta.perm[logical] as usize] = Some(block);
         }
+    }
+    if let Some(stray) = blocks
+        .iter()
+        .find(|block| meta.find_key(block.key).is_none())
+    {
+        return Err(mismatch(format!("key {} is in no slot", stray.key)));
     }
     seal_bucket(
         envelope,
@@ -502,8 +528,8 @@ fn slot_location(bucket: BucketId, slot: u32) -> u64 {
 impl OramCore {
     /// Fetches `reads` with no lock held: one dispatch, each worker handing
     /// its share to the store in one call.  Only reads flagged in `real`
-    /// are opened; dummy reads are fetched (for obliviousness) but their
-    /// payloads are discarded.  The caller accounts `stats.physical_reads`.
+    /// are opened; dummy reads are fetched (for obliviousness) but hold no
+    /// block, and are discarded.  The caller accounts `stats.physical_reads`.
     fn fetch_slots(
         &self,
         pool: &ThreadPool,
@@ -932,6 +958,7 @@ fn plan_access(
                     state.meta.bucket_mut(bucket).clear_real(logical);
                     state.meta.mark_bucket_dirty(bucket);
                     let value = state.buffer.get_mut(&bucket).and_then(|blocks| {
+                        let blocks = Arc::make_mut(blocks);
                         blocks
                             .iter()
                             .position(|b| b.key == k)
@@ -1197,7 +1224,8 @@ impl WritebackEngine {
     /// the buffered overlay only after their write has landed, so concurrent
     /// reader batches stay consistent throughout (see the module docs).
     pub fn flush_writes(&mut self, _logger: &dyn PathLogger) -> Result<()> {
-        let jobs: Vec<(BucketId, Arc<BucketMeta>, Vec<Block>)> = {
+        type Job = (BucketId, Arc<BucketMeta>, Arc<Vec<Block>>);
+        let jobs: Vec<Job> = {
             let mut state = self.core.shared.state.lock();
             check_poisoned(&state)?;
             if state.buffer.is_empty() {
@@ -1207,20 +1235,21 @@ impl WritebackEngine {
                 return Ok(());
             }
             self.wait_buffered_bucket_fetches(&mut state)?;
-            let mut jobs: Vec<(BucketId, Arc<BucketMeta>, Vec<Block>)> = state
-                .buffer
-                .iter()
-                .map(|(bucket, blocks)| {
-                    (
-                        *bucket,
-                        state.meta.buckets[*bucket as usize].clone(),
-                        blocks.clone(),
-                    )
+            let mut jobs: Vec<Job> = (state.buffer.iter())
+                .map(|(&bucket, blocks)| {
+                    let meta = state.meta.buckets[bucket as usize].clone();
+                    (bucket, meta, blocks.clone())
                 })
                 .collect();
             jobs.sort_by_key(|(b, _, _)| *b);
             jobs
         };
+        let sealed: usize = jobs.iter().map(|(_, _, blocks)| blocks.len()).sum();
+        let slots = jobs.len() * self.core.config.slots_per_bucket() as usize;
+        self.core.slots_sealed.record(sealed as u64);
+        self.core
+            .slots_filled
+            .record(slots.saturating_sub(sealed) as u64);
 
         let capacity = Block::padded_capacity(self.core.config.block_size);
         let encrypt = self.core.options.encrypt;
@@ -1228,7 +1257,7 @@ impl WritebackEngine {
         let store = self.core.store.clone();
         let flushed: Vec<BucketId> = jobs.iter().map(|(bucket, _, _)| *bucket).collect();
         let results = self.pool.map(jobs.len(), move |range| {
-            let seal = |(bucket, meta, blocks): &(BucketId, Arc<BucketMeta>, Vec<Block>)| {
+            let seal = |(bucket, meta, blocks): &Job| {
                 let slots = build_bucket_slots(&envelope, encrypt, *bucket, meta, blocks, capacity);
                 Ok((*bucket, slots?))
             };
@@ -1530,7 +1559,7 @@ fn dummiless_write(core: &OramCore, state: &mut SharedState, key: Key, value: Va
                     state.meta.bucket_mut(bucket).clear_real(logical);
                     state.meta.mark_bucket_dirty(bucket);
                     if let Some(blocks) = state.buffer.get_mut(&bucket) {
-                        blocks.retain(|b| b.key != key);
+                        Arc::make_mut(blocks).retain(|b| b.key != key);
                     }
                     break;
                 }
@@ -1653,7 +1682,7 @@ fn apply_unit(
             // The bucket's current contents live locally; pull them back
             // into the stash without physical reads.
             state.stats.buffered_reads += 1;
-            for block in blocks {
+            for block in Arc::unwrap_or_clone(blocks) {
                 ingest_evicted_block(core, state, block, &mut pulled)?;
             }
             state.note_bucket(bucket);
@@ -1738,7 +1767,7 @@ fn rewrite_bucket(
     state.needs_reshuffle.remove(&bucket);
 
     if core.options.deferred_writes {
-        state.buffer.insert(bucket, blocks);
+        state.buffer.insert(bucket, Arc::new(blocks));
         return Ok(());
     }
 
@@ -1767,9 +1796,6 @@ fn ingest_evicted_block(
     block: Block,
     pulled: &mut HashSet<Key>,
 ) -> Result<()> {
-    if block.is_dummy() {
-        return Ok(());
-    }
     if state.meta.stash.contains(block.key) {
         // A newer version already lives in the stash.
         return Ok(());
@@ -1847,17 +1873,15 @@ mod tests {
                 };
                 open_block(&envelope, encrypt, read, bytes)
             };
-            let opened: Vec<Block> = (0..slots.len())
-                .map(|slot| open(slot as u32, &slots[slot]).unwrap())
+            let opened: Vec<Option<Block>> = (0..slots.len())
+                .map(|slot| open(slot as u32, &slots[slot]).ok())
                 .collect();
             for block in &blocks {
                 let at = meta.perm[meta.find_key(block.key).unwrap()] as usize;
-                assert_eq!(&opened[at], block, "a real block sits at its permuted slot");
+                assert_eq!(opened[at].as_ref(), Some(block), "at its permuted slot");
             }
-            assert_eq!(
-                opened.iter().filter(|b| b.is_dummy()).count(),
-                slots.len() - 2
-            );
+            // Every other slot is a dummy, and nothing opens it.
+            assert_eq!(opened.iter().flatten().count(), 2);
             if encrypt {
                 // Bound to its physical slot: a sealed slot moved within
                 // the bucket no longer verifies.
@@ -1867,6 +1891,157 @@ mod tests {
 
         let oversized = [Block::real(KEY_A, 1, vec![0; config.block_size + 1])];
         assert!(build_bucket_slots(&envelope, true, bucket, &meta, &oversized, capacity).is_err());
+    }
+
+    #[test]
+    fn a_bucket_whose_metadata_and_blocks_disagree_fails_its_chunk_unwritten() {
+        let config = OramConfig::small_for_tests(64);
+        let capacity = Block::padded_capacity(config.block_size);
+        let envelope = Envelope::new(&KeyMaterial::for_tests(1));
+        let mut rng = DetRng::new(4);
+        let mut meta = BucketMeta::fresh(config.z, config.s, &mut rng);
+        meta.rewrite(&[(KEY_A, 1)], &mut rng);
+        let block = |key: Key| Block::real(key, 1, vec![key as u8]);
+        let build = |bucket: BucketId, blocks: &[Block]| {
+            build_bucket_slots(&envelope, true, bucket, &meta, blocks, capacity)
+        };
+        assert!(build(3, &[block(KEY_A)]).is_ok());
+        // The metadata names a key the buffer lacks (its slot would be
+        // written as a dummy, and a later read of it fail), the buffer holds
+        // a key the metadata does not name (the block would be lost), or both.
+        for blocks in [vec![], vec![block(KEY_B)], vec![block(KEY_A), block(KEY_B)]] {
+            let err = build(3, &blocks).expect_err("the image must be refused");
+            assert!(matches!(err, ObladiError::Internal(_)), "{err:?}");
+        }
+        // Nothing of a chunk holding such a bucket reaches the store.
+        let store = InMemoryStore::new();
+        let chunk = [(2, vec![block(KEY_A)]), (3, vec![])];
+        let sealed = chunk
+            .iter()
+            .map(|(bucket, blocks)| Ok((*bucket, build(*bucket, blocks)?)));
+        assert!(write_chunk(&store, sealed).iter().all(Result::is_err));
+        assert_eq!(store.bucket_version(2).unwrap(), 0, "bucket 2 unwritten");
+    }
+
+    /// Byte-value counts at every offset of a slot, over many slots.
+    struct OffsetCounts {
+        slots: u64,
+        counts: Vec<[u64; 256]>,
+    }
+
+    impl OffsetCounts {
+        fn new(slot_len: usize) -> Self {
+            OffsetCounts {
+                slots: 0,
+                counts: vec![[0; 256]; slot_len],
+            }
+        }
+
+        fn add(&mut self, slot: &[u8]) {
+            self.slots += 1;
+            for (counts, &byte) in self.counts.iter_mut().zip(slot) {
+                counts[byte as usize] += 1;
+            }
+        }
+    }
+
+    /// Pearson's statistic over the byte values at one offset: of `a`
+    /// against uniform, or — given `b` — of `a` and `b` against each other
+    /// (homogeneity).  Either way 255 degrees of freedom.
+    fn chi_squared(a: &OffsetCounts, b: Option<&OffsetCounts>, offset: usize) -> f64 {
+        let mut stat = 0.0;
+        for value in 0..256 {
+            let observed = a.counts[offset][value] as f64;
+            let Some(b) = b else {
+                let expected = a.slots as f64 / 256.0;
+                stat += (observed - expected).powi(2) / expected;
+                continue;
+            };
+            let other = b.counts[offset][value] as f64;
+            let total = (observed + other) / (a.slots + b.slots) as f64;
+            for (observed, slots) in [(observed, a.slots), (other, b.slots)] {
+                let expected = total * slots as f64;
+                if expected > 0.0 {
+                    stat += (observed - expected).powi(2) / expected;
+                }
+            }
+        }
+        stat
+    }
+
+    #[test]
+    fn dummy_slots_are_indistinguishable_from_sealed_ones() {
+        // 255 degrees of freedom: mean 255, sd 22.6.  420 is p ~ 4e-10 per
+        // statistic, ~3e-7 over the 780 below; a zero-filled slot, or a
+        // zeroed 12-byte nonce region, scores in the tens of thousands.
+        const THRESHOLD: f64 = 420.0;
+        const BUCKETS: u64 = 2_048;
+        let config = OramConfig::small_for_tests(64).with_block_size(192);
+        let capacity = Block::padded_capacity(config.block_size);
+        let envelope = Envelope::new(&KeyMaterial::for_tests(5));
+        let mut rng = DetRng::new(0xD0D0);
+        let buckets: Vec<(BucketMeta, Vec<Block>)> = (0..BUCKETS)
+            .map(|bucket| {
+                // Full buckets and buckets with an empty real slot.
+                let reals = config.z as u64 - bucket % 2;
+                let blocks: Vec<Block> = (0..reals)
+                    .map(|i| {
+                        let value = (0..rng.below(193)).map(|_| rng.below(256) as u8).collect();
+                        Block::real(bucket * 8 + i, rng.below(1 << 20), value)
+                    })
+                    .collect();
+                let assignment: Vec<(Key, Leaf)> = blocks.iter().map(|b| (b.key, b.leaf)).collect();
+                let mut meta = BucketMeta::fresh(config.z, config.s, &mut rng);
+                meta.rewrite(&assignment, &mut rng);
+                (meta, blocks)
+            })
+            .collect();
+        // Physical slots holding a real block, by the metadata alone.
+        let is_real = |meta: &BucketMeta, slot: usize| {
+            (0..meta.z())
+                .any(|logical| meta.real[logical].is_some() && meta.perm[logical] as usize == slot)
+        };
+
+        let slot_len = Envelope::sealed_len(capacity);
+        assert_eq!(slot_len, 260);
+        let (mut real, mut dummy) = (OffsetCounts::new(slot_len), OffsetCounts::new(slot_len));
+        for (bucket, (meta, blocks)) in buckets.iter().enumerate() {
+            let slots =
+                build_bucket_slots(&envelope, true, bucket as BucketId, meta, blocks, capacity)
+                    .unwrap();
+            for (slot, bytes) in slots.iter().enumerate() {
+                assert_eq!(bytes.len(), slot_len);
+                let class = if is_real(meta, slot) {
+                    &mut real
+                } else {
+                    &mut dummy
+                };
+                class.add(bytes);
+            }
+        }
+        assert_eq!(real.slots, BUCKETS * config.z as u64 - BUCKETS / 2);
+        assert_eq!(dummy.slots, BUCKETS * config.s as u64 + BUCKETS / 2);
+        for offset in 0..slot_len {
+            for (class, against) in [(&real, None), (&dummy, None), (&real, Some(&dummy))] {
+                let stat = chi_squared(class, against, offset);
+                assert!(stat < THRESHOLD, "offset {offset}: chi-squared {stat:.0}");
+            }
+        }
+
+        // Clear mode: a dummy is zeros, as long as a real slot.
+        for (bucket, (meta, blocks)) in buckets.iter().take(64).enumerate() {
+            let slots =
+                build_bucket_slots(&envelope, false, bucket as BucketId, meta, blocks, capacity)
+                    .unwrap();
+            for (slot, bytes) in slots.iter().enumerate() {
+                assert_eq!(bytes.len(), CLEAR_LEN_PREFIX + capacity);
+                assert_eq!(
+                    bytes.iter().all(|&b| b == 0),
+                    !is_real(meta, slot),
+                    "slot {slot}"
+                );
+            }
+        }
     }
 
     /// Stages the exact mid-batch failure the poison flag guards against:
@@ -1896,7 +2071,7 @@ mod tests {
         state.meta.position.set(KEY_B, 1);
         state
             .buffer
-            .insert(root, vec![Block::real(KEY_B, 1, vec![0xBB])]);
+            .insert(root, Arc::new(vec![Block::real(KEY_B, 1, vec![0xBB])]));
         for i in 0..max {
             state
                 .meta
