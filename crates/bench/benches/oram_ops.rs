@@ -8,12 +8,15 @@ use obladi_common::config::{EpochConfig, OramConfig};
 use obladi_common::rng::DetRng;
 use obladi_crypto::envelope::{PLAINTEXT_OFFSET, TAG_LEN};
 use obladi_crypto::{Envelope, KeyMaterial};
-use obladi_oram::{CheckpointSource, ExecOptions, NoopPathLogger, RingOram, ThreadPool};
+use obladi_oram::{
+    CheckpointSource, ExecOptions, NoopPathLogger, OramReader, RingOram, ThreadPool,
+    WritebackEngine,
+};
 use obladi_storage::InMemoryStore;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-fn build_oram(parallel: bool) -> RingOram {
+fn build_oram(parallel: bool) -> (OramReader, WritebackEngine) {
     // The derived stash bound (64 at Z = 8) is one block short of what
     // loading 256 rows per batch reaches.
     let config = OramConfig::for_capacity(4_096, 8)
@@ -26,13 +29,15 @@ fn build_oram(parallel: bool) -> RingOram {
     } else {
         ExecOptions::sequential()
     };
-    let mut oram = RingOram::new(config, &keys, store, exec.with_fast_init(), 3).unwrap();
+    let (reader, mut engine) = RingOram::new(config, &keys, store, exec.with_fast_init(), 3)
+        .unwrap()
+        .split();
     let writes: Vec<(u64, Vec<u8>)> = (0..1024).map(|k| (k, vec![k as u8; 32])).collect();
     for chunk in writes.chunks(256) {
-        oram.write_batch(chunk, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        engine.write_batch(chunk, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
     }
-    oram
+    (reader, engine)
 }
 
 fn bench_oram(c: &mut Criterion) {
@@ -40,13 +45,14 @@ fn bench_oram(c: &mut Criterion) {
 
     group.throughput(Throughput::Elements(64));
     group.bench_function("read_batch_64_parallel", |b| {
-        let mut oram = build_oram(true);
+        let (reader, mut engine) = build_oram(true);
         let mut rng = DetRng::new(9);
         b.iter_batched(
             || (0..64).map(|_| Some(rng.below(1024))).collect::<Vec<_>>(),
             |reads| {
-                oram.read_batch(&reads, &NoopPathLogger).unwrap();
-                oram.flush_writes(&NoopPathLogger).unwrap();
+                reader.read_batch(&reads, &NoopPathLogger).unwrap();
+                engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+                engine.flush_writes(&NoopPathLogger).unwrap();
             },
             BatchSize::SmallInput,
         )
@@ -54,17 +60,20 @@ fn bench_oram(c: &mut Criterion) {
 
     group.throughput(Throughput::Elements(1));
     group.bench_function("sequential_access", |b| {
-        let mut oram = build_oram(false);
+        let (reader, mut engine) = build_oram(false);
         let mut rng = DetRng::new(10);
         b.iter(|| {
             let key = rng.below(1024);
-            oram.read_batch(&[Some(key)], &NoopPathLogger).unwrap()
+            let value = reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
+            engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+            engine.flush_writes(&NoopPathLogger).unwrap();
+            value
         })
     });
 
     group.throughput(Throughput::Elements(64));
     group.bench_function("dummiless_write_batch_64", |b| {
-        let mut oram = build_oram(true);
+        let (_, mut engine) = build_oram(true);
         let mut rng = DetRng::new(11);
         b.iter_batched(
             || {
@@ -76,8 +85,8 @@ fn bench_oram(c: &mut Criterion) {
                     .collect::<Vec<_>>()
             },
             |writes| {
-                oram.write_batch(&writes, &NoopPathLogger).unwrap();
-                oram.flush_writes(&NoopPathLogger).unwrap();
+                engine.write_batch(&writes, &NoopPathLogger).unwrap();
+                engine.flush_writes(&NoopPathLogger).unwrap();
             },
             BatchSize::SmallInput,
         )
@@ -88,19 +97,21 @@ fn bench_oram(c: &mut Criterion) {
 
 /// A `perf` shard's ORAM client (192-byte blocks, `max_stash` 4,096, two
 /// workers) over an in-memory store, 1,024 rows loaded.
-fn perf_shard(objects: u64) -> RingOram {
+fn perf_shard(objects: u64) -> (OramReader, WritebackEngine) {
     let mut config = OramConfig::small_for_tests(objects).with_block_size(192);
     config.max_stash = 4_096;
     let keys = KeyMaterial::for_tests(3);
     let store = Arc::new(InMemoryStore::new());
     let exec = ExecOptions::parallel(2).with_fast_init();
-    let mut oram = RingOram::new(config, &keys, store, exec, 3).unwrap();
+    let (reader, mut engine) = RingOram::new(config, &keys, store, exec, 3)
+        .unwrap()
+        .split();
     let rows: Vec<(u64, Vec<u8>)> = (0..1_024).map(|k| (k, vec![k as u8; 64])).collect();
     for chunk in rows.chunks(64) {
-        oram.write_batch(chunk, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        engine.write_batch(chunk, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
     }
-    oram
+    (reader, engine)
 }
 
 /// One epoch's maintenance on a `perf` shard: `accesses` logical accesses
@@ -114,7 +125,7 @@ fn bench_maintenance(c: &mut Criterion) {
     let geometries = [("ycsb", 2_048, 4 * 32 + 64), ("tpcc", 4_096, 32 * 32 + 256)];
     for (geometry, objects, accesses) in geometries {
         for (schedule, cap) in [("wave", None), ("one_path_at_a_time", Some(1))] {
-            let (reader, mut engine) = perf_shard(objects).split();
+            let (reader, mut engine) = perf_shard(objects);
             if let Some(paths) = cap {
                 engine.cap_wave_for_tests(paths);
             }
@@ -184,7 +195,7 @@ fn bench_checkpoint(c: &mut Criterion) {
             .with_read_batches(read_batches)
             .with_read_batch_size(32)
             .with_write_batch_size(write_batch);
-        let (reader, engine) = perf_shard(objects).split();
+        let (reader, engine) = perf_shard(objects);
         let engine = RefCell::new(engine);
         let rng = RefCell::new(DetRng::new(13));
         let run_epoch = || {

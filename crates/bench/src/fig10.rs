@@ -6,14 +6,13 @@
 //! `dynamo` (1 ms reads / 3 ms writes, bounded client parallelism).
 
 use crate::harness::{
-    build_store, fmt1, micro_oram_config, parallel_threads, print_header, print_row,
+    build_oram, fmt1, micro_oram_config, parallel_threads, print_header, print_row,
 };
 use crate::opts::BenchOpts;
 use obladi_common::config::BackendKind;
 use obladi_common::rng::DetRng;
 use obladi_common::types::Key;
-use obladi_crypto::KeyMaterial;
-use obladi_oram::{ExecOptions, NoopPathLogger, RingOram};
+use obladi_oram::{ExecOptions, NoopPathLogger, OramReader, WritebackEngine};
 use obladi_workloads::{FreeHealthConfig, FreeHealthWorkload};
 use obladi_workloads::{SmallBankConfig, SmallBankWorkload, TpccConfig, TpccWorkload, Workload};
 use std::time::Instant;
@@ -21,25 +20,17 @@ use std::time::Instant;
 /// Number of keys pre-loaded into the micro-benchmark ORAM.
 const PRELOADED_KEYS: u64 = 1_000;
 
-fn preload(oram: &mut RingOram) {
+/// The micro-benchmark ORAM's two halves, `PRELOADED_KEYS` keys loaded.
+fn build(kind: BackendKind, opts: &BenchOpts, exec: ExecOptions) -> (OramReader, WritebackEngine) {
+    let (reader, mut engine) = build_oram(kind, opts, exec, micro_oram_config(opts));
     let writes: Vec<(Key, Vec<u8>)> = (0..PRELOADED_KEYS)
         .map(|k| (k, vec![k as u8; 32]))
         .collect();
     for chunk in writes.chunks(256) {
-        oram.write_batch(chunk, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        engine.write_batch(chunk, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
     }
-}
-
-fn build(kind: BackendKind, opts: &BenchOpts, exec: ExecOptions) -> RingOram {
-    let config = micro_oram_config(opts);
-    let store = build_store(kind, opts);
-    let keys = KeyMaterial::for_tests(opts.seed);
-    let mut oram = RingOram::new(config, &keys, store, exec.with_fast_init(), opts.seed)
-        .expect("failed to build ORAM");
-    preload(&mut oram);
-    oram.reset_stats();
-    oram
+    (reader, engine)
 }
 
 fn random_reads(rng: &mut DetRng, n: usize) -> Vec<Option<Key>> {
@@ -47,10 +38,11 @@ fn random_reads(rng: &mut DetRng, n: usize) -> Vec<Option<Key>> {
 }
 
 /// Runs `total_ops` logical reads through the ORAM in batches of
-/// `batch_size`, flushing buffered writes every `batches_per_epoch` batches.
-/// Returns (ops/s, mean batch latency in ms).
+/// `batch_size`, each followed by the maintenance it made due, flushing
+/// buffered writes every `batches_per_epoch` batches.  Returns (ops/s, mean
+/// batch latency in ms).
 fn run_oram_reads(
-    oram: &mut RingOram,
+    (reader, engine): &mut (OramReader, WritebackEngine),
     batch_size: usize,
     total_ops: usize,
     batches_per_epoch: usize,
@@ -62,17 +54,36 @@ fn run_oram_reads(
     for batch in 0..batches {
         let requests = random_reads(rng, batch_size);
         let batch_start = Instant::now();
-        oram.read_batch(&requests, &NoopPathLogger).unwrap();
+        reader.read_batch(&requests, &NoopPathLogger).unwrap();
+        engine.run_pending_maintenance(&NoopPathLogger).unwrap();
         if (batch + 1) % batches_per_epoch.max(1) == 0 {
-            oram.flush_writes(&NoopPathLogger).unwrap();
+            engine.flush_writes(&NoopPathLogger).unwrap();
         }
         batch_latencies.push(batch_start.elapsed().as_secs_f64() * 1000.0);
     }
-    oram.flush_writes(&NoopPathLogger).unwrap();
+    engine.flush_writes(&NoopPathLogger).unwrap();
     let elapsed = start.elapsed().as_secs_f64();
     let ops = (batches * batch_size) as f64;
     let mean_latency = batch_latencies.iter().sum::<f64>() / batch_latencies.len() as f64;
     (ops / elapsed, mean_latency)
+}
+
+/// Canonical sequential Ring ORAM: `ops` single-key reads, each followed by
+/// the maintenance it made due and the flush of write-through mode.
+/// Returns ops/s.
+fn run_sequential_reads(
+    (reader, engine): &mut (OramReader, WritebackEngine),
+    ops: usize,
+    rng: &mut DetRng,
+) -> f64 {
+    let start = Instant::now();
+    for _ in 0..ops {
+        let key = rng.below(PRELOADED_KEYS);
+        reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
+        engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+    }
+    ops as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Figure 10a: sequential vs parallel vs parallel+crypto throughput at batch
@@ -96,12 +107,7 @@ pub fn run_fig10a(opts: &BenchOpts) {
         // Sequential canonical Ring ORAM: one request at a time, immediate
         // write-back, crypto on.
         let mut seq = build(kind, opts, ExecOptions::sequential());
-        let start = Instant::now();
-        for _ in 0..seq_ops {
-            let key = rng.below(PRELOADED_KEYS);
-            seq.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
-        }
-        let seq_tput = seq_ops as f64 / start.elapsed().as_secs_f64();
+        let seq_tput = run_sequential_reads(&mut seq, seq_ops, &mut rng);
 
         // Parallel executor without crypto.
         let threads = parallel_threads(kind, opts);
@@ -354,13 +360,7 @@ fn sweep_app<W: Workload>(
 pub fn parallel_beats_sequential_on_wan(opts: &BenchOpts) -> (f64, f64) {
     let mut rng = DetRng::new(opts.seed);
     let mut seq = build(BackendKind::ServerWan, opts, ExecOptions::sequential());
-    let seq_ops = 10;
-    let start = Instant::now();
-    for _ in 0..seq_ops {
-        let key = rng.below(PRELOADED_KEYS);
-        seq.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
-    }
-    let seq_tput = seq_ops as f64 / start.elapsed().as_secs_f64();
+    let seq_tput = run_sequential_reads(&mut seq, 10, &mut rng);
 
     let mut par = build(BackendKind::ServerWan, opts, ExecOptions::parallel(64));
     let (par_tput, _) = run_oram_reads(&mut par, 64, 128, 1, &mut rng);

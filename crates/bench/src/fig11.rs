@@ -7,7 +7,7 @@ use obladi_common::rng::DetRng;
 use obladi_common::types::Key;
 use obladi_core::DurabilityManager;
 use obladi_crypto::KeyMaterial;
-use obladi_oram::{ExecOptions, NoopPathLogger, RingOram};
+use obladi_oram::{ExecOptions, NoopPathLogger, OramReader, PathLogger, RingOram, WritebackEngine};
 use obladi_storage::{TrustedCounter, UntrustedStore};
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,8 +30,11 @@ pub struct DurabilityRun {
     pub paths_ms: f64,
 }
 
+/// One client's epochs, logged and checkpointed through `manager` — which
+/// does nothing of either when its durability is off (the baseline).
 struct EpochRunner<'a> {
-    oram: RingOram,
+    reader: OramReader,
+    engine: WritebackEngine,
     manager: &'a DurabilityManager,
     epoch: u64,
     batch_size: usize,
@@ -40,21 +43,22 @@ struct EpochRunner<'a> {
 }
 
 impl EpochRunner<'_> {
+    /// One read batch of random keys, then the maintenance it made due.
+    fn read_batch(&mut self, logger: &dyn PathLogger) {
+        self.manager.begin_read_batch();
+        let reads: Vec<Option<Key>> = (0..self.batch_size)
+            .map(|_| Some(self.rng.below(self.keys)))
+            .collect();
+        self.reader.read_batch(&reads, logger).unwrap();
+        self.engine.run_pending_maintenance(logger).unwrap();
+    }
+
     /// Runs one epoch: a few read batches, a write batch, flush, checkpoint.
-    fn run_epoch(&mut self, durable: bool) {
-        self.manager.set_current_epoch(self.epoch);
+    fn run_epoch(&mut self) {
+        let manager = self.manager;
+        let logger = manager.logger_for(self.epoch);
         for _ in 0..3 {
-            if durable {
-                self.manager.begin_read_batch();
-            }
-            let reads: Vec<Option<Key>> = (0..self.batch_size)
-                .map(|_| Some(self.rng.below(self.keys)))
-                .collect();
-            if durable {
-                self.oram.read_batch(&reads, self.manager).unwrap();
-            } else {
-                self.oram.read_batch(&reads, &NoopPathLogger).unwrap();
-            }
+            self.read_batch(&logger);
         }
         let writes: Vec<(Key, Vec<u8>)> = (0..self.batch_size / 2)
             .map(|_| {
@@ -62,25 +66,10 @@ impl EpochRunner<'_> {
                 (k, vec![k as u8; 32])
             })
             .collect();
-        if durable {
-            self.oram.write_batch(&writes, self.manager).unwrap();
-            self.oram.flush_writes(self.manager).unwrap();
-            self.manager
-                .commit_epoch(self.epoch, &mut self.oram)
-                .unwrap();
-        } else {
-            self.oram.write_batch(&writes, &NoopPathLogger).unwrap();
-            self.oram.flush_writes(&NoopPathLogger).unwrap();
-        }
+        self.engine.write_batch(&writes, &logger).unwrap();
+        self.engine.flush_writes(&logger).unwrap();
+        manager.commit_epoch(self.epoch, &mut self.engine).unwrap();
         self.epoch += 1;
-    }
-}
-
-fn populate(oram: &mut RingOram, keys: u64) {
-    let writes: Vec<(Key, Vec<u8>)> = (0..keys).map(|k| (k, vec![k as u8; 32])).collect();
-    for chunk in writes.chunks(512) {
-        oram.write_batch(chunk, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
     }
 }
 
@@ -107,6 +96,28 @@ pub fn durability_run(
     let exec = ExecOptions::parallel(32).with_fast_init();
     let batch_size = 64;
     let epochs = if opts.full { 12 } else { 6 };
+    // A client over `store` with keys `0..populated_keys` loaded, at epoch 1.
+    let runner = |manager, store| {
+        let (reader, mut engine) = RingOram::new(config, &keys, store, exec, opts.seed)
+            .unwrap()
+            .split();
+        let writes: Vec<(Key, Vec<u8>)> = (0..populated_keys)
+            .map(|k| (k, vec![k as u8; 32]))
+            .collect();
+        for chunk in writes.chunks(512) {
+            engine.write_batch(chunk, &NoopPathLogger).unwrap();
+            engine.flush_writes(&NoopPathLogger).unwrap();
+        }
+        EpochRunner {
+            reader,
+            engine,
+            manager,
+            epoch: 1,
+            batch_size,
+            rng: DetRng::new(opts.seed),
+            keys: populated_keys,
+        }
+    };
 
     // --- Baseline: durability off. ---
     let baseline_manager = DurabilityManager::new(
@@ -115,18 +126,10 @@ pub fn durability_run(
         TrustedCounter::new(),
         &epoch_config.with_durability(false),
     );
-    let mut baseline = EpochRunner {
-        oram: RingOram::new(config, &keys, store.clone(), exec, opts.seed).unwrap(),
-        manager: &baseline_manager,
-        epoch: 1,
-        batch_size,
-        rng: DetRng::new(opts.seed),
-        keys: populated_keys,
-    };
-    populate(&mut baseline.oram, populated_keys);
+    let mut baseline = runner(&baseline_manager, store);
     let start = Instant::now();
     for _ in 0..epochs {
-        baseline.run_epoch(false);
+        baseline.run_epoch();
     }
     let baseline_tput = (epochs * batch_size * 3) as f64 / start.elapsed().as_secs_f64();
 
@@ -134,34 +137,19 @@ pub fn durability_run(
     let store2: Arc<dyn UntrustedStore> = build_store(backend, opts);
     let counter = TrustedCounter::new();
     let manager = DurabilityManager::new(&keys, store2.clone(), counter, &epoch_config);
-    let mut durable = EpochRunner {
-        oram: RingOram::new(config, &keys, store2.clone(), exec, opts.seed).unwrap(),
-        manager: &manager,
-        epoch: 1,
-        batch_size,
-        rng: DetRng::new(opts.seed),
-        keys: populated_keys,
-    };
-    populate(&mut durable.oram, populated_keys);
+    let mut durable = runner(&manager, store2);
     let start = Instant::now();
     for _ in 0..epochs {
-        durable.run_epoch(true);
+        durable.run_epoch();
     }
     let durable_tput = (epochs * batch_size * 3) as f64 / start.elapsed().as_secs_f64();
 
     // Start an epoch that never commits (this is what recovery replays).
-    let aborted_epoch = durable.epoch;
-    manager.set_current_epoch(aborted_epoch);
-    manager.begin_read_batch();
-    let reads: Vec<Option<Key>> = (0..batch_size)
-        .map(|_| Some(durable.rng.below(populated_keys)))
-        .collect();
-    durable.oram.read_batch(&reads, &manager).unwrap();
-    let oram_config = *durable.oram.config();
+    durable.read_batch(&manager.logger_for(durable.epoch));
     drop(durable);
 
     let (_recovered, _epoch, report) = manager
-        .recover(oram_config, &keys, exec, opts.seed)
+        .recover(config, &keys, exec, opts.seed)
         .expect("recovery failed");
 
     DurabilityRun {

@@ -4,7 +4,7 @@ use crate::opts::BenchOpts;
 use obladi_common::config::{BackendKind, EpochConfig, ObladiConfig, OramConfig};
 use obladi_common::latency::LatencyProfile;
 use obladi_crypto::KeyMaterial;
-use obladi_oram::{ExecOptions, RingOram};
+use obladi_oram::{ExecOptions, OramReader, RingOram, WritebackEngine};
 use obladi_storage::{InMemoryStore, LatencyStore, TrustedCounter, UntrustedStore};
 use std::sync::Arc;
 use std::time::Duration;
@@ -101,18 +101,19 @@ pub fn micro_oram_config(opts: &BenchOpts) -> OramConfig {
     }
 }
 
-/// Builds a [`RingOram`] client over `kind` storage with the given executor
-/// options.
+/// Builds an ORAM client over `kind` storage with the given executor
+/// options, and hands back its two halves.
 pub fn build_oram(
     kind: BackendKind,
     opts: &BenchOpts,
     exec: ExecOptions,
     config: OramConfig,
-) -> RingOram {
+) -> (OramReader, WritebackEngine) {
     let store = build_store(kind, opts);
     let keys = KeyMaterial::for_tests(opts.seed);
     RingOram::new(config, &keys, store, exec.with_fast_init(), opts.seed)
         .expect("failed to build ORAM")
+        .split()
 }
 
 /// Number of executor threads used for parallel ORAM runs.
@@ -231,13 +232,12 @@ mod tests {
     fn build_oram_smoke() {
         let opts = BenchOpts::smoke();
         let config = OramConfig::small_for_tests(256);
-        let mut oram = build_oram(BackendKind::Dummy, &opts, ExecOptions::parallel(2), config);
-        oram.write_batch(&[(1, vec![1; 8])], &obladi_oram::NoopPathLogger)
-            .unwrap();
-        oram.flush_writes(&obladi_oram::NoopPathLogger).unwrap();
-        let out = oram
-            .read_batch(&[Some(1)], &obladi_oram::NoopPathLogger)
-            .unwrap();
+        let (reader, mut engine) =
+            build_oram(BackendKind::Dummy, &opts, ExecOptions::parallel(2), config);
+        let logger = obladi_oram::NoopPathLogger;
+        engine.write_batch(&[(1, vec![1; 8])], &logger).unwrap();
+        engine.flush_writes(&logger).unwrap();
+        let out = reader.read_batch(&[Some(1)], &logger).unwrap();
         assert_eq!(out[0], Some(vec![1; 8]));
     }
 

@@ -33,10 +33,11 @@ use obladi_common::types::{EpochId, Key, TxnId, Value};
 use obladi_crypto::envelope::{PLAINTEXT_OFFSET, TAG_LEN};
 use obladi_crypto::{Envelope, KeyMaterial, Sha256};
 use obladi_oram::client::{PathLogger, SlotRead};
-use obladi_oram::{CheckpointSource, ExecOptions, MetaDelta, OramMeta, RingOram};
+use obladi_oram::{
+    CheckpointSource, ExecOptions, MetaDelta, OramMeta, OramReader, RingOram, WritebackEngine,
+};
 use obladi_storage::wal::{WalRecord, WalRecordKind, WriteAheadLog, FRAME_HEADER_LEN};
 use obladi_storage::{TrustedCounter, UntrustedStore};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Distinguished "location" tags binding checkpoint ciphertexts to their
@@ -170,7 +171,6 @@ pub struct DurabilityManager {
     checkpoint_every: u32,
     max_position_delta: usize,
     write_batch_size: usize,
-    current_epoch: AtomicU64,
 }
 
 impl DurabilityManager {
@@ -195,19 +195,12 @@ impl DurabilityManager {
             checkpoint_every: epoch_config.checkpoint_every.max(1),
             max_position_delta: epoch_config.max_position_delta(),
             write_batch_size: epoch_config.write_batch_size,
-            current_epoch: AtomicU64::new(1),
         }
     }
 
     /// Whether durability logging is enabled.
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Tells the manager which epoch is currently executing (bound into
-    /// path-log records).
-    pub fn set_current_epoch(&self, epoch: EpochId) {
-        self.current_epoch.store(epoch, Ordering::SeqCst);
     }
 
     /// The trusted counter.
@@ -497,12 +490,12 @@ impl DurabilityManager {
     /// durable.  Every `checkpoint_every`-th epoch writes a full checkpoint,
     /// others write deltas.
     ///
-    /// `oram` is whichever half of the client can produce checkpoints: the
-    /// monolithic [`RingOram`] facade (recovery replay) or the proxy's
-    /// [`obladi_oram::WritebackEngine`], whose checkpoint methods read the
-    /// state its last flush published — not the live one the concurrent read
-    /// plane keeps planning against — so neither form can capture a block
-    /// that is physically in flight and findable nowhere.
+    /// `oram` is the client's [`WritebackEngine`] (the proxy's decider's, or
+    /// recovery's while it replays an in-doubt epoch), whose checkpoint
+    /// methods read the state its last flush published — not the live one
+    /// the concurrent read plane keeps planning against — so neither form
+    /// can capture a block that is physically in flight and findable
+    /// nowhere.
     pub fn commit_epoch(&self, epoch: EpochId, oram: &mut dyn CheckpointSource) -> Result<()> {
         if !self.enabled {
             return Ok(());
@@ -549,14 +542,15 @@ impl DurabilityManager {
     /// rebuild the client metadata from the latest full checkpoint plus the
     /// delta chain, revert shadow-paged buckets that the aborted epoch wrote,
     /// and replay the aborted epoch's logged read paths so the adversary
-    /// observes a deterministic pattern.
+    /// observes a deterministic pattern.  Returns the rebuilt client's two
+    /// halves.
     pub fn recover(
         &self,
         fallback_config: OramConfig,
         keys: &KeyMaterial,
         options: ExecOptions,
         seed: u64,
-    ) -> Result<(RingOram, EpochId, RecoveryReport)> {
+    ) -> Result<((OramReader, WritebackEngine), EpochId, RecoveryReport)> {
         let (oram, next_epoch, report, _) =
             self.recover_resolving(fallback_config, keys, options, seed, &|_| false)?;
         Ok((oram, next_epoch, report))
@@ -582,7 +576,12 @@ impl DurabilityManager {
         options: ExecOptions,
         seed: u64,
         resolve: &dyn Fn(TxnId) -> bool,
-    ) -> Result<(RingOram, EpochId, RecoveryReport, RecoveredTxns)> {
+    ) -> Result<(
+        (OramReader, WritebackEngine),
+        EpochId,
+        RecoveryReport,
+        RecoveredTxns,
+    )> {
         let mut report = RecoveryReport::default();
         let recovery_start = std::time::Instant::now();
         let durable_epochs = self.counter.epoch();
@@ -638,25 +637,18 @@ impl DurabilityManager {
                 // replaying either: the position map is regenerated, so
                 // post-recovery accesses are independent of anything the
                 // adversary observed before the crash.
-                let mut init_options = options;
-                init_options.fast_init = fallback_config.num_objects > 50_000;
-                let mut oram = RingOram::new(
-                    fallback_config,
-                    keys,
-                    self.store.clone(),
-                    init_options,
-                    seed,
-                )?;
+                let store = self.store.clone();
+                let (reader, mut engine) =
+                    RingOram::new(fallback_config, keys, store, options, seed)?.split();
                 report.position_ms = pos_start.elapsed().as_secs_f64() * 1000.0;
                 // Even with nothing durable the shard may have voted: a
                 // cross-shard transaction prepared in the very first epoch
                 // must still be resolved through the coordinator.
                 let resolved =
-                    self.replay_in_doubt(&records, 0, resolve, &mut oram, &mut report)?;
+                    self.replay_in_doubt(&records, 0, resolve, &mut engine, &mut report)?;
                 let next_epoch = if resolved.replayed.is_empty() { 1 } else { 2 };
                 report.total_ms = recovery_start.elapsed().as_secs_f64() * 1000.0;
-                self.set_current_epoch(next_epoch);
-                return Ok((oram, next_epoch, report, resolved));
+                return Ok(((reader, engine), next_epoch, report, resolved));
             }
         };
         report.position_ms = pos_start.elapsed().as_secs_f64() * 1000.0;
@@ -695,9 +687,10 @@ impl DurabilityManager {
         report.permutation_ms = perm_start.elapsed().as_secs_f64() * 1000.0;
 
         // ---- Rebuild the ORAM client and undo the aborted epoch. ----
-        let mut oram = RingOram::from_meta(meta, keys, self.store.clone(), options, seed);
+        let (reader, mut engine) =
+            RingOram::from_meta(meta, keys, self.store.clone(), options, seed).split();
         let revert_start = std::time::Instant::now();
-        oram.revert_storage_to_meta()?;
+        engine.revert_storage_to_meta()?;
         report.network_ms += revert_start.elapsed().as_secs_f64() * 1000.0;
 
         // ---- Replay the in-doubt epochs' read paths, in order. ----
@@ -711,18 +704,18 @@ impl DurabilityManager {
         // executing epoch's paths.
         let paths_start = std::time::Instant::now();
         let aborted_epoch = durable_epochs + 1;
-        if self.replay_epoch_paths(&records, aborted_epoch, &mut oram, &mut report)? {
+        if self.replay_epoch_paths(&records, aborted_epoch, &mut engine, &mut report)? {
             report.epochs_replayed += 1;
         }
         report.paths_ms = paths_start.elapsed().as_secs_f64() * 1000.0;
 
         // ---- Resolve 2PC-prepared transactions of the deciding epoch. ----
         let resolved =
-            self.replay_in_doubt(&records, durable_epochs, resolve, &mut oram, &mut report)?;
+            self.replay_in_doubt(&records, durable_epochs, resolve, &mut engine, &mut report)?;
 
         // ---- Replay the executing epoch's read paths. ----
         let paths_start = std::time::Instant::now();
-        if self.replay_epoch_paths(&records, aborted_epoch + 1, &mut oram, &mut report)? {
+        if self.replay_epoch_paths(&records, aborted_epoch + 1, &mut engine, &mut report)? {
             report.epochs_replayed += 1;
         }
         report.paths_ms += paths_start.elapsed().as_secs_f64() * 1000.0;
@@ -733,9 +726,7 @@ impl DurabilityManager {
             aborted_epoch + 1
         };
         report.total_ms = recovery_start.elapsed().as_secs_f64() * 1000.0;
-
-        self.set_current_epoch(next_epoch);
-        Ok((oram, next_epoch, report, resolved))
+        Ok(((reader, engine), next_epoch, report, resolved))
     }
 
     /// Replays the logged read paths of one in-doubt epoch, returning
@@ -746,7 +737,7 @@ impl DurabilityManager {
         &self,
         records: &[WalRecord],
         epoch: EpochId,
-        oram: &mut RingOram,
+        engine: &mut WritebackEngine,
         report: &mut RecoveryReport,
     ) -> Result<bool> {
         let mut found = false;
@@ -759,7 +750,7 @@ impl DurabilityManager {
                 .open_bytes(LOC_PATH_LOG, record.epoch, &record.payload)?;
             let reads = SlotRead::decode_list(&plain)?;
             report.reads_replayed += reads.len() as u64;
-            oram.replay_reads(&reads)?;
+            engine.replay_reads(&reads)?;
             found = true;
         }
         Ok(found)
@@ -774,7 +765,7 @@ impl DurabilityManager {
         records: &[WalRecord],
         durable_epochs: EpochId,
         resolve: &dyn Fn(TxnId) -> bool,
-        oram: &mut RingOram,
+        engine: &mut WritebackEngine,
         report: &mut RecoveryReport,
     ) -> Result<RecoveredTxns> {
         if !self.enabled {
@@ -818,11 +809,11 @@ impl DurabilityManager {
         // epoch durable.  Durability is atomic with the epoch commit, which
         // is what makes re-running recovery after a crash *during* this
         // replay idempotent.
-        self.set_current_epoch(aborted_epoch);
+        let logger = self.logger_for(aborted_epoch);
         let capacity = self.write_batch_size.max(writes.len());
-        oram.write_batch_padded(&writes, capacity, self)?;
-        oram.flush_writes(self)?;
-        self.commit_epoch(aborted_epoch, oram)?;
+        engine.write_batch_padded(&writes, capacity, &logger)?;
+        engine.flush_writes(&logger)?;
+        self.commit_epoch(aborted_epoch, engine)?;
         // The replay moved the durable frontier; the report must say so.
         report.recovered_epoch = aborted_epoch;
         Ok(recovered)
@@ -836,7 +827,8 @@ impl DurabilityManager {
 }
 
 impl DurabilityManager {
-    /// A [`PathLogger`] whose records are tagged with an explicit epoch.
+    /// The [`PathLogger`] for `epoch`: every path-log record is tagged with
+    /// the epoch whose reads it logs.
     ///
     /// With the split client, the read plane logs epoch `N+1`'s paths while
     /// the write-back engine concurrently logs epoch `N`'s eviction paths —
@@ -875,12 +867,6 @@ impl PathLogger for EpochPathLogger<'_> {
     }
 }
 
-impl PathLogger for DurabilityManager {
-    fn log_reads(&self, reads: &[SlotRead]) -> Result<()> {
-        self.log_reads_for_epoch(self.current_epoch.load(Ordering::SeqCst), reads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -889,15 +875,22 @@ mod tests {
     use obladi_storage::retention::Cut;
     use obladi_storage::InMemoryStore;
 
-    fn setup(durability: bool) -> (DurabilityManager, RingOram, Arc<dyn UntrustedStore>) {
+    fn setup(
+        durability: bool,
+    ) -> (
+        DurabilityManager,
+        (OramReader, WritebackEngine),
+        Arc<dyn UntrustedStore>,
+    ) {
         let mut config = ObladiConfig::small_for_tests(128);
         config.epoch.durability = durability;
         let keys = KeyMaterial::for_tests(3);
         let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
         let counter = TrustedCounter::new();
         let manager = DurabilityManager::new(&keys, store.clone(), counter, &config.epoch);
-        let oram =
-            RingOram::new(config.oram, &keys, store.clone(), ExecOptions::default(), 7).unwrap();
+        let oram = RingOram::new(config.oram, &keys, store.clone(), ExecOptions::default(), 7)
+            .unwrap()
+            .split();
         (manager, oram, store)
     }
 
@@ -905,11 +898,33 @@ mod tests {
         KeyMaterial::for_tests(3)
     }
 
+    /// Reads `key` the way a single thread drives the halves: the batch,
+    /// then the maintenance it made due.
+    fn read((reader, engine): &mut (OramReader, WritebackEngine), key: Key) -> Option<Value> {
+        let value = reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
+        engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+        value.into_iter().next().flatten()
+    }
+
+    /// Writes `writes` in `epoch` (path records tagged with it) and flushes.
+    fn write(
+        manager: &DurabilityManager,
+        engine: &mut WritebackEngine,
+        epoch: u64,
+        writes: &[(Key, Value)],
+    ) {
+        engine
+            .write_batch(writes, &manager.logger_for(epoch))
+            .unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+    }
+
     #[test]
     fn disabled_durability_is_a_noop() {
-        let (manager, mut oram, store) = setup(false);
-        manager.commit_epoch(1, &mut oram).unwrap();
+        let (manager, (_, mut engine), store) = setup(false);
+        manager.commit_epoch(1, &mut engine).unwrap();
         manager
+            .logger_for(1)
             .log_reads(&[SlotRead {
                 bucket: 0,
                 slot: 0,
@@ -925,9 +940,9 @@ mod tests {
 
     #[test]
     fn commit_epoch_advances_counter_and_logs() {
-        let (manager, mut oram, store) = setup(true);
+        let (manager, (_, mut engine), store) = setup(true);
         assert_eq!(manager.counter().epoch(), 0);
-        manager.commit_epoch(1, &mut oram).unwrap();
+        manager.commit_epoch(1, &mut engine).unwrap();
         assert_eq!(manager.counter().epoch(), 1);
         let records = WriteAheadLog::new(store).read_from(0).unwrap();
         assert!(records
@@ -937,23 +952,19 @@ mod tests {
 
     #[test]
     fn recovery_restores_committed_data_and_discards_uncommitted() {
-        let (manager, mut oram, _store) = setup(true);
-        manager.set_current_epoch(1);
+        let (manager, (_, mut engine), _store) = setup(true);
 
         // Epoch 1: write keys 0..16 and commit durably.
         let writes: Vec<(u64, Vec<u8>)> = (0..16).map(|k| (k, vec![k as u8; 8])).collect();
-        oram.write_batch(&writes, &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
+        write(&manager, &mut engine, 1, &writes);
+        manager.commit_epoch(1, &mut engine).unwrap();
 
         // Epoch 2: more writes that never commit (the proxy will crash).
-        manager.set_current_epoch(2);
         let doomed: Vec<(u64, Vec<u8>)> = (0..16).map(|k| (k, vec![0xEE; 8])).collect();
-        oram.write_batch(&doomed, &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        write(&manager, &mut engine, 2, &doomed);
         // Crash: drop the ORAM client (volatile state lost).
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
 
         let (mut recovered, next_epoch, report) = manager
             .recover(config, &keys(), ExecOptions::default(), 11)
@@ -961,9 +972,8 @@ mod tests {
         assert_eq!(next_epoch, 2, "system resumes at the aborted epoch");
         assert_eq!(report.recovered_epoch, 1);
         for k in 0..16u64 {
-            let result = recovered.read_batch(&[Some(k)], &NoopPathLogger).unwrap();
             assert_eq!(
-                result[0],
+                read(&mut recovered, k),
                 Some(vec![k as u8; 8]),
                 "key {k} must have epoch-1 value after recovery"
             );
@@ -977,9 +987,9 @@ mod tests {
         // subsequent epochs commit and their data stays readable.  This is
         // the regression test for acknowledged writes vanishing after a
         // crash at the very start of a run.
-        let (manager, oram, _store) = setup(true);
-        let config = *oram.config();
-        drop(oram); // the crash loses the volatile client state
+        let (manager, (_, engine), _store) = setup(true);
+        let config = *engine.config();
+        drop(engine); // the crash loses the volatile client state
 
         let (mut recovered, next_epoch, report) = manager
             .recover(config, &keys(), ExecOptions::default(), 23)
@@ -991,35 +1001,33 @@ mod tests {
         assert_eq!(report.recovered_epoch, 0);
 
         let writes: Vec<(u64, Vec<u8>)> = (0..24).map(|k| (k, vec![k as u8; 8])).collect();
-        recovered.write_batch(&writes, &manager).unwrap();
-        recovered.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut recovered).unwrap();
+        write(&manager, &mut recovered.1, 1, &writes);
+        manager.commit_epoch(1, &mut recovered.1).unwrap();
         for k in 0..24u64 {
-            let result = recovered.read_batch(&[Some(k)], &NoopPathLogger).unwrap();
             assert_eq!(
-                result[0],
+                read(&mut recovered, k),
                 Some(vec![k as u8; 8]),
                 "key {k} unreadable after recovering an empty tree"
             );
-            recovered.flush_writes(&NoopPathLogger).unwrap();
+            recovered.1.flush_writes(&NoopPathLogger).unwrap();
         }
     }
 
     #[test]
     fn recovery_replays_logged_paths() {
-        let (manager, mut oram, store) = setup(true);
-        manager.set_current_epoch(1);
+        let (manager, (reader, mut engine), store) = setup(true);
         let writes: Vec<(u64, Vec<u8>)> = (0..8).map(|k| (k, vec![k as u8; 4])).collect();
-        oram.write_batch(&writes, &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
+        write(&manager, &mut engine, 1, &writes);
+        manager.commit_epoch(1, &mut engine).unwrap();
 
         // Epoch 2 issues some reads (logged), then the proxy crashes.
-        manager.set_current_epoch(2);
-        oram.read_batch(&[Some(1), Some(2), None], &manager)
+        let logger = manager.logger_for(2);
+        reader
+            .read_batch(&[Some(1), Some(2), None], &logger)
             .unwrap();
-        let config = *oram.config();
-        drop(oram);
+        engine.run_pending_maintenance(&logger).unwrap();
+        let config = *engine.config();
+        drop((reader, engine));
 
         store.reset_stats();
         let (_recovered, _epoch, report) = manager
@@ -1034,78 +1042,71 @@ mod tests {
 
     #[test]
     fn delta_and_full_checkpoints_compose() {
-        let (manager, mut oram, _store) = setup(true);
+        let (manager, (_, mut engine), _store) = setup(true);
         // checkpoint_every = 4 in the small test config: epoch 4 is full,
         // epochs 5..6 are deltas.
         for epoch in 1..=6u64 {
-            manager.set_current_epoch(epoch);
             let writes: Vec<(u64, Vec<u8>)> =
                 vec![(epoch, vec![epoch as u8; 8]), (100 + epoch, vec![1; 8])];
-            oram.write_batch(&writes, &manager).unwrap();
-            oram.flush_writes(&NoopPathLogger).unwrap();
-            manager.commit_epoch(epoch, &mut oram).unwrap();
+            write(&manager, &mut engine, epoch, &writes);
+            manager.commit_epoch(epoch, &mut engine).unwrap();
         }
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
         let (mut recovered, next_epoch, _report) = manager
             .recover(config, &keys(), ExecOptions::default(), 17)
             .unwrap();
         assert_eq!(next_epoch, 7);
         for epoch in 1..=6u64 {
-            let result = recovered
-                .read_batch(&[Some(epoch)], &NoopPathLogger)
-                .unwrap();
-            assert_eq!(result[0], Some(vec![epoch as u8; 8]), "epoch {epoch} write");
+            let expected = Some(vec![epoch as u8; 8]);
+            assert_eq!(read(&mut recovered, epoch), expected, "epoch {epoch} write");
         }
     }
 
     /// One epoch of `writes` one-byte values, committed (or refused).
     fn commit_writes(
         manager: &DurabilityManager,
-        oram: &mut RingOram,
+        engine: &mut WritebackEngine,
         epoch: u64,
         writes: u64,
     ) -> Result<()> {
-        manager.set_current_epoch(epoch);
         let writes: Vec<(u64, Vec<u8>)> = (0..writes).map(|k| (k, vec![epoch as u8])).collect();
-        oram.write_batch(&writes, manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(epoch, oram)
+        write(manager, engine, epoch, &writes);
+        manager.commit_epoch(epoch, engine)
     }
 
     #[test]
     fn a_delta_that_exceeds_its_pad_is_refused() {
-        let (manager, mut oram, _store) = setup(true);
+        let (manager, (_, mut engine), _store) = setup(true);
         let pad = EpochConfig::small_for_tests().max_position_delta() as u64;
-        commit_writes(&manager, &mut oram, 1, 4).unwrap();
-        commit_writes(&manager, &mut oram, 2, pad).expect("a window as full as its pad");
+        commit_writes(&manager, &mut engine, 1, 4).unwrap();
+        commit_writes(&manager, &mut engine, 2, pad).expect("a window as full as its pad");
         let overflows = obladi_obs::global().counter("oram.checkpoint.pad_overflow");
         let before = overflows.get();
         // More changes than one pipeline window can hold: the record would
         // be longer than the configuration says, so the epoch fails (and the
         // proxy fate-shares the failure into a crash).
-        let err = commit_writes(&manager, &mut oram, 3, pad + 1).unwrap_err();
+        let err = commit_writes(&manager, &mut engine, 3, pad + 1).unwrap_err();
         assert!(err.to_string().contains("exceeds its pad"), "{err}");
         assert_eq!(manager.counter().epoch(), 2, "nothing became durable");
         assert!(overflows.get() > before);
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
         let (mut recovered, next_epoch, _) = manager
             .recover(config, &keys(), ExecOptions::default(), 17)
             .unwrap();
         assert_eq!(next_epoch, 3);
-        let read = recovered.read_batch(&[Some(1)], &NoopPathLogger).unwrap();
-        assert_eq!(read[0], Some(vec![2]));
+        assert_eq!(read(&mut recovered, 1), Some(vec![2]));
     }
 
     #[test]
     fn a_delta_chain_with_a_gap_is_refused() {
-        let (manager, mut oram, store) = setup(true);
+        let (manager, (_, mut engine), store) = setup(true);
         for epoch in 1..=3 {
-            commit_writes(&manager, &mut oram, epoch, 4).unwrap();
+            commit_writes(&manager, &mut engine, epoch, 4).unwrap();
         }
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
         let recover = || manager.recover(config, &keys(), ExecOptions::default(), 17);
         assert_eq!(recover().expect("the whole chain").1, 4);
         // The same log without epoch 2's delta: epoch 3's says what changed
@@ -1127,18 +1128,15 @@ mod tests {
 
     #[test]
     fn in_doubt_prepare_is_presumed_aborted_without_a_decision() {
-        let (manager, mut oram, _store) = setup(true);
-        manager.set_current_epoch(1);
-        oram.write_batch(&[(1, vec![0xAA; 8])], &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
+        let (manager, (_, mut engine), _store) = setup(true);
+        write(&manager, &mut engine, 1, &[(1, vec![0xAA; 8])]);
+        manager.commit_epoch(1, &mut engine).unwrap();
 
         // Epoch 2: the shard votes (prepares) for txn 77, then crashes
         // before its epoch commit.
-        manager.set_current_epoch(2);
         manager.prepare_txn(2, 77, &[(5, vec![0xBB; 8])]).unwrap();
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
 
         let (mut recovered, next_epoch, report) = manager
             .recover(config, &keys(), ExecOptions::default(), 29)
@@ -1146,29 +1144,29 @@ mod tests {
         assert_eq!(report.in_doubt, 1);
         assert_eq!(report.replayed_commits, 0);
         assert_eq!(next_epoch, 2, "presumed abort leaves the epoch aborted");
-        let result = recovered.read_batch(&[Some(5)], &NoopPathLogger).unwrap();
-        assert_eq!(result[0], None, "presumed-aborted write must not surface");
+        assert_eq!(
+            read(&mut recovered, 5),
+            None,
+            "presumed-aborted write must not surface"
+        );
     }
 
     #[test]
     fn committed_in_doubt_prepare_is_replayed_and_made_durable() {
-        let (manager, mut oram, _store) = setup(true);
-        manager.set_current_epoch(1);
-        oram.write_batch(&[(1, vec![0xAA; 8])], &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
+        let (manager, (_, mut engine), _store) = setup(true);
+        write(&manager, &mut engine, 1, &[(1, vec![0xAA; 8])]);
+        manager.commit_epoch(1, &mut engine).unwrap();
 
         // Epoch 2: two transactions prepare; the coordinator committed only
         // txn 80.  Txn 81 wrote the same key later — it must NOT win.
-        manager.set_current_epoch(2);
         manager
             .prepare_txn(2, 80, &[(5, b"commit".to_vec()), (6, b"keep".to_vec())])
             .unwrap();
         manager
             .prepare_txn(2, 81, &[(5, b"abort!".to_vec())])
             .unwrap();
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
 
         let (mut recovered, next_epoch, report, resolved) = manager
             .recover_resolving(config, &keys(), ExecOptions::default(), 31, &|txn| {
@@ -1181,9 +1179,8 @@ mod tests {
         assert_eq!(next_epoch, 3, "the replayed epoch is durable");
         assert_eq!(manager.counter().epoch(), 2);
         for (key, expected) in [(5u64, b"commit".to_vec()), (6, b"keep".to_vec())] {
-            let result = recovered.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
-            assert_eq!(result[0], Some(expected), "key {key}");
-            recovered.flush_writes(&NoopPathLogger).unwrap();
+            assert_eq!(read(&mut recovered, key), Some(expected), "key {key}");
+            recovered.1.flush_writes(&NoopPathLogger).unwrap();
         }
 
         // Idempotence at the durability layer: a second crash + recovery
@@ -1203,27 +1200,23 @@ mod tests {
             "settled prepares are re-vouched so pinned decisions can drain"
         );
         assert_eq!(next_epoch, 3);
-        let result = again.read_batch(&[Some(5)], &NoopPathLogger).unwrap();
-        assert_eq!(result[0], Some(b"commit".to_vec()));
+        assert_eq!(read(&mut again, 5), Some(b"commit".to_vec()));
     }
 
     #[test]
     fn decided_epoch_replays_from_its_decision_record_alone() {
-        let (manager, mut oram, _store) = setup(true);
-        manager.set_current_epoch(1);
-        oram.write_batch(&[(1, vec![0xAA; 8])], &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
+        let (manager, (_, mut engine), _store) = setup(true);
+        write(&manager, &mut engine, 1, &[(1, vec![0xAA; 8])]);
+        manager.commit_epoch(1, &mut engine).unwrap();
 
         // Epoch 2: txn 80 prepares, the decision record lands, and the
         // crash hits before write-back/checkpoint — the window in which the
         // client has already been acknowledged.
-        manager.set_current_epoch(2);
         let writes = vec![(5u64, b"acked".to_vec()), (6, b"kept".to_vec())];
         manager.prepare_txn(2, 80, &writes).unwrap();
         manager.decision_durable(2, &[80], &writes).unwrap();
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
 
         // The resolver pleads ignorance: the decision record alone must
         // carry the replay (a restarted coordinator has no memory).
@@ -1235,9 +1228,8 @@ mod tests {
         assert_eq!(next_epoch, 3, "the decided epoch is durable after replay");
         assert_eq!(manager.counter().epoch(), 2);
         for (key, expected) in [(5u64, b"acked".to_vec()), (6, b"kept".to_vec())] {
-            let result = recovered.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
-            assert_eq!(result[0], Some(expected), "key {key}");
-            recovered.flush_writes(&NoopPathLogger).unwrap();
+            assert_eq!(read(&mut recovered, key), Some(expected), "key {key}");
+            recovered.1.flush_writes(&NoopPathLogger).unwrap();
         }
 
         // Idempotence: a second crash + recovery finds the decision at or
@@ -1249,8 +1241,7 @@ mod tests {
         assert_eq!(report.replayed_commits, 0);
         assert!(resolved.replayed.is_empty());
         assert_eq!(next_epoch, 3);
-        let result = again.read_batch(&[Some(5)], &NoopPathLogger).unwrap();
-        assert_eq!(result[0], Some(b"acked".to_vec()));
+        assert_eq!(read(&mut again, 5), Some(b"acked".to_vec()));
     }
 
     #[test]
@@ -1258,16 +1249,13 @@ mod tests {
         // A garbled decision record at the log tail is a torn append: the
         // acknowledgements it would have authorised never happened, so the
         // epoch stays aborted and the fragment is physically retired.
-        let (manager, mut oram, store) = setup(true);
-        manager.set_current_epoch(1);
-        oram.write_batch(&[(1, vec![1; 8])], &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
-        manager.set_current_epoch(2);
+        let (manager, (_, mut engine), store) = setup(true);
+        write(&manager, &mut engine, 1, &[(1, vec![1; 8])]);
+        manager.commit_epoch(1, &mut engine).unwrap();
         let wal = WriteAheadLog::new(store);
         wal.append(WalRecordKind::Decision, 2, &[0xEE; 48]).unwrap();
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
 
         let (recovered, next_epoch, report, resolved) = manager
             .recover_resolving(config, &keys(), ExecOptions::default(), 63, &|_| true)
@@ -1289,13 +1277,12 @@ mod tests {
     fn prepare_in_the_first_epoch_replays_onto_a_fresh_tree() {
         // Crash before anything became durable, with a vote outstanding:
         // recovery rebuilds a fresh tree and must still finish the commit.
-        let (manager, oram, _store) = setup(true);
-        manager.set_current_epoch(1);
+        let (manager, (_, engine), _store) = setup(true);
         manager
             .prepare_txn(1, 9, &[(3, b"first".to_vec())])
             .unwrap();
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
 
         let (mut recovered, next_epoch, report, resolved) = manager
             .recover_resolving(config, &keys(), ExecOptions::default(), 37, &|_| true)
@@ -1303,18 +1290,14 @@ mod tests {
         assert_eq!(report.replayed_commits, 1);
         assert_eq!(resolved.replayed, vec![9]);
         assert_eq!(next_epoch, 2);
-        let result = recovered.read_batch(&[Some(3)], &NoopPathLogger).unwrap();
-        assert_eq!(result[0], Some(b"first".to_vec()));
+        assert_eq!(read(&mut recovered, 3), Some(b"first".to_vec()));
     }
 
     #[test]
     fn corrupt_trailing_prepare_is_dropped_but_mid_log_corruption_poisons() {
-        let (manager, mut oram, store) = setup(true);
-        manager.set_current_epoch(1);
-        oram.write_batch(&[(1, vec![1; 8])], &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
-        manager.set_current_epoch(2);
+        let (manager, (_, mut engine), store) = setup(true);
+        write(&manager, &mut engine, 1, &[(1, vec![1; 8])]);
+        manager.commit_epoch(1, &mut engine).unwrap();
         manager.prepare_txn(2, 50, &[(2, vec![2; 8])]).unwrap();
 
         // A torn prepare append at the very tail: valid framing, garbage
@@ -1325,8 +1308,8 @@ mod tests {
         torn.extend_from_slice(&[0xEE; 40]);
         wal.append(WalRecordKind::Prepare, 2, &torn).unwrap();
 
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
         let (recovered, _next, report, resolved) = manager
             .recover_resolving(config, &keys(), ExecOptions::default(), 41, &|_| true)
             .unwrap();
@@ -1388,27 +1371,19 @@ mod tests {
         // clear epoch field of the frame) and trick recovery into rolling
         // keys back to old values.  The sealed plaintext binds the epoch,
         // so the forged record fails integrity instead of decoding.
-        let (manager, mut oram, store) = setup(true);
-        manager.set_current_epoch(1);
-        oram.write_batch(&[(5, b"v1".to_vec())], &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
+        let (manager, (_, mut engine), store) = setup(true);
+        write(&manager, &mut engine, 1, &[(5, b"v1".to_vec())]);
+        manager.commit_epoch(1, &mut engine).unwrap();
 
         // Epoch 2: txn 90 prepares and commits durably (its prepare is now
         // stale), then epoch 3 overwrites the key.
-        manager.set_current_epoch(2);
         manager
             .prepare_txn(2, 90, &[(5, b"stale".to_vec())])
             .unwrap();
-        oram.write_batch(&[(5, b"stale".to_vec())], &manager)
-            .unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(2, &mut oram).unwrap();
-        manager.set_current_epoch(3);
-        oram.write_batch(&[(5, b"newer".to_vec())], &manager)
-            .unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(3, &mut oram).unwrap();
+        write(&manager, &mut engine, 2, &[(5, b"stale".to_vec())]);
+        manager.commit_epoch(2, &mut engine).unwrap();
+        write(&manager, &mut engine, 3, &[(5, b"newer".to_vec())]);
+        manager.commit_epoch(3, &mut engine).unwrap();
 
         // The attack: replay the retained prepare payload under a frame
         // epoch above the durable frontier.
@@ -1422,8 +1397,8 @@ mod tests {
         wal.append(WalRecordKind::Prepare, 4, &stale_prepare.payload)
             .unwrap();
 
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
         // Coordinator still remembers txn 90 as committed (ack pending).
         let (mut recovered, _next, report, resolved) = manager
             .recover_resolving(config, &keys(), ExecOptions::default(), 47, &|txn| {
@@ -1441,9 +1416,8 @@ mod tests {
             "the genuine stale prepare is still vouched for"
         );
         assert!(report.dropped_records >= 1, "forged tail must be rejected");
-        let result = recovered.read_batch(&[Some(5)], &NoopPathLogger).unwrap();
         assert_eq!(
-            result[0],
+            read(&mut recovered, 5),
             Some(b"newer".to_vec()),
             "epoch-3 value must survive the replay attack"
         );
@@ -1454,28 +1428,24 @@ mod tests {
         // The regression behind WAL tail retirement: tolerate a torn frame,
         // resume, append more epochs, and the *next* recovery must not read
         // the old fragment as mid-log corruption.
-        let (manager, mut oram, store) = setup(true);
-        manager.set_current_epoch(1);
-        oram.write_batch(&[(1, vec![1; 8])], &manager).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(1, &mut oram).unwrap();
+        let (manager, (_, mut engine), store) = setup(true);
+        write(&manager, &mut engine, 1, &[(1, vec![1; 8])]);
+        manager.commit_epoch(1, &mut engine).unwrap();
         // The crash tears the final append below the frame header size.
         store
             .append_log(bytes::Bytes::from_static(&[6, 1, 2]))
             .unwrap();
-        let config = *oram.config();
-        drop(oram);
+        let config = *engine.config();
+        drop(engine);
 
-        let (mut recovered, _next, report) = manager
+        let ((_, mut recovered), _next, report) = manager
             .recover(config, &keys(), ExecOptions::default(), 51)
             .unwrap();
         assert_eq!(report.dropped_records, 1);
 
         // Resume and commit another epoch (fresh records land where the
         // fragment used to sit).
-        manager.set_current_epoch(2);
-        recovered.write_batch(&[(2, vec![2; 8])], &manager).unwrap();
-        recovered.flush_writes(&NoopPathLogger).unwrap();
+        write(&manager, &mut recovered, 2, &[(2, vec![2; 8])]);
         manager.commit_epoch(2, &mut recovered).unwrap();
         drop(recovered);
 
@@ -1483,28 +1453,29 @@ mod tests {
             .recover(config, &keys(), ExecOptions::default(), 53)
             .unwrap();
         assert_eq!(report.dropped_records, 0, "fragment must be long gone");
-        let result = again.read_batch(&[Some(2)], &NoopPathLogger).unwrap();
-        assert_eq!(result[0], Some(vec![2; 8]));
+        assert_eq!(read(&mut again, 2), Some(vec![2; 8]));
     }
 
     /// Runs `epoch` the way the decider does — write-back, checkpoint,
     /// commit marker, then the acknowledgement — and reports the cut.
     fn run_acked_epoch(
         manager: &DurabilityManager,
-        oram: &mut RingOram,
+        engine: &mut WritebackEngine,
         epoch: u64,
     ) -> Option<Cut> {
-        manager.set_current_epoch(epoch);
-        oram.write_batch(&[(epoch % 64, vec![epoch as u8; 4])], manager)
-            .unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        manager.commit_epoch(epoch, oram).unwrap();
+        write(
+            manager,
+            engine,
+            epoch,
+            &[(epoch % 64, vec![epoch as u8; 4])],
+        );
+        manager.commit_epoch(epoch, engine).unwrap();
         manager.wal().acked(epoch).unwrap()
     }
 
     #[test]
     fn an_acknowledged_full_checkpoint_retires_stale_prepare_records() {
-        let (manager, mut oram, store) = setup(true);
+        let (manager, (_, mut engine), store) = setup(true);
         let wal = WriteAheadLog::new(store);
         let prepares = || {
             let records = wal.read_from(0).unwrap();
@@ -1519,7 +1490,7 @@ mod tests {
             if epoch == 2 {
                 manager.prepare_txn(2, 70, &[(epoch, vec![7; 4])]).unwrap();
             }
-            let cut = run_acked_epoch(&manager, &mut oram, epoch);
+            let cut = run_acked_epoch(&manager, &mut engine, epoch);
             assert_eq!(cut.is_some(), epoch == 1 || epoch == 4, "epoch {epoch}");
             let expected = usize::from((2..4).contains(&epoch));
             assert_eq!(prepares(), expected, "after epoch {epoch}");
@@ -1530,12 +1501,12 @@ mod tests {
     fn recovery_reads_a_suffix_that_does_not_grow_with_the_run() {
         let mut records_read = Vec::new();
         for epochs in [8u64, 64] {
-            let (manager, mut oram, store) = setup(true);
+            let (manager, (_, mut engine), store) = setup(true);
             for epoch in 1..=epochs {
-                run_acked_epoch(&manager, &mut oram, epoch);
+                run_acked_epoch(&manager, &mut engine, epoch);
             }
-            let config = *oram.config();
-            drop(oram);
+            let config = *engine.config();
+            drop(engine);
             let (mut recovered, next_epoch, report) = manager
                 .recover(config, &keys(), ExecOptions::default(), 19)
                 .unwrap();
@@ -1544,11 +1515,9 @@ mod tests {
             assert_eq!(report.records_read as usize, retained);
             records_read.push(report.records_read);
             for epoch in epochs - 7..=epochs {
-                let result = recovered
-                    .read_batch(&[Some(epoch % 64)], &NoopPathLogger)
-                    .unwrap();
-                assert_eq!(result[0], Some(vec![epoch as u8; 4]), "epoch {epoch}");
-                recovered.flush_writes(&NoopPathLogger).unwrap();
+                let expected = Some(vec![epoch as u8; 4]);
+                assert_eq!(read(&mut recovered, epoch % 64), expected, "epoch {epoch}");
+                recovered.1.flush_writes(&NoopPathLogger).unwrap();
             }
         }
         assert_eq!(records_read[0], records_read[1], "8 epochs vs 64");
@@ -1562,20 +1531,21 @@ mod tests {
         let store = Arc::new(InMemoryStore::new());
         let manager =
             DurabilityManager::new(&keys(), store.clone(), TrustedCounter::new(), &config.epoch);
-        let mut oram = RingOram::new(
+        let (_, mut engine) = RingOram::new(
             config.oram,
             &keys(),
             store.clone(),
             ExecOptions::default(),
             7,
         )
-        .unwrap();
+        .unwrap()
+        .split();
         // The most one epoch appends, in records and in snapshot bytes
         // (12 bytes of sequence number and length frame each record).
         let (mut epoch_records, mut epoch_bytes) = (0, 0);
         for epoch in 1..=200u64 {
             let before = manager.wal().retained();
-            let cut = run_acked_epoch(&manager, &mut oram, epoch).unwrap_or(Cut {
+            let cut = run_acked_epoch(&manager, &mut engine, epoch).unwrap_or(Cut {
                 up_to: 0,
                 records: 0,
                 bytes: 0,

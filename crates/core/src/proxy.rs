@@ -238,14 +238,15 @@ impl ProxyInner {
     }
 }
 
-/// The ORAM client options the proxy runs with.
-fn exec_options(config: &ObladiConfig, fast_init: bool) -> ExecOptions {
+/// The ORAM client options the proxy opens and recovers with.  Trees past
+/// 50,000 objects initialise fast (one shared dummy image per bucket).
+fn exec_options(config: &ObladiConfig) -> ExecOptions {
     ExecOptions {
         parallel: true,
         threads: config.epoch.executor_threads,
         deferred_writes: true,
         encrypt: true,
-        fast_init,
+        fast_init: config.oram.num_objects > 50_000,
     }
 }
 
@@ -306,10 +307,9 @@ impl ObladiDb {
         config.oram.max_stash = config.oram.max_stash.max(stash_floor);
         config.validate()?;
         let durability = DurabilityManager::new(&keys, store.clone(), counter, &config.epoch);
-        let exec = exec_options(&config, config.oram.num_objects > 50_000);
-        let oram = RingOram::new(config.oram, &keys, store.clone(), exec, config.seed)?;
-        let (reader, engine) = oram.split();
-        durability.set_current_epoch(1);
+        let exec = exec_options(&config);
+        let (reader, engine) =
+            RingOram::new(config.oram, &keys, store.clone(), exec, config.seed)?.split();
         // Which crypto kernels this proxy seals with, once per open, as an
         // info gauge (the name carries the value): a snapshot taken on a CPU
         // without the extensions then explains its own crypto lines.
@@ -521,14 +521,13 @@ impl ObladiDb {
         if !self.is_crashed() {
             return Err(ObladiError::Recovery("proxy has not crashed".into()));
         }
-        let (oram, next_epoch, report, resolved) = inner.durability.recover_resolving(
+        let ((reader, engine), next_epoch, report, resolved) = inner.durability.recover_resolving(
             inner.config.oram,
             &inner.keys,
-            exec_options(&inner.config, false),
+            exec_options(&inner.config),
             inner.config.seed,
             resolve,
         )?;
-        let (reader, engine) = oram.split();
         {
             // The fresh halves go in under the state lock, together with the
             // new life: a stale self-crash (a decider surfacing a pre-crash

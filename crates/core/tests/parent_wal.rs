@@ -93,7 +93,7 @@ fn a_store_written_by_the_parent_commit_recovers() {
         counter.clone(),
         &EpochConfig::small_for_tests(),
     );
-    let (mut oram, next_epoch, report) = manager
+    let ((reader, mut engine), next_epoch, report) = manager
         .recover(oram_config, &keys, ExecOptions::default(), 17)
         .unwrap();
 
@@ -106,7 +106,11 @@ fn a_store_written_by_the_parent_commit_recovers() {
     assert_eq!(report.dropped_records, 0);
     assert!(report.reads_replayed > 0);
 
-    let mut read = |key: u64| oram.read_batch(&[Some(key)], &NoopPathLogger).unwrap()[0].clone();
+    let mut read = |key: u64| {
+        let value = reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
+        engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+        value[0].clone()
+    };
     for epoch in [1u64, 2, 4, 5, 6] {
         assert_eq!(read(epoch), Some(vec![epoch as u8; 8]), "epoch {epoch}");
     }

@@ -1,35 +1,23 @@
-//! The Ring ORAM client facade and Obladi's batched / parallel executor
-//! (§4, §6.3, §7).
+//! What every caller of the Ring ORAM client shares, and its one public
+//! constructor (§4, §6.3, §7).
 //!
-//! The client implementation lives in [`crate::split`]: a concurrent
-//! **read plane** ([`crate::split::OramReader`]) and a background
-//! **write-back engine** ([`crate::split::WritebackEngine`]) sharing the
-//! client state (position map, per-bucket metadata, stash, buffered-bucket
-//! overlay) behind one fine-grained lock.  [`RingOram`] composes the two
-//! halves back into the original single-threaded client surface — the
-//! batch-oriented interface the Obladi proxy's recovery path, the baselines
-//! and the benchmarks use:
+//! The client lives in [`crate::split`]: a concurrent **read plane**
+//! ([`OramReader`]) and a **write-back engine** ([`WritebackEngine`]) sharing
+//! the client state (position map, per-bucket metadata, stash,
+//! buffered-bucket overlay) behind one fine-grained lock.  This module holds
+//! the executor options ([`ExecOptions`]), the operation counters
+//! ([`OramStats`]), the path-log types ([`SlotRead`], [`PathLogger`]) and
+//! [`RingOram`], which builds a client — or restores one from checkpointed
+//! metadata — and hands back the two halves.
 //!
-//! * [`RingOram::read_batch`] — executes one read batch: a metadata-only
-//!   planning pass chooses exactly one slot per non-buffered bucket on each
-//!   request's path, the physical reads are issued concurrently on a worker
-//!   pool (intra- *and* inter-request parallelism), values are ingested into
-//!   the stash, and any evictions that have come due (every `A` accesses)
-//!   are performed with their bucket write-backs *deferred* into a local
-//!   buffer;
-//! * [`RingOram::write_batch`] — applies the epoch's write batch using
-//!   dummiless writes (§6.3): new versions go straight to the stash, with no
-//!   physical reads, while still advancing the eviction schedule;
-//! * [`RingOram::flush_writes`] — seals and writes every buffered bucket
-//!   back to storage, once per bucket (write deduplication), which is the
-//!   only moment physical writes happen — and the moment the client state
-//!   is published: checkpoints describe the last flush, not the live state;
-//! * [`RingOram::access`] — a sequential single-operation interface used by
-//!   the non-batched baseline of Figure 10a;
-//! * [`RingOram::split`] — hands the two halves to a caller that wants to
-//!   drive them from separate threads (the pipelined proxy: its executor
-//!   thread owns the read plane, its decider thread the write-back engine,
-//!   so epoch `N+1`'s reads overlap epoch `N`'s write-back I/O).
+//! The pipelined proxy drives the halves from separate threads: its batch
+//! runners own the read plane, its decider the engine, which runs the
+//! epoch's owed maintenance once, right before the flush, so epoch `N+1`'s
+//! reads overlap epoch `N`'s write-back I/O.  A caller that drives both from
+//! one thread (recovery, the Figure 10 and 11 reproductions, tests) runs the
+//! maintenance a read batch made due right after it —
+//! `reader.read_batch(..)?; engine.run_pending_maintenance(..)?;` — and, in
+//! write-through mode (`deferred_writes: false`), flushes as well.
 //!
 //! Two deliberate deviations from canonical Ring ORAM, both documented in
 //! DESIGN.md ("Deviations from canonical Ring ORAM"), keep the batched
@@ -42,12 +30,11 @@
 //! buffered buckets", §7).
 
 use crate::codec::{Decoder, Encoder};
-use crate::metadata::{MetaDelta, OramMeta};
-use crate::split::{from_meta_split, new_split, CheckpointSource, OramReader, WritebackEngine};
-use crate::tree::TreeGeometry;
+use crate::metadata::OramMeta;
+use crate::split::{from_meta_split, new_split, OramReader, WritebackEngine};
 use obladi_common::config::OramConfig;
 use obladi_common::error::Result;
-use obladi_common::types::{BucketId, Key, Value, Version};
+use obladi_common::types::{BucketId, Version};
 use obladi_crypto::KeyMaterial;
 use obladi_storage::UntrustedStore;
 use std::sync::Arc;
@@ -59,8 +46,8 @@ pub struct ExecOptions {
     pub parallel: bool,
     /// Worker pool size (ignored when `parallel` is false).
     pub threads: usize,
-    /// Defer bucket write-back to [`RingOram::flush_writes`] (delayed
-    /// visibility).  When false every eviction writes its buckets
+    /// Defer bucket write-back to [`WritebackEngine::flush_writes`]
+    /// (delayed visibility).  When false every eviction writes its buckets
     /// immediately, as canonical Ring ORAM does.
     pub deferred_writes: bool,
     /// Seal blocks with ChaCha20 + HMAC.  Disabling isolates the ORAM's
@@ -215,17 +202,15 @@ impl PathLogger for NoopPathLogger {
     }
 }
 
-/// The Ring ORAM client: the read plane and write-back engine composed back
-/// into a single-threaded handle.
+/// The one public constructor of the split client: `RingOram::new(..)` or
+/// `RingOram::from_meta(..)`, then [`RingOram::split`] for the two halves.
 pub struct RingOram {
     reader: OramReader,
     engine: WritebackEngine,
-    options: ExecOptions,
 }
 
 impl RingOram {
-    /// Creates a client over `store`, initialising the tree on storage if it
-    /// has never been written.
+    /// Creates a client over `store`, initialising the tree on storage.
     pub fn new(
         config: OramConfig,
         keys: &KeyMaterial,
@@ -234,11 +219,7 @@ impl RingOram {
         seed: u64,
     ) -> Result<Self> {
         let (reader, engine) = new_split(config, keys, store, options, seed)?;
-        Ok(RingOram {
-            reader,
-            engine,
-            options,
-        })
+        Ok(RingOram { reader, engine })
     }
 
     /// Restores a client from previously checkpointed metadata without
@@ -251,195 +232,44 @@ impl RingOram {
         seed: u64,
     ) -> Self {
         let (reader, engine) = from_meta_split(meta, keys, store, options, seed);
-        RingOram {
-            reader,
-            engine,
-            options,
-        }
+        RingOram { reader, engine }
     }
 
-    /// Splits the client into its two concurrently drivable halves.  The
-    /// pipelined proxy hands the read plane to its epoch executor and the
-    /// write-back engine to its epoch decider; the halves share the
-    /// versioned client state, so all invariants keep holding while epoch
-    /// `N+1`'s reads overlap epoch `N`'s write-back I/O.  The engine gets
-    /// its own worker pool here (the facade shares one) so flush I/O never
-    /// queues behind the read plane's fetches.
+    /// The client's two halves.  They share the client state, and each has
+    /// a worker pool of its own, so flush I/O never queues behind the read
+    /// plane's fetches when the halves run on separate threads.
     pub fn split(self) -> (OramReader, WritebackEngine) {
-        let mut engine = self.engine;
-        engine.use_private_pool();
-        (self.reader, engine)
-    }
-
-    /// The tree configuration.
-    pub fn config(&self) -> &OramConfig {
-        self.reader.config()
-    }
-
-    /// The tree geometry helper.
-    pub fn geometry(&self) -> TreeGeometry {
-        self.reader.geometry()
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> OramStats {
-        self.reader.stats()
-    }
-
-    /// Resets the operation counters (between benchmark phases).
-    pub fn reset_stats(&mut self) {
-        self.reader.reset_stats();
-    }
-
-    /// Current stash occupancy.
-    pub fn stash_len(&self) -> usize {
-        self.reader.stash_len()
-    }
-
-    /// Number of buckets currently buffered locally (awaiting flush).
-    pub fn buffered_buckets(&self) -> usize {
-        self.engine.buffered_buckets()
-    }
-
-    /// Access to the underlying store (for stats in benches).
-    pub fn store(&self) -> &Arc<dyn UntrustedStore> {
-        self.reader.store()
-    }
-
-    /// A snapshot of the client metadata (tests and diagnostics).
-    pub fn meta_snapshot(&self) -> OramMeta {
-        self.engine.meta_snapshot()
-    }
-
-    /// Produces a delta checkpoint of the client metadata.  Fails if the
-    /// read plane is poisoned (a fetched target block was lost in flight;
-    /// see [`CheckpointSource`]).
-    pub fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta> {
-        CheckpointSource::checkpoint_delta(&mut self.engine, max_position_delta)
-    }
-
-    /// Produces a full checkpoint of the client metadata.  Fails if the
-    /// read plane is poisoned (see [`CheckpointSource`]).
-    pub fn checkpoint_full(&self) -> Result<Vec<u8>> {
-        CheckpointSource::checkpoint_full(self)
-    }
-
-    // ------------------------------------------------------------------
-    // Batched interface used by the Obladi proxy
-    // ------------------------------------------------------------------
-
-    /// Executes one read batch.  `requests[i] == None` denotes a padding
-    /// (dummy) request that reads a uniformly random path.
-    pub fn read_batch(
-        &mut self,
-        requests: &[Option<Key>],
-        logger: &dyn PathLogger,
-    ) -> Result<Vec<Option<Value>>> {
-        let results = self.reader.read_batch(requests, logger)?;
-        // Run any evictions / reshuffles that have come due, exactly where
-        // the monolithic client ran them.
-        self.engine.run_pending_maintenance(logger)?;
-        if !self.options.deferred_writes {
-            self.engine.flush_writes(logger)?;
-        }
-        Ok(results)
-    }
-
-    /// Applies a write batch using dummiless writes (§6.3): the new version
-    /// of each object goes directly to the stash; no physical reads are
-    /// issued, but the eviction schedule still advances.
-    pub fn write_batch(&mut self, writes: &[(Key, Value)], logger: &dyn PathLogger) -> Result<()> {
-        self.engine.write_batch(writes, logger)
-    }
-
-    /// Like [`RingOram::write_batch`], but pads the batch to `padded_to`
-    /// logical writes so the eviction schedule (which advances once per `A`
-    /// logical accesses) is independent of how many real writes the epoch
-    /// produced — the workload-independence requirement of §6.2.
-    pub fn write_batch_padded(
-        &mut self,
-        writes: &[(Key, Value)],
-        padded_to: usize,
-        logger: &dyn PathLogger,
-    ) -> Result<()> {
-        self.engine.write_batch_padded(writes, padded_to, logger)
-    }
-
-    /// Seals and writes every buffered bucket back to storage (one write per
-    /// bucket — the last version wins) and clears the buffer.
-    pub fn flush_writes(&mut self, logger: &dyn PathLogger) -> Result<()> {
-        self.engine.flush_writes(logger)
-    }
-
-    /// Convenience sequential interface: a single read or write, with
-    /// maintenance and write-back applied immediately.  Used by the
-    /// sequential Ring ORAM baseline of Figure 10a.
-    pub fn access(&mut self, key: Key, value: Option<Value>) -> Result<Option<Value>> {
-        match value {
-            Some(v) => {
-                // A canonical Ring ORAM write performs a full path access;
-                // we reproduce that here (the batched proxy path uses
-                // dummiless writes instead).
-                let previous = self.read_batch(&[Some(key)], &NoopPathLogger)?;
-                self.write_batch(&[(key, v)], &NoopPathLogger)?;
-                if !self.options.deferred_writes {
-                    self.flush_writes(&NoopPathLogger)?;
-                }
-                Ok(previous.into_iter().next().flatten())
-            }
-            None => Ok(self
-                .read_batch(&[Some(key)], &NoopPathLogger)?
-                .into_iter()
-                .next()
-                .flatten()),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Recovery support
-    // ------------------------------------------------------------------
-
-    /// Re-issues a previously logged set of physical reads, discarding the
-    /// results.  Recovery replays the logged paths of the aborted epoch so
-    /// the adversary observes a deterministic pattern (§8).
-    pub fn replay_reads(&mut self, reads: &[SlotRead]) -> Result<()> {
-        self.engine.replay_reads(reads)
-    }
-
-    /// Reverts every bucket on storage to the version recorded in the client
-    /// metadata (shadow paging, §8).  Used by recovery to discard bucket
-    /// writes from an epoch that did not commit.
-    pub fn revert_storage_to_meta(&self) -> Result<()> {
-        self.engine.revert_storage_to_meta()
-    }
-
-    /// Discards all epoch-local buffered state (aborting the epoch).
-    pub fn discard_buffered(&mut self) {
-        self.engine.discard_buffered()
-    }
-}
-
-impl CheckpointSource for RingOram {
-    fn checkpoint_full_into(&self, out: &mut Vec<u8>) -> Result<()> {
-        self.engine.checkpoint_full_into(out)
-    }
-
-    fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta> {
-        RingOram::checkpoint_delta(self, max_position_delta)
+        (self.reader, self.engine)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split::CheckpointSource;
     use obladi_common::rng::DetRng;
+    use obladi_common::types::{Key, Value};
     use obladi_storage::InMemoryStore;
 
-    fn new_oram(num_objects: u64, options: ExecOptions) -> RingOram {
+    fn new_oram(num_objects: u64, options: ExecOptions) -> (OramReader, WritebackEngine) {
         let config = OramConfig::small_for_tests(num_objects);
         let keys = KeyMaterial::for_tests(1);
         let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
-        RingOram::new(config, &keys, store, options, 99).unwrap()
+        RingOram::new(config, &keys, store, options, 99)
+            .unwrap()
+            .split()
+    }
+
+    /// One read batch from a single thread: the batch, then the maintenance
+    /// it made due.
+    fn read(
+        (reader, engine): &mut (OramReader, WritebackEngine),
+        requests: &[Option<Key>],
+        logger: &dyn PathLogger,
+    ) -> Vec<Option<Value>> {
+        let values = reader.read_batch(requests, logger).unwrap();
+        engine.run_pending_maintenance(logger).unwrap();
+        values
     }
 
     fn value(tag: u64) -> Value {
@@ -455,16 +285,19 @@ mod tests {
         let keys = KeyMaterial::for_tests(1);
         let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
 
-        let mut first =
-            RingOram::new(config, &keys, store.clone(), ExecOptions::default(), 7).unwrap();
+        let (_, mut first) = RingOram::new(config, &keys, store.clone(), ExecOptions::default(), 7)
+            .unwrap()
+            .split();
         first
             .write_batch(&[(1, value(111))], &NoopPathLogger)
             .unwrap();
         first.flush_writes(&NoopPathLogger).unwrap();
         drop(first);
 
-        let mut second = RingOram::new(config, &keys, store, ExecOptions::default(), 8).unwrap();
-        let results = second.read_batch(&[Some(1)], &NoopPathLogger).unwrap();
+        let mut second = RingOram::new(config, &keys, store, ExecOptions::default(), 8)
+            .unwrap()
+            .split();
+        let results = read(&mut second, &[Some(1)], &NoopPathLogger);
         assert_eq!(
             results[0], None,
             "old client's data must not survive re-init"
@@ -472,27 +305,26 @@ mod tests {
 
         // The second client is fully functional: write, flush, evict, read.
         let writes: Vec<(Key, Value)> = (0..32).map(|k| (k, value(k + 500))).collect();
-        second.write_batch(&writes, &NoopPathLogger).unwrap();
-        second.flush_writes(&NoopPathLogger).unwrap();
+        second.1.write_batch(&writes, &NoopPathLogger).unwrap();
+        second.1.flush_writes(&NoopPathLogger).unwrap();
         for k in 0..32u64 {
-            let results = second.read_batch(&[Some(k)], &NoopPathLogger).unwrap();
+            let results = read(&mut second, &[Some(k)], &NoopPathLogger);
             assert_eq!(
                 results[0],
                 Some(value(k + 500)),
                 "key {k} lost after re-init"
             );
-            second.flush_writes(&NoopPathLogger).unwrap();
+            second.1.flush_writes(&NoopPathLogger).unwrap();
         }
     }
 
     #[test]
     fn write_then_read_roundtrip() {
         let mut oram = new_oram(100, ExecOptions::default());
-        oram.write_batch(&[(1, value(11)), (2, value(22))], &NoopPathLogger)
+        oram.1
+            .write_batch(&[(1, value(11)), (2, value(22))], &NoopPathLogger)
             .unwrap();
-        let results = oram
-            .read_batch(&[Some(1), Some(2), Some(3)], &NoopPathLogger)
-            .unwrap();
+        let results = read(&mut oram, &[Some(1), Some(2), Some(3)], &NoopPathLogger);
         assert_eq!(results[0], Some(value(11)));
         assert_eq!(results[1], Some(value(22)));
         assert_eq!(results[2], None, "unwritten key reads as absent");
@@ -502,13 +334,13 @@ mod tests {
     fn values_survive_flush_and_many_evictions() {
         let mut oram = new_oram(200, ExecOptions::default());
         let writes: Vec<(Key, Value)> = (0..64).map(|k| (k, value(k * 7))).collect();
-        oram.write_batch(&writes, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        oram.1.write_batch(&writes, &NoopPathLogger).unwrap();
+        oram.1.flush_writes(&NoopPathLogger).unwrap();
 
         // Drive many accesses (and therefore evictions) and re-check.
         for round in 0..6 {
             let reads: Vec<Option<Key>> = (0..64).map(Some).collect();
-            let results = oram.read_batch(&reads, &NoopPathLogger).unwrap();
+            let results = read(&mut oram, &reads, &NoopPathLogger);
             for (k, result) in results.iter().enumerate() {
                 assert_eq!(
                     result.as_ref(),
@@ -516,33 +348,41 @@ mod tests {
                     "round {round} key {k}"
                 );
             }
-            oram.flush_writes(&NoopPathLogger).unwrap();
+            oram.1.flush_writes(&NoopPathLogger).unwrap();
         }
-        assert!(oram.stats().evictions > 0);
+        assert!(oram.1.stats().evictions > 0);
     }
 
     #[test]
     fn overwrites_return_latest_value() {
         let mut oram = new_oram(100, ExecOptions::default());
-        oram.write_batch(&[(5, value(1))], &NoopPathLogger).unwrap();
-        oram.write_batch(&[(5, value(2))], &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        let results = oram.read_batch(&[Some(5)], &NoopPathLogger).unwrap();
+        oram.1
+            .write_batch(&[(5, value(1))], &NoopPathLogger)
+            .unwrap();
+        oram.1
+            .write_batch(&[(5, value(2))], &NoopPathLogger)
+            .unwrap();
+        oram.1.flush_writes(&NoopPathLogger).unwrap();
+        let results = read(&mut oram, &[Some(5)], &NoopPathLogger);
         assert_eq!(results[0], Some(value(2)));
-        oram.write_batch(&[(5, value(3))], &NoopPathLogger).unwrap();
-        let results = oram.read_batch(&[Some(5)], &NoopPathLogger).unwrap();
+        oram.1
+            .write_batch(&[(5, value(3))], &NoopPathLogger)
+            .unwrap();
+        let results = read(&mut oram, &[Some(5)], &NoopPathLogger);
         assert_eq!(results[0], Some(value(3)));
     }
 
     #[test]
     fn dummy_requests_read_full_paths_but_return_nothing() {
         let mut oram = new_oram(100, ExecOptions::default());
-        oram.write_batch(&[(1, value(1))], &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        let before = oram.stats().physical_reads;
-        let results = oram.read_batch(&[None, None], &NoopPathLogger).unwrap();
+        oram.1
+            .write_batch(&[(1, value(1))], &NoopPathLogger)
+            .unwrap();
+        oram.1.flush_writes(&NoopPathLogger).unwrap();
+        let before = oram.0.stats().physical_reads;
+        let results = read(&mut oram, &[None, None], &NoopPathLogger);
         assert_eq!(results, vec![None, None]);
-        let after = oram.stats().physical_reads;
+        let after = oram.0.stats().physical_reads;
         assert!(
             after > before,
             "padding requests must still touch storage ({before} -> {after})"
@@ -554,59 +394,53 @@ mod tests {
         let mut seq = new_oram(100, ExecOptions::sequential());
         let mut par = new_oram(100, ExecOptions::parallel(4));
         let writes: Vec<(Key, Value)> = (0..32).map(|k| (k, value(k + 100))).collect();
-        seq.write_batch(&writes, &NoopPathLogger).unwrap();
-        par.write_batch(&writes, &NoopPathLogger).unwrap();
-        par.flush_writes(&NoopPathLogger).unwrap();
+        seq.1.write_batch(&writes, &NoopPathLogger).unwrap();
+        par.1.write_batch(&writes, &NoopPathLogger).unwrap();
+        par.1.flush_writes(&NoopPathLogger).unwrap();
         for k in 0..32 {
-            let a = seq.read_batch(&[Some(k)], &NoopPathLogger).unwrap();
-            let b = par.read_batch(&[Some(k)], &NoopPathLogger).unwrap();
+            let a = read(&mut seq, &[Some(k)], &NoopPathLogger);
+            let b = read(&mut par, &[Some(k)], &NoopPathLogger);
             assert_eq!(a, b, "key {k}");
         }
-    }
-
-    #[test]
-    fn access_api_reads_and_writes() {
-        let mut oram = new_oram(100, ExecOptions::sequential());
-        assert_eq!(oram.access(9, None).unwrap(), None);
-        assert_eq!(oram.access(9, Some(value(5))).unwrap(), None);
-        assert_eq!(oram.access(9, None).unwrap(), Some(value(5)));
-        let old = oram.access(9, Some(value(6))).unwrap();
-        assert_eq!(old, Some(value(5)));
-        assert_eq!(oram.access(9, None).unwrap(), Some(value(6)));
+        assert_eq!(seq.1.buffered_buckets(), 0, "write-through never buffers");
     }
 
     #[test]
     fn unencrypted_mode_roundtrips() {
         let mut oram = new_oram(100, ExecOptions::default().without_crypto());
-        oram.write_batch(&[(3, value(33))], &NoopPathLogger)
+        oram.1
+            .write_batch(&[(3, value(33))], &NoopPathLogger)
             .unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        let results = oram.read_batch(&[Some(3)], &NoopPathLogger).unwrap();
+        oram.1.flush_writes(&NoopPathLogger).unwrap();
+        let results = read(&mut oram, &[Some(3)], &NoopPathLogger);
         assert_eq!(results[0], Some(value(33)));
     }
 
     #[test]
     fn deferred_mode_buffers_until_flush() {
-        let mut oram = new_oram(200, ExecOptions::parallel(2));
+        let (_, mut engine) = new_oram(200, ExecOptions::parallel(2));
         // Enough accesses to trigger at least one eviction.
         let writes: Vec<(Key, Value)> = (0..20).map(|k| (k, value(k))).collect();
-        oram.write_batch(&writes, &NoopPathLogger).unwrap();
-        assert!(oram.stats().evictions > 0);
-        assert!(oram.buffered_buckets() > 0, "evictions should be buffered");
-        let writes_before = oram.stats().physical_writes;
+        engine.write_batch(&writes, &NoopPathLogger).unwrap();
+        assert!(engine.stats().evictions > 0);
+        assert!(
+            engine.buffered_buckets() > 0,
+            "evictions should be buffered"
+        );
+        let writes_before = engine.stats().physical_writes;
         assert_eq!(writes_before, 0, "no physical writes before flush");
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        assert!(oram.stats().physical_writes > 0);
-        assert_eq!(oram.buffered_buckets(), 0);
+        engine.flush_writes(&NoopPathLogger).unwrap();
+        assert!(engine.stats().physical_writes > 0);
+        assert_eq!(engine.buffered_buckets(), 0);
     }
 
     #[test]
     fn immediate_mode_never_buffers() {
-        let mut oram = new_oram(200, ExecOptions::sequential());
+        let (_, mut engine) = new_oram(200, ExecOptions::sequential());
         let writes: Vec<(Key, Value)> = (0..20).map(|k| (k, value(k))).collect();
-        oram.write_batch(&writes, &NoopPathLogger).unwrap();
-        assert_eq!(oram.buffered_buckets(), 0);
-        assert!(oram.stats().physical_writes > 0);
+        engine.write_batch(&writes, &NoopPathLogger).unwrap();
+        assert_eq!(engine.buffered_buckets(), 0);
+        assert!(engine.stats().physical_writes > 0);
     }
 
     #[test]
@@ -620,15 +454,14 @@ mod tests {
                     (k, value(k))
                 })
                 .collect();
-            oram.write_batch(&writes, &NoopPathLogger).unwrap();
+            oram.1.write_batch(&writes, &NoopPathLogger).unwrap();
             let reads: Vec<Option<Key>> = (0..16).map(|_| Some(rng.below(256))).collect();
-            oram.read_batch(&reads, &NoopPathLogger).unwrap();
-            oram.flush_writes(&NoopPathLogger).unwrap();
+            read(&mut oram, &reads, &NoopPathLogger);
+            oram.1.flush_writes(&NoopPathLogger).unwrap();
+            let (stash, bound) = (oram.0.stash_len(), oram.0.config().max_stash);
             assert!(
-                oram.stash_len() <= oram.config().max_stash,
-                "round {round}: stash {} exceeds bound {}",
-                oram.stash_len(),
-                oram.config().max_stash
+                stash <= bound,
+                "round {round}: stash {stash} exceeds bound {bound}"
             );
         }
     }
@@ -649,11 +482,12 @@ mod tests {
 
         let mut oram = new_oram(100, ExecOptions::default());
         let logger = CountingLogger::default();
-        oram.write_batch(&[(1, value(1)), (2, value(2))], &logger)
+        oram.1
+            .write_batch(&[(1, value(1)), (2, value(2))], &logger)
             .unwrap();
-        oram.read_batch(&[Some(1), Some(2)], &logger).unwrap();
+        read(&mut oram, &[Some(1), Some(2)], &logger);
         let logged = *logger.count.lock();
-        let issued = oram.stats().physical_reads as usize;
+        let issued = oram.0.stats().physical_reads as usize;
         assert_eq!(logged, issued, "every physical read must be logged first");
     }
 
@@ -678,20 +512,21 @@ mod tests {
 
     #[test]
     fn checkpoint_and_restore_preserve_data() {
-        let mut oram = new_oram(128, ExecOptions::default());
+        let (_, mut engine) = new_oram(128, ExecOptions::default());
         let writes: Vec<(Key, Value)> = (0..32).map(|k| (k, value(k + 7))).collect();
-        oram.write_batch(&writes, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        engine.write_batch(&writes, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
 
-        let checkpoint = oram.checkpoint_full().unwrap();
-        let store = oram.store().clone();
+        let checkpoint = engine.checkpoint_full().unwrap();
+        let store = engine.store().clone();
         let keys = KeyMaterial::for_tests(1);
-        drop(oram);
+        drop(engine);
 
         let meta = OramMeta::decode_full(&checkpoint).unwrap();
-        let mut recovered = RingOram::from_meta(meta, &keys, store, ExecOptions::default(), 123);
+        let mut recovered =
+            RingOram::from_meta(meta, &keys, store, ExecOptions::default(), 123).split();
         for k in 0..32 {
-            let result = recovered.read_batch(&[Some(k)], &NoopPathLogger).unwrap();
+            let result = read(&mut recovered, &[Some(k)], &NoopPathLogger);
             assert_eq!(result[0], Some(value(k + 7)), "key {k} after restore");
         }
     }
@@ -710,53 +545,59 @@ mod tests {
             FaultPlan::none(),
             5,
         ));
-        let mut oram = RingOram::new(
+        let (reader, mut engine) = RingOram::new(
             config,
             &keys,
             faulty.clone() as Arc<dyn UntrustedStore>,
             ExecOptions::parallel(2),
             31,
         )
-        .unwrap();
+        .unwrap()
+        .split();
         let writes: Vec<(Key, Value)> = (0..32).map(|k| (k, value(k))).collect();
-        oram.write_batch(&writes, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-        assert!(oram.checkpoint_full().is_ok(), "healthy client checkpoints");
+        engine.write_batch(&writes, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+        assert!(
+            engine.checkpoint_full().is_ok(),
+            "healthy client checkpoints"
+        );
 
         // Pick a key the evictions placed in the tree (not a stash hit):
         // only a *physical* target can be lost in flight.
-        let meta = oram.meta_snapshot();
+        let meta = engine.meta_snapshot();
         let victim = (0..32u64)
             .find(|&k| !meta.stash.contains(k))
             .expect("at least one key must have been evicted into the tree");
         faulty.set_plan(FaultPlan::fail_after(0));
         assert!(
-            oram.read_batch(&[Some(victim)], &NoopPathLogger).is_err(),
+            reader.read_batch(&[Some(victim)], &NoopPathLogger).is_err(),
             "the injected storage outage must surface"
         );
         faulty.set_plan(FaultPlan::none());
         assert!(
-            oram.checkpoint_full().is_err(),
+            engine.checkpoint_full().is_err(),
             "a checkpoint must not capture the lost in-flight block"
         );
         assert!(
-            oram.checkpoint_delta(16).is_err(),
+            engine.checkpoint_delta(16).is_err(),
             "delta checkpoints must refuse too"
         );
     }
 
     #[test]
     fn replay_reads_touches_storage_without_failing() {
-        let mut oram = new_oram(100, ExecOptions::default());
-        oram.write_batch(&[(1, value(1))], &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        let (_, mut engine) = new_oram(100, ExecOptions::default());
+        engine
+            .write_batch(&[(1, value(1))], &NoopPathLogger)
+            .unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
         let reads = vec![SlotRead {
             bucket: 0,
             slot: 0,
             version: 1,
         }];
-        let before = oram.store().stats().slot_reads;
-        oram.replay_reads(&reads).unwrap();
-        assert!(oram.store().stats().slot_reads > before);
+        let before = engine.store().stats().slot_reads;
+        engine.replay_reads(&reads).unwrap();
+        assert!(engine.store().stats().slot_reads > before);
     }
 }

@@ -18,11 +18,12 @@
 //!   read plane) and [`split::WritebackEngine`] (the background write-back
 //!   engine), sharing the client state behind one fine-grained lock so a
 //!   proxy can overlap one epoch's reads with the previous epoch's
-//!   write-back I/O;
-//! * [`client`] — [`client::RingOram`], the single-threaded facade over the
-//!   split halves: the batched executor with dummiless writes, epoch-local
-//!   bucket buffering (delayed visibility), early reshuffles, path logging
-//!   hooks and recovery support.
+//!   write-back I/O — between them the batched executor with dummiless
+//!   writes, epoch-local bucket buffering (delayed visibility), early
+//!   reshuffles, path logging hooks and recovery support;
+//! * [`client`] — the executor options, operation counters and path-log
+//!   types both halves share, and [`client::RingOram`], the constructor
+//!   that builds (or restores) a client and hands back the two halves.
 //!
 //! See DESIGN.md at the repository root for how these pieces map onto the
 //! sections of the paper ("Paper map") and for the two documented

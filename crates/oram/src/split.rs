@@ -1,10 +1,10 @@
 //! The split ORAM client: a concurrent read plane and a write-back engine.
 //!
-//! The original `RingOram` was one `&mut self` state machine, so a proxy
-//! that wanted epoch `N+1`'s read batches to overlap epoch `N`'s write-back
-//! could not have it: both serialized on the one client lock, and the
-//! write-back's physical round-trips (the expensive part, especially over a
-//! remote `obladi-stored` daemon) blocked every read planned behind them.
+//! A client that is one `&mut self` state machine cannot let epoch `N+1`'s
+//! read batches overlap epoch `N`'s write-back: both serialize on the one
+//! client lock, and the write-back's physical round-trips (the expensive
+//! part, especially over a remote `obladi-stored` daemon) block every read
+//! planned behind them.
 //!
 //! This module splits the client into two cooperating halves that share the
 //! client state ([`OramMeta`], the buffered-bucket overlay, the eviction
@@ -87,8 +87,10 @@
 //! seals only its real blocks: every other slot is keystream bytes
 //! ([`Envelope::fill_dummy`]), or zeros in clear mode, and opening one fails.
 //!
-//! [`RingOram`](crate::client::RingOram) remains as a thin facade composing
-//! the two halves for sequential callers (baselines, recovery, tests).
+//! [`RingOram`](crate::client::RingOram) is the public constructor of the
+//! pair.  A caller driving both halves from one thread runs
+//! [`WritebackEngine::run_pending_maintenance`] after each read batch (the
+//! `client` module docs).
 
 use crate::block::Block;
 use crate::bucket::BucketMeta;
@@ -127,11 +129,10 @@ pub fn set_leak_skip_dummy_pads(enabled: bool) {
 }
 
 /// Produces the encrypted-checkpoint payloads durability logs at the end of
-/// every epoch.  Implemented by the monolithic facade and by the write-back
-/// engine (which reads the committed snapshot, so a checkpoint can never
-/// capture a block that is physically in flight and findable nowhere —
-/// in-flight reader targets are patched back into the snapshot at publish
-/// time).
+/// every epoch.  Implemented by the write-back engine, which reads the
+/// committed snapshot, so a checkpoint can never capture a block that is
+/// physically in flight and findable nowhere (in-flight reader targets are
+/// patched back into the snapshot at publish time).
 ///
 /// Both methods fail when the read plane is *poisoned*: a read batch with
 /// physical target blocks failed between plan and ingest, so a block that
@@ -346,20 +347,16 @@ fn from_parts(
             cond: Condvar::new(),
         }),
     };
-    // One worker pool, shared: the sequential facade drives the two halves
-    // from a single thread, so a second pool would just double the idle OS
-    // threads of every client (recovery, baselines, tests).  The pipelined
-    // proxy, whose halves genuinely run concurrently, gives the engine its
-    // own pool at `RingOram::split` time so flush I/O and read fetches
-    // never queue behind each other.
-    let pool = Arc::new(ThreadPool::new(pool_size(&options)));
+    // A pool per half: the pipelined proxy runs them concurrently, and
+    // flush I/O must not queue behind the read plane's fetches.
+    let pool = || Arc::new(ThreadPool::new(pool_size(&options)));
     let reader = OramReader {
         core: core.clone(),
-        pool: pool.clone(),
+        pool: pool(),
     };
     let engine = WritebackEngine {
         core,
-        pool,
+        pool: pool(),
         wave_cap: if options.deferred_writes {
             usize::MAX
         } else {
@@ -556,16 +553,12 @@ impl OramCore {
         fetched.into_iter().collect()
     }
 
-    /// Common accessors used by both halves and the facade.
+    /// Common accessors used by both halves.
     fn stats(&self) -> OramStats {
         let state = self.shared.state.lock();
         let mut stats = state.stats;
         stats.stash_peak = state.meta.stash.peak() as u64;
         stats
-    }
-
-    fn reset_stats(&self) {
-        self.shared.state.lock().stats = OramStats::default();
     }
 
     fn stash_len(&self) -> usize {
@@ -707,19 +700,9 @@ impl OramReader {
         self.core.stats()
     }
 
-    /// Resets the shared operation counters.
-    pub fn reset_stats(&mut self) {
-        self.core.reset_stats()
-    }
-
     /// Current stash occupancy.
     pub fn stash_len(&self) -> usize {
         self.core.stash_len()
-    }
-
-    /// Access to the underlying store (stats in benches).
-    pub fn store(&self) -> &Arc<dyn UntrustedStore> {
-        &self.core.store
     }
 
     /// Executes one read batch.  `requests[i] == None` denotes a padding
@@ -1064,13 +1047,6 @@ pub struct WritebackEngine {
 }
 
 impl WritebackEngine {
-    /// Replaces the shared worker pool with a private one, so a caller
-    /// driving the two halves from separate threads (the pipelined proxy)
-    /// never queues its flush I/O behind the read plane's fetches.
-    pub(crate) fn use_private_pool(&mut self) {
-        self.pool = Arc::new(ThreadPool::new(pool_size(&self.core.options)));
-    }
-
     /// The tree configuration.
     pub fn config(&self) -> &OramConfig {
         &self.core.config
@@ -1084,11 +1060,6 @@ impl WritebackEngine {
     /// Operation counters (shared with the reader).
     pub fn stats(&self) -> OramStats {
         self.core.stats()
-    }
-
-    /// Current stash occupancy.
-    pub fn stash_len(&self) -> usize {
-        self.core.stash_len()
     }
 
     /// Number of buckets currently buffered locally (awaiting flush).
@@ -1317,8 +1288,8 @@ impl WritebackEngine {
 
     /// Runs every eviction and early reshuffle that has come due, as one
     /// wave (see the module docs).  The proxy's decider drives this once
-    /// per epoch (right before the flush); the facade drives it at the
-    /// monolithic client's points (after every read batch).
+    /// per epoch (right before the flush); a caller driving both halves
+    /// from one thread, after every read batch.
     pub fn run_pending_maintenance(&mut self, logger: &dyn PathLogger) -> Result<()> {
         self.run_waves(logger, true)
     }
@@ -1476,11 +1447,6 @@ impl WritebackEngine {
             }
         }
         Ok(())
-    }
-
-    /// Discards all epoch-local buffered state (aborting the epoch).
-    pub fn discard_buffered(&mut self) {
-        self.core.shared.state.lock().buffer.clear();
     }
 }
 
@@ -1748,8 +1714,9 @@ fn place_eligible_blocks(
 
 /// Installs fresh metadata for a logically rewritten bucket and either
 /// buffers or immediately writes its contents.  Runs under the shared lock;
-/// the immediate-write mode (deferred_writes = false) is only exercised by
-/// the sequential facade, which has no concurrent reader to block.
+/// write-through mode (deferred_writes = false) runs only where one thread
+/// drives both halves (Figure 10's sequential and immediate-write-back
+/// series), so there is no concurrent reader to block.
 fn rewrite_bucket(
     core: &OramCore,
     state: &mut SharedState,

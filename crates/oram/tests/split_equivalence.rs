@@ -1,9 +1,9 @@
 //! Differential property test for the split ORAM client: the same seeded
-//! epoch schedule, run (a) through the sequential [`RingOram`] facade and
-//! (b) through an [`OramReader`] / [`WritebackEngine`] pair on two *actually
-//! concurrent* threads, must produce identical committed read/write
-//! semantics — every read observes exactly the value the model (a plain
-//! `HashMap` oracle) prescribes, in both drivers.
+//! epoch schedule, run through an [`OramReader`] / [`WritebackEngine`] pair
+//! (a) from one thread, maintenance after every read batch, and (b) on two
+//! *actually concurrent* threads, must produce identical committed
+//! read/write semantics — every read observes exactly the value the model
+//! (a plain `HashMap` oracle) prescribes, in both drivers.
 //!
 //! The concurrent driver mirrors the pipelined proxy's contract: epoch
 //! `e`'s write batch is applied by the engine (evictions, flush) while the
@@ -117,30 +117,31 @@ fn run_concurrent(
     observations
 }
 
-/// Drives the same schedule sequentially through the facade: reads of epoch
-/// `e+1` run *before* epoch `e`'s writes apply, which is the same ordering
-/// the disjointness guarantees for the concurrent run.
+/// Drives the same schedule from one thread, running the maintenance each
+/// read batch made due right after it: reads of epoch `e+1` run *before*
+/// epoch `e`'s writes apply, which is the same ordering the disjointness
+/// guarantees for the concurrent run.
 fn run_sequential(seed: u64, plans: &[EpochPlan]) -> Vec<Vec<Option<Value>>> {
-    let config = OramConfig::small_for_tests(KEYSPACE * 2);
-    let keys = KeyMaterial::for_tests(seed);
-    let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
-    let mut oram = RingOram::new(config, &keys, store, ExecOptions::parallel(4), seed)
-        .expect("client must open");
+    let (reader, mut engine) = open_split(seed);
     let mut observations = Vec::with_capacity(plans.len());
     for (epoch, plan) in plans.iter().enumerate() {
         let requests: Vec<Option<Key>> = plan.next_reads.iter().copied().map(Some).collect();
-        let reads = oram
+        let reads = reader
             .read_batch(&requests, &NoopPathLogger)
             .expect("read batch failed");
+        engine
+            .run_pending_maintenance(&NoopPathLogger)
+            .expect("maintenance failed");
         observations.push(reads);
         let writes: Vec<(Key, Value)> = plan
             .writes
             .iter()
             .map(|&k| (k, value_for(k, epoch)))
             .collect();
-        oram.write_batch(&writes, &NoopPathLogger)
+        engine
+            .write_batch(&writes, &NoopPathLogger)
             .expect("write batch failed");
-        oram.flush_writes(&NoopPathLogger).expect("flush failed");
+        engine.flush_writes(&NoopPathLogger).expect("flush failed");
     }
     observations
 }
@@ -177,7 +178,7 @@ fn check_case(seed: u64, epochs: usize) -> Result<(), String> {
     let sequential = run_sequential(seed, &plans);
     if sequential != expected {
         return Err(format!(
-            "sequential facade diverged from the model (seed {seed})"
+            "single-threaded split client diverged from the model (seed {seed})"
         ));
     }
     Ok(())
@@ -186,10 +187,10 @@ fn check_case(seed: u64, epochs: usize) -> Result<(), String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Concurrent reader/engine and the sequential facade observe exactly
-    /// the values the model oracle prescribes, epoch for epoch.
+    /// The halves on two threads and on one observe exactly the values the
+    /// model oracle prescribes, epoch for epoch.
     #[test]
-    fn split_and_facade_match_the_model(seed in 1u64..10_000) {
+    fn concurrent_and_single_threaded_halves_match_the_model(seed in 1u64..10_000) {
         if let Err(problem) = check_case(seed, 6) {
             return Err(TestCaseError::fail(problem));
         }

@@ -86,12 +86,12 @@ impl RecordedOram {
         })
     }
 
-    /// Runs one read batch the way the `RingOram` facade sequences it and
-    /// returns what the store saw of each phase: the batch's own fetches —
-    /// one uniformly chosen path per request, whatever the workload (§4) —
-    /// and then the maintenance that came due plus the flush, whose eviction
-    /// reads follow the public reverse-lexicographic schedule and are no
-    /// function of the workload.
+    /// Runs one read batch the way a single thread driving both halves
+    /// sequences it and returns what the store saw of each phase: the
+    /// batch's own fetches — one uniformly chosen path per request, whatever
+    /// the workload (§4) — and then the maintenance that came due plus the
+    /// flush, whose eviction reads follow the public reverse-lexicographic
+    /// schedule and are no function of the workload.
     pub fn read_batch_by_phase(
         &mut self,
         requests: &[Option<Key>],

@@ -6,16 +6,16 @@
 //! material, classifies every slot of every bucket write by whether it opens
 //! at its location and the version the write created, and answers every read
 //! of a slot written as a dummy with *different* random bytes — so a path
-//! that opened one would fail its MAC.  A seeded `RingOram` run and its
-//! rebuild from `Full` + deltas, and an `ObladiDb` crash and recovery, must
-//! read every key back over it.
+//! that opened one would fail its MAC.  A seeded run of the split ORAM
+//! client and its rebuild from `Full` + deltas, and an `ObladiDb` crash and
+//! recovery, must read every key back over it.
 
 use bytes::Bytes;
 use obladi::common::config::SLOT_LOCATION_BITS;
 use obladi::common::rng::DetRng;
 use obladi::common::types::{BucketId, Version};
 use obladi::crypto::{Envelope, KeyMaterial};
-use obladi::oram::{ExecOptions, MetaDelta, NoopPathLogger, OramMeta, RingOram};
+use obladi::oram::{CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, RingOram};
 use obladi::prelude::*;
 use obladi::storage::traits::{BucketSnapshot, StoreStats};
 use obladi::storage::{InMemoryStore, UntrustedStore};
@@ -132,7 +132,9 @@ fn a_seeded_oram_run_and_its_rebuild_never_open_a_dummy() {
     let store: Arc<dyn UntrustedStore> = trap.clone();
     let config = OramConfig::small_for_tests(256);
     let exec = ExecOptions::parallel(2);
-    let mut oram = RingOram::new(config, &keys(), store.clone(), exec, 7).unwrap();
+    let (reader, mut engine) = RingOram::new(config, &keys(), store.clone(), exec, 7)
+        .unwrap()
+        .split();
     let mut rng = DetRng::new(0xD0);
     let mut model: HashMap<Key, Value> = HashMap::new();
     let mut replica: Option<OramMeta> = None;
@@ -143,7 +145,8 @@ fn a_seeded_oram_run_and_its_rebuild_never_open_a_dummy() {
         let requests: Vec<Option<Key>> = (0..8)
             .map(|_| Some(rng.below(KEYS)).filter(|key| seen.insert(*key)))
             .collect();
-        let read = oram.read_batch(&requests, &NoopPathLogger).unwrap();
+        let read = reader.read_batch(&requests, &NoopPathLogger).unwrap();
+        engine.run_pending_maintenance(&NoopPathLogger).unwrap();
         for (key, value) in requests.iter().zip(read) {
             if let Some(key) = key {
                 assert_eq!(value.as_ref(), model.get(key), "epoch {epoch} key {key}");
@@ -157,40 +160,41 @@ fn a_seeded_oram_run_and_its_rebuild_never_open_a_dummy() {
                 )
             })
             .collect();
-        oram.write_batch(&writes, &NoopPathLogger).unwrap();
+        engine.write_batch(&writes, &NoopPathLogger).unwrap();
         model.extend(writes);
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
         if epoch % 5 == 0 {
-            let full = oram.checkpoint_full().unwrap();
+            let full = engine.checkpoint_full().unwrap();
             replica = Some(OramMeta::decode_full(&full).unwrap());
         } else {
-            let delta = MetaDelta::decode(&oram.checkpoint_delta(64).unwrap().encode()).unwrap();
+            let delta = MetaDelta::decode(&engine.checkpoint_delta(64).unwrap().encode()).unwrap();
             replica
                 .as_mut()
                 .expect("a full checkpoint first")
                 .apply_delta(&delta);
         }
     }
-    let stats = oram.stats();
+    let stats = engine.stats();
     assert!(
         stats.evictions > 0 && stats.early_reshuffles > 0,
         "{stats:?}"
     );
     assert!(stats.buffered_reads > 0, "{stats:?}");
-    drop(oram);
+    drop((reader, engine));
 
     // What recovery rebuilds: the last `Full` and the deltas behind it.
     let replica = replica.expect("checkpointed");
-    let mut rebuilt = RingOram::from_meta(replica, &keys(), store, exec, 8);
-    rebuilt.revert_storage_to_meta().unwrap();
+    let (reader, mut engine) = RingOram::from_meta(replica, &keys(), store, exec, 8).split();
+    engine.revert_storage_to_meta().unwrap();
     for key in 0..KEYS {
-        let read = rebuilt.read_batch(&[Some(key), None], &NoopPathLogger);
+        let read = reader.read_batch(&[Some(key), None], &NoopPathLogger);
         assert_eq!(
             read.unwrap()[0].as_ref(),
             model.get(&key),
             "key {key} rebuilt"
         );
-        rebuilt.flush_writes(&NoopPathLogger).unwrap();
+        engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
     }
     trap.assert_trapped();
 }

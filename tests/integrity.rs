@@ -12,24 +12,33 @@
 //! 2. once the server behaves again, the data the client wrote is intact.
 
 use obladi::crypto::KeyMaterial;
-use obladi::oram::{ExecOptions, NoopPathLogger, RingOram};
+use obladi::oram::{ExecOptions, NoopPathLogger, OramReader, RingOram, WritebackEngine};
 use obladi::prelude::*;
 use obladi::storage::{FaultPlan, FaultyStore, InMemoryStore, UntrustedStore};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn small_oram_over(store: Arc<dyn UntrustedStore>, seed: u64) -> RingOram {
+/// An ORAM client over `store` with keys `0..64` loaded.
+fn loaded_oram_over(store: Arc<dyn UntrustedStore>, seed: u64) -> (OramReader, WritebackEngine) {
     let config = OramConfig::small_for_tests(256).with_max_stash(2_048);
     let keys = KeyMaterial::for_tests(seed);
-    RingOram::new(config, &keys, store, ExecOptions::parallel(2), seed).unwrap()
+    let (reader, mut engine) = RingOram::new(config, &keys, store, ExecOptions::parallel(2), seed)
+        .unwrap()
+        .split();
+    let writes: Vec<(Key, Value)> = (0..64).map(|k| (k, vec![k as u8; 8])).collect();
+    for chunk in writes.chunks(32) {
+        engine.write_batch(chunk, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+    }
+    (reader, engine)
 }
 
-fn load(oram: &mut RingOram, keys: u64) {
-    let writes: Vec<(Key, Value)> = (0..keys).map(|k| (k, vec![k as u8; 8])).collect();
-    for chunk in writes.chunks(32) {
-        oram.write_batch(chunk, &NoopPathLogger).unwrap();
-        oram.flush_writes(&NoopPathLogger).unwrap();
-    }
+/// Reads `key` the way a single thread drives the halves: the batch, then
+/// the maintenance it made due.
+fn read((reader, engine): &mut (OramReader, WritebackEngine), key: Key) -> Result<Option<Value>> {
+    let values = reader.read_batch(&[Some(key)], &NoopPathLogger)?;
+    engine.run_pending_maintenance(&NoopPathLogger)?;
+    Ok(values.into_iter().next().flatten())
 }
 
 #[test]
@@ -39,19 +48,18 @@ fn corrupted_slots_are_detected_and_never_served_as_data() {
         FaultPlan::none(),
         1,
     ));
-    let mut oram = small_oram_over(faulty.clone(), 1);
-    load(&mut oram, 64);
+    let mut oram = loaded_oram_over(faulty.clone(), 1);
 
     // The server turns malicious: every slot read is corrupted.
     faulty.set_plan(FaultPlan::corrupt(1.0));
     let mut detected = 0;
     for key in 0..16u64 {
-        match oram.read_batch(&[Some(key)], &NoopPathLogger) {
-            Ok(values) => {
+        match read(&mut oram, key) {
+            Ok(value) => {
                 // A successful read must still return the correct bytes
                 // (e.g. served from the stash / epoch buffer, which the
                 // adversary cannot touch).
-                if let Some(value) = &values[0] {
+                if let Some(value) = &value {
                     assert_eq!(
                         value,
                         &vec![key as u8; 8],
@@ -79,9 +87,8 @@ fn stale_replays_are_detected_by_the_freshness_binding() {
         FaultPlan::none(),
         2,
     ));
-    let mut oram = small_oram_over(faulty.clone(), 2);
     // Honest phase: load the tree.
-    load(&mut oram, 64);
+    let mut oram = loaded_oram_over(faulty.clone(), 2);
 
     // Malicious phase: the server starts answering slot reads with the
     // previous version of the bucket whenever it has one.  Operations may
@@ -96,15 +103,16 @@ fn stale_replays_are_detected_by_the_freshness_binding() {
     // Overwrite a few keys so buckets get rewritten and the faulty store
     // retains stale versions it can replay.
     let writes: Vec<(Key, Value)> = (0..16).map(|k| (k, vec![k as u8; 8])).collect();
-    let write_result = oram
+    let engine = &mut oram.1;
+    let write_result = engine
         .write_batch(&writes, &NoopPathLogger)
-        .and_then(|()| oram.flush_writes(&NoopPathLogger));
+        .and_then(|()| engine.flush_writes(&NoopPathLogger));
     match write_result {
         Ok(()) => {
             for key in 0..64u64 {
-                match oram.read_batch(&[Some(key)], &NoopPathLogger) {
-                    Ok(values) => {
-                        if let Some(value) = &values[0] {
+                match read(&mut oram, key) {
+                    Ok(value) => {
+                        if let Some(value) = &value {
                             assert_eq!(
                                 value,
                                 &vec![key as u8; 8],

@@ -6,7 +6,7 @@ use obladi_common::config::OramConfig;
 use obladi_common::types::AbortReason;
 use obladi_core::concurrency::{MvtsoManager, ReadOutcome};
 use obladi_crypto::{Envelope, KeyMaterial};
-use obladi_oram::{Block, ExecOptions, NoopPathLogger, PositionMap, RingOram};
+use obladi_oram::{Block, ExecOptions, NoopPathLogger, PositionMap, RingOram, WritebackEngine};
 use obladi_storage::{InMemoryStore, UntrustedStore};
 use obladi_workloads::Row;
 use proptest::prelude::*;
@@ -39,32 +39,39 @@ proptest! {
         let config = OramConfig::small_for_tests(128).with_max_stash(1_024);
         let keys = KeyMaterial::for_tests(11);
         let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
-        let mut oram = RingOram::new(config, &keys, store, ExecOptions::parallel(2), 5).unwrap();
+        let (reader, mut engine) = RingOram::new(config, &keys, store, ExecOptions::parallel(2), 5)
+            .unwrap()
+            .split();
         let mut reference: HashMap<u64, Vec<u8>> = HashMap::new();
+        // One read from a single thread: the batch, then the maintenance
+        // it made due.
+        let read = |engine: &mut WritebackEngine, key: u64| {
+            let got = reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
+            engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+            got[0].clone()
+        };
 
         for op in ops {
             match op {
                 Op::Write(k, v) => {
                     let key = k as u64;
                     let value = vec![v; 8];
-                    oram.write_batch(&[(key, value.clone())], &NoopPathLogger).unwrap();
+                    engine.write_batch(&[(key, value.clone())], &NoopPathLogger).unwrap();
                     reference.insert(key, value);
                 }
                 Op::Read(k) => {
                     let key = k as u64;
-                    let got = oram.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
-                    prop_assert_eq!(got[0].clone(), reference.get(&key).cloned());
+                    prop_assert_eq!(read(&mut engine, key), reference.get(&key).cloned());
                 }
                 Op::Flush => {
-                    oram.flush_writes(&NoopPathLogger).unwrap();
+                    engine.flush_writes(&NoopPathLogger).unwrap();
                 }
             }
         }
         // Final sweep: every key the reference knows must be readable.
-        oram.flush_writes(&NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
         for (key, value) in &reference {
-            let got = oram.read_batch(&[Some(*key)], &NoopPathLogger).unwrap();
-            prop_assert_eq!(got[0].as_ref(), Some(value));
+            prop_assert_eq!(read(&mut engine, *key), Some(value.clone()));
         }
     }
 

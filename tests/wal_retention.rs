@@ -39,7 +39,7 @@ use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{BucketId, EpochId, Key, TxnId, Value, Version};
 use obladi_core::{CommitCandidate, DurabilityManager, RecoveryReport};
 use obladi_crypto::KeyMaterial;
-use obladi_oram::{ExecOptions, NoopPathLogger, RingOram};
+use obladi_oram::{ExecOptions, NoopPathLogger, OramReader, RingOram, WritebackEngine};
 use obladi_shard::rendezvous::{Poll, Rendezvous, TxnDecision};
 use obladi_storage::traits::{BucketSnapshot, StoreStats};
 use obladi_storage::wal::WalRecordKind;
@@ -267,7 +267,7 @@ struct Run {
     log: Arc<LyingLog>,
     store: Arc<FaultyStore>,
     manager: DurabilityManager,
-    oram: Option<RingOram>,
+    oram: Option<(OramReader, WritebackEngine)>,
     survivors: Survivors,
     mode: Mode,
     /// The epoch the current life started at: no earlier epoch's tail
@@ -310,6 +310,7 @@ impl Run {
         let oram = fork.is_none().then(|| {
             RingOram::new(config.oram, &keys(), store.clone(), exec(), 40)
                 .expect("fault-free initialisation")
+                .split()
         });
         // The trace starts at the first scheduled operation, after tree
         // initialisation.
@@ -327,13 +328,15 @@ impl Run {
     }
 
     /// One padded read batch of `epoch`: two keys that vary with the batch,
-    /// two dummies.
+    /// two dummies; then the maintenance it made due.
     fn read_batch(&mut self, epoch: EpochId, batch: u64) -> Result<()> {
         self.manager.begin_read_batch();
         let first = (epoch * 5 + batch * 3) % KEYS;
         let requests = [Some(first), Some((first + 7) % KEYS), None, None];
-        oram_of(&mut self.oram).read_batch(&requests, &self.manager.logger_for(epoch))?;
-        Ok(())
+        let logger = self.manager.logger_for(epoch);
+        let (reader, engine) = oram_of(&mut self.oram);
+        reader.read_batch(&requests, &logger)?;
+        engine.run_pending_maintenance(&logger)
     }
 
     /// The executing epoch's read batch `batch`, at depth 2 only: depth 1
@@ -397,11 +400,12 @@ impl Run {
         let writes: Vec<(Key, Value)> = permits.iter().flat_map(|txn| writes_of(*txn)).collect();
         self.manager.decision_durable(epoch, &permits, &writes)?;
         let logger = self.manager.logger_for(epoch);
-        let oram = oram_of(&mut self.oram);
-        oram.write_batch_padded(&writes, 8, &logger)?;
-        oram.flush_writes(&logger)?;
+        let (_, engine) = oram_of(&mut self.oram);
+        engine.write_batch_padded(&writes, 8, &logger)?;
+        engine.flush_writes(&logger)?;
         self.next_epoch_batch(epoch, 1)?;
-        self.manager.commit_epoch(epoch, oram_of(&mut self.oram))?;
+        self.manager
+            .commit_epoch(epoch, &mut oram_of(&mut self.oram).1)?;
         self.next_epoch_batch(epoch, 2)?;
         {
             // The peer's epoch committed too; the victim acknowledges
@@ -432,7 +436,7 @@ impl Run {
         let mut machine = self.survivors.machine.lock();
         machine.set_live(VICTIM, false);
         let resolve = |txn: TxnId| machine.decision(txn) == TxnDecision::Committed;
-        let (mut oram, next_epoch, report, resolved) =
+        let ((reader, mut engine), next_epoch, report, resolved) =
             self.manager
                 .recover_resolving(config().oram, &keys(), exec(), 77, &resolve)?;
         machine.ack_durable(VICTIM, &resolved.replayed);
@@ -449,11 +453,12 @@ impl Run {
                 .insert(next_epoch - 1, resolved.replayed.clone());
             assert_eq!(finished, None, "an epoch is finished once");
         }
-        let meta = oram.meta_snapshot().encode_full();
+        let meta = engine.meta_snapshot().encode_full();
         let requests: Vec<Option<Key>> = (0..KEYS).map(Some).collect();
-        let values = oram.read_batch(&requests, &NoopPathLogger)?;
-        oram.flush_writes(&NoopPathLogger)?;
-        self.oram = Some(oram);
+        let values = reader.read_batch(&requests, &NoopPathLogger)?;
+        engine.run_pending_maintenance(&NoopPathLogger)?;
+        engine.flush_writes(&NoopPathLogger)?;
+        self.oram = Some((reader, engine));
         self.first = next_epoch;
         Ok(Recovered {
             meta,
@@ -485,7 +490,7 @@ impl Run {
     }
 }
 
-fn oram_of(oram: &mut Option<RingOram>) -> &mut RingOram {
+fn oram_of(oram: &mut Option<(OramReader, WritebackEngine)>) -> &mut (OramReader, WritebackEngine) {
     oram.as_mut().expect("still running")
 }
 
