@@ -17,7 +17,7 @@ use crate::profiles::StorageProfile;
 use obladi_common::config::{ObladiConfig, ShardConfig};
 use obladi_common::stats::LatencyRecorder;
 use obladi_obs::audit::AuditRing;
-use obladi_obs::HistogramSnapshot;
+use obladi_obs::{HistogramSnapshot, Json};
 use obladi_shard::ShardedDb;
 use obladi_storage::{RecordingStore, UntrustedStore};
 use obladi_workloads::{
@@ -371,77 +371,62 @@ pub fn run_fig_shard_pipeline(opts: &BenchOpts) {
     write_trace_out(opts, &audit_ring);
 }
 
-/// Records the sweep as `BENCH_shard_pipeline.json` (hand-formatted: the
-/// vendored serde shim has no serializer).
+/// Records the sweep as `BENCH_shard_pipeline.json`.
 fn write_pipeline_json(opts: &BenchOpts, cells: &[PipelineCell]) {
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"bench\": \"shard_pipeline\",\n  \"shards\": 3,\n  \"duration_s\": {:.1},\n  \
-         \"seed\": {},\n  \"host\": {},\n  \"cells\": [\n",
-        opts.duration.as_secs_f64(),
-        opts.seed,
-        host_json()
-    ));
-    for (index, cell) in cells.iter().enumerate() {
-        let comma = if index + 1 == cells.len() { "" } else { "," };
-        // A zero-epoch cell has an infinite period; `null` keeps the file
-        // valid JSON (`inf` would not be).
-        let period = if cell.epoch_period_ms.is_finite() {
-            format!("{:.2}", cell.epoch_period_ms)
-        } else {
-            "null".to_string()
-        };
+    let ms = |duration: Duration| Json::Fixed(duration.as_secs_f64() * 1000.0, 2);
+    let cells = cells.iter().map(|cell| {
         // Client-observed commit latency; `null` for a cell that committed
         // nothing (a zeroed distribution would read as "instant").
-        let commit_ms = if cell.commit_latency.is_empty() {
-            "null".to_string()
+        let latency = &cell.commit_latency;
+        let commit_ms = if latency.is_empty() {
+            Json::Null
         } else {
-            format!(
-                "{{\"p50\": {:.2}, \"p99\": {:.2}, \"max\": {:.2}}}",
-                cell.commit_latency.median().as_secs_f64() * 1000.0,
-                cell.commit_latency.p99().as_secs_f64() * 1000.0,
-                cell.commit_latency.max().as_secs_f64() * 1000.0,
-            )
+            Json::object([
+                ("p50", ms(latency.median())),
+                ("p99", ms(latency.p99())),
+                ("max", ms(latency.max())),
+            ])
         };
-        json.push_str(&format!(
-            "    {{\"profile\": \"{}\", \"mix\": \"{}\", \"pipeline_depth\": {}, \
-             \"committed_per_s\": {:.1}, \"abort_rate\": {:.3}, \"global_epochs\": {}, \
-             \"epoch_period_ms\": {period}, \"commit_latency_ms\": {commit_ms},\n",
-            cell.profile,
-            cell.mix,
-            cell.depth,
-            cell.committed_per_s,
-            cell.abort_rate,
-            cell.global_epochs,
-        ));
         // Per-stage time attribution: where the cell's milliseconds went.
-        json.push_str("     \"phases\": {");
-        for (i, (name, h)) in cell.phases.iter().enumerate() {
-            let comma = if i + 1 == cell.phases.len() { "" } else { "," };
-            json.push_str(&format!(
-                "\n       \"{name}\": {{\"count\": {}, \"total_ms\": {:.1}, \"mean_us\": {:.1}, \
-                 \"p50_us\": {}, \"p99_us\": {}, \"max_us\": {}}}{comma}",
-                h.count,
-                h.sum as f64 / 1000.0,
-                h.mean(),
-                h.p50(),
-                h.p99(),
-                h.max,
-            ));
-        }
-        json.push_str("},\n");
-        json.push_str("     \"abort_causes\": {");
-        for (i, (cause, count)) in cell.abort_causes.iter().enumerate() {
-            let comma = if i + 1 == cell.abort_causes.len() {
-                ""
-            } else {
-                ","
-            };
-            json.push_str(&format!("\"{cause}\": {count}{comma}"));
-        }
-        json.push_str(&format!("}}}}{comma}\n"));
-    }
-    json.push_str("  ]\n}\n");
+        let phases = cell.phases.iter().map(|(name, h)| {
+            let phase = Json::object([
+                ("count", h.count.into()),
+                ("total_ms", Json::Fixed(h.sum as f64 / 1000.0, 1)),
+                ("mean_us", Json::Fixed(h.mean(), 1)),
+                ("p50_us", h.p50().into()),
+                ("p99_us", h.p99().into()),
+                ("max_us", h.max.into()),
+            ]);
+            (name.as_str(), phase)
+        });
+        let causes = cell
+            .abort_causes
+            .iter()
+            .map(|(cause, count)| (cause.as_str(), Json::from(*count)));
+        Json::object([
+            ("profile", cell.profile.as_str().into()),
+            ("mix", cell.mix.into()),
+            ("pipeline_depth", cell.depth.into()),
+            ("committed_per_s", Json::Fixed(cell.committed_per_s, 1)),
+            ("abort_rate", Json::Fixed(cell.abort_rate, 3)),
+            ("global_epochs", cell.global_epochs.into()),
+            // A zero-epoch cell has an infinite period, written as `null`.
+            ("epoch_period_ms", Json::Fixed(cell.epoch_period_ms, 2)),
+            ("commit_latency_ms", commit_ms),
+            ("phases", Json::object(phases)),
+            ("abort_causes", Json::object(causes)),
+        ])
+    });
+    let json = Json::object([
+        ("bench", "shard_pipeline".into()),
+        ("shards", 3u32.into()),
+        ("duration_s", Json::Fixed(opts.duration.as_secs_f64(), 1)),
+        ("seed", opts.seed.into()),
+        ("host", host_json()),
+        ("cells", Json::Array(cells.collect())),
+    ])
+    .render()
+        + "\n";
     let path = "BENCH_shard_pipeline.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),

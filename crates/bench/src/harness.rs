@@ -4,6 +4,7 @@ use crate::opts::BenchOpts;
 use obladi_common::config::{BackendKind, EpochConfig, ObladiConfig, OramConfig};
 use obladi_common::latency::LatencyProfile;
 use obladi_crypto::KeyMaterial;
+use obladi_obs::Json;
 use obladi_oram::{ExecOptions, OramReader, RingOram, WritebackEngine};
 use obladi_storage::{InMemoryStore, LatencyStore, TrustedCounter, UntrustedStore};
 use std::sync::Arc;
@@ -13,26 +14,27 @@ use std::time::Duration;
 /// were measured on, as one JSON object — cores, CPU model and the crypto
 /// kernels `obladi_crypto` selected there, so a file from a CPU without the
 /// SHA extensions or AVX2 explains its own crypto cost.
-pub fn host_json() -> String {
+pub fn host_json() -> Json {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|info| {
             let line = info.lines().find(|line| line.starts_with("model name"))?;
-            Some(line.split_once(':')?.1.trim().replace(['"', '\\'], ""))
+            Some(line.split_once(':')?.1.trim().to_string())
         })
         .unwrap_or_else(|| "unknown".into());
-    format!(
-        "{{\"cores\": {cores}, \"cpu\": \"{cpu}\", \"crypto_kernels\": \"{}\"}}",
-        obladi_crypto::kernels::selected()
-    )
+    Json::object([
+        ("cores", cores.into()),
+        ("cpu", cpu.into()),
+        ("crypto_kernels", obladi_crypto::kernels::selected().into()),
+    ])
 }
 
 /// Prints a table header row, under the host the table was measured on.
 pub fn print_header(title: &str, columns: &[&str]) {
     println!();
     println!("== {title} ==");
-    println!("host: {}", host_json());
+    println!("host: {}", host_json().render());
     println!("{}", columns.join("\t"));
 }
 
@@ -53,7 +55,7 @@ pub fn write_metrics_out(opts: &BenchOpts) {
     let Some(path) = opts.metrics_out.as_deref() else {
         return;
     };
-    let json = obladi_obs::report::render_json(&obladi_obs::global().snapshot(), 0);
+    let json = obladi_obs::report::render_json(&obladi_obs::global().snapshot());
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote metrics snapshot to {path}"),
         Err(err) => eprintln!("could not write metrics snapshot {path}: {err}"),
@@ -67,7 +69,7 @@ pub fn write_trace_out(opts: &BenchOpts, ring: &obladi_obs::audit::AuditRing) {
     let Some(path) = opts.trace_out.as_deref() else {
         return;
     };
-    let json = obladi_obs::audit::render_audit_json(&ring.ops(), ring.dropped(), 0);
+    let json = obladi_obs::audit::render_audit_json(&ring.ops(), ring.dropped());
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote adversary-view trace to {path}"),
         Err(err) => eprintln!("could not write adversary-view trace {path}: {err}"),

@@ -545,13 +545,6 @@ impl ShardConfig {
         self
     }
 
-    /// Sets the cross-shard barrier watchdog deadline (see
-    /// [`ShardConfig::barrier_watchdog`]).
-    pub fn with_barrier_watchdog(mut self, deadline: Duration) -> Self {
-        self.barrier_watchdog = deadline;
-        self
-    }
-
     /// Validates the shard count and the per-shard template.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {

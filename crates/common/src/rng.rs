@@ -98,11 +98,6 @@ impl DetRng {
         idx.truncate(k);
         idx
     }
-
-    /// Access to the underlying `rand` RNG for use with `rand` APIs.
-    pub fn as_rng(&mut self) -> &mut StdRng {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]

@@ -440,11 +440,6 @@ impl ObladiDb {
         self.inner.state.lock().stamp_targets()
     }
 
-    /// The generation of the epoch currently executing.
-    pub fn current_generation(&self) -> u64 {
-        self.inner.state.lock().stamp_targets().0
-    }
-
     /// Installs an [`EpochGate`] consulted before every epoch finalisation.
     pub fn set_epoch_gate(&self, gate: Arc<dyn EpochGate>) {
         *self.inner.epoch_gate.lock() = Some(gate);
@@ -474,17 +469,6 @@ impl ObladiDb {
                 .client_wakeup
                 .wait_for(&mut state, deadline - now);
         }
-    }
-
-    /// The identifier of the epoch currently executing.
-    pub fn current_epoch(&self) -> EpochId {
-        self.inner.state.lock().exec_epoch()
-    }
-
-    /// The identifier of the epoch currently deciding (rendezvous, commit
-    /// vote, write-back in flight), if any.
-    pub fn deciding_epoch(&self) -> Option<EpochId> {
-        self.inner.state.lock().to_decide().map(|sealed| sealed.0)
     }
 
     /// Simulates a proxy crash: all volatile state (epoch state, version
@@ -714,11 +698,6 @@ impl ObladiTxn<'_> {
             let mut state = self.db.inner.state.lock();
             state.rollback(self.id, self.generation);
         }
-    }
-
-    /// Consumes the transaction, committing it and mapping aborts to errors.
-    pub fn commit_or_err(self) -> Result<()> {
-        crate::api::outcome_to_result(self.commit()?)
     }
 }
 

@@ -24,10 +24,10 @@
 //! ([`crate::set_enabled`]), so the overhead-budget bench A/Bs it along
 //! with the rest of the instrumentation.
 
+use crate::json::Json;
 use crate::metrics::ENABLED;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -208,36 +208,25 @@ pub fn global() -> &'static AuditRing {
     GLOBAL.get_or_init(AuditRing::default)
 }
 
-/// Renders a recorded trace as a JSON object (`--trace-out` files; the
-/// vendored serde shim has no serializer, so the JSON is hand-assembled
-/// like [`crate::report`]'s).
-pub fn render_audit_json(ops: &[AuditOp], dropped: u64, indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let inner = " ".repeat(indent + 2);
-    let field = " ".repeat(indent + 4);
-    let mut out = String::new();
-    let _ = writeln!(out, "{pad}{{");
-    let _ = writeln!(out, "{inner}\"dropped\": {dropped},");
-    let _ = writeln!(out, "{inner}\"ops\": [");
-    for (i, op) in ops.iter().enumerate() {
-        let comma = if i + 1 == ops.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "{field}{{\"at_us\": {}, \"store\": {}, \"kind\": \"{}\", \"addr\": {}, \
-             \"slot\": {}, \"payload_len\": {}, \"req_frame\": {}, \"resp_frame\": {}}}{comma}",
-            op.at_us,
-            op.store,
-            op.kind.label(),
-            op.addr,
-            op.slot,
-            op.payload_len,
-            op.req_frame,
-            op.resp_frame,
-        );
-    }
-    let _ = writeln!(out, "{inner}]");
-    let _ = write!(out, "{pad}}}");
-    out
+/// Renders a recorded trace as a JSON object (`--trace-out` files).
+pub fn render_audit_json(ops: &[AuditOp], dropped: u64) -> String {
+    let ops = ops.iter().map(|op| {
+        Json::object([
+            ("at_us", op.at_us.into()),
+            ("store", op.store.into()),
+            ("kind", op.kind.label().into()),
+            ("addr", op.addr.into()),
+            ("slot", op.slot.into()),
+            ("payload_len", op.payload_len.into()),
+            ("req_frame", op.req_frame.into()),
+            ("resp_frame", op.resp_frame.into()),
+        ])
+    });
+    Json::object([
+        ("dropped", dropped.into()),
+        ("ops", Json::Array(ops.collect())),
+    ])
+    .render()
 }
 
 // ---------------------------------------------------------------------
@@ -646,7 +635,7 @@ mod tests {
     #[test]
     fn audit_json_is_well_formed() {
         let ops = vec![op(1, AuditKind::ReadSlot, 64), op(2, AuditKind::PutMeta, 9)];
-        let json = render_audit_json(&ops, 3, 0);
+        let json = render_audit_json(&ops, 3);
         assert!(json.contains("\"dropped\": 3"));
         assert!(json.contains("\"kind\": \"read_slot\""));
         assert!(json.contains("\"kind\": \"put_meta\""));

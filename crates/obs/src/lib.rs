@@ -16,6 +16,7 @@
 //!   untrusted storage observes (op kind, address, sealed lengths, frame
 //!   sizes, timing) plus the differential auditor that asserts two
 //!   workloads produced indistinguishable trace shapes.
+//! * [`json`] — the one JSON writer every exported document goes through.
 //!
 //! Naming convention: flat dotted strings, `layer.scope.metric` —
 //! `proxy.phase.gate_wait_us`, `shard.abort.pipeline_incompatible`,
@@ -29,11 +30,13 @@
 #![forbid(unsafe_code)]
 
 pub mod audit;
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod trace;
 
 pub use audit::{AuditKind, AuditOp, AuditRing, AuditTolerances, AuditVerdict, TraceShape};
+pub use json::Json;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, RegistrySnapshot,
 };

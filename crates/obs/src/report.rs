@@ -1,8 +1,8 @@
 //! Renderers: a human-readable text report (chaos-failure dumps) and a
-//! hand-built JSON snapshot (the benches' `--metrics-out` files — the
-//! vendored serde shim has no serializer, so the JSON is assembled by
-//! hand, like the `BENCH_*.json` writers).
+//! JSON snapshot through [`crate::json`] (the benches' `--metrics-out`
+//! files).
 
+use crate::json::Json;
 use crate::metrics::{HistogramSnapshot, RegistrySnapshot};
 use crate::trace::{SpanTracer, TraceEvent};
 use std::fmt::Write as _;
@@ -69,93 +69,45 @@ pub fn render_text(snapshot: &RegistrySnapshot, tracer: Option<&SpanTracer>) -> 
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// `(name, value)` pairs as one JSON object.
+fn named<T>(pairs: &[(String, T)], value: impl Fn(&T) -> Json) -> Json {
+    Json::object(pairs.iter().map(|(name, v)| (name.as_str(), value(v))))
 }
 
-fn histogram_json(h: &HistogramSnapshot) -> String {
-    format!(
-        "{{\"count\": {}, \"sum_us\": {}, \"mean_us\": {:.1}, \"p50_us\": {}, \"p99_us\": {}, \
-         \"max_us\": {}}}",
-        h.count,
-        h.sum,
-        h.mean(),
-        h.p50(),
-        h.p99(),
-        h.max,
-    )
+fn histogram(h: &HistogramSnapshot) -> Json {
+    Json::object([
+        ("count", h.count.into()),
+        ("sum_us", h.sum.into()),
+        ("mean_us", Json::Fixed(h.mean(), 1)),
+        ("p50_us", h.p50().into()),
+        ("p99_us", h.p99().into()),
+        ("max_us", h.max.into()),
+    ])
 }
 
 /// Renders a registry snapshot as a JSON object:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {name: {count, sum_us,
 /// mean_us, p50_us, p99_us, max_us}}}`.
-pub fn render_json(snapshot: &RegistrySnapshot, indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let inner = " ".repeat(indent + 2);
-    let field = " ".repeat(indent + 4);
-    let mut out = String::new();
-    let _ = writeln!(out, "{pad}{{");
-
-    let _ = writeln!(out, "{inner}\"counters\": {{");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        let comma = if i + 1 == snapshot.counters.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(out, "{field}\"{}\": {value}{comma}", json_escape(name));
-    }
-    let _ = writeln!(out, "{inner}}},");
-
-    let _ = writeln!(out, "{inner}\"gauges\": {{");
-    for (i, (name, value)) in snapshot.gauges.iter().enumerate() {
-        let comma = if i + 1 == snapshot.gauges.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(out, "{field}\"{}\": {value}{comma}", json_escape(name));
-    }
-    let _ = writeln!(out, "{inner}}},");
-
-    let _ = writeln!(out, "{inner}\"histograms\": {{");
-    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
-        let comma = if i + 1 == snapshot.histograms.len() {
-            ""
-        } else {
-            ","
-        };
-        let _ = writeln!(
-            out,
-            "{field}\"{}\": {}{comma}",
-            json_escape(name),
-            histogram_json(h)
-        );
-    }
-    let _ = writeln!(out, "{inner}}}");
-    let _ = write!(out, "{pad}}}");
-    out
+pub fn render_json(snapshot: &RegistrySnapshot) -> String {
+    Json::object([
+        ("counters", named(&snapshot.counters, |&v| v.into())),
+        ("gauges", named(&snapshot.gauges, |&v| v.into())),
+        ("histograms", named(&snapshot.histograms, histogram)),
+    ])
+    .render()
 }
 
 /// Renders a tracer's merged events as a JSON array (newest last).
-pub fn render_trace_json(events: &[TraceEvent], indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let inner = " ".repeat(indent + 2);
-    let mut out = String::new();
-    let _ = writeln!(out, "{pad}[");
-    for (i, event) in events.iter().enumerate() {
-        let comma = if i + 1 == events.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "{inner}{{\"at_us\": {}, \"epoch\": {}, \"kind\": \"{}\", \"dur_us\": {}}}{comma}",
-            event.at_us,
-            event.epoch,
-            json_escape(event.kind),
-            event.dur_us
-        );
-    }
-    let _ = write!(out, "{pad}]");
-    out
+pub fn render_trace_json(events: &[TraceEvent]) -> String {
+    let events = events.iter().map(|event| {
+        Json::object([
+            ("at_us", event.at_us.into()),
+            ("epoch", event.epoch.into()),
+            ("kind", event.kind.into()),
+            ("dur_us", event.dur_us.into()),
+        ])
+    });
+    Json::Array(events.collect()).render()
 }
 
 #[cfg(test)]
@@ -188,7 +140,7 @@ mod tests {
     #[test]
     fn json_is_well_formed() {
         let registry = sample_registry();
-        let json = render_json(&registry.snapshot(), 0);
+        let json = render_json(&registry.snapshot());
         // Structural sanity without a JSON parser: balanced braces, the
         // three sections, no trailing commas before closers.
         assert_eq!(
@@ -210,15 +162,10 @@ mod tests {
         let tracer = SpanTracer::new(8);
         tracer.record("a", 1, 10);
         tracer.record("b", 2, 0);
-        let json = render_trace_json(&tracer.events(), 0);
+        let json = render_trace_json(&tracer.events());
         assert!(json.contains("\"kind\": \"a\""));
         assert!(json.contains("\"epoch\": 2"));
         assert_eq!(json.matches('{').count(), 2);
         assert!(!json.contains(",\n]"));
-    }
-
-    #[test]
-    fn escaping_handles_quotes() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
     }
 }

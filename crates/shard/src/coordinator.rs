@@ -245,7 +245,7 @@ impl EpochCoordinator {
         eprintln!("--- span trace tail (json) ---");
         eprintln!(
             "{}",
-            obladi_obs::report::render_trace_json(&obladi_obs::trace::global().events(), 0)
+            obladi_obs::report::render_trace_json(&obladi_obs::trace::global().events())
         );
         ObladiError::BarrierStalled {
             shard,

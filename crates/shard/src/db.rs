@@ -32,7 +32,6 @@ use obladi_core::{KvDatabase, KvTransaction};
 use obladi_crypto::KeyMaterial;
 use obladi_storage::{build_backend, TrustedCounter, UntrustedStore};
 use obladi_transport::{RemoteStore, SocketSpec, StorageSupervisor};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -50,14 +49,6 @@ pub struct ShardedStats {
     pub aborted: u64,
     /// Committed transactions that spanned two or more shards.
     pub cross_shard_committed: u64,
-}
-
-impl ShardedStats {
-    /// Sum of committed transactions reported by the shards themselves
-    /// (includes per-shard legs, so a 2-shard commit counts twice here).
-    pub fn shard_committed_total(&self) -> u64 {
-        self.shards.iter().map(|s| s.committed).sum()
-    }
 }
 
 /// How long remote-storage connects wait for a daemon to become ready.
@@ -277,7 +268,7 @@ impl ShardedDb {
         Ok(ShardedTxn {
             db: self,
             targets,
-            primary: LegPlan::new(id, self.shards.len()),
+            primary: LegPlan::new(id, None, self.shards.len()),
             oplog: Vec::new(),
             rebuilds: 0,
             finished: false,
@@ -451,14 +442,13 @@ impl KvDatabase for ShardedDb {
 /// class.
 ///
 /// A [`ShardedTxn`] drives one plan at a time.  When the live plan's
-/// epoch-set is contradicted mid-flight — a rendezvous one of its legs
-/// cannot join, a stale target generation, a declined late read, a lost
-/// commit vote — the transaction builds a *twin* plan under a fresh
-/// timestamp against freshly sampled generations and replays its operation
-/// log onto it, promoting the twin only if every replayed read observes
-/// exactly what the client already saw.  The contradicted epoch-set is
-/// *discarded* — rolled back and forgotten — rather than surfaced to the
-/// client as an abort.
+/// epoch-set is contradicted — a rendezvous one of its legs cannot join, a
+/// stale target generation, a declined late read, a conflict, a lost commit
+/// vote — the plan is *discarded* (rolled back and forgotten) and the
+/// transaction builds a *twin* plan under a fresh timestamp against freshly
+/// sampled generations, replaying its operation log onto it.  The twin is
+/// promoted only if every replayed read observes exactly what the client
+/// already saw; a twin of an empty log is simply a restart.
 struct LegPlan<'db> {
     /// The plan's own global MVTSO timestamp.
     id: TxnId,
@@ -466,31 +456,17 @@ struct LegPlan<'db> {
     /// [`select_leg_target`]); `None` until the first leg fixes it.
     class: Option<u8>,
     subs: Vec<Option<ObladiTxn<'db>>>,
-    /// Successful operations across all legs; while zero the plan is
-    /// *virgin* and the transaction may be restarted from scratch.
-    ops: u32,
 }
 
 impl<'db> LegPlan<'db> {
-    fn new(id: TxnId, shards: usize) -> LegPlan<'db> {
+    /// A plan with no legs open yet.  `class` pins the round class up
+    /// front (a twin that knows its shard footprint); `None` leaves it to
+    /// the first leg.
+    fn new(id: TxnId, class: Option<u8>, shards: usize) -> LegPlan<'db> {
         LegPlan {
             id,
-            class: None,
+            class,
             subs: (0..shards).map(|_| None).collect(),
-            ops: 0,
-        }
-    }
-
-    /// A plan whose round class is pinned up front instead of chosen by
-    /// its first operation — used for twin rebuilds, which know the whole
-    /// shard footprint in advance and need the class that composes with
-    /// every shard.
-    fn pinned(id: TxnId, class: u8, shards: usize) -> LegPlan<'db> {
-        LegPlan {
-            id,
-            class: Some(class),
-            subs: (0..shards).map(|_| None).collect(),
-            ops: 0,
         }
     }
 
@@ -548,62 +524,6 @@ enum LoggedOp {
     Write(Key, Value),
 }
 
-/// What a twin replay must do for one logged read.
-#[derive(Debug, PartialEq)]
-enum ReplayRead {
-    /// The key was already fetched — or written — earlier in this same
-    /// replay; the read must observe exactly this value.  No fetch.
-    Cached(Option<Value>),
-    /// First touch of the key: fetch through the twin's leg, validate,
-    /// then [`ReplayCache::note_fetched`] the result.
-    NeedsFetch,
-}
-
-/// Deduplicates repeated touches of one key inside a single twin replay.
-///
-/// A transaction that read the same key `n` times logs `n` reads, but the
-/// twin needs only one physical fetch: within one MVTSO transaction every
-/// re-read observes the first fetch (or the transaction's own latest
-/// write), so replaying the fetch `n` times would spend `n` read-batch
-/// slots to learn a value the replay already holds — and those slots are
-/// scarcest exactly when twins are being rebuilt, since a declined
-/// late-read batch is a common rebuild trigger.  The cache binds each key
-/// to the value the replay has proven for it: fetched values via
-/// [`ReplayCache::note_fetched`], the transaction's own writes via
-/// [`ReplayCache::note_write`] (read-your-writes — a logged read after a
-/// logged write must observe the write, not the base version).
-struct ReplayCache {
-    seen: HashMap<Key, Option<Value>>,
-}
-
-impl ReplayCache {
-    fn new() -> Self {
-        Self {
-            seen: HashMap::new(),
-        }
-    }
-
-    /// How a logged read of `key` replays: served from the cache, or a
-    /// first-touch fetch.
-    fn check_read(&self, key: Key) -> ReplayRead {
-        match self.seen.get(&key) {
-            Some(value) => ReplayRead::Cached(value.clone()),
-            None => ReplayRead::NeedsFetch,
-        }
-    }
-
-    /// Records the value a first-touch fetch returned for `key`.
-    fn note_fetched(&mut self, key: Key, value: Option<Value>) {
-        self.seen.insert(key, value);
-    }
-
-    /// Records a replayed write: later logged reads of `key` must observe
-    /// this value (read-your-writes).
-    fn note_write(&mut self, key: Key, value: Value) {
-        self.seen.insert(key, Some(value));
-    }
-}
-
 /// A transaction spanning one or more shards of a [`ShardedDb`].
 ///
 /// # Timestamps and shard epochs
@@ -615,11 +535,11 @@ impl ReplayCache {
 /// Every shard leg therefore verifies, at open, that its shard is still in
 /// the epoch generation sampled when the transaction was stamped — a purely
 /// local check inside that shard's state lock, so opening a leg never
-/// blocks on the (pipelined) epoch rendezvous.  A transaction that has not
-/// yet completed any operation is transparently re-stamped and retried when
-/// it trips that check (or any other retryable abort); one that has already
-/// observed or written data rebuilds a twin epoch-set instead (below), and
-/// only aborts to the client when the twin cannot reproduce its history.
+/// blocks on the (pipelined) epoch rendezvous.  A transaction that trips
+/// that check (or any other retryable abort) rebuilds itself as a twin
+/// epoch-set (below) — for one with no completed operation that is just a
+/// re-stamp — and only aborts to the client when the twin cannot reproduce
+/// its history.
 ///
 /// # Dual-epoch legs
 ///
@@ -638,9 +558,11 @@ impl ReplayCache {
 /// and replays its operation log onto a *twin* epoch-set — writes verbatim
 /// and reads speculatively, each replayed read checked against the value
 /// the client already observed.  If the whole log replays identically the
-/// twin is promoted and the contradicted epoch-set is discarded; a
-/// divergent read means the observed history is no longer reproducible,
-/// and only then does the abort surface.
+/// twin is promoted; a divergent read means the observed history is no
+/// longer reproducible, and only then does the abort surface.  The replay
+/// leans on MVTSO: a repeated read, or a read after the transaction's own
+/// write, is answered from the epoch's version chain without spending a
+/// read-batch slot, so only a key's first read can cost a fetch.
 pub struct ShardedTxn<'db> {
     db: &'db ShardedDb,
     /// Per-shard target epochs sampled when the live plan's timestamp was
@@ -662,27 +584,13 @@ pub struct ShardedTxn<'db> {
 impl<'db> ShardedTxn<'db> {
     /// The transaction's global MVTSO timestamp.
     ///
-    /// Stable once the transaction has completed its first operation *and*
-    /// kept its live epoch-set: a still-virgin transaction may be
-    /// transparently re-stamped, and a promoted twin plan carries its own
-    /// timestamp — so record-keeping harnesses should sample the id after
-    /// the transaction's outcome is known.
+    /// Stable once the transaction has kept its live epoch-set: every
+    /// retry, a re-stamp of a transaction with no completed operation
+    /// included, moves it to a twin with its own timestamp — so
+    /// record-keeping harnesses should sample the id after the
+    /// transaction's outcome is known.
     pub fn id(&self) -> TxnId {
         self.primary.id
-    }
-
-    /// The shards this transaction has touched so far.
-    pub fn touched_shards(&self) -> Vec<usize> {
-        self.primary
-            .subs
-            .iter()
-            .enumerate()
-            .filter_map(|(index, sub)| sub.as_ref().map(|_| index))
-            .collect()
-    }
-
-    fn primary_leg(&mut self, shard: usize, for_write: bool) -> Result<&mut ObladiTxn<'db>> {
-        self.primary.leg(self.db, &self.targets, shard, for_write)
     }
 
     /// Maximum twin rebuilds per transaction: each rebuild replays the
@@ -690,65 +598,66 @@ impl<'db> ShardedTxn<'db> {
     /// pathologically unlucky transaction can inflict on the read batches.
     const TWIN_REBUILDS: u32 = 3;
 
-    /// Rebuilds the transaction as a *twin* epoch-set and promotes it.
+    /// Discards the live epoch-set and rebuilds the transaction as a
+    /// *twin*, the front door's only retry.
+    ///
+    /// The contradicted primary is rolled back and forgotten *first*: a
+    /// twin sharing a shard epoch with it would otherwise see its
+    /// uncommitted writes (MVTSO hides only aborted versions) and diverge,
+    /// or depend on it and cascade-abort with it.  Every caller aborts the
+    /// transaction when the rebuild fails, so nothing is lost.
     ///
     /// The twin is a distinct transaction as far as MVTSO and the
     /// coordinator are concerned: a fresh timestamp drawn against freshly
     /// sampled shard generations (sampling before drawing preserves the
-    /// [`ShardedDb::stamp`] ordering argument), with its round class
-    /// chosen against the transaction's known shard footprint.  The operation
-    /// log is replayed onto it — writes verbatim, reads speculatively, each
-    /// replayed read compared against the value the client already
-    /// observed.  Promotion happens only on *proven equivalence*: if every
+    /// [`ShardedDb::stamp`] ordering argument).  The operation log is
+    /// replayed onto it — writes verbatim, reads through the twin's legs,
+    /// each compared against the value the client already observed; MVTSO
+    /// answers re-reads and reads of the transaction's own writes without
+    /// a fetch.  Promotion happens only on *proven equivalence*: if every
     /// replayed operation succeeds and every read matches, the twin *is*
-    /// the same transaction at a different serialization point, so it
-    /// replaces the contradicted primary epoch-set.  Any replay failure
-    /// discards the twin and leaves the primary untouched for the caller
-    /// to abort.
+    /// the same transaction at a different serialization point.  A twin of
+    /// an empty log is a plain re-stamp, left uncounted in `shard.twin.*`.
     fn rebuild_twin(&mut self, pending_shard: Option<usize>) -> Result<()> {
+        self.primary.rollback_legs();
+        self.db.coordinator.machine().forget(self.primary.id);
         let (id, targets) = self.db.stamp();
-        // Unlike a first operation, the rebuild knows the transaction's
-        // whole shard footprint, so the round class is picked against the
-        // freshly sampled generations of exactly the shards the replay
-        // will touch — the logged operations plus the shard of the
-        // operation whose failure triggered the rebuild (that one is not
-        // in the log yet, and ignoring it would re-trip the very
-        // contradiction being escaped): if every one of them is sealed,
-        // class 1 gives the twin full-power executing-epoch reads and a
-        // target that stays valid until the rendezvous after next; if any
-        // is unsealed, only class 0 composes, its deciding-epoch reads
-        // riding the late-read batch.
-        let all_sealed = self
-            .oplog
-            .iter()
-            .map(|logged| match logged {
-                LoggedOp::Read(key, _) | LoggedOp::Write(key, _) => self.db.router.route(*key),
-            })
-            .chain(pending_shard)
-            .all(|shard| targets[shard].1.is_some());
-        let class = u8::from(all_sealed);
-        let mut twin = LegPlan::pinned(id, class, self.db.shards.len());
-        obladi_obs::global().counter("shard.twin.rebuilt").inc();
-        let mut replay_error: Option<(&'static str, ObladiError)> = None;
-        // Repeated touches of one key replay against the cache instead of
-        // re-fetching: the first touch fetches (or writes) through a real
-        // leg, every later logged read of that key validates against the
-        // value the replay already proved — one batch slot per distinct
-        // key, not per logged read.
-        let mut cache = ReplayCache::new();
+        // Unlike a first operation, a replay knows the transaction's shard
+        // footprint, so the round class is picked against the freshly
+        // sampled generations of exactly the shards the replay will touch —
+        // the logged operations plus the shard of the operation whose
+        // failure triggered the rebuild (that one is not in the log yet,
+        // and ignoring it would re-trip the very contradiction being
+        // escaped): if every one of them is sealed, class 1 gives the twin
+        // full-power executing-epoch reads and a target that stays valid
+        // until the rendezvous after next; if any is unsealed, only class 0
+        // composes, its deciding-epoch reads riding the late-read batch.
+        // An empty log leaves the class to the first leg, as `begin` does.
+        let replaying = !self.oplog.is_empty();
+        let obs = obladi_obs::global();
+        if replaying {
+            obs.counter("shard.twin.rebuilt").inc();
+        }
+        let class = replaying.then(|| {
+            let all_sealed = self
+                .oplog
+                .iter()
+                .map(|logged| match logged {
+                    LoggedOp::Read(key, _) | LoggedOp::Write(key, _) => self.db.router.route(*key),
+                })
+                .chain(pending_shard)
+                .all(|shard| targets[shard].1.is_some());
+            u8::from(all_sealed)
+        });
+        let mut twin = LegPlan::new(id, class, self.db.shards.len());
         for logged in &self.oplog {
             let result = match logged {
                 LoggedOp::Read(key, observed) => {
-                    let replayed = match cache.check_read(*key) {
-                        ReplayRead::Cached(value) => Ok(value),
-                        ReplayRead::NeedsFetch => {
-                            let shard = self.db.router.route(*key);
-                            twin.leg(self.db, &targets, shard, false)
-                                .and_then(|leg| leg.read(*key))
-                                .inspect(|value| cache.note_fetched(*key, value.clone()))
-                        }
-                    };
-                    match replayed {
+                    let shard = self.db.router.route(*key);
+                    match twin
+                        .leg(self.db, &targets, shard, false)
+                        .and_then(|leg| leg.read(*key))
+                    {
                         Ok(value) if value == *observed => Ok(()),
                         Ok(_) => Err((
                             "read_divergence",
@@ -763,45 +672,22 @@ impl<'db> ShardedTxn<'db> {
                     let shard = self.db.router.route(*key);
                     twin.leg(self.db, &targets, shard, true)
                         .and_then(|leg| leg.write(*key, value.clone()))
-                        .inspect(|_| cache.note_write(*key, value.clone()))
                         .map_err(|err| (err.cause_label(), err))
                 }
             };
-            if let Err(labelled) = result {
-                replay_error = Some(labelled);
-                break;
+            if let Err((cause, err)) = result {
+                twin.rollback_legs();
+                self.db.coordinator.machine().forget(twin.id);
+                obs.counter(&format!("shard.twin.discarded.{cause}")).inc();
+                return Err(err);
             }
-            twin.ops += 1;
         }
-        if let Some((cause, err)) = replay_error {
-            twin.rollback_legs();
-            self.db.coordinator.machine().forget(twin.id);
-            obladi_obs::global()
-                .counter(&format!("shard.twin.discarded.{cause}"))
-                .inc();
-            return Err(err);
+        if replaying {
+            obs.counter("shard.twin.promoted").inc();
         }
-        let mut losing = std::mem::replace(&mut self.primary, twin);
-        losing.rollback_legs();
-        self.db.coordinator.machine().forget(losing.id);
+        self.primary = twin;
         self.targets = targets;
-        obladi_obs::global().counter("shard.twin.promoted").inc();
         Ok(())
-    }
-
-    /// Restarts a still-virgin transaction from scratch: every opened leg
-    /// is rolled back and forgotten, the epoch gets a chance to roll over,
-    /// and the transaction is re-stamped — a fresh timestamp drawn against
-    /// freshly re-sampled shard target generations.  Reusing the
-    /// generations captured at `begin` would trip the same stale-epoch
-    /// check forever.
-    fn restart_fresh(&mut self, shard: usize) {
-        self.primary.rollback_legs();
-        self.db.coordinator.machine().forget(self.primary.id);
-        self.db.shards[shard].wait_epoch_rollover(Duration::from_secs(2));
-        let (id, targets) = self.db.stamp();
-        self.primary = LegPlan::new(id, self.db.shards.len());
-        self.targets = targets;
     }
 
     /// Aborts every open leg and reports the transaction as aborted.
@@ -816,63 +702,40 @@ impl<'db> ShardedTxn<'db> {
             .record_outcome(&TxnOutcome::Aborted(AbortReason::UserRequested), 0);
     }
 
-    /// Runs one operation on the shard leg owning `key`, transparently
-    /// re-opening a *fresh* leg (one with no completed operations) in the
-    /// shard's next epoch when the operation hits a retryable abort.
+    /// Runs one operation on the shard leg owning `key`, rebuilding the
+    /// transaction as a twin epoch-set ([`ShardedTxn::rebuild_twin`]) and
+    /// re-running the operation there when it hits a retryable abort.
     ///
     /// The sharded epoch barrier stretches the tail of every local epoch —
     /// the driver parks at the rendezvous with its read batches exhausted —
     /// so a leg that happens to open in that window gets a `BatchFull` or
-    /// epoch-end abort through no fault of the transaction.  A fresh leg can
-    /// be re-begun safely (no state left behind); a plan that already
-    /// performed operations cannot restart, but the transaction can rebuild
-    /// itself as a twin epoch-set ([`ShardedTxn::rebuild_twin`]) and retry
-    /// the operation there.  Only when the twin cannot reproduce the
-    /// client's observed history does the abort reach the client.
+    /// epoch-end abort through no fault of the transaction; a class-1 leg
+    /// can meet an unsealed shard, a class-0 deciding leg's late read can
+    /// decline.  Only when the twin cannot reproduce the client's observed
+    /// history does the abort reach the client.
     fn run_on_leg<T>(
         &mut self,
         key: Key,
         for_write: bool,
         op: impl Fn(&mut ObladiTxn<'db>, Key) -> Result<T>,
     ) -> Result<T> {
-        const FRESH_LEG_RETRIES: usize = 3;
         if self.finished {
             return Err(ObladiError::TxnAborted(
                 "transaction already finished".into(),
             ));
         }
         let shard = self.db.router.route(key);
-        let mut attempt = 0;
-        let result = loop {
+        let obs = obladi_obs::global();
+        let err = loop {
             let result = self
-                .primary_leg(shard, for_write)
+                .primary
+                .leg(self.db, &self.targets, shard, for_write)
                 .and_then(|leg| op(leg, key));
             match result {
-                Ok(value) => {
-                    self.primary.ops += 1;
-                    break Ok(value);
-                }
-                Err(err)
-                    if err.is_retryable()
-                        && self.primary.ops == 0
-                        && attempt < FRESH_LEG_RETRIES =>
-                {
-                    attempt += 1;
-                    obladi_obs::global()
-                        .counter(&format!("shard.{shard}.retry.{}", err.cause_label()))
-                        .inc();
-                    self.restart_fresh(shard);
-                }
+                Ok(value) => return Ok(value),
                 Err(err) if err.is_retryable() && self.rebuilds < Self::TWIN_REBUILDS => {
-                    // The live epoch-set lost its rendezvous bet: a class-1
-                    // leg met an unsealed shard, a class-0 deciding leg's
-                    // late read declined or its epoch went stale.  Rebuild
-                    // the transaction as a twin epoch-set and re-run the
-                    // failed operation there; the rebuild succeeds only if
-                    // the twin reproduced every value the client observed.
                     self.rebuilds += 1;
-                    obladi_obs::global()
-                        .counter(&format!("shard.{shard}.retry.{}", err.cause_label()))
+                    obs.counter(&format!("shard.{shard}.retry.{}", err.cause_label()))
                         .inc();
                     // After `BatchFull` the shard's epoch has no spare
                     // read-batch budget left; a twin stamped into the same
@@ -882,26 +745,18 @@ impl<'db> ShardedTxn<'db> {
                     // capacity.
                     self.db.shards[shard].before_retry(&err);
                     if self.rebuild_twin(Some(shard)).is_err() {
-                        obladi_obs::global()
-                            .counter(&format!("shard.{shard}.abort.{}", err.cause_label()))
-                            .inc();
-                        break Err(err);
+                        break err;
                     }
                 }
-                Err(err) => {
-                    obladi_obs::global()
-                        .counter(&format!("shard.{shard}.abort.{}", err.cause_label()))
-                        .inc();
-                    break Err(err);
-                }
+                Err(err) => break err,
             }
         };
-        if result.is_err() {
-            // The failing leg has aborted inside the shard; a partial
-            // transaction must not survive on the others.
-            self.abort_all();
-        }
-        result
+        obs.counter(&format!("shard.{shard}.abort.{}", err.cause_label()))
+            .inc();
+        // The failing leg has aborted inside the shard; a partial
+        // transaction must not survive on the others.
+        self.abort_all();
+        Err(err)
     }
 
     /// Reads `key` from the shard that owns it, recording the observation
@@ -1003,11 +858,6 @@ impl<'db> ShardedTxn<'db> {
         }
     }
 
-    /// Consumes the transaction, committing it and mapping aborts to errors.
-    pub fn commit_or_err(self) -> Result<()> {
-        obladi_core::api::outcome_to_result(self.commit()?)
-    }
-
     /// Aborts the transaction on every shard it touched.
     pub fn rollback(mut self) {
         self.abort_all();
@@ -1072,7 +922,12 @@ fn commit_plan<'db>(db: &'db ShardedDb, plan: &mut LegPlan<'db>) -> Result<TxnOu
                     obladi_obs::global()
                         .counter(&format!("shard.{index}.abort.{}", err.cause_label()))
                         .inc();
-                    request_error = Some(err.clone_for_report(index));
+                    request_error = Some(match err {
+                        ObladiError::TxnAborted(reason) => {
+                            ObladiError::TxnAborted(format!("shard {index}: {reason}"))
+                        }
+                        other => other,
+                    });
                 }
             }
         }
@@ -1129,65 +984,58 @@ pub fn select_leg_target(
     }
 }
 
-/// Attaches the shard index to an error message for diagnosis.
-trait CloneForReport {
-    fn clone_for_report(&self, shard: usize) -> ObladiError;
-}
-
-impl CloneForReport for ObladiError {
-    fn clone_for_report(&self, shard: usize) -> ObladiError {
-        match self {
-            ObladiError::TxnAborted(reason) => {
-                ObladiError::TxnAborted(format!("shard {shard}: {reason}"))
-            }
-            other => other.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn twin_replay_fetches_each_key_once() {
-        // Replay script: the client read key 1 twice, wrote it, re-read it
-        // (observing its own write), and read key 2 — five logged ops, but
-        // only the two first touches may cost a fetch.
-        let value = |byte: u8| Value::from(vec![byte]);
-        let log = [
-            LoggedOp::Read(1, Some(value(10))),
-            LoggedOp::Read(1, Some(value(10))),
-            LoggedOp::Write(1, value(20)),
-            LoggedOp::Read(1, Some(value(20))),
-            LoggedOp::Read(2, None),
-        ];
-        let mut cache = ReplayCache::new();
-        let mut fetches = 0;
-        for logged in &log {
-            match logged {
-                LoggedOp::Read(key, observed) => {
-                    let replayed = match cache.check_read(*key) {
-                        ReplayRead::Cached(value) => value,
-                        ReplayRead::NeedsFetch => {
-                            fetches += 1;
-                            // Deterministic stand-in for the leg fetch: the
-                            // value the client originally observed.
-                            cache.note_fetched(*key, observed.clone());
-                            observed.clone()
-                        }
-                    };
-                    assert_eq!(&replayed, observed, "replay must revalidate");
-                }
-                LoggedOp::Write(key, value) => cache.note_write(*key, value.clone()),
-            }
-        }
-        assert_eq!(fetches, 2, "one fetch per distinct key, not per read");
-        // Read-your-writes: after the write, the cache serves the written
-        // value, not the fetched one.
-        assert_eq!(cache.check_read(1), ReplayRead::Cached(Some(value(20))));
-        assert_eq!(cache.check_read(2), ReplayRead::Cached(None));
-        assert_eq!(cache.check_read(3), ReplayRead::NeedsFetch);
+    fn twin_replays_in_its_primarys_epoch_without_seeing_it() {
+        // One-key batches fire on backlog and the interval is an hour, so
+        // neither shard rolls over mid-test: the twin replays in the very
+        // epoch its primary read and wrote in.
+        let mut config = ShardConfig::small_for_tests(2, 256);
+        config.shard.epoch = config
+            .shard
+            .epoch
+            .with_read_batches(8)
+            .with_read_batch_size(1)
+            .with_batch_interval(Duration::from_secs(3600));
+        let db = ShardedDb::open(config).unwrap();
+        let on_shard = |shard| (0..).find(|&key| db.router().route(key) == shard).unwrap();
+        let (a, b) = (on_shard(0), on_shard(1));
+        let real_reads = || db.shard(0).stats().real_reads;
+        let reads_before = real_reads();
+
+        let mut txn = db.begin().unwrap();
+        assert_eq!(txn.read(a).unwrap(), None);
+        assert_eq!(txn.read(a).unwrap(), None);
+        txn.write(a, vec![1]).unwrap();
+        assert_eq!(txn.read(a).unwrap(), Some(vec![1]));
+        let primary_id = txn.primary.id;
+        // Trip a stale generation on shard 1 (see the test below): the
+        // twin must replay past the primary's uncommitted write of `a`,
+        // which only a primary discarded *before* the replay hides.
+        txn.targets[1] = (u64::MAX, None);
+        assert_eq!(
+            txn.read(b).unwrap(),
+            None,
+            "the promoted twin serves the read"
+        );
+        assert!(
+            txn.primary.id > primary_id,
+            "the twin carries its own timestamp"
+        );
+        assert_eq!(
+            txn.read(a).unwrap(),
+            Some(vec![1]),
+            "the twin reads its own write back"
+        );
+        assert!(
+            real_reads() - reads_before <= 1,
+            "MVTSO answers the replayed re-reads without another fetch"
+        );
+        txn.rollback();
+        db.shutdown();
     }
 
     #[test]

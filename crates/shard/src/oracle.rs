@@ -30,11 +30,6 @@ impl TimestampOracle {
     pub fn next_ts(&self) -> u64 {
         self.next.fetch_add(1, Ordering::SeqCst) + 1
     }
-
-    /// The most recently issued timestamp (diagnostics).
-    pub fn last_issued(&self) -> u64 {
-        self.next.load(Ordering::SeqCst)
-    }
 }
 
 impl Default for TimestampOracle {

@@ -63,6 +63,6 @@ pub fn dump_obs_report(context: &str) {
     eprintln!("--- span trace (json): {context} ---");
     eprintln!(
         "{}",
-        obladi_obs::report::render_trace_json(&obladi_obs::trace::global().events(), 0)
+        obladi_obs::report::render_trace_json(&obladi_obs::trace::global().events())
     );
 }

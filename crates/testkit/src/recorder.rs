@@ -53,14 +53,6 @@ impl TxnTrace {
         value
     }
 
-    /// Records a write of an arbitrary (caller-chosen) value.
-    ///
-    /// The caller is responsible for value uniqueness across the history;
-    /// prefer [`TxnTrace::next_write`] unless the test needs specific bytes.
-    pub fn record_write(&mut self, key: Key, value: Value) {
-        self.record.write(key, value);
-    }
-
     /// Number of operations recorded so far.
     pub fn len(&self) -> usize {
         self.record.ops.len()

@@ -28,7 +28,7 @@ use obladi_storage::{
     StoreRequest, StoreResponse, UntrustedStore, WireError, WireHistogram, WireMetrics,
 };
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,7 +45,6 @@ pub struct ServerHandle {
     spec: SocketSpec,
     stop: Arc<AtomicBool>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    connections: Arc<AtomicU64>,
 }
 
 impl ServerHandle {
@@ -59,11 +58,6 @@ impl ServerHandle {
     /// client `Shutdown` request).
     pub fn stop_requested(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Total connections accepted so far.
-    pub fn connections_accepted(&self) -> u64 {
-        self.connections.load(Ordering::SeqCst)
     }
 
     /// Blocks until the server stops (a daemon main's parking spot).
@@ -96,10 +90,8 @@ pub fn serve(spec: &SocketSpec, store: Arc<dyn UntrustedStore>) -> Result<Server
         .set_nonblocking(true)
         .map_err(|err| ObladiError::Storage(format!("set_nonblocking: {err}")))?;
     let stop = Arc::new(AtomicBool::new(false));
-    let connections = Arc::new(AtomicU64::new(0));
 
     let accept_stop = stop.clone();
-    let accept_connections = connections.clone();
     let accept_thread = std::thread::Builder::new()
         .name("obladi-stored-accept".into())
         .spawn(move || {
@@ -107,7 +99,6 @@ pub fn serve(spec: &SocketSpec, store: Arc<dyn UntrustedStore>) -> Result<Server
             while !accept_stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok(stream) => {
-                        accept_connections.fetch_add(1, Ordering::SeqCst);
                         let store = store.clone();
                         let stop = accept_stop.clone();
                         match std::thread::Builder::new()
@@ -144,7 +135,6 @@ pub fn serve(spec: &SocketSpec, store: Arc<dyn UntrustedStore>) -> Result<Server
         spec: bound,
         stop,
         accept_thread: Some(accept_thread),
-        connections,
     })
 }
 

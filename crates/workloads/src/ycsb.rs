@@ -42,28 +42,6 @@ impl YcsbConfig {
             value_size: 32,
         }
     }
-
-    /// Read-heavy configuration (YCSB-B: 95% reads).
-    pub fn read_heavy(num_keys: u64) -> Self {
-        YcsbConfig {
-            num_keys,
-            read_proportion: 0.95,
-            ops_per_txn: 4,
-            zipf_theta: 0.99,
-            value_size: 64,
-        }
-    }
-
-    /// Update-heavy configuration (YCSB-A: 50% reads).
-    pub fn update_heavy(num_keys: u64) -> Self {
-        YcsbConfig {
-            num_keys,
-            read_proportion: 0.5,
-            ops_per_txn: 4,
-            zipf_theta: 0.99,
-            value_size: 64,
-        }
-    }
 }
 
 /// The YCSB workload generator.
