@@ -27,8 +27,9 @@ pub(crate) const READ_BATCHES_IN_FLIGHT: usize = 2;
 /// Buffered or committed writes, in key order.
 pub(crate) type WriteSet = Vec<(Key, Value)>;
 
-/// Where an epoch is in its life.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// Where an epoch is in its life, in lifecycle order: everything before
+/// `Decided` is still open.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Phase {
     /// Read batches run; transactions begin, read and write freely.
     #[default]
@@ -38,8 +39,12 @@ enum Phase {
     /// epoch has not fetched, and fetch through the next epoch's batches.
     Sealed,
     /// The decision has been applied: every transaction is settled and
-    /// nothing can join; write-back and checkpoint are in flight.
+    /// nothing can join; the write batch and flush are in flight.
     Decided,
+    /// The write batch and flush landed: the ORAM holds the decided state,
+    /// so the carry set is resolved and the reserved batches run; the
+    /// checkpoint is in flight and the slot stays occupied until publish.
+    WrittenBack,
 }
 
 /// Deduplicated keys an epoch wants fetched from the ORAM.
@@ -116,7 +121,7 @@ impl Epoch {
             Phase::Sealed => {
                 config.pipeline_depth >= 2 && self.fetch.admitted < config.reads_per_epoch()
             }
-            Phase::Decided => false,
+            Phase::Decided | Phase::WrittenBack => false,
         }
     }
 
@@ -190,7 +195,7 @@ pub(crate) struct Pipeline {
     /// Keys the sealed epoch wrote (committed or not).  The ORAM still
     /// holds their pre-decision values, and serving either value early
     /// would leak an undecided epoch's fate, so the executing epoch's reads
-    /// of them park until [`Pipeline::publish`].
+    /// of them park until [`Pipeline::written_back`].
     carry: HashSet<Key>,
     outcomes: HashMap<TxnId, TxnOutcome>,
     /// Counts completed recoveries.  The epoch threads run concurrently, so
@@ -270,7 +275,7 @@ impl Pipeline {
         let generation = generation.unwrap_or(self.exec.generation);
         let epoch = self
             .route(generation)
-            .filter(|epoch| epoch.phase != Phase::Decided)
+            .filter(|epoch| epoch.phase < Phase::Decided)
             .ok_or_else(epoch_ended)?;
         epoch.mvtso.begin(txn);
         epoch.active.insert(txn);
@@ -311,7 +316,7 @@ impl Pipeline {
                 ));
                 return match epoch.phase {
                     Phase::Executing => Err(err),
-                    Phase::Sealed | Phase::Decided => Ok(ReadStep::Declined(err)),
+                    _ => Ok(ReadStep::Declined(err)),
                 };
             }
             epoch.fetch.pending.push(key);
@@ -362,7 +367,7 @@ impl Pipeline {
             // coordinator samples candidates at decision time); a failure
             // means the decision closed over the transaction, whose abort
             // is acknowledged like any other.
-            Phase::Sealed | Phase::Decided => Ok(()),
+            _ => Ok(()),
         }
     }
 
@@ -404,10 +409,16 @@ impl Pipeline {
     }
 
     /// Whether a reserved batch (see [`is_reserved_batch`]) must wait: the
-    /// slot is occupied and the sealed epoch has no fetch queued — serving
-    /// those is what the reservation is for.
+    /// sealed epoch is not yet written back and has no fetch queued —
+    /// serving those is what the reservation is for.  The hold ends at
+    /// [`Pipeline::written_back`], not at publish: nothing a batch reads
+    /// depends on the checkpoint.
     pub(crate) fn hold_reserved_batch(&self) -> bool {
-        self.slot_occupied() && !self.sealed_fetch_queued()
+        let writing_back = self
+            .sealed
+            .as_ref()
+            .is_some_and(|s| s.phase < Phase::WrittenBack);
+        self.mode == Mode::Running && writing_back && !self.sealed_fetch_queued()
     }
 
     /// Whether the executor must wait for the sealed epoch to publish.
@@ -494,7 +505,7 @@ impl Pipeline {
             for (key, value) in keys.iter().zip(values.by_ref()) {
                 epoch.fetch.held.remove(key);
                 // A decision that closed meanwhile settled every reader.
-                if epoch.phase != Phase::Decided {
+                if epoch.phase < Phase::Decided {
                     epoch.mvtso.register_base(*key, value);
                     sealed_served += u64::from(epoch.phase == Phase::Sealed);
                 }
@@ -645,20 +656,35 @@ impl Pipeline {
         commits
     }
 
-    /// The epoch's write-back and checkpoint finished (`io_ok`) or failed:
-    /// acknowledges everything still waiting, frees the slot and resolves
-    /// the carry set — committed `writes` become the executing epoch's
-    /// base versions, the rest is released for fetching.  On failure the
-    /// carry set stays pinned: releasing it would let a parked reader fetch
-    /// a half-applied epoch from the torn ORAM before the fate-sharing
-    /// crash lands.  Returns the commits acknowledged, `None` if the epoch
-    /// is gone.
-    pub(crate) fn publish(
-        &mut self,
-        generation: u64,
-        io_ok: bool,
-        writes: &[(Key, Value)],
-    ) -> Option<u64> {
+    /// The decided epoch's write batch and flush landed: the ORAM now holds
+    /// its committed state, so the carry set resolves — committed `writes`
+    /// become the executing epoch's base versions, the rest is released for
+    /// fetching — and the reserved batches may run.  The slot stays
+    /// occupied until [`Pipeline::publish`], so the next epoch cannot seal
+    /// (let alone be acknowledged) before this one is durable: if the
+    /// checkpoint fails, the crash it fate-shares into aborts every reader
+    /// of these values.  A failed write-back never gets here, and its carry
+    /// set stays pinned until the crash, so nobody fetches from the torn
+    /// ORAM.  Returns whether the epoch was still decided and waiting for
+    /// this rung.
+    pub(crate) fn written_back(&mut self, generation: u64, writes: &[(Key, Value)]) -> bool {
+        let decided = |s: &&mut Epoch| s.phase == Phase::Decided;
+        let Some(sealed) = self.sealed_mut(generation).filter(decided) else {
+            return false;
+        };
+        sealed.phase = Phase::WrittenBack;
+        for (key, value) in writes {
+            self.exec.mvtso.register_base(*key, Some(value.clone()));
+        }
+        self.carry.clear();
+        true
+    }
+
+    /// The epoch's checkpoint finished (`io_ok`), or its write-back or
+    /// checkpoint failed: acknowledges everything still waiting (as crash
+    /// aborts on failure) and frees the slot.  Returns the commits
+    /// acknowledged, `None` if the epoch is gone.
+    pub(crate) fn publish(&mut self, generation: u64, io_ok: bool) -> Option<u64> {
         let waiting: Vec<TxnId> = self
             .sealed_mut(generation)?
             .active
@@ -667,12 +693,6 @@ impl Pipeline {
             .collect();
         let commits = self.ack(generation, &waiting, io_ok);
         self.sealed = None;
-        if io_ok {
-            for (key, value) in writes {
-                self.exec.mvtso.register_base(*key, Some(value.clone()));
-            }
-            self.carry.clear();
-        }
         Some(commits)
     }
 
@@ -802,9 +822,11 @@ mod tests {
         assert_eq!(p.take_outcome(1, g), None, "a writer waits for the record");
         assert_eq!(p.ack(g, &decision.held, true), 1);
         assert_eq!(p.take_outcome(1, g), Some(Committed));
-        assert_eq!(p.publish(g, true, &decision.writes), Some(0));
+        assert!(p.written_back(g, &decision.writes));
+        assert_eq!(p.publish(g, true), Some(0));
         assert_eq!(p.to_decide(), None);
-        assert_eq!(p.publish(g, true, &decision.writes), None);
+        assert_eq!(p.publish(g, true), None);
+        assert!(!p.written_back(g, &decision.writes));
 
         // The next epoch sees the committed value without a fetch.
         let next = p.begin(2, None).unwrap();
@@ -901,28 +923,45 @@ mod tests {
         assert_eq!(p.read(2, g + 1, 7), PARK);
         assert_eq!(p.plan_batch().legs[0].1.len(), 0);
         let decision = p.decide(g, None, true).unwrap();
-        assert_eq!(p.read(2, g + 1, 7), PARK, "pinned until publish");
+        assert_eq!(p.read(2, g + 1, 7), PARK, "pinned until written back");
         (p, g, decision)
     }
 
     #[test]
-    fn publish_turns_committed_carry_keys_into_base_versions() {
+    fn the_write_back_rung_turns_committed_carry_keys_into_base_versions() {
         let (mut p, g, decision) = decided_with_a_parked_reader();
         assert_eq!(p.ack(g, &decision.held, true), 1);
-        assert_eq!(p.publish(g, true, &decision.writes), Some(0));
+        assert!(p.written_back(g, &decision.writes));
+        assert_eq!(p.read(2, g + 1, 7), value(70));
+        assert_eq!(p.publish(g, true), Some(0));
         assert_eq!(p.read(2, g + 1, 7), value(70));
     }
 
     #[test]
     fn a_failed_write_back_leaves_carry_keys_pinned_until_the_crash() {
-        let (mut p, g, decision) = decided_with_a_parked_reader();
-        // The decision append failed too: nothing was acknowledged early.
-        assert_eq!(p.publish(g, false, &decision.writes), Some(0));
+        let (mut p, g, _) = decided_with_a_parked_reader();
+        // The flush failed, so the write-back rung was never reached; the
+        // decision append failed too: nothing was acknowledged early.
+        assert_eq!(p.publish(g, false), Some(0));
         assert_eq!(p.take_outcome(1, g), Some(Aborted(AbortReason::Crash)));
         assert_eq!(p.read(2, g + 1, 7), PARK);
         assert_eq!(p.plan_batch().legs[0].1.len(), 0);
         assert!(p.crash(Some(0)));
         assert_eq!(p.read(2, g + 1, 7), Err(ObladiError::ProxyUnavailable));
+    }
+
+    #[test]
+    fn a_failed_checkpoint_aborts_the_readers_of_the_written_back_values() {
+        let (mut p, g, decision) = decided_with_a_parked_reader();
+        assert!(p.written_back(g, &decision.writes));
+        assert_eq!(p.read(2, g + 1, 7), value(70));
+        p.request_commit(2, g + 1).unwrap();
+        // The checkpoint failed: the next epoch could not seal meanwhile,
+        // so the crash finds its reader still waiting.
+        assert!(!p.seal());
+        assert_eq!(p.publish(g, false), Some(0));
+        assert!(p.crash(Some(0)));
+        assert_eq!(p.take_outcome(2, g + 1), Some(Aborted(AbortReason::Crash)));
     }
 
     #[test]
@@ -991,26 +1030,29 @@ mod tests {
         assert_eq!(p.ack(g, &decision.held, true), 0, "acknowledged once");
         assert_eq!(p.take_outcome(2, g), Some(Committed));
         assert_eq!(p.take_outcome(3, g), Some(Committed));
-        assert_eq!(p.publish(g, true, &decision.writes), Some(0));
+        assert!(p.written_back(g, &decision.writes));
+        assert_eq!(p.publish(g, true), Some(0));
     }
 
     #[test]
     fn without_a_decision_record_everything_waits_for_publish() {
-        // Durability disabled: no early acknowledgement at all.
+        // Durability disabled: no early acknowledgement at all, not even
+        // once the write-back landed.
         let (mut p, g) = one_of_each();
         let decision = p.decide(g, None, false).unwrap();
         assert_eq!((decision.acked, decision.parked), (0, 4));
         assert!(decision.held.is_empty());
+        assert!(p.written_back(g, &decision.writes));
         assert!((1..=4).all(|txn| p.take_outcome(txn, g).is_none()));
-        assert_eq!(p.publish(g, true, &decision.writes), Some(3));
+        assert_eq!(p.publish(g, true), Some(3));
         assert_eq!(p.take_outcome(3, g), Some(Committed));
         assert_eq!(p.take_outcome(4, g), Some(Aborted(AbortReason::EpochEnd)));
 
         // The decision append failed: the held commits fall back to publish
         // and fate-share the write-back; the early ack stays truthful.
         let (mut p, g) = one_of_each();
-        let decision = p.decide(g, None, true).unwrap();
-        assert_eq!(p.publish(g, false, &decision.writes), Some(0));
+        p.decide(g, None, true).unwrap();
+        assert_eq!(p.publish(g, false), Some(0));
         assert_eq!(p.take_outcome(1, g), Some(Committed));
         assert_eq!(p.take_outcome(2, g), Some(Aborted(AbortReason::Crash)));
         assert_eq!(p.take_outcome(3, g), Some(Aborted(AbortReason::Crash)));
@@ -1098,7 +1140,8 @@ mod tests {
         assert!(p.seal());
         assert_eq!(p.take_outcome(77, g), None);
         let decision = p.decide(g, None, true).unwrap();
-        assert_eq!(p.publish(g, true, &decision.writes), Some(0));
+        assert!(p.written_back(g, &decision.writes));
+        assert_eq!(p.publish(g, true), Some(0));
         assert_eq!(p.take_outcome(77, g), None);
         assert!(p.seal());
         assert_eq!(p.take_outcome(77, g), Some(Aborted(AbortReason::EpochEnd)));
@@ -1122,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn the_executor_holds_reserved_batches_while_the_slot_is_occupied() {
+    fn the_executor_holds_reserved_batches_until_the_write_back_lands() {
         let reserved = |r| (0..r).map(|i| is_reserved_batch(r, i)).collect::<Vec<_>>();
         assert_eq!(reserved(1), [true]);
         assert_eq!(reserved(3), [false, true, true]);
@@ -1130,9 +1173,14 @@ mod tests {
 
         let mut p = pipeline();
         let g = p.begin(1, None).unwrap();
+        p.write(1, g, 7, val(70)).unwrap();
+        p.request_commit(1, g).unwrap();
         assert!(!p.slot_occupied() && !p.hold_reserved_batch());
         assert!(p.seal());
         assert!(p.slot_occupied() && p.hold_reserved_batch());
+        // The next epoch's reader of the carry key parks.
+        let next = p.begin(2, None).unwrap();
+        assert_eq!(p.read(2, next, 7), PARK);
 
         // A queued sealed-epoch fetch releases the hold until it is planned.
         assert_eq!(p.read(1, g, 5), PARK);
@@ -1141,17 +1189,33 @@ mod tests {
         assert!(p.hold_reserved_batch() && !p.backlog());
         p.ingest(&plan, vec![None]);
 
-        // The hold lasts until the slot frees, not merely until the decision.
+        // The hold outlasts the decision ...
         let decision = p.decide(g, None, true).unwrap();
         assert!(p.slot_occupied() && p.hold_reserved_batch());
-        p.publish(g, true, &decision.writes);
+        assert_eq!(p.read(2, next, 7), PARK);
+
+        // ... and ends at the write-back rung, while the slot stays
+        // occupied until publish: the next epoch cannot seal yet.
+        assert!(p.written_back(g, &decision.writes));
+        assert!(p.slot_occupied() && !p.hold_reserved_batch());
+        assert!(!p.seal());
+        assert_eq!(
+            p.read(2, next, 7),
+            value(70),
+            "the committed value is its base"
+        );
+
+        // Publish frees the slot and registers nothing a second time.
+        assert!(!p.written_back(g, &decision.writes));
+        assert_eq!(p.ack(g, &decision.held, true), 1);
+        assert_eq!(p.publish(g, true), Some(0));
         assert!(!p.slot_occupied() && !p.hold_reserved_batch());
+        assert_eq!(p.read(2, next, 7), value(70));
 
         // A full batch of queued keys is a backlog too.
-        let g = p.begin(2, None).unwrap();
         for key in 10..18 {
             assert!(!p.backlog());
-            assert_eq!(p.read(2, g, key), PARK);
+            assert_eq!(p.read(2, next, key), PARK);
         }
         assert!(p.backlog());
 

@@ -7,19 +7,22 @@
 //! lock, apply one transition and park or return, and three kinds of thread
 //! that perform the I/O the transitions describe:
 //!
-//! * the **executor** ships exactly `R` padded read batches per epoch on
-//!   the `Δ` rhythm, then seals the epoch into the pipeline slot and starts
-//!   the next one (at depth 1 only once the slot has drained);
+//! * the **executor** ships exactly `R` padded read batches per epoch, one
+//!   `Δ` after another, then seals the epoch into the pipeline slot and
+//!   starts the next one (at depth 1 only once the slot has drained);
 //! * **read-batch runners** execute the dispatched batches on the ORAM
 //!   read plane, overlapping their physical fetches;
 //! * the **decider** takes the sealed epoch through gate verdict, decision
-//!   record, padded write batch, flush and checkpoint on the ORAM
-//!   write-back engine, acknowledging outcomes rung by rung.
+//!   record, padded write batch and flush (the written-back rung), then
+//!   checkpoint (publish) on the ORAM write-back engine, acknowledging
+//!   outcomes rung by rung.
 //!
 //! Locks: no I/O and no gate call runs under the state lock, and nothing
-//! acquires it while holding the reader or engine lock (a crash or a
+//! acquires it while holding the reader or engine lock.  A crash or a
 //! recovery takes those two under it, to swap the ORAM client atomically
-//! with the pipeline state).
+//! with the pipeline state; the decider takes the engine under it too,
+//! right after a transition that proves its epoch still sealed in this
+//! life ([`engine_after`]).
 
 use crate::api::{KvDatabase, KvTransaction};
 use crate::concurrency::CommitCandidate;
@@ -130,7 +133,9 @@ pub trait EpochGate: Send + Sync {
     }
 
     /// Called once epoch `N`'s write-back (including the checkpoint) has
-    /// completed successfully, before its outcomes publish.
+    /// completed successfully, before its outcomes publish.  The reserved
+    /// batches of epoch `N+1` may already have run: they wait only for the
+    /// flush, not for the checkpoint.
     fn write_back_finished(&self, epoch: EpochId) {
         let _ = epoch;
     }
@@ -193,7 +198,8 @@ struct ProxyInner {
     /// if a crash empties the slot meanwhile.
     reader: Mutex<Option<OramReader>>,
     /// The ORAM client's write-back engine, driven only by the decider (and
-    /// by recovery).
+    /// by recovery).  The decider holds the lock for its store I/O, which
+    /// recovery waits out before it reads the store.
     engine: Mutex<Option<WritebackEngine>>,
     state: Mutex<Pipeline>,
     /// Wakes client threads waiting for read results or commit outcomes.
@@ -505,6 +511,10 @@ impl ObladiDb {
         if !self.is_crashed() {
             return Err(ObladiError::Recovery("proxy has not crashed".into()));
         }
+        // A write-back or checkpoint the crash overtook finishes its store
+        // I/O first: recovery reads the store after it, never beside it.
+        // (The decider cannot take the engine again: its epoch is gone.)
+        drop(inner.engine.lock());
         let ((reader, engine), next_epoch, report, resolved) = inner.durability.recover_resolving(
             inner.config.oram,
             &inner.keys,
@@ -727,6 +737,10 @@ impl Drop for ObladiTxn<'_> {
 
 fn epoch_executor(inner: Arc<ProxyInner>) {
     let read_batches = inner.config.epoch.read_batches;
+    let interval = inner.config.epoch.batch_interval;
+    // Δ runs from one dispatch to the next, across epochs: a batch held
+    // back past its turn goes out as soon as the hold lifts.
+    let mut due = Instant::now() + interval;
     loop {
         {
             let mut state = inner.state.lock();
@@ -737,16 +751,17 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
                 return;
             }
         }
-        // Exactly R padded batches, shipped every Δ; the reserved half only
-        // once the slot frees or the sealed epoch asks for a fetch.
+        // Exactly R padded batches, Δ apart; the reserved half only once the
+        // sealed epoch is written back or asks for a fetch.
         for batch_index in 0..read_batches {
             if is_reserved_batch(read_batches, batch_index) {
                 let hold = Pipeline::hold_reserved_batch;
                 drop(inner.wait_while("proxy.phase.reserved_hold_us", hold));
             }
-            if !dispatch_read_batch(&inner) {
+            if !dispatch_read_batch(&inner, due) {
                 break;
             }
+            due = Instant::now() + interval;
         }
         {
             // Every batch lands before the seal; a failed one finishes its
@@ -774,15 +789,17 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
     }
 }
 
-/// Waits out the batch interval — unless a backlog makes the batch worth
-/// firing early — then hands the batch to the runner pool as soon as the
-/// in-flight cap allows.  Returns `false` once the proxy stopped running.
-fn dispatch_read_batch(inner: &ProxyInner) -> bool {
+/// Waits until `due`, Δ after the previous dispatch — unless a backlog
+/// makes the batch worth firing early — then hands the batch to the runner
+/// pool as soon as the in-flight cap allows.  Returns `false` once the
+/// proxy stopped running.
+fn dispatch_read_batch(inner: &ProxyInner, due: Instant) -> bool {
     let mut state = inner.state.lock();
-    if !state.backlog() {
-        inner
-            .driver_wakeup
-            .wait_for(&mut state, inner.config.epoch.batch_interval);
+    while !state.backlog() && state.mode() == Mode::Running {
+        let Some(left) = due.checked_duration_since(Instant::now()) else {
+            break;
+        };
+        inner.driver_wakeup.wait_for(&mut state, left);
     }
     while state.mode() == Mode::Running {
         if state.dispatch_batch() {
@@ -926,10 +943,15 @@ fn crash_proxy(inner: &ProxyInner, observed_life: Option<u64>) {
     obladi_obs::trace::global().record("proxy.crash", epoch, 0);
     // The client is wiped under the state lock, like recovery installs it:
     // otherwise a recovery interleaving here could install a fresh client
-    // only for this wipe to destroy it.  (This can wait for an in-flight
-    // batch or write-back holding the lock; those finish on their own.)
+    // only for this wipe to destroy it.  An engine the decider holds for
+    // its write-back or checkpoint is not waited for — every client would
+    // stall on the state lock behind store I/O — but it is dead all the
+    // same: the decider re-takes it only after a transition that finds its
+    // epoch still sealed (`engine_after`), and recovery replaces it.
     *inner.reader.lock() = None;
-    *inner.engine.lock() = None;
+    if let Some(mut engine) = inner.engine.try_lock() {
+        *engine = None;
+    }
     drop(state);
     inner.client_wakeup.notify_all();
     inner.driver_wakeup.notify_all();
@@ -982,6 +1004,22 @@ fn gate_verdict(
             HashSet::new()
         }
     }
+}
+
+/// Applies a decider `rung` to the pipeline and, if it found the sealed
+/// epoch still there, locks the write-back engine — both under the state
+/// lock, in the order a crash and a recovery take the two locks.  An
+/// `Err(ProxyUnavailable)` means a crash (and perhaps a recovery) overtook
+/// the decider: the engine in the slot, if any, is not this epoch's.
+fn engine_after(
+    inner: &ProxyInner,
+    rung: impl FnOnce(&mut Pipeline) -> bool,
+) -> Result<MutexGuard<'_, Option<WritebackEngine>>> {
+    let mut state = inner.state.lock();
+    if !rung(&mut state) {
+        return Err(ObladiError::ProxyUnavailable);
+    }
+    Ok(inner.engine.lock())
 }
 
 /// Counts commits acknowledged at one rung of the ack ladder.
@@ -1048,22 +1086,38 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
             .record_duration(decide_started.elapsed());
     }
 
-    // Write-back: the padded write batch, the bucket flush, then the
+    // Write-back: the padded write batch and the bucket flush, then the
     // checkpoint (§8 ordering), all on the engine half of the split client
     // while the read plane serves the next epoch.
     let write_capacity = inner.config.epoch.write_batch_size;
     let io_result = (|| -> Result<()> {
-        let _span = tracer.span("proxy.write_back", epoch);
-        let mut engine_guard = inner.engine.lock();
-        let engine = engine_guard.as_mut().ok_or(ObladiError::ProxyUnavailable)?;
-        if let Some(gate) = &gate {
-            gate.write_back_starting(epoch);
+        {
+            let _span = tracer.span("proxy.write_back", epoch);
+            let still_sealed = |state: &mut Pipeline| {
+                state
+                    .to_decide()
+                    .is_some_and(|(_, sealed, _)| sealed == generation)
+            };
+            let mut engine_guard = engine_after(inner, still_sealed)?;
+            let engine = engine_guard.as_mut().ok_or(ObladiError::ProxyUnavailable)?;
+            if let Some(gate) = &gate {
+                gate.write_back_starting(epoch);
+            }
+            let logger = inner.durability.logger_for(epoch);
+            obs.histogram("proxy.phase.write_back_us").time(|| {
+                engine.write_batch_padded(&decision.writes, write_capacity, &logger)?;
+                engine.flush_writes(&logger)
+            })?;
         }
-        let logger = inner.durability.logger_for(epoch);
-        obs.histogram("proxy.phase.write_back_us").time(|| {
-            engine.write_batch_padded(&decision.writes, write_capacity, &logger)?;
-            engine.flush_writes(&logger)
-        })?;
+        // Written back: the flush published the decided state, which is all
+        // the carry readers and the reserved batches depend on.  The engine
+        // guard was dropped above — the rung needs the state lock.
+        let written_back = |state: &mut Pipeline| state.written_back(generation, &decision.writes);
+        let mut engine_guard = engine_after(inner, written_back)?;
+        inner.driver_wakeup.notify_all();
+        inner.client_wakeup.notify_all();
+        let engine = engine_guard.as_mut().ok_or(ObladiError::ProxyUnavailable)?;
+        let _span = tracer.span("proxy.checkpoint", epoch);
         obs.histogram("proxy.phase.checkpoint_us")
             .time(|| inner.durability.commit_epoch(epoch, engine))?;
         if let Some(gate) = &gate {
@@ -1074,13 +1128,10 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
 
     // Publish: acknowledge what still waits (as crash aborts if the I/O
     // failed — early acknowledgements stay truthful, their commits replay
-    // from the decision record), resolve the carry set, free the slot.
+    // from the decision record) and free the slot.
     let publish_started = Instant::now();
     let io_ok = io_result.is_ok();
-    let published = inner
-        .state
-        .lock()
-        .publish(generation, io_ok, &decision.writes);
+    let published = inner.state.lock().publish(generation, io_ok);
     if published.is_some() {
         obs.gauge("proxy.pipeline.deciding").set(0);
     }

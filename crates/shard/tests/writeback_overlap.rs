@@ -6,6 +6,12 @@
 //! the rendezvous and decision I/O; the write-back stayed serialized behind
 //! the one `&mut` ORAM client, which is exactly what the split removes.
 //!
+//! The reserved half of epoch `N+1`'s batches waits only for `N`'s flush,
+//! not for its checkpoint: one starts before `N`'s write-back window (which
+//! ends after the checkpoint) closes.  And the batches are paced `Δ` after
+//! the previous dispatch, so a batch held past its turn goes out as soon as
+//! the hold lifts.
+//!
 //! The depth-1 control shows the converse: with the pipeline disabled, no
 //! next-epoch batch may even *start* inside the previous epoch's write-back
 //! window.
@@ -20,10 +26,14 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn config(seed: u64, depth: u32) -> ObladiConfig {
+/// `R`: the last `R / 2` batches of an epoch are the reserved ones.
+const READ_BATCHES: usize = 4;
+
+fn config(seed: u64, depth: u32, interval: Duration) -> ObladiConfig {
     let mut config = ObladiConfig::small_for_tests(256);
-    config.epoch.batch_interval = Duration::from_millis(1);
+    config.epoch.batch_interval = interval;
     config.epoch.pipeline_depth = depth;
+    config.epoch.read_batches = READ_BATCHES as u32;
     config.seed = seed;
     config
 }
@@ -75,12 +85,23 @@ impl GateTrace {
         }
         spans
     }
+
+    /// The start of each batch of `epoch`, in dispatch order (without a
+    /// backlog one batch runs at a time, so the order is the index).
+    fn starts_of(&self, epoch: EpochId) -> Vec<Instant> {
+        let starts = self.batch_starts.iter().filter(|(e, _)| *e == epoch);
+        starts.map(|&(_, start)| start).collect()
+    }
 }
 
 /// Wraps a [`ShardGate`], timestamping write-back windows and batch spans.
 struct InstrumentedGate {
     inner: ShardGate,
     trace: Arc<Mutex<GateTrace>>,
+    /// How long each write-back waits before it starts (and before its
+    /// start is recorded), which stretches the next epoch's reserved-batch
+    /// hold by as much.
+    write_back_delay: Duration,
 }
 
 impl EpochGate for InstrumentedGate {
@@ -105,6 +126,7 @@ impl EpochGate for InstrumentedGate {
     }
 
     fn write_back_starting(&self, epoch: EpochId) {
+        std::thread::sleep(self.write_back_delay);
         self.trace
             .lock()
             .write_backs
@@ -144,16 +166,37 @@ impl EpochGate for InstrumentedGate {
     }
 }
 
-/// Builds a 2-shard deployment over write-latency-bound storage, runs it
-/// for `epochs` global epochs, and returns each shard's trace.
-fn run_deployment(depth: u32, write_latency: Duration, epochs: u64) -> Vec<Arc<Mutex<GateTrace>>> {
+/// What a run varies: pipeline depth, `Δ`, the store's write latency and
+/// the gate's write-back delay.
+struct Run {
+    depth: u32,
+    interval: Duration,
+    write_latency: Duration,
+    write_back_delay: Duration,
+}
+
+impl Run {
+    /// Depth `depth` at `Δ` = 1 ms over write-latency-bound storage.
+    fn write_bound(depth: u32, write_latency: Duration) -> Run {
+        Run {
+            depth,
+            interval: Duration::from_millis(1),
+            write_latency,
+            write_back_delay: Duration::ZERO,
+        }
+    }
+}
+
+/// Builds a 2-shard deployment for `run`, runs it for `epochs` global
+/// epochs, and returns each shard's trace.
+fn run_deployment(run: Run, epochs: u64) -> Vec<Arc<Mutex<GateTrace>>> {
     let coordinator = Arc::new(EpochCoordinator::new(2));
     let mut shards = Vec::new();
     let mut traces = Vec::new();
     for index in 0..2usize {
-        let store = write_latency_store(write_latency, index as u64 + 31);
+        let store = write_latency_store(run.write_latency, index as u64 + 31);
         let db = ObladiDb::open_with(
-            config(index as u64 + 21, depth),
+            config(index as u64 + 21, run.depth, run.interval),
             store,
             TrustedCounter::new(),
             KeyMaterial::for_tests(index as u64 + 21),
@@ -163,6 +206,7 @@ fn run_deployment(depth: u32, write_latency: Duration, epochs: u64) -> Vec<Arc<M
         db.set_epoch_gate(Arc::new(InstrumentedGate {
             inner: ShardGate::new(coordinator.clone(), index),
             trace: trace.clone(),
+            write_back_delay: run.write_back_delay,
         }));
         shards.push(db);
         traces.push(trace);
@@ -189,7 +233,7 @@ fn run_deployment(depth: u32, write_latency: Duration, epochs: u64) -> Vec<Arc<M
 /// *and finishes* strictly inside epoch `N`'s write-back window.
 #[test]
 fn next_epoch_read_batch_completes_inside_previous_write_back() {
-    let traces = run_deployment(2, Duration::from_millis(3), 6);
+    let traces = run_deployment(Run::write_bound(2, Duration::from_millis(3)), 6);
     let mut contained = 0usize;
     for trace in &traces {
         let trace = trace.lock();
@@ -210,12 +254,99 @@ fn next_epoch_read_batch_completes_inside_previous_write_back() {
     );
 }
 
+/// A reserved batch of epoch `N+1` starts inside epoch `N`'s write-back
+/// window, which closes only after the checkpoint: the hold lifts once the
+/// flush has landed.  A hold that lasted until publish would never allow
+/// this.
+#[test]
+fn a_reserved_batch_starts_before_the_previous_checkpoint_ends() {
+    let traces = run_deployment(Run::write_bound(2, Duration::from_millis(3)), 6);
+    let mut early = 0usize;
+    for trace in &traces {
+        let trace = trace.lock();
+        for &(epoch, _, wb_end) in &trace.write_backs {
+            let Some(wb_end) = wb_end else { continue };
+            let starts = trace.starts_of(epoch + 1);
+            let reserved = starts.iter().skip(READ_BATCHES.div_ceil(2));
+            early += reserved.filter(|&&start| start < wb_end).count();
+        }
+    }
+    assert!(
+        early > 0,
+        "no reserved batch of epoch N+1 started before epoch N's checkpoint finished"
+    );
+}
+
+/// Batches are paced `Δ` after the previous dispatch: never closer than
+/// that within an epoch, and a reserved batch held for longer than `Δ` goes
+/// out as soon as the hold lifts instead of waiting a fresh `Δ`.  The gate
+/// delays every write-back by `5Δ`, so every hold outlasts `Δ`.  The hold
+/// lifts after the flush, before the checkpoint, so "less than `Δ/2` after
+/// the hold" implies less than `Δ/2` after the write-back window closes —
+/// the bound checked here, which a batch that waited a fresh `Δ` misses.
+#[test]
+fn batches_are_paced_from_the_previous_dispatch() {
+    let delta = Duration::from_millis(20);
+    let run = Run {
+        depth: 2,
+        interval: delta,
+        write_latency: Duration::ZERO,
+        write_back_delay: 5 * delta,
+    };
+    let traces = run_deployment(run, 5);
+    let first_reserved = READ_BATCHES.div_ceil(2);
+    let mut held = 0usize;
+    for trace in &traces {
+        let trace = trace.lock();
+        let epochs: std::collections::BTreeSet<EpochId> =
+            trace.batch_starts.iter().map(|(e, _)| *e).collect();
+        // A start is stamped on the runner thread, not at dispatch: one that
+        // overlaps the checkpoint can wait a few ms for a CPU (2 shards of
+        // unoptimised crypto on a small host), which shortens the next gap.
+        let jitter = delta / 4;
+        for epoch in epochs {
+            for (index, pair) in trace.starts_of(epoch).windows(2).enumerate() {
+                let gap = pair[1] - pair[0];
+                assert!(
+                    gap + jitter >= delta,
+                    "epoch {epoch}: batches {index} and {} {gap:?} apart, under Δ = {delta:?}",
+                    index + 1
+                );
+            }
+        }
+        for &(epoch, wb_start, wb_end) in &trace.write_backs {
+            let starts = trace.starts_of(epoch + 1);
+            let (Some(wb_end), Some(&previous), Some(&reserved)) = (
+                wb_end,
+                starts.get(first_reserved - 1),
+                starts.get(first_reserved),
+            ) else {
+                continue;
+            };
+            // The hold began Δ after `previous` and lasted past the start
+            // of the write-back: longer than Δ.
+            if wb_start < previous + 2 * delta {
+                continue;
+            }
+            held += 1;
+            let after = reserved.saturating_duration_since(wb_end);
+            assert!(
+                after < delta / 2,
+                "epoch {}: the first reserved batch started {after:?} after epoch {epoch}'s \
+                 write-back window closed",
+                epoch + 1
+            );
+        }
+    }
+    assert!(held > 0, "no reserved batch was held for longer than Δ");
+}
+
 /// The depth-1 control: with the pipeline disabled the executor cannot even
 /// *start* a next-epoch batch until the previous epoch's write-back (and
 /// publish) completed — zero overlap, by construction.
 #[test]
 fn depth_one_never_overlaps_the_write_back_window() {
-    let traces = run_deployment(1, Duration::from_millis(1), 6);
+    let traces = run_deployment(Run::write_bound(1, Duration::from_millis(1)), 6);
     for trace in &traces {
         let trace = trace.lock();
         for &(epoch, wb_start, wb_end) in &trace.write_backs {
