@@ -18,12 +18,6 @@ use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{AbortReason, EpochId, Key, TxnId, TxnOutcome, Value};
 use std::collections::{HashMap, HashSet};
 
-/// How many read batches may overlap their physical fetches inside one
-/// epoch (the size of the runner pool).  The split ORAM client plans them
-/// in dispatch order under its own lock, so the access pattern is the same
-/// as with one.
-pub(crate) const READ_BATCHES_IN_FLIGHT: usize = 2;
-
 /// Buffered or committed writes, in key order.
 pub(crate) type WriteSet = Vec<(Key, Value)>;
 
@@ -203,11 +197,6 @@ pub(crate) struct Pipeline {
     /// recovery; a failure carries the life it was observed in.
     life: u64,
     mode: Mode,
-    /// Read batches handed to the runner pool and not yet claimed, and
-    /// claimed and not yet finished.  They belong to no epoch: a crash
-    /// cannot recall a batch that is already on its way.
-    batches_dispatched: usize,
-    batches_running: usize,
 }
 
 fn epoch_ended() -> ObladiError {
@@ -224,8 +213,6 @@ impl Pipeline {
             outcomes: HashMap::new(),
             life: 0,
             mode: Mode::Running,
-            batches_dispatched: 0,
-            batches_running: 0,
         }
     }
 
@@ -290,11 +277,10 @@ impl Pipeline {
             return Err(ObladiError::ProxyUnavailable);
         }
         // Fetching a carry key now would surface the pre-decision value
-        // even if the write commits; and a key the sealed epoch is fetching
-        // must not enter a second concurrently in-flight batch (the split
-        // ORAM client requires pairwise-disjoint read sets).
-        let pinned =
-            self.carry.contains(&key) || self.sealed.as_ref().is_some_and(|s| s.fetch.holds(key));
+        // even if the write commits.  A key the sealed epoch also fetches
+        // needs no pin: one batch is in flight at a time, and a plan defers
+        // the sealed epoch's copy of a key the executing epoch holds.
+        let pinned = self.carry.contains(&key);
         let (config, mode) = (self.config, self.mode);
         let epoch = self.route(generation).ok_or_else(epoch_ended)?;
         // Once decided every transaction is settled, so this also keeps a
@@ -401,9 +387,8 @@ impl Pipeline {
             .is_some_and(|s| s.phase == Phase::Sealed && !s.fetch.pending.is_empty())
     }
 
-    /// Whether a batch is worth firing ahead of the Δ rhythm, and worth
-    /// overlapping with one still in flight: a full batch of keys is
-    /// queued, or the sealed epoch waits for spare slots.
+    /// Whether a batch is worth firing ahead of the Δ rhythm: a full batch
+    /// of keys is queued, or the sealed epoch waits for spare slots.
     pub(crate) fn backlog(&self) -> bool {
         self.exec.fetch.pending.len() >= self.config.read_batch_size || self.sealed_fetch_queued()
     }
@@ -426,49 +411,13 @@ impl Pipeline {
         self.mode == Mode::Running && self.sealed.is_some()
     }
 
-    /// Hands one more batch to the runner pool if the in-flight cap allows.
-    /// Overlap is demand-gated: a second batch runs beside the first only
-    /// under a backlog — exactly when overlapping the physical fetches
-    /// hides storage latency.  Otherwise the next batch is planned only
-    /// after the previous one ingested, so a chain of dependent reads
-    /// (read → ingest → next read) catches one batch per link instead of
-    /// watching the epoch's batches burn in a few Δ and aborting `BatchFull`.
-    pub(crate) fn dispatch_batch(&mut self) -> bool {
-        let cap = if self.backlog() {
-            READ_BATCHES_IN_FLIGHT
-        } else {
-            1
-        };
-        let free = self.batches_dispatched + self.batches_running < cap;
-        self.batches_dispatched += usize::from(free);
-        free
-    }
-
-    /// A runner claims a dispatched batch, if there is one, and plans it.
-    pub(crate) fn claim_batch(&mut self) -> Option<BatchPlan> {
-        if self.batches_dispatched == 0 {
-            return None;
-        }
-        self.batches_dispatched -= 1;
-        self.batches_running += 1;
-        Some(self.plan_batch())
-    }
-
-    /// A claimed batch finished (ingested, or failed and crashed the proxy).
-    pub(crate) fn batch_done(&mut self) {
-        self.batches_running -= 1;
-    }
-
-    /// Whether a dispatched batch has yet to finish.  The executor seals
-    /// only once none has: a batch registers its values against the epoch
-    /// it was planned in, so none may straddle the rollover.
-    pub(crate) fn batches_outstanding(&self) -> bool {
-        self.batches_dispatched + self.batches_running > 0
-    }
-
     /// Plans the next read batch: the executing epoch's queue first, then
-    /// the sealed epoch's in what would otherwise be padding.
-    fn plan_batch(&mut self) -> BatchPlan {
+    /// the sealed epoch's in what would otherwise be padding.  The executor
+    /// runs each batch to its [`Pipeline::ingest`] before planning the
+    /// next, so one batch is in flight at a time and none straddles the
+    /// seal; and a chain of dependent reads (read → ingest → next read)
+    /// catches one batch per link.
+    pub(crate) fn plan_batch(&mut self) -> BatchPlan {
         let batch_size = self.config.read_batch_size;
         let exec = &mut self.exec;
         let keys = exec.fetch.take(batch_size, |_| false);
@@ -476,8 +425,9 @@ impl Pipeline {
         let spare = batch_size - keys.len();
         let mut legs = vec![(exec.generation, keys)];
         if let Some(sealed) = self.sealed.as_mut().filter(|s| s.phase == Phase::Sealed) {
-            // A key the executing epoch holds is deferred, not dropped:
-            // once that fetch ingests, a later batch finds it in the stash.
+            // A key is in one leg of a batch (the split ORAM client needs
+            // disjoint read sets): one the executing epoch holds is
+            // deferred, not dropped, and a later batch serves it.
             let keys = sealed.fetch.take(spare, |key| exec.fetch.holds(key));
             if !keys.is_empty() {
                 legs.push((sealed.generation, keys));
@@ -965,7 +915,7 @@ mod tests {
     }
 
     #[test]
-    fn a_key_is_never_in_two_concurrent_legs() {
+    fn a_key_is_in_one_leg_of_a_batch() {
         let mut p = Pipeline::new(EpochConfig::small_for_tests().with_read_batches(8), 1);
         let g = p.begin(1, None).unwrap();
         assert!(p.seal());
@@ -975,23 +925,23 @@ mod tests {
         assert_eq!(p.read(1, g, 6), PARK);
 
         // The sealed epoch's 5 is deferred while the executing epoch's 5 is
-        // queued or in flight, then served from the stash by a later batch.
-        let first = p.plan_batch();
-        assert_eq!(first.legs, vec![(next, vec![5]), (g, vec![6])]);
-        assert_eq!(p.plan_batch().legs, vec![(next, vec![])]);
-        p.ingest(&first, vec![None, None]);
-        let second = p.plan_batch();
-        assert_eq!(second.legs, vec![(next, vec![]), (g, vec![5])]);
+        // in the batch, then served by a later one.
+        assert_eq!(run_batch(&mut p).legs, vec![(next, vec![5]), (g, vec![6])]);
+        assert_eq!(run_batch(&mut p).legs, vec![(next, vec![]), (g, vec![5])]);
+        assert_eq!(p.read(1, g, 5), ABSENT);
+        assert_eq!(p.read(2, next, 5), ABSENT);
 
-        // And the executing epoch waits out a fetch the sealed epoch holds.
+        // The executing epoch's read of a key the sealed epoch has queued
+        // is queued at once; the next plan carries it and defers the sealed
+        // copy, which a later batch serves.
         assert_eq!(p.read(1, g, 9), PARK);
         assert_eq!(p.read(2, next, 9), PARK);
-        let third = p.plan_batch();
-        assert_eq!(third.legs, vec![(next, vec![]), (g, vec![9])]);
-        assert_eq!(p.plan_batch().legs[0].1.len(), 0);
-        p.ingest(&third, vec![None]);
-        assert_eq!(p.read(2, next, 9), PARK);
-        assert_eq!(p.plan_batch().legs, vec![(next, vec![9])]);
+        assert!(p.exec.fetch.holds(9));
+        assert_eq!(run_batch(&mut p).legs, vec![(next, vec![9])]);
+        assert_eq!(p.read(2, next, 9), ABSENT);
+        assert_eq!(p.read(1, g, 9), PARK);
+        assert_eq!(run_batch(&mut p).legs, vec![(next, vec![]), (g, vec![9])]);
+        assert_eq!(p.read(1, g, 9), ABSENT);
     }
 
     /// One sealed epoch holding a dependency-free reader (1), a writer (2),
@@ -1223,32 +1173,6 @@ mod tests {
         assert!(p.seal());
         p.stop();
         assert!(!p.slot_occupied() && !p.hold_reserved_batch() && !p.seal());
-    }
-
-    #[test]
-    fn a_second_batch_overlaps_the_first_only_under_a_backlog() {
-        let mut p = pipeline();
-        let g = p.begin(1, None).unwrap();
-        assert!(p.claim_batch().is_none() && !p.batches_outstanding());
-        assert!(p.dispatch_batch() && p.batches_outstanding());
-        assert!(!p.dispatch_batch(), "one at a time without a backlog");
-        let first = p.claim_batch().unwrap();
-        assert!(p.claim_batch().is_none());
-        assert!(!p.dispatch_batch(), "the first has not finished");
-        for key in 0..8 {
-            assert_eq!(p.read(1, g, key), PARK);
-        }
-        assert!(p.dispatch_batch() && !p.dispatch_batch());
-        let second = p.claim_batch().unwrap();
-        assert_eq!(second.legs, vec![(g, (0..8).collect())]);
-
-        // A crash does not recall batches already on their way.
-        assert!(p.crash(None));
-        p.ingest(&first, vec![]);
-        p.batch_done();
-        assert!(p.batches_outstanding());
-        p.batch_done();
-        assert!(!p.batches_outstanding());
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! transaction may do in which phase, when an outcome may be acknowledged,
 //! what a crash wipes — is the pure state machine in `crate::epoch`
 //! (overview in DESIGN.md).  This module is its shell: client handles that
-//! lock, apply one transition and park or return, and three kinds of thread
-//! that perform the I/O the transitions describe:
+//! lock, apply one transition and park or return, and two threads that
+//! perform the I/O the transitions describe:
 //!
-//! * the **executor** ships exactly `R` padded read batches per epoch, one
-//!   `Δ` after another, then seals the epoch into the pipeline slot and
-//!   starts the next one (at depth 1 only once the slot has drained);
-//! * **read-batch runners** execute the dispatched batches on the ORAM
-//!   read plane, overlapping their physical fetches;
+//! * the **executor** plans and runs exactly `R` padded read batches per
+//!   epoch on the ORAM read plane, one `Δ` after another and one at a time
+//!   (the parallelism is inside a batch), then seals the epoch into the
+//!   pipeline slot and starts the next one (at depth 1 only once the slot
+//!   has drained);
 //! * the **decider** takes the sealed epoch through gate verdict, decision
 //!   record, padded write batch and flush (the written-back rung), then
 //!   checkpoint (publish) on the ORAM write-back engine, acknowledging
@@ -27,9 +27,7 @@
 use crate::api::{KvDatabase, KvTransaction};
 use crate::concurrency::CommitCandidate;
 use crate::durability::{DurabilityManager, RecoveryReport};
-use crate::epoch::{
-    is_reserved_batch, BatchPlan, Mode, Pipeline, ReadStep, READ_BATCHES_IN_FLIGHT,
-};
+use crate::epoch::{is_reserved_batch, BatchPlan, Mode, Pipeline, ReadStep};
 use obladi_common::config::ObladiConfig;
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{EpochId, Key, TxnId, TxnOutcome, Value};
@@ -176,7 +174,8 @@ pub struct ProxyStats {
     pub aborted: u64,
     /// Read batches executed.
     pub read_batches: u64,
-    /// Real (non-padding) read slots used across all batches.
+    /// Real (non-padding) read slots used across all batches, a sealed
+    /// epoch's late reads included.
     pub real_reads: u64,
     /// Padding read slots across all batches.
     pub padded_reads: u64,
@@ -193,9 +192,9 @@ struct ProxyInner {
     keys: KeyMaterial,
     store: Arc<dyn UntrustedStore>,
     durability: DurabilityManager,
-    /// The ORAM client's read plane.  Runners clone it out of the lock, so
-    /// batches never serialize here and a batch keeps its client alive even
-    /// if a crash empties the slot meanwhile.
+    /// The ORAM client's read plane.  The executor clones it out of the
+    /// lock, so a batch keeps its client alive even if a crash empties the
+    /// slot meanwhile.
     reader: Mutex<Option<OramReader>>,
     /// The ORAM client's write-back engine, driven only by the decider (and
     /// by recovery).  The decider holds the lock for its store I/O, which
@@ -209,9 +208,6 @@ struct ProxyInner {
     driver_wakeup: Condvar,
     /// Wakes the epoch decider when an epoch is sealed.
     decider_wakeup: Condvar,
-    /// Wakes the read-batch runners when a batch is dispatched, and the
-    /// executor when one finishes.
-    batch_wakeup: Condvar,
     next_ts: AtomicU64,
     stats: Mutex<ProxyStats>,
     epoch_gate: Mutex<Option<Arc<dyn EpochGate>>>,
@@ -257,13 +253,13 @@ fn exec_options(config: &ObladiConfig) -> ExecOptions {
 }
 
 fn spawn(
-    name: String,
+    name: &str,
     inner: &Arc<ProxyInner>,
     body: fn(Arc<ProxyInner>),
 ) -> Result<std::thread::JoinHandle<()>> {
     let inner = inner.clone();
     std::thread::Builder::new()
-        .name(name.clone())
+        .name(name.into())
         .spawn(move || body(inner))
         .map_err(|e| ObladiError::Internal(format!("failed to spawn {name}: {e}")))
 }
@@ -300,15 +296,13 @@ impl ObladiDb {
         // deferred to the decider's write-back, so the sealed epoch's read
         // targets sit in the stash for its whole write-back window on top
         // of the up-to-`pipeline_depth` epochs of reads in flight — hence
-        // one extra epoch of read headroom, plus the write batch, a batch
-        // of planned-but-not-ingested blocks per extra in-flight batch, and
-        // an eviction-path margin.  A stash overflow poisons the client
-        // (the proxy fate-shares and recovers), so an undersized bound
-        // costs availability, never durability.
+        // one extra epoch of read headroom, plus the write batch and an
+        // eviction-path margin.  A stash overflow poisons the client (the
+        // proxy fate-shares and recovers), so an undersized bound costs
+        // availability, never durability.
         let stash_floor = (config.epoch.pipeline_depth.max(1) as usize + 1)
             * config.epoch.reads_per_epoch()
             + config.epoch.write_batch_size
-            + (READ_BATCHES_IN_FLIGHT - 1) * config.epoch.read_batch_size
             + 4 * config.oram.z as usize;
         config.oram.max_stash = config.oram.max_stash.max(stash_floor);
         config.validate()?;
@@ -339,22 +333,14 @@ impl ObladiDb {
             client_wakeup: Condvar::new(),
             driver_wakeup: Condvar::new(),
             decider_wakeup: Condvar::new(),
-            batch_wakeup: Condvar::new(),
             next_ts: AtomicU64::new(1),
             stats: Mutex::new(ProxyStats::default()),
             epoch_gate: Mutex::new(None),
         });
-        let mut threads = vec![
-            spawn("obladi-epoch-executor".into(), &inner, epoch_executor)?,
-            spawn("obladi-epoch-decider".into(), &inner, epoch_decider)?,
+        let threads = vec![
+            spawn("obladi-epoch-executor", &inner, epoch_executor)?,
+            spawn("obladi-epoch-decider", &inner, epoch_decider)?,
         ];
-        for i in 0..READ_BATCHES_IN_FLIGHT {
-            threads.push(spawn(
-                format!("obladi-read-runner-{i}"),
-                &inner,
-                read_batch_runner,
-            )?);
-        }
         Ok(ObladiDb {
             inner,
             threads: Mutex::new(threads),
@@ -559,7 +545,6 @@ impl ObladiDb {
         inner.driver_wakeup.notify_all();
         inner.decider_wakeup.notify_all();
         inner.client_wakeup.notify_all();
-        inner.batch_wakeup.notify_all();
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
         }
@@ -732,17 +717,18 @@ impl Drop for ObladiTxn<'_> {
 }
 
 // ----------------------------------------------------------------------
-// Thread drivers: executor, read-batch runners, decider
+// Thread drivers: executor, decider
 // ----------------------------------------------------------------------
 
 fn epoch_executor(inner: Arc<ProxyInner>) {
     let read_batches = inner.config.epoch.read_batches;
     let interval = inner.config.epoch.batch_interval;
+    let plan_timer = obladi_obs::global().histogram("proxy.phase.read_plan_us");
     // Δ runs from one dispatch to the next, across epochs: a batch held
     // back past its turn goes out as soon as the hold lifts.
     let mut due = Instant::now() + interval;
-    loop {
-        {
+    'epochs: loop {
+        let generation = {
             let mut state = inner.state.lock();
             while state.mode() == Mode::Crashed {
                 inner.driver_wakeup.wait(&mut state);
@@ -750,25 +736,28 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
             if state.mode() == Mode::Stopping {
                 return;
             }
-        }
-        // Exactly R padded batches, Δ apart; the reserved half only once the
+            state.stamp_targets().0
+        };
+        // Exactly R padded batches, Δ apart, each run to its ingest (or to
+        // its fate-sharing crash) before the next is planned — so every
+        // batch lands before the seal.  The reserved half waits until the
         // sealed epoch is written back or asks for a fetch.
         for batch_index in 0..read_batches {
             if is_reserved_batch(read_batches, batch_index) {
                 let hold = Pipeline::hold_reserved_batch;
                 drop(inner.wait_while("proxy.phase.reserved_hold_us", hold));
             }
-            if !dispatch_read_batch(&inner, due) {
-                break;
-            }
+            let Some(plan) = plan_read_batch(&inner, generation, due, &plan_timer) else {
+                continue 'epochs;
+            };
             due = Instant::now() + interval;
-        }
-        {
-            // Every batch lands before the seal; a failed one finishes its
-            // fate-sharing crash first, so the seal below sees it.
-            let mut state = inner.state.lock();
-            while state.batches_outstanding() && state.mode() != Mode::Stopping {
-                inner.batch_wakeup.wait(&mut state);
+            if let Err(err) = execute_read_batch(&inner, &plan) {
+                // Storage failure mid-epoch: the ORAM client's in-memory
+                // metadata may have diverged from what the failed reads
+                // delivered, and checkpointing it later would make the
+                // divergence durable.  Fate sharing treats it as a crash
+                // (§8), and the next plan finds the proxy crashed.
+                self_crash(&inner, plan.life, &err);
             }
         }
         // Bounded depth: at most one epoch may be sealed.
@@ -790,59 +779,26 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
 }
 
 /// Waits until `due`, Δ after the previous dispatch — unless a backlog
-/// makes the batch worth firing early — then hands the batch to the runner
-/// pool as soon as the in-flight cap allows.  Returns `false` once the
-/// proxy stopped running.
-fn dispatch_read_batch(inner: &ProxyInner, due: Instant) -> bool {
+/// makes the batch worth firing early — then plans the next batch of the
+/// executing epoch of `generation`.  Returns `None` once the proxy stopped
+/// running, or once a crash (and perhaps a recovery, while the previous
+/// batch ran) replaced that epoch.
+fn plan_read_batch(
+    inner: &ProxyInner,
+    generation: u64,
+    due: Instant,
+    plan_timer: &obladi_obs::Histogram,
+) -> Option<BatchPlan> {
+    let current =
+        |state: &Pipeline| state.mode() == Mode::Running && state.stamp_targets().0 == generation;
     let mut state = inner.state.lock();
-    while !state.backlog() && state.mode() == Mode::Running {
+    while !state.backlog() && current(&state) {
         let Some(left) = due.checked_duration_since(Instant::now()) else {
             break;
         };
         inner.driver_wakeup.wait_for(&mut state, left);
     }
-    while state.mode() == Mode::Running {
-        if state.dispatch_batch() {
-            inner.batch_wakeup.notify_all();
-            return true;
-        }
-        // Re-sample once a batch finishes or after a short nap: a backlog
-        // may have built up while the in-flight batch fetched.
-        inner
-            .batch_wakeup
-            .wait_for(&mut state, Duration::from_millis(1));
-    }
-    false
-}
-
-fn read_batch_runner(inner: Arc<ProxyInner>) {
-    let plan_timer = obladi_obs::global().histogram("proxy.phase.read_plan_us");
-    loop {
-        let plan = {
-            let mut state = inner.state.lock();
-            loop {
-                if state.mode() == Mode::Stopping {
-                    return;
-                }
-                let started = Instant::now();
-                if let Some(plan) = state.claim_batch() {
-                    plan_timer.record_duration(started.elapsed());
-                    break plan;
-                }
-                inner.batch_wakeup.wait(&mut state);
-            }
-        };
-        if let Err(err) = execute_read_batch(&inner, &plan) {
-            // Storage failure mid-epoch: the ORAM client's in-memory
-            // metadata may have diverged from what the failed reads
-            // delivered, and checkpointing it later would make the
-            // divergence durable.  Fate sharing treats it as a crash (§8),
-            // which completes before the batch counts as finished.
-            self_crash(&inner, plan.life, &err);
-        }
-        inner.state.lock().batch_done();
-        inner.batch_wakeup.notify_all();
-    }
+    current(&state).then(|| plan_timer.time(|| state.plan_batch()))
 }
 
 fn execute_read_batch(inner: &ProxyInner, plan: &BatchPlan) -> Result<()> {
@@ -859,6 +815,7 @@ fn execute_read_batch(inner: &ProxyInner, plan: &BatchPlan) -> Result<()> {
         .iter()
         .flat_map(|(_, keys)| keys.iter().copied().map(Some))
         .collect();
+    let real = requests.len();
     requests.resize(batch_size, None);
     let values = {
         let _span = obladi_obs::trace::global().span("proxy.read_fetch", plan.epoch);
@@ -877,8 +834,6 @@ fn execute_read_batch(inner: &ProxyInner, plan: &BatchPlan) -> Result<()> {
     {
         let mut stats = inner.stats.lock();
         stats.read_batches += 1;
-        // Only the executing epoch's own requests count as real.
-        let real = plan.legs[0].1.len();
         stats.real_reads += real as u64;
         stats.padded_reads += (batch_size - real) as u64;
     }
@@ -1419,22 +1374,261 @@ mod tests {
         }
     }
 
+    impl HoldingGate {
+        /// Holds the next sealed epoch of `db` undecided and returns its
+        /// generation.
+        fn hold(&self, db: &ObladiDb) -> u64 {
+            let mut held = self.state.lock();
+            held.0 = true;
+            while held.1 == 0 {
+                self.changed.wait(&mut held);
+            }
+            drop(held);
+            db.stamp_targets().1.expect("an epoch is held sealed")
+        }
+
+        fn release(&self) {
+            self.state.lock().0 = false;
+            self.changed.notify_all();
+        }
+    }
+
+    #[test]
+    fn open_spawns_the_executor_and_the_decider_only() {
+        let db = test_db();
+        let threads = db.threads.lock();
+        let names: Vec<_> = threads.iter().map(|t| t.thread().name()).collect();
+        assert_eq!(
+            names,
+            [Some("obladi-epoch-executor"), Some("obladi-epoch-decider")]
+        );
+        drop(threads);
+        db.shutdown();
+    }
+
+    #[test]
+    fn a_late_read_fills_a_real_read_slot() {
+        let db = test_db();
+        let gate = Arc::new(HoldingGate::default());
+        db.set_epoch_gate(gate.clone());
+        let sealed = gate.hold(&db);
+        let before = db.stats();
+        let mut txn = db.begin_at_generation(1_000_000, sealed).unwrap();
+        // Rides a slot of the next epoch's batch that would otherwise pad.
+        assert_eq!(txn.read(42).unwrap(), None);
+        let after = db.stats();
+        txn.rollback();
+        gate.release();
+        db.shutdown();
+        assert_eq!(after.real_reads - before.real_reads, 1);
+        let slots = after.read_batches * db.config().epoch.read_batch_size as u64;
+        assert_eq!(after.real_reads + after.padded_reads, slots);
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        Started(EpochId),
+        /// The batch that started with the store's slot reads failing.
+        Faulted(EpochId),
+        Finished(EpochId),
+        Permitted(EpochId),
+        Finalized(EpochId),
+        Crashed,
+        Recovered,
+    }
+
+    /// Once `armed`, fails every store operation from the first slot read
+    /// of the last read batch of an epoch on, and records what the proxy
+    /// does.  The batch waits for the previous epoch to finalize first, so
+    /// the decider is idle and the fault lands on the batch alone.
+    struct LastBatchFault {
+        store: Arc<obladi_storage::FaultyStore>,
+        read_batches: usize,
+        armed: std::sync::atomic::AtomicBool,
+        seen: Mutex<Vec<Seen>>,
+        finalized: Condvar,
+    }
+
+    impl EpochGate for LastBatchFault {
+        fn permit_commits(
+            &self,
+            epoch: EpochId,
+            candidates: CandidateSource,
+            _preparer: TxnPreparer,
+        ) -> Result<Vec<TxnId>> {
+            self.seen.lock().push(Seen::Permitted(epoch));
+            Ok(candidates().into_iter().map(|c| c.txn).collect())
+        }
+
+        fn read_batch_starting(&self, epoch: EpochId) {
+            use obladi_storage::{CrashOp, CrashPoint, FaultPlan};
+            let mut seen = self.seen.lock();
+            let started = seen.iter().filter(|&&s| s == Seen::Started(epoch)).count();
+            if started + 1 == self.read_batches && self.armed.swap(false, Ordering::SeqCst) {
+                while !seen.contains(&Seen::Finalized(epoch - 1)) {
+                    self.finalized.wait(&mut seen);
+                }
+                let point = CrashPoint {
+                    arm_on_log_kind: None,
+                    on: CrashOp::SlotRead,
+                    nth: 1,
+                };
+                self.store.set_plan(FaultPlan::crash_at(point));
+                seen.push(Seen::Faulted(epoch));
+            } else {
+                seen.push(Seen::Started(epoch));
+            }
+        }
+
+        fn read_batch_finished(&self, epoch: EpochId) {
+            self.seen.lock().push(Seen::Finished(epoch));
+        }
+
+        fn epoch_finalized(&self, epoch: EpochId) {
+            self.seen.lock().push(Seen::Finalized(epoch));
+            self.finalized.notify_all();
+        }
+
+        fn proxy_crashed(&self) {
+            self.seen.lock().push(Seen::Crashed);
+        }
+    }
+
+    #[test]
+    fn a_failed_read_batch_crashes_the_proxy_before_its_epoch_seals() {
+        use obladi_storage::{FaultPlan, FaultyStore, InMemoryStore};
+        let mut config = ObladiConfig::small_for_tests(512);
+        config.epoch.batch_interval = Duration::from_millis(1);
+        let inner = Arc::new(InMemoryStore::new());
+        let store = Arc::new(FaultyStore::new(inner, FaultPlan::none(), 3));
+        let keys = KeyMaterial::for_tests(3);
+        let db = ObladiDb::open_with(config, store.clone(), TrustedCounter::new(), keys).unwrap();
+        let gate = Arc::new(LastBatchFault {
+            store: store.clone(),
+            read_batches: db.config().epoch.read_batches as usize,
+            armed: Default::default(),
+            seen: Mutex::new(Vec::new()),
+            finalized: Condvar::new(),
+        });
+        db.set_epoch_gate(gate.clone());
+        for key in 0..8u64 {
+            db.execute_with_retries(20, &mut |txn| txn.write(key, val(key)))
+                .unwrap();
+        }
+
+        gate.armed.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !db.is_crashed() {
+            assert!(Instant::now() < deadline, "the failed batch did not crash");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Nothing runs on a crashed proxy: a few Δ later the crash is all
+        // that followed the failed batch.
+        std::thread::sleep(Duration::from_millis(20));
+        let seen = gate.seen.lock().clone();
+        let fault = seen.iter().position(|s| matches!(s, Seen::Faulted(_)));
+        let Some(Seen::Faulted(epoch)) = fault.map(|at| seen[at]) else {
+            panic!("no batch faulted: {seen:?}");
+        };
+        assert_eq!(
+            seen[fault.unwrap() + 1..],
+            [Seen::Crashed],
+            "the failed batch of epoch {epoch} must crash the proxy before its epoch \
+             seals or a batch of the wiped life registers a value: {seen:?}"
+        );
+
+        store.set_plan(FaultPlan::none());
+        db.recover().unwrap();
+        for key in 0..8u64 {
+            assert_eq!(read_committed(&db, key), Some(val(key)), "key {key}");
+        }
+        db.shutdown();
+    }
+
+    /// Once armed, stalls the next read batch at its start until disarmed,
+    /// and records batch starts, decisions and recoveries.
+    #[derive(Default)]
+    struct StallingGate {
+        /// `(armed, a batch stalled, seen)`.
+        state: Mutex<(bool, bool, Vec<Seen>)>,
+        changed: Condvar,
+    }
+
+    impl EpochGate for StallingGate {
+        fn permit_commits(
+            &self,
+            epoch: EpochId,
+            candidates: CandidateSource,
+            _preparer: TxnPreparer,
+        ) -> Result<Vec<TxnId>> {
+            self.state.lock().2.push(Seen::Permitted(epoch));
+            self.changed.notify_all();
+            Ok(candidates().into_iter().map(|c| c.txn).collect())
+        }
+
+        fn read_batch_starting(&self, epoch: EpochId) {
+            let mut state = self.state.lock();
+            state.2.push(Seen::Started(epoch));
+            state.1 |= state.0;
+            self.changed.notify_all();
+            while state.0 {
+                self.changed.wait(&mut state);
+            }
+        }
+
+        fn proxy_recovered(&self) {
+            self.state.lock().2.push(Seen::Recovered);
+        }
+    }
+
+    #[test]
+    fn an_epoch_recovered_under_a_running_batch_still_ships_every_batch() {
+        let db = test_db();
+        let gate = Arc::new(StallingGate::default());
+        db.set_epoch_gate(gate.clone());
+        let mut state = gate.state.lock();
+        state.0 = true;
+        while !state.1 {
+            gate.changed.wait(&mut state);
+        }
+        drop(state);
+        // The executor is inside a batch: crash and recover under it.
+        db.crash();
+        db.recover().unwrap();
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut state = gate.state.lock();
+        state.0 = false;
+        gate.changed.notify_all();
+        let recovered = state.2.iter().position(|&s| s == Seen::Recovered).unwrap();
+        let starts = loop {
+            let after = &state.2[recovered + 1..];
+            let epoch = after.iter().find_map(|s| match s {
+                Seen::Started(epoch) => Some(*epoch),
+                _ => None,
+            });
+            if let Some(epoch) = epoch {
+                if let Some(seal) = after.iter().position(|&s| s == Seen::Permitted(epoch)) {
+                    let started = |s: &&Seen| **s == Seen::Started(epoch);
+                    break after[..seal].iter().filter(started).count();
+                }
+            }
+            assert!(Instant::now() < deadline, "never sealed: {:?}", state.2);
+            gate.changed.wait_for(&mut state, Duration::from_millis(10));
+        };
+        drop(state);
+        db.shutdown();
+        assert_eq!(starts, db.config().epoch.read_batches as usize);
+    }
+
     #[test]
     fn reader_parked_on_a_sealed_epoch_is_released_by_shutdown() {
         let db = test_db();
         let gate = Arc::new(HoldingGate::default());
         db.set_epoch_gate(gate.clone());
         // Hold the next sealed epoch undecided and join it.
-        let mut held = gate.state.lock();
-        held.0 = true;
-        while held.1 == 0 {
-            gate.changed.wait(&mut held);
-        }
-        drop(held);
-        let (_, sealed) = db.stamp_targets();
-        let mut txn = db
-            .begin_at_generation(1_000_000, sealed.expect("an epoch is held sealed"))
-            .unwrap();
+        let sealed = gate.hold(&db);
+        let mut txn = db.begin_at_generation(1_000_000, sealed).unwrap();
 
         std::thread::scope(|scope| {
             let (progress, events) = std::sync::mpsc::channel();
@@ -1461,8 +1655,7 @@ mod tests {
                     Err(_) => break None,
                 }
             };
-            gate.state.lock().0 = false;
-            gate.changed.notify_all();
+            gate.release();
             stopper.join().unwrap();
             assert_eq!(
                 released,

@@ -10,8 +10,8 @@
 //! [`RingOram`], which builds a client — or restores one from checkpointed
 //! metadata — and hands back the two halves.
 //!
-//! The pipelined proxy drives the halves from separate threads: its batch
-//! runners own the read plane, its decider the engine, which runs the
+//! The pipelined proxy drives the halves from separate threads: its epoch
+//! executor owns the read plane, its decider the engine, which runs the
 //! epoch's owed maintenance once, right before the flush, so epoch `N+1`'s
 //! reads overlap epoch `N`'s write-back I/O.  A caller that drives both from
 //! one thread (recovery, the Figure 10 and 11 reproductions, tests) runs the

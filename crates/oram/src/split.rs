@@ -51,14 +51,14 @@
 //!   ingest.
 //!
 //! The engine is driven by at most one thread (the proxy's epoch decider);
-//! the read plane may be driven by several threads concurrently (the
-//! proxy's batch runners).  Plans serialize briefly on the shared lock,
-//! physical fetches overlap freely, and every in-flight batch is tracked
-//! with the buckets it touches so the flush fence and the publish account
-//! for it.  The caller must keep concurrently written and read key sets
-//! disjoint — and concurrently *read* key sets pairwise disjoint — which the
-//! Obladi proxy guarantees with its carry-pending set and per-epoch read
-//! de-duplication.
+//! the read plane may be driven by several threads concurrently (the proxy
+//! runs its batches one at a time on its epoch executor).  Plans serialize
+//! briefly on the shared lock, physical fetches overlap freely, and every
+//! in-flight batch is tracked with the buckets it touches so the flush
+//! fence and the publish account for it.  The caller must keep concurrently
+//! written and read key sets disjoint — and concurrently *read* key sets
+//! pairwise disjoint — which the Obladi proxy guarantees with its carry set
+//! and read batches that carry a key once.
 //!
 //! # Write-back in waves
 //!

@@ -300,9 +300,10 @@ fn batches_are_paced_from_the_previous_dispatch() {
         let trace = trace.lock();
         let epochs: std::collections::BTreeSet<EpochId> =
             trace.batch_starts.iter().map(|(e, _)| *e).collect();
-        // A start is stamped on the runner thread, not at dispatch: one that
-        // overlaps the checkpoint can wait a few ms for a CPU (2 shards of
-        // unoptimised crypto on a small host), which shortens the next gap.
+        // A start is stamped when the executor begins the batch's I/O, after
+        // planning it: one that overlaps the checkpoint can wait a few ms
+        // for a CPU (2 shards of unoptimised crypto on a small host), which
+        // shortens the next gap.
         let jitter = delta / 4;
         for epoch in epochs {
             for (index, pair) in trace.starts_of(epoch).windows(2).enumerate() {
