@@ -1162,15 +1162,26 @@ mod tests {
             .unwrap()
     }
 
+    /// A proxy on 100 ms batches, for one-attempt scenarios of a few
+    /// operations: against 1 ms batches they straddle an epoch end now and
+    /// then, and that aborts them retryably by design.
+    fn long_epoch_db() -> ObladiDb {
+        let mut config = ObladiConfig::small_for_tests(512);
+        config.epoch.batch_interval = Duration::from_millis(100);
+        ObladiDb::open(config).unwrap()
+    }
+
     #[test]
     fn single_transaction_commit_and_read_back() {
         let db = test_db();
-        let mut txn = db.begin().unwrap();
-        assert_eq!(txn.read(1).unwrap(), None);
-        txn.write(1, val(10)).unwrap();
-        assert_eq!(txn.read(1).unwrap(), Some(val(10)));
-        let outcome = txn.commit().unwrap();
-        assert!(outcome.is_committed());
+        // A transaction that straddles an epoch end aborts retryably.
+        db.execute_with_retries(10, &mut |txn| {
+            assert_eq!(txn.read(1)?, None);
+            txn.write(1, val(10))?;
+            assert_eq!(txn.read(1)?, Some(val(10)));
+            Ok(())
+        })
+        .unwrap();
 
         assert_eq!(read_committed(&db, 1), Some(val(10)));
         db.shutdown();
@@ -1178,7 +1189,7 @@ mod tests {
 
     #[test]
     fn writes_are_not_visible_until_commit_epoch_ends() {
-        let db = test_db();
+        let db = long_epoch_db();
         // Write in one transaction, read in a later one (after its epoch).
         let mut t1 = db.begin().unwrap();
         t1.write(7, val(70)).unwrap();
@@ -1244,7 +1255,7 @@ mod tests {
     fn execute_api_commits_and_retries() {
         let db = test_db();
         let result = db
-            .execute(&mut |txn| {
+            .execute_with_retries(10, &mut |txn| {
                 txn.write(9, val(99))?;
                 txn.read(9)
             })
@@ -1301,7 +1312,7 @@ mod tests {
 
     #[test]
     fn write_conflict_aborts_via_mvtso() {
-        let db = test_db();
+        let db = long_epoch_db();
         // t2 (later ts) reads key 5; t1 (earlier ts) then tries to write it.
         let mut t1 = db.begin().unwrap();
         let mut t2 = db.begin().unwrap();
@@ -1314,7 +1325,7 @@ mod tests {
 
     #[test]
     fn crash_aborts_inflight_and_recovery_preserves_committed() {
-        let db = test_db();
+        let db = long_epoch_db();
         // Commit an epoch's worth of data.
         for k in 0..8u64 {
             let mut txn = db.begin().unwrap();

@@ -1,10 +1,11 @@
 //! What every caller of the Ring ORAM client shares, and its one public
 //! constructor (§4, §6.3, §7).
 //!
-//! The client lives in [`crate::split`]: a concurrent **read plane**
-//! ([`OramReader`]) and a **write-back engine** ([`WritebackEngine`]) sharing
-//! the client state (position map, per-bucket metadata, stash,
-//! buffered-bucket overlay) behind one fine-grained lock.  This module holds
+//! The client lives in [`crate::split`]: a **read plane** ([`OramReader`],
+//! one read batch in flight at a time) and a **write-back engine**
+//! ([`WritebackEngine`]) sharing the client state (position map,
+//! per-bucket metadata, stash, buffered-bucket overlay) behind one
+//! fine-grained lock.  This module holds
 //! the executor options ([`ExecOptions`]), the operation counters
 //! ([`OramStats`]), the path-log types ([`SlotRead`], [`PathLogger`]) and
 //! [`RingOram`], which builds a client — or restores one from checkpointed

@@ -13,7 +13,8 @@
 //!   key).  The first live mutation records the pre-image; a bucket's is one
 //!   clone of its copy-on-write `Arc` ([`OramMeta::bucket_mut`] copies the
 //!   data only while the overlay still shares it).  The publisher seeds both
-//!   with the in-flight reader targets (see `split::publish`).
+//!   with the targets of the reader batch in flight, if one is (see
+//!   `split::publish`).
 //! * `stash` / counters — taken eagerly at the publish.
 //! * `dirty_keys` / `dirty_buckets` — the **ids** dirtied between the last
 //!   checkpoint of either kind and the publish: a set union per publish, so
@@ -80,8 +81,8 @@ impl Committed {
     }
 
     /// Publishes `live` as the committed state.  The overlays start over
-    /// from the publisher's patches (in-flight reader targets at their
-    /// pre-plan values); the ids `live` dirtied since the last publish join
+    /// from the publisher's patches (the in-flight reader batch's targets at
+    /// their pre-plan values); the ids `live` dirtied since the last publish join
     /// the window.  A patched id belongs to this window at its patched value
     /// and to the next at its live one, so it is re-marked dirty on `live`.
     pub(crate) fn publish(

@@ -14,9 +14,10 @@
 //!   planning slot selections against the current metadata + buffered-bucket
 //!   overlay (cheap, in-memory, under the lock), issuing the physical reads
 //!   with the lock *released*, and ingesting the fetched blocks afterwards.
-//!   It never rewrites a bucket and never writes storage.  It is `Clone`:
-//!   several threads may drive concurrent read batches against the same
-//!   client.
+//!   It never rewrites a bucket and never writes storage.  It is `Clone`,
+//!   and its clones share one admission: one read batch is in flight at a
+//!   time, and a batch planned while another is in flight waits for it to
+//!   land.
 //! * [`WritebackEngine`] — the **write-back engine**.  It owns dummiless
 //!   `write_batch`es, the eviction/early-reshuffle schedule, `flush_writes`
 //!   (the only moment bucket writes reach storage) and checkpoint
@@ -35,30 +36,31 @@
 //! * **The committed snapshot + the per-bucket fence.**  The client state
 //!   is *published* at the end of every flush (see the `committed` module)
 //!   and checkpoints read the published state through an undo overlay, so
-//!   nothing quiesces the read plane to checkpoint.  Reader batches need no
-//!   hold on the snapshot: they plan against the live state, and a publish
-//!   that overlaps one patches its mid-air targets back in.  What orders the
-//!   planes is a *per-bucket* fence: a flush waits only for in-flight reader
-//!   batches holding physical reads against the specific buckets it is
+//!   nothing quiesces the read plane to checkpoint.  A reader batch needs no
+//!   hold on the snapshot: it plans against the live state, and a publish
+//!   that overlaps it patches its mid-air targets back in.  What orders the
+//!   planes is a *per-bucket* fence: a flush waits for the in-flight reader
+//!   batch only if it holds physical reads against the buckets the flush is
 //!   about to write (a fetch planned before a bucket entered the buffered
 //!   overlay could otherwise race that bucket's write and fail freshness
-//!   verification).  New batches never plan physical reads against buffered
-//!   buckets — the overlay serves them — so unrelated batches keep flowing
-//!   while a flush drains.
+//!   verification).  Batches planned later never plan physical reads
+//!   against buffered buckets — the overlay serves them — so they keep
+//!   flowing while a flush drains.
 //! * **Plan-time resolution.**  Reads whose target lives in the stash or in
 //!   a buffered bucket capture the value at plan time, under the lock, so
 //!   no concurrent eviction can whisk the block away between plan and
 //!   ingest.
 //!
 //! The engine is driven by at most one thread (the proxy's epoch decider);
-//! the read plane may be driven by several threads concurrently (the proxy
-//! runs its batches one at a time on its epoch executor).  Plans serialize
-//! briefly on the shared lock, physical fetches overlap freely, and every
-//! in-flight batch is tracked with the buckets it touches so the flush
-//! fence and the publish account for it.  The caller must keep concurrently
-//! written and read key sets disjoint — and concurrently *read* key sets
-//! pairwise disjoint — which the Obladi proxy guarantees with its carry set
-//! and read batches that carry a key once.
+//! the read plane admits one batch at a time, like Obladi's batch manager,
+//! which ships one padded read batch per Δ (the proxy runs its batches one
+//! by one on its epoch executor, so it never waits for admission).  The
+//! parallelism is inside a batch: its physical fetches run on the worker
+//! pool.  The in-flight batch is tracked with the buckets it touches so the
+//! flush fence and the publish account for it.  The caller keeps two rules,
+//! which the Obladi proxy keeps with its carry set and its batch planner:
+//! the keys a batch reads are disjoint from the keys written concurrently,
+//! and a batch carries each key once.
 //!
 //! # Write-back in waves
 //!
@@ -155,7 +157,7 @@ pub trait CheckpointSource {
     fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta>;
 }
 
-/// One reader batch with physical reads in flight (planned, not ingested).
+/// The reader batch with physical reads in flight (planned, not ingested).
 struct InFlightBatch {
     /// Every bucket the batch physically reads (targets and dummies); the
     /// flush's per-bucket fence waits on intersections with its buffer.
@@ -175,10 +177,6 @@ struct TargetUndo {
     key: Key,
     /// The leaf the key was mapped to before the plan remapped it.
     old_leaf: Leaf,
-    /// `rewrite_stamps[bucket]` at plan time; a publish refuses to patch
-    /// against a bucket rewritten since (never happens in the proxy flow —
-    /// see [`publish`]).
-    stamp: u64,
 }
 
 /// All shared mutable client state, behind the one fine-grained lock.
@@ -197,15 +195,9 @@ struct SharedState {
     /// (planned into a maintenance wave, their path not yet applied).
     /// Readers wait for them.
     limbo: HashSet<Key>,
-    /// Monotonic per-bucket rewrite counters.  A reader batch records the
-    /// stamp of every bucket it targets, so a publish can tell whether an
-    /// in-flight batch's undo still applies to the live layout.
-    rewrite_stamps: Vec<u64>,
-    /// Reader batches with physical reads in flight, keyed by batch id.
-    /// Replaces the old single `reader_fetches` counter: the flush fence
-    /// waits per bucket, so several batches overlap inside one epoch.
-    in_flight: HashMap<u64, InFlightBatch>,
-    next_batch_id: u64,
+    /// The reader batch with physical reads in flight, if any; the next
+    /// batch waits for it to land before it plans.
+    in_flight: Option<InFlightBatch>,
     /// The last published state (see the `committed` module).
     committed: Committed,
     /// Set when an operation failed after destructive metadata mutation:
@@ -316,7 +308,6 @@ fn from_parts(
 ) -> (OramReader, WritebackEngine) {
     let config = meta.config;
     let committed = Committed::new(&meta);
-    let rewrite_stamps = vec![0u64; meta.buckets.len()];
     let skips = std::iter::once("oram.split.exhausted_skips".to_string())
         .chain((0..config.levels).map(|l| format!("oram.split.exhausted_skips.level_{l}")));
     let core = OramCore {
@@ -338,9 +329,7 @@ fn from_parts(
                 rng,
                 stats: OramStats::default(),
                 limbo: HashSet::new(),
-                rewrite_stamps,
-                in_flight: HashMap::new(),
-                next_batch_id: 0,
+                in_flight: None,
                 committed,
                 poisoned: false,
             }),
@@ -578,50 +567,33 @@ impl OramCore {
 /// of every flush (the decider's per-epoch commit point, including flushes
 /// with an empty buffer) and at `init_tree`.
 ///
-/// In-flight reader batches have physical *target* blocks mid-air: cleared
+/// The in-flight reader batch has physical *target* blocks mid-air: cleared
 /// from their buckets at plan time but not yet ingested into the stash.
 /// The committed state must keep accounting for those blocks, so the
 /// publish patches every in-flight target back in — the key restored into
 /// its bucket slot at its pre-plan leaf, which is exactly the state the
 /// last landed write produced (reads never mutate storage, so the slot is
 /// physically present at the bucket's committed version).
-fn publish(core: &OramCore, guard: &mut parking_lot::MutexGuard<'_, SharedState>) {
-    // A batch whose target bucket was rewritten since its plan cannot be
-    // patched against the new layout.  The proxy flow never produces this —
-    // every rewrite lands in the flush buffer, and the flush's per-bucket
-    // fence waits such batches out before any write or publish — but wait
-    // defensively for exotic drivers.
-    loop {
-        let conflicted = guard.in_flight.values().any(|batch| {
-            batch
-                .targets
-                .iter()
-                .any(|undo| guard.rewrite_stamps[undo.bucket as usize] != undo.stamp)
-        });
-        if !conflicted {
-            break;
-        }
-        core.shared.cond.wait(guard);
-    }
-
-    let state = &mut **guard;
-
-    // Collect the in-flight patches: per key the pre-plan position, per
-    // bucket a clone of the live metadata with the target slot restored.
+fn publish(state: &mut SharedState) {
+    // The patch applies to each target bucket's live layout because no
+    // target bucket has been rewritten since the plan.  With deferred
+    // writes, a bucket rewritten after the plan stays in the flush buffer
+    // until a flush writes it, and that flush's per-bucket fence waits the
+    // batch out first.  Write-through mode runs only where one thread drives
+    // both halves, so no batch is in flight at its publish.
     let mut position_undo: HashMap<Key, Option<Leaf>> = HashMap::new();
     let mut bucket_undo: HashMap<BucketId, Arc<BucketMeta>> = HashMap::new();
-    for batch in state.in_flight.values() {
+    if let Some(batch) = &state.in_flight {
         for undo in &batch.targets {
-            position_undo.entry(undo.key).or_insert(Some(undo.old_leaf));
-            let base = bucket_undo
-                .get(&undo.bucket)
-                .cloned()
-                .unwrap_or_else(|| state.meta.buckets[undo.bucket as usize].clone());
-            let mut patched = (*base).clone();
+            position_undo.insert(undo.key, Some(undo.old_leaf));
+            let live = &state.meta.buckets[undo.bucket as usize];
+            let patched = bucket_undo
+                .entry(undo.bucket)
+                .or_insert_with(|| live.clone());
+            let patched = Arc::make_mut(patched);
             patched.real[undo.logical] = Some((undo.key, undo.old_leaf));
             patched.valid[undo.logical] = true;
             patched.reads_since_shuffle = patched.reads_since_shuffle.saturating_sub(1);
-            bucket_undo.insert(undo.bucket, Arc::new(patched));
         }
     }
 
@@ -656,9 +628,12 @@ impl ParkMeter {
         self.started.get_or_insert(now);
     }
 
-    /// Total park duration, or `None` if the batch never blocked.
-    fn finish(self, now: Instant) -> Option<Duration> {
-        self.started.map(|s| now.saturating_duration_since(s))
+    /// Total park duration, or `None` if the batch never blocked; resets
+    /// the meter, so a later block starts a new park.
+    fn finish(&mut self, now: Instant) -> Option<Duration> {
+        self.started
+            .take()
+            .map(|s| now.saturating_duration_since(s))
     }
 }
 
@@ -675,9 +650,9 @@ fn pool_size(options: &ExecOptions) -> usize {
     }
 }
 
-/// The concurrent read plane of the split client (see the module docs).
-/// Cloneable: every clone shares the same client state and worker pool, so
-/// several threads can drive concurrent read batches.
+/// The read plane of the split client (see the module docs).  Cloneable:
+/// every clone shares the same client state, worker pool and admission, so
+/// batches from several clones take turns.
 #[derive(Clone)]
 pub struct OramReader {
     core: OramCore,
@@ -708,40 +683,45 @@ impl OramReader {
     /// Executes one read batch.  `requests[i] == None` denotes a padding
     /// (dummy) request that reads a uniformly random path.
     ///
-    /// The metadata pass runs under the shared lock; the physical reads run
-    /// with it released, so engine write-backs and *other reader batches*
-    /// in flight on other threads overlap them in time.
+    /// A batch first waits for the batch in flight, if any, to land.  The
+    /// metadata pass runs under the shared lock; the physical reads run
+    /// with it released, so engine write-backs overlap them in time.
     pub fn read_batch(
         &self,
         requests: &[Option<Key>],
         logger: &dyn PathLogger,
     ) -> Result<Vec<Option<Value>>> {
-        // Phase 1 (locked): wait out limbo keys, then plan every request —
-        // slot choices, position remaps and plan-time value capture are
-        // atomic with respect to the engine and other batches.
-        let (plans, physical, batch) = {
+        // Phase 1 (locked): wait out limbo keys and the batch in flight,
+        // then plan every request — slot choices, position remaps and
+        // plan-time value capture are atomic with respect to the engine.
+        let (plans, physical) = {
             let mut state = self.core.shared.state.lock();
             let mut park = ParkMeter::new();
             loop {
-                // Re-checked after every wakeup: a concurrent engine
-                // failure may poison the client while this batch is parked,
-                // and planning against the corrupted metadata could
-                // double-read consumed slots (see [`check_poisoned`]).
+                // Re-checked after every wakeup: a concurrent failure may
+                // poison the client while this batch is parked, and
+                // planning against the corrupted metadata could double-read
+                // consumed slots (see [`check_poisoned`]).
                 check_poisoned(&state)?;
                 let blocked = requests
                     .iter()
                     .filter_map(|r| *r)
                     .any(|k| state.limbo.contains(&k));
-                if !blocked {
-                    break;
+                // Only a limbo key runs the park meter: waiting for the
+                // batch in flight is admission, not a limbo park.
+                if blocked {
+                    park.on_block(Instant::now());
+                } else {
+                    if let Some(parked) = park.finish(Instant::now()) {
+                        obladi_obs::global()
+                            .histogram("oram.split.limbo_park_us")
+                            .record_duration(parked);
+                    }
+                    if state.in_flight.is_none() {
+                        break;
+                    }
                 }
-                park.on_block(Instant::now());
                 self.core.shared.cond.wait(&mut state);
-            }
-            if let Some(parked) = park.finish(Instant::now()) {
-                obladi_obs::global()
-                    .histogram("oram.split.limbo_park_us")
-                    .record_duration(parked);
             }
             let mut physical: Vec<SlotRead> = Vec::new();
             let mut targets: Vec<TargetUndo> = Vec::new();
@@ -790,18 +770,9 @@ impl OramReader {
             state.stats.physical_reads += physical.len() as u64;
             // Register the batch *before* releasing the lock so the
             // engine's per-bucket fence and publish cannot miss it.
-            let batch = if physical.is_empty() {
-                None
-            } else {
-                let id = state.next_batch_id;
-                state.next_batch_id += 1;
-                let buckets: HashSet<BucketId> = physical.iter().map(|r| r.bucket).collect();
-                state
-                    .in_flight
-                    .insert(id, InFlightBatch { buckets, targets });
-                Some(id)
-            };
-            (plans, physical, batch)
+            let buckets = physical.iter().map(|r| r.bucket).collect();
+            state.in_flight = Some(InFlightBatch { buckets, targets });
+            (plans, physical)
         };
 
         // Phase 2 (unlocked): log, then issue the physical reads.
@@ -818,13 +789,11 @@ impl OramReader {
         })();
 
         // Phase 3 (locked): deregister the batch on *every* path — the
-        // engine's fence must never wait on a fetch that has already
-        // failed — then ingest the target blocks into the stash.
+        // engine's fence and the next batch must never wait on a fetch that
+        // has already failed — then ingest the target blocks into the stash.
         let mut state = self.core.shared.state.lock();
-        if let Some(id) = batch {
-            state.in_flight.remove(&id);
-            self.core.shared.cond.notify_all();
-        }
+        state.in_flight = None;
+        self.core.shared.cond.notify_all();
         let result = (|state: &mut SharedState| -> Result<Vec<Option<Value>>> {
             let mut raw = fetched?;
             let mut results = Vec::with_capacity(requests.len());
@@ -965,7 +934,6 @@ fn plan_access(
         if let Some(logical) = key_slot {
             if !resolved {
                 let k = key.expect("key_slot implies key");
-                let stamp = state.rewrite_stamps[bucket as usize];
                 state.note_bucket(bucket);
                 let meta = state.meta.bucket_mut(bucket);
                 let slot = meta.mark_read(logical);
@@ -982,7 +950,6 @@ fn plan_access(
                     logical,
                     key: k,
                     old_leaf,
-                    stamp,
                 });
                 target = Target::Physical(physical.len() - 1);
                 resolved = true;
@@ -1121,7 +1088,7 @@ impl WritebackEngine {
             state.meta.bucket_mut(bucket).version = version?;
         }
         // The initialised tree is the first state worth checkpointing.
-        publish(&self.core, &mut state);
+        publish(&mut state);
         Ok(())
     }
 
@@ -1190,9 +1157,9 @@ impl WritebackEngine {
     /// resulting state.
     ///
     /// Issues the physical writes with the shared lock released.  The
-    /// per-bucket fence first waits out in-flight reader batches holding
-    /// physical reads against the buckets about to be written; buckets leave
-    /// the buffered overlay only after their write has landed, so concurrent
+    /// per-bucket fence first waits out the in-flight reader batch if it
+    /// holds physical reads against the buckets about to be written; buckets
+    /// leave the buffered overlay only after their write has landed, so
     /// reader batches stay consistent throughout (see the module docs).
     pub fn flush_writes(&mut self, _logger: &dyn PathLogger) -> Result<()> {
         type Job = (BucketId, Arc<BucketMeta>, Arc<Vec<Block>>);
@@ -1202,7 +1169,7 @@ impl WritebackEngine {
             if state.buffer.is_empty() {
                 // Nothing to write, but the epoch still commits: publish,
                 // so checkpoints capture the current state.
-                publish(&self.core, &mut state);
+                publish(&mut state);
                 return Ok(());
             }
             self.wait_buffered_bucket_fetches(&mut state)?;
@@ -1248,16 +1215,15 @@ impl WritebackEngine {
             state.buffer.remove(&bucket);
             state.stats.physical_writes += 1;
         }
-        publish(&self.core, &mut state);
-        self.core.shared.cond.notify_all();
+        publish(&mut state);
         Ok(())
     }
 
-    /// The per-bucket flush fence: waits until no in-flight reader batch
-    /// holds a physical read against a bucket in the flush buffer.  New
-    /// batches never plan physical reads against buffered buckets (the
-    /// overlay serves them), so this only waits for fetches planned before
-    /// the buckets entered the buffer — unrelated batches keep flowing.
+    /// The per-bucket flush fence: waits until the in-flight reader batch,
+    /// if any, holds no physical read against a bucket in the flush buffer.
+    /// Later batches never plan physical reads against buffered buckets
+    /// (the overlay serves them), so this only waits for a fetch planned
+    /// before the buckets entered the buffer.
     fn wait_buffered_bucket_fetches(
         &self,
         state: &mut parking_lot::MutexGuard<'_, SharedState>,
@@ -1265,7 +1231,7 @@ impl WritebackEngine {
         let drain_started = Instant::now();
         loop {
             check_poisoned(state)?;
-            let conflict = state.in_flight.values().any(|batch| {
+            let conflict = state.in_flight.as_ref().is_some_and(|batch| {
                 batch
                     .buckets
                     .iter()
@@ -1716,7 +1682,7 @@ fn place_eligible_blocks(
 /// buffers or immediately writes its contents.  Runs under the shared lock;
 /// write-through mode (deferred_writes = false) runs only where one thread
 /// drives both halves (Figure 10's sequential and immediate-write-back
-/// series), so there is no concurrent reader to block.
+/// series, `oram_ops`), so no reader batch is in flight to block.
 fn rewrite_bucket(
     core: &OramCore,
     state: &mut SharedState,
@@ -1725,7 +1691,6 @@ fn rewrite_bucket(
 ) -> Result<()> {
     let assignment: Vec<(Key, Leaf)> = blocks.iter().map(|b| (b.key, b.leaf)).collect();
     state.note_bucket(bucket);
-    state.rewrite_stamps[bucket as usize] += 1;
     state
         .meta
         .bucket_mut(bucket)
@@ -1788,6 +1753,7 @@ mod tests {
     use obladi_common::config::OramConfig;
     use obladi_storage::InMemoryStore;
     use parking_lot::Mutex;
+    use std::sync::mpsc;
 
     const KEY_A: Key = 7;
     const KEY_B: Key = 9;
@@ -2587,16 +2553,99 @@ mod tests {
             Some(Duration::from_micros(200)),
             "one sample spanning the whole logical park"
         );
+        // An admission wait after the limbo block cleared is not part of
+        // the park.
+        assert_eq!(meter.finish(t0 + Duration::from_micros(300)), None);
     }
 
     #[test]
     fn park_meter_is_silent_when_the_batch_never_blocked() {
-        let meter = ParkMeter::new();
+        let mut meter = ParkMeter::new();
         assert_eq!(
             meter.finish(Instant::now()),
             None,
             "unblocked batches must not record a park"
         );
+    }
+
+    /// Holds a read batch between its plan and its fetch until let go (or
+    /// until the sender is dropped).
+    struct HeldBatch {
+        planned: mpsc::Sender<()>,
+        let_go: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl PathLogger for HeldBatch {
+        fn log_reads(&self, _reads: &[SlotRead]) -> Result<()> {
+            let _ = self.planned.send(());
+            let _ = self.let_go.lock().recv();
+            Ok(())
+        }
+    }
+
+    /// Reports, when a batch's reads are logged, whether `key` is already
+    /// in the stash.
+    struct StashProbe {
+        shared: Arc<SharedOram>,
+        key: Key,
+        seen: mpsc::Sender<bool>,
+    }
+
+    impl PathLogger for StashProbe {
+        fn log_reads(&self, _reads: &[SlotRead]) -> Result<()> {
+            let in_stash = self.shared.state.lock().meta.stash.contains(self.key);
+            let _ = self.seen.send(in_stash);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_second_batch_waits_for_the_first_to_land() {
+        let (reader, mut engine) = open(64);
+        let load: Vec<(Key, Value)> = (0..32).map(|k| (k, vec![k as u8])).collect();
+        engine.write_batch(&load, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+        let meta = engine.meta_snapshot();
+        let mut in_tree = (0..32).filter(|&key| !meta.stash.contains(key));
+        let (first, second) = (in_tree.next().unwrap(), in_tree.next().unwrap());
+
+        let (planned, is_planned) = mpsc::channel();
+        let (let_go, held) = mpsc::channel();
+        let held = HeldBatch {
+            planned,
+            let_go: Mutex::new(held),
+        };
+        let (seen, observed) = mpsc::channel();
+        let probe = StashProbe {
+            shared: engine.core.shared.clone(),
+            key: first,
+            seen,
+        };
+        std::thread::scope(|scope| {
+            // Dropped with this closure, unwinding or not: a failed
+            // assertion lets the held batch go.
+            let let_go = let_go;
+            let (one, held) = (reader.clone(), &held);
+            let first_batch = scope.spawn(move || one.read_batch(&[Some(first)], held));
+            is_planned.recv().unwrap();
+            let (two, probe) = (reader.clone(), &probe);
+            let second_batch = scope.spawn(move || two.read_batch(&[Some(second), None], probe));
+            // A second batch admitted beside the first would log its reads
+            // now, with the first's target still in mid-air.
+            let early = observed.recv_timeout(Duration::from_millis(200));
+            assert!(early.is_err(), "the second batch planned beside the first");
+            let_go.send(()).unwrap();
+            let landed = observed.recv_timeout(Duration::from_secs(10));
+            assert_eq!(
+                landed,
+                Ok(true),
+                "the first batch's target is in the stash when the second plans"
+            );
+            let values = first_batch.join().unwrap().unwrap();
+            assert_eq!(values, vec![Some(vec![first as u8])]);
+            let values = second_batch.join().unwrap().unwrap();
+            assert_eq!(values, vec![Some(vec![second as u8]), None]);
+        });
     }
 
     #[test]

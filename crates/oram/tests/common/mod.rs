@@ -16,7 +16,9 @@ pub struct HeldInFlight {
 /// The logger to plan the held batches with, the receiver that hears of
 /// every plan, and the sender that lets a planned batch go.  The driving
 /// thread must own the sender where it can unwind (move it into the scope's
-/// closure): dropping it is what releases a reader it left parked.
+/// closure): dropping it is what releases a reader it left parked.  The
+/// split client admits one batch at a time, so no other batch plans while
+/// one is held: let it go before reading again.
 pub fn held_in_flight() -> (HeldInFlight, mpsc::Receiver<()>, mpsc::Sender<()>) {
     let (planned, is_planned) = mpsc::channel();
     let (let_go, held) = mpsc::channel();
