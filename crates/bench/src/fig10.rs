@@ -69,7 +69,8 @@ fn run_oram_reads(
 }
 
 /// Canonical sequential Ring ORAM: `ops` single-key reads, each followed by
-/// the maintenance it made due and the flush of write-through mode.
+/// the maintenance it made due — write-through mode flushes every eviction
+/// as it is applied — and a flush, which writes nothing more but publishes.
 /// Returns ops/s.
 fn run_sequential_reads(
     (reader, engine): &mut (OramReader, WritebackEngine),

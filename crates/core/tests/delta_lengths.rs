@@ -37,6 +37,11 @@ fn config(depth: u32) -> ObladiConfig {
     config.epoch.batch_interval = Duration::from_millis(1);
     // One base checkpoint, then deltas only: retention keeps all of them.
     config.epoch.checkpoint_every = 100_000;
+    // One eviction per epoch, not the default `A`'s four or five: a
+    // write-back runs its evictions after all of its writes, and with the
+    // default hardly a block outlives it, so the stash section would have
+    // no entries to pad.
+    config.oram.a = (config.epoch.reads_per_epoch() + config.epoch.write_batch_size) as u32;
     config
 }
 

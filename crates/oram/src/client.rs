@@ -12,23 +12,24 @@
 //! metadata — and hands back the two halves.
 //!
 //! The pipelined proxy drives the halves from separate threads: its epoch
-//! executor owns the read plane, its decider the engine, which runs the
-//! epoch's owed maintenance once, right before the flush, so epoch `N+1`'s
-//! reads overlap epoch `N`'s write-back I/O.  A caller that drives both from
-//! one thread (recovery, the Figure 10 and 11 reproductions, tests) runs the
-//! maintenance a read batch made due right after it —
-//! `reader.read_batch(..)?; engine.run_pending_maintenance(..)?;` — and, in
-//! write-through mode (`deferred_writes: false`), flushes as well.
+//! executor owns the read plane, its decider the engine, whose write batch
+//! runs the epoch's owed maintenance once, after all of its writes, right
+//! before the flush, so epoch `N+1`'s reads overlap epoch `N`'s write-back
+//! I/O.  A caller that drives both from one thread (recovery, the Figure 10
+//! and 11 reproductions, tests) runs the maintenance a read batch made due
+//! right after it — `reader.read_batch(..)?; engine.run_pending_maintenance(..)?;`
+//! — which in write-through mode (`deferred_writes: false`) also flushes
+//! every path it rewrites.
 //!
 //! Two deliberate deviations from canonical Ring ORAM, both documented in
 //! DESIGN.md ("Deviations from canonical Ring ORAM"), keep the batched
 //! implementation tractable without changing the behaviour the evaluation
-//! measures: evictions owed in the middle of a batch are performed at the
-//! end of that batch (the paper itself defers all physical writes to the
-//! epoch boundary), and buckets that have already been logically rewritten
-//! during the epoch are served from the local buffer instead of being
-//! physically re-read (the paper's "reads are served locally from the
-//! buffered buckets", §7).
+//! measures: evictions owed in the middle of a read or write batch are
+//! performed at the end of that batch (the paper itself defers all
+//! physical writes to the epoch boundary), and buckets that have already
+//! been logically rewritten during the epoch are served from the local
+//! buffer instead of being physically re-read (the paper's "reads are
+//! served locally from the buffered buckets", §7).
 
 use crate::codec::{Decoder, Encoder};
 use crate::metadata::OramMeta;
@@ -47,9 +48,10 @@ pub struct ExecOptions {
     pub parallel: bool,
     /// Worker pool size (ignored when `parallel` is false).
     pub threads: usize,
-    /// Defer bucket write-back to [`WritebackEngine::flush_writes`]
-    /// (delayed visibility).  When false every eviction writes its buckets
-    /// immediately, as canonical Ring ORAM does.
+    /// Defer bucket write-back to the epoch's
+    /// [`WritebackEngine::flush_writes`] (delayed visibility).  When false
+    /// each eviction is flushed as soon as it is applied, before the next is
+    /// planned, as canonical Ring ORAM writes its buckets.
     pub deferred_writes: bool,
     /// Seal blocks with ChaCha20 + HMAC.  Disabling isolates the ORAM's
     /// scheduling cost from its crypto cost (the `Parallel` vs
@@ -75,7 +77,8 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Canonical sequential Ring ORAM: no parallelism, immediate writes.
+    /// Canonical sequential Ring ORAM: no parallelism, and each eviction
+    /// flushed as soon as it is applied.
     pub fn sequential() -> Self {
         ExecOptions {
             parallel: false,

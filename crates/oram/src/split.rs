@@ -16,8 +16,7 @@
 //!   with the lock *released*, and ingesting the fetched blocks afterwards.
 //!   It never rewrites a bucket and never writes storage.  It is `Clone`,
 //!   and its clones share one admission: one read batch is in flight at a
-//!   time, and a batch planned while another is in flight waits for it to
-//!   land.
+//!   time, and a batch begun while another is in flight is refused.
 //! * [`WritebackEngine`] — the **write-back engine**.  It owns dummiless
 //!   `write_batch`es, the eviction/early-reshuffle schedule, `flush_writes`
 //!   (the only moment bucket writes reach storage) and checkpoint
@@ -54,10 +53,10 @@
 //! The engine is driven by at most one thread (the proxy's epoch decider);
 //! the read plane admits one batch at a time, like Obladi's batch manager,
 //! which ships one padded read batch per Δ (the proxy runs its batches one
-//! by one on its epoch executor, so it never waits for admission).  The
-//! parallelism is inside a batch: its physical fetches run on the worker
-//! pool.  The in-flight batch is tracked with the buckets it touches so the
-//! flush fence and the publish account for it.  The caller keeps two rules,
+//! by one on its epoch executor, so it is never refused).  The parallelism
+//! is inside a batch: its physical fetches run on the worker pool.  The
+//! in-flight batch is tracked with the buckets it touches so the flush
+//! fence and the publish account for it.  The caller keeps two rules,
 //! which the Obladi proxy keeps with its carry set and its batch planner:
 //! the keys a batch reads are disjoint from the keys written concurrently,
 //! and a batch carries each key once.
@@ -81,6 +80,14 @@
 //!    so stash occupancy means what it did — or from the buffer where an
 //!    earlier path rewrote the bucket; placement runs deepest-first; the
 //!    path's limbo keys are released.
+//!
+//! A write batch owes its evictions too, and pays them the same way, after
+//! the whole batch: its writes enter the stash, then one wave runs (§7
+//! delays evictions to the end of a batch).  Every rewritten bucket waits
+//! in the buffer for [`WritebackEngine::flush_writes`]; write-through mode
+//! (`deferred_writes: false`) only flushes after every wave, and caps the
+//! wave at one path, so each path reaches storage before the next is
+//! planned.
 //!
 //! # Dummy slots
 //!
@@ -195,8 +202,8 @@ struct SharedState {
     /// (planned into a maintenance wave, their path not yet applied).
     /// Readers wait for them.
     limbo: HashSet<Key>,
-    /// The reader batch with physical reads in flight, if any; the next
-    /// batch waits for it to land before it plans.
+    /// The reader batch with physical reads in flight, if any; another
+    /// batch is refused until it lands.
     in_flight: Option<InFlightBatch>,
     /// The last published state (see the `committed` module).
     committed: Committed,
@@ -576,11 +583,9 @@ impl OramCore {
 /// physically present at the bucket's committed version).
 fn publish(state: &mut SharedState) {
     // The patch applies to each target bucket's live layout because no
-    // target bucket has been rewritten since the plan.  With deferred
-    // writes, a bucket rewritten after the plan stays in the flush buffer
-    // until a flush writes it, and that flush's per-bucket fence waits the
-    // batch out first.  Write-through mode runs only where one thread drives
-    // both halves, so no batch is in flight at its publish.
+    // target bucket has been rewritten since the plan: a bucket rewritten
+    // after the plan stays in the flush buffer until a flush writes it, and
+    // that flush's per-bucket fence waits the batch out first.
     let mut position_undo: HashMap<Key, Option<Leaf>> = HashMap::new();
     let mut bucket_undo: HashMap<BucketId, Arc<BucketMeta>> = HashMap::new();
     if let Some(batch) = &state.in_flight {
@@ -651,8 +656,8 @@ fn pool_size(options: &ExecOptions) -> usize {
 }
 
 /// The read plane of the split client (see the module docs).  Cloneable:
-/// every clone shares the same client state, worker pool and admission, so
-/// batches from several clones take turns.
+/// every clone shares the same client state, worker pool and admission —
+/// one batch in flight across all of them.
 #[derive(Clone)]
 pub struct OramReader {
     core: OramCore,
@@ -683,44 +688,47 @@ impl OramReader {
     /// Executes one read batch.  `requests[i] == None` denotes a padding
     /// (dummy) request that reads a uniformly random path.
     ///
-    /// A batch first waits for the batch in flight, if any, to land.  The
-    /// metadata pass runs under the shared lock; the physical reads run
-    /// with it released, so engine write-backs overlap them in time.
+    /// A batch begun while another is in flight, on any clone, fails with
+    /// [`ObladiError::Internal`]; one that requests a limbo key waits for
+    /// it.  The metadata pass runs under the shared lock; the physical
+    /// reads run with it released, so engine write-backs overlap them in
+    /// time.
     pub fn read_batch(
         &self,
         requests: &[Option<Key>],
         logger: &dyn PathLogger,
     ) -> Result<Vec<Option<Value>>> {
-        // Phase 1 (locked): wait out limbo keys and the batch in flight,
-        // then plan every request — slot choices, position remaps and
-        // plan-time value capture are atomic with respect to the engine.
+        // Phase 1 (locked): wait out limbo keys, then plan every request —
+        // slot choices, position remaps and plan-time value capture are
+        // atomic with respect to the engine.
         let (plans, physical) = {
             let mut state = self.core.shared.state.lock();
             let mut park = ParkMeter::new();
             loop {
-                // Re-checked after every wakeup: a concurrent failure may
-                // poison the client while this batch is parked, and
+                // Both re-checked after every wakeup: a concurrent failure
+                // may poison the client while this batch is parked, and
                 // planning against the corrupted metadata could double-read
-                // consumed slots (see [`check_poisoned`]).
+                // consumed slots (see [`check_poisoned`]); a batch another
+                // thread began meanwhile owns the admission.
                 check_poisoned(&state)?;
+                if state.in_flight.is_some() {
+                    return Err(ObladiError::Internal(
+                        "a read batch is already in flight".into(),
+                    ));
+                }
                 let blocked = requests
                     .iter()
                     .filter_map(|r| *r)
                     .any(|k| state.limbo.contains(&k));
-                // Only a limbo key runs the park meter: waiting for the
-                // batch in flight is admission, not a limbo park.
-                if blocked {
-                    park.on_block(Instant::now());
-                } else {
+                if !blocked {
                     if let Some(parked) = park.finish(Instant::now()) {
                         obladi_obs::global()
                             .histogram("oram.split.limbo_park_us")
                             .record_duration(parked);
                     }
-                    if state.in_flight.is_none() {
-                        break;
-                    }
+                    break;
                 }
+                park.on_block(Instant::now());
                 self.core.shared.cond.wait(&mut state);
             }
             let mut physical: Vec<SlotRead> = Vec::new();
@@ -789,8 +797,9 @@ impl OramReader {
         })();
 
         // Phase 3 (locked): deregister the batch on *every* path — the
-        // engine's fence and the next batch must never wait on a fetch that
-        // has already failed — then ingest the target blocks into the stash.
+        // engine's fence must never wait on a fetch that has already failed,
+        // nor the next batch be refused for it — then ingest the target
+        // blocks into the stash.
         let mut state = self.core.shared.state.lock();
         state.in_flight = None;
         self.core.shared.cond.notify_all();
@@ -1007,9 +1016,9 @@ pub struct WritebackEngine {
     core: OramCore,
     pool: Arc<ThreadPool>,
     /// Most units one wave may hold: everything owed, except that
-    /// write-through mode (`ExecOptions::sequential()`) rewrites storage as
-    /// each path is applied, so the next must be planned after it — a wave
-    /// of one.
+    /// write-through mode (`ExecOptions::sequential()`) flushes each path
+    /// before it plans the next, as canonical Ring ORAM does — a wave of
+    /// one.
     wave_cap: usize,
 }
 
@@ -1106,6 +1115,13 @@ impl WritebackEngine {
     /// Like [`WritebackEngine::write_batch`], but pads the batch to
     /// `padded_to` logical writes so the eviction schedule is independent of
     /// how many real writes the epoch produced (§6.2).
+    ///
+    /// Every write enters the stash before the evictions the batch owes run,
+    /// as one wave after the whole batch, so the store sees the same
+    /// dispatches whatever the batch carried.  The stash must hold a batch's
+    /// real writes beside what it already holds: the proxy's stash floor
+    /// reserves a write batch, and recovery replays at most one epoch's
+    /// committed writes.
     pub fn write_batch_padded(
         &mut self,
         writes: &[(Key, Value)],
@@ -1123,24 +1139,13 @@ impl WritebackEngine {
                 )));
             }
         }
-        let a = self.core.config.a as u64;
-        for (key, value) in writes {
-            let run_maintenance = {
-                let mut state = self.core.shared.state.lock();
-                check_poisoned(&state)?;
-                dummiless_write(&self.core, &mut state, *key, value.clone())?;
-                // Interleave evictions with large write batches so the
-                // stash stays within its canonical Ring ORAM bound even
-                // when the write batch is larger than `A`.
-                state.meta.access_count.is_multiple_of(a)
-            };
-            if run_maintenance {
-                self.run_waves(logger, false)?;
-            }
-        }
         {
-            // Padded (dummy) writes contribute to the access count only.
             let mut state = self.core.shared.state.lock();
+            check_poisoned(&state)?;
+            for (key, value) in writes {
+                dummiless_write(&self.core, &mut state, *key, value.clone())?;
+            }
+            // Padded (dummy) writes contribute to the access count only.
             let padding = padded_to.saturating_sub(writes.len()) as u64;
             state.meta.access_count += padding;
             state.stats.logical_writes += padding;
@@ -1253,27 +1258,12 @@ impl WritebackEngine {
     // ------------------------------------------------------------------
 
     /// Runs every eviction and early reshuffle that has come due, as one
-    /// wave (see the module docs).  The proxy's decider drives this once
-    /// per epoch (right before the flush); a caller driving both halves
-    /// from one thread, after every read batch.
+    /// wave (see the module docs), and in write-through mode flushes each
+    /// wave as soon as it is applied.  The proxy's decider runs it once per
+    /// epoch, at the end of its write batch; a caller driving both halves
+    /// from one thread, after every read batch too.
     pub fn run_pending_maintenance(&mut self, logger: &dyn PathLogger) -> Result<()> {
-        self.run_waves(logger, true)
-    }
-
-    /// Test seam: caps a wave at `paths` units; `1` is the one-path-at-a-time
-    /// schedule the differential tests and `maintenance/*` micro-benchmarks
-    /// compare the wave against.
-    #[doc(hidden)]
-    pub fn cap_wave_for_tests(&mut self, paths: usize) {
-        self.wave_cap = paths.max(1);
-    }
-
-    /// Plans, fetches and applies waves until nothing is owed.  Early
-    /// reshuffles join only when `reshuffles` is set: the passes a large
-    /// write batch interleaves run evictions alone, so which reshuffles an
-    /// epoch issues never depends on how many real writes it carried.
-    fn run_waves(&mut self, logger: &dyn PathLogger, reshuffles: bool) -> Result<()> {
-        while let Some(wave) = self.plan_wave(reshuffles)? {
+        while let Some(wave) = self.plan_wave()? {
             let record = |name, value| obladi_obs::global().histogram(name).record(value);
             record("oram.split.wave_paths", wave.units.len() as u64);
             record("oram.split.wave_reads", wave.reads.len() as u64);
@@ -1312,15 +1302,26 @@ impl WritebackEngine {
                 longest_hold = longest_hold.max(hold_started.elapsed());
             }
             record("oram.split.apply_hold_us", longest_hold.as_micros() as u64);
+            if !self.core.options.deferred_writes {
+                self.flush_writes(logger)?;
+            }
         }
         Ok(())
     }
 
+    /// Test seam: caps a wave at `paths` units; `1` is the one-path-at-a-time
+    /// schedule the differential tests and `maintenance/*` micro-benchmarks
+    /// compare the wave against.
+    #[doc(hidden)]
+    pub fn cap_wave_for_tests(&mut self, paths: usize) {
+        self.wave_cap = paths.max(1);
+    }
+
     /// Plans the next wave under one hold of the shared lock: every owed
-    /// eviction in schedule order, then — if asked — the early reshuffles
-    /// that are due and that no eviction of the wave subsumes.  `None` when
-    /// nothing is owed.
-    fn plan_wave(&self, reshuffles: bool) -> Result<Option<Wave>> {
+    /// eviction in schedule order, then the early reshuffles that are due
+    /// and that no eviction of the wave subsumes.  `None` when nothing is
+    /// owed.
+    fn plan_wave(&self) -> Result<Option<Wave>> {
         let mut guard = self.core.shared.state.lock();
         let state = &mut *guard;
         check_poisoned(state)?;
@@ -1337,22 +1338,20 @@ impl WritebackEngine {
         }
 
         // Early reshuffles for exhausted buckets.
-        if reshuffles {
-            let mut due: Vec<BucketId> = state.needs_reshuffle.iter().copied().collect();
-            due.sort_unstable();
-            for bucket in due {
-                if wave.units.len() >= self.wave_cap {
-                    break;
-                }
-                state.needs_reshuffle.remove(&bucket);
-                // A bucket an eviction rewrites — in this wave, or earlier
-                // in the epoch (it is buffered) — no longer needs it.
-                if !reached.contains(&bucket)
-                    && !state.buffer.contains_key(&bucket)
-                    && state.meta.buckets[bucket as usize].needs_early_reshuffle()
-                {
-                    plan_unit(state, vec![bucket], false, &mut reached, &mut wave);
-                }
+        let mut due: Vec<BucketId> = state.needs_reshuffle.iter().copied().collect();
+        due.sort_unstable();
+        for bucket in due {
+            if wave.units.len() >= self.wave_cap {
+                break;
+            }
+            state.needs_reshuffle.remove(&bucket);
+            // A bucket an eviction rewrites — in this wave, or earlier in
+            // the epoch (it is buffered) — no longer needs it.
+            if !reached.contains(&bucket)
+                && !state.buffer.contains_key(&bucket)
+                && state.meta.buckets[bucket as usize].needs_early_reshuffle()
+            {
+                plan_unit(state, vec![bucket], false, &mut reached, &mut wave);
             }
         }
 
@@ -1466,15 +1465,9 @@ impl CheckpointSource for WritebackEngine {
     }
 }
 
-/// A dummiless write (§6.3) under the shared lock.
+/// A dummiless write (§6.3) under the shared lock; the caller has checked
+/// the value's size.
 fn dummiless_write(core: &OramCore, state: &mut SharedState, key: Key, value: Value) -> Result<()> {
-    if value.len() > core.config.block_size {
-        return Err(ObladiError::Codec(format!(
-            "value of {} bytes exceeds block size {}",
-            value.len(),
-            core.config.block_size
-        )));
-    }
     state.stats.logical_writes += 1;
     state.meta.access_count += 1;
 
@@ -1632,7 +1625,7 @@ fn apply_unit(
         ingest_evicted_block(core, state, block, &mut pulled)?;
     }
     for &bucket in unit.buckets.iter().rev() {
-        place_eligible_blocks(core, state, bucket, &pulled)?;
+        place_eligible_blocks(core, state, bucket, &pulled);
     }
     if unit.eviction {
         state.meta.evict_count += 1;
@@ -1647,8 +1640,8 @@ fn apply_unit(
 }
 
 /// Moves up to `Z` eligible stash blocks into `bucket` and installs the
-/// rewritten bucket (buffered or written through, per the exec options).
-/// Shared by the eviction write phase and the early-reshuffle re-place.
+/// rewritten bucket.  Shared by the eviction write phase and the
+/// early-reshuffle re-place.
 ///
 /// Blocks the unit `pulled` off its path go ahead of blocks already in the
 /// stash, then by key.  Eligibility sets are nested prefixes of the path,
@@ -1660,7 +1653,7 @@ fn place_eligible_blocks(
     state: &mut SharedState,
     bucket: BucketId,
     pulled: &HashSet<Key>,
-) -> Result<()> {
+) {
     let level = core.geometry.level_of(bucket);
     let geometry = core.geometry;
     let mut eligible = state
@@ -1675,20 +1668,13 @@ fn place_eligible_blocks(
             placed.push(Block::real(key, leaf, value));
         }
     }
-    rewrite_bucket(core, state, bucket, placed)
+    rewrite_bucket(state, bucket, placed);
 }
 
-/// Installs fresh metadata for a logically rewritten bucket and either
-/// buffers or immediately writes its contents.  Runs under the shared lock;
-/// write-through mode (deferred_writes = false) runs only where one thread
-/// drives both halves (Figure 10's sequential and immediate-write-back
-/// series, `oram_ops`), so no reader batch is in flight to block.
-fn rewrite_bucket(
-    core: &OramCore,
-    state: &mut SharedState,
-    bucket: BucketId,
-    blocks: Vec<Block>,
-) -> Result<()> {
+/// Installs fresh metadata for a logically rewritten bucket and buffers its
+/// contents: they reach storage at the next [`WritebackEngine::flush_writes`],
+/// in either write mode.
+fn rewrite_bucket(state: &mut SharedState, bucket: BucketId, blocks: Vec<Block>) {
     let assignment: Vec<(Key, Leaf)> = blocks.iter().map(|b| (b.key, b.leaf)).collect();
     state.note_bucket(bucket);
     state
@@ -1697,26 +1683,7 @@ fn rewrite_bucket(
         .rewrite(&assignment, &mut state.rng);
     state.meta.mark_bucket_dirty(bucket);
     state.needs_reshuffle.remove(&bucket);
-
-    if core.options.deferred_writes {
-        state.buffer.insert(bucket, Arc::new(blocks));
-        return Ok(());
-    }
-
-    let capacity = Block::padded_capacity(core.config.block_size);
-    let meta = (*state.meta.buckets[bucket as usize]).clone();
-    let slots = build_bucket_slots(
-        &core.envelope,
-        core.options.encrypt,
-        bucket,
-        &meta,
-        &blocks,
-        capacity,
-    )?;
-    let version = core.store.write_bucket(bucket, slots)?;
-    state.meta.bucket_mut(bucket).version = version;
-    state.stats.physical_writes += 1;
-    Ok(())
+    state.buffer.insert(bucket, Arc::new(blocks));
 }
 
 /// Puts a block read during eviction back into the stash and notes its key
@@ -1753,6 +1720,7 @@ mod tests {
     use obladi_common::config::OramConfig;
     use obladi_storage::InMemoryStore;
     use parking_lot::Mutex;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
 
     const KEY_A: Key = 7;
@@ -2225,6 +2193,83 @@ mod tests {
         );
     }
 
+    /// A store that counts the waves it is sent: a dispatch of slot reads
+    /// behind fresh path-log records (see [`WaveLog`]) starts one, however
+    /// many workers share it.
+    struct WaveCountingStore {
+        inner: Arc<dyn UntrustedStore>,
+        logged: AtomicBool,
+        waves: AtomicUsize,
+    }
+
+    impl UntrustedStore for WaveCountingStore {
+        fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<bytes::Bytes>> {
+            if self.logged.swap(false, Ordering::SeqCst) {
+                self.waves.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.read_slots(reads)
+        }
+        fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<bytes::Bytes> {
+            self.inner.read_slot(bucket, slot)
+        }
+        fn read_bucket(&self, bucket: BucketId) -> Result<obladi_storage::BucketSnapshot> {
+            self.inner.read_bucket(bucket)
+        }
+        fn write_bucket(&self, bucket: BucketId, slots: Vec<bytes::Bytes>) -> Result<Version> {
+            self.inner.write_bucket(bucket, slots)
+        }
+        fn write_buckets(
+            &self,
+            writes: Vec<(BucketId, Vec<bytes::Bytes>)>,
+        ) -> Vec<Result<Version>> {
+            self.inner.write_buckets(writes)
+        }
+        fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
+            self.inner.bucket_version(bucket)
+        }
+        fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
+            self.inner.revert_bucket(bucket, version)
+        }
+        fn put_meta(&self, key: &str, value: bytes::Bytes) -> Result<()> {
+            self.inner.put_meta(key, value)
+        }
+        fn get_meta(&self, key: &str) -> Result<Option<bytes::Bytes>> {
+            self.inner.get_meta(key)
+        }
+        fn append_log(&self, record: bytes::Bytes) -> Result<u64> {
+            self.inner.append_log(record)
+        }
+        fn read_log_from(&self, from: u64) -> Result<Vec<(u64, bytes::Bytes)>> {
+            self.inner.read_log_from(from)
+        }
+        fn truncate_log(&self, up_to: u64) -> Result<()> {
+            self.inner.truncate_log(up_to)
+        }
+        fn truncate_log_tail(&self, from: u64) -> Result<()> {
+            self.inner.truncate_log_tail(from)
+        }
+        fn stats(&self) -> obladi_storage::StoreStats {
+            self.inner.stats()
+        }
+        fn reset_stats(&self) {
+            self.inner.reset_stats()
+        }
+    }
+
+    /// A [`UnitLog`] that also tells its [`WaveCountingStore`] that path-log
+    /// records went out.
+    struct WaveLog {
+        units: UnitLog,
+        store: Arc<WaveCountingStore>,
+    }
+
+    impl PathLogger for WaveLog {
+        fn log_reads(&self, reads: &[SlotRead]) -> Result<()> {
+            self.store.logged.store(true, Ordering::SeqCst);
+            self.units.log_reads(reads)
+        }
+    }
+
     #[test]
     fn an_epoch_logs_as_many_path_records_with_no_real_write_as_with_a_full_batch() {
         const WRITE_BATCH: usize = 24;
@@ -2232,28 +2277,48 @@ mod tests {
         let mut rng = DetRng::new(3);
         for seed in 0..40u64 {
             let meta = base.meta_snapshot();
+            // The epoch's path-log records, and the waves the store saw.
             let epoch_log = |writes: Vec<(Key, Value)>| {
-                let (_, mut engine) = owing_client(&meta, &store, seed);
-                let log = UnitLog::default();
+                let counting = Arc::new(WaveCountingStore {
+                    inner: store.clone(),
+                    logged: AtomicBool::new(false),
+                    waves: Default::default(),
+                });
+                let (_, mut engine) = owing_client(&meta, &(counting.clone() as _), seed);
+                let log = WaveLog {
+                    units: UnitLog::default(),
+                    store: counting.clone(),
+                };
                 engine
                     .write_batch_padded(&writes, WRITE_BATCH, &log)
                     .unwrap();
-                log.0.into_inner()
+                let waves = counting.waves.load(Ordering::SeqCst);
+                (log.units.0.into_inner(), waves)
             };
             let batch = |first: Key| (first..first + WRITE_BATCH as u64).map(|k| (k, vec![0xEE]));
-            let idle = epoch_log(Vec::new());
+            let (idle, idle_waves) = epoch_log(Vec::new());
             assert!(!idle.is_empty(), "seed {seed}: the epoch owes maintenance");
+            assert_eq!(idle_waves, 1, "seed {seed}: one wave pays what is owed");
             // New keys disturb no bucket: record for record the same log,
-            // however many passes the real writes forced.
-            assert_eq!(idle, epoch_log(batch(WAVE_KEYS).collect()), "seed {seed}");
+            // and the store sees the same dispatches.
+            assert_eq!(
+                (idle.clone(), idle_waves),
+                epoch_log(batch(WAVE_KEYS).collect()),
+                "seed {seed}"
+            );
             // Overwrites may clear the last valid slot of an exhausted
             // bucket (one read fewer, the `exhausted_skips` residual); the
-            // units — one `log_reads` call each — stay the same.
-            let overwriting = epoch_log(batch(seed % 64).collect());
+            // units — one `log_reads` call each — and the waves stay the
+            // same.
+            let (overwriting, overwriting_waves) = epoch_log(batch(seed % 64).collect());
             assert_eq!(
                 idle.len(),
                 overwriting.len(),
                 "seed {seed}: units per epoch"
+            );
+            assert_eq!(
+                idle_waves, overwriting_waves,
+                "seed {seed}: waves per epoch"
             );
             let buckets = |log: &[(Vec<BucketId>, usize)]| -> usize {
                 log.iter().map(|(buckets, _)| buckets.len()).sum()
@@ -2271,11 +2336,11 @@ mod tests {
     // The stash between two checkpoints
     // ------------------------------------------------------------------
 
-    /// `run_waves`, asserting after every unit that it added no key to the
-    /// stash.  Returns how many units found the stash occupied.
-    fn run_waves_checking_units(engine: &mut WritebackEngine, reshuffles: bool) -> usize {
+    /// `run_pending_maintenance`, asserting after every unit that it added
+    /// no key to the stash.  Returns how many units found the stash occupied.
+    fn maintenance_checking_units(engine: &mut WritebackEngine) -> usize {
         let mut over_a_stash = 0;
-        while let Some(Wave { units, reads, real }) = engine.plan_wave(reshuffles).unwrap() {
+        while let Some(Wave { units, reads, real }) = engine.plan_wave().unwrap() {
             let mut staged = engine.core.fetch_slots(&engine.pool, reads, real).unwrap();
             for unit in &units {
                 let mut state = engine.core.shared.state.lock();
@@ -2291,25 +2356,20 @@ mod tests {
         over_a_stash
     }
 
-    /// `write_batch_padded`'s schedule over [`run_waves_checking_units`].
+    /// `write_batch_padded`'s schedule over [`maintenance_checking_units`].
     fn write_checking_units(
         engine: &mut WritebackEngine,
         writes: &[(Key, Value)],
         padded_to: usize,
     ) -> usize {
-        let a = engine.core.config.a as u64;
-        let mut over_a_stash = 0;
-        for (key, value) in writes {
+        {
             let mut state = engine.core.shared.state.lock();
-            dummiless_write(&engine.core, &mut state, *key, value.clone()).unwrap();
-            let owed = state.meta.access_count.is_multiple_of(a);
-            drop(state);
-            if owed {
-                over_a_stash += run_waves_checking_units(engine, false);
+            for (key, value) in writes {
+                dummiless_write(&engine.core, &mut state, *key, value.clone()).unwrap();
             }
+            state.meta.access_count += (padded_to - writes.len()) as u64;
         }
-        engine.core.shared.state.lock().meta.access_count += (padded_to - writes.len()) as u64;
-        over_a_stash + run_waves_checking_units(engine, true)
+        maintenance_checking_units(engine)
     }
 
     #[test]
@@ -2432,17 +2492,24 @@ mod tests {
         use obladi_storage::{CrashOp, CrashPoint, FaultPlan, FaultyStore};
         let (_, base, store) = loaded_base(21);
         let meta = base.meta_snapshot();
-        let healthy = UnitLog::default();
-        let mut reference = owing_client(&meta, &store, 4).1;
-        reference.run_pending_maintenance(&healthy).unwrap();
-        let wave_reads: usize = healthy.0.lock().iter().map(|(_, reads)| reads).sum();
+        // The longest wave some owing client runs.
+        let (wave_reads, seed) = (0..16u64)
+            .map(|seed| {
+                let healthy = UnitLog::default();
+                let mut reference = owing_client(&meta, &store, seed).1;
+                reference.run_pending_maintenance(&healthy).unwrap();
+                let reads: usize = healthy.0.lock().iter().map(|(_, reads)| reads).sum();
+                (reads, seed)
+            })
+            .max()
+            .expect("sixteen seeds");
         assert!(wave_reads > 20, "a wave worth failing: {wave_reads} reads");
         // The first read of the wave (every path-log record of the wave is
         // out, nothing fetched), one in the middle, and the last.
         for nth in [1, wave_reads as u64 / 2, wave_reads as u64] {
             let faulty = Arc::new(FaultyStore::new(store.clone(), FaultPlan::none(), 5));
             let (reader, mut engine) =
-                owing_client(&meta, &(faulty.clone() as Arc<dyn UntrustedStore>), 4);
+                owing_client(&meta, &(faulty.clone() as Arc<dyn UntrustedStore>), seed);
             faulty.set_plan(FaultPlan::crash_at(CrashPoint {
                 arm_on_log_kind: None,
                 on: CrashOp::SlotRead,
@@ -2491,11 +2558,14 @@ mod tests {
         // stash one block too small does.  A one-unit-at-a-time pass tells
         // which unit first pushes the stash to a new high-water mark; a
         // bound one below that mark lets the units before it through and
-        // fails that one — and the wave must do exactly the same.
+        // fails that one — and the wave must do exactly the same.  The
+        // owing client's write batch puts all its writes in the stash at
+        // once, which usually sets a mark no later unit reaches: about one
+        // seed in two hundred peaks after its first unit.
         let (_, base, store) = loaded_base(33);
         // Through the codec: a decoded stash forgets its old peak.
         let mut meta = OramMeta::decode_full(&base.meta_snapshot().encode_full()).unwrap();
-        let staged = (0..64u64).find_map(|seed| {
+        let staged = (0..1024u64).find_map(|seed| {
             let (reader, mut sequence) = owing_client(&meta, &store, seed);
             sequence.cap_wave_for_tests(1);
             let log = PeakLog(reader, Mutex::new(Vec::new()));
@@ -2553,8 +2623,7 @@ mod tests {
             Some(Duration::from_micros(200)),
             "one sample spanning the whole logical park"
         );
-        // An admission wait after the limbo block cleared is not part of
-        // the park.
+        // Finishing spent the park: a second finish records nothing.
         assert_eq!(meter.finish(t0 + Duration::from_micros(300)), None);
     }
 
@@ -2583,24 +2652,8 @@ mod tests {
         }
     }
 
-    /// Reports, when a batch's reads are logged, whether `key` is already
-    /// in the stash.
-    struct StashProbe {
-        shared: Arc<SharedOram>,
-        key: Key,
-        seen: mpsc::Sender<bool>,
-    }
-
-    impl PathLogger for StashProbe {
-        fn log_reads(&self, _reads: &[SlotRead]) -> Result<()> {
-            let in_stash = self.shared.state.lock().meta.stash.contains(self.key);
-            let _ = self.seen.send(in_stash);
-            Ok(())
-        }
-    }
-
     #[test]
-    fn a_second_batch_waits_for_the_first_to_land() {
+    fn a_second_batch_is_refused_while_one_is_in_flight() {
         let (reader, mut engine) = open(64);
         let load: Vec<(Key, Value)> = (0..32).map(|k| (k, vec![k as u8])).collect();
         engine.write_batch(&load, &NoopPathLogger).unwrap();
@@ -2615,12 +2668,6 @@ mod tests {
             planned,
             let_go: Mutex::new(held),
         };
-        let (seen, observed) = mpsc::channel();
-        let probe = StashProbe {
-            shared: engine.core.shared.clone(),
-            key: first,
-            seen,
-        };
         std::thread::scope(|scope| {
             // Dropped with this closure, unwinding or not: a failed
             // assertion lets the held batch go.
@@ -2628,24 +2675,25 @@ mod tests {
             let (one, held) = (reader.clone(), &held);
             let first_batch = scope.spawn(move || one.read_batch(&[Some(first)], held));
             is_planned.recv().unwrap();
-            let (two, probe) = (reader.clone(), &probe);
-            let second_batch = scope.spawn(move || two.read_batch(&[Some(second), None], probe));
-            // A second batch admitted beside the first would log its reads
-            // now, with the first's target still in mid-air.
-            let early = observed.recv_timeout(Duration::from_millis(200));
-            assert!(early.is_err(), "the second batch planned beside the first");
-            let_go.send(()).unwrap();
-            let landed = observed.recv_timeout(Duration::from_secs(10));
-            assert_eq!(
-                landed,
-                Ok(true),
-                "the first batch's target is in the stash when the second plans"
+            // Another clone, with the first batch's target in mid-air; on a
+            // thread of its own, so a batch that waits fails the test
+            // instead of hanging it.
+            let (answer, answered) = mpsc::channel();
+            let two = reader.clone();
+            scope
+                .spawn(move || answer.send(two.read_batch(&[Some(second), None], &NoopPathLogger)));
+            let refused = answered.recv_timeout(Duration::from_secs(10));
+            assert!(
+                matches!(refused, Ok(Err(ObladiError::Internal(_)))),
+                "a second batch beside the first: {refused:?}"
             );
+            let_go.send(()).unwrap();
             let values = first_batch.join().unwrap().unwrap();
             assert_eq!(values, vec![Some(vec![first as u8])]);
-            let values = second_batch.join().unwrap().unwrap();
-            assert_eq!(values, vec![Some(vec![second as u8]), None]);
         });
+        // Once the first has landed, the next batch is admitted.
+        let values = reader.read_batch(&[Some(second), None], &NoopPathLogger);
+        assert_eq!(values.unwrap(), vec![Some(vec![second as u8]), None]);
     }
 
     #[test]

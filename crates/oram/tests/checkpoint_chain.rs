@@ -11,8 +11,9 @@
 //! reader batch between the flush and the checkpoint (depth 2), then a full
 //! checkpoint every fifth epoch and a delta otherwise — sequentially, and
 //! with a second thread's read batch held in flight, between its plan and
-//! its fetch, across every publish and checkpoint.  The split client admits
-//! one batch at a time, so while one is held this thread reads nothing.
+//! its fetch, across every publish and checkpoint.  The split client refuses
+//! a batch while another is in flight, so this thread reads nothing from the
+//! moment one is held until it has landed.
 
 mod common;
 
@@ -120,6 +121,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
     };
     let (held, is_planned, let_go) = held_in_flight();
     let (to_plan, batches) = mpsc::channel::<Vec<Option<Key>>>();
+    let (has_landed, landed) = mpsc::channel::<()>();
 
     std::thread::scope(|scope| {
         // Dropped with this closure, unwinding or not: a failed assertion
@@ -129,6 +131,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
         scope.spawn(move || {
             for batch in batches {
                 second_reader.read_batch(&batch, held).unwrap();
+                has_landed.send(()).unwrap();
             }
         });
         let mut chain = Chain {
@@ -174,6 +177,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
             chain.checkpoint(epoch, &mut engine);
             if reads_in_flight {
                 let_go.send(()).unwrap();
+                landed.recv().unwrap();
             } else if epoch % 16 == 9 {
                 chain.assert_reads(epoch, &store, &model);
             }
@@ -218,8 +222,13 @@ fn a_delta_is_as_long_as_the_configuration_says_whatever_the_epoch_did() {
     let epoch = EpochConfig::small_for_tests();
     assert_eq!(epoch.pipeline_depth, 2);
     let (batches, batch) = (epoch.read_batches as usize, epoch.read_batch_size);
-    // A stash that holds a window's reads and writes beside an eviction's.
-    let config = OramConfig::small_for_tests(256).with_max_stash(128);
+    // A stash that holds a window's reads and writes beside an eviction's,
+    // and evictions half as frequent as the default `A`: a write batch's
+    // evictions run after all of its writes, so with the default a written
+    // block seldom outlives its write-back, and most change sets would be
+    // removals only.
+    let mut config = OramConfig::small_for_tests(256).with_max_stash(128);
+    config.a *= 2;
     let window = epoch.max_position_delta();
     let (reader, mut engine, _store) = open(config);
     let keys: Vec<Key> = (0..200).collect();

@@ -17,8 +17,8 @@ pub struct HeldInFlight {
 /// every plan, and the sender that lets a planned batch go.  The driving
 /// thread must own the sender where it can unwind (move it into the scope's
 /// closure): dropping it is what releases a reader it left parked.  The
-/// split client admits one batch at a time, so no other batch plans while
-/// one is held: let it go before reading again.
+/// split client refuses a batch while another is in flight: let the held
+/// one go, and wait for it to land, before reading again.
 pub fn held_in_flight() -> (HeldInFlight, mpsc::Receiver<()>, mpsc::Sender<()>) {
     let (planned, is_planned) = mpsc::channel();
     let (let_go, held) = mpsc::channel();

@@ -17,6 +17,7 @@
 //! are compared; `split.rs`'s unit tests compare one pass by counting.
 
 use obladi_common::config::OramConfig;
+use obladi_common::error::ObladiError;
 use obladi_common::rng::DetRng;
 use obladi_common::types::{Key, Value};
 use obladi_crypto::KeyMaterial;
@@ -253,7 +254,9 @@ fn concurrent_stress_preserves_every_value() {
 }
 
 /// A path logger that parks the engine inside its first wave: the records
-/// are logged in the fetch step, after the plan and before the apply.
+/// are logged in the fetch step, after the plan and before the apply.  A
+/// test that unwinds drops the sender, and the wave fails: it releases its
+/// limbo keys, and a reader parked on one wakes to the poisoned client.
 struct WaveGate {
     planned: Mutex<Option<mpsc::Sender<()>>>,
     go: Mutex<mpsc::Receiver<()>>,
@@ -263,7 +266,8 @@ impl PathLogger for WaveGate {
     fn log_reads(&self, _reads: &[SlotRead]) -> obladi_common::error::Result<()> {
         if let Some(planned) = self.planned.lock().unwrap().take() {
             planned.send(()).expect("the test is waiting");
-            self.go.lock().unwrap().recv().expect("the test releases");
+            let released = self.go.lock().unwrap().recv();
+            released.map_err(|_| ObladiError::Internal("the test unwound".into()))?;
         }
         Ok(())
     }
@@ -286,28 +290,32 @@ fn reader_batches_run_while_a_wave_is_between_plan_and_apply() {
     reader.read_batch(&warm, &NoopPathLogger).unwrap();
 
     // The wave will pull every valid real block on the owed eviction paths
-    // out of the tree (nothing is buffered after the flush): those keys
-    // are in limbo while it is held.
+    // out of the tree (nothing is buffered after the flush), and on the
+    // buckets due an early reshuffle: those keys are in limbo while it is
+    // held.
     let meta = engine.meta_snapshot();
     let geometry = engine.geometry();
     let owed = meta.access_count / engine.config().a as u64;
     assert!(owed >= meta.evict_count + 2, "a wave of several paths");
-    let limbo: HashSet<Key> = (meta.evict_count..owed)
+    let valid_reals = |bucket: u64| -> Vec<Key> {
+        let bucket = &meta.buckets[bucket as usize];
+        let valid = |(slot, real): (usize, &Option<(Key, u64)>)| {
+            real.filter(|_| bucket.valid[slot]).map(|(key, _)| key)
+        };
+        bucket.real.iter().enumerate().filter_map(valid).collect()
+    };
+    let evicted: HashSet<Key> = (meta.evict_count..owed)
         .flat_map(|g| geometry.path(geometry.evict_target(g)))
-        .flat_map(|bucket| {
-            let bucket = &meta.buckets[bucket as usize];
-            let valid = |(slot, real): (usize, &Option<(Key, u64)>)| {
-                real.filter(|_| bucket.valid[slot]).map(|(key, _)| key)
-            };
-            bucket
-                .real
-                .iter()
-                .enumerate()
-                .filter_map(valid)
-                .collect::<Vec<Key>>()
-        })
+        .flat_map(valid_reals)
         .collect();
-    let limbo_key = *limbo.iter().min().expect("the owed paths hold real blocks");
+    let reshuffled = (0..meta.buckets.len() as u64)
+        .filter(|&bucket| meta.buckets[bucket as usize].needs_early_reshuffle())
+        .flat_map(valid_reals);
+    let limbo_key = *evicted
+        .iter()
+        .min()
+        .expect("the owed paths hold real blocks");
+    let limbo: HashSet<Key> = evicted.iter().copied().chain(reshuffled).collect();
     let free: Vec<Key> = (24..KEYSPACE)
         .filter(|k| !limbo.contains(k))
         .take(8)
@@ -322,16 +330,27 @@ fn reader_batches_run_while_a_wave_is_between_plan_and_apply() {
     };
     let released = AtomicBool::new(false);
     std::thread::scope(|scope| {
+        // Dropped with this closure, unwinding or not.
+        let go_tx = go_tx;
         let engine = &mut engine;
         let gate = &gate;
         let maintenance = scope.spawn(move || engine.run_pending_maintenance(gate));
         planned_rx.recv().expect("the engine plans a wave");
 
-        // The wave is planned and held.  Untouched keys read through.
+        // The wave is planned and held.  Untouched keys read through — on a
+        // thread of their own, so a batch parked on a key the prediction
+        // missed fails the test instead of hanging it.
         let requests: Vec<Option<Key>> = free.iter().copied().map(Some).collect();
-        let observed = reader.read_batch(&requests, &NoopPathLogger).unwrap();
+        let (answer, answered) = mpsc::channel();
+        let free_reader = &reader;
+        scope.spawn(move || answer.send(free_reader.read_batch(&requests, &NoopPathLogger)));
+        let observed = answered.recv_timeout(std::time::Duration::from_secs(10));
         let expected: Vec<Option<Value>> = free.iter().map(|&k| Some(value(k))).collect();
-        assert_eq!(observed, expected, "a batch beside the held wave");
+        assert_eq!(
+            observed.map(Result::unwrap),
+            Ok(expected),
+            "a batch beside the held wave"
+        );
 
         // A limbo key parks its batch until its path has been applied.
         let (started_tx, started_rx) = mpsc::channel();
