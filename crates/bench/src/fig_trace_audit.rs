@@ -23,7 +23,7 @@ use obladi_common::config::ShardConfig;
 use obladi_obs::audit::{AuditTolerances, TraceShape};
 use obladi_shard::ShardedDb;
 use obladi_testkit::audit::{
-    cross_check, level_profile, recording_stores, truncation_rhythm_failure,
+    cross_check, level_profile, recorded_shape, recording_stores, truncation_rhythm_failure,
 };
 use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
 use std::time::Instant;
@@ -76,12 +76,7 @@ fn run_cell(opts: &BenchOpts, depth: u32, label: &str) -> (TraceShape, Vec<u64>)
     db.shutdown();
     let wall_us = start.elapsed().as_micros() as u64;
     let ops = ring.ops();
-    // A long cell overflows the ring, which then holds the run's tail:
-    // count the epochs (and the time) of that tail only, by its share of
-    // the operations — their rate is the fixed rhythm itself.
-    let kept = ops.len() as f64 / (ops.len() as u64 + ring.dropped()).max(1) as f64;
-    let scale = |whole: u64| (whole as f64 * kept).round() as u64;
-    let shape = TraceShape::from_ops(label, &ops, scale(wall_us), scale(stats.global_epochs));
+    let shape = recorded_shape(label, &ops, ring.dropped(), wall_us, stats.global_epochs);
     let profile = level_profile(&ops);
     (shape, profile)
 }

@@ -12,9 +12,9 @@
 //!   since the publish, the value it had *at the publish* (`None` = absent
 //!   key).  The first live mutation records the pre-image; a bucket's is one
 //!   clone of its copy-on-write `Arc` ([`OramMeta::bucket_mut`] copies the
-//!   data only while the overlay still shares it).  The publisher seeds both
-//!   with the targets of the reader batch in flight, if one is (see
-//!   `split::publish`).
+//!   data only while the overlay still shares it).  A publish clears both:
+//!   it runs only while no reader batch is in flight (see `split::publish`),
+//!   so the live state it publishes accounts for every block.
 //! * `stash` / counters — taken eagerly at the publish.
 //! * `dirty_keys` / `dirty_buckets` — the **ids** dirtied between the last
 //!   checkpoint of either kind and the publish: a set union per publish, so
@@ -80,30 +80,14 @@ impl Committed {
             .or_insert_with(|| live.clone());
     }
 
-    /// Publishes `live` as the committed state.  The overlays start over
-    /// from the publisher's patches (the in-flight reader batch's targets at
-    /// their pre-plan values); the ids `live` dirtied since the last publish join
-    /// the window.  A patched id belongs to this window at its patched value
-    /// and to the next at its live one, so it is re-marked dirty on `live`.
-    pub(crate) fn publish(
-        &mut self,
-        live: &mut OramMeta,
-        position_undo: HashMap<Key, Option<Leaf>>,
-        bucket_undo: HashMap<BucketId, Arc<BucketMeta>>,
-    ) {
+    /// Publishes `live` as the committed state: the overlays start over,
+    /// and the ids `live` dirtied since the last publish join the window.
+    pub(crate) fn publish(&mut self, live: &mut OramMeta) {
         let (keys, buckets) = live.take_dirty();
         self.dirty_keys.extend(keys);
         self.dirty_buckets.extend(buckets);
-        for &key in position_undo.keys() {
-            self.dirty_keys.insert(key);
-            live.position.mark_dirty(key);
-        }
-        for &bucket in bucket_undo.keys() {
-            self.dirty_buckets.insert(bucket);
-            live.mark_bucket_dirty(bucket);
-        }
-        self.position_undo = position_undo;
-        self.bucket_undo = bucket_undo;
+        self.position_undo.clear();
+        self.bucket_undo.clear();
         self.stash = Arc::new(live.stash.clone());
         self.access_count = live.access_count;
         self.evict_count = live.evict_count;
@@ -195,10 +179,6 @@ mod tests {
         OramMeta::new(config, &mut rng)
     }
 
-    fn publish(committed: &mut Committed, live: &mut OramMeta) {
-        committed.publish(live, HashMap::new(), HashMap::new());
-    }
-
     /// A live mutation the way `split` makes one: pre-image first.
     fn set_position(committed: &mut Committed, live: &mut OramMeta, key: Key, leaf: Leaf) {
         committed.note_position(key, live.position.get(key));
@@ -216,7 +196,7 @@ mod tests {
         let mut live = live_meta();
         let mut committed = Committed::new(&live);
         set_position(&mut committed, &mut live, 5, 3);
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
 
         // Mutated twice after the publish: the first pre-image stays.
         set_position(&mut committed, &mut live, 5, 9);
@@ -239,7 +219,7 @@ mod tests {
         let mut live = live_meta();
         let mut committed = Committed::new(&live);
         set_position(&mut committed, &mut live, 5, 3);
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         set_position(&mut committed, &mut live, 6, 1);
         set_bucket_reads(&mut committed, &mut live, 2, 7);
 
@@ -249,7 +229,7 @@ mod tests {
         assert!(delta.buckets.is_empty());
 
         // They are the next window's.
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         let delta = committed.take_delta(&live, 8);
         assert_eq!(delta.position_delta, vec![(6, Some(1))]);
         assert_eq!(delta.buckets.len(), 1);
@@ -263,13 +243,13 @@ mod tests {
         set_position(&mut committed, &mut live, 1, 10);
         set_position(&mut committed, &mut live, 2, 20);
         live.access_count = 2;
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         // Nobody consumed the first window; the delta must carry both, each
         // key once, at its latest published value.
         set_position(&mut committed, &mut live, 2, 25);
         set_position(&mut committed, &mut live, 3, 30);
         live.access_count = 4;
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         assert_eq!(committed.pending_ids(), 3);
         live.access_count = 5;
 
@@ -286,38 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_patches_win_over_live_values() {
-        let mut live = live_meta();
-        let mut committed = Committed::new(&live);
-        set_position(&mut committed, &mut live, 4, 1);
-        publish(&mut committed, &mut live);
-        committed.take_delta(&live, 8);
-
-        // A reader planned key 4 out of bucket 3 (remapped, slot cleared)
-        // and is still fetching when the next publish runs.
-        set_position(&mut committed, &mut live, 4, 6);
-        set_bucket_reads(&mut committed, &mut live, 3, 1);
-        let mut patched = (*live.buckets[3]).clone();
-        patched.reads_since_shuffle = 0;
-        committed.publish(
-            &mut live,
-            HashMap::from([(4, Some(1))]),
-            HashMap::from([(3, Arc::new(patched))]),
-        );
-        assert_eq!(committed.meta(&live).position.get(4), Some(1));
-        let delta = committed.take_delta(&live, 8);
-        assert_eq!(delta.position_delta, vec![(4, Some(1))]);
-        assert_eq!(delta.buckets[0].1.reads_since_shuffle, 0);
-
-        // The batch lands without touching either again; the next window
-        // still records where they went.
-        publish(&mut committed, &mut live);
-        let delta = committed.take_delta(&live, 8);
-        assert_eq!(delta.position_delta, vec![(4, Some(6))]);
-        assert_eq!(delta.buckets[0].1.reads_since_shuffle, 1);
-    }
-
-    #[test]
     fn the_stash_change_set_is_against_the_last_checkpoint_of_either_kind() {
         let mut live = live_meta();
         live.stash.insert(1, 1, vec![1], 100).unwrap();
@@ -330,11 +278,11 @@ mod tests {
         // 2 leaves, key 1 is overwritten, key 4 arrives.
         live.stash.insert(3, 3, vec![3], 100).unwrap();
         live.stash.remove(2);
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         live.stash.remove(3);
         live.stash.insert(1, 1, vec![9], 100).unwrap();
         live.stash.insert(4, 4, vec![4], 100).unwrap();
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         let delta = committed.take_delta(&live, 8);
         assert_eq!(keys(&delta.stash_added), vec![1, 4]);
         assert_eq!(delta.stash_added[0].value, vec![9]);
@@ -345,12 +293,12 @@ mod tests {
         // only what came after.
         set_position(&mut committed, &mut live, 7, 7);
         live.stash.insert(5, 5, vec![5], 100).unwrap();
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         committed.full_taken();
         assert_eq!(committed.pending_ids(), 0);
         set_position(&mut committed, &mut live, 8, 8);
         live.stash.remove(4);
-        publish(&mut committed, &mut live);
+        committed.publish(&mut live);
         let delta = committed.take_delta(&live, 8);
         assert_eq!(delta.position_delta, vec![(8, Some(8))]);
         assert!(delta.stash_added.is_empty());

@@ -384,7 +384,6 @@ impl MetaDelta {
 mod tests {
     use super::*;
     use crate::committed::Committed;
-    use std::collections::HashMap;
 
     fn small_meta() -> OramMeta {
         let config = OramConfig::small_for_tests(64);
@@ -396,7 +395,7 @@ mod tests {
     /// `meta`.
     fn delta_since(since: &OramMeta, meta: &mut OramMeta, max_position_delta: usize) -> MetaDelta {
         let mut committed = Committed::new(since);
-        committed.publish(meta, HashMap::new(), HashMap::new());
+        committed.publish(meta);
         committed.take_delta(meta, max_position_delta)
     }
 

@@ -52,11 +52,6 @@ impl PositionMap {
         self.positions.remove(&key)
     }
 
-    /// Marks `key` dirty for the next delta although its entry stands.
-    pub(crate) fn mark_dirty(&mut self, key: Key) {
-        self.dirty.insert(key);
-    }
-
     /// Drains the keys modified since the last drain or
     /// [`PositionMap::take_delta`], leaving their values to the caller.
     pub(crate) fn take_dirty(&mut self) -> HashSet<Key> {

@@ -32,19 +32,19 @@
 //!   requests a limbo key parks on the shared condvar until the key's path
 //!   has been applied (at which point the key is in the stash, or placed in
 //!   a buffered bucket, and the read resolves locally).
-//! * **The committed snapshot + the per-bucket fence.**  The client state
-//!   is *published* at the end of every flush (see the `committed` module)
-//!   and checkpoints read the published state through an undo overlay, so
-//!   nothing quiesces the read plane to checkpoint.  A reader batch needs no
-//!   hold on the snapshot: it plans against the live state, and a publish
-//!   that overlaps it patches its mid-air targets back in.  What orders the
-//!   planes is a *per-bucket* fence: a flush waits for the in-flight reader
-//!   batch only if it holds physical reads against the buckets the flush is
-//!   about to write (a fetch planned before a bucket entered the buffered
-//!   overlay could otherwise race that bucket's write and fail freshness
-//!   verification).  Batches planned later never plan physical reads
-//!   against buffered buckets — the overlay serves them — so they keep
-//!   flowing while a flush drains.
+//! * **The committed snapshot, published between reader batches.**  The
+//!   client state is *published* at the end of every flush (see the
+//!   `committed` module) and checkpoints read the published state through
+//!   an undo overlay, so nothing quiesces the read plane to checkpoint.  One
+//!   rule orders the planes: a flush writes, and publishes, only while no
+//!   reader batch is in flight.  It waits before it writes any bucket (a
+//!   fetch planned before a bucket entered the buffered overlay could
+//!   otherwise race that bucket's write and fail freshness verification),
+//!   and again, under the lock it then installs and publishes in, before the
+//!   publish (a batch's targets are between their buckets and the stash
+//!   until it lands, and the published state must account for them).
+//!   Batches planned during the writes never plan physical reads against
+//!   buffered buckets — the overlay serves them — so they keep flowing.
 //! * **Plan-time resolution.**  Reads whose target lives in the stash or in
 //!   a buffered bucket capture the value at plan time, under the lock, so
 //!   no concurrent eviction can whisk the block away between plan and
@@ -55,11 +55,9 @@
 //! which ships one padded read batch per Δ (the proxy runs its batches one
 //! by one on its epoch executor, so it is never refused).  The parallelism
 //! is inside a batch: its physical fetches run on the worker pool.  The
-//! in-flight batch is tracked with the buckets it touches so the flush
-//! fence and the publish account for it.  The caller keeps two rules,
-//! which the Obladi proxy keeps with its carry set and its batch planner:
-//! the keys a batch reads are disjoint from the keys written concurrently,
-//! and a batch carries each key once.
+//! caller keeps two rules, which the Obladi proxy keeps with its carry set
+//! and its batch planner: the keys a batch reads are disjoint from the keys
+//! written concurrently, and a batch carries each key once.
 //!
 //! # Write-back in waves
 //!
@@ -140,8 +138,8 @@ pub fn set_leak_skip_dummy_pads(enabled: bool) {
 /// Produces the encrypted-checkpoint payloads durability logs at the end of
 /// every epoch.  Implemented by the write-back engine, which reads the
 /// committed snapshot, so a checkpoint can never capture a block that is
-/// physically in flight and findable nowhere (in-flight reader targets are
-/// patched back into the snapshot at publish time).
+/// physically in flight and findable nowhere (a flush publishes only while
+/// no reader batch is in flight).
 ///
 /// Both methods fail when the read plane is *poisoned*: a read batch with
 /// physical target blocks failed between plan and ingest, so a block that
@@ -164,28 +162,6 @@ pub trait CheckpointSource {
     fn checkpoint_delta(&mut self, max_position_delta: usize) -> Result<MetaDelta>;
 }
 
-/// The reader batch with physical reads in flight (planned, not ingested).
-struct InFlightBatch {
-    /// Every bucket the batch physically reads (targets and dummies); the
-    /// flush's per-bucket fence waits on intersections with its buffer.
-    buckets: HashSet<BucketId>,
-    /// The batch's physical *target* slots: blocks cleared from their
-    /// buckets at plan time that are mid-air towards the stash.  A publish
-    /// overlapping the batch patches these pre-images back into the
-    /// committed snapshot (see [`publish`]).
-    targets: Vec<TargetUndo>,
-}
-
-/// Pre-image of one physical target slot, captured at plan time.
-struct TargetUndo {
-    bucket: BucketId,
-    /// Logical real-slot index the block occupied.
-    logical: usize,
-    key: Key,
-    /// The leaf the key was mapped to before the plan remapped it.
-    old_leaf: Leaf,
-}
-
 /// All shared mutable client state, behind the one fine-grained lock.
 struct SharedState {
     meta: OramMeta,
@@ -202,9 +178,10 @@ struct SharedState {
     /// (planned into a maintenance wave, their path not yet applied).
     /// Readers wait for them.
     limbo: HashSet<Key>,
-    /// The reader batch with physical reads in flight, if any; another
-    /// batch is refused until it lands.
-    in_flight: Option<InFlightBatch>,
+    /// Whether a reader batch has physical reads in flight (planned, not
+    /// ingested); another batch is refused, and a flush waits, until it
+    /// lands.
+    in_flight: bool,
     /// The last published state (see the `committed` module).
     committed: Committed,
     /// Set when an operation failed after destructive metadata mutation:
@@ -336,7 +313,7 @@ fn from_parts(
                 rng,
                 stats: OramStats::default(),
                 limbo: HashSet::new(),
-                in_flight: None,
+                in_flight: false,
                 committed,
                 poisoned: false,
             }),
@@ -572,51 +549,20 @@ impl OramCore {
 
 /// Publishes the live client state as the committed one.  Runs at the end
 /// of every flush (the decider's per-epoch commit point, including flushes
-/// with an empty buffer) and at `init_tree`.
-///
-/// The in-flight reader batch has physical *target* blocks mid-air: cleared
-/// from their buckets at plan time but not yet ingested into the stash.
-/// The committed state must keep accounting for those blocks, so the
-/// publish patches every in-flight target back in — the key restored into
-/// its bucket slot at its pre-plan leaf, which is exactly the state the
-/// last landed write produced (reads never mutate storage, so the slot is
-/// physically present at the bucket's committed version).
+/// with an empty buffer) and at `init_tree`, never while a reader batch is
+/// in flight: its physical targets are cleared from their buckets at plan
+/// time and enter the stash only at ingest, so until it lands the live
+/// state does not account for them.
 fn publish(state: &mut SharedState) {
-    // The patch applies to each target bucket's live layout because no
-    // target bucket has been rewritten since the plan: a bucket rewritten
-    // after the plan stays in the flush buffer until a flush writes it, and
-    // that flush's per-bucket fence waits the batch out first.
-    let mut position_undo: HashMap<Key, Option<Leaf>> = HashMap::new();
-    let mut bucket_undo: HashMap<BucketId, Arc<BucketMeta>> = HashMap::new();
-    if let Some(batch) = &state.in_flight {
-        for undo in &batch.targets {
-            position_undo.insert(undo.key, Some(undo.old_leaf));
-            let live = &state.meta.buckets[undo.bucket as usize];
-            let patched = bucket_undo
-                .entry(undo.bucket)
-                .or_insert_with(|| live.clone());
-            let patched = Arc::make_mut(patched);
-            patched.real[undo.logical] = Some((undo.key, undo.old_leaf));
-            patched.valid[undo.logical] = true;
-            patched.reads_since_shuffle = patched.reads_since_shuffle.saturating_sub(1);
-        }
-    }
-
-    // The stash never holds mid-air blocks (a physical target enters it
-    // only at ingest), so the live stash is the committed stash.
-    state
-        .committed
-        .publish(&mut state.meta, position_undo, bucket_undo);
+    debug_assert!(!state.in_flight, "a publish beside a reader batch");
+    state.committed.publish(&mut state.meta);
     obladi_obs::global()
         .counter("oram.split.generation_published")
         .inc();
 }
 
-/// Measures one *logical* limbo park of a reader batch.  The old code
-/// timed from before the lock was even acquired and recorded a sample for
-/// every batch — including batches that never blocked — and re-measured
-/// across spurious condvar wakeups.  This latches the first actual block
-/// and yields exactly one sample per park, or none.
+/// Measures one *logical* limbo park of a reader batch: latches the first
+/// actual block and yields exactly one sample per park, or none.
 struct ParkMeter {
     started: Option<Instant>,
 }
@@ -711,7 +657,7 @@ impl OramReader {
                 // consumed slots (see [`check_poisoned`]); a batch another
                 // thread began meanwhile owns the admission.
                 check_poisoned(&state)?;
-                if state.in_flight.is_some() {
+                if state.in_flight {
                     return Err(ObladiError::Internal(
                         "a read batch is already in flight".into(),
                     ));
@@ -732,7 +678,6 @@ impl OramReader {
                 self.core.shared.cond.wait(&mut state);
             }
             let mut physical: Vec<SlotRead> = Vec::new();
-            let mut targets: Vec<TargetUndo> = Vec::new();
             let mut plans: Vec<OpPlan> = Vec::with_capacity(requests.len());
             for request in requests {
                 if request.is_none() && LEAK_SKIP_DUMMY_PADS.load(Ordering::Relaxed) {
@@ -745,13 +690,7 @@ impl OramReader {
                     });
                     continue;
                 }
-                match plan_access(
-                    &self.core,
-                    &mut state,
-                    *request,
-                    &mut physical,
-                    &mut targets,
-                ) {
+                match plan_access(&self.core, &mut state, *request, &mut physical) {
                     Ok(plan) => plans.push(plan),
                     Err(err) => {
                         // Planning failed mid-batch (a buffered-hit stash
@@ -776,10 +715,9 @@ impl OramReader {
                 }
             }
             state.stats.physical_reads += physical.len() as u64;
-            // Register the batch *before* releasing the lock so the
-            // engine's per-bucket fence and publish cannot miss it.
-            let buckets = physical.iter().map(|r| r.bucket).collect();
-            state.in_flight = Some(InFlightBatch { buckets, targets });
+            // Register the batch *before* releasing the lock so a flush
+            // cannot write or publish past it.
+            state.in_flight = true;
             (plans, physical)
         };
 
@@ -796,12 +734,13 @@ impl OramReader {
             self.core.fetch_slots(&self.pool, physical, real)
         })();
 
-        // Phase 3 (locked): deregister the batch on *every* path — the
-        // engine's fence must never wait on a fetch that has already failed,
-        // nor the next batch be refused for it — then ingest the target
-        // blocks into the stash.
+        // Phase 3 (locked): deregister the batch on *every* path — a flush
+        // must never wait on a fetch that has already failed, nor the next
+        // batch be refused for it — then ingest the target blocks into the
+        // stash, in the same hold, so a flush that wakes finds them there
+        // (or the client poisoned).
         let mut state = self.core.shared.state.lock();
-        state.in_flight = None;
+        state.in_flight = false;
         self.core.shared.cond.notify_all();
         let result = (|state: &mut SharedState| -> Result<Vec<Option<Value>>> {
             let mut raw = fetched?;
@@ -854,15 +793,12 @@ impl OramReader {
 
 /// Plans one access under the shared lock: remaps the key, chooses exactly
 /// one slot per non-buffered bucket on the path, and resolves stash /
-/// buffered targets to their values immediately.  Physical targets append a
-/// [`TargetUndo`] so an overlapping publish can keep accounting for the
-/// mid-air block.
+/// buffered targets to their values immediately.
 fn plan_access(
     core: &OramCore,
     state: &mut SharedState,
     request: Option<Key>,
     physical: &mut Vec<SlotRead>,
-    undo: &mut Vec<TargetUndo>,
 ) -> Result<OpPlan> {
     state.stats.logical_reads += 1;
     state.meta.access_count += 1;
@@ -942,7 +878,6 @@ fn plan_access(
 
         if let Some(logical) = key_slot {
             if !resolved {
-                let k = key.expect("key_slot implies key");
                 state.note_bucket(bucket);
                 let meta = state.meta.bucket_mut(bucket);
                 let slot = meta.mark_read(logical);
@@ -953,12 +888,6 @@ fn plan_access(
                     bucket,
                     slot,
                     version,
-                });
-                undo.push(TargetUndo {
-                    bucket,
-                    logical,
-                    key: k,
-                    old_leaf,
                 });
                 target = Target::Physical(physical.len() - 1);
                 resolved = true;
@@ -1161,23 +1090,25 @@ impl WritebackEngine {
     /// bucket — the last version wins), clears the buffer, and publishes the
     /// resulting state.
     ///
-    /// Issues the physical writes with the shared lock released.  The
-    /// per-bucket fence first waits out the in-flight reader batch if it
-    /// holds physical reads against the buckets about to be written; buckets
-    /// leave the buffered overlay only after their write has landed, so
-    /// reader batches stay consistent throughout (see the module docs).
+    /// Writes, and publishes, only while no reader batch is in flight: it
+    /// waits the in-flight batch out before it writes any bucket, and again
+    /// before it installs the new versions and publishes.  The writes run
+    /// with the shared lock released; batches planned meanwhile read no
+    /// buffered bucket, and buckets leave the buffered overlay only after
+    /// their write has landed, so they stay consistent (see the module
+    /// docs).
     pub fn flush_writes(&mut self, _logger: &dyn PathLogger) -> Result<()> {
         type Job = (BucketId, Arc<BucketMeta>, Arc<Vec<Block>>);
         let jobs: Vec<Job> = {
             let mut state = self.core.shared.state.lock();
-            check_poisoned(&state)?;
             if state.buffer.is_empty() {
                 // Nothing to write, but the epoch still commits: publish,
                 // so checkpoints capture the current state.
+                self.wait_for_reader_batch(&mut state, "oram.split.publish_wait_us")?;
                 publish(&mut state);
                 return Ok(());
             }
-            self.wait_buffered_bucket_fetches(&mut state)?;
+            self.wait_for_reader_batch(&mut state, "oram.split.fence_drain_us")?;
             let mut jobs: Vec<Job> = (state.buffer.iter())
                 .map(|(&bucket, blocks)| {
                     let meta = state.meta.buckets[bucket as usize].clone();
@@ -1208,6 +1139,7 @@ impl WritebackEngine {
         });
 
         let mut state = self.core.shared.state.lock();
+        self.wait_for_reader_batch(&mut state, "oram.split.publish_wait_us")?;
         for (bucket, version) in flushed.into_iter().zip(results) {
             let version = version?;
             // The version install is a metadata mutation like any other:
@@ -1224,32 +1156,26 @@ impl WritebackEngine {
         Ok(())
     }
 
-    /// The per-bucket flush fence: waits until the in-flight reader batch,
-    /// if any, holds no physical read against a bucket in the flush buffer.
-    /// Later batches never plan physical reads against buffered buckets
-    /// (the overlay serves them), so this only waits for a fetch planned
-    /// before the buckets entered the buffer.
-    fn wait_buffered_bucket_fetches(
+    /// Waits until no reader batch is in flight, checking the poison flag on
+    /// every wakeup (a failed batch poisons the client as it lands), and
+    /// records the wait in the histogram `metric`.  Returns with the lock
+    /// held: nothing plans another batch before the caller drops it.
+    fn wait_for_reader_batch(
         &self,
         state: &mut parking_lot::MutexGuard<'_, SharedState>,
+        metric: &str,
     ) -> Result<()> {
-        let drain_started = Instant::now();
+        let started = Instant::now();
         loop {
             check_poisoned(state)?;
-            let conflict = state.in_flight.as_ref().is_some_and(|batch| {
-                batch
-                    .buckets
-                    .iter()
-                    .any(|bucket| state.buffer.contains_key(bucket))
-            });
-            if !conflict {
+            if !state.in_flight {
                 break;
             }
             self.core.shared.cond.wait(state);
         }
         obladi_obs::global()
-            .histogram("oram.split.fence_drain_us")
-            .record_duration(drain_started.elapsed());
+            .histogram(metric)
+            .record_duration(started.elapsed());
         Ok(())
     }
 

@@ -11,9 +11,11 @@
 //! reader batch between the flush and the checkpoint (depth 2), then a full
 //! checkpoint every fifth epoch and a delta otherwise — sequentially, and
 //! with a second thread's read batch held in flight, between its plan and
-//! its fetch, across every publish and checkpoint.  The split client refuses
-//! a batch while another is in flight, so this thread reads nothing from the
-//! moment one is held until it has landed.
+//! its fetch, when every flush starts.  The split client refuses a batch
+//! while another is in flight, so this thread reads nothing from the moment
+//! one is held until it has landed; and a flush publishes only once it has
+//! landed, so the flush runs on a thread of its own while the batch is let
+//! go.
 
 mod common;
 
@@ -161,24 +163,27 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
             }
             if reads_in_flight {
                 // Planned now, against the buffered buckets the flush is
-                // about to write (so its fence has nothing to wait for),
-                // fetched after the checkpoint: the publish patches the
-                // batch's targets back in, and the next delta records where
-                // they went.
+                // about to write: the flush waits for it, and publishes
+                // behind it, so this checkpoint records where its targets
+                // went.
                 to_plan.send(requests(&mut rng, &odd, 8)).unwrap();
                 is_planned.recv().unwrap();
+                std::thread::scope(|flushing| {
+                    let flush = flushing.spawn(|| engine.flush_writes(&NoopPathLogger));
+                    let_go.send(()).unwrap();
+                    landed.recv().unwrap();
+                    flush.join().unwrap().unwrap();
+                });
+            } else {
+                engine.flush_writes(&NoopPathLogger).unwrap();
             }
-            engine.flush_writes(&NoopPathLogger).unwrap();
             if epoch % 4 == 0 && !reads_in_flight {
                 // Lands in the next delta, not in this one.
                 let batch = requests(&mut rng, &mine, 8);
                 reader.read_batch(&batch, &NoopPathLogger).unwrap();
             }
             chain.checkpoint(epoch, &mut engine);
-            if reads_in_flight {
-                let_go.send(()).unwrap();
-                landed.recv().unwrap();
-            } else if epoch % 16 == 9 {
+            if !reads_in_flight && epoch % 16 == 9 {
                 chain.assert_reads(epoch, &store, &model);
             }
         }

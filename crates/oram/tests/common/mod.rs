@@ -17,8 +17,10 @@ pub struct HeldInFlight {
 /// every plan, and the sender that lets a planned batch go.  The driving
 /// thread must own the sender where it can unwind (move it into the scope's
 /// closure): dropping it is what releases a reader it left parked.  The
-/// split client refuses a batch while another is in flight: let the held
-/// one go, and wait for it to land, before reading again.
+/// split client refuses a batch while another is in flight, and a flush
+/// waits for it: let the held one go, and wait for it to land, before
+/// reading again, and let it go before flushing on the same thread (or
+/// flush on another one).
 pub fn held_in_flight() -> (HeldInFlight, mpsc::Receiver<()>, mpsc::Sender<()>) {
     let (planned, is_planned) = mpsc::channel();
     let (let_go, held) = mpsc::channel();

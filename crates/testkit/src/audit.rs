@@ -61,6 +61,23 @@ pub fn level_profile(ops: &[AuditOp]) -> Vec<u64> {
     counts
 }
 
+/// The shape of a recorded run of `epochs` epochs over `wall_us`, from the
+/// `ops` its ring kept and the `dropped` ones it did not.  A run that
+/// overflowed the ring left only its tail there: the epochs and the wall
+/// time are scaled to that tail by its share of the operations (their rate
+/// is the fixed rhythm itself), so per-epoch counts describe the ops kept.
+pub fn recorded_shape(
+    label: &str,
+    ops: &[AuditOp],
+    dropped: u64,
+    wall_us: u64,
+    epochs: u64,
+) -> TraceShape {
+    let kept = ops.len() as f64 / (ops.len() as u64 + dropped).max(1) as f64;
+    let scale = |whole: u64| (whole as f64 * kept).round() as u64;
+    TraceShape::from_ops(label, ops, scale(wall_us), scale(epochs))
+}
+
 /// The split halves of one ORAM client over a recording in-memory store:
 /// the adversary's seat at a single client, for §4's invariants.
 pub struct RecordedOram {
@@ -309,6 +326,17 @@ mod tests {
             failures.iter().any(|f| f.contains("level profiles")),
             "{failures:?}"
         );
+    }
+
+    #[test]
+    fn a_recorded_shape_counts_the_epochs_and_time_of_the_kept_tail() {
+        let ops: Vec<AuditOp> = (0..300).map(|i| read_op(i % 7)).collect();
+        let whole = recorded_shape("whole", &ops, 0, 1_000_000, 40);
+        assert_eq!((whole.epochs, whole.wall_us), (40, 1_000_000));
+        // A quarter of the run kept: a quarter of its epochs and time.
+        let tail = recorded_shape("tail", &ops, 900, 1_000_000, 40);
+        assert_eq!((tail.epochs, tail.wall_us), (10, 250_000));
+        assert_eq!(tail.per_epoch(AuditKind::ReadSlot), 30.0);
     }
 
     #[test]

@@ -13,7 +13,8 @@ use obladi_common::config::{ObladiConfig, ShardConfig};
 use obladi_obs::audit::{AuditTolerances, TraceShape};
 use obladi_shard::ShardedDb;
 use obladi_testkit::audit::{
-    cross_check, level_profile, recording_stores, slot_reread, truncation_rhythm_failure,
+    cross_check, level_profile, recorded_shape, recording_stores, slot_reread,
+    truncation_rhythm_failure,
 };
 use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
 use std::time::{Duration, Instant};
@@ -66,7 +67,7 @@ fn run_cell(
     assert!(!ops.is_empty(), "recorder captured nothing for {label}");
     assert_eq!(slot_reread(&ops), None, "{label}, depth {depth}");
     (
-        TraceShape::from_ops(label, &ops, wall_us, stats.global_epochs),
+        recorded_shape(label, &ops, ring.dropped(), wall_us, stats.global_epochs),
         level_profile(&ops),
     )
 }
