@@ -15,6 +15,5 @@ fn main() {
     obladi_bench::fig09::run_fig09(&opts);
     obladi_bench::fig10::run_fig10f(&opts);
     obladi_bench::ablation::run_ablation(&opts);
-    obladi_bench::fig_shard::run_fig_shard(&opts);
     obladi_bench::harness::write_metrics_out(&opts);
 }

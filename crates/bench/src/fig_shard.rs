@@ -1,13 +1,6 @@
-//! Shard-count scale-out sweep (companion to Figure 10a's parallelism
-//! study).
-//!
-//! Figure 10a shows how far *intra*-tree parallelism carries one ORAM;
-//! this experiment measures what *inter*-tree parallelism adds: the same
-//! YCSB load is driven through the sharded front door at increasing shard
-//! counts, with a single unsharded proxy as the 1-shard baseline.  Each
-//! shard runs a full independent proxy+ORAM pipeline, so the sweep exposes
-//! both the scaling win (independent epoch pipelines) and the new costs
-//! (the global epoch barrier, cross-shard commit votes).
+//! Sharded-deployment experiments: the pipeline-depth sweep
+//! ([`run_fig_shard_pipeline`]) and the per-shard configuration template
+//! the trace audit and the observability-overhead run share with it.
 
 use crate::harness::{
     fmt1, host_json, print_header, print_row, write_metrics_out, write_trace_out,
@@ -20,15 +13,11 @@ use obladi_obs::audit::AuditRing;
 use obladi_obs::{HistogramSnapshot, Json};
 use obladi_shard::ShardedDb;
 use obladi_storage::{RecordingStore, UntrustedStore};
-use obladi_workloads::{
-    run_deployment, SmallBankConfig, SmallBankWorkload, Workload, YcsbConfig, YcsbWorkload,
-};
+use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Shard counts swept by the experiment (1 = unsharded baseline topology).
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
+/// The per-shard configuration every sharded experiment starts from.
 pub(crate) fn shard_template(opts: &BenchOpts) -> ObladiConfig {
     let mut config = ObladiConfig::small_for_tests(if opts.full { 8_192 } else { 2_048 });
     // YCSB rows (64-byte values plus row framing) must fit one ORAM block.
@@ -40,107 +29,6 @@ pub(crate) fn shard_template(opts: &BenchOpts) -> ObladiConfig {
     config.epoch.write_batch_size = if opts.full { 128 } else { 64 };
     config.seed = opts.seed;
     config
-}
-
-fn workload(opts: &BenchOpts, ops_per_txn: usize) -> YcsbWorkload {
-    YcsbWorkload::new(YcsbConfig {
-        num_keys: if opts.full { 4_096 } else { 1_024 },
-        read_proportion: 0.5,
-        ops_per_txn,
-        zipf_theta: 0.6,
-        value_size: 64,
-    })
-}
-
-/// Runs one mix × shard-count cell against the shared Memory storage
-/// profile, printing the row.
-fn run_scaleout_cell<W: Workload>(opts: &BenchOpts, mix: &str, workload: &W, shards: usize) {
-    let clients = opts.clients.max(32);
-    let config = ShardConfig {
-        shards,
-        shard: shard_template(opts),
-        ..ShardConfig::default()
-    };
-    let built = StorageProfile::Memory
-        .build(shards, opts.seed)
-        .expect("memory profile cannot fail");
-    let db = match ShardedDb::open_with_stores(config, built.stores.clone()) {
-        Ok(db) => db,
-        Err(err) => {
-            print_row(&[
-                mix.to_string(),
-                format!("obladi-{shards}shards"),
-                format!("failed: {err}"),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ]);
-            return;
-        }
-    };
-    let (label, stats) = run_deployment(&db, workload, clients, opts.duration, opts.seed)
-        .expect("workload setup failed");
-    let sharded = db.stats();
-    let total = stats.committed + stats.aborted;
-    let abort_rate = if total == 0 {
-        0.0
-    } else {
-        stats.aborted as f64 / total as f64
-    };
-    let cross_share = if sharded.committed == 0 {
-        0.0
-    } else {
-        sharded.cross_shard_committed as f64 / sharded.committed as f64
-    };
-    print_row(&[
-        mix.to_string(),
-        label,
-        fmt1(stats.throughput()),
-        format!("{abort_rate:.3}"),
-        format!("{cross_share:.3}"),
-        sharded.global_epochs.to_string(),
-    ]);
-    db.shutdown();
-}
-
-/// Runs the shard-count sweep, printing committed throughput, abort rate
-/// and the share of committed transactions that spanned several shards.
-///
-/// Two YCSB mixes plus a SmallBank mix are swept.  Single-key YCSB
-/// transactions model the partition-friendly traffic sharding exists for:
-/// each transaction runs entirely on one shard, so independent epoch
-/// pipelines multiply capacity.  Four-key YCSB is the adversarial mix: a
-/// uniform router makes nearly every transaction cross-shard, exposing the
-/// cost of the global epoch barrier and the unanimous commit vote.
-/// SmallBank sits between them — realistic short transactions over
-/// checking/savings account pairs (2–4 keys, hotspot-skewed), the first
-/// step on the ROADMAP's "scale-out benchmarking depth" item.
-pub fn run_fig_shard(opts: &BenchOpts) {
-    print_header(
-        "Shard scale-out — YCSB + SmallBank throughput vs shard count",
-        &[
-            "mix",
-            "deployment",
-            "committed_txn_s",
-            "abort_rate",
-            "cross_shard_share",
-            "global_epochs",
-        ],
-    );
-    for (mix, ops_per_txn) in [("1key", 1usize), ("4key", 4)] {
-        let workload = workload(opts, ops_per_txn);
-        for shards in SHARD_COUNTS {
-            run_scaleout_cell(opts, mix, &workload, shards);
-        }
-    }
-    let smallbank = SmallBankWorkload::new(SmallBankConfig {
-        num_accounts: if opts.full { 1_024 } else { 256 },
-        hotspot_fraction: 0.1,
-        hotspot_probability: 0.25,
-    });
-    for shards in SHARD_COUNTS {
-        run_scaleout_cell(opts, "smallbank", &smallbank, shards);
-    }
 }
 
 /// Storage shapes swept by the pipeline experiment (from the shared

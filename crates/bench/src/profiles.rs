@@ -1,8 +1,7 @@
 //! Shared per-shard storage profiles for the scale-out experiments.
 //!
-//! `fig_shard_scaleout` and `fig_shard_pipeline` used to re-derive their
-//! storage stacks ad hoc; this module is the one place a benchmark says
-//! *what the storage under each shard looks like*:
+//! The one place a benchmark says *what the storage under each shard looks
+//! like*:
 //!
 //! * [`StorageProfile::Memory`] — bare in-memory stores (zero latency);
 //! * [`StorageProfile::UniformLatency`] — every shard pays the same

@@ -29,9 +29,9 @@ pub struct OramMeta {
     /// Key → leaf map.
     pub position: PositionMap,
     /// Per-bucket metadata, indexed by bucket id.  Buckets are shared
-    /// copy-on-write: the committed snapshot holds the old `Arc` while the
-    /// live state mutates through [`OramMeta::bucket_mut`], so a snapshot
-    /// costs one pointer per since-modified bucket, not a tree clone.
+    /// copy-on-write: the committed copy holds the `Arc` the last publish
+    /// saw while the live state mutates through [`OramMeta::bucket_mut`],
+    /// so a publish costs one pointer per dirtied bucket, not a tree clone.
     pub buckets: Vec<Arc<BucketMeta>>,
     /// The client stash.
     pub stash: Stash,
@@ -40,7 +40,7 @@ pub struct OramMeta {
     pub access_count: u64,
     /// Number of `evict_path` operations performed so far (`G`).
     pub evict_count: u64,
-    /// Buckets whose metadata changed since the last delta checkpoint.
+    /// Buckets whose metadata changed since the last drain.
     dirty_buckets: HashSet<BucketId>,
 }
 
@@ -62,15 +62,12 @@ impl OramMeta {
         }
     }
 
-    /// Marks a bucket's metadata as modified since the last checkpoint.
-    pub fn mark_bucket_dirty(&mut self, bucket: BucketId) {
-        self.dirty_buckets.insert(bucket);
-    }
-
-    /// Mutable access to one bucket's metadata, copy-on-write: if the
-    /// committed snapshot still shares the bucket's `Arc`, the bucket is
-    /// cloned first so the snapshot keeps observing its frozen state.
+    /// Mutable access to one bucket's metadata, which marks the bucket
+    /// dirty: the next publish copies it, the next delta holds it.
+    /// Copy-on-write: if the committed copy still shares the bucket's `Arc`,
+    /// the bucket is cloned first so the copy keeps its published state.
     pub fn bucket_mut(&mut self, bucket: BucketId) -> &mut BucketMeta {
+        self.dirty_buckets.insert(bucket);
         Arc::make_mut(&mut self.buckets[bucket as usize])
     }
 
@@ -105,27 +102,6 @@ impl OramMeta {
         enc.put_u64(self.buckets.len() as u64);
         for bucket in &self.buckets {
             bucket.encode(&mut enc);
-        }
-    }
-
-    /// Assembles metadata from already-reconstructed parts (the committed
-    /// state read whole; see `crate::committed`).
-    pub(crate) fn from_snapshot_parts(
-        config: OramConfig,
-        position: PositionMap,
-        buckets: Vec<Arc<BucketMeta>>,
-        stash: Stash,
-        access_count: u64,
-        evict_count: u64,
-    ) -> Self {
-        OramMeta {
-            config,
-            position,
-            buckets,
-            stash,
-            access_count,
-            evict_count,
-            dirty_buckets: HashSet::new(),
         }
     }
 
@@ -396,7 +372,7 @@ mod tests {
     fn delta_since(since: &OramMeta, meta: &mut OramMeta, max_position_delta: usize) -> MetaDelta {
         let mut committed = Committed::new(since);
         committed.publish(meta);
-        committed.take_delta(meta, max_position_delta)
+        committed.take_delta(max_position_delta)
     }
 
     #[test]
@@ -434,7 +410,6 @@ mod tests {
 
         meta.position.set(1, 3);
         meta.bucket_mut(2).real[0] = Some((1, 3));
-        meta.mark_bucket_dirty(2);
         meta.stash.insert(5, 0, vec![1], 100).unwrap();
         meta.access_count = 9;
 
@@ -481,7 +456,6 @@ mod tests {
         replica.stash.insert(6, 0, vec![2], 100).unwrap();
         meta.position.set(1, 3);
         meta.bucket_mut(2).real[0] = Some((1, 3));
-        meta.mark_bucket_dirty(2);
         meta.stash.insert(5, 0, vec![1], 100).unwrap();
         meta.access_count = 9;
         let delta = delta_since(&replica, &mut meta, 16);
@@ -499,16 +473,14 @@ mod tests {
     #[test]
     fn delta_length_is_a_function_of_the_pads_and_the_dirty_bucket_count() {
         let mut meta = small_meta();
-        meta.mark_bucket_dirty(1);
-        meta.mark_bucket_dirty(2);
+        meta.bucket_mut(1);
+        meta.bucket_mut(2);
         let empty = delta_since(&meta.clone(), &mut meta, 8);
         let expected = empty.encode().len();
 
         // Fuller buckets, every pad filled to the brim, values of any length.
         meta.bucket_mut(1).real[0] = Some((1, 3));
         meta.bucket_mut(2).real = vec![Some((7, 1)); meta.config.z as usize];
-        meta.mark_bucket_dirty(1);
-        meta.mark_bucket_dirty(2);
         for key in 0..8 {
             meta.position.set(key, key);
         }
@@ -551,7 +523,7 @@ mod tests {
     fn dirty_ids_are_drained_once() {
         let mut meta = small_meta();
         meta.position.set(1, 1);
-        meta.mark_bucket_dirty(0);
+        meta.bucket_mut(0);
         let (keys, buckets) = meta.take_dirty();
         assert_eq!((keys.len(), buckets.len()), (1, 1));
         let (keys, buckets) = meta.take_dirty();

@@ -33,16 +33,16 @@
 //!   has been applied (at which point the key is in the stash, or placed in
 //!   a buffered bucket, and the read resolves locally).
 //! * **The committed snapshot, published between reader batches.**  The
-//!   client state is *published* at the end of every flush (see the
-//!   `committed` module) and checkpoints read the published state through
-//!   an undo overlay, so nothing quiesces the read plane to checkpoint.  One
-//!   rule orders the planes: a flush writes, and publishes, only while no
-//!   reader batch is in flight.  It waits before it writes any bucket (a
-//!   fetch planned before a bucket entered the buffered overlay could
-//!   otherwise race that bucket's write and fail freshness verification),
-//!   and again, under the lock it then installs and publishes in, before the
-//!   publish (a batch's targets are between their buckets and the stash
-//!   until it lands, and the published state must account for them).
+//!   client state is *published* at the end of every flush into a copy
+//!   checkpoints read (see the `committed` module), so nothing quiesces the
+//!   read plane to checkpoint.  One rule orders the planes: a flush writes,
+//!   and publishes, only while no reader batch is in flight.  It waits
+//!   before it writes any bucket (a fetch planned before a bucket entered
+//!   the buffered overlay could otherwise race that bucket's write and fail
+//!   freshness verification), and again, under the lock it then installs
+//!   and publishes in, before the publish (a batch's targets are between
+//!   their buckets and the stash until it lands, and the published state
+//!   must account for them).
 //!   Batches planned during the writes never plan physical reads against
 //!   buffered buckets — the overlay serves them — so they keep flowing.
 //! * **Plan-time resolution.**  Reads whose target lives in the stash or in
@@ -198,25 +198,6 @@ struct SharedState {
     poisoned: bool,
 }
 
-impl SharedState {
-    /// Records the pre-image of `key` (its current live position) unless
-    /// the committed snapshot has seen the key change already.  Must run
-    /// before every live position-map mutation.
-    fn note_position(&mut self, key: Key) {
-        self.committed
-            .note_position(key, self.meta.position.get(key));
-    }
-
-    /// Records the pre-image of `bucket` (one `Arc` clone of its current
-    /// live metadata) unless the committed snapshot has seen the bucket
-    /// change already.  Must run before the first mutation of `bucket` in
-    /// any operation.
-    fn note_bucket(&mut self, bucket: BucketId) {
-        self.committed
-            .note_bucket(bucket, &self.meta.buckets[bucket as usize]);
-    }
-}
-
 struct SharedOram {
     state: Mutex<SharedState>,
     cond: Condvar,
@@ -234,6 +215,9 @@ struct OramCore {
     /// `oram.split.exhausted_skips`, resolved once (a reader access bumps
     /// them under the shared lock): the total, then one per tree level.
     exhausted_skips: Arc<[obladi_obs::Counter]>,
+    /// `oram.split.exhausted_target_reads`: targets read from a bucket with
+    /// no valid dummy left, which a non-target access would have skipped.
+    exhausted_target_reads: obladi_obs::Counter,
     /// `oram.flush.slots_{sealed,filled}`, resolved once: per flush, the
     /// slots written as real blocks and as dummies.
     slots_sealed: obladi_obs::Histogram,
@@ -303,6 +287,7 @@ fn from_parts(
         exhausted_skips: skips
             .map(|name| obladi_obs::global().counter(&name))
             .collect(),
+        exhausted_target_reads: obladi_obs::global().counter("oram.split.exhausted_target_reads"),
         slots_sealed: obladi_obs::global().histogram("oram.flush.slots_sealed"),
         slots_filled: obladi_obs::global().histogram("oram.flush.slots_filled"),
         shared: Arc::new(SharedOram {
@@ -552,7 +537,8 @@ impl OramCore {
 /// with an empty buffer) and at `init_tree`, never while a reader batch is
 /// in flight: its physical targets are cleared from their buckets at plan
 /// time and enter the stash only at ingest, so until it lands the live
-/// state does not account for them.
+/// state does not account for them.  Between batches the live state is the
+/// committed one, so the publish simply copies it.
 fn publish(state: &mut SharedState) {
     debug_assert!(!state.in_flight, "a publish beside a reader batch");
     state.committed.publish(&mut state.meta);
@@ -817,7 +803,6 @@ fn plan_access(
     // right here, for stash / buffered targets).
     if exists {
         if let Some(k) = key {
-            state.note_position(k);
             state.meta.position.set(k, new_leaf);
             state.meta.stash.remap(k, new_leaf);
         }
@@ -851,9 +836,7 @@ fn plan_access(
                     // buffered bucket and moves to the stash, exactly as if
                     // it had left the tree.
                     let k = key.expect("key_slot implies key");
-                    state.note_bucket(bucket);
                     state.meta.bucket_mut(bucket).clear_real(logical);
-                    state.meta.mark_bucket_dirty(bucket);
                     let value = state.buffer.get_mut(&bucket).and_then(|blocks| {
                         let blocks = Arc::make_mut(blocks);
                         blocks
@@ -878,12 +861,15 @@ fn plan_access(
 
         if let Some(logical) = key_slot {
             if !resolved {
-                state.note_bucket(bucket);
                 let meta = state.meta.bucket_mut(bucket);
+                if meta.valid_dummies().is_empty() {
+                    // Residual 3 of DESIGN.md's deviations from canonical
+                    // Ring ORAM: this read shows the access was real.
+                    core.exhausted_target_reads.inc();
+                }
                 let slot = meta.mark_read(logical);
                 meta.clear_real(logical);
                 let version = meta.version;
-                state.meta.mark_bucket_dirty(bucket);
                 physical.push(SlotRead {
                     bucket,
                     slot,
@@ -901,11 +887,9 @@ fn plan_access(
         // Dummy read from this bucket.
         match state.meta.buckets[bucket as usize].pick_valid_dummy(&mut state.rng) {
             Some(logical) => {
-                state.note_bucket(bucket);
                 let meta = state.meta.bucket_mut(bucket);
                 let slot = meta.mark_read(logical);
                 let version = meta.version;
-                state.meta.mark_bucket_dirty(bucket);
                 physical.push(SlotRead {
                     bucket,
                     slot,
@@ -986,8 +970,7 @@ impl WritebackEngine {
     /// The committed client metadata — what a full checkpoint taken now
     /// would encode (tests and diagnostics).
     pub fn committed_meta(&self) -> OramMeta {
-        let state = self.core.shared.state.lock();
-        state.committed.meta(&state.meta)
+        OramMeta::clone(&self.core.shared.state.lock().committed.meta())
     }
 
     // ------------------------------------------------------------------
@@ -1022,7 +1005,6 @@ impl WritebackEngine {
         });
         let mut state = self.core.shared.state.lock();
         for (bucket, version) in self.core.geometry.all_buckets().zip(results) {
-            state.note_bucket(bucket);
             state.meta.bucket_mut(bucket).version = version?;
         }
         // The initialised tree is the first state worth checkpointing.
@@ -1146,9 +1128,7 @@ impl WritebackEngine {
             // until the publish below the committed state must keep pointing
             // at the bucket's *old* storage version (shadow paging reverts
             // to it on recovery).
-            state.note_bucket(bucket);
             state.meta.bucket_mut(bucket).version = version;
-            state.meta.mark_bucket_dirty(bucket);
             state.buffer.remove(&bucket);
             state.stats.physical_writes += 1;
         }
@@ -1377,7 +1357,7 @@ impl CheckpointSource for WritebackEngine {
             let state = &mut *guard;
             check_poisoned(state)?;
             state.committed.full_taken();
-            state.committed.meta(&state.meta)
+            state.committed.meta()
         };
         meta.encode_full_into(out);
         Ok(())
@@ -1387,7 +1367,7 @@ impl CheckpointSource for WritebackEngine {
         let mut guard = self.core.shared.state.lock();
         let state = &mut *guard;
         check_poisoned(state)?;
-        Ok(state.committed.take_delta(&state.meta, max_position_delta))
+        Ok(state.committed.take_delta(max_position_delta))
     }
 }
 
@@ -1398,7 +1378,6 @@ fn dummiless_write(core: &OramCore, state: &mut SharedState, key: Key, value: Va
     state.meta.access_count += 1;
 
     let new_leaf = state.rng.below(core.geometry.num_leaves());
-    state.note_position(key);
     let old_leaf = state.meta.position.set(key, new_leaf);
 
     // Remove any stale copy so at most one copy of the key exists.
@@ -1406,9 +1385,7 @@ fn dummiless_write(core: &OramCore, state: &mut SharedState, key: Key, value: Va
         if state.meta.stash.remove(key).is_none() {
             for &bucket in &core.geometry.path(old_leaf) {
                 if let Some(logical) = state.meta.buckets[bucket as usize].find_key(key) {
-                    state.note_bucket(bucket);
                     state.meta.bucket_mut(bucket).clear_real(logical);
-                    state.meta.mark_bucket_dirty(bucket);
                     if let Some(blocks) = state.buffer.get_mut(&bucket) {
                         Arc::make_mut(blocks).retain(|b| b.key != key);
                     }
@@ -1486,7 +1463,6 @@ fn plan_bucket_reads(
     wave: &mut Wave,
     limbo: &mut Vec<Key>,
 ) {
-    state.note_bucket(bucket);
     let meta = state.meta.bucket_mut(bucket);
     let reals = meta.valid_reals();
     let dummies_needed = meta.z().saturating_sub(reals.len());
@@ -1510,7 +1486,6 @@ fn plan_bucket_reads(
             None => break,
         }
     }
-    state.meta.mark_bucket_dirty(bucket);
 }
 
 /// Applies one unit of a wave under the shared lock — one critical section,
@@ -1536,7 +1511,6 @@ fn apply_unit(
             for block in Arc::unwrap_or_clone(blocks) {
                 ingest_evicted_block(core, state, block, &mut pulled)?;
             }
-            state.note_bucket(bucket);
             let meta = state.meta.bucket_mut(bucket);
             for logical in 0..meta.z() {
                 meta.clear_real(logical);
@@ -1602,12 +1576,10 @@ fn place_eligible_blocks(
 /// in either write mode.
 fn rewrite_bucket(state: &mut SharedState, bucket: BucketId, blocks: Vec<Block>) {
     let assignment: Vec<(Key, Leaf)> = blocks.iter().map(|b| (b.key, b.leaf)).collect();
-    state.note_bucket(bucket);
     state
         .meta
         .bucket_mut(bucket)
         .rewrite(&assignment, &mut state.rng);
-    state.meta.mark_bucket_dirty(bucket);
     state.needs_reshuffle.remove(&bucket);
     state.buffer.insert(bucket, Arc::new(blocks));
 }

@@ -6,7 +6,9 @@
 
 use obladi::prelude::*;
 use obladi_testkit::chaos::{commit_with_retries, cross_shard_pair};
-use obladi_testkit::history::{check_serializable, tag_value, History, TxnRecord};
+use obladi_testkit::history::{
+    check_serializable, parse_tag, tag_value, History, HistoryOp, TxnRecord, Violation,
+};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -208,10 +210,76 @@ fn concurrent_cross_shard_history_is_serializable() {
         "too few commits to be meaningful: {}",
         history.committed_count()
     );
-    let report = check_serializable(&history).expect("sharded history must be serializable");
+    let report = match check_serializable(&history) {
+        Ok(report) => report,
+        Err(violation) => panic!(
+            "sharded history must be serializable: {violation}\n{}",
+            explain(&history, &violation)
+        ),
+    };
     assert_eq!(report.committed, history.committed_count());
     assert!(report.edges > 0, "the history must actually contend");
     db.shutdown();
+}
+
+/// Each cycle member's record, one line apiece: the id sampled at its first
+/// read, the final id `commit_reported` gave it, its reads with the writer
+/// tag each observed, and its writes.
+fn explain(history: &History, violation: &Violation) -> String {
+    let Violation::CycleDetected { cycle } = violation else {
+        return String::new();
+    };
+    let tag = |value: Option<&[u8]>| match value.map(parse_tag) {
+        None => "absent".to_string(),
+        Some(None) => "untagged".to_string(),
+        Some(Some(tag)) => format!("{}#{}", tag.txn, tag.seq),
+    };
+    let mut lines = Vec::new();
+    for id in cycle {
+        for record in history.transactions().iter().filter(|r| r.id == *id) {
+            let (mut reads, mut writes) = (Vec::new(), Vec::new());
+            for op in &record.ops {
+                match op {
+                    HistoryOp::Read { key, observed } => {
+                        reads.push(format!("{key} <- {}", tag(observed.as_deref())))
+                    }
+                    HistoryOp::Write { key, value } => {
+                        writes.push(format!("{key} = {}", tag(Some(value))))
+                    }
+                }
+            }
+            lines.push(format!(
+                "txn sampled {} final {:?}: reads [{}] writes [{}]",
+                record.id,
+                record.commit_ts,
+                reads.join(", "),
+                writes.join(", ")
+            ));
+        }
+    }
+    lines.join("\n")
+}
+
+#[test]
+fn a_cycle_is_explained_member_by_member() {
+    // Write skew: each reads the key the other writes, both from the
+    // initial state.
+    let mut history = History::new();
+    for (id, final_id, read, write) in [(394, 396, 1, 2), (385, 397, 2, 1)] {
+        let mut record = TxnRecord::new(id);
+        record.read(read, None);
+        record.write(write, tag_value(id, 0, b"shard"));
+        record.commit(final_id);
+        history.push(record);
+    }
+    let violation = check_serializable(&history).unwrap_err();
+    let explained = explain(&history, &violation);
+    assert!(
+        explained
+            .contains("txn sampled 394 final Some(396): reads [1 <- absent] writes [2 = 394#0]"),
+        "{explained}"
+    );
+    assert_eq!(explained.lines().count(), 2, "{explained}");
 }
 
 #[test]
