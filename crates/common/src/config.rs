@@ -243,7 +243,11 @@ pub struct EpochConfig {
     /// `Δ`: interval at which read batches are shipped to the ORAM
     /// executor when the proxy is driven by a timer.
     pub batch_interval: Duration,
-    /// Number of worker threads used by the parallel ORAM executor.
+    /// Number of worker threads per half of the parallel ORAM executor
+    /// (read plane, write-back engine).  They overlap the round trips of a
+    /// store that waits (a socket, a latency model); over an in-memory
+    /// store each half runs on its caller (the epoch executor, the
+    /// decider) and no worker is spawned.
     pub executor_threads: usize,
     /// How many epochs between full (rather than delta) checkpoints of the
     /// proxy metadata (Figure 11a sweeps this value).

@@ -724,8 +724,9 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
     let read_batches = inner.config.epoch.read_batches;
     let interval = inner.config.epoch.batch_interval;
     let plan_timer = obladi_obs::global().histogram("proxy.phase.read_plan_us");
-    // Δ runs from one dispatch to the next, across epochs: a batch held
-    // back past its turn goes out as soon as the hold lifts.
+    let late = obladi_obs::global().histogram("proxy.phase.dispatch_late_us");
+    // The batches go out on a grid Δ apart, across epochs (`next_due`): a
+    // batch held back past its turn goes out as soon as the hold lifts.
     let mut due = Instant::now() + interval;
     'epochs: loop {
         let generation = {
@@ -750,7 +751,9 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
             let Some(plan) = plan_read_batch(&inner, generation, due, &plan_timer) else {
                 continue 'epochs;
             };
-            due = Instant::now() + interval;
+            let dispatched = Instant::now();
+            late.record_duration(dispatched.saturating_duration_since(due));
+            due = next_due(due, dispatched, interval);
             if let Err(err) = execute_read_batch(&inner, &plan) {
                 // Storage failure mid-epoch: the ORAM client's in-memory
                 // metadata may have diverged from what the failed reads
@@ -778,7 +781,21 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
     }
 }
 
-/// Waits until `due`, Δ after the previous dispatch — unless a backlog
+/// When the next read batch is due, after one went out at `dispatched`
+/// against its grid slot `due`.  The slots are Δ apart, so a wake-up late
+/// by less than Δ pushes back no later batch: the next one keeps its slot,
+/// and goes out at once if that has passed.  A batch more than Δ late (a
+/// reserved batch held past its turn, the first after a recovery), or one
+/// a backlog fired ahead of its slot, starts a new grid at its dispatch.
+fn next_due(due: Instant, dispatched: Instant, interval: Duration) -> Instant {
+    if dispatched < due || dispatched > due + interval {
+        dispatched + interval
+    } else {
+        due + interval
+    }
+}
+
+/// Waits until `due`, the batch's slot on the Δ grid — unless a backlog
 /// makes the batch worth firing early — then plans the next batch of the
 /// executing epoch of `generation`.  Returns `None` once the proxy stopped
 /// running, or once a crash (and perhaps a recovery, while the previous
@@ -1143,6 +1160,29 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
 mod tests {
     use super::*;
     use obladi_common::config::ObladiConfig;
+
+    #[test]
+    fn batches_keep_their_grid_slot_unless_more_than_a_delta_off() {
+        let delta = Duration::from_millis(10);
+        let ms = Duration::from_millis;
+        let origin = Instant::now();
+        // On time, or late by up to Δ: the next slot is Δ after this one.
+        for late in [ms(0), ms(4), ms(10)] {
+            assert_eq!(next_due(origin, origin + late, delta), origin + delta);
+        }
+        // Late by more than Δ, or early on a backlog: a new grid from the
+        // dispatch.
+        assert_eq!(next_due(origin, origin + ms(11), delta), origin + ms(21));
+        let early = origin + ms(3);
+        assert_eq!(next_due(origin + ms(8), early, delta), early + delta);
+        // A run of wake-ups each late by less than Δ never drifts.
+        let mut due = origin;
+        for k in 1..=100u32 {
+            let dispatched = due + ms(u64::from(k % 7));
+            due = next_due(due, dispatched, delta);
+            assert_eq!(due, origin + delta * k);
+        }
+    }
 
     fn test_db() -> ObladiDb {
         let mut config = ObladiConfig::small_for_tests(512);

@@ -46,7 +46,10 @@ use std::sync::Arc;
 pub struct ExecOptions {
     /// Issue physical reads/writes concurrently on a worker pool.
     pub parallel: bool,
-    /// Worker pool size (ignored when `parallel` is false).
+    /// Worker pool size per half of the split client.  Used only when
+    /// `parallel` is set and the store's calls wait
+    /// ([`UntrustedStore::waits`]); otherwise each half runs its physical
+    /// I/O on its caller's thread.
     pub threads: usize,
     /// Defer bucket write-back to the epoch's
     /// [`WritebackEngine::flush_writes`] (delayed visibility).  When false
@@ -240,8 +243,9 @@ impl RingOram {
     }
 
     /// The client's two halves.  They share the client state, and each has
-    /// a worker pool of its own, so flush I/O never queues behind the read
-    /// plane's fetches when the halves run on separate threads.
+    /// a worker pool of its own (over a store that waits), so flush I/O
+    /// never queues behind the read plane's fetches when the halves run on
+    /// separate threads.
     pub fn split(self) -> (OramReader, WritebackEngine) {
         (self.reader, self.engine)
     }

@@ -3,12 +3,16 @@
 //! Physical slot reads of a batch are independent of each other (Ring ORAM
 //! never reads the same physical slot twice between reshuffles, and write
 //! deduplication guarantees each bucket is written at most once per epoch),
-//! so they can all be issued concurrently.  Workers are plain OS threads:
-//! over a socket or a latency model they sit blocked on round trips, so a
-//! generous count is cheap; over an in-memory store their work is sealing
-//! and opening slots, pure CPU, and one per core is all that helps.  Either
-//! way the pool's own cost stays off the per-slot path: [`ThreadPool::map`]
-//! dispatches one job per *worker*, not one per item.
+//! so they can all be issued concurrently.  Workers are plain OS threads
+//! that sit blocked on round trips, so a generous count is cheap — which is
+//! why the split client sizes a pool past one only over a store that waits
+//! ([`UntrustedStore::waits`](obladi_storage::UntrustedStore::waits)): a
+//! socket or a latency model.  Over an in-memory store the work is sealing
+//! and opening slots, pure CPU, and a hand-off to a worker only adds a
+//! context switch; there the client asks for a pool of one, which spawns no
+//! thread and runs every job on its caller.  Either way the pool's own cost
+//! stays off the per-slot path: [`ThreadPool::map`] dispatches one job per
+//! *worker*, not one per item.
 
 use crossbeam::channel::{unbounded, Sender};
 use std::ops::Range;
@@ -25,12 +29,14 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Creates a pool with `size` workers (at least 1).
+    /// Creates a pool of `size` (at least 1).  A pool of one spawns no
+    /// thread: [`ThreadPool::map`] runs its one range on the caller.
     pub fn new(size: usize) -> Self {
         let size = size.max(1);
         let (sender, receiver) = unbounded::<Job>();
-        let mut workers = Vec::with_capacity(size);
-        for i in 0..size {
+        let spawned = if size == 1 { 0 } else { size };
+        let mut workers = Vec::with_capacity(spawned);
+        for i in 0..spawned {
             let receiver = receiver.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("oram-worker-{i}"))
@@ -49,7 +55,7 @@ impl ThreadPool {
         }
     }
 
-    /// Number of worker threads.
+    /// How many ranges [`ThreadPool::map`] cuts a job into.
     pub fn size(&self) -> usize {
         self.size
     }
@@ -195,6 +201,18 @@ mod tests {
         let pool = ThreadPool::new(0);
         assert_eq!(pool.size(), 1);
         assert_eq!(map_each(&pool, 3, |x| x), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_pool_of_one_runs_on_the_caller() {
+        let pool = ThreadPool::new(1);
+        assert!(pool.workers.is_empty(), "a pool of one spawns no worker");
+        let caller = std::thread::current().id();
+        let seen = pool.map(5, |range| {
+            range.map(|_| std::thread::current().id()).collect()
+        });
+        assert!(seen.iter().all(|&id| id == caller));
+        assert!(ThreadPool::new(0).workers.is_empty());
     }
 
     #[test]

@@ -54,7 +54,14 @@
 //! the read plane admits one batch at a time, like Obladi's batch manager,
 //! which ships one padded read batch per Δ (the proxy runs its batches one
 //! by one on its epoch executor, so it is never refused).  The parallelism
-//! is inside a batch: its physical fetches run on the worker pool.  The
+//! is inside a batch: over a store whose calls wait (a socket, a latency
+//! model; [`UntrustedStore::waits`]) its physical fetches run on the worker
+//! pool, each half with a pool of its own.  Over a store that waits for
+//! nothing a hand-off to a worker buys no overlap, only a context switch
+//! on a crowded host, so each half calls the store on its caller's
+//! thread: the reader on the thread that runs the batch (the proxy's
+//! epoch executor), the engine on the one that drives it (the decider, for
+//! waves and the flush; the opening thread for `init_tree`).  The
 //! caller keeps two rules, which the Obladi proxy keeps with its carry set
 //! and its batch planner: the keys a batch reads are disjoint from the keys
 //! written concurrently, and a batch carries each key once.
@@ -276,6 +283,7 @@ fn from_parts(
 ) -> (OramReader, WritebackEngine) {
     let config = meta.config;
     let committed = Committed::new(&meta);
+    let workers = pool_size(&options, store.as_ref());
     let skips = std::iter::once("oram.split.exhausted_skips".to_string())
         .chain((0..config.levels).map(|l| format!("oram.split.exhausted_skips.level_{l}")));
     let core = OramCore {
@@ -307,7 +315,7 @@ fn from_parts(
     };
     // A pool per half: the pipelined proxy runs them concurrently, and
     // flush I/O must not queue behind the read plane's fetches.
-    let pool = || Arc::new(ThreadPool::new(pool_size(&options)));
+    let pool = || Arc::new(ThreadPool::new(workers));
     let reader = OramReader {
         core: core.clone(),
         pool: pool(),
@@ -578,9 +586,12 @@ impl ParkMeter {
 // The read plane
 // ----------------------------------------------------------------------
 
-/// Worker-pool size for the given options.
-fn pool_size(options: &ExecOptions) -> usize {
-    if options.parallel {
+/// Worker-pool size for the given options over `store`: `threads` only
+/// when a store call waits on something other than the calling CPU, so
+/// that overlapping calls hides the waits; otherwise a pool of one, which
+/// runs each half's work on its caller.
+fn pool_size(options: &ExecOptions, store: &dyn UntrustedStore) -> usize {
+    if options.parallel && store.waits() {
         options.threads
     } else {
         1

@@ -147,6 +147,20 @@ impl RecordingStore {
         &self.ring
     }
 
+    /// Records a slot read that returned `len` sealed bytes.
+    fn record_read_slot(&self, bucket: BucketId, slot: u32, len: usize) {
+        // req: tag + bucket + slot; resp: tag + len-prefixed payload.
+        let read = op(self.store_id, AuditKind::ReadSlot, bucket, len, 13, 5 + len);
+        self.ring.record(AuditOp { slot, ..read });
+    }
+
+    /// The sealed length and request payload of a bucket write of `slots`,
+    /// taken before the slots move into the inner store.
+    fn write_sizes(slots: &[Bytes]) -> (usize, usize) {
+        let sealed: usize = slots.iter().map(Bytes::len).sum();
+        (sealed, 13 + 4 * slots.len() + sealed)
+    }
+
     #[inline]
     fn record(
         &self,
@@ -171,17 +185,20 @@ impl RecordingStore {
 impl UntrustedStore for RecordingStore {
     fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
         let data = self.inner.read_slot(bucket, slot)?;
-        // req: tag + bucket + slot; resp: tag + len-prefixed payload.
-        let read = op(
-            self.store_id,
-            AuditKind::ReadSlot,
-            bucket,
-            data.len(),
-            13,
-            5 + data.len(),
-        );
-        self.ring.record(AuditOp { slot, ..read });
+        self.record_read_slot(bucket, slot, data.len());
         Ok(data)
+    }
+
+    /// The inner store gets the whole chunk (a remote store pipelines it);
+    /// the trace still holds one entry per read that succeeded.
+    fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<Bytes>> {
+        let results = self.inner.read_slots(reads);
+        for (&(bucket, slot), result) in reads.iter().zip(&results) {
+            if let Ok(data) = result {
+                self.record_read_slot(bucket, slot, data.len());
+            }
+        }
+        results
     }
 
     fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
@@ -193,11 +210,25 @@ impl UntrustedStore for RecordingStore {
     }
 
     fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        let sealed: usize = slots.iter().map(Bytes::len).sum();
-        let req = 13 + 4 * slots.len() + sealed;
+        let (sealed, req) = Self::write_sizes(&slots);
         let version = self.inner.write_bucket(bucket, slots)?;
         self.record(AuditKind::WriteBucket, bucket, sealed, req, 9);
         Ok(version)
+    }
+
+    /// The chunk form of `write_bucket`, forwarded whole like `read_slots`.
+    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
+        let sizes: Vec<(BucketId, (usize, usize))> = writes
+            .iter()
+            .map(|(bucket, slots)| (*bucket, Self::write_sizes(slots)))
+            .collect();
+        let results = self.inner.write_buckets(writes);
+        for ((bucket, (sealed, req)), result) in sizes.into_iter().zip(&results) {
+            if result.is_ok() {
+                self.record(AuditKind::WriteBucket, bucket, sealed, req, 9);
+            }
+        }
+        results
     }
 
     fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
@@ -285,6 +316,10 @@ impl UntrustedStore for RecordingStore {
     fn daemon_metrics(&self) -> Option<WireMetrics> {
         self.inner.daemon_metrics()
     }
+
+    fn waits(&self) -> bool {
+        self.inner.waits()
+    }
 }
 
 #[cfg(test)]
@@ -351,6 +386,45 @@ mod tests {
                 ops[1].resp_frame
             ),
         );
+    }
+
+    #[test]
+    fn chunk_calls_record_one_entry_per_item_that_succeeded() {
+        let (store, ring) = recorded();
+        let slots = |fill: &'static [u8]| vec![Bytes::from_static(fill); 2];
+        let written = store.write_buckets(vec![(4, slots(b"abcd")), (5, slots(b"efghij"))]);
+        assert!(written.iter().all(Result::is_ok));
+        // Bucket 9 was never written: its read fails and leaves no entry.
+        let read = store.read_slots(&[(4, 1), (9, 0), (5, 0)]);
+        assert!(read[0].is_ok() && read[1].is_err() && read[2].is_ok());
+        let chunked = ring.ops();
+
+        // The same operations one at a time leave the same trace.
+        let (single, ring) = recorded();
+        single.write_bucket(4, slots(b"abcd")).unwrap();
+        single.write_bucket(5, slots(b"efghij")).unwrap();
+        single.read_slot(4, 1).unwrap();
+        assert!(single.read_slot(9, 0).is_err());
+        single.read_slot(5, 0).unwrap();
+        let shape = |op: &AuditOp| {
+            let fields = (op.kind, op.addr, op.slot, op.payload_len);
+            (fields, op.req_frame, op.resp_frame)
+        };
+        let expected: Vec<_> = ring.ops().iter().map(shape).collect();
+        assert_eq!(chunked.iter().map(shape).collect::<Vec<_>>(), expected);
+        assert_eq!(expected.len(), 4);
+    }
+
+    #[test]
+    fn waits_is_forwarded() {
+        let (store, _) = recorded();
+        assert!(!store.waits());
+        let profile = obladi_common::latency::LatencyProfile::for_backend(
+            obladi_common::config::BackendKind::Server,
+        );
+        let inner = crate::latency::LatencyStore::new(Arc::new(InMemoryStore::new()), profile, 1);
+        let ring = Arc::new(AuditRing::new(16));
+        assert!(RecordingStore::new(Arc::new(inner), ring, 0).waits());
     }
 
     #[test]

@@ -382,6 +382,13 @@ impl UntrustedStore for FaultyStore {
     fn daemon_metrics(&self) -> Option<crate::proto::WireMetrics> {
         self.inner.daemon_metrics()
     }
+
+    // `read_slots` / `write_buckets` keep the per-item defaults: each item
+    // must pass its own crash-point and failure checks.
+
+    fn waits(&self) -> bool {
+        self.inner.waits()
+    }
 }
 
 #[cfg(test)]
@@ -404,6 +411,37 @@ mod tests {
             assert_eq!(&store.read_slot(0, 0).unwrap()[..], b"original");
         }
         assert_eq!(store.injected_faults(), 0);
+    }
+
+    #[test]
+    fn chunk_calls_pass_each_item_through_the_crash_point() {
+        let store = FaultyStore::new(
+            base(),
+            FaultPlan::crash_at(CrashPoint {
+                arm_on_log_kind: None,
+                on: CrashOp::SlotRead,
+                nth: 3,
+            }),
+            1,
+        );
+        let results = store.read_slots(&[(0, 0); 5]);
+        let ok: Vec<bool> = results.iter().map(Result::is_ok).collect();
+        assert_eq!(ok, [true, true, false, false, false]);
+        assert!(store.has_tripped());
+        // The outage holds for every item of a write chunk too.
+        let writes = store.write_buckets(vec![(1, vec![Bytes::from_static(b"x")]); 2]);
+        assert!(writes.iter().all(Result::is_err));
+    }
+
+    #[test]
+    fn waits_is_forwarded() {
+        let memory = FaultyStore::new(base(), FaultPlan::none(), 1);
+        assert!(!memory.waits());
+        let profile = obladi_common::latency::LatencyProfile::for_backend(
+            obladi_common::config::BackendKind::Server,
+        );
+        let slow = Arc::new(crate::latency::LatencyStore::new(base(), profile, 1));
+        assert!(FaultyStore::new(slow, FaultPlan::none(), 1).waits());
     }
 
     #[test]

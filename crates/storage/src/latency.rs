@@ -9,7 +9,7 @@
 use crate::traits::{BucketSnapshot, StoreStats, UntrustedStore};
 use bytes::Bytes;
 use obladi_common::error::Result;
-use obladi_common::latency::LatencyProfile;
+use obladi_common::latency::{LatencyModel, LatencyProfile};
 use obladi_common::rng::DetRng;
 use obladi_common::types::{BucketId, Version};
 use parking_lot::{Condvar, Mutex};
@@ -181,6 +181,11 @@ impl UntrustedStore for LatencyStore {
     fn daemon_metrics(&self) -> Option<crate::proto::WireMetrics> {
         self.inner.daemon_metrics()
     }
+
+    fn waits(&self) -> bool {
+        let injects = |model: &LatencyModel| !model.mean.is_zero();
+        injects(&self.profile.read) || injects(&self.profile.write) || self.inner.waits()
+    }
 }
 
 #[cfg(test)]
@@ -258,6 +263,21 @@ mod tests {
             "elapsed {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn waits_only_when_latency_is_injected() {
+        let dummy = LatencyProfile::for_backend(BackendKind::Dummy);
+        assert!(!wrapped(dummy).waits());
+        let server = LatencyProfile::for_backend(BackendKind::Server);
+        assert!(wrapped(server).waits());
+        assert!(!wrapped(server.scaled(0.0)).waits());
+        let mut writes_only = dummy;
+        writes_only.write = LatencyModel::with_mean(Duration::from_millis(1));
+        assert!(wrapped(writes_only).waits());
+        // A zero profile over a waiting store still waits.
+        let waiting: Arc<dyn UntrustedStore> = Arc::new(wrapped(server));
+        assert!(LatencyStore::new(waiting, dummy, 7).waits());
     }
 
     #[test]

@@ -175,6 +175,16 @@ pub trait UntrustedStore: Send + Sync {
     fn daemon_metrics(&self) -> Option<crate::proto::WireMetrics> {
         None
     }
+
+    /// Whether a call waits on something other than the calling CPU — a
+    /// socket round trip, an injected latency.  The ORAM client overlaps
+    /// such calls on a worker pool; a store that only computes (the
+    /// in-memory stores) is called on the caller's own thread, where a
+    /// hand-off to a worker would only add a context switch.  The default
+    /// is `false`; wrappers should forward to their inner store.
+    fn waits(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

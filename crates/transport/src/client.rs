@@ -632,4 +632,9 @@ impl UntrustedStore for RemoteStore {
         // simply contributes nothing to the merged dump.
         self.metrics_snapshot().ok()
     }
+
+    /// Every call is a socket round trip.
+    fn waits(&self) -> bool {
+        true
+    }
 }

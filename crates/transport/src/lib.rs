@@ -175,6 +175,37 @@ mod tests {
         handle.stop();
     }
 
+    #[test]
+    fn a_recorded_chunk_still_goes_out_in_one_flush() {
+        let (mut handle, _) = spawn_memory_server();
+        let client = RemoteStore::connect(handle.spec().clone(), Duration::from_secs(5)).unwrap();
+        let client = Arc::new(client);
+        let ring = Arc::new(obladi_obs::audit::AuditRing::new(1024));
+        let recorded = obladi_storage::RecordingStore::new(client.clone(), ring.clone(), 0);
+        assert!(recorded.waits());
+        let slots = |bucket: u64| vec![bytes::Bytes::from(bucket.to_le_bytes().to_vec())];
+
+        let before = client.transport_stats();
+        let versions = recorded.write_buckets((0..32).map(|b| (b, slots(b))).collect());
+        assert!(versions.iter().all(|v| matches!(v, Ok(1))), "{versions:?}");
+        let reads: Vec<(u64, u32)> = (0..32).map(|b| (b, 0)).collect();
+        let fetched = recorded.read_slots(&reads);
+        assert!(fetched.iter().all(Result::is_ok));
+        let after = client.transport_stats();
+        assert_eq!(after.flushes - before.flushes, 2, "one flush per chunk");
+        assert_eq!(ring.ops().len(), 64, "one trace entry per item");
+        handle.stop();
+    }
+
+    #[test]
+    fn a_remote_store_waits_and_the_store_it_serves_does_not() {
+        let (mut handle, store) = spawn_memory_server();
+        let client = RemoteStore::connect(handle.spec().clone(), Duration::from_secs(5)).unwrap();
+        assert!(client.waits(), "a socket round trip is a wait");
+        assert!(!store.waits(), "an in-memory store only computes");
+        handle.stop();
+    }
+
     /// A server that answers only the first `answered` slot reads of the
     /// first `expected` it receives, then drops the connection.
     fn spawn_half_answering_server(expected: usize, answered: usize) -> SocketSpec {
