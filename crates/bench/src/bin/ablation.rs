@@ -1,5 +1,6 @@
 //! Runs the ablation table over Obladi's proxy mechanisms (see
-//! `obladi_bench::ablation` and EXPERIMENTS.md).
+//! `obladi_bench::ablation`, and `DESIGN.md`, "Proxy mechanisms", for what
+//! each one does).
 
 #![forbid(unsafe_code)]
 fn main() {

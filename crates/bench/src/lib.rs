@@ -1,10 +1,12 @@
 //! Benchmark harness reproducing the tables and figures of §11.
 //!
-//! Each figure of the paper's evaluation has a corresponding module and a
-//! thin binary wrapper (`cargo run -p obladi-bench --bin fig10a_parallelism`
-//! etc.).  The binaries print the same rows / series the paper reports;
-//! EXPERIMENTS.md at the repository root records a reference run next to the
-//! paper's numbers.
+//! Each figure of the paper's evaluation has a module and a thin binary:
+//! `fig09_apps`, `fig10a_parallelism` to `fig10f_epoch_proxy`,
+//! `fig11a_checkpoint`, `fig11b_recovery` and `ablation` print the rows /
+//! series the paper reports, and `all_experiments` runs them all;
+//! `fig_shard_pipeline` and `fig_obs_overhead` measure the sharded pipeline
+//! and the metrics cost.  The numbers of record are `perf`'s
+//! (`src/bin/perf/`, contract in `BENCHMARK.json`), logged in `ROADMAP.md`.
 //!
 //! Runs are scaled so the default mode finishes in CI-sized time budgets:
 //! simulated storage latencies are multiplied by [`BenchOpts::latency_scale`]
@@ -21,7 +23,6 @@ pub mod fig09;
 pub mod fig10;
 pub mod fig11;
 pub mod fig_shard;
-pub mod fig_trace_audit;
 pub mod harness;
 pub mod obs_overhead;
 pub mod opts;

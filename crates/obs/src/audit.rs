@@ -321,15 +321,6 @@ impl TraceShape {
             self.kind(kind).count as f64 / self.epochs as f64
         }
     }
-
-    /// Completed epochs per second — the rhythm's cadence.
-    pub fn epochs_per_sec(&self) -> f64 {
-        if self.wall_us == 0 {
-            0.0
-        } else {
-            self.epochs as f64 / (self.wall_us as f64 / 1_000_000.0)
-        }
-    }
 }
 
 /// Tolerances the differential comparison applies.
@@ -387,6 +378,15 @@ impl AuditVerdict {
     }
 }
 
+/// Completed epochs per second — the rhythm's cadence.
+fn epochs_per_sec(shape: &TraceShape) -> f64 {
+    if shape.wall_us == 0 {
+        0.0
+    } else {
+        shape.epochs as f64 / (shape.wall_us as f64 / 1_000_000.0)
+    }
+}
+
 fn rel_diff(a: f64, b: f64) -> f64 {
     let scale = a.abs().max(b.abs());
     if scale == 0.0 {
@@ -416,15 +416,14 @@ pub fn compare(a: &TraceShape, b: &TraceShape, tol: &AuditTolerances) -> AuditVe
     // Cadence: epochs per second is the batching clock, which must be
     // workload-independent.
     checks += 1;
-    let cadence = rel_diff(a.epochs_per_sec(), b.epochs_per_sec());
+    let (cadence_a, cadence_b) = (epochs_per_sec(a), epochs_per_sec(b));
+    let cadence = rel_diff(cadence_a, cadence_b);
     if cadence > tol.cadence_tol {
         failures.push(format!(
-            "epoch cadence diverges {:.0}%: {} at {:.1}/s vs {} at {:.1}/s",
+            "epoch cadence diverges {:.0}%: {} at {cadence_a:.1}/s vs {} at {cadence_b:.1}/s",
             cadence * 100.0,
             a.label,
-            a.epochs_per_sec(),
             b.label,
-            b.epochs_per_sec()
         ));
     }
 

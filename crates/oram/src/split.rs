@@ -131,12 +131,12 @@ use std::time::{Duration, Instant};
 /// check: when set, read batches *skip* the uniform dummy path that every
 /// padding request must issue, so the number of physical reads per batch
 /// follows real occupancy — the classic fixed-size-batch violation the
-/// adversary-view auditor exists to catch.  Never set outside tests and
-/// the `fig_trace_audit --mutate` harness.
+/// adversary-view auditor exists to catch.  Armed only by
+/// `tests/trace_audit.rs`; CI fails if non-test code anywhere arms it.
 static LEAK_SKIP_DUMMY_PADS: AtomicBool = AtomicBool::new(false);
 
 /// Arms or disarms the dummy-pad leak (see [`LEAK_SKIP_DUMMY_PADS`]).
-/// Process-global on purpose: the harness flips it around a whole
+/// Process-global on purpose: the audit test flips it around a whole
 /// workload cell, not per client.
 pub fn set_leak_skip_dummy_pads(enabled: bool) {
     LEAK_SKIP_DUMMY_PADS.store(enabled, Ordering::SeqCst);

@@ -36,7 +36,7 @@ pub mod history;
 pub mod recorder;
 pub mod stats;
 
-pub use audit::{assert_trace_indistinguishable, cross_check, level_profile, recording_stores};
+pub use audit::{cross_check, level_profile, recording_stores};
 pub use chaos::{
     commit_with_retries, cross_shard_pair, put_acknowledged, read_with_retries, run_case,
     run_script_with_crash, schedule, CaseReport, CrashRun, Expected, Fault, FaultCase, Load,
