@@ -10,11 +10,11 @@ use obladi_storage::{InMemoryStore, LatencyStore, TrustedCounter, UntrustedStore
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The host block of every figure and `BENCH_*.json`: what the numbers
-/// were measured on, as one JSON object — cores, CPU model and the crypto
-/// kernels `obladi_crypto` selected there, so a file from a CPU without the
-/// SHA extensions or AVX2 explains its own crypto cost.
-pub fn host_json() -> Json {
+/// The host block of every figure: what the numbers were measured on, as
+/// one JSON object — cores, CPU model and the crypto kernels
+/// `obladi_crypto` selected there, so a table from a CPU without the SHA
+/// extensions or AVX2 explains its own crypto cost.
+fn host_json() -> Json {
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
@@ -59,20 +59,6 @@ pub fn write_metrics_out(opts: &BenchOpts) {
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote metrics snapshot to {path}"),
         Err(err) => eprintln!("could not write metrics snapshot {path}: {err}"),
-    }
-}
-
-/// Dumps a recorded adversary-view trace as JSON to `--trace-out <path>`,
-/// if the flag was given.  Bins that install the trace recorder call this
-/// with the ring of their final (or only) cell.
-pub fn write_trace_out(opts: &BenchOpts, ring: &obladi_obs::audit::AuditRing) {
-    let Some(path) = opts.trace_out.as_deref() else {
-        return;
-    };
-    let json = obladi_obs::audit::render_audit_json(&ring.ops(), ring.dropped());
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote adversary-view trace to {path}"),
-        Err(err) => eprintln!("could not write adversary-view trace {path}: {err}"),
     }
 }
 

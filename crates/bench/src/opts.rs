@@ -20,21 +20,13 @@ pub struct BenchOpts {
     /// Write the full metrics-registry snapshot (JSON) to this path after
     /// the run.
     pub metrics_out: Option<String>,
-    /// Write the adversary-view access trace (JSON) to this path after the
-    /// run, for bins that install the trace recorder.
-    pub trace_out: Option<String>,
-    /// Restrict sweeps to storage profiles whose name contains this
-    /// substring (CI smoke cells).
-    pub profile: Option<String>,
-    /// Restrict sweeps to the named workload mix (CI smoke cells).
-    pub mix: Option<String>,
 }
 
 impl BenchOpts {
     /// Parses options from the process arguments.
     ///
     /// Supported flags: `--full`, `--scale <f64>`, `--seconds <u64>`,
-    /// `--clients <usize>`, `--seed <u64>`.
+    /// `--clients <usize>`, `--seed <u64>`, `--metrics-out <path>`.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
         Self::from_slice(&args)
@@ -49,24 +41,6 @@ impl BenchOpts {
                 "--metrics-out" => {
                     if let Some(v) = args.get(i + 1) {
                         opts.metrics_out = Some(v.clone());
-                        i += 1;
-                    }
-                }
-                "--trace-out" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.trace_out = Some(v.clone());
-                        i += 1;
-                    }
-                }
-                "--profile" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.profile = Some(v.clone());
-                        i += 1;
-                    }
-                }
-                "--mix" => {
-                    if let Some(v) = args.get(i + 1) {
-                        opts.mix = Some(v.clone());
                         i += 1;
                     }
                 }
@@ -107,18 +81,6 @@ impl BenchOpts {
         opts
     }
 
-    /// Whether `profile_name` passes the `--profile` substring filter.
-    pub fn profile_selected(&self, profile_name: &str) -> bool {
-        self.profile
-            .as_deref()
-            .is_none_or(|want| profile_name.contains(want))
-    }
-
-    /// Whether `mix_name` passes the `--mix` filter (exact match).
-    pub fn mix_selected(&self, mix_name: &str) -> bool {
-        self.mix.as_deref().is_none_or(|want| mix_name == want)
-    }
-
     /// A very small configuration used by smoke tests of the harness itself.
     pub fn smoke() -> Self {
         BenchOpts {
@@ -128,9 +90,6 @@ impl BenchOpts {
             clients: 2,
             seed: 7,
             metrics_out: None,
-            trace_out: None,
-            profile: None,
-            mix: None,
         }
     }
 }
@@ -144,9 +103,6 @@ impl Default for BenchOpts {
             clients: 16,
             seed: 42,
             metrics_out: None,
-            trace_out: None,
-            profile: None,
-            mix: None,
         }
     }
 }
@@ -194,15 +150,8 @@ mod tests {
 
     #[test]
     fn output_paths_parse() {
-        let opts = BenchOpts::from_slice(&s(&[
-            "bench",
-            "--metrics-out",
-            "m.json",
-            "--trace-out",
-            "t.json",
-        ]));
+        let opts = BenchOpts::from_slice(&s(&["bench", "--metrics-out", "m.json"]));
         assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-        assert_eq!(opts.trace_out.as_deref(), Some("t.json"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! * [`AuditRing`] — a bounded ring of [`AuditOp`]s.  The storage crate's
 //!   `RecordingStore` wrapper and the `obladi-stored` server loop push
-//!   into it; benches export it via [`render_audit_json`] (`--trace-out`).
+//!   into it.
 //! * [`TraceShape`] / [`compare`] — the offline differential auditor: two
 //!   traces from *contrasting* workloads are reduced to their
 //!   adversary-visible shape (per-epoch op rates, length sets, cadence)
@@ -21,10 +21,10 @@
 //!   a leak, and [`AuditVerdict::failures`] names it.
 //!
 //! Recording honours the process-wide kill switch
-//! ([`crate::set_enabled`]), so the overhead-budget bench A/Bs it along
-//! with the rest of the instrumentation.
+//! ([`crate::set_enabled`]), so the overhead budget
+//! (`tests/obs_overhead.rs`) A/Bs it along with the rest of the
+//! instrumentation.
 
-use crate::json::Json;
 use crate::metrics::ENABLED;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -192,7 +192,7 @@ impl AuditRing {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Clears the ring and restarts its clock (bench cells).
+    /// Clears the ring and restarts its clock.
     pub fn reset(&self) {
         let mut ops = self.ops.lock();
         ops.clear();
@@ -206,27 +206,6 @@ impl AuditRing {
 pub fn global() -> &'static AuditRing {
     static GLOBAL: OnceLock<AuditRing> = OnceLock::new();
     GLOBAL.get_or_init(AuditRing::default)
-}
-
-/// Renders a recorded trace as a JSON object (`--trace-out` files).
-pub fn render_audit_json(ops: &[AuditOp], dropped: u64) -> String {
-    let ops = ops.iter().map(|op| {
-        Json::object([
-            ("at_us", op.at_us.into()),
-            ("store", op.store.into()),
-            ("kind", op.kind.label().into()),
-            ("addr", op.addr.into()),
-            ("slot", op.slot.into()),
-            ("payload_len", op.payload_len.into()),
-            ("req_frame", op.req_frame.into()),
-            ("resp_frame", op.resp_frame.into()),
-        ])
-    });
-    Json::object([
-        ("dropped", dropped.into()),
-        ("ops", Json::Array(ops.collect())),
-    ])
-    .render()
 }
 
 // ---------------------------------------------------------------------
@@ -629,17 +608,5 @@ mod tests {
         let b = uniform_trace("without", 500, 64, 10);
         let verdict = compare(&a, &b, &AuditTolerances::default());
         assert!(verdict.pass(), "{}", verdict.summary());
-    }
-
-    #[test]
-    fn audit_json_is_well_formed() {
-        let ops = vec![op(1, AuditKind::ReadSlot, 64), op(2, AuditKind::PutMeta, 9)];
-        let json = render_audit_json(&ops, 3);
-        assert!(json.contains("\"dropped\": 3"));
-        assert!(json.contains("\"kind\": \"read_slot\""));
-        assert!(json.contains("\"kind\": \"put_meta\""));
-        assert!(json.contains("\"addr\": 7, \"slot\": 3, \"payload_len\": 64"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",\n  ]"));
     }
 }

@@ -1,6 +1,6 @@
-//! The one JSON writer: every `--metrics-out`, `--trace-out` and
-//! `BENCH_*.json` document is built as a [`Json`] value and rendered here
-//! (the vendored serde shim has no serializer).
+//! The one JSON writer: every `--metrics-out` dump and the host block of
+//! every bench table is built as a [`Json`] value and rendered here (the
+//! vendored serde shim has no serializer).
 //!
 //! Strings are escaped per RFC 8259, floats carry a fixed number of
 //! decimals, and a non-finite float is written as `null` so the document

@@ -11,7 +11,8 @@
 //! also held to §4's bucket invariant and to WAL retention's truncation
 //! rhythm on what its stores observed.
 
-use obladi_common::config::{ObladiConfig, ShardConfig};
+mod common;
+
 use obladi_obs::audit::{AuditTolerances, TraceShape};
 use obladi_shard::ShardedDb;
 use obladi_testkit::audit::{
@@ -20,8 +21,6 @@ use obladi_testkit::audit::{
 };
 use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
 use std::time::{Duration, Instant};
-
-const SHARDS: usize = 3;
 
 /// Maximum total-variation distance between slot-read level profiles.
 /// Uniform path choice over the same tree keeps it well under this; the
@@ -36,34 +35,15 @@ const CONTRASTS: [(&str, f64, f64); 3] =
 /// A recorded cell: its adversary-view shape and slot-read level profile.
 type Cell = (TraceShape, Vec<u64>);
 
-fn audit_config(depth: u32) -> ShardConfig {
-    // 64-byte YCSB values (plus row framing) need 192-byte blocks, and the
-    // epoch batches must be large enough to absorb the workload's load
-    // phase.
-    let mut shard = ObladiConfig::small_for_tests(2_048);
-    shard.oram.block_size = 192;
-    shard.oram.max_stash = 4_096;
-    shard.epoch.batch_interval = Duration::from_millis(1);
-    shard.epoch.read_batches = 4;
-    shard.epoch.read_batch_size = 32;
-    shard.epoch.write_batch_size = 64;
-    shard.epoch.pipeline_depth = depth;
-    ShardConfig {
-        shards: SHARDS,
-        shard,
-        ..ShardConfig::default()
-    }
-}
-
 /// Runs one recorded cell — a YCSB burst against a fresh deployment whose
 /// stores share an audit ring — and adds to `failures` whatever breaks
 /// §4's bucket invariant or the truncation rhythm in it.
 fn run_cell(depth: u32, contrast: (&str, f64, f64), failures: &mut Vec<String>) -> Cell {
     let (label, read_proportion, zipf_theta) = contrast;
     let label = format!("{label}/d{depth}");
-    let config = audit_config(depth);
-    let checkpoint_every = config.shard.epoch.checkpoint_every;
-    let (stores, ring) = recording_stores(SHARDS);
+    let config = common::ycsb_shards(depth);
+    let (shards, checkpoint_every) = (config.shards, config.shard.epoch.checkpoint_every);
+    let (stores, ring) = recording_stores(shards);
     let db = ShardedDb::open_with_stores(config, stores).unwrap();
     let workload = YcsbWorkload::new(YcsbConfig {
         num_keys: 1_024,
@@ -81,7 +61,7 @@ fn run_cell(depth: u32, contrast: (&str, f64, f64), failures: &mut Vec<String>) 
     assert!(!ops.is_empty(), "recorder captured nothing for {label}");
     let shape = recorded_shape(&label, &ops, ring.dropped(), wall_us, stats.global_epochs);
     failures.extend(slot_reread(&ops).map(|reread| format!("{label}: {reread}")));
-    failures.extend(truncation_rhythm_failure(&shape, SHARDS, checkpoint_every));
+    failures.extend(truncation_rhythm_failure(&shape, shards, checkpoint_every));
     (shape, level_profile(&ops))
 }
 
