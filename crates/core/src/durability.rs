@@ -33,8 +33,9 @@ use obladi_common::types::{EpochId, Key, TxnId, Value};
 use obladi_crypto::envelope::{PLAINTEXT_OFFSET, TAG_LEN};
 use obladi_crypto::{Envelope, KeyMaterial, Sha256};
 use obladi_oram::client::{PathLogger, SlotRead};
+use obladi_oram::split::{from_meta_split, new_split};
 use obladi_oram::{
-    CheckpointSource, ExecOptions, MetaDelta, OramMeta, OramReader, RingOram, WritebackEngine,
+    CheckpointSource, ExecOptions, MetaDelta, OramMeta, OramReader, WritebackEngine,
 };
 use obladi_storage::wal::{WalRecord, WalRecordKind, WriteAheadLog, FRAME_HEADER_LEN};
 use obladi_storage::{TrustedCounter, UntrustedStore};
@@ -171,6 +172,9 @@ pub struct DurabilityManager {
     checkpoint_every: u32,
     max_position_delta: usize,
     write_batch_size: usize,
+    /// Top tree levels the recovered client keeps in its stash, as the
+    /// client it replaces did (`ObladiDb::open_with` derives them).
+    cached_levels: u32,
 }
 
 impl DurabilityManager {
@@ -195,7 +199,15 @@ impl DurabilityManager {
             checkpoint_every: epoch_config.checkpoint_every.max(1),
             max_position_delta: epoch_config.max_position_delta(),
             write_batch_size: epoch_config.write_batch_size,
+            cached_levels: 0,
         }
+    }
+
+    /// Recovery rebuilds clients that keep the top `cached_levels` tree
+    /// levels in their stash (by default none: every level on storage).
+    pub fn with_cached_levels(mut self, cached_levels: u32) -> Self {
+        self.cached_levels = cached_levels;
+        self
     }
 
     /// Whether durability logging is enabled.
@@ -638,8 +650,14 @@ impl DurabilityManager {
                 // post-recovery accesses are independent of anything the
                 // adversary observed before the crash.
                 let store = self.store.clone();
-                let (reader, mut engine) =
-                    RingOram::new(fallback_config, keys, store, options, seed)?.split();
+                let (reader, mut engine) = new_split(
+                    fallback_config,
+                    keys,
+                    store,
+                    options,
+                    seed,
+                    self.cached_levels,
+                )?;
                 report.position_ms = pos_start.elapsed().as_secs_f64() * 1000.0;
                 // Even with nothing durable the shard may have voted: a
                 // cross-shard transaction prepared in the very first epoch
@@ -687,8 +705,9 @@ impl DurabilityManager {
         report.permutation_ms = perm_start.elapsed().as_secs_f64() * 1000.0;
 
         // ---- Rebuild the ORAM client and undo the aborted epoch. ----
+        let store = self.store.clone();
         let (reader, mut engine) =
-            RingOram::from_meta(meta, keys, self.store.clone(), options, seed).split();
+            from_meta_split(meta, keys, store, options, seed, self.cached_levels)?;
         let revert_start = std::time::Instant::now();
         engine.revert_storage_to_meta()?;
         report.network_ms += revert_start.elapsed().as_secs_f64() * 1000.0;
@@ -871,7 +890,7 @@ impl PathLogger for EpochPathLogger<'_> {
 mod tests {
     use super::*;
     use obladi_common::config::ObladiConfig;
-    use obladi_oram::NoopPathLogger;
+    use obladi_oram::{NoopPathLogger, RingOram};
     use obladi_storage::retention::Cut;
     use obladi_storage::InMemoryStore;
 

@@ -32,7 +32,8 @@ use obladi_common::config::ObladiConfig;
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{EpochId, Key, TxnId, TxnOutcome, Value};
 use obladi_crypto::KeyMaterial;
-use obladi_oram::{ExecOptions, OramReader, RingOram, WritebackEngine};
+use obladi_oram::split::new_split;
+use obladi_oram::{ExecOptions, OramReader, WritebackEngine};
 use obladi_storage::{build_backend, TrustedCounter, UntrustedStore};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::HashSet;
@@ -252,6 +253,41 @@ fn exec_options(config: &ObladiConfig) -> ExecOptions {
     }
 }
 
+/// How many top levels of each tree the proxy keeps in its stash (Ring
+/// ORAM's tree-top caching; DESIGN.md, "Tree-top cache"): the levels
+/// `l < levels - 1` with `2^l * S < R * b_read`.  An epoch's `R * b_read`
+/// accesses visit each of such a level's `2^l` buckets more than `S`
+/// times on average, so every epoch reshuffles or rewrites them anyway;
+/// kept in the proxy, they cost the store nothing.  A function of the
+/// configuration alone: recovery applies the same value, and no
+/// checkpoint records it.
+pub fn cached_levels(config: &ObladiConfig) -> u32 {
+    let visits = config.epoch.reads_per_epoch() as u64;
+    let s = u64::from(config.oram.s);
+    (0..config.oram.levels.saturating_sub(1))
+        .take_while(|&level| (s << level) < visits)
+        .count() as u32
+}
+
+/// The least `max_stash` a proxy runs with.  The stash must absorb
+/// everything that can accumulate between the engine's maintenance passes.
+/// The executor never runs maintenance after a read batch: every eviction
+/// an epoch's reads owe is deferred to the decider's write-back, so the
+/// sealed epoch's read targets sit in the stash for its whole write-back
+/// window on top of the up-to-`pipeline_depth` epochs of reads in flight —
+/// hence one extra epoch of read headroom, plus the write batch and an
+/// eviction-path margin — and on top of all that, the blocks the `cached`
+/// top levels' `2^cached - 1` buckets would hold.  A stash overflow
+/// poisons the client (the proxy fate-shares and recovers), so an
+/// undersized bound costs availability, never durability.
+fn stash_floor(config: &ObladiConfig, cached: u32) -> usize {
+    let z = config.oram.z as usize;
+    (config.epoch.pipeline_depth.max(1) as usize + 1) * config.epoch.reads_per_epoch()
+        + config.epoch.write_batch_size
+        + 4 * z
+        + z * ((1usize << cached) - 1)
+}
+
 fn spawn(
     name: &str,
     inner: &Arc<ProxyInner>,
@@ -290,26 +326,14 @@ impl ObladiDb {
         keys: KeyMaterial,
     ) -> Result<ObladiDb> {
         let mut config = config;
-        // The stash must absorb everything that can accumulate between the
-        // engine's maintenance passes.  The executor never runs maintenance
-        // after a read batch: every eviction an epoch's reads owe is
-        // deferred to the decider's write-back, so the sealed epoch's read
-        // targets sit in the stash for its whole write-back window on top
-        // of the up-to-`pipeline_depth` epochs of reads in flight — hence
-        // one extra epoch of read headroom, plus the write batch and an
-        // eviction-path margin.  A stash overflow poisons the client (the
-        // proxy fate-shares and recovers), so an undersized bound costs
-        // availability, never durability.
-        let stash_floor = (config.epoch.pipeline_depth.max(1) as usize + 1)
-            * config.epoch.reads_per_epoch()
-            + config.epoch.write_batch_size
-            + 4 * config.oram.z as usize;
-        config.oram.max_stash = config.oram.max_stash.max(stash_floor);
+        let cached = cached_levels(&config);
+        config.oram.max_stash = config.oram.max_stash.max(stash_floor(&config, cached));
         config.validate()?;
-        let durability = DurabilityManager::new(&keys, store.clone(), counter, &config.epoch);
+        let durability = DurabilityManager::new(&keys, store.clone(), counter, &config.epoch)
+            .with_cached_levels(cached);
         let exec = exec_options(&config);
         let (reader, engine) =
-            RingOram::new(config.oram, &keys, store.clone(), exec, config.seed)?.split();
+            new_split(config.oram, &keys, store.clone(), exec, config.seed, cached)?;
         // Which crypto kernels this proxy seals with, once per open, as an
         // info gauge (the name carries the value): a snapshot taken on a CPU
         // without the extensions then explains its own crypto lines.
@@ -1182,6 +1206,44 @@ mod tests {
             due = next_due(due, dispatched, delta);
             assert_eq!(due, origin + delta * k);
         }
+    }
+
+    #[test]
+    fn the_cached_levels_and_the_stash_floor_follow_the_configuration() {
+        // The benchmark's per-shard geometries, at pipeline depth 2.
+        let geometry = |objects: u64, batches: u32, writes: usize| {
+            let mut config = ObladiConfig::small_for_tests(objects);
+            config.epoch.read_batches = batches;
+            config.epoch.read_batch_size = 32;
+            config.epoch.write_batch_size = writes;
+            config.epoch.pipeline_depth = 2;
+            config
+        };
+        let pinned = |config: &ObladiConfig| {
+            let cached = cached_levels(config);
+            (
+                config.oram.levels,
+                cached,
+                stash_floor(config, 0),
+                stash_floor(config, cached),
+            )
+        };
+        // YCSB: 128 accesses an epoch visit the 16 buckets of level 4 eight
+        // times each, and level 5's 32 buckets four times (= S).
+        let ycsb = geometry(2_048, 4, 64);
+        assert_eq!(pinned(&ycsb), (10, 5, 464, 588));
+        // TPC-C: 1,024 accesses, so levels 0-7 (255 buckets).  The floor
+        // rises above the benchmark's configured `max_stash` of 4,096.
+        let tpcc = geometry(4_096, 32, 256);
+        assert_eq!(pinned(&tpcc), (11, 8, 3_344, 4_364));
+        // However many accesses, the leaf level stays on storage.
+        let mut small = geometry(8, 32, 8);
+        small.oram.levels = 3;
+        assert_eq!(cached_levels(&small), 2);
+        // An epoch of reads too short to reach `S` on the root caches nothing.
+        let mut idle = geometry(2_048, 1, 8);
+        idle.epoch.read_batch_size = 4;
+        assert_eq!(cached_levels(&idle), 0);
     }
 
     fn test_db() -> ObladiDb {

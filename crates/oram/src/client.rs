@@ -209,8 +209,11 @@ impl PathLogger for NoopPathLogger {
     }
 }
 
-/// The one public constructor of the split client: `RingOram::new(..)` or
-/// `RingOram::from_meta(..)`, then [`RingOram::split`] for the two halves.
+/// The public constructor of the split client with every level on
+/// storage: `RingOram::new(..)` or `RingOram::from_meta(..)`, then
+/// [`RingOram::split`] for the two halves.  A client that caches the top of
+/// the tree (the proxy's) is built by [`crate::split::new_split`] /
+/// [`crate::split::from_meta_split`], which these call with no cached level.
 pub struct RingOram {
     reader: OramReader,
     engine: WritebackEngine,
@@ -225,7 +228,7 @@ impl RingOram {
         options: ExecOptions,
         seed: u64,
     ) -> Result<Self> {
-        let (reader, engine) = new_split(config, keys, store, options, seed)?;
+        let (reader, engine) = new_split(config, keys, store, options, seed, 0)?;
         Ok(RingOram { reader, engine })
     }
 
@@ -238,7 +241,8 @@ impl RingOram {
         options: ExecOptions,
         seed: u64,
     ) -> Self {
-        let (reader, engine) = from_meta_split(meta, keys, store, options, seed);
+        let uncached = from_meta_split(meta, keys, store, options, seed, 0);
+        let (reader, engine) = uncached.expect("an uncached client takes any metadata");
         RingOram { reader, engine }
     }
 

@@ -23,7 +23,9 @@
 //!   reshuffles, path logging hooks and recovery support;
 //! * [`client`] — the executor options, operation counters and path-log
 //!   types both halves share, and [`client::RingOram`], the constructor
-//!   that builds (or restores) a client and hands back the two halves.
+//!   that builds (or restores) a client and hands back the two halves;
+//!   [`split::new_split`] / [`split::from_meta_split`] build one that keeps
+//!   the top levels of its tree in its stash (the proxy's tree-top cache).
 //!
 //! See DESIGN.md at the repository root for how these pieces map onto the
 //! sections of the paper ("Paper map") and for the two documented

@@ -94,6 +94,22 @@
 //! wave at one path, so each path reaches storage before the next is
 //! planned.
 //!
+//! # Tree-top cache
+//!
+//! The top `cached_levels` levels of the tree ([`TreeGeometry::cached_levels`],
+//! set by [`new_split`] / [`from_meta_split`]) are part of the stash: an
+//! access reads one slot per *stored* level, an eviction or an early
+//! reshuffle reads and rewrites stored buckets only, and `init_tree` and
+//! `revert_storage_to_meta` never address a cached bucket.  A block whose
+//! path leaves an eviction path above the first stored level is eligible
+//! for none of the path's buckets, so it stays in the stash — where the
+//! uncached client would have put it in a cached bucket.  The stash
+//! therefore holds what the uncached client's stash and top levels hold
+//! together, at most `Z * (2^cached_levels - 1)` more blocks, and the
+//! store never learns anything about the cached levels.  The cached
+//! buckets' metadata stays fresh and is checkpointed as before, so both
+//! checkpoint layouts are unchanged.
+//!
 //! # Dummy slots
 //!
 //! The one `open_block` call, in `OramCore::fetch_slots`, opens only reads
@@ -222,9 +238,10 @@ struct OramCore {
     /// `oram.split.exhausted_skips`, resolved once (a reader access bumps
     /// them under the shared lock): the total, then one per tree level.
     exhausted_skips: Arc<[obladi_obs::Counter]>,
-    /// `oram.split.exhausted_target_reads`: targets read from a bucket with
-    /// no valid dummy left, which a non-target access would have skipped.
-    exhausted_target_reads: obladi_obs::Counter,
+    /// `oram.split.exhausted_target_reads`, likewise per level: targets read
+    /// from a bucket with no valid dummy left, which a non-target access
+    /// would have skipped.
+    exhausted_target_reads: Arc<[obladi_obs::Counter]>,
     /// `oram.flush.slots_{sealed,filled}`, resolved once: per flush, the
     /// slots written as real blocks and as dummies.
     slots_sealed: obladi_obs::Histogram,
@@ -247,31 +264,43 @@ struct OpPlan {
     target: Target,
 }
 
-/// Builds a fresh split client and initialises the tree on storage.
-pub(crate) fn new_split(
+/// Builds a fresh split client whose top `cached_levels` levels live in
+/// its stash (the module docs, "Tree-top cache"), and initialises the
+/// stored levels on storage; `cached_levels` must stay below the leaf
+/// level.  [`RingOram::new`](crate::client::RingOram) is this with no
+/// cached level.
+pub fn new_split(
     config: OramConfig,
     keys: &KeyMaterial,
     store: Arc<dyn UntrustedStore>,
     options: ExecOptions,
     seed: u64,
+    cached_levels: u32,
 ) -> Result<(OramReader, WritebackEngine)> {
     config.validate()?;
     let mut rng = DetRng::new(seed ^ 0x0ead_cafe);
     let meta = OramMeta::new(config, &mut rng);
-    let (reader, engine) = from_parts(meta, keys, store, options, rng);
+    let (reader, engine) = from_parts(meta, keys, store, options, rng, cached_levels)?;
     engine.init_tree()?;
     Ok((reader, engine))
 }
 
-/// Restores a split client from checkpointed metadata (crash recovery).
-pub(crate) fn from_meta_split(
+/// Restores a split client from checkpointed metadata (crash recovery)
+/// with the top `cached_levels` levels in its stash.  Fails, as
+/// [`new_split`] does, if `cached_levels` reaches the leaf level, and if a
+/// cached bucket's metadata holds a block: the client would never read it.
+/// [`RingOram::from_meta`](crate::client::RingOram) is this with no
+/// cached level.
+pub fn from_meta_split(
     meta: OramMeta,
     keys: &KeyMaterial,
     store: Arc<dyn UntrustedStore>,
     options: ExecOptions,
     seed: u64,
-) -> (OramReader, WritebackEngine) {
-    from_parts(meta, keys, store, options, DetRng::new(seed ^ 0x5eed_0bad))
+    cached_levels: u32,
+) -> Result<(OramReader, WritebackEngine)> {
+    let rng = DetRng::new(seed ^ 0x5eed_0bad);
+    from_parts(meta, keys, store, options, rng, cached_levels)
 }
 
 fn from_parts(
@@ -280,22 +309,40 @@ fn from_parts(
     store: Arc<dyn UntrustedStore>,
     options: ExecOptions,
     rng: DetRng,
-) -> (OramReader, WritebackEngine) {
+    cached_levels: u32,
+) -> Result<(OramReader, WritebackEngine)> {
     let config = meta.config;
+    if cached_levels >= config.levels {
+        return Err(ObladiError::Config(format!(
+            "{cached_levels} cached levels of a {}-level tree: the leaf level is always stored",
+            config.levels
+        )));
+    }
+    let geometry = TreeGeometry::new(&config).with_cached_levels(cached_levels);
+    let stray = (0..geometry.first_stored_bucket())
+        .find(|&bucket| meta.buckets[bucket as usize].num_real() > 0);
+    if let Some(bucket) = stray {
+        return Err(ObladiError::Config(format!(
+            "bucket {bucket} holds a block, but the top {cached_levels} levels are cached"
+        )));
+    }
     let committed = Committed::new(&meta);
     let workers = pool_size(&options, store.as_ref());
-    let skips = std::iter::once("oram.split.exhausted_skips".to_string())
-        .chain((0..config.levels).map(|l| format!("oram.split.exhausted_skips.level_{l}")));
+    let per_level = |name: &str| -> Arc<[obladi_obs::Counter]> {
+        let levels = (0..config.levels).map(|l| format!("{name}.level_{l}"));
+        let names = std::iter::once(name.to_string()).chain(levels);
+        names
+            .map(|name| obladi_obs::global().counter(&name))
+            .collect()
+    };
     let core = OramCore {
         config,
-        geometry: TreeGeometry::new(&config),
+        geometry,
         store,
         envelope: Envelope::new(keys),
         options,
-        exhausted_skips: skips
-            .map(|name| obladi_obs::global().counter(&name))
-            .collect(),
-        exhausted_target_reads: obladi_obs::global().counter("oram.split.exhausted_target_reads"),
+        exhausted_skips: per_level("oram.split.exhausted_skips"),
+        exhausted_target_reads: per_level("oram.split.exhausted_target_reads"),
         slots_sealed: obladi_obs::global().histogram("oram.flush.slots_sealed"),
         slots_filled: obladi_obs::global().histogram("oram.flush.slots_filled"),
         shared: Arc::new(SharedOram {
@@ -329,7 +376,7 @@ fn from_parts(
             1
         },
     };
-    (reader, engine)
+    Ok((reader, engine))
 }
 
 // ----------------------------------------------------------------------
@@ -831,7 +878,8 @@ fn plan_access(
     };
     let mut resolved = matches!(target, Target::Ready(Some(_)));
 
-    for (level, &bucket) in core.geometry.path(old_leaf).iter().enumerate() {
+    let levels = core.geometry.cached_levels as usize..;
+    for (level, &bucket) in levels.zip(&core.geometry.path(old_leaf)) {
         let is_buffered = state.buffer.contains_key(&bucket);
         let key_slot = match (key, exists) {
             (Some(k), true) => state.meta.buckets[bucket as usize].find_key(k),
@@ -876,7 +924,8 @@ fn plan_access(
                 if meta.valid_dummies().is_empty() {
                     // Residual 3 of DESIGN.md's deviations from canonical
                     // Ring ORAM: this read shows the access was real.
-                    core.exhausted_target_reads.inc();
+                    core.exhausted_target_reads[0].inc();
+                    core.exhausted_target_reads[1 + level].inc();
                 }
                 let slot = meta.mark_read(logical);
                 meta.clear_real(logical);
@@ -998,7 +1047,7 @@ impl WritebackEngine {
         let envelope = self.core.envelope.clone();
         let fast = self.core.options.fast_init;
 
-        let buckets: Vec<BucketId> = self.core.geometry.all_buckets().collect();
+        let buckets: Vec<BucketId> = self.core.geometry.stored_buckets().collect();
         let store = self.core.store.clone();
         let results = self.pool.map(buckets.len(), move |range| {
             let seal = |index: usize| {
@@ -1015,7 +1064,7 @@ impl WritebackEngine {
             write_chunk(store.as_ref(), range.map(seal))
         });
         let mut state = self.core.shared.state.lock();
-        for (bucket, version) in self.core.geometry.all_buckets().zip(results) {
+        for (bucket, version) in self.core.geometry.stored_buckets().zip(results) {
             state.meta.bucket_mut(bucket).version = version?;
         }
         // The initialised tree is the first state worth checkpointing.
@@ -1311,14 +1360,14 @@ impl WritebackEngine {
         Ok(())
     }
 
-    /// Reverts every bucket on storage to the version recorded in the client
+    /// Reverts every stored bucket to the version recorded in the client
     /// metadata (shadow paging, §8).
     pub fn revert_storage_to_meta(&self) -> Result<()> {
         let versions: Vec<(BucketId, Version)> = {
             let state = self.core.shared.state.lock();
             self.core
                 .geometry
-                .all_buckets()
+                .stored_buckets()
                 .map(|bucket| (bucket, state.meta.buckets[bucket as usize].version))
                 .collect()
         };
@@ -1555,7 +1604,7 @@ fn apply_unit(
 /// early-reshuffle re-place.
 ///
 /// Blocks the unit `pulled` off its path go ahead of blocks already in the
-/// stash, then by key.  Eligibility sets are nested prefixes of the path,
+/// stash, then by leaf and key.  Eligibility sets are nested prefixes of the path,
 /// so the order decides *which* blocks stay behind, never how many; and as
 /// a pulled block fits its old bucket, deepest-first re-places them all: a
 /// unit adds no key to the stash (DESIGN.md, "Checkpoints").
@@ -1565,12 +1614,8 @@ fn place_eligible_blocks(
     bucket: BucketId,
     pulled: &HashSet<Key>,
 ) {
-    let level = core.geometry.level_of(bucket);
-    let geometry = core.geometry;
-    let mut eligible = state
-        .meta
-        .stash
-        .eligible_for(|leaf| geometry.bucket_at(leaf, level) == bucket);
+    let leaves = core.geometry.subtree_leaves(bucket);
+    let mut eligible: Vec<Key> = state.meta.stash.in_leaves(leaves).collect();
     eligible.sort_by_key(|key| !pulled.contains(key));
     let chosen: Vec<Key> = eligible.into_iter().take(core.config.z as usize).collect();
     let mut placed: Vec<Block> = Vec::with_capacity(chosen.len());
@@ -1646,7 +1691,7 @@ mod tests {
             encrypt: false,
             fast_init: false,
         };
-        new_split(config, &keys, store, options, 1).expect("client must open")
+        new_split(config, &keys, store, options, 1, 0).expect("client must open")
     }
 
     #[test]
@@ -2002,7 +2047,7 @@ mod tests {
         let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
         let keys = KeyMaterial::for_tests(1);
         let (reader, mut engine) =
-            new_split(config, &keys, store.clone(), wave_options(), seed).expect("client opens");
+            new_split(config, &keys, store.clone(), wave_options(), seed, 0).expect("client opens");
         let writes: Vec<(Key, Value)> = (0..WAVE_KEYS).map(|k| (k, vec![k as u8])).collect();
         engine.write_batch(&writes, &NoopPathLogger).unwrap();
         engine.flush_writes(&NoopPathLogger).unwrap();
@@ -2029,7 +2074,7 @@ mod tests {
     ) -> (OramReader, WritebackEngine) {
         let keys = KeyMaterial::for_tests(1);
         let (reader, mut engine) =
-            from_meta_split(meta.clone(), &keys, store.clone(), wave_options(), seed);
+            from_meta_split(meta.clone(), &keys, store.clone(), wave_options(), seed, 0).unwrap();
         let mut rng = DetRng::new(seed ^ 0x0a7e);
         if !seed.is_multiple_of(3) {
             let writes: Vec<(Key, Value)> = (0..8 + rng.below(16))
@@ -2382,7 +2427,8 @@ mod tests {
     /// base's last committed state, as recovery rebuilds it.
     fn assert_rebuilt_client_reads_everything(meta: OramMeta, store: Arc<dyn UntrustedStore>) {
         let keys = KeyMaterial::for_tests(1);
-        let (reader, mut engine) = from_meta_split(meta, &keys, store, wave_options(), 9);
+        let (reader, mut engine) =
+            from_meta_split(meta, &keys, store, wave_options(), 9, 0).unwrap();
         engine.revert_storage_to_meta().unwrap();
         for key in 0..WAVE_KEYS {
             let read = reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
@@ -2603,6 +2649,50 @@ mod tests {
         // Once the first has landed, the next batch is admitted.
         let values = reader.read_batch(&[Some(second), None], &NoopPathLogger);
         assert_eq!(values.unwrap(), vec![Some(vec![second as u8]), None]);
+    }
+
+    #[test]
+    fn cached_levels_hold_no_block_and_metadata_that_puts_one_there_is_refused() {
+        let config = OramConfig::small_for_tests(64);
+        let keys = KeyMaterial::for_tests(1);
+        let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
+        let (reader, mut engine) =
+            new_split(config, &keys, store.clone(), wave_options(), 4, 2).unwrap();
+        let writes: Vec<(Key, Value)> = (0..48).map(|k| (k, vec![k as u8])).collect();
+        engine.write_batch(&writes, &NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+        let requests: Vec<Option<Key>> = (0..48).map(Some).collect();
+        reader.read_batch(&requests, &NoopPathLogger).unwrap();
+        engine.run_pending_maintenance(&NoopPathLogger).unwrap();
+        engine.flush_writes(&NoopPathLogger).unwrap();
+        let meta = engine.committed_meta();
+        let cached_blocks =
+            |meta: &OramMeta| -> usize { (0..3).map(|b| meta.buckets[b].num_real()).sum() };
+        assert_eq!(cached_blocks(&meta), 0, "buckets 0-2 are the stash's");
+
+        let mut stray = meta;
+        stray.bucket_mut(2).real[0] = Some((7, 2));
+        let restored = |meta: &OramMeta, cached| {
+            from_meta_split(
+                meta.clone(),
+                &keys,
+                store.clone(),
+                wave_options(),
+                5,
+                cached,
+            )
+        };
+        assert!(
+            restored(&stray, 1).is_ok(),
+            "bucket 2 is stored below one level"
+        );
+        let refused = restored(&stray, 2).err().expect("bucket 2 is cached");
+        let leaf_level = restored(&stray, config.levels).err();
+        assert!(leaf_level.unwrap().to_string().contains("leaf level"));
+        assert!(
+            refused.to_string().contains("bucket 2 holds a block"),
+            "{refused}"
+        );
     }
 
     #[test]

@@ -10,15 +10,25 @@
 //! order: the `g`-th eviction touches the path whose leaf label is the
 //! bit-reversal of `g mod num_leaves`.  This determinism is what Obladi's
 //! recovery exploits to recompute bucket versions without logging them (§8).
+//!
+//! The top `cached_levels` levels of the tree may be kept in the client
+//! instead of on storage (Ring ORAM's tree-top caching): their buckets hold
+//! no block, so [`TreeGeometry::path`] and [`TreeGeometry::stored_buckets`]
+//! leave them out, and every block above the first stored level stays in
+//! the stash.
 
 use obladi_common::config::OramConfig;
 use obladi_common::types::{BucketId, Leaf};
+use std::ops::Range;
 
 /// Tree geometry helper derived from an [`OramConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeGeometry {
     /// Number of levels (root is level 0).
     pub levels: u32,
+    /// Levels `0..cached_levels` live in the client's stash, not on
+    /// storage; always below `levels`, so the leaf level is stored.
+    pub cached_levels: u32,
 }
 
 impl TreeGeometry {
@@ -26,13 +36,26 @@ impl TreeGeometry {
     pub fn new(config: &OramConfig) -> Self {
         TreeGeometry {
             levels: config.levels,
+            cached_levels: 0,
         }
     }
 
     /// Builds a geometry directly from a level count (tests).
     pub fn with_levels(levels: u32) -> Self {
         assert!((1..=40).contains(&levels));
-        TreeGeometry { levels }
+        TreeGeometry {
+            levels,
+            cached_levels: 0,
+        }
+    }
+
+    /// The same tree with its top `cached` levels kept in the client.
+    pub fn with_cached_levels(self, cached: u32) -> Self {
+        assert!(cached < self.levels, "the leaf level is always stored");
+        TreeGeometry {
+            cached_levels: cached,
+            ..self
+        }
     }
 
     /// Number of leaves (`2^(levels-1)`).
@@ -56,9 +79,10 @@ impl TreeGeometry {
         first_of_level + offset
     }
 
-    /// All buckets on the path from root to `leaf`, root first.
+    /// The stored buckets on the path from root to `leaf`, topmost first:
+    /// levels `cached_levels..levels`.
     pub fn path(&self, leaf: Leaf) -> Vec<BucketId> {
-        (0..self.levels)
+        (self.cached_levels..self.levels)
             .map(|lvl| self.bucket_at(leaf, lvl))
             .collect()
     }
@@ -111,9 +135,22 @@ impl TreeGeometry {
         reversed
     }
 
-    /// Iterator over all bucket ids.
-    pub fn all_buckets(&self) -> impl Iterator<Item = BucketId> {
-        0..self.num_buckets()
+    /// The leaves whose paths pass through `bucket`: its subtree's leaf
+    /// labels, which are contiguous.
+    pub fn subtree_leaves(&self, bucket: BucketId) -> Range<Leaf> {
+        let level = self.level_of(bucket);
+        let first = (bucket - ((1u64 << level) - 1)) << (self.levels - 1 - level);
+        first..first + (1u64 << (self.levels - 1 - level))
+    }
+
+    /// The first bucket on storage: every id below it is a cached bucket.
+    pub fn first_stored_bucket(&self) -> BucketId {
+        (1u64 << self.cached_levels) - 1
+    }
+
+    /// Iterator over the bucket ids on storage (levels `cached_levels..`).
+    pub fn stored_buckets(&self) -> impl Iterator<Item = BucketId> {
+        self.first_stored_bucket()..self.num_buckets()
     }
 }
 
@@ -202,6 +239,39 @@ mod tests {
         assert_eq!(g.evict_target(3), 6);
         // The sequence repeats with period num_leaves.
         assert_eq!(g.evict_target(8), g.evict_target(0));
+    }
+
+    #[test]
+    fn subtree_leaves_are_the_leaves_whose_paths_cross_the_bucket() {
+        let g = geo(5);
+        for bucket in 0..g.num_buckets() {
+            let crossing: Vec<Leaf> = (0..g.num_leaves())
+                .filter(|&leaf| g.on_path(bucket, leaf))
+                .collect();
+            let range: Vec<Leaf> = g.subtree_leaves(bucket).collect();
+            assert_eq!(range, crossing, "bucket {bucket}");
+        }
+    }
+
+    #[test]
+    fn cached_levels_leave_paths_and_stored_buckets() {
+        let g = geo(4).with_cached_levels(2);
+        assert_eq!(g.path(5), vec![5, 12]);
+        assert_eq!(g.first_stored_bucket(), 3);
+        assert_eq!(
+            g.stored_buckets().collect::<Vec<_>>(),
+            (3..15).collect::<Vec<_>>()
+        );
+        assert_eq!(g.num_buckets(), 15, "cached buckets are still tree buckets");
+        let uncached = geo(4);
+        assert_eq!(uncached.path(5), vec![0, 2, 5, 12]);
+        assert_eq!(uncached.stored_buckets().count(), 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "the leaf level is always stored")]
+    fn the_leaf_level_cannot_be_cached() {
+        geo(3).with_cached_levels(3);
     }
 
     #[test]

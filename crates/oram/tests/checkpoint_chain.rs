@@ -15,7 +15,8 @@
 //! while another is in flight, so this thread reads nothing from the moment
 //! one is held until it has landed; and a flush publishes only once it has
 //! landed, so the flush runs on a thread of its own while the batch is let
-//! go.
+//! go.  Both schedules also run on a client that caches the top of its
+//! tree in its stash, and rebuild it with the same cache.
 
 mod common;
 
@@ -24,9 +25,9 @@ use obladi_common::config::{EpochConfig, OramConfig};
 use obladi_common::rng::DetRng;
 use obladi_common::types::{Key, Value};
 use obladi_crypto::KeyMaterial;
+use obladi_oram::split::{from_meta_split, new_split};
 use obladi_oram::{
-    CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, OramReader, RingOram,
-    WritebackEngine,
+    CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, OramReader, WritebackEngine,
 };
 use obladi_storage::{InMemoryStore, UntrustedStore};
 use std::collections::{HashMap, HashSet};
@@ -35,12 +36,19 @@ use std::sync::{mpsc, Arc};
 const KEYSPACE: u64 = 96;
 const WRITE_BATCH: usize = 12;
 const SEED: u64 = 23;
+/// Of the schedules' 6-level tree, the cached runs keep 7 buckets in the
+/// stash.
+const CACHED_LEVELS: u32 = 3;
 
-fn open(config: OramConfig) -> (OramReader, WritebackEngine, Arc<dyn UntrustedStore>) {
+fn open(
+    config: OramConfig,
+    cached_levels: u32,
+) -> (OramReader, WritebackEngine, Arc<dyn UntrustedStore>) {
     let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
     let keys = KeyMaterial::for_tests(SEED);
-    let oram = RingOram::new(config, &keys, store.clone(), ExecOptions::parallel(2), SEED);
-    let (reader, engine) = oram.expect("client opens").split();
+    let options = ExecOptions::parallel(2);
+    let oram = new_split(config, &keys, store.clone(), options, SEED, cached_levels);
+    let (reader, engine) = oram.expect("client opens");
     (reader, engine, store)
 }
 
@@ -57,6 +65,7 @@ fn requests(rng: &mut DetRng, keys: &[Key], count: usize) -> Vec<Option<Key>> {
 struct Chain {
     replica: OramMeta,
     deltas_behind_full: usize,
+    cached_levels: u32,
 }
 
 impl Chain {
@@ -92,9 +101,17 @@ impl Chain {
     ) {
         let keys = KeyMaterial::for_tests(SEED);
         let options = ExecOptions::parallel(2);
-        let rebuilt = RingOram::from_meta(self.replica.clone(), &keys, store.clone(), options, 5);
+        let replica = self.replica.clone();
+        let rebuilt = from_meta_split(
+            replica,
+            &keys,
+            store.clone(),
+            options,
+            5,
+            self.cached_levels,
+        );
         // The read plane alone: it writes nothing to the shared store.
-        let (reader, _engine) = rebuilt.split();
+        let (reader, _engine) = rebuilt.expect("the chain rebuilds");
         for key in 0..KEYSPACE {
             let read = reader.read_batch(&[Some(key)], &NoopPathLogger).unwrap();
             assert_eq!(
@@ -106,8 +123,10 @@ impl Chain {
     }
 }
 
-fn run_epochs(epochs: u64, reads_in_flight: bool) {
-    let (reader, mut engine, store) = open(OramConfig::small_for_tests(KEYSPACE * 2));
+fn run_epochs(epochs: u64, reads_in_flight: bool, cached_levels: u32) {
+    let config = OramConfig::small_for_tests(KEYSPACE * 2);
+    let (reader, mut engine, store) = open(config, cached_levels);
+    assert_eq!(reader.geometry().cached_levels, cached_levels);
     let mut rng = DetRng::new(SEED ^ 0xc4a1);
     let mut model: HashMap<Key, Value> = (0..KEYSPACE).map(|k| (k, vec![k as u8; 3])).collect();
     let load: Vec<(Key, Value)> = model.clone().into_iter().collect();
@@ -139,6 +158,7 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
         let mut chain = Chain {
             replica: OramMeta::decode_full(&engine.checkpoint_full().unwrap()).unwrap(),
             deltas_behind_full: 0,
+            cached_levels,
         };
         for epoch in 0..epochs {
             for _ in 0..1 + rng.below(3) {
@@ -199,12 +219,18 @@ fn run_epochs(epochs: u64, reads_in_flight: bool) {
 
 #[test]
 fn full_plus_deltas_is_the_checkpointed_generation() {
-    run_epochs(320, false);
+    run_epochs(320, false, 0);
 }
 
 #[test]
 fn full_plus_deltas_is_the_checkpointed_generation_with_reads_in_flight() {
-    run_epochs(200, true);
+    run_epochs(200, true, 0);
+}
+
+#[test]
+fn full_plus_deltas_is_the_checkpointed_generation_with_cached_levels() {
+    run_epochs(320, false, CACHED_LEVELS);
+    run_epochs(200, true, CACHED_LEVELS);
 }
 
 /// The byte length of every delta record of one deployment.
@@ -235,7 +261,7 @@ fn a_delta_is_as_long_as_the_configuration_says_whatever_the_epoch_did() {
     let mut config = OramConfig::small_for_tests(256).with_max_stash(128);
     config.a *= 2;
     let window = epoch.max_position_delta();
-    let (reader, mut engine, _store) = open(config);
+    let (reader, mut engine, _store) = open(config, 0);
     let keys: Vec<Key> = (0..200).collect();
     let load: Vec<(Key, Value)> = keys.iter().map(|k| (*k, vec![*k as u8; 32])).collect();
     for chunk in load.chunks(epoch.write_batch_size) {

@@ -5,16 +5,18 @@
 //!
 //! Seeded sequences of reader batches, padded write batches, maintenance
 //! waves, checkpoints and flushes run on a fresh client and on one rebuilt
-//! from a full checkpoint.  After every flush the committed state encodes
-//! to the live state's bytes; between two flushes it stays byte-identical
-//! while the live state moves.
+//! from a full checkpoint, with every level on storage and with the top of
+//! the tree cached in the stash.  After every flush the committed state
+//! encodes to the live state's bytes; between two flushes it stays
+//! byte-identical while the live state moves.
 
 use obladi_common::config::OramConfig;
 use obladi_common::rng::DetRng;
 use obladi_common::types::{Key, Value};
 use obladi_crypto::KeyMaterial;
+use obladi_oram::split::{from_meta_split, new_split};
 use obladi_oram::{
-    CheckpointSource, ExecOptions, NoopPathLogger, OramMeta, OramReader, RingOram, WritebackEngine,
+    CheckpointSource, ExecOptions, NoopPathLogger, OramMeta, OramReader, WritebackEngine,
 };
 use obladi_storage::{InMemoryStore, UntrustedStore};
 use std::collections::{HashMap, HashSet};
@@ -107,7 +109,7 @@ fn drive(
     );
 }
 
-fn check_seed(seed: u64) {
+fn check_seed(seed: u64, cached_levels: u32) {
     let config = OramConfig::small_for_tests(KEYSPACE * 2);
     let keys = KeyMaterial::for_tests(seed);
     let store: Arc<dyn UntrustedStore> = Arc::new(InMemoryStore::new());
@@ -115,29 +117,34 @@ fn check_seed(seed: u64) {
     let mut rng = DetRng::new(seed);
     let mut model = HashMap::new();
 
-    let fresh = RingOram::new(config, &keys, store.clone(), options, seed);
-    let mut client = fresh.expect("client opens").split();
-    drive(
-        &mut client,
-        &mut rng,
-        &mut model,
-        &format!("fresh, seed {seed}"),
-    );
+    let fresh = new_split(config, &keys, store.clone(), options, seed, cached_levels);
+    let mut client = fresh.expect("client opens");
+    let what = format!("seed {seed}, {cached_levels} cached levels");
+    drive(&mut client, &mut rng, &mut model, &format!("fresh, {what}"));
 
     let meta = OramMeta::decode_full(&client.1.checkpoint_full().unwrap()).unwrap();
     drop(client);
-    let mut rebuilt = RingOram::from_meta(meta, &keys, store, options, seed + 1).split();
+    let rebuilt = from_meta_split(meta, &keys, store, options, seed + 1, cached_levels);
+    let mut rebuilt = rebuilt.expect("the checkpoint rebuilds");
     drive(
         &mut rebuilt,
         &mut rng,
         &mut model,
-        &format!("rebuilt, seed {seed}"),
+        &format!("rebuilt, {what}"),
     );
 }
 
 #[test]
 fn at_every_publish_the_committed_state_is_the_live_one() {
     for seed in 1..=6 {
-        check_seed(seed);
+        check_seed(seed, 0);
+    }
+}
+
+/// Of the 6-level tree, 7 buckets live in the stash.
+#[test]
+fn at_every_publish_the_committed_state_is_the_live_one_with_cached_levels() {
+    for seed in 1..=6 {
+        check_seed(seed, 3);
     }
 }

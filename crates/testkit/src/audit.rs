@@ -11,16 +11,17 @@
 //! paths").  At the level of one ORAM client it adds §4's two invariants
 //! on what the store observed: access-phase paths are uniform over the
 //! leaves ([`RecordedOram`], [`leaf_histogram`]) and no slot is read
-//! twice between two writes of its bucket ([`slot_reread`]).
+//! twice between two writes of its bucket ([`slot_reread`]); and of a
+//! client that caches the top of its tree, that the store never hears of
+//! a cached bucket ([`cached_bucket_op`]).
 
 use obladi_common::config::OramConfig;
 use obladi_common::error::Result;
 use obladi_common::types::Key;
 use obladi_crypto::KeyMaterial;
 use obladi_obs::audit::{compare, AuditKind, AuditOp, AuditRing, AuditTolerances, TraceShape};
-use obladi_oram::{
-    ExecOptions, NoopPathLogger, OramReader, RingOram, TreeGeometry, WritebackEngine,
-};
+use obladi_oram::split::new_split;
+use obladi_oram::{ExecOptions, NoopPathLogger, OramReader, TreeGeometry, WritebackEngine};
 use obladi_storage::{InMemoryStore, RecordingStore, UntrustedStore};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -90,12 +91,13 @@ pub struct RecordedOram {
 }
 
 impl RecordedOram {
-    /// Opens a client over a fresh store.
-    pub fn open(config: OramConfig, seed: u64) -> Result<Self> {
+    /// Opens a client over a fresh store that keeps the top
+    /// `cached_levels` levels of its tree in its stash (0: none).
+    pub fn open(config: OramConfig, seed: u64, cached_levels: u32) -> Result<Self> {
         let (mut stores, ring) = recording_stores(1);
         let (keys, options) = (KeyMaterial::for_tests(seed), ExecOptions::parallel(2));
-        let (reader, engine) =
-            RingOram::new(config, &keys, stores.remove(0), options, seed)?.split();
+        let store = stores.remove(0);
+        let (reader, engine) = new_split(config, &keys, store, options, seed, cached_levels)?;
         Ok(RecordedOram {
             reader,
             engine,
@@ -163,6 +165,29 @@ pub fn slot_reread(ops: &[AuditOp]) -> Option<String> {
         }
     }
     None
+}
+
+/// The first operation in `ops` that addresses a bucket of the top
+/// `cached_levels` levels — the levels a client with a tree-top cache keeps
+/// to itself, so the store must never hear of them.
+pub fn cached_bucket_op(ops: &[AuditOp], cached_levels: u32) -> Option<String> {
+    let first_stored = (1u64 << cached_levels) - 1;
+    let bucket_kinds = [
+        AuditKind::ReadSlot,
+        AuditKind::ReadBucket,
+        AuditKind::WriteBucket,
+        AuditKind::BucketVersion,
+        AuditKind::RevertBucket,
+    ];
+    let op = ops
+        .iter()
+        .find(|op| bucket_kinds.contains(&op.kind) && op.addr < first_stored)?;
+    Some(format!(
+        "{} of bucket {} (store {}), one of the top {cached_levels} levels the client caches",
+        op.kind.label(),
+        op.addr,
+        op.store
+    ))
 }
 
 /// Checks the WAL retention rhythm of one trace: every shard truncates its
@@ -264,6 +289,30 @@ mod tests {
         assert_eq!(slot_reread(&[read_op(3), write(3), read_op(3)]), None);
         let twice = slot_reread(&[read_op(3), write(4), read_op(3)]);
         assert!(twice.unwrap().contains("slot 0 of bucket 3"));
+    }
+
+    #[test]
+    fn a_bucket_op_above_the_first_stored_level_is_reported() {
+        let kind = |kind, bucket| AuditOp {
+            kind,
+            ..read_op(bucket)
+        };
+        // Two cached levels: buckets 0-2 never reach the store.
+        let stored = [
+            read_op(3),
+            kind(AuditKind::WriteBucket, 6),
+            kind(AuditKind::PutMeta, 0),
+        ];
+        assert_eq!(cached_bucket_op(&stored, 2), None);
+        assert_eq!(cached_bucket_op(&[read_op(0)], 0), None);
+        for op in [
+            AuditKind::ReadSlot,
+            AuditKind::RevertBucket,
+            AuditKind::BucketVersion,
+        ] {
+            let seen = cached_bucket_op(&[read_op(5), kind(op, 2)], 2);
+            assert!(seen.unwrap().contains("of bucket 2"), "{op:?}");
+        }
     }
 
     #[test]

@@ -5,18 +5,22 @@
 //! uniformly distributed paths, every slot read at most once between bucket
 //! rewrites.  These tests check those properties empirically on the trace
 //! the store observed (`obladi_testkit::audit::RecordedOram`, the one
-//! adversary recorder) under adversarially different workloads.
+//! adversary recorder) under adversarially different workloads, with every
+//! level on storage and with the top of the tree cached in the client.
 
 use obladi_common::config::OramConfig;
 use obladi_common::rng::DetRng;
 use obladi_common::types::Key;
 use obladi_obs::audit::{AuditKind, AuditOp};
 use obladi_oram::NoopPathLogger;
-use obladi_testkit::audit::{leaf_histogram, slot_reread, RecordedOram};
+use obladi_testkit::audit::{cached_bucket_op, leaf_histogram, slot_reread, RecordedOram};
 
-fn build_oram(seed: u64) -> RecordedOram {
+/// The tree-top cache depth the cached runs use: 7 buckets of an 8-level tree.
+const CACHED_LEVELS: u32 = 3;
+
+fn build_oram(seed: u64, cached_levels: u32) -> RecordedOram {
     let config = OramConfig::small_for_tests(512).with_max_stash(2_048);
-    let mut oram = RecordedOram::open(config, seed).unwrap();
+    let mut oram = RecordedOram::open(config, seed, cached_levels).unwrap();
     let writes: Vec<(Key, Vec<u8>)> = (0..256).map(|k| (k, vec![k as u8; 8])).collect();
     for chunk in writes.chunks(64) {
         oram.engine.write_batch(chunk, &NoopPathLogger).unwrap();
@@ -60,8 +64,8 @@ fn hot_and_uniform_workloads_issue_identical_request_counts() {
     // A workload hammering one key and a uniform workload must generate the
     // same number of physical requests per batch — the count depends only on
     // the (fixed) batch structure, not on the keys.
-    let mut hot_oram = build_oram(1);
-    let mut uni_oram = build_oram(1);
+    let mut hot_oram = build_oram(1, 0);
+    let mut uni_oram = build_oram(1, 0);
 
     let (_, hot_counts) = run_trace(&mut hot_oram, 6, 16, |_, _| 7, 42);
     let (_, uni_counts) = run_trace(&mut uni_oram, 6, 16, |_, rng| rng.below(256), 43);
@@ -82,14 +86,17 @@ fn no_slot_is_read_twice_between_bucket_writes() {
     // The bucket invariant (§4): between two writes of a bucket, every
     // physical slot is read at most once — judged on the reads and writes
     // the store was asked for, reads interleaved with flushes.
-    let mut oram = build_oram(2);
-    let (trace, _) = run_trace(&mut oram, 8, 16, |_, rng| rng.below(256), 9);
-    assert_eq!(slot_reread(&trace), None);
-    // The run is long enough to put the check to work: slots do get read
-    // again, each time behind a rewrite of their bucket.
-    let mut reads_only = trace;
-    reads_only.retain(|op| op.kind != AuditKind::WriteBucket);
-    assert!(slot_reread(&reads_only).is_some());
+    for cached in [0, CACHED_LEVELS] {
+        let mut oram = build_oram(2, cached);
+        let (trace, _) = run_trace(&mut oram, 8, 16, |_, rng| rng.below(256), 9);
+        assert_eq!(slot_reread(&trace), None, "{cached} cached levels");
+        assert_eq!(cached_bucket_op(&trace, cached), None);
+        // The run is long enough to put the check to work: slots do get read
+        // again, each time behind a rewrite of their bucket.
+        let mut reads_only = trace;
+        reads_only.retain(|op| op.kind != AuditKind::WriteBucket);
+        assert!(slot_reread(&reads_only).is_some(), "{cached} cached levels");
+    }
 }
 
 #[test]
@@ -98,24 +105,29 @@ fn accessed_buckets_cover_the_tree_uniformly() {
     // (each access remaps the key to a fresh random leaf).  We check that
     // leaf-level buckets of the trace are spread over many distinct buckets
     // rather than concentrating on one path.
-    let mut oram = build_oram(3);
-    let (trace, _) = run_trace(&mut oram, 12, 16, |_, _| 42, 77);
+    for cached in [0, CACHED_LEVELS] {
+        let mut oram = build_oram(3, cached);
+        let (trace, _) = run_trace(&mut oram, 12, 16, |_, _| 42, 77);
+        assert_eq!(cached_bucket_op(&trace, cached), None);
 
-    let geometry = oram.reader.geometry();
-    let leaf_bucket_hits = leaf_histogram(&trace, &geometry);
-    let distinct = leaf_bucket_hits.iter().filter(|hits| **hits > 0).count() as u64;
-    assert!(
-        distinct >= geometry.num_leaves() / 3,
-        "accesses concentrated on {distinct} of {} leaf buckets — paths are not uniform",
-        geometry.num_leaves()
-    );
-    // No single leaf bucket should dominate the trace.
-    let max_hits = leaf_bucket_hits.iter().copied().max().unwrap_or(0);
-    let total_hits: u64 = leaf_bucket_hits.iter().sum();
-    assert!(
-        (max_hits as f64) < 0.35 * total_hits as f64,
-        "one leaf bucket absorbed {max_hits}/{total_hits} accesses"
-    );
+        let geometry = oram.reader.geometry();
+        assert_eq!(geometry.cached_levels, cached);
+        let leaf_bucket_hits = leaf_histogram(&trace, &geometry);
+        let distinct = leaf_bucket_hits.iter().filter(|hits| **hits > 0).count() as u64;
+        assert!(
+            distinct >= geometry.num_leaves() / 3,
+            "{cached} cached levels: accesses concentrated on {distinct} of {} leaf buckets — \
+             paths are not uniform",
+            geometry.num_leaves()
+        );
+        // No single leaf bucket should dominate the trace.
+        let max_hits = leaf_bucket_hits.iter().copied().max().unwrap_or(0);
+        let total_hits: u64 = leaf_bucket_hits.iter().sum();
+        assert!(
+            (max_hits as f64) < 0.35 * total_hits as f64,
+            "{cached} cached levels: one leaf bucket absorbed {max_hits}/{total_hits} accesses"
+        );
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@ use obladi_testkit::{is_plausibly_uniform, total_variation_distance};
 
 fn build_oram(seed: u64) -> RecordedOram {
     let config = OramConfig::small_for_tests(512).with_max_stash(4_096);
-    let mut oram = RecordedOram::open(config, seed).unwrap();
+    let mut oram = RecordedOram::open(config, seed, 0).unwrap();
     let writes: Vec<(Key, Value)> = (0..256).map(|k| (k, vec![k as u8; 8])).collect();
     for chunk in writes.chunks(64) {
         oram.engine.write_batch(chunk, &NoopPathLogger).unwrap();

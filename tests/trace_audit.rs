@@ -9,14 +9,16 @@
 //! wire-frame sizes and timing the *cloud* would see — and the
 //! differential comparison is the testkit's standing oracle.  Every cell is
 //! also held to §4's bucket invariant and to WAL retention's truncation
-//! rhythm on what its stores observed.
+//! rhythm on what its stores observed, and to the tree-top cache: each
+//! proxy caches the top levels of its tree, and no store op and no access
+//! may reach them.
 
 mod common;
 
 use obladi_obs::audit::{AuditTolerances, TraceShape};
 use obladi_shard::ShardedDb;
 use obladi_testkit::audit::{
-    cross_check, level_profile, recorded_shape, recording_stores, slot_reread,
+    cached_bucket_op, cross_check, level_profile, recorded_shape, recording_stores, slot_reread,
     truncation_rhythm_failure,
 };
 use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
@@ -37,12 +39,22 @@ type Cell = (TraceShape, Vec<u64>);
 
 /// Runs one recorded cell — a YCSB burst against a fresh deployment whose
 /// stores share an audit ring — and adds to `failures` whatever breaks
-/// §4's bucket invariant or the truncation rhythm in it.
+/// §4's bucket invariant, the truncation rhythm or the tree-top cache in it.
 fn run_cell(depth: u32, contrast: (&str, f64, f64), failures: &mut Vec<String>) -> Cell {
     let (label, read_proportion, zipf_theta) = contrast;
     let label = format!("{label}/d{depth}");
     let config = common::ycsb_shards(depth);
     let (shards, checkpoint_every) = (config.shards, config.shard.epoch.checkpoint_every);
+    let cached = obladi_core::proxy::cached_levels(&config.shard);
+    if cached == 0 {
+        failures.push(format!("{label}: the proxies cache no tree level"));
+    }
+    let skips = || -> Vec<u64> {
+        let level = |l| format!("oram.split.exhausted_skips.level_{l}");
+        let counter = |l| obladi_obs::global().counter(&level(l)).get();
+        (0..cached).map(counter).collect()
+    };
+    let cached_skips = skips();
     let (stores, ring) = recording_stores(shards);
     let db = ShardedDb::open_with_stores(config, stores).unwrap();
     let workload = YcsbWorkload::new(YcsbConfig {
@@ -61,6 +73,12 @@ fn run_cell(depth: u32, contrast: (&str, f64, f64), failures: &mut Vec<String>) 
     assert!(!ops.is_empty(), "recorder captured nothing for {label}");
     let shape = recorded_shape(&label, &ops, ring.dropped(), wall_us, stats.global_epochs);
     failures.extend(slot_reread(&ops).map(|reread| format!("{label}: {reread}")));
+    failures.extend(cached_bucket_op(&ops, cached).map(|op| format!("{label}: {op}")));
+    if skips() != cached_skips {
+        failures.push(format!(
+            "{label}: an access skipped a bucket of the {cached} cached levels"
+        ));
+    }
     failures.extend(truncation_rhythm_failure(&shape, shards, checkpoint_every));
     (shape, level_profile(&ops))
 }
