@@ -27,7 +27,7 @@
 //! recovered metadata (the version is a deterministic function of the
 //! eviction schedule, as the paper observes).
 
-use obladi_common::config::{EpochConfig, OramConfig};
+use obladi_common::config::{EpochConfig, ObladiConfig, OramConfig};
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{EpochId, Key, TxnId, Value};
 use obladi_crypto::envelope::{PLAINTEXT_OFFSET, TAG_LEN};
@@ -173,7 +173,7 @@ pub struct DurabilityManager {
     max_position_delta: usize,
     write_batch_size: usize,
     /// Top tree levels the recovered client keeps in its stash, as the
-    /// client it replaces did (`ObladiDb::open_with` derives them).
+    /// client it replaces did ([`DurabilityManager::with_tree_top_cache`]).
     cached_levels: u32,
 }
 
@@ -203,11 +203,18 @@ impl DurabilityManager {
         }
     }
 
-    /// Recovery rebuilds clients that keep the top `cached_levels` tree
-    /// levels in their stash (by default none: every level on storage).
-    pub fn with_cached_levels(mut self, cached_levels: u32) -> Self {
-        self.cached_levels = cached_levels;
+    /// Recovery rebuilds clients that keep the tree-top cache a proxy of
+    /// `config` keeps ([`crate::proxy::cached_levels`]); by default every
+    /// level is on storage.  The proxy builds its own client with
+    /// [`DurabilityManager::cached_levels`], so the two cannot disagree.
+    pub fn with_tree_top_cache(mut self, config: &ObladiConfig) -> Self {
+        self.cached_levels = crate::proxy::cached_levels(config);
         self
+    }
+
+    /// The top tree levels of the clients this manager rebuilds.
+    pub fn cached_levels(&self) -> u32 {
+        self.cached_levels
     }
 
     /// Whether durability logging is enabled.

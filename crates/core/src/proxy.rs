@@ -326,11 +326,11 @@ impl ObladiDb {
         keys: KeyMaterial,
     ) -> Result<ObladiDb> {
         let mut config = config;
-        let cached = cached_levels(&config);
+        let durability = DurabilityManager::new(&keys, store.clone(), counter, &config.epoch)
+            .with_tree_top_cache(&config);
+        let cached = durability.cached_levels();
         config.oram.max_stash = config.oram.max_stash.max(stash_floor(&config, cached));
         config.validate()?;
-        let durability = DurabilityManager::new(&keys, store.clone(), counter, &config.epoch)
-            .with_cached_levels(cached);
         let exec = exec_options(&config);
         let (reader, engine) =
             new_split(config.oram, &keys, store.clone(), exec, config.seed, cached)?;

@@ -1361,7 +1361,9 @@ impl WritebackEngine {
     }
 
     /// Reverts every stored bucket to the version recorded in the client
-    /// metadata (shadow paging, §8).
+    /// metadata (shadow paging, §8).  A stored bucket the metadata has no
+    /// version for was never written: the checkpointed client cached its
+    /// level, so the cache depth shrank since, and the rebuild is refused.
     pub fn revert_storage_to_meta(&self) -> Result<()> {
         let versions: Vec<(BucketId, Version)> = {
             let state = self.core.shared.state.lock();
@@ -1371,6 +1373,14 @@ impl WritebackEngine {
                 .map(|bucket| (bucket, state.meta.buckets[bucket as usize].version))
                 .collect()
         };
+        if let Some(&(bucket, _)) = versions.iter().find(|(_, version)| *version == 0) {
+            return Err(ObladiError::Recovery(format!(
+                "stored bucket {bucket} was never written: the checkpointed client kept \
+                 its level in the stash, so the tree-top cache depth ({}) must not shrink \
+                 across a recovery",
+                self.core.geometry.cached_levels
+            )));
+        }
         for (bucket, expected) in versions {
             let current = self.core.store.bucket_version(bucket)?;
             if current != expected {
@@ -1615,7 +1625,7 @@ fn place_eligible_blocks(
     pulled: &HashSet<Key>,
 ) {
     let leaves = core.geometry.subtree_leaves(bucket);
-    let mut eligible: Vec<Key> = state.meta.stash.in_leaves(leaves).collect();
+    let mut eligible = state.meta.stash.in_leaves(leaves);
     eligible.sort_by_key(|key| !pulled.contains(key));
     let chosen: Vec<Key> = eligible.into_iter().take(core.config.z as usize).collect();
     let mut placed: Vec<Block> = Vec::with_capacity(chosen.len());
@@ -2670,7 +2680,7 @@ mod tests {
             |meta: &OramMeta| -> usize { (0..3).map(|b| meta.buckets[b].num_real()).sum() };
         assert_eq!(cached_blocks(&meta), 0, "buckets 0-2 are the stash's");
 
-        let mut stray = meta;
+        let mut stray = meta.clone();
         stray.bucket_mut(2).real[0] = Some((7, 2));
         let restored = |meta: &OramMeta, cached| {
             from_meta_split(
@@ -2692,6 +2702,19 @@ mod tests {
         assert!(
             refused.to_string().contains("bucket 2 holds a block"),
             "{refused}"
+        );
+
+        // A shallower cache would store buckets 1 and 2, which no one wrote.
+        let (_, same) = restored(&meta, 2).unwrap();
+        same.revert_storage_to_meta()
+            .expect("the same depth rebuilds");
+        let (_, shallower) = restored(&meta, 1).unwrap();
+        let shrunk = shallower.revert_storage_to_meta().unwrap_err();
+        assert!(
+            shrunk
+                .to_string()
+                .contains("stored bucket 1 was never written"),
+            "{shrunk}"
         );
     }
 
