@@ -78,12 +78,21 @@ impl DetRng {
 
     /// Produces a uniformly random permutation of `0..n` (Fisher–Yates).
     pub fn permutation(&mut self, n: usize) -> Vec<u32> {
-        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut perm = Vec::with_capacity(n);
+        self.permutation_into(&mut perm, n);
+        perm
+    }
+
+    /// Refills `perm` with a uniformly random permutation of `0..n`, in the
+    /// allocation it already has: the same draws, in the same order, as
+    /// [`DetRng::permutation`], so it yields the same permutation.
+    pub fn permutation_into(&mut self, perm: &mut Vec<u32>, n: usize) {
+        perm.clear();
+        perm.extend(0..n as u32);
         for i in (1..n).rev() {
             let j = self.below_usize(i + 1);
             perm.swap(i, j);
         }
-        perm
     }
 
     /// Chooses `k` distinct indices from `0..n` uniformly at random
@@ -151,6 +160,21 @@ mod tests {
             assert_eq!(set.len(), n);
             assert!(p.iter().all(|&v| (v as usize) < n));
         }
+    }
+
+    #[test]
+    fn a_permutation_refilled_in_place_is_the_one_drawn_afresh() {
+        let (mut fresh, mut in_place) = (DetRng::new(19), DetRng::new(19));
+        let mut perm = Vec::new();
+        for n in [8usize, 0, 1, 8, 100, 3] {
+            let capacity = perm.capacity();
+            in_place.permutation_into(&mut perm, n);
+            assert_eq!(perm, fresh.permutation(n));
+            if n <= capacity {
+                assert_eq!(perm.capacity(), capacity, "no new allocation");
+            }
+        }
+        assert_eq!(fresh.next_u64(), in_place.next_u64(), "same draws");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use obladi_common::rng::DetRng;
 use obladi_common::types::{Key, Leaf, Version};
 
 /// Client-side metadata for one bucket.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct BucketMeta {
     /// `perm[logical] = physical slot index`, length `Z + S`.
     pub perm: Vec<u32>,
@@ -32,6 +32,28 @@ pub struct BucketMeta {
     /// Version of the bucket on untrusted storage that this metadata
     /// describes (0 = never written).
     pub version: Version,
+}
+
+/// `clone_from` copies into the allocations the target already has: a
+/// publish refreshes the committed copy's buckets with it.
+impl Clone for BucketMeta {
+    fn clone(&self) -> Self {
+        BucketMeta {
+            perm: self.perm.clone(),
+            valid: self.valid.clone(),
+            real: self.real.clone(),
+            reads_since_shuffle: self.reads_since_shuffle,
+            version: self.version,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.perm.clone_from(&source.perm);
+        self.valid.clone_from(&source.valid);
+        self.real.clone_from(&source.real);
+        self.reads_since_shuffle = source.reads_since_shuffle;
+        self.version = source.version;
+    }
 }
 
 impl BucketMeta {
@@ -70,28 +92,24 @@ impl BucketMeta {
             .position(|r| matches!(r, Some((k, _)) if *k == key))
     }
 
-    /// Logical indices of valid dummy slots.
-    pub fn valid_dummies(&self) -> Vec<usize> {
-        (self.z()..self.perm.len())
-            .filter(|&i| self.valid[i])
-            .collect()
+    /// Logical indices of valid dummy slots, in order.
+    pub fn valid_dummies(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.z()..self.perm.len()).filter(|&i| self.valid[i])
     }
 
-    /// Logical indices of valid, occupied real slots.
-    pub fn valid_reals(&self) -> Vec<usize> {
-        (0..self.z())
-            .filter(|&i| self.valid[i] && self.real[i].is_some())
-            .collect()
+    /// Logical indices of valid, occupied real slots, in order.
+    pub fn valid_reals(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.z()).filter(|&i| self.valid[i] && self.real[i].is_some())
     }
 
-    /// Picks a uniformly random valid dummy slot, if any remain.
+    /// Picks a uniformly random valid dummy slot, if any remain: the `n`-th
+    /// valid dummy for one draw of `n` below their count.
     pub fn pick_valid_dummy(&self, rng: &mut DetRng) -> Option<usize> {
-        let dummies = self.valid_dummies();
-        if dummies.is_empty() {
-            None
-        } else {
-            Some(dummies[rng.below_usize(dummies.len())])
+        let count = self.valid_dummies().count();
+        if count == 0 {
+            return None;
         }
+        self.valid_dummies().nth(rng.below_usize(count))
     }
 
     /// Marks a logical slot as read and returns its physical slot index.
@@ -112,21 +130,22 @@ impl BucketMeta {
     /// accessed `s` times, and therefore needs an early reshuffle before it
     /// can be accessed again (§4).
     pub fn needs_early_reshuffle(&self) -> bool {
-        self.valid_dummies().is_empty() || self.reads_since_shuffle as usize >= self.s()
+        self.valid_dummies().next().is_none() || self.reads_since_shuffle as usize >= self.s()
     }
 
     /// Re-initialises the metadata after the bucket has been logically
-    /// rewritten with `blocks` (at most `Z` of them).
-    pub fn rewrite(&mut self, blocks: &[(Key, Leaf)], rng: &mut DetRng) {
-        let z = self.z();
+    /// rewritten with `blocks` (at most `Z` of them), in the allocations it
+    /// already has.
+    pub fn rewrite(&mut self, blocks: impl IntoIterator<Item = (Key, Leaf)>, rng: &mut DetRng) {
         let total = self.perm.len();
-        debug_assert!(blocks.len() <= z);
-        self.perm = rng.permutation(total);
-        self.valid = vec![true; total];
-        self.real = vec![None; z];
-        for (i, (key, leaf)) in blocks.iter().enumerate() {
-            self.real[i] = Some((*key, *leaf));
+        rng.permutation_into(&mut self.perm, total);
+        self.valid.fill(true);
+        self.real.fill(None);
+        let mut blocks = blocks.into_iter();
+        for (slot, block) in self.real.iter_mut().zip(&mut blocks) {
+            *slot = Some(block);
         }
+        debug_assert!(blocks.next().is_none(), "more than Z blocks");
         self.reads_since_shuffle = 0;
     }
 
@@ -203,8 +222,8 @@ mod tests {
         assert_eq!(m.z(), 3);
         assert_eq!(m.s(), 5);
         assert_eq!(m.num_real(), 0);
-        assert_eq!(m.valid_dummies().len(), 5);
-        assert!(m.valid_reals().is_empty());
+        assert_eq!(m.valid_dummies().count(), 5);
+        assert_eq!(m.valid_reals().count(), 0);
         assert!(!m.needs_early_reshuffle());
     }
 
@@ -234,7 +253,7 @@ mod tests {
         assert!(physical < 8);
         assert!(!m.valid[4]);
         assert_eq!(m.reads_since_shuffle, 1);
-        assert_eq!(m.valid_dummies().len(), 4);
+        assert_eq!(m.valid_dummies().count(), 4);
     }
 
     #[test]
@@ -264,7 +283,7 @@ mod tests {
         let (mut m, mut rng) = meta();
         m.mark_read(0);
         m.mark_read(5);
-        m.rewrite(&[(7, 2), (9, 3)], &mut rng);
+        m.rewrite([(7, 2), (9, 3)], &mut rng);
         assert_eq!(m.num_real(), 2);
         assert_eq!(m.find_key(7), Some(0));
         assert_eq!(m.find_key(9), Some(1));
@@ -273,12 +292,31 @@ mod tests {
     }
 
     #[test]
+    fn a_rewrite_and_a_clone_from_reuse_the_bucket_allocations() {
+        let (mut m, mut rng) = meta();
+        let mut drawn_afresh = rng.clone();
+        let places = |m: &BucketMeta| (m.perm.as_ptr(), m.valid.as_ptr(), m.real.as_ptr());
+        let before = places(&m);
+        m.mark_read(6);
+        m.rewrite([(7, 2)], &mut rng);
+        assert_eq!(places(&m), before);
+        assert_eq!(m.perm, drawn_afresh.permutation(8), "the same draws");
+        assert_eq!(m.real, vec![Some((7, 2)), None, None]);
+
+        let (mut copy, _) = meta();
+        let copy_before = places(&copy);
+        copy.clone_from(&m);
+        assert_eq!(copy, m);
+        assert_eq!(places(&copy), copy_before);
+    }
+
+    #[test]
     fn encode_decode_roundtrip() {
         let (mut m, mut rng) = meta();
         m.real[0] = Some((11, 4));
         m.mark_read(6);
         m.version = 9;
-        m.rewrite(&[(1, 1)], &mut rng);
+        m.rewrite([(1, 1)], &mut rng);
         m.real[2] = Some((3, 7));
         m.mark_read(1);
 

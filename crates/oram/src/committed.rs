@@ -10,21 +10,26 @@
 //! A publish runs only while no reader batch is in flight (see
 //! `split::publish`), so at that moment the live state *is* the committed
 //! one, and refreshing the copy needs no pre-images: it copies the
-//! positions of the keys and the `Arc`s of the buckets dirtied since the
-//! previous publish ([`OramMeta::take_dirty`]; every position write and
+//! positions of the keys and the metadata of the buckets dirtied since the
+//! previous publish ([`OramMeta::drain_dirty`]; every position write and
 //! every [`OramMeta::bucket_mut`] marks its id), plus the stash and the
-//! counters.  The live state clones a shared bucket at its next mutation.
+//! counters.  Every copy lands in the allocations the copy already has
+//! (`clone_from`), and the two states share no bucket, so a publish and the
+//! live mutations after it allocate nothing.
 //!
 //! The drained ids also join the *window*: the ids dirtied since the last
 //! checkpoint of either kind, a set union per publish, so a driver that
 //! never checkpoints holds at most every key and bucket once.  A `Full` is
 //! the copy itself ([`Committed::meta`] shares its `Arc`; the caller
-//! encodes it outside the client lock); a delta is the window's values in
+//! encodes it outside the client lock), and a delta shares the copy's
+//! buckets; both are gone by the next publish, else that publish clones
+//! what they still hold.  A delta is the window's values in
 //! the copy plus the stash change set against `checkpointed_stash`, the
 //! stash the last checkpoint captured ([`Committed::take_delta`]).  The
 //! full-state encoders sort their entries, so two reads of one published
 //! state encode to identical bytes however far the live state has moved.
 
+use crate::bucket::BucketMeta;
 use crate::metadata::{MetaDelta, OramMeta};
 use crate::stash::Stash;
 use obladi_common::types::{BucketId, Key, Leaf};
@@ -44,7 +49,10 @@ impl Committed {
     /// client starts from the state its last checkpoint described.
     pub(crate) fn new(live: &OramMeta) -> Self {
         let mut meta = live.clone();
-        meta.take_dirty(); // the copy tracks nothing
+        for bucket in &mut meta.buckets {
+            *bucket = Arc::new(BucketMeta::clone(bucket));
+        }
+        drop(meta.drain_dirty()); // the copy tracks nothing
         Committed {
             checkpointed_stash: meta.stash.clone(),
             meta: Arc::new(meta),
@@ -57,21 +65,19 @@ impl Committed {
     /// of the ids `live` dirtied since the last publish, and those ids join
     /// the window.
     pub(crate) fn publish(&mut self, live: &mut OramMeta) {
-        let (keys, buckets) = live.take_dirty();
         let meta = Arc::make_mut(&mut self.meta);
-        let positions: Vec<(Key, Option<Leaf>)> = keys
-            .iter()
-            .map(|&key| (key, live.position.get(key)))
-            .collect();
-        meta.position.apply_delta(&positions);
-        for &bucket in &buckets {
-            meta.buckets[bucket as usize] = live.buckets[bucket as usize].clone();
+        let (keys, buckets) = live.drain_dirty();
+        for (key, leaf) in keys {
+            meta.position.apply(key, leaf);
+            self.dirty_keys.insert(key);
         }
-        meta.stash = live.stash.clone();
+        for (bucket, current) in buckets {
+            Arc::make_mut(&mut meta.buckets[bucket as usize]).clone_from(current);
+            self.dirty_buckets.insert(bucket);
+        }
+        meta.stash.clone_from(&live.stash);
         meta.access_count = live.access_count;
         meta.evict_count = live.evict_count;
-        self.dirty_keys.extend(keys);
-        self.dirty_buckets.extend(buckets);
     }
 
     /// The delta checkpoint of the window, which it spends: the dirty ids at
@@ -81,18 +87,16 @@ impl Committed {
     /// checkpoint chain contiguous.
     pub(crate) fn take_delta(&mut self, max_position_delta: usize) -> MetaDelta {
         let meta = &*self.meta;
-        let mut position_delta: Vec<(Key, Option<Leaf>)> = std::mem::take(&mut self.dirty_keys)
-            .into_iter()
+        let mut position_delta: Vec<(Key, Option<Leaf>)> = (self.dirty_keys.drain())
             .map(|key| (key, meta.position.get(key)))
             .collect();
         position_delta.sort_unstable_by_key(|(key, _)| *key);
-        let mut buckets: Vec<_> = std::mem::take(&mut self.dirty_buckets)
-            .into_iter()
+        let mut buckets: Vec<_> = (self.dirty_buckets.drain())
             .map(|bucket| (bucket, meta.buckets[bucket as usize].clone()))
             .collect();
         buckets.sort_unstable_by_key(|(bucket, _)| *bucket);
         let (stash_added, stash_removed) = meta.stash.changes_since(&self.checkpointed_stash);
-        self.checkpointed_stash = meta.stash.clone();
+        self.checkpointed_stash.clone_from(&meta.stash);
         MetaDelta {
             access_count: meta.access_count,
             evict_count: meta.evict_count,
@@ -112,7 +116,7 @@ impl Committed {
     pub(crate) fn full_taken(&mut self) {
         self.dirty_keys.clear();
         self.dirty_buckets.clear();
-        self.checkpointed_stash = self.meta.stash.clone();
+        self.checkpointed_stash.clone_from(&self.meta.stash);
     }
 
     /// The whole committed state: what a full checkpoint encodes.

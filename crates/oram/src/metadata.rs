@@ -28,10 +28,11 @@ pub struct OramMeta {
     pub config: OramConfig,
     /// Key → leaf map.
     pub position: PositionMap,
-    /// Per-bucket metadata, indexed by bucket id.  Buckets are shared
-    /// copy-on-write: the committed copy holds the `Arc` the last publish
-    /// saw while the live state mutates through [`OramMeta::bucket_mut`],
-    /// so a publish costs one pointer per dirtied bucket, not a tree clone.
+    /// Per-bucket metadata, indexed by bucket id.  The live state and the
+    /// committed copy each hold their own buckets: a publish copies every
+    /// dirtied bucket into the copy's, in the allocations it already has,
+    /// so [`OramMeta::bucket_mut`] never clones.  The `Arc` lets a
+    /// checkpoint share the copy's buckets while it is encoded.
     pub buckets: Vec<Arc<BucketMeta>>,
     /// The client stash.
     pub stash: Stash,
@@ -63,9 +64,10 @@ impl OramMeta {
     }
 
     /// Mutable access to one bucket's metadata, which marks the bucket
-    /// dirty: the next publish copies it, the next delta holds it.
-    /// Copy-on-write: if the committed copy still shares the bucket's `Arc`,
-    /// the bucket is cloned first so the copy keeps its published state.
+    /// dirty: the next publish copies it, the next delta holds it.  A
+    /// bucket whose `Arc` something else still holds is cloned first, so
+    /// the holder keeps what it saw; the client's own buckets are never
+    /// shared.
     pub fn bucket_mut(&mut self, bucket: BucketId) -> &mut BucketMeta {
         self.dirty_buckets.insert(bucket);
         Arc::make_mut(&mut self.buckets[bucket as usize])
@@ -151,11 +153,20 @@ impl OramMeta {
         })
     }
 
-    /// Drains the ids dirtied since the last drain — keys, then buckets —
-    /// leaving their values to the caller (`crate::committed`).
-    pub(crate) fn take_dirty(&mut self) -> (HashSet<Key>, HashSet<BucketId>) {
-        let buckets = std::mem::take(&mut self.dirty_buckets);
-        (self.position.take_dirty(), buckets)
+    /// Drains the ids dirtied since the last drain — keys with their
+    /// leaves, then buckets with their metadata — for `crate::committed`.
+    /// Ids an iterator is dropped before yielding are drained all the same,
+    /// and both dirty sets keep their allocations.
+    pub(crate) fn drain_dirty(
+        &mut self,
+    ) -> (
+        impl Iterator<Item = (Key, Option<Leaf>)> + '_,
+        impl Iterator<Item = (BucketId, &BucketMeta)> + '_,
+    ) {
+        let buckets = &self.buckets;
+        let dirty_buckets =
+            (self.dirty_buckets.drain()).map(move |id| (id, &*buckets[id as usize]));
+        (self.position.drain_dirty(), dirty_buckets)
     }
 
     /// Applies a delta checkpoint on top of the current state.
@@ -164,7 +175,7 @@ impl OramMeta {
         self.evict_count = delta.evict_count;
         self.position.apply_delta(&delta.position_delta);
         for (bucket, meta) in &delta.buckets {
-            self.buckets[*bucket as usize] = meta.clone();
+            Arc::make_mut(&mut self.buckets[*bucket as usize]).clone_from(meta);
         }
         if delta.stash_replaced {
             self.stash = Stash::new();
@@ -524,10 +535,12 @@ mod tests {
         let mut meta = small_meta();
         meta.position.set(1, 1);
         meta.bucket_mut(0);
-        let (keys, buckets) = meta.take_dirty();
-        assert_eq!((keys.len(), buckets.len()), (1, 1));
-        let (keys, buckets) = meta.take_dirty();
-        assert!(keys.is_empty() && buckets.is_empty());
+        meta.bucket_mut(2);
+        let (keys, buckets) = meta.drain_dirty();
+        assert_eq!(keys.collect::<Vec<_>>(), vec![(1, Some(1))]);
+        assert_eq!(buckets.take(1).count(), 1, "the other is drained unread");
+        let (keys, buckets) = meta.drain_dirty();
+        assert_eq!((keys.count(), buckets.count()), (0, 0));
     }
 
     #[test]

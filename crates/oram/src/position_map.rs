@@ -53,9 +53,11 @@ impl PositionMap {
     }
 
     /// Drains the keys modified since the last drain or
-    /// [`PositionMap::take_delta`], leaving their values to the caller.
-    pub(crate) fn take_dirty(&mut self) -> HashSet<Key> {
-        std::mem::take(&mut self.dirty)
+    /// [`PositionMap::take_delta`], each with its current leaf (`None`:
+    /// removed).  The dirty set keeps its allocation.
+    pub(crate) fn drain_dirty(&mut self) -> impl Iterator<Item = (Key, Option<Leaf>)> + '_ {
+        let positions = &self.positions;
+        (self.dirty.drain()).map(move |key| (key, positions.get(&key).copied()))
     }
 
     /// Whether `key` exists.
@@ -82,14 +84,19 @@ impl PositionMap {
 
     /// Applies a delta produced by [`PositionMap::take_delta`].
     pub fn apply_delta(&mut self, delta: &[(Key, Option<Leaf>)]) {
-        for (key, leaf) in delta {
-            match leaf {
-                Some(l) => {
-                    self.positions.insert(*key, *l);
-                }
-                None => {
-                    self.positions.remove(key);
-                }
+        for &(key, leaf) in delta {
+            self.apply(key, leaf);
+        }
+    }
+
+    /// Applies one delta entry, marking nothing dirty.
+    pub(crate) fn apply(&mut self, key: Key, leaf: Option<Leaf>) {
+        match leaf {
+            Some(leaf) => {
+                self.positions.insert(key, leaf);
+            }
+            None => {
+                self.positions.remove(&key);
             }
         }
     }

@@ -476,18 +476,22 @@ fn open_block(
 }
 
 /// Builds the full physical slot array of a bucket from its metadata and the
-/// real blocks placed in it.  The two must name the same keys: a real slot
-/// without its block would be written as a dummy, and the block lost.
-fn build_bucket_slots(
+/// real blocks placed in it, laying the slots out in `physical` (a scratch
+/// the caller reuses across buckets).  The two must name the same keys: a
+/// real slot without its block would be written as a dummy, and the block
+/// lost.
+fn build_bucket_slots<'a>(
     envelope: &Envelope,
     encrypt: bool,
     bucket: BucketId,
     meta: &BucketMeta,
-    blocks: &[Block],
+    blocks: &'a [Block],
     capacity: usize,
+    physical: &mut Vec<Option<&'a Block>>,
 ) -> Result<Vec<bytes::Bytes>> {
     let mismatch = |what: String| ObladiError::Internal(format!("bucket {bucket}: {what}"));
-    let mut physical: Vec<Option<&Block>> = vec![None; meta.perm.len()];
+    physical.clear();
+    physical.resize(meta.perm.len(), None);
     for (logical, real) in meta.real.iter().enumerate() {
         if let Some((key, _)) = real {
             let block = blocks.iter().find(|block| block.key == *key);
@@ -506,7 +510,7 @@ fn build_bucket_slots(
         encrypt,
         bucket,
         meta.version + 1,
-        &physical,
+        physical,
         capacity,
     )
 }
@@ -721,7 +725,8 @@ impl OramReader {
                 park.on_block(Instant::now());
                 self.core.shared.cond.wait(&mut state);
             }
-            let mut physical: Vec<SlotRead> = Vec::new();
+            let stored_levels = self.core.geometry.stored_levels().len();
+            let mut physical: Vec<SlotRead> = Vec::with_capacity(requests.len() * stored_levels);
             let mut plans: Vec<OpPlan> = Vec::with_capacity(requests.len());
             for request in requests {
                 if request.is_none() && LEAK_SKIP_DUMMY_PADS.load(Ordering::Relaxed) {
@@ -878,8 +883,9 @@ fn plan_access(
     };
     let mut resolved = matches!(target, Target::Ready(Some(_)));
 
-    let levels = core.geometry.cached_levels as usize..;
-    for (level, &bucket) in levels.zip(&core.geometry.path(old_leaf)) {
+    for level in core.geometry.stored_levels() {
+        let bucket = core.geometry.bucket_at(old_leaf, level);
+        let level = level as usize;
         let is_buffered = state.buffer.contains_key(&bucket);
         let key_slot = match (key, exists) {
             (Some(k), true) => state.meta.buckets[bucket as usize].find_key(k),
@@ -921,7 +927,7 @@ fn plan_access(
         if let Some(logical) = key_slot {
             if !resolved {
                 let meta = state.meta.bucket_mut(bucket);
-                if meta.valid_dummies().is_empty() {
+                if meta.valid_dummies().next().is_none() {
                     // Residual 3 of DESIGN.md's deviations from canonical
                     // Ring ORAM: this read shows the access was real.
                     core.exhausted_target_reads[0].inc();
@@ -1161,7 +1167,8 @@ impl WritebackEngine {
             jobs
         };
         let sealed: usize = jobs.iter().map(|(_, _, blocks)| blocks.len()).sum();
-        let slots = jobs.len() * self.core.config.slots_per_bucket() as usize;
+        let slots_per_bucket = self.core.config.slots_per_bucket() as usize;
+        let slots = jobs.len() * slots_per_bucket;
         self.core.slots_sealed.record(sealed as u64);
         self.core
             .slots_filled
@@ -1173,11 +1180,20 @@ impl WritebackEngine {
         let store = self.core.store.clone();
         let flushed: Vec<BucketId> = jobs.iter().map(|(bucket, _, _)| *bucket).collect();
         let results = self.pool.map(jobs.len(), move |range| {
-            let seal = |(bucket, meta, blocks): &Job| {
-                let slots = build_bucket_slots(&envelope, encrypt, *bucket, meta, blocks, capacity);
+            let mut physical = Vec::with_capacity(slots_per_bucket);
+            let sealed = jobs[range].iter().map(|(bucket, meta, blocks)| {
+                let slots = build_bucket_slots(
+                    &envelope,
+                    encrypt,
+                    *bucket,
+                    meta,
+                    blocks,
+                    capacity,
+                    &mut physical,
+                );
                 Ok((*bucket, slots?))
-            };
-            write_chunk(store.as_ref(), jobs[range].iter().map(seal))
+            });
+            write_chunk(store.as_ref(), sealed)
         });
 
         let mut state = self.core.shared.state.lock();
@@ -1236,7 +1252,13 @@ impl WritebackEngine {
 
             // ----- Fetch (lock released): one path-log record per unit,
             // each before any of its reads, then every read at once -----
-            let Wave { units, reads, real } = wave;
+            let Wave {
+                units,
+                reads,
+                real,
+                limbo,
+                ..
+            } = wave;
             let fetch_started = Instant::now();
             let fetched = (|| -> Result<Vec<Option<Block>>> {
                 for unit in &units {
@@ -1249,7 +1271,11 @@ impl WritebackEngine {
 
             // ----- Apply (one lock hold per unit, in schedule order) -----
             let mut staged = match fetched {
-                Ok(staged) => staged,
+                Ok(blocks) => Staged {
+                    blocks,
+                    limbo,
+                    ..Staged::default()
+                },
                 Err(err) => {
                     self.abandon_wave(&mut self.core.shared.state.lock());
                     return Err(err);
@@ -1291,20 +1317,24 @@ impl WritebackEngine {
         let mut guard = self.core.shared.state.lock();
         let state = &mut *guard;
         check_poisoned(state)?;
-        let mut wave = Wave::default();
-        // Buckets some unit of this wave rewrites.
-        let mut reached: HashSet<BucketId> = HashSet::new();
+        let geometry = self.core.geometry;
 
         // Evictions owed: one per `A` logical accesses.
         let owed = state.meta.access_count / self.core.config.a as u64;
         let first = state.meta.evict_count;
-        for g in first..owed.min(first.saturating_add(self.wave_cap as u64)) {
-            let path = self.core.geometry.path(self.core.geometry.evict_target(g));
-            plan_unit(state, path, true, &mut reached, &mut wave);
-        }
-
+        let evictions = first..owed.min(first.saturating_add(self.wave_cap as u64));
         // Early reshuffles for exhausted buckets.
         let mut due: Vec<BucketId> = state.needs_reshuffle.iter().copied().collect();
+        if evictions.is_empty() && due.is_empty() {
+            return Ok(None);
+        }
+        let units = evictions.end - evictions.start + due.len() as u64;
+        let mut wave = Wave::with_capacity(units as usize, geometry, self.core.config.z);
+        for g in evictions {
+            let unit = WaveUnit::new(geometry.evict_target(g), geometry.stored_levels(), true);
+            wave.plan(state, geometry, unit);
+        }
+
         due.sort_unstable();
         for bucket in due {
             if wave.units.len() >= self.wave_cap {
@@ -1313,11 +1343,14 @@ impl WritebackEngine {
             state.needs_reshuffle.remove(&bucket);
             // A bucket an eviction rewrites — in this wave, or earlier in
             // the epoch (it is buffered) — no longer needs it.
-            if !reached.contains(&bucket)
+            if !wave.reached.contains(&bucket)
                 && !state.buffer.contains_key(&bucket)
                 && state.meta.buckets[bucket as usize].needs_early_reshuffle()
             {
-                plan_unit(state, vec![bucket], false, &mut reached, &mut wave);
+                let leaf = geometry.subtree_leaves(bucket).start;
+                let level = geometry.level_of(bucket);
+                let unit = WaveUnit::new(leaf, level..level + 1, false);
+                wave.plan(state, geometry, unit);
             }
         }
 
@@ -1326,9 +1359,7 @@ impl WritebackEngine {
         }
         // The real blocks are now physically in flight towards the staging
         // area and findable nowhere; readers must wait for them.
-        for unit in &wave.units {
-            state.limbo.extend(&unit.limbo);
-        }
+        state.limbo.extend(&wave.limbo);
         state.stats.physical_reads += wave.reads.len() as u64;
         Ok(Some(wave))
     }
@@ -1453,7 +1484,8 @@ fn dummiless_write(core: &OramCore, state: &mut SharedState, key: Key, value: Va
     // Remove any stale copy so at most one copy of the key exists.
     if let Some(old_leaf) = old_leaf {
         if state.meta.stash.remove(key).is_none() {
-            for &bucket in &core.geometry.path(old_leaf) {
+            for level in core.geometry.stored_levels() {
+                let bucket = core.geometry.bucket_at(old_leaf, level);
                 if let Some(logical) = state.meta.buckets[bucket as usize].find_key(key) {
                     state.meta.bucket_mut(bucket).clear_real(logical);
                     if let Some(blocks) = state.buffer.get_mut(&bucket) {
@@ -1475,87 +1507,127 @@ fn dummiless_write(core: &OramCore, state: &mut SharedState, key: Key, value: Va
 /// One unit of a maintenance wave: a scheduled eviction path, or a single
 /// bucket due an early reshuffle.
 struct WaveUnit {
-    /// The buckets the unit rewrites, root first.
-    buckets: Vec<BucketId>,
+    /// The unit rewrites the buckets of `levels` on the path to `leaf`: an
+    /// eviction's stored levels, or a reshuffled bucket's own level.
+    leaf: Leaf,
+    levels: std::ops::Range<u32>,
     /// A scheduled eviction (advances `evict_count`), not a reshuffle.
     eviction: bool,
     /// The unit's share of the wave's reads: one path-log record before the
     /// fetch, staged after it until the unit is applied.
     reads: std::ops::Range<usize>,
-    /// Keys of the real blocks among those reads: in limbo until then.
-    limbo: Vec<Key>,
+    /// The unit's share of the wave's limbo keys: the real blocks among
+    /// those reads, in limbo until then.
+    limbo: std::ops::Range<usize>,
+}
+
+impl WaveUnit {
+    /// A unit not yet planned: it has no reads.
+    fn new(leaf: Leaf, levels: std::ops::Range<u32>, eviction: bool) -> Self {
+        WaveUnit {
+            leaf,
+            levels,
+            eviction,
+            reads: 0..0,
+            limbo: 0..0,
+        }
+    }
+
+    /// The buckets the unit rewrites, root first.
+    fn buckets(&self, geometry: TreeGeometry) -> impl DoubleEndedIterator<Item = BucketId> {
+        let leaf = self.leaf;
+        (self.levels.clone()).map(move |level| geometry.bucket_at(leaf, level))
+    }
 }
 
 /// A planned maintenance wave (see the module docs).
-#[derive(Default)]
 struct Wave {
     units: Vec<WaveUnit>,
     /// Every slot read of the wave, unit after unit.
     reads: Vec<SlotRead>,
     /// `real[i]`: read `i` fetches a real block; the rest pad with dummies.
     real: Vec<bool>,
+    /// Keys of the real blocks read, unit after unit.
+    limbo: Vec<Key>,
+    /// Buckets some unit of the wave rewrites.
+    reached: HashSet<BucketId>,
 }
 
-/// Plans one unit of a wave.  A bucket's reads are planned where a
-/// one-unit-at-a-time pass would issue them: at the first unit that reaches
-/// it, unless it is buffered.  Later units of the wave skip it for the same
-/// reason the sequential pass would — by then the earlier unit's rewrite
-/// has buffered it.
-fn plan_unit(
-    state: &mut SharedState,
-    buckets: Vec<BucketId>,
-    eviction: bool,
-    reached: &mut HashSet<BucketId>,
-    wave: &mut Wave,
-) {
-    let first_read = wave.reads.len();
-    let mut limbo = Vec::new();
-    for &bucket in &buckets {
-        if reached.insert(bucket) && !state.buffer.contains_key(&bucket) {
-            plan_bucket_reads(state, bucket, wave, &mut limbo);
+impl Wave {
+    /// An empty wave with room for `units` units of a stored path each.
+    fn with_capacity(units: usize, geometry: TreeGeometry, z: u32) -> Self {
+        let buckets = units * geometry.stored_levels().len();
+        let reads = buckets * z as usize;
+        Wave {
+            units: Vec::with_capacity(units),
+            reads: Vec::with_capacity(reads),
+            real: Vec::with_capacity(reads),
+            limbo: Vec::with_capacity(reads),
+            reached: HashSet::with_capacity(buckets),
         }
     }
-    wave.units.push(WaveUnit {
-        buckets,
-        eviction,
-        reads: first_read..wave.reads.len(),
-        limbo,
-    });
+
+    /// Plans one unit.  A bucket's reads are planned where a
+    /// one-unit-at-a-time pass would issue them: at the first unit that
+    /// reaches it, unless it is buffered.  Later units of the wave skip it
+    /// for the same reason the sequential pass would — by then the earlier
+    /// unit's rewrite has buffered it.
+    fn plan(&mut self, state: &mut SharedState, geometry: TreeGeometry, mut unit: WaveUnit) {
+        let (first_read, first_limbo) = (self.reads.len(), self.limbo.len());
+        for bucket in unit.buckets(geometry) {
+            if self.reached.insert(bucket) && !state.buffer.contains_key(&bucket) {
+                plan_bucket_reads(state, bucket, self);
+            }
+        }
+        unit.reads = first_read..self.reads.len();
+        unit.limbo = first_limbo..self.limbo.len();
+        self.units.push(unit);
+    }
 }
 
 /// Plans a full-bucket maintenance read (every valid real slot plus dummy
 /// padding to `Z` reads, as canonical Ring ORAM does) and marks the bucket
-/// dirty.  The reals' keys are appended to `limbo` — the caller registers
-/// them so readers wait for the in-flight blocks.
-fn plan_bucket_reads(
-    state: &mut SharedState,
-    bucket: BucketId,
-    wave: &mut Wave,
-    limbo: &mut Vec<Key>,
-) {
+/// dirty.  The reals' keys join the wave's limbo keys — the caller
+/// registers them so readers wait for the in-flight blocks.
+fn plan_bucket_reads(state: &mut SharedState, bucket: BucketId, wave: &mut Wave) {
     let meta = state.meta.bucket_mut(bucket);
-    let reals = meta.valid_reals();
-    let dummies_needed = meta.z().saturating_sub(reals.len());
-    let mut plan_read = |meta: &mut BucketMeta, logical: usize, real: bool| {
+    let dummies_needed = meta.z().saturating_sub(meta.valid_reals().count());
+    let mut plan_read = |meta: &mut BucketMeta, logical: usize, real: Option<Key>| {
         wave.reads.push(SlotRead {
             bucket,
             slot: meta.mark_read(logical),
             version: meta.version,
         });
-        wave.real.push(real);
+        wave.real.push(real.is_some());
+        wave.limbo.extend(real);
     };
-    for logical in reals {
-        if let Some((key, _)) = meta.real[logical] {
-            limbo.push(key);
+    // Marking a slot read leaves the others' validity as it was, so this
+    // visits exactly the valid reals the bucket held on entry.
+    for logical in 0..meta.z() {
+        if let (true, Some((key, _))) = (meta.valid[logical], meta.real[logical]) {
+            plan_read(meta, logical, Some(key));
         }
-        plan_read(meta, logical, true);
     }
     for _ in 0..dummies_needed {
         match meta.pick_valid_dummy(&mut state.rng) {
-            Some(logical) => plan_read(meta, logical, false),
+            Some(logical) => plan_read(meta, logical, None),
             None => break,
         }
     }
+}
+
+/// A wave between its fetch and its last unit's apply.
+#[derive(Default)]
+struct Staged {
+    /// The fetched blocks, by read: each unit takes its share.
+    blocks: Vec<Option<Block>>,
+    /// The wave's limbo keys: each unit releases its share.
+    limbo: Vec<Key>,
+    /// Keys of the blocks the unit being applied pulls off its path into
+    /// the stash; sorted once all of them are in.
+    pulled: Vec<Key>,
+    /// A bucket's eligible stash blocks: `(not pulled, leaf, key)`.
+    eligible: Vec<(bool, Leaf, Key)>,
 }
 
 /// Applies one unit of a wave under the shared lock — one critical section,
@@ -1568,18 +1640,18 @@ fn apply_unit(
     core: &OramCore,
     state: &mut SharedState,
     unit: &WaveUnit,
-    staged: &mut [Option<Block>],
+    staged: &mut Staged,
 ) -> Result<()> {
     check_poisoned(state)?;
-    // Keys of the blocks this unit pulls off its path into the stash.
-    let mut pulled: HashSet<Key> = HashSet::new();
-    for &bucket in &unit.buckets {
+    let pulled = &mut staged.pulled;
+    pulled.clear();
+    for bucket in unit.buckets(core.geometry) {
         if let Some(blocks) = state.buffer.remove(&bucket) {
             // The bucket's current contents live locally; pull them back
             // into the stash without physical reads.
             state.stats.buffered_reads += 1;
             for block in Arc::unwrap_or_clone(blocks) {
-                ingest_evicted_block(core, state, block, &mut pulled)?;
+                ingest_evicted_block(core, state, block, pulled)?;
             }
             let meta = state.meta.bucket_mut(bucket);
             for logical in 0..meta.z() {
@@ -1588,14 +1660,15 @@ fn apply_unit(
         }
     }
     // Each staged block is visited once; move it out, no clone.
-    for block in staged[unit.reads.clone()]
+    for block in staged.blocks[unit.reads.clone()]
         .iter_mut()
         .filter_map(Option::take)
     {
-        ingest_evicted_block(core, state, block, &mut pulled)?;
+        ingest_evicted_block(core, state, block, pulled)?;
     }
-    for &bucket in unit.buckets.iter().rev() {
-        place_eligible_blocks(core, state, bucket, &pulled);
+    pulled.sort_unstable();
+    for bucket in unit.buckets(core.geometry).rev() {
+        place_eligible_blocks(core, state, bucket, staged);
     }
     if unit.eviction {
         state.meta.evict_count += 1;
@@ -1603,7 +1676,7 @@ fn apply_unit(
     } else {
         state.stats.early_reshuffles += 1;
     }
-    for key in &unit.limbo {
+    for key in &staged.limbo[unit.limbo.clone()] {
         state.limbo.remove(key);
     }
     Ok(())
@@ -1622,14 +1695,22 @@ fn place_eligible_blocks(
     core: &OramCore,
     state: &mut SharedState,
     bucket: BucketId,
-    pulled: &HashSet<Key>,
+    staged: &mut Staged,
 ) {
+    let Staged {
+        pulled, eligible, ..
+    } = staged;
     let leaves = core.geometry.subtree_leaves(bucket);
-    let mut eligible = state.meta.stash.in_leaves(leaves);
-    eligible.sort_by_key(|key| !pulled.contains(key));
-    let chosen: Vec<Key> = eligible.into_iter().take(core.config.z as usize).collect();
-    let mut placed: Vec<Block> = Vec::with_capacity(chosen.len());
-    for key in chosen {
+    eligible.clear();
+    let not_pulled = |key: Key| pulled.binary_search(&key).is_err();
+    eligible.extend(
+        (state.meta.stash.in_leaves(leaves)).map(|(leaf, key)| (not_pulled(key), leaf, key)),
+    );
+    // Keys are distinct, so the order is total.
+    eligible.sort_unstable();
+    eligible.truncate(core.config.z as usize);
+    let mut placed: Vec<Block> = Vec::with_capacity(eligible.len());
+    for &(_, _, key) in eligible.iter() {
         if let Some((leaf, value)) = state.meta.stash.remove(key) {
             placed.push(Block::real(key, leaf, value));
         }
@@ -1641,11 +1722,8 @@ fn place_eligible_blocks(
 /// contents: they reach storage at the next [`WritebackEngine::flush_writes`],
 /// in either write mode.
 fn rewrite_bucket(state: &mut SharedState, bucket: BucketId, blocks: Vec<Block>) {
-    let assignment: Vec<(Key, Leaf)> = blocks.iter().map(|b| (b.key, b.leaf)).collect();
-    state
-        .meta
-        .bucket_mut(bucket)
-        .rewrite(&assignment, &mut state.rng);
+    let assignment = blocks.iter().map(|b| (b.key, b.leaf));
+    (state.meta.bucket_mut(bucket)).rewrite(assignment, &mut state.rng);
     state.needs_reshuffle.remove(&bucket);
     state.buffer.insert(bucket, Arc::new(blocks));
 }
@@ -1657,7 +1735,7 @@ fn ingest_evicted_block(
     core: &OramCore,
     state: &mut SharedState,
     block: Block,
-    pulled: &mut HashSet<Key>,
+    pulled: &mut Vec<Key>,
 ) -> Result<()> {
     if state.meta.stash.contains(block.key) {
         // A newer version already lives in the stash.
@@ -1665,7 +1743,7 @@ fn ingest_evicted_block(
     }
     match state.meta.position.get(block.key) {
         Some(leaf) if leaf == block.leaf => {
-            pulled.insert(block.key);
+            pulled.push(block.key);
             state
                 .meta
                 .stash
@@ -1690,6 +1768,19 @@ mod tests {
     const KEY_A: Key = 7;
     const KEY_B: Key = 9;
 
+    /// [`super::build_bucket_slots`] with a slot list of its own.
+    fn build_bucket_slots(
+        envelope: &Envelope,
+        encrypt: bool,
+        bucket: BucketId,
+        meta: &BucketMeta,
+        blocks: &[Block],
+        capacity: usize,
+    ) -> Result<Vec<bytes::Bytes>> {
+        let slots = &mut Vec::new();
+        super::build_bucket_slots(envelope, encrypt, bucket, meta, blocks, capacity, slots)
+    }
+
     fn open(max_stash: usize) -> (OramReader, WritebackEngine) {
         let config = OramConfig::small_for_tests(64).with_max_stash(max_stash);
         let keys = KeyMaterial::for_tests(1);
@@ -1711,7 +1802,7 @@ mod tests {
         let envelope = Envelope::new(&KeyMaterial::for_tests(1));
         let mut rng = DetRng::new(3);
         let mut meta = BucketMeta::fresh(config.z, config.s, &mut rng);
-        meta.rewrite(&[(KEY_A, 1), (KEY_B, 2)], &mut rng);
+        meta.rewrite([(KEY_A, 1), (KEY_B, 2)], &mut rng);
         let blocks = [
             Block::real(KEY_A, 1, vec![0xAA; config.block_size]),
             Block::real(KEY_B, 2, Vec::new()),
@@ -1765,7 +1856,7 @@ mod tests {
         let envelope = Envelope::new(&KeyMaterial::for_tests(1));
         let mut rng = DetRng::new(4);
         let mut meta = BucketMeta::fresh(config.z, config.s, &mut rng);
-        meta.rewrite(&[(KEY_A, 1)], &mut rng);
+        meta.rewrite([(KEY_A, 1)], &mut rng);
         let block = |key: Key| Block::real(key, 1, vec![key as u8]);
         let build = |bucket: BucketId, blocks: &[Block]| {
             build_bucket_slots(&envelope, true, bucket, &meta, blocks, capacity)
@@ -1857,7 +1948,7 @@ mod tests {
                     .collect();
                 let assignment: Vec<(Key, Leaf)> = blocks.iter().map(|b| (b.key, b.leaf)).collect();
                 let mut meta = BucketMeta::fresh(config.z, config.s, &mut rng);
-                meta.rewrite(&assignment, &mut rng);
+                meta.rewrite(assignment, &mut rng);
                 (meta, blocks)
             })
             .collect();
@@ -1925,14 +2016,14 @@ mod tests {
             state
                 .meta
                 .bucket_mut(bucket_a)
-                .rewrite(&[(KEY_A, 0)], &mut state.rng);
+                .rewrite([(KEY_A, 0)], &mut state.rng);
             state.meta.position.set(KEY_A, 0);
         }
         let root = geometry.path(1)[0];
         state
             .meta
             .bucket_mut(root)
-            .rewrite(&[(KEY_B, 1)], &mut state.rng);
+            .rewrite([(KEY_B, 1)], &mut state.rng);
         state.meta.position.set(KEY_B, 1);
         state
             .buffer
@@ -2304,8 +2395,15 @@ mod tests {
     /// no key to the stash.  Returns how many units found the stash occupied.
     fn maintenance_checking_units(engine: &mut WritebackEngine) -> usize {
         let mut over_a_stash = 0;
-        while let Some(Wave { units, reads, real }) = engine.plan_wave().unwrap() {
-            let mut staged = engine.core.fetch_slots(&engine.pool, reads, real).unwrap();
+        while let Some(wave) = engine.plan_wave().unwrap() {
+            let (units, reads, real) = (wave.units, wave.reads, wave.real);
+            let blocks = engine.core.fetch_slots(&engine.pool, reads, real).unwrap();
+            let limbo = wave.limbo;
+            let mut staged = Staged {
+                blocks,
+                limbo,
+                ..Staged::default()
+            };
             for unit in &units {
                 let mut state = engine.core.shared.state.lock();
                 let before: HashSet<Key> = state.meta.stash.iter().map(|(key, _)| key).collect();

@@ -17,11 +17,34 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 /// The client-side stash.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Stash {
     blocks: HashMap<Key, (Leaf, Value)>,
     /// High-water mark, for statistics and bound checking in tests.
     peak: usize,
+}
+
+/// `clone_from` touches only what differs: it drops the keys `source`
+/// lacks, and copies the other blocks into the entries and value buffers
+/// the target already has, so refreshing a copy of a stash that changed
+/// by a few blocks allocates for those few at most.
+impl Clone for Stash {
+    fn clone(&self) -> Self {
+        Stash {
+            blocks: self.blocks.clone(),
+            peak: self.peak,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.blocks.retain(|key, _| source.blocks.contains_key(key));
+        for (key, (leaf, value)) in &source.blocks {
+            let mine = self.blocks.entry(*key).or_default();
+            mine.0 = *leaf;
+            mine.1.clone_from(value);
+        }
+        self.peak = source.peak;
+    }
 }
 
 impl Stash {
@@ -82,19 +105,14 @@ impl Stash {
         true
     }
 
-    /// Keys of the blocks mapped to a leaf in `leaves`, in `(leaf, key)`
-    /// order: for a bucket's subtree leaves
+    /// `(leaf, key)` of the blocks mapped to a leaf in `leaves`, in no
+    /// particular order: for a bucket's subtree leaves
     /// ([`crate::TreeGeometry::subtree_leaves`]), the blocks eligible for
     /// the bucket.
-    pub fn in_leaves(&self, leaves: Range<Leaf>) -> Vec<Key> {
-        let mut found: Vec<(Leaf, Key)> = self
-            .blocks
-            .iter()
-            .filter(|(_, (leaf, _))| leaves.contains(leaf))
+    pub fn in_leaves(&self, leaves: Range<Leaf>) -> impl Iterator<Item = (Leaf, Key)> + '_ {
+        (self.blocks.iter())
+            .filter(move |(_, (leaf, _))| leaves.contains(leaf))
             .map(|(key, (leaf, _))| (*leaf, *key))
-            .collect();
-        found.sort_unstable();
-        found.into_iter().map(|(_, key)| key).collect()
     }
 
     /// Iterates over `(key, leaf)` pairs.
@@ -217,13 +235,18 @@ mod tests {
         stash.insert(2, 3, vec![], 10).unwrap();
         stash.insert(3, 7, vec![], 10).unwrap();
         stash.insert(4, 3, vec![], 10).unwrap();
-        assert_eq!(stash.in_leaves(3..8), vec![2, 4, 3]);
-        assert_eq!(stash.in_leaves(4..7).len(), 0);
+        let keys = |stash: &Stash, leaves| {
+            let mut found: Vec<(Leaf, Key)> = stash.in_leaves(leaves).collect();
+            found.sort_unstable();
+            found.into_iter().map(|(_, key)| key).collect::<Vec<_>>()
+        };
+        assert_eq!(keys(&stash, 3..8), vec![2, 4, 3]);
+        assert_eq!(keys(&stash, 4..7).len(), 0);
         stash.remap(2, 5);
         stash.remove(4);
         stash.insert(3, 1, vec![], 10).unwrap();
-        assert_eq!(stash.in_leaves(3..8), vec![2]);
-        assert_eq!(stash.in_leaves(0..3), vec![1, 3]);
+        assert_eq!(keys(&stash, 3..8), vec![2]);
+        assert_eq!(keys(&stash, 0..3), vec![1, 3]);
     }
 
     #[test]
@@ -241,6 +264,28 @@ mod tests {
         let decoded = Stash::decode_padded(&b).unwrap();
         assert_eq!(decoded.len(), 10);
         assert_eq!(decoded.get(3), Some((3, &vec![7; 16])));
+    }
+
+    #[test]
+    fn clone_from_keeps_the_entries_both_stashes_hold() {
+        let mut live = Stash::new();
+        for key in 0..4 {
+            live.insert(key, key, vec![key as u8; 16], 100).unwrap();
+        }
+        let mut copy = live.clone();
+        let value_at = |stash: &Stash, key| stash.get(key).map(|(_, value)| value.as_ptr());
+        let kept = value_at(&copy, 1);
+        live.remove(0);
+        live.remap(1, 9);
+        live.insert(2, 2, vec![5; 8], 100).unwrap();
+        live.insert(7, 7, vec![7], 100).unwrap();
+        copy.clone_from(&live);
+        assert_eq!(copy, live);
+        assert_eq!(
+            value_at(&copy, 1),
+            kept,
+            "an unchanged block keeps its buffer"
+        );
     }
 
     #[test]

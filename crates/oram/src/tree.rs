@@ -79,10 +79,17 @@ impl TreeGeometry {
         first_of_level + offset
     }
 
+    /// The levels on storage, topmost first: `cached_levels..levels`.  The
+    /// client walks a path as [`TreeGeometry::bucket_at`] over these, with
+    /// no list of its buckets.
+    pub fn stored_levels(&self) -> Range<u32> {
+        self.cached_levels..self.levels
+    }
+
     /// The stored buckets on the path from root to `leaf`, topmost first:
     /// levels `cached_levels..levels`.
     pub fn path(&self, leaf: Leaf) -> Vec<BucketId> {
-        (self.cached_levels..self.levels)
+        (self.stored_levels())
             .map(|lvl| self.bucket_at(leaf, lvl))
             .collect()
     }

@@ -176,3 +176,76 @@ fn storage_request_volume_is_independent_of_key_skew() {
         "per-epoch storage request rate leaks skew: hot={hot_rate}, uniform={uni_rate}"
     );
 }
+
+/// The store-visible schedule of a seeded single-client run, one line per
+/// `(cached levels, seed)`: the run's operation count and an FNV-1a hash of
+/// every operation's `(kind, addr, slot, payload_len)`.  Each run loads 256
+/// keys, then does 20 read batches of 64 requests (every third one a pad),
+/// each followed by a write batch of 8 padded to 16 (which pays the
+/// evictions due) and a flush.
+fn schedule_lines() -> String {
+    let mut lines = String::new();
+    for cached in [0, CACHED_LEVELS] {
+        for seed in 1..=3u64 {
+            let mut oram = build_oram(seed, cached);
+            let mut rng = DetRng::new(seed);
+            let (mut ops, mut hash) = (0u64, FNV_OFFSET);
+            let mut record = |oram: &RecordedOram| {
+                assert_eq!(oram.ring.dropped(), 0, "the ring holds a whole batch");
+                for op in oram.ring.ops() {
+                    ops += 1;
+                    hash = fnv1a(hash, op.kind.label().as_bytes());
+                    hash = fnv1a(hash, &op.addr.to_le_bytes());
+                    hash = fnv1a(hash, &op.slot.to_le_bytes());
+                    hash = fnv1a(hash, &op.payload_len.to_le_bytes());
+                }
+                oram.ring.reset();
+            };
+            record(&oram);
+            for batch in 0..20u8 {
+                let keys = rng.choose_distinct(256, 64);
+                let requests: Vec<Option<Key>> = (keys.iter().enumerate())
+                    .map(|(i, &key)| Some(key as Key).filter(|_| i % 3 != 2))
+                    .collect();
+                oram.reader.read_batch(&requests, &NoopPathLogger).unwrap();
+                record(&oram);
+                let writes: Vec<(Key, Vec<u8>)> = (keys.iter().take(8))
+                    .map(|&key| (key as Key, vec![batch; 8]))
+                    .collect();
+                let engine = &mut oram.engine;
+                engine
+                    .write_batch_padded(&writes, 16, &NoopPathLogger)
+                    .unwrap();
+                engine.flush_writes(&NoopPathLogger).unwrap();
+                record(&oram);
+            }
+            lines.push_str(&format!("{cached} {seed} {ops} {hash:016x}\n"));
+        }
+    }
+    lines
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// The store sees exactly the operations the client made before its hot
+/// path stopped allocating: same kinds, buckets, slots and lengths, in the
+/// same order, so no RNG draw moved.  `tests/fixtures/oram_schedule_parent.txt`
+/// holds `cached seed ops hash` per run.  Regenerate it (from this test's
+/// failure message) only in a change that alters the physical schedule on
+/// purpose, and say so in CHANGES.md.
+#[test]
+fn the_physical_schedule_matches_the_parent() {
+    let expected = include_str!("fixtures/oram_schedule_parent.txt");
+    let actual = schedule_lines();
+    assert!(
+        actual == expected,
+        "the physical schedule moved; this run's lines:\n{actual}"
+    );
+}
