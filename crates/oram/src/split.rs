@@ -1760,7 +1760,7 @@ mod tests {
     use super::*;
     use crate::client::NoopPathLogger;
     use obladi_common::config::OramConfig;
-    use obladi_storage::InMemoryStore;
+    use obladi_storage::{InMemoryStore, StoreRequest, StoreResponse, StoreService};
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
@@ -2257,57 +2257,17 @@ mod tests {
         waves: AtomicUsize,
     }
 
-    impl UntrustedStore for WaveCountingStore {
-        fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<bytes::Bytes>> {
-            if self.logged.swap(false, Ordering::SeqCst) {
+    impl StoreService for WaveCountingStore {
+        fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+            request.apply(self.inner.as_ref())
+        }
+
+        fn call_many(&self, requests: Vec<StoreRequest>) -> Vec<Result<StoreResponse>> {
+            let reads = matches!(requests.first(), Some(StoreRequest::ReadSlot { .. }));
+            if reads && self.logged.swap(false, Ordering::SeqCst) {
                 self.waves.fetch_add(1, Ordering::SeqCst);
             }
-            self.inner.read_slots(reads)
-        }
-        fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<bytes::Bytes> {
-            self.inner.read_slot(bucket, slot)
-        }
-        fn read_bucket(&self, bucket: BucketId) -> Result<obladi_storage::BucketSnapshot> {
-            self.inner.read_bucket(bucket)
-        }
-        fn write_bucket(&self, bucket: BucketId, slots: Vec<bytes::Bytes>) -> Result<Version> {
-            self.inner.write_bucket(bucket, slots)
-        }
-        fn write_buckets(
-            &self,
-            writes: Vec<(BucketId, Vec<bytes::Bytes>)>,
-        ) -> Vec<Result<Version>> {
-            self.inner.write_buckets(writes)
-        }
-        fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-            self.inner.bucket_version(bucket)
-        }
-        fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-            self.inner.revert_bucket(bucket, version)
-        }
-        fn put_meta(&self, key: &str, value: bytes::Bytes) -> Result<()> {
-            self.inner.put_meta(key, value)
-        }
-        fn get_meta(&self, key: &str) -> Result<Option<bytes::Bytes>> {
-            self.inner.get_meta(key)
-        }
-        fn append_log(&self, record: bytes::Bytes) -> Result<u64> {
-            self.inner.append_log(record)
-        }
-        fn read_log_from(&self, from: u64) -> Result<Vec<(u64, bytes::Bytes)>> {
-            self.inner.read_log_from(from)
-        }
-        fn truncate_log(&self, up_to: u64) -> Result<()> {
-            self.inner.truncate_log(up_to)
-        }
-        fn truncate_log_tail(&self, from: u64) -> Result<()> {
-            self.inner.truncate_log_tail(from)
-        }
-        fn stats(&self) -> obladi_storage::StoreStats {
-            self.inner.stats()
-        }
-        fn reset_stats(&self) {
-            self.inner.reset_stats()
+            StoreRequest::apply_many(&requests, self.inner.as_ref())
         }
     }
 

@@ -14,18 +14,17 @@
 
 mod common;
 
-use bytes::Bytes;
 use common::held_in_flight;
 use obladi_common::config::OramConfig;
 use obladi_common::error::Result;
-use obladi_common::types::{BucketId, Key, Value, Version};
+use obladi_common::types::{Key, Value};
 use obladi_crypto::KeyMaterial;
 use obladi_oram::metadata::KeyLocation;
 use obladi_oram::{
     CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, OramReader, RingOram,
     WritebackEngine,
 };
-use obladi_storage::{BucketSnapshot, InMemoryStore, StoreStats, UntrustedStore};
+use obladi_storage::{InMemoryStore, StoreRequest, StoreResponse, StoreService, UntrustedStore};
 use proptest::prelude::*;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -295,66 +294,20 @@ impl ParkedWrites {
     }
 }
 
-impl UntrustedStore for ParkedWrites {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        self.inner.read_slot(bucket, slot)
+impl StoreService for ParkedWrites {
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        request.apply(&self.inner)
     }
 
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        self.inner.read_bucket(bucket)
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        self.inner.write_bucket(bucket, slots)
-    }
-
-    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
-        // Held across the wait: the flush's other chunks queue behind it.
-        if let Some((parked, released)) = &*self.gate.lock().unwrap() {
-            let _ = parked.send(());
-            let _ = released.recv();
+    fn call_many(&self, requests: Vec<StoreRequest>) -> Vec<Result<StoreResponse>> {
+        if let Some(StoreRequest::WriteBucket { .. }) = requests.first() {
+            // Held across the wait: the flush's other chunks queue behind it.
+            if let Some((parked, released)) = &*self.gate.lock().unwrap() {
+                let _ = parked.send(());
+                let _ = released.recv();
+            }
         }
-        self.inner.write_buckets(writes)
-    }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        self.inner.bucket_version(bucket)
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.inner.revert_bucket(bucket, version)
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        self.inner.put_meta(key, value)
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        self.inner.get_meta(key)
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        self.inner.append_log(record)
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        self.inner.read_log_from(from)
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.inner.truncate_log(up_to)
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.inner.truncate_log_tail(from)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
+        StoreRequest::apply_many(&requests, &self.inner)
     }
 }
 

@@ -5,14 +5,15 @@
 //! the thread that drives it, `init_tree` on the one that opens the client.
 //! Over a store that waits, the same calls run on the worker pool.
 
-use bytes::Bytes;
 use obladi_common::config::{BackendKind, OramConfig};
 use obladi_common::error::Result;
 use obladi_common::latency::{LatencyModel, LatencyProfile};
-use obladi_common::types::{BucketId, Key, Value, Version};
+use obladi_common::types::{Key, Value};
 use obladi_crypto::KeyMaterial;
 use obladi_oram::{ExecOptions, NoopPathLogger, OramReader, RingOram, WritebackEngine};
-use obladi_storage::{BucketSnapshot, InMemoryStore, LatencyStore, StoreStats, UntrustedStore};
+use obladi_storage::{
+    InMemoryStore, LatencyStore, StoreRequest, StoreResponse, StoreService, UntrustedStore,
+};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
@@ -34,69 +35,21 @@ impl ThreadLog {
     }
 }
 
-impl UntrustedStore for ThreadLog {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
+impl StoreService for ThreadLog {
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        if matches!(
+            request,
+            StoreRequest::ReadSlot { .. } | StoreRequest::WriteBucket { .. }
+        ) {
+            self.note();
+        }
+        request.apply(self.inner.as_ref())
+    }
+
+    /// One note per chunk, which reaches the inner store whole.
+    fn call_many(&self, requests: Vec<StoreRequest>) -> Vec<Result<StoreResponse>> {
         self.note();
-        self.inner.read_slot(bucket, slot)
-    }
-
-    fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<Bytes>> {
-        self.note();
-        self.inner.read_slots(reads)
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        self.inner.read_bucket(bucket)
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        self.note();
-        self.inner.write_bucket(bucket, slots)
-    }
-
-    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
-        self.note();
-        self.inner.write_buckets(writes)
-    }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        self.inner.bucket_version(bucket)
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.inner.revert_bucket(bucket, version)
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        self.inner.put_meta(key, value)
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        self.inner.get_meta(key)
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        self.inner.append_log(record)
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        self.inner.read_log_from(from)
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.inner.truncate_log(up_to)
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.inner.truncate_log_tail(from)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
+        StoreRequest::apply_many(&requests, self.inner.as_ref())
     }
 
     fn waits(&self) -> bool {

@@ -14,10 +14,9 @@
 use bytes::Bytes;
 use obladi_common::config::ShardConfig;
 use obladi_common::error::Result;
-use obladi_common::types::{BucketId, Version};
 use obladi_shard::ShardedDb;
 use obladi_storage::wal::WalRecordKind;
-use obladi_storage::{BucketSnapshot, InMemoryStore, StoreStats, UntrustedStore};
+use obladi_storage::{InMemoryStore, StoreRequest, StoreResponse, StoreService, UntrustedStore};
 use obladi_testkit::chaos::{commit_with_retries, cross_shard_pair};
 use parking_lot::{Condvar, Mutex};
 use std::sync::mpsc;
@@ -87,58 +86,12 @@ struct LatchedStore {
     latch: Arc<Latch>,
 }
 
-impl UntrustedStore for LatchedStore {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        self.inner.read_slot(bucket, slot)
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        self.inner.read_bucket(bucket)
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        self.inner.write_bucket(bucket, slots)
-    }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        self.inner.bucket_version(bucket)
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.inner.revert_bucket(bucket, version)
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        self.inner.put_meta(key, value)
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        self.inner.get_meta(key)
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        self.latch.pass(&record);
-        self.inner.append_log(record)
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        self.inner.read_log_from(from)
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.inner.truncate_log(up_to)
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.inner.truncate_log_tail(from)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
+impl StoreService for LatchedStore {
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        if let StoreRequest::AppendLog { record } = &request {
+            self.latch.pass(record);
+        }
+        request.apply(&self.inner)
     }
 }
 

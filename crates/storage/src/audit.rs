@@ -1,59 +1,26 @@
 //! The adversary-view tap at the [`UntrustedStore`] boundary.
 //!
-//! [`RecordingStore`] wraps any store and records, for every operation,
-//! exactly what an adversary co-located with the storage server observes:
-//! the operation kind, the physical address (bucket, and slot for a slot
-//! read), the sealed payload *length* (never plaintext — everything below
-//! this boundary is already sealed by the proxy), and the wire frame sizes
-//! the operation would occupy on the `obladi-transport` framing.  Frame
-//! sizes are computed analytically from the `proto` encoding, so an
-//! in-process store produces the same trace shape a real socket would carry
-//! — the whole point is comparing traces across workloads, not across
-//! transports.
+//! [`audit_op`] is the one recorder: from a request and its response it
+//! builds the trace entry an adversary co-located with the storage server
+//! observes — the operation kind, the physical address (bucket, and slot
+//! for a slot read), the sealed payload *length* (never plaintext —
+//! everything below this boundary is already sealed by the proxy) and the
+//! sizes of the two wire frames, measured off the `proto` encoder itself.
+//! Both sides of the socket record through it, so an in-process trace and
+//! a daemon's are the same trace:
 //!
-//! [`record_server_op`] is the other half of the tap: the transport
-//! server loop calls it per decoded frame, so an `obladi-stored` daemon
-//! records what *its* socket actually showed the network into the
-//! process-global [`obladi_obs::audit`] ring.
+//! * [`RecordingStore`] wraps any store and records each request that
+//!   succeeds into an [`AuditRing`] shared with the harness;
+//! * [`record_server_op`] is the transport server loop's tap: an
+//!   `obladi-stored` daemon records every request its socket carried into
+//!   the process-global [`obladi_obs::audit`] ring.
 
-use crate::proto::WireMetrics;
-use crate::traits::{BucketSnapshot, StoreStats, UntrustedStore};
+use crate::proto::{StoreRequest, StoreResponse, StoreService, FRAME_OVERHEAD};
+use crate::traits::UntrustedStore;
 use bytes::Bytes;
 use obladi_common::error::Result;
-use obladi_common::types::{BucketId, Version};
 use obladi_obs::audit::{AuditKind, AuditOp, AuditRing};
 use std::sync::Arc;
-
-/// Bytes the transport adds around a proto payload: the 4-byte length
-/// prefix plus the 9-byte frame header (`id:u64 | op:u8`).
-const FRAME_OVERHEAD: usize = 13;
-
-/// Total on-the-wire size of a frame carrying `payload_len` proto bytes.
-fn wire_frame(payload_len: usize) -> u32 {
-    (FRAME_OVERHEAD + payload_len) as u32
-}
-
-/// One trace entry of `store`, for proto payloads of the given lengths; the
-/// slot is 0 until a slot-read site sets its own.
-fn op(
-    store: u32,
-    kind: AuditKind,
-    addr: u64,
-    payload_len: usize,
-    req_payload: usize,
-    resp_payload: usize,
-) -> AuditOp {
-    AuditOp {
-        at_us: 0,
-        store,
-        kind,
-        addr,
-        slot: 0,
-        payload_len: payload_len as u32,
-        req_frame: wire_frame(req_payload),
-        resp_frame: wire_frame(resp_payload),
-    }
-}
 
 /// FNV-1a over a metadata key: a stable physical address for the trace
 /// (the adversary sees the key bytes; the auditor only needs identity).
@@ -66,61 +33,67 @@ fn meta_addr(key: &str) -> u64 {
     hash
 }
 
-/// Maps a request opcode to the trace kind (the adversary reads the tag
-/// byte off the frame header).
-pub fn kind_for_request_opcode(opcode: u8) -> AuditKind {
-    match opcode {
-        0x01 => AuditKind::ReadSlot,
-        0x02 => AuditKind::ReadBucket,
-        0x03 => AuditKind::WriteBucket,
-        0x04 => AuditKind::BucketVersion,
-        0x05 => AuditKind::RevertBucket,
-        0x06 => AuditKind::PutMeta,
-        0x07 => AuditKind::GetMeta,
-        0x08 => AuditKind::AppendLog,
-        0x09 => AuditKind::ReadLog,
-        0x0A | 0x0B => AuditKind::TruncateLog,
-        _ => AuditKind::Control,
+fn sealed(slots: &[Bytes]) -> usize {
+    slots.iter().map(Bytes::len).sum()
+}
+
+/// The trace entry of `request`, answered by `response`, on store `store`
+/// (the shard index).  `payload_len` is the sealed bytes the operation
+/// carries, in whichever direction: slot, bucket, metadata value and log
+/// record contents.  `at_us` is the ring's to stamp.
+pub fn audit_op(store: u32, request: &StoreRequest, response: &StoreResponse) -> AuditOp {
+    use StoreRequest as Q;
+    let (kind, addr) = match request {
+        Q::ReadSlot { bucket, .. } => (AuditKind::ReadSlot, *bucket),
+        Q::ReadBucket { bucket } => (AuditKind::ReadBucket, *bucket),
+        Q::WriteBucket { bucket, .. } => (AuditKind::WriteBucket, *bucket),
+        Q::BucketVersion { bucket } => (AuditKind::BucketVersion, *bucket),
+        Q::RevertBucket { bucket, .. } => (AuditKind::RevertBucket, *bucket),
+        Q::PutMeta { key, .. } => (AuditKind::PutMeta, meta_addr(key)),
+        Q::GetMeta { key } => (AuditKind::GetMeta, meta_addr(key)),
+        Q::AppendLog { .. } => match response {
+            StoreResponse::LogSeq(seq) => (AuditKind::AppendLog, *seq),
+            _ => (AuditKind::AppendLog, 0),
+        },
+        Q::ReadLogFrom { from } => (AuditKind::ReadLog, *from),
+        Q::TruncateLog { up_to: seq } | Q::TruncateLogTail { from: seq } => {
+            (AuditKind::TruncateLog, *seq)
+        }
+        Q::Stats | Q::ResetStats | Q::Ping | Q::Shutdown | Q::MetricsSnapshot => {
+            (AuditKind::Control, 0)
+        }
+    };
+    let sent = match request {
+        Q::WriteBucket { slots, .. } => sealed(slots),
+        Q::PutMeta { value: data, .. } | Q::AppendLog { record: data } => data.len(),
+        _ => 0,
+    };
+    let received = match response {
+        StoreResponse::Slot(data) | StoreResponse::MetaValue(Some(data)) => data.len(),
+        StoreResponse::Bucket(snapshot) => sealed(&snapshot.slots),
+        StoreResponse::LogRecords { records, .. } => records.iter().map(|(_, r)| r.len()).sum(),
+        _ => 0,
+    };
+    AuditOp {
+        at_us: 0,
+        store,
+        kind,
+        addr,
+        slot: match request {
+            Q::ReadSlot { slot, .. } => *slot,
+            _ => 0,
+        },
+        payload_len: (sent + received) as u32,
+        req_frame: (FRAME_OVERHEAD + request.encoded_len()) as u32,
+        resp_frame: (FRAME_OVERHEAD + response.encoded_len()) as u32,
     }
 }
 
-/// Records one executed request into the process-global audit ring — the
-/// `obladi-stored` server loop's tap.  `req_payload` is the decoded frame
-/// payload (opcode byte included); `resp_payload_len` the encoded
-/// response payload length.  The payload-length column strips only the
-/// tag byte of whichever direction carries the data, so it is a
-/// deterministic function of what crossed the socket.
-pub fn record_server_op(opcode: u8, req_payload: &[u8], resp_payload_len: usize) {
-    let kind = kind_for_request_opcode(opcode);
-    // Requests whose first field is a u64 address (bucket or sequence).
-    let addr = match opcode {
-        0x01..=0x05 | 0x09..=0x0B if req_payload.len() >= 9 => {
-            u64::from_le_bytes(req_payload[1..9].try_into().unwrap())
-        }
-        _ => 0,
-    };
-    // A slot read names its slot right behind the bucket.
-    let slot = match opcode {
-        0x01 if req_payload.len() >= 13 => {
-            u32::from_le_bytes(req_payload[9..13].try_into().unwrap())
-        }
-        _ => 0,
-    };
-    let payload_len = match kind {
-        AuditKind::WriteBucket | AuditKind::PutMeta | AuditKind::AppendLog => {
-            req_payload.len().saturating_sub(1)
-        }
-        _ => resp_payload_len.saturating_sub(1),
-    };
-    let op = op(
-        0,
-        kind,
-        addr,
-        payload_len,
-        req_payload.len(),
-        resp_payload_len,
-    );
-    obladi_obs::audit::global().record(AuditOp { slot, ..op });
+/// Records one request the server loop executed, and the response it
+/// sent, into the process-global audit ring — the `obladi-stored` daemon's
+/// tap.
+pub fn record_server_op(request: &StoreRequest, response: &StoreResponse) {
+    obladi_obs::audit::global().record(audit_op(0, request, response));
 }
 
 /// A store wrapper recording the adversary-visible trace of every
@@ -147,174 +120,28 @@ impl RecordingStore {
         &self.ring
     }
 
-    /// Records a slot read that returned `len` sealed bytes.
-    fn record_read_slot(&self, bucket: BucketId, slot: u32, len: usize) {
-        // req: tag + bucket + slot; resp: tag + len-prefixed payload.
-        let read = op(self.store_id, AuditKind::ReadSlot, bucket, len, 13, 5 + len);
-        self.ring.record(AuditOp { slot, ..read });
-    }
-
-    /// The sealed length and request payload of a bucket write of `slots`,
-    /// taken before the slots move into the inner store.
-    fn write_sizes(slots: &[Bytes]) -> (usize, usize) {
-        let sealed: usize = slots.iter().map(Bytes::len).sum();
-        (sealed, 13 + 4 * slots.len() + sealed)
-    }
-
-    #[inline]
-    fn record(
-        &self,
-        kind: AuditKind,
-        addr: u64,
-        payload_len: usize,
-        req_payload: usize,
-        resp_payload: usize,
-    ) {
-        let op = op(
-            self.store_id,
-            kind,
-            addr,
-            payload_len,
-            req_payload,
-            resp_payload,
-        );
-        self.ring.record(op);
+    fn record(&self, request: &StoreRequest, response: &Result<StoreResponse>) {
+        if let Ok(response) = response {
+            self.ring.record(audit_op(self.store_id, request, response));
+        }
     }
 }
 
-impl UntrustedStore for RecordingStore {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        let data = self.inner.read_slot(bucket, slot)?;
-        self.record_read_slot(bucket, slot, data.len());
-        Ok(data)
+impl StoreService for RecordingStore {
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        let response = request.apply(self.inner.as_ref());
+        self.record(&request, &response);
+        response
     }
 
     /// The inner store gets the whole chunk (a remote store pipelines it);
-    /// the trace still holds one entry per read that succeeded.
-    fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<Bytes>> {
-        let results = self.inner.read_slots(reads);
-        for (&(bucket, slot), result) in reads.iter().zip(&results) {
-            if let Ok(data) = result {
-                self.record_read_slot(bucket, slot, data.len());
-            }
+    /// the trace still holds one entry per request that succeeded.
+    fn call_many(&self, requests: Vec<StoreRequest>) -> Vec<Result<StoreResponse>> {
+        let responses = StoreRequest::apply_many(&requests, self.inner.as_ref());
+        for (request, response) in requests.iter().zip(&responses) {
+            self.record(request, response);
         }
-        results
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        let snapshot = self.inner.read_bucket(bucket)?;
-        let sealed: usize = snapshot.slots.iter().map(Bytes::len).sum();
-        let resp = 13 + 4 * snapshot.slots.len() + sealed;
-        self.record(AuditKind::ReadBucket, bucket, sealed, 9, resp);
-        Ok(snapshot)
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        let (sealed, req) = Self::write_sizes(&slots);
-        let version = self.inner.write_bucket(bucket, slots)?;
-        self.record(AuditKind::WriteBucket, bucket, sealed, req, 9);
-        Ok(version)
-    }
-
-    /// The chunk form of `write_bucket`, forwarded whole like `read_slots`.
-    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
-        let sizes: Vec<(BucketId, (usize, usize))> = writes
-            .iter()
-            .map(|(bucket, slots)| (*bucket, Self::write_sizes(slots)))
-            .collect();
-        let results = self.inner.write_buckets(writes);
-        for ((bucket, (sealed, req)), result) in sizes.into_iter().zip(&results) {
-            if result.is_ok() {
-                self.record(AuditKind::WriteBucket, bucket, sealed, req, 9);
-            }
-        }
-        results
-    }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        let version = self.inner.bucket_version(bucket)?;
-        self.record(AuditKind::BucketVersion, bucket, 0, 9, 9);
-        Ok(version)
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.inner.revert_bucket(bucket, version)?;
-        self.record(AuditKind::RevertBucket, bucket, 0, 17, 1);
-        Ok(())
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        let req = 9 + key.len() + value.len();
-        let sealed = value.len();
-        self.inner.put_meta(key, value)?;
-        self.record(AuditKind::PutMeta, meta_addr(key), sealed, req, 1);
-        Ok(())
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        let value = self.inner.get_meta(key)?;
-        let sealed = value.as_ref().map_or(0, Bytes::len);
-        let resp = match &value {
-            Some(value) => 6 + value.len(),
-            None => 2,
-        };
-        self.record(
-            AuditKind::GetMeta,
-            meta_addr(key),
-            sealed,
-            5 + key.len(),
-            resp,
-        );
-        Ok(value)
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        let sealed = record.len();
-        let seq = self.inner.append_log(record)?;
-        self.record(AuditKind::AppendLog, seq, sealed, 5 + sealed, 9);
-        Ok(seq)
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        let records = self.inner.read_log_from(from)?;
-        let sealed: usize = records.iter().map(|(_, data)| data.len()).sum();
-        let resp = 6 + 12 * records.len() + sealed;
-        self.record(AuditKind::ReadLog, from, sealed, 9, resp);
-        Ok(records)
-    }
-
-    fn read_log_page(&self, from: u64, max_bytes: usize) -> Result<(Vec<(u64, Bytes)>, bool)> {
-        let (records, truncated) = self.inner.read_log_page(from, max_bytes)?;
-        let sealed: usize = records.iter().map(|(_, data)| data.len()).sum();
-        let resp = 6 + 12 * records.len() + sealed;
-        self.record(AuditKind::ReadLog, from, sealed, 9, resp);
-        Ok((records, truncated))
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.inner.truncate_log(up_to)?;
-        self.record(AuditKind::TruncateLog, up_to, 0, 9, 1);
-        Ok(())
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.inner.truncate_log_tail(from)?;
-        self.record(AuditKind::TruncateLog, from, 0, 9, 1);
-        Ok(())
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.record(AuditKind::Control, 0, 0, 1, 49);
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.record(AuditKind::Control, 0, 0, 1, 1);
-        self.inner.reset_stats();
-    }
-
-    fn daemon_metrics(&self) -> Option<WireMetrics> {
-        self.inner.daemon_metrics()
+        responses
     }
 
     fn waits(&self) -> bool {
@@ -418,13 +245,17 @@ mod tests {
     #[test]
     fn waits_is_forwarded() {
         let (store, _) = recorded();
-        assert!(!store.waits());
+        assert!(!UntrustedStore::waits(&*store));
         let profile = obladi_common::latency::LatencyProfile::for_backend(
             obladi_common::config::BackendKind::Server,
         );
         let inner = crate::latency::LatencyStore::new(Arc::new(InMemoryStore::new()), profile, 1);
         let ring = Arc::new(AuditRing::new(16));
-        assert!(RecordingStore::new(Arc::new(inner), ring, 0).waits());
+        assert!(UntrustedStore::waits(&RecordingStore::new(
+            Arc::new(inner),
+            ring,
+            0
+        )));
     }
 
     #[test]
@@ -462,26 +293,36 @@ mod tests {
 
     #[test]
     fn server_tap_mirrors_the_frame_sizes() {
-        use crate::proto::{StoreRequest, StoreResponse};
         obladi_obs::audit::global().reset();
         let request = StoreRequest::ReadSlot { bucket: 9, slot: 1 };
         let response = StoreResponse::Slot(Bytes::from_static(b"sealed!!"));
-        let req_payload = request.encode();
-        let resp_payload = response.encode();
-        record_server_op(request.opcode(), &req_payload, resp_payload.len());
+        record_server_op(&request, &response);
         let ops = obladi_obs::audit::global().ops();
         let op = *ops.last().expect("tap recorded");
         assert_eq!(op.kind, AuditKind::ReadSlot);
         assert_eq!((op.addr, op.slot), (9, 1));
-        assert_eq!(op.req_frame, 26);
-        assert_eq!(op.resp_frame, 26);
-        assert_eq!(op.payload_len, 12, "tag stripped from the data direction");
+        // Frames: 13 framing + the encoded message, as `obladi-transport`
+        // sends it.
+        assert_eq!(op.req_frame as usize, 13 + request.encode().len());
+        assert_eq!(op.resp_frame as usize, 13 + response.encode().len());
+        assert_eq!((op.req_frame, op.resp_frame), (26, 26));
+        assert_eq!(op.payload_len, 8, "the sealed bytes, not their encoding");
         obladi_obs::audit::global().reset();
     }
 
     #[test]
-    fn unknown_opcodes_fall_back_to_control() {
-        assert_eq!(kind_for_request_opcode(0x0C), AuditKind::Control);
-        assert_eq!(kind_for_request_opcode(0x7E), AuditKind::Control);
+    fn control_requests_are_control_ops_carrying_no_payload() {
+        let stats = StoreResponse::Stats(Default::default());
+        for (request, response) in [
+            (StoreRequest::Stats, &stats),
+            (StoreRequest::ResetStats, &StoreResponse::Unit),
+            (StoreRequest::Ping, &StoreResponse::Pong(1)),
+        ] {
+            let op = audit_op(0, &request, response);
+            assert_eq!(
+                (op.kind, op.addr, op.payload_len),
+                (AuditKind::Control, 0, 0)
+            );
+        }
     }
 }

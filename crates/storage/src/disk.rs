@@ -57,11 +57,8 @@
 //! as failed.
 
 use crate::memory::InMemoryStore;
-use crate::proto::StoreRequest;
-use crate::traits::{BucketSnapshot, StoreStats, UntrustedStore};
-use bytes::Bytes;
+use crate::proto::{StoreRequest, StoreResponse, StoreService};
 use obladi_common::error::{ObladiError, Result};
-use obladi_common::types::{BucketId, Version};
 use parking_lot::RwLock;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -94,8 +91,8 @@ struct Oplog {
     since_snapshot: u64,
 }
 
-/// A crash-safe [`UntrustedStore`]: in-memory state plus a replayed op-log,
-/// periodically compacted into state snapshots.
+/// A crash-safe [`UntrustedStore`](crate::UntrustedStore): in-memory state
+/// plus a replayed op-log, periodically compacted into state snapshots.
 pub struct DurableStore {
     inner: InMemoryStore,
     /// The op-log, doubling as the state lock: mutations hold the write
@@ -244,7 +241,12 @@ impl DurableStore {
                 Ok(request) => request,
                 Err(_) => break,
             };
-            apply_mutation(&inner, &request)?;
+            if !request.is_mutation() {
+                return Err(ObladiError::Storage(format!(
+                    "non-mutating {request:?} found in op-log: file is corrupt"
+                )));
+            }
+            request.apply(&inner)?;
             summary.records += 1;
             offset = body_start + len;
         }
@@ -394,12 +396,7 @@ impl DurableStore {
 
     /// Applies a mutation and makes it durable before returning; the op-log
     /// lock serialises mutations so the log order equals the applied order.
-    fn log_mutation<T>(
-        &self,
-        request: &StoreRequest,
-        apply: impl FnOnce(&InMemoryStore) -> Result<T>,
-    ) -> Result<T> {
-        debug_assert!(request.is_mutation());
+    fn log_mutation(&self, request: &StoreRequest) -> Result<StoreResponse> {
         // The wedge check runs *inside* the lock: a mutation that queued
         // behind the one that wedged must not append past the gap.
         let mut oplog = self.oplog.write();
@@ -407,7 +404,7 @@ impl DurableStore {
         // Apply in memory *first*: some mutations — a revert to a
         // garbage-collected version — legitimately fail, and a failing op
         // must never enter the log or replay would refuse to boot.
-        let value = apply(&self.inner)?;
+        let response = request.apply(&self.inner)?;
         let body = request.encode();
         let mut framed = Vec::with_capacity(RECORD_HEADER + body.len());
         framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -452,7 +449,7 @@ impl DurableStore {
                 ));
             }
         }
-        Ok(value)
+        Ok(response)
     }
 
     /// Fail-stops the store, recording why (see the `wedged` field).
@@ -481,30 +478,6 @@ impl DurableStore {
     }
 }
 
-/// Replays one logged mutation against the rebuilding store.
-fn apply_mutation(inner: &InMemoryStore, request: &StoreRequest) -> Result<()> {
-    match request {
-        StoreRequest::WriteBucket { bucket, slots } => {
-            inner.write_bucket(*bucket, slots.clone())?;
-        }
-        StoreRequest::RevertBucket { bucket, version } => {
-            inner.revert_bucket(*bucket, *version)?;
-        }
-        StoreRequest::PutMeta { key, value } => inner.put_meta(key, value.clone())?,
-        StoreRequest::AppendLog { record } => {
-            inner.append_log(record.clone())?;
-        }
-        StoreRequest::TruncateLog { up_to } => inner.truncate_log(*up_to)?,
-        StoreRequest::TruncateLogTail { from } => inner.truncate_log_tail(*from)?,
-        other => {
-            return Err(ObladiError::Storage(format!(
-                "non-mutating {other:?} found in op-log: file is corrupt"
-            )))
-        }
-    }
-    Ok(())
-}
-
 /// 32-bit FNV-1a, the op-log's torn-write detector.
 fn fnv1a(data: &[u8]) -> u32 {
     let mut hash = 0x811C_9DC5u32;
@@ -515,93 +488,24 @@ fn fnv1a(data: &[u8]) -> u32 {
     hash
 }
 
-impl UntrustedStore for DurableStore {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
+impl StoreService for DurableStore {
+    /// Mutations go through the op-log; everything else is served from
+    /// memory under the read half of its lock.
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        if request.is_mutation() {
+            return self.log_mutation(&request);
+        }
         let _durable = self.oplog.read();
         self.check_wedged()?;
-        self.inner.read_slot(bucket, slot)
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        let _durable = self.oplog.read();
-        self.check_wedged()?;
-        self.inner.read_bucket(bucket)
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        let request = StoreRequest::WriteBucket {
-            bucket,
-            slots: slots.clone(),
-        };
-        self.log_mutation(&request, |inner| inner.write_bucket(bucket, slots))
-    }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        let _durable = self.oplog.read();
-        self.check_wedged()?;
-        self.inner.bucket_version(bucket)
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        let request = StoreRequest::RevertBucket { bucket, version };
-        self.log_mutation(&request, |inner| inner.revert_bucket(bucket, version))
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        let request = StoreRequest::PutMeta {
-            key: key.to_string(),
-            value: value.clone(),
-        };
-        self.log_mutation(&request, |inner| inner.put_meta(key, value))
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        let _durable = self.oplog.read();
-        self.check_wedged()?;
-        self.inner.get_meta(key)
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        let request = StoreRequest::AppendLog {
-            record: record.clone(),
-        };
-        self.log_mutation(&request, |inner| inner.append_log(record))
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        let _durable = self.oplog.read();
-        self.check_wedged()?;
-        self.inner.read_log_from(from)
-    }
-
-    fn read_log_page(&self, from: u64, max_bytes: usize) -> Result<(Vec<(u64, Bytes)>, bool)> {
-        let _durable = self.oplog.read();
-        self.check_wedged()?;
-        self.inner.read_log_page(from, max_bytes)
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        let request = StoreRequest::TruncateLog { up_to };
-        self.log_mutation(&request, |inner| inner.truncate_log(up_to))
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        let request = StoreRequest::TruncateLogTail { from };
-        self.log_mutation(&request, |inner| inner.truncate_log_tail(from))
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
+        request.apply(&self.inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::UntrustedStore;
+    use bytes::Bytes;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =

@@ -7,11 +7,12 @@
 //! it can corrupt read payloads, replay stale bucket versions, or fail
 //! operations outright after a configurable number of successes.
 
-use crate::traits::{BucketSnapshot, StoreStats, UntrustedStore};
+use crate::proto::{StoreRequest, StoreResponse, StoreService};
+use crate::traits::UntrustedStore;
 use bytes::Bytes;
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::rng::DetRng;
-use obladi_common::types::{BucketId, Version};
+use obladi_common::types::BucketId;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -260,6 +261,23 @@ impl FaultyStore {
         Ok(())
     }
 
+    /// With the plan's stale-read probability, the slot as the bucket's
+    /// previous version held it (when one was retained).
+    fn stale_slot(&self, bucket: BucketId, slot: u32) -> Option<Bytes> {
+        let serve_stale = {
+            let probability = self.plan.lock().stale_read_prob;
+            let mut rng = self.rng.lock();
+            rng.chance(probability)
+        };
+        if !serve_stale {
+            return None;
+        }
+        let cache = self.stale_cache.lock();
+        let old = cache.get(&bucket)?.get(slot as usize)?.clone();
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        Some(old)
+    }
+
     fn maybe_corrupt(&self, data: Bytes) -> Bytes {
         let corrupt = {
             let probability = self.plan.lock().corrupt_read_prob;
@@ -278,113 +296,57 @@ impl FaultyStore {
     }
 }
 
-impl UntrustedStore for FaultyStore {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        self.check_crash_point(CrashOp::SlotRead)?;
-        self.check_hard_failure()?;
-        let serve_stale = {
-            let probability = self.plan.lock().stale_read_prob;
-            let mut rng = self.rng.lock();
-            rng.chance(probability)
-        };
-        if serve_stale {
-            if let Some(old) = self
-                .stale_cache
-                .lock()
-                .get(&bucket)
-                .and_then(|slots| slots.get(slot as usize).cloned())
-            {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                return Ok(old);
+impl StoreService for FaultyStore {
+    /// Every item of a `read_slots` / `write_buckets` chunk comes through
+    /// here on its own (the default `call_many`), so each passes its own
+    /// crash-point and failure checks.
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        use StoreRequest as Q;
+        // The crash-point class of the request, and whether it counts
+        // towards `fail_after`; version queries and stats pass unchecked.
+        let (op, counts) = match &request {
+            Q::BucketVersion { .. } | Q::Stats | Q::ResetStats | Q::MetricsSnapshot => {
+                return request.apply(self.inner.as_ref())
             }
+            Q::ReadSlot { .. } => (CrashOp::SlotRead, true),
+            Q::WriteBucket { .. } => (CrashOp::BucketWrite, true),
+            // An empty record has no kind byte; 0 is no kind's tag.
+            Q::AppendLog { record } => {
+                let kind = record.first().copied().unwrap_or(0);
+                (CrashOp::LogAppendKind(kind), true)
+            }
+            Q::TruncateLog { .. } => (CrashOp::LogTruncate, false),
+            Q::TruncateLogTail { .. } => (CrashOp::AnyOp, false),
+            _ => (CrashOp::AnyOp, true),
+        };
+        self.check_crash_point(op)?;
+        if counts {
+            self.check_hard_failure()?;
         }
-        let data = self.inner.read_slot(bucket, slot)?;
-        Ok(self.maybe_corrupt(data))
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        self.check_crash_point(CrashOp::AnyOp)?;
-        self.check_hard_failure()?;
-        self.inner.read_bucket(bucket)
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        self.check_crash_point(CrashOp::BucketWrite)?;
-        self.check_hard_failure()?;
-        // Remember the previous version so stale reads can replay it later.
-        if self.plan.lock().stale_read_prob > 0.0 {
-            if let Ok(snapshot) = self.inner.read_bucket(bucket) {
-                if !snapshot.slots.is_empty() {
-                    self.stale_cache.lock().insert(bucket, snapshot.slots);
+        match &request {
+            Q::ReadSlot { bucket, slot } => {
+                if let Some(old) = self.stale_slot(*bucket, *slot) {
+                    return Ok(StoreResponse::Slot(old));
                 }
             }
+            // Remember the previous version so stale reads can replay it.
+            Q::WriteBucket { bucket, .. } if self.plan.lock().stale_read_prob > 0.0 => {
+                if let Ok(snapshot) = self.inner.read_bucket(*bucket) {
+                    if !snapshot.slots.is_empty() {
+                        self.stale_cache.lock().insert(*bucket, snapshot.slots);
+                    }
+                }
+            }
+            _ => {}
         }
-        self.inner.write_bucket(bucket, slots)
+        Ok(match request.apply(self.inner.as_ref())? {
+            StoreResponse::Slot(data) => StoreResponse::Slot(self.maybe_corrupt(data)),
+            StoreResponse::MetaValue(Some(value)) => {
+                StoreResponse::MetaValue(Some(self.maybe_corrupt(value)))
+            }
+            response => response,
+        })
     }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        self.inner.bucket_version(bucket)
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.check_crash_point(CrashOp::AnyOp)?;
-        self.check_hard_failure()?;
-        self.inner.revert_bucket(bucket, version)
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        self.check_crash_point(CrashOp::AnyOp)?;
-        self.check_hard_failure()?;
-        self.inner.put_meta(key, value)
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        self.check_crash_point(CrashOp::AnyOp)?;
-        self.check_hard_failure()?;
-        match self.inner.get_meta(key)? {
-            Some(v) => Ok(Some(self.maybe_corrupt(v))),
-            None => Ok(None),
-        }
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        // An empty record has no kind byte; 0 is no kind's tag.
-        let kind = record.first().copied().unwrap_or(0);
-        self.check_crash_point(CrashOp::LogAppendKind(kind))?;
-        self.check_hard_failure()?;
-        self.inner.append_log(record)
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        self.check_crash_point(CrashOp::AnyOp)?;
-        self.check_hard_failure()?;
-        self.inner.read_log_from(from)
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.check_crash_point(CrashOp::LogTruncate)?;
-        self.inner.truncate_log(up_to)
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.check_crash_point(CrashOp::AnyOp)?;
-        self.inner.truncate_log_tail(from)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    fn daemon_metrics(&self) -> Option<crate::proto::WireMetrics> {
-        self.inner.daemon_metrics()
-    }
-
-    // `read_slots` / `write_buckets` keep the per-item defaults: each item
-    // must pass its own crash-point and failure checks.
 
     fn waits(&self) -> bool {
         self.inner.waits()
@@ -436,12 +398,16 @@ mod tests {
     #[test]
     fn waits_is_forwarded() {
         let memory = FaultyStore::new(base(), FaultPlan::none(), 1);
-        assert!(!memory.waits());
+        assert!(!UntrustedStore::waits(&memory));
         let profile = obladi_common::latency::LatencyProfile::for_backend(
             obladi_common::config::BackendKind::Server,
         );
         let slow = Arc::new(crate::latency::LatencyStore::new(base(), profile, 1));
-        assert!(FaultyStore::new(slow, FaultPlan::none(), 1).waits());
+        assert!(UntrustedStore::waits(&FaultyStore::new(
+            slow,
+            FaultPlan::none(),
+            1
+        )));
     }
 
     #[test]

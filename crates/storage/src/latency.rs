@@ -6,12 +6,11 @@
 //! model the blocking HTTP client the paper calls out as the reason Dynamo
 //! "peaks early" in Figure 10b.
 
-use crate::traits::{BucketSnapshot, StoreStats, UntrustedStore};
-use bytes::Bytes;
+use crate::proto::{StoreRequest, StoreResponse, StoreService};
+use crate::traits::UntrustedStore;
 use obladi_common::error::Result;
 use obladi_common::latency::{LatencyModel, LatencyProfile};
 use obladi_common::rng::DetRng;
-use obladi_common::types::{BucketId, Version};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 
@@ -82,104 +81,41 @@ impl LatencyStore {
         &self.profile
     }
 
-    fn charge_read(&self) -> Permit<'_> {
-        let permit = self.acquire_permit();
-        let delay = {
-            let mut rng = self.rng.lock();
-            self.profile.read.sample(&mut rng)
-        };
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        permit
-    }
-
-    fn charge_write(&self) -> Permit<'_> {
-        let permit = self.acquire_permit();
-        let delay = {
-            let mut rng = self.rng.lock();
-            self.profile.write.sample(&mut rng)
-        };
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        permit
-    }
-
-    fn acquire_permit(&self) -> Permit<'_> {
-        match &self.limiter {
+    /// Takes a permit and sleeps for a draw from `model`.
+    fn charge(&self, model: &LatencyModel) -> Permit<'_> {
+        let permit = match &self.limiter {
             Some(sem) => {
                 sem.acquire();
                 Permit { sem: Some(sem) }
             }
             None => Permit { sem: None },
+        };
+        let delay = model.sample(&mut self.rng.lock());
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
         }
+        permit
     }
 }
 
-impl UntrustedStore for LatencyStore {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        let _permit = self.charge_read();
-        self.inner.read_slot(bucket, slot)
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        let _permit = self.charge_read();
-        self.inner.read_bucket(bucket)
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        let _permit = self.charge_write();
-        self.inner.write_bucket(bucket, slots)
-    }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        self.inner.bucket_version(bucket)
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        let _permit = self.charge_write();
-        self.inner.revert_bucket(bucket, version)
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        let _permit = self.charge_write();
-        self.inner.put_meta(key, value)
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        let _permit = self.charge_read();
-        self.inner.get_meta(key)
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        let _permit = self.charge_write();
-        self.inner.append_log(record)
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        let _permit = self.charge_read();
-        self.inner.read_log_from(from)
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.inner.truncate_log(up_to)
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.inner.truncate_log_tail(from)
-    }
-
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
-
-    fn daemon_metrics(&self) -> Option<crate::proto::WireMetrics> {
-        self.inner.daemon_metrics()
+impl StoreService for LatencyStore {
+    /// Reads pay the read latency and writes the write latency, each under
+    /// a permit; version queries, truncations and stats are free.
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        use StoreRequest as Q;
+        let model = match request {
+            Q::ReadSlot { .. }
+            | Q::ReadBucket { .. }
+            | Q::GetMeta { .. }
+            | Q::ReadLogFrom { .. } => Some(&self.profile.read),
+            Q::WriteBucket { .. }
+            | Q::RevertBucket { .. }
+            | Q::PutMeta { .. }
+            | Q::AppendLog { .. } => Some(&self.profile.write),
+            _ => None,
+        };
+        let _permit = model.map(|model| self.charge(model));
+        request.apply(self.inner.as_ref())
     }
 
     fn waits(&self) -> bool {
@@ -192,6 +128,7 @@ impl UntrustedStore for LatencyStore {
 mod tests {
     use super::*;
     use crate::memory::InMemoryStore;
+    use bytes::Bytes;
     use obladi_common::config::BackendKind;
     use std::time::{Duration, Instant};
 
@@ -267,17 +204,18 @@ mod tests {
 
     #[test]
     fn waits_only_when_latency_is_injected() {
+        let waits = |store: LatencyStore| UntrustedStore::waits(&store);
         let dummy = LatencyProfile::for_backend(BackendKind::Dummy);
-        assert!(!wrapped(dummy).waits());
+        assert!(!waits(wrapped(dummy)));
         let server = LatencyProfile::for_backend(BackendKind::Server);
-        assert!(wrapped(server).waits());
-        assert!(!wrapped(server.scaled(0.0)).waits());
+        assert!(waits(wrapped(server)));
+        assert!(!waits(wrapped(server.scaled(0.0))));
         let mut writes_only = dummy;
         writes_only.write = LatencyModel::with_mean(Duration::from_millis(1));
-        assert!(wrapped(writes_only).waits());
+        assert!(waits(wrapped(writes_only)));
         // A zero profile over a waiting store still waits.
         let waiting: Arc<dyn UntrustedStore> = Arc::new(wrapped(server));
-        assert!(LatencyStore::new(waiting, dummy, 7).waits());
+        assert!(waits(LatencyStore::new(waiting, dummy, 7)));
     }
 
     #[test]

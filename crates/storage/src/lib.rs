@@ -18,12 +18,17 @@
 //! * [`counter::TrustedCounter`] — the persistent epoch/read-batch counter
 //!   `F_epc` of Appendix A/B that survives proxy crashes;
 //! * [`proto`] — the wire schema of every store operation, shared by the
-//!   `obladi-transport` RPC layer and the `obladi-stored` daemon's op-log;
+//!   `obladi-transport` RPC layer and the `obladi-stored` daemon's op-log,
+//!   and the one mapping from store calls to requests and back: every
+//!   store but [`InMemoryStore`] implements the request-level
+//!   [`StoreService`] and gets [`UntrustedStore`] from its blanket impl;
 //! * [`disk::DurableStore`] — the daemon-side crash-safe store (in-memory
 //!   state rebuilt from a checksummed, torn-tail-tolerant op-log);
-//! * [`audit::RecordingStore`] — the adversary-view tap: records what an
-//!   observer of this boundary sees (op kinds, addresses, sealed payload
-//!   lengths, wire frame sizes) for the obliviousness auditor.
+//! * [`audit`] — the one adversary-trace recorder: [`audit::audit_op`]
+//!   turns a request and its response into what an observer of this
+//!   boundary sees (op kind, address, sealed payload length, the frame
+//!   sizes the encoder produces), for [`audit::RecordingStore`] in-process
+//!   and for the daemon's server loop alike.
 //!
 //! Everything stored here is opaque bytes: encryption, MACs and padding are
 //! applied by the proxy (`obladi-crypto::Envelope`) *before* data reaches
@@ -50,7 +55,7 @@ pub use faulty::{CrashOp, CrashPoint, FaultPlan, FaultyStore};
 pub use latency::LatencyStore;
 pub use memory::InMemoryStore;
 pub use proto::{
-    StoreRequest, StoreResponse, WireError, WireErrorKind, WireHistogram, WireMetrics,
+    StoreRequest, StoreResponse, StoreService, WireError, WireErrorKind, WireHistogram, WireMetrics,
 };
 pub use traits::{BucketSnapshot, StoreStats, UntrustedStore};
 pub use wal::WriteAheadLog;

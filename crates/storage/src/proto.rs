@@ -6,6 +6,13 @@
 //! messages onto sockets, and the `obladi-stored` daemon's durable op-log
 //! persists the mutating subset verbatim — one encoding, three uses.
 //!
+//! It is also the one place that maps store calls to requests and back.
+//! A store that adds something per request — a socket, an op-log, a trace,
+//! a latency charge, a fault — implements [`StoreService`] and gets its
+//! [`UntrustedStore`] from the blanket impl below; [`StoreRequest::apply`]
+//! runs a request against any [`UntrustedStore`] (the daemon's server
+//! loop, the op-log replay, every decorator's inner store).
+//!
 //! The encoding is deliberately hand-rolled (the workspace's serde is a
 //! vendored no-op shim) and versioned at the *connection* level by the
 //! transport handshake, not per message: a connection only ever carries one
@@ -15,7 +22,7 @@
 //! tolerated, because a desynchronised stream to an *untrusted* server must
 //! fail loudly rather than deliver attacker-shaped frames.
 
-use crate::traits::{BucketSnapshot, StoreStats};
+use crate::traits::{BucketSnapshot, StoreStats, UntrustedStore};
 use bytes::Bytes;
 use obladi_common::error::{ObladiError, Result};
 use obladi_common::types::{BucketId, Version};
@@ -23,6 +30,16 @@ use obladi_common::types::{BucketId, Version};
 /// Upper bound on any single length field (64 MiB): a malicious or corrupt
 /// peer must not be able to make the decoder allocate unbounded memory.
 pub const MAX_WIRE_LEN: usize = 64 << 20;
+
+/// Bytes the transport frames around each message: a u32 length prefix, a
+/// u64 request id and the u8 opcode.
+pub const FRAME_OVERHEAD: usize = 4 + 8 + 1;
+
+/// Byte budget of one `ReadLogFrom` response page, comfortably inside the
+/// frame decoder's bound; [`UntrustedStore::read_log_from`] over a
+/// [`StoreService`] re-issues from the last sequence number until
+/// `truncated` clears.
+pub const LOG_PAGE_BYTES: usize = 8 << 20;
 
 /// One request against the untrusted store, mirroring
 /// [`UntrustedStore`](crate::UntrustedStore) method for method, plus the
@@ -149,41 +166,52 @@ impl StoreRequest {
     /// Encodes the request (opcode byte followed by its fields).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(16);
-        buf.push(self.opcode());
+        self.write(&mut buf);
+        buf
+    }
+
+    /// Length of [`StoreRequest::encode`]'s output, without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.write(&mut len);
+        len
+    }
+
+    fn write(&self, buf: &mut impl Sink) {
+        buf.put(&[self.opcode()]);
         match self {
             StoreRequest::ReadSlot { bucket, slot } => {
-                put_u64(&mut buf, *bucket);
-                put_u32(&mut buf, *slot);
+                put_u64(buf, *bucket);
+                put_u32(buf, *slot);
             }
-            StoreRequest::ReadBucket { bucket } => put_u64(&mut buf, *bucket),
+            StoreRequest::ReadBucket { bucket } => put_u64(buf, *bucket),
             StoreRequest::WriteBucket { bucket, slots } => {
-                put_u64(&mut buf, *bucket);
-                put_u32(&mut buf, slots.len() as u32);
+                put_u64(buf, *bucket);
+                put_u32(buf, slots.len() as u32);
                 for slot in slots {
-                    put_bytes(&mut buf, slot);
+                    put_bytes(buf, slot);
                 }
             }
-            StoreRequest::BucketVersion { bucket } => put_u64(&mut buf, *bucket),
+            StoreRequest::BucketVersion { bucket } => put_u64(buf, *bucket),
             StoreRequest::RevertBucket { bucket, version } => {
-                put_u64(&mut buf, *bucket);
-                put_u64(&mut buf, *version);
+                put_u64(buf, *bucket);
+                put_u64(buf, *version);
             }
             StoreRequest::PutMeta { key, value } => {
-                put_bytes(&mut buf, key.as_bytes());
-                put_bytes(&mut buf, value);
+                put_bytes(buf, key.as_bytes());
+                put_bytes(buf, value);
             }
-            StoreRequest::GetMeta { key } => put_bytes(&mut buf, key.as_bytes()),
-            StoreRequest::AppendLog { record } => put_bytes(&mut buf, record),
-            StoreRequest::ReadLogFrom { from } => put_u64(&mut buf, *from),
-            StoreRequest::TruncateLog { up_to } => put_u64(&mut buf, *up_to),
-            StoreRequest::TruncateLogTail { from } => put_u64(&mut buf, *from),
+            StoreRequest::GetMeta { key } => put_bytes(buf, key.as_bytes()),
+            StoreRequest::AppendLog { record } => put_bytes(buf, record),
+            StoreRequest::ReadLogFrom { from } => put_u64(buf, *from),
+            StoreRequest::TruncateLog { up_to } => put_u64(buf, *up_to),
+            StoreRequest::TruncateLogTail { from } => put_u64(buf, *from),
             StoreRequest::Stats
             | StoreRequest::ResetStats
             | StoreRequest::Ping
             | StoreRequest::Shutdown
             | StoreRequest::MetricsSnapshot => {}
         }
-        buf
     }
 
     /// Decodes a request; the whole buffer must be consumed.
@@ -397,70 +425,79 @@ impl StoreResponse {
     /// Encodes the response (tag byte followed by its fields).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(16);
-        buf.push(self.opcode());
+        self.write(&mut buf);
+        buf
+    }
+
+    /// Length of [`StoreResponse::encode`]'s output, without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.write(&mut len);
+        len
+    }
+
+    fn write(&self, buf: &mut impl Sink) {
+        buf.put(&[self.opcode()]);
         match self {
-            StoreResponse::Slot(data) => put_bytes(&mut buf, data),
+            StoreResponse::Slot(data) => put_bytes(buf, data),
             StoreResponse::Bucket(snapshot) => {
-                put_u64(&mut buf, snapshot.version);
-                put_u32(&mut buf, snapshot.slots.len() as u32);
+                put_u64(buf, snapshot.version);
+                put_u32(buf, snapshot.slots.len() as u32);
                 for slot in &snapshot.slots {
-                    put_bytes(&mut buf, slot);
+                    put_bytes(buf, slot);
                 }
             }
-            StoreResponse::Version(version) => put_u64(&mut buf, *version),
+            StoreResponse::Version(version) => put_u64(buf, *version),
             StoreResponse::Unit => {}
             StoreResponse::MetaValue(value) => match value {
                 Some(value) => {
-                    buf.push(1);
-                    put_bytes(&mut buf, value);
+                    buf.put(&[1]);
+                    put_bytes(buf, value);
                 }
-                None => buf.push(0),
+                None => buf.put(&[0]),
             },
-            StoreResponse::LogSeq(seq) => put_u64(&mut buf, *seq),
+            StoreResponse::LogSeq(seq) => put_u64(buf, *seq),
             StoreResponse::LogRecords { records, truncated } => {
-                buf.push(u8::from(*truncated));
-                put_u32(&mut buf, records.len() as u32);
+                buf.put(&[u8::from(*truncated)]);
+                put_u32(buf, records.len() as u32);
                 for (seq, data) in records {
-                    put_u64(&mut buf, *seq);
-                    put_bytes(&mut buf, data);
+                    put_u64(buf, *seq);
+                    put_bytes(buf, data);
                 }
             }
             StoreResponse::Stats(stats) => {
-                put_u64(&mut buf, stats.slot_reads);
-                put_u64(&mut buf, stats.bucket_writes);
-                put_u64(&mut buf, stats.meta_reads);
-                put_u64(&mut buf, stats.meta_writes);
-                put_u64(&mut buf, stats.bytes_read);
-                put_u64(&mut buf, stats.bytes_written);
+                put_u64(buf, stats.slot_reads);
+                put_u64(buf, stats.bucket_writes);
+                put_u64(buf, stats.meta_reads);
+                put_u64(buf, stats.meta_writes);
+                put_u64(buf, stats.bytes_read);
+                put_u64(buf, stats.bytes_written);
             }
-            StoreResponse::Pong(version) => {
-                buf.extend_from_slice(&version.to_le_bytes());
-            }
+            StoreResponse::Pong(version) => buf.put(&version.to_le_bytes()),
             StoreResponse::Metrics(metrics) => {
-                put_u32(&mut buf, metrics.counters.len() as u32);
+                put_u32(buf, metrics.counters.len() as u32);
                 for (name, total) in &metrics.counters {
-                    put_bytes(&mut buf, name.as_bytes());
-                    put_u64(&mut buf, *total);
+                    put_bytes(buf, name.as_bytes());
+                    put_u64(buf, *total);
                 }
-                put_u32(&mut buf, metrics.gauges.len() as u32);
+                put_u32(buf, metrics.gauges.len() as u32);
                 for (name, level) in &metrics.gauges {
-                    put_bytes(&mut buf, name.as_bytes());
-                    put_u64(&mut buf, *level as u64);
+                    put_bytes(buf, name.as_bytes());
+                    put_u64(buf, *level as u64);
                 }
-                put_u32(&mut buf, metrics.histograms.len() as u32);
+                put_u32(buf, metrics.histograms.len() as u32);
                 for (name, histogram) in &metrics.histograms {
-                    put_bytes(&mut buf, name.as_bytes());
-                    put_u64(&mut buf, histogram.count);
-                    put_u64(&mut buf, histogram.sum);
-                    put_u64(&mut buf, histogram.max);
+                    put_bytes(buf, name.as_bytes());
+                    put_u64(buf, histogram.count);
+                    put_u64(buf, histogram.sum);
+                    put_u64(buf, histogram.max);
                 }
             }
             StoreResponse::Err(err) => {
-                buf.push(err.kind_tag());
-                put_bytes(&mut buf, err.message.as_bytes());
+                buf.put(&[err.kind_tag()]);
+                put_bytes(buf, err.message.as_bytes());
             }
         }
-        buf
     }
 
     /// Decodes a response; the whole buffer must be consumed.
@@ -575,20 +612,276 @@ impl StoreResponse {
 }
 
 // ---------------------------------------------------------------------
+// Store calls as requests
+// ---------------------------------------------------------------------
+
+impl StoreRequest {
+    /// Runs the request against `store`: the one mapping from requests to
+    /// [`UntrustedStore`] calls.  `ReadLogFrom` answers one page of
+    /// [`LOG_PAGE_BYTES`], and `MetricsSnapshot` the store's
+    /// [`UntrustedStore::daemon_metrics`] (an error when it has none);
+    /// `Ping` and `Shutdown` address the server hosting a store and fail.
+    pub fn apply(&self, store: &dyn UntrustedStore) -> Result<StoreResponse> {
+        use StoreRequest as Q;
+        use StoreResponse as R;
+        Ok(match self {
+            Q::ReadSlot { bucket, slot } => R::Slot(store.read_slot(*bucket, *slot)?),
+            Q::ReadBucket { bucket } => R::Bucket(store.read_bucket(*bucket)?),
+            Q::WriteBucket { bucket, slots } => {
+                R::Version(store.write_bucket(*bucket, slots.clone())?)
+            }
+            Q::BucketVersion { bucket } => R::Version(store.bucket_version(*bucket)?),
+            Q::RevertBucket { bucket, version } => R::unit(store.revert_bucket(*bucket, *version))?,
+            Q::PutMeta { key, value } => R::unit(store.put_meta(key, value.clone()))?,
+            Q::GetMeta { key } => R::MetaValue(store.get_meta(key)?),
+            Q::AppendLog { record } => R::LogSeq(store.append_log(record.clone())?),
+            Q::ReadLogFrom { from } => {
+                let (records, truncated) = store.read_log_page(*from, LOG_PAGE_BYTES)?;
+                R::LogRecords { records, truncated }
+            }
+            Q::TruncateLog { up_to } => R::unit(store.truncate_log(*up_to))?,
+            Q::TruncateLogTail { from } => R::unit(store.truncate_log_tail(*from))?,
+            Q::Stats => R::Stats(store.stats()),
+            Q::ResetStats => {
+                store.reset_stats();
+                R::Unit
+            }
+            Q::MetricsSnapshot => R::Metrics(store.daemon_metrics().ok_or_else(|| {
+                ObladiError::Storage("an in-process store has no daemon metrics".into())
+            })?),
+            Q::Ping | Q::Shutdown => {
+                return Err(ObladiError::Storage(format!(
+                    "{self:?} addresses the storage server, not a store"
+                )))
+            }
+        })
+    }
+
+    /// Runs a chunk of requests against `store`: one result per request,
+    /// in order.  A chunk of slot reads or of bucket writes reaches `store`
+    /// whole (`read_slots` / `write_buckets`), so a store with a round trip
+    /// to amortise pipelines it; any other chunk runs request by request.
+    pub fn apply_many(
+        requests: &[StoreRequest],
+        store: &dyn UntrustedStore,
+    ) -> Vec<Result<StoreResponse>> {
+        let reads: Option<Vec<_>> = (requests.iter())
+            .map(|request| match request {
+                StoreRequest::ReadSlot { bucket, slot } => Some((*bucket, *slot)),
+                _ => None,
+            })
+            .collect();
+        if let Some(reads) = reads {
+            let read = store.read_slots(&reads).into_iter();
+            return read.map(|r| r.map(StoreResponse::Slot)).collect();
+        }
+        let writes: Option<Vec<_>> = (requests.iter())
+            .map(|request| match request {
+                StoreRequest::WriteBucket { bucket, slots } => Some((*bucket, slots.clone())),
+                _ => None,
+            })
+            .collect();
+        if let Some(writes) = writes {
+            let written = store.write_buckets(writes).into_iter();
+            return written.map(|r| r.map(StoreResponse::Version)).collect();
+        }
+        requests
+            .iter()
+            .map(|request| request.apply(store))
+            .collect()
+    }
+}
+
+impl StoreResponse {
+    fn unit(done: Result<()>) -> Result<StoreResponse> {
+        done.map(|()| StoreResponse::Unit)
+    }
+}
+
+/// A store seen one request at a time.  The socket client, the daemon's
+/// durable store and every store decorator implement this and nothing
+/// else: the blanket impl below makes each an [`UntrustedStore`], and
+/// [`StoreRequest::apply`] hands a request on to a wrapped store.
+pub trait StoreService: Send + Sync {
+    /// Executes one request.
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse>;
+
+    /// Executes the requests of one `read_slots` / `write_buckets` chunk:
+    /// one result per request, in order.  The default runs them one by
+    /// one, so a store that checks, charges or counts operations sees each;
+    /// a store that forwards a chunk whole overrides it with
+    /// [`StoreRequest::apply_many`].
+    fn call_many(&self, requests: Vec<StoreRequest>) -> Vec<Result<StoreResponse>> {
+        let call = |request| self.call(request);
+        requests.into_iter().map(call).collect()
+    }
+
+    /// [`UntrustedStore::waits`]; a wrapper forwards its inner store's.
+    fn waits(&self) -> bool {
+        false
+    }
+}
+
+/// The variant `$pattern` of a response as `Ok($value)`, or an error.
+macro_rules! answer {
+    ($response:expr, $pattern:pat => $value:expr) => {
+        match $response {
+            $pattern => Ok($value),
+            other => Err(ObladiError::Storage(format!(
+                "unexpected store response {other:?}"
+            ))),
+        }
+    };
+}
+
+/// The one mapping from [`UntrustedStore`] calls to requests.
+impl<S: StoreService> UntrustedStore for S {
+    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
+        let read = self.call(StoreRequest::ReadSlot { bucket, slot })?;
+        answer!(read, StoreResponse::Slot(data) => data)
+    }
+
+    fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<Bytes>> {
+        let request = |&(bucket, slot)| StoreRequest::ReadSlot { bucket, slot };
+        let read = self.call_many(reads.iter().map(request).collect());
+        let slot = |read: Result<_>| answer!(read?, StoreResponse::Slot(data) => data);
+        read.into_iter().map(slot).collect()
+    }
+
+    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
+        let read = self.call(StoreRequest::ReadBucket { bucket })?;
+        answer!(read, StoreResponse::Bucket(snapshot) => snapshot)
+    }
+
+    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
+        let written = self.call(StoreRequest::WriteBucket { bucket, slots })?;
+        answer!(written, StoreResponse::Version(version) => version)
+    }
+
+    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
+        let request = |(bucket, slots)| StoreRequest::WriteBucket { bucket, slots };
+        let written = self.call_many(writes.into_iter().map(request).collect());
+        let version = |written: Result<_>| answer!(written?, StoreResponse::Version(v) => v);
+        written.into_iter().map(version).collect()
+    }
+
+    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
+        let version = self.call(StoreRequest::BucketVersion { bucket })?;
+        answer!(version, StoreResponse::Version(version) => version)
+    }
+
+    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
+        let reverted = self.call(StoreRequest::RevertBucket { bucket, version })?;
+        answer!(reverted, StoreResponse::Unit => ())
+    }
+
+    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
+        let key = key.to_string();
+        answer!(self.call(StoreRequest::PutMeta { key, value })?, StoreResponse::Unit => ())
+    }
+
+    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
+        let key = key.to_string();
+        let value = self.call(StoreRequest::GetMeta { key })?;
+        answer!(value, StoreResponse::MetaValue(value) => value)
+    }
+
+    fn append_log(&self, record: Bytes) -> Result<u64> {
+        let seq = self.call(StoreRequest::AppendLog { record })?;
+        answer!(seq, StoreResponse::LogSeq(seq) => seq)
+    }
+
+    /// Follows the pages' truncation flag until the log is drained (a WAL
+    /// that outgrew one wire frame transfers page by page).
+    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
+        let mut all: Vec<(u64, Bytes)> = Vec::new();
+        loop {
+            let next = all.last().map_or(from, |(seq, _)| seq + 1);
+            let (records, truncated) = self.read_log_page(next, usize::MAX)?;
+            // A truncated but empty page would loop forever: it ends the read.
+            let more = truncated && !records.is_empty();
+            all.extend(records);
+            if !more {
+                return Ok(all);
+            }
+        }
+    }
+
+    /// One page, cut further to `max_bytes` when that is below the page.
+    fn read_log_page(&self, from: u64, max_bytes: usize) -> Result<(Vec<(u64, Bytes)>, bool)> {
+        let page = self.call(StoreRequest::ReadLogFrom { from })?;
+        let page = answer!(page, StoreResponse::LogRecords { records, truncated } => (records, truncated))?;
+        let (records, cut) = crate::traits::within_budget(page.0, max_bytes);
+        Ok((records, page.1 || cut))
+    }
+
+    fn truncate_log(&self, up_to: u64) -> Result<()> {
+        answer!(self.call(StoreRequest::TruncateLog { up_to })?, StoreResponse::Unit => ())
+    }
+
+    fn truncate_log_tail(&self, from: u64) -> Result<()> {
+        let truncated = self.call(StoreRequest::TruncateLogTail { from })?;
+        answer!(truncated, StoreResponse::Unit => ())
+    }
+
+    /// `stats` is infallible: a store that cannot answer (a dead daemon)
+    /// reports zeros rather than poisoning a stats scrape.
+    fn stats(&self) -> StoreStats {
+        match self.call(StoreRequest::Stats) {
+            Ok(StoreResponse::Stats(stats)) => stats,
+            _ => StoreStats::default(),
+        }
+    }
+
+    fn reset_stats(&self) {
+        let _ = self.call(StoreRequest::ResetStats);
+    }
+
+    fn daemon_metrics(&self) -> Option<WireMetrics> {
+        match self.call(StoreRequest::MetricsSnapshot) {
+            Ok(StoreResponse::Metrics(metrics)) => Some(metrics),
+            _ => None,
+        }
+    }
+
+    fn waits(&self) -> bool {
+        StoreService::waits(self)
+    }
+}
+
+// ---------------------------------------------------------------------
 // Encoding primitives
 // ---------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_le_bytes());
+/// Where an encoding goes: its bytes, or only their count — so an
+/// encoded length is read off the encoder itself.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_u64(buf: &mut Vec<u8>, value: u64) {
-    buf.extend_from_slice(&value.to_le_bytes());
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
+impl Sink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+fn put_u32(buf: &mut impl Sink, value: u32) {
+    buf.put(&value.to_le_bytes());
+}
+
+fn put_u64(buf: &mut impl Sink, value: u64) {
+    buf.put(&value.to_le_bytes());
+}
+
+fn put_bytes(buf: &mut impl Sink, data: &[u8]) {
     put_u32(buf, data.len() as u32);
-    buf.extend_from_slice(data);
+    buf.put(data);
 }
 
 /// Strict, bounds-checked cursor over an immutable buffer.
@@ -764,6 +1057,88 @@ mod tests {
                 message: "bucket 3 has never been written".into(),
             }),
         ]
+    }
+
+    #[test]
+    fn encoded_lengths_are_read_off_the_encoder() {
+        for request in all_requests() {
+            assert_eq!(request.encoded_len(), request.encode().len(), "{request:?}");
+        }
+        for response in all_responses() {
+            assert_eq!(
+                response.encoded_len(),
+                response.encode().len(),
+                "{response:?}"
+            );
+        }
+    }
+
+    /// A service that adds nothing: through the blanket impl it must be
+    /// indistinguishable from the store it wraps.
+    struct Passthrough(crate::memory::InMemoryStore);
+
+    impl StoreService for Passthrough {
+        fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+            request.apply(&self.0)
+        }
+    }
+
+    fn scripted(store: &dyn UntrustedStore) -> Vec<String> {
+        let slot = |text: &'static [u8]| Bytes::from_static(text);
+        let mut seen = vec![
+            format!("{:?}", store.write_bucket(3, vec![slot(b"a"), slot(b"bb")])),
+            format!(
+                "{:?}",
+                store.write_buckets(vec![(3, vec![slot(b"c")]), (4, vec![])])
+            ),
+            format!("{:?}", store.read_slots(&[(3, 0), (9, 0), (4, 0)])),
+            format!("{:?}", store.read_bucket(3)),
+            format!("{:?}", store.bucket_version(3)),
+            format!("{:?}", store.revert_bucket(3, 1)),
+            format!("{:?}", store.read_slot(3, 1)),
+            format!("{:?}", store.revert_bucket(3, 7).is_err()),
+            format!("{:?}", store.put_meta("ckpt", slot(b"meta"))),
+            format!("{:?}", store.get_meta("ckpt")),
+            format!("{:?}", store.get_meta("absent")),
+            format!("{:?}", store.stats()),
+        ];
+        store.reset_stats();
+        seen.push(format!("{:?}", store.stats()));
+        // (A page cut below `LOG_PAGE_BYTES` is read whole from the wrapped
+        // store, so the byte counters part from here on.)
+        for record in [&b"r0"[..], b"r1", b"r2", b"r3"] {
+            seen.push(format!(
+                "{:?}",
+                store.append_log(Bytes::copy_from_slice(record))
+            ));
+        }
+        seen.push(format!("{:?}", store.read_log_from(1)));
+        seen.push(format!("{:?}", store.read_log_page(0, 15)));
+        seen.push(format!("{:?}", store.truncate_log(1)));
+        seen.push(format!("{:?}", store.truncate_log_tail(3)));
+        seen.push(format!("{:?}", store.read_log_from(0)));
+        seen.push(format!("{:?}", store.daemon_metrics()));
+        seen.push(format!("{:?}", store.waits()));
+        seen
+    }
+
+    #[test]
+    fn a_service_that_adds_nothing_is_the_store_it_wraps() {
+        let bare = crate::memory::InMemoryStore::new();
+        let served = Passthrough(crate::memory::InMemoryStore::new());
+        assert_eq!(scripted(&served), scripted(&bare));
+    }
+
+    #[test]
+    fn control_requests_are_not_store_calls() {
+        let store = crate::memory::InMemoryStore::new();
+        for request in [
+            StoreRequest::Ping,
+            StoreRequest::Shutdown,
+            StoreRequest::MetricsSnapshot,
+        ] {
+            assert!(request.apply(&store).is_err(), "{request:?}");
+        }
     }
 
     #[test]

@@ -59,10 +59,35 @@ impl StoreStats {
     }
 }
 
+/// The leading records of `records` that fit `max_bytes` of payload plus
+/// per-record overhead (at least one, however large), and whether any were
+/// cut.
+pub(crate) fn within_budget(
+    mut records: Vec<(u64, Bytes)>,
+    max_bytes: usize,
+) -> (Vec<(u64, Bytes)>, bool) {
+    let mut budget = max_bytes;
+    let mut keep = 0usize;
+    for (_, data) in &records {
+        let cost = 12 + data.len();
+        if keep > 0 && cost > budget {
+            break;
+        }
+        budget = budget.saturating_sub(cost);
+        keep += 1;
+    }
+    let cut = keep < records.len();
+    records.truncate(keep);
+    (records, cut)
+}
+
 /// The untrusted storage server.
 ///
 /// All methods take `&self`; implementations use interior mutability and may
-/// be called concurrently from many executor threads.
+/// be called concurrently from many executor threads.  `InMemoryStore`
+/// implements it directly; every other store implements the request-level
+/// [`StoreService`](crate::proto::StoreService) and gets this trait from
+/// its blanket impl (`proto.rs`, the one mapping from calls to requests).
 pub trait UntrustedStore: Send + Sync {
     /// Reads a single slot of a bucket.
     ///
@@ -132,20 +157,7 @@ pub trait UntrustedStore: Send + Sync {
     /// everywhere, efficient nowhere; stores that can should override it
     /// with a bounded scan.
     fn read_log_page(&self, from: u64, max_bytes: usize) -> Result<(Vec<(u64, Bytes)>, bool)> {
-        let mut records = self.read_log_from(from)?;
-        let mut budget = max_bytes;
-        let mut keep = 0usize;
-        for (_, data) in &records {
-            let cost = 12 + data.len();
-            if keep > 0 && cost > budget {
-                break;
-            }
-            budget = budget.saturating_sub(cost);
-            keep += 1;
-        }
-        let truncated = keep < records.len();
-        records.truncate(keep);
-        Ok((records, truncated))
+        Ok(within_budget(self.read_log_from(from)?, max_bytes))
     }
 
     /// Drops log records with sequence number `< up_to` (checkpointing).
@@ -171,7 +183,8 @@ pub trait UntrustedStore: Send + Sync {
     /// `daemon.*` metrics into its own registry, invisible to the proxy).
     /// In-process stores have nothing to add — their instrumentation
     /// already lands in the caller's registry — so the default is `None`.
-    /// Wrappers should forward to their inner store.
+    /// A [`StoreService`](crate::proto::StoreService) answers it with a
+    /// `MetricsSnapshot` request, which a wrapper hands to its inner store.
     fn daemon_metrics(&self) -> Option<crate::proto::WireMetrics> {
         None
     }
@@ -181,7 +194,8 @@ pub trait UntrustedStore: Send + Sync {
     /// such calls on a worker pool; a store that only computes (the
     /// in-memory stores) is called on the caller's own thread, where a
     /// hand-off to a worker would only add a context switch.  The default
-    /// is `false`; wrappers should forward to their inner store.
+    /// is `false`; a wrapper forwards its inner store's
+    /// ([`StoreService::waits`](crate::proto::StoreService::waits)).
     fn waits(&self) -> bool {
         false
     }

@@ -1,5 +1,6 @@
-//! The client side of the storage RPC: [`RemoteStore`], an
-//! [`UntrustedStore`] whose every method ships a framed request to an
+//! The client side of the storage RPC: [`RemoteStore`], a
+//! [`StoreService`] (and so an `UntrustedStore`, by the blanket impl in
+//! `obladi_storage::proto`) that ships every request as a frame to an
 //! `obladi-stored` daemon and waits for the matching response.
 //!
 //! # Pipelining and batched submission
@@ -36,11 +37,8 @@ use crate::addr::{SocketSpec, Stream};
 use crate::frame::{
     encode_frame, encode_hello, parse_hello, Frame, FrameDecoder, HELLO_LEN, PROTOCOL_VERSION,
 };
-use bytes::Bytes;
 use obladi_common::error::{ObladiError, Result};
-use obladi_common::types::{BucketId, Version};
-use obladi_storage::traits::{BucketSnapshot, StoreStats};
-use obladi_storage::{StoreRequest, StoreResponse, UntrustedStore};
+use obladi_storage::{StoreRequest, StoreResponse, StoreService};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -159,7 +157,7 @@ fn fail_all(pending: &PendingMap, why: &str) {
     }
 }
 
-/// An [`UntrustedStore`] served by a storage daemon across a socket.
+/// A store served by a storage daemon across a socket.
 pub struct RemoteStore {
     spec: SocketSpec,
     conn: Mutex<Option<Arc<LiveConn>>>,
@@ -399,7 +397,9 @@ impl RemoteStore {
         *guard = Some(conn.clone());
         Ok(conn)
     }
+}
 
+impl StoreService for RemoteStore {
     /// Ships one request and blocks for its response.
     fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
         self.call_many(vec![request])
@@ -480,6 +480,11 @@ impl RemoteStore {
         }
         results.into_iter().flatten().collect()
     }
+
+    /// Every call is a socket round trip.
+    fn waits(&self) -> bool {
+        true
+    }
 }
 
 impl Drop for RemoteStore {
@@ -490,151 +495,4 @@ impl Drop for RemoteStore {
 
 fn unexpected(what: &str, got: &StoreResponse) -> ObladiError {
     ObladiError::Storage(format!("unexpected response to {what}: {got:?}"))
-}
-
-impl UntrustedStore for RemoteStore {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        let mut one = self.read_slots(&[(bucket, slot)]);
-        one.pop().expect("one result per read")
-    }
-
-    fn read_slots(&self, reads: &[(BucketId, u32)]) -> Vec<Result<Bytes>> {
-        let requests = reads
-            .iter()
-            .map(|&(bucket, slot)| StoreRequest::ReadSlot { bucket, slot })
-            .collect();
-        let decode = |response| match response {
-            StoreResponse::Slot(data) => Ok(data),
-            other => Err(unexpected("read_slot", &other)),
-        };
-        let responses = self.call_many(requests).into_iter();
-        responses.map(|r| r.and_then(decode)).collect()
-    }
-
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        match self.call(StoreRequest::ReadBucket { bucket })? {
-            StoreResponse::Bucket(snapshot) => Ok(snapshot),
-            other => Err(unexpected("read_bucket", &other)),
-        }
-    }
-
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        let mut one = self.write_buckets(vec![(bucket, slots)]);
-        one.pop().expect("one result per write")
-    }
-
-    fn write_buckets(&self, writes: Vec<(BucketId, Vec<Bytes>)>) -> Vec<Result<Version>> {
-        let requests = writes
-            .into_iter()
-            .map(|(bucket, slots)| StoreRequest::WriteBucket { bucket, slots })
-            .collect();
-        let decode = |response| match response {
-            StoreResponse::Version(version) => Ok(version),
-            other => Err(unexpected("write_bucket", &other)),
-        };
-        let responses = self.call_many(requests).into_iter();
-        responses.map(|r| r.and_then(decode)).collect()
-    }
-
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        match self.call(StoreRequest::BucketVersion { bucket })? {
-            StoreResponse::Version(version) => Ok(version),
-            other => Err(unexpected("bucket_version", &other)),
-        }
-    }
-
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        match self.call(StoreRequest::RevertBucket { bucket, version })? {
-            StoreResponse::Unit => Ok(()),
-            other => Err(unexpected("revert_bucket", &other)),
-        }
-    }
-
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        let request = StoreRequest::PutMeta {
-            key: key.to_string(),
-            value,
-        };
-        match self.call(request)? {
-            StoreResponse::Unit => Ok(()),
-            other => Err(unexpected("put_meta", &other)),
-        }
-    }
-
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        let request = StoreRequest::GetMeta {
-            key: key.to_string(),
-        };
-        match self.call(request)? {
-            StoreResponse::MetaValue(value) => Ok(value),
-            other => Err(unexpected("get_meta", &other)),
-        }
-    }
-
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        match self.call(StoreRequest::AppendLog { record })? {
-            StoreResponse::LogSeq(seq) => Ok(seq),
-            other => Err(unexpected("append_log", &other)),
-        }
-    }
-
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        // The server pages large logs (a single frame must stay inside the
-        // decoder's bound); follow the truncation flag until drained.
-        let mut all = Vec::new();
-        let mut next = from;
-        loop {
-            match self.call(StoreRequest::ReadLogFrom { from: next })? {
-                StoreResponse::LogRecords { records, truncated } => {
-                    let last_seq = records.last().map(|(seq, _)| *seq);
-                    all.extend(records);
-                    match (truncated, last_seq) {
-                        (true, Some(last_seq)) => next = last_seq + 1,
-                        // A truncated-but-empty page would loop forever;
-                        // treat it as the server's final word.
-                        _ => return Ok(all),
-                    }
-                }
-                other => return Err(unexpected("read_log_from", &other)),
-            }
-        }
-    }
-
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        match self.call(StoreRequest::TruncateLog { up_to })? {
-            StoreResponse::Unit => Ok(()),
-            other => Err(unexpected("truncate_log", &other)),
-        }
-    }
-
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        match self.call(StoreRequest::TruncateLogTail { from })? {
-            StoreResponse::Unit => Ok(()),
-            other => Err(unexpected("truncate_log_tail", &other)),
-        }
-    }
-
-    fn stats(&self) -> StoreStats {
-        match self.call(StoreRequest::Stats) {
-            Ok(StoreResponse::Stats(stats)) => stats,
-            // The trait's stats() is infallible; a dead daemon reports
-            // zeros rather than poisoning a stats scrape.
-            _ => StoreStats::default(),
-        }
-    }
-
-    fn reset_stats(&self) {
-        let _ = self.call(StoreRequest::ResetStats);
-    }
-
-    fn daemon_metrics(&self) -> Option<obladi_storage::WireMetrics> {
-        // Best-effort: a daemon that predates the request (or is down)
-        // simply contributes nothing to the merged dump.
-        self.metrics_snapshot().ok()
-    }
-
-    /// Every call is a socket round trip.
-    fn waits(&self) -> bool {
-        true
-    }
 }

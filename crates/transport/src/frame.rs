@@ -39,8 +39,9 @@ pub const PROTOCOL_VERSION: u16 = 1;
 /// Size of the hello exchanged in each direction.
 pub const HELLO_LEN: usize = 6;
 
-/// Frame header size after the length prefix: request id + opcode.
-const FRAME_HEADER: usize = 9;
+/// Frame header size after the length prefix: request id + opcode (the
+/// trace recorder sizes frames by the same constant).
+const FRAME_HEADER: usize = obladi_storage::proto::FRAME_OVERHEAD - 4;
 
 /// Upper bound on one frame's length field: the wire payload maximum plus
 /// framing overhead.  Anything larger is a desynchronised or hostile peer.

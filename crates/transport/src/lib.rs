@@ -9,7 +9,7 @@
 //! |---|---|
 //! | [`frame`] | length-prefixed, versioned frame codec with desync detection |
 //! | [`SocketSpec`] | `unix:/path` / `tcp:host:port` endpoints, one type |
-//! | [`RemoteStore`] | `UntrustedStore` client: pipelined, batched, reconnecting |
+//! | [`RemoteStore`] | `StoreService` client: pipelined, batched, reconnecting |
 //! | [`serve`] | server loop hosting any store behind a socket |
 //! | [`StorageSupervisor`] | spawn / kill −9 / respawn `obladi-stored` daemons |
 //! | `obladi-stored` | the daemon binary: [`DurableStore`](obladi_storage::DurableStore) behind [`serve`] |

@@ -35,11 +35,6 @@ use std::time::Duration;
 /// How often blocked server loops re-check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Byte budget of one `read_log_from` response page, comfortably inside
-/// the frame decoder's bound; clients re-issue from the last sequence
-/// number until `truncated` clears.
-const LOG_PAGE_BYTES: usize = 8 << 20;
-
 /// A running storage server.
 pub struct ServerHandle {
     spec: SocketSpec,
@@ -183,15 +178,8 @@ fn serve_connection(mut stream: Stream, store: Arc<dyn UntrustedStore>, stop: Ar
         loop {
             match decoder.next_frame() {
                 Ok(Some(frame)) => {
-                    let (response, shutdown) = execute(&store, &frame);
+                    let (response, shutdown) = execute(store.as_ref(), &frame);
                     let payload = response.encode();
-                    // Adversary-view tap: this pair of frames is exactly
-                    // what the network just carried.
-                    obladi_storage::audit::record_server_op(
-                        frame.opcode,
-                        &frame.payload,
-                        payload.len(),
-                    );
                     let reply = Frame {
                         id: frame.id,
                         opcode: payload[0],
@@ -219,65 +207,25 @@ fn serve_connection(mut stream: Stream, store: Arc<dyn UntrustedStore>, stop: Ar
     }
 }
 
-/// Executes one request; the bool asks the server to shut down gracefully.
-fn execute(store: &Arc<dyn UntrustedStore>, frame: &Frame) -> (StoreResponse, bool) {
+/// Executes one request frame; the bool asks the server to shut down
+/// gracefully.  The control requests are the server's own; every other
+/// request runs against the store ([`StoreRequest::apply`]), and the
+/// adversary-view tap records each decoded request with its response —
+/// exactly the pair of frames the network carries.
+fn execute(store: &dyn UntrustedStore, frame: &Frame) -> (StoreResponse, bool) {
     let request = match StoreRequest::decode(&frame.payload) {
         Ok(request) => request,
         Err(err) => return (StoreResponse::Err(WireError::from_error(&err)), false),
     };
     let response = match request {
-        StoreRequest::ReadSlot { bucket, slot } => {
-            result_to_response(store.read_slot(bucket, slot).map(StoreResponse::Slot))
-        }
-        StoreRequest::ReadBucket { bucket } => {
-            result_to_response(store.read_bucket(bucket).map(StoreResponse::Bucket))
-        }
-        StoreRequest::WriteBucket { bucket, slots } => result_to_response(
-            store
-                .write_bucket(bucket, slots)
-                .map(StoreResponse::Version),
-        ),
-        StoreRequest::BucketVersion { bucket } => {
-            result_to_response(store.bucket_version(bucket).map(StoreResponse::Version))
-        }
-        StoreRequest::RevertBucket { bucket, version } => result_to_response(
-            store
-                .revert_bucket(bucket, version)
-                .map(|()| StoreResponse::Unit),
-        ),
-        StoreRequest::PutMeta { key, value } => {
-            result_to_response(store.put_meta(&key, value).map(|()| StoreResponse::Unit))
-        }
-        StoreRequest::GetMeta { key } => {
-            result_to_response(store.get_meta(&key).map(StoreResponse::MetaValue))
-        }
-        StoreRequest::AppendLog { record } => {
-            result_to_response(store.append_log(record).map(StoreResponse::LogSeq))
-        }
-        // Paged: a WAL that outgrew one frame must not produce a frame
-        // the client's decoder is bound to refuse, and the store-side
-        // bounded scan keeps each page linear in what it returns.
-        StoreRequest::ReadLogFrom { from } => result_to_response(
-            store
-                .read_log_page(from, LOG_PAGE_BYTES)
-                .map(|(records, truncated)| StoreResponse::LogRecords { records, truncated }),
-        ),
-        StoreRequest::TruncateLog { up_to } => {
-            result_to_response(store.truncate_log(up_to).map(|()| StoreResponse::Unit))
-        }
-        StoreRequest::TruncateLogTail { from } => {
-            result_to_response(store.truncate_log_tail(from).map(|()| StoreResponse::Unit))
-        }
-        StoreRequest::Stats => StoreResponse::Stats(store.stats()),
-        StoreRequest::ResetStats => {
-            store.reset_stats();
-            StoreResponse::Unit
-        }
         StoreRequest::Ping => StoreResponse::Pong(PROTOCOL_VERSION),
-        StoreRequest::Shutdown => return (StoreResponse::Unit, true),
+        StoreRequest::Shutdown => StoreResponse::Unit,
         StoreRequest::MetricsSnapshot => StoreResponse::Metrics(daemon_metrics_snapshot()),
+        _ => (request.apply(store))
+            .unwrap_or_else(|err| StoreResponse::Err(WireError::from_error(&err))),
     };
-    (response, false)
+    obladi_storage::audit::record_server_op(&request, &response);
+    (response, request == StoreRequest::Shutdown)
 }
 
 /// Scrapes this process's registry down to the daemon's own telemetry.
@@ -312,12 +260,5 @@ fn daemon_metrics_snapshot() -> WireMetrics {
                 )
             })
             .collect(),
-    }
-}
-
-fn result_to_response(result: Result<StoreResponse>) -> StoreResponse {
-    match result {
-        Ok(response) => response,
-        Err(err) => StoreResponse::Err(WireError::from_error(&err)),
     }
 }

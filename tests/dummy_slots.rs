@@ -10,15 +10,13 @@
 //! client and its rebuild from `Full` + deltas, and an `ObladiDb` crash and
 //! recovery, must read every key back over it.
 
-use bytes::Bytes;
 use obladi::common::config::SLOT_LOCATION_BITS;
 use obladi::common::rng::DetRng;
 use obladi::common::types::{BucketId, Version};
 use obladi::crypto::{Envelope, KeyMaterial};
 use obladi::oram::{CheckpointSource, ExecOptions, MetaDelta, NoopPathLogger, OramMeta, RingOram};
 use obladi::prelude::*;
-use obladi::storage::traits::{BucketSnapshot, StoreStats};
-use obladi::storage::{InMemoryStore, UntrustedStore};
+use obladi::storage::{InMemoryStore, StoreRequest, StoreResponse, StoreService, UntrustedStore};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -57,71 +55,42 @@ impl DummyTrap {
     }
 }
 
-impl UntrustedStore for DummyTrap {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        let bytes = self.inner.read_slot(bucket, slot)?;
-        let version = self.inner.bucket_version(bucket)?;
-        let dummies = self.dummies.lock();
-        if !dummies
-            .get(&(bucket, version))
-            .is_some_and(|d| d[slot as usize])
-        {
-            return Ok(bytes);
+impl StoreService for DummyTrap {
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        let response = request.apply(&self.inner)?;
+        match (request, response) {
+            (StoreRequest::ReadSlot { bucket, slot }, StoreResponse::Slot(bytes)) => {
+                let version = self.inner.bucket_version(bucket)?;
+                let dummies = self.dummies.lock();
+                if !dummies
+                    .get(&(bucket, version))
+                    .is_some_and(|d| d[slot as usize])
+                {
+                    return Ok(StoreResponse::Slot(bytes));
+                }
+                drop(dummies);
+                self.counts.lock().2 += 1;
+                let mut fresh = vec![0u8; bytes.len()];
+                Envelope::fill_dummy(&mut fresh);
+                assert_ne!(fresh[..], bytes[..]);
+                Ok(StoreResponse::Slot(fresh.into()))
+            }
+            (StoreRequest::WriteBucket { bucket, slots }, StoreResponse::Version(version)) => {
+                let location = |slot: usize| (bucket << SLOT_LOCATION_BITS) | slot as u64;
+                let dummies: Vec<bool> = (slots.iter().enumerate())
+                    .map(|(slot, bytes)| {
+                        (self.envelope.open_bytes(location(slot), version, bytes)).is_err()
+                    })
+                    .collect();
+                let dummy = dummies.iter().filter(|&&d| d).count() as u64;
+                self.dummies.lock().insert((bucket, version), dummies);
+                let mut counts = self.counts.lock();
+                counts.0 += slots.len() as u64 - dummy;
+                counts.1 += dummy;
+                Ok(StoreResponse::Version(version))
+            }
+            (_, response) => Ok(response),
         }
-        drop(dummies);
-        self.counts.lock().2 += 1;
-        let mut fresh = vec![0u8; bytes.len()];
-        Envelope::fill_dummy(&mut fresh);
-        assert_ne!(fresh[..], bytes[..]);
-        Ok(fresh.into())
-    }
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        self.inner.read_bucket(bucket)
-    }
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        let version = self.inner.write_bucket(bucket, slots.clone())?;
-        let location = |slot: usize| (bucket << SLOT_LOCATION_BITS) | slot as u64;
-        let dummies: Vec<bool> = (slots.iter().enumerate())
-            .map(|(slot, bytes)| {
-                (self.envelope.open_bytes(location(slot), version, bytes)).is_err()
-            })
-            .collect();
-        let dummy = dummies.iter().filter(|&&d| d).count() as u64;
-        self.dummies.lock().insert((bucket, version), dummies);
-        let mut counts = self.counts.lock();
-        counts.0 += slots.len() as u64 - dummy;
-        counts.1 += dummy;
-        Ok(version)
-    }
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        self.inner.bucket_version(bucket)
-    }
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.inner.revert_bucket(bucket, version)
-    }
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        self.inner.put_meta(key, value)
-    }
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        self.inner.get_meta(key)
-    }
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        self.inner.append_log(record)
-    }
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        self.inner.read_log_from(from)
-    }
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.inner.truncate_log(up_to)
-    }
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.inner.truncate_log_tail(from)
-    }
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
     }
 }
 

@@ -36,15 +36,15 @@
 use bytes::Bytes;
 use obladi_common::config::ObladiConfig;
 use obladi_common::error::{ObladiError, Result};
-use obladi_common::types::{BucketId, EpochId, Key, TxnId, Value, Version};
+use obladi_common::types::{EpochId, Key, TxnId, Value};
 use obladi_core::{CommitCandidate, DurabilityManager, RecoveryReport};
 use obladi_crypto::KeyMaterial;
 use obladi_oram::{ExecOptions, NoopPathLogger, OramReader, RingOram, WritebackEngine};
 use obladi_shard::rendezvous::{Poll, Rendezvous, TxnDecision};
-use obladi_storage::traits::{BucketSnapshot, StoreStats};
 use obladi_storage::wal::WalRecordKind;
 use obladi_storage::{
-    CrashOp, CrashPoint, FaultPlan, FaultyStore, InMemoryStore, TrustedCounter, UntrustedStore,
+    CrashOp, CrashPoint, FaultPlan, FaultyStore, InMemoryStore, StoreRequest, StoreResponse,
+    StoreService, TrustedCounter, UntrustedStore,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -130,66 +130,44 @@ impl LyingLog {
     }
 }
 
-impl UntrustedStore for LyingLog {
-    fn read_slot(&self, bucket: BucketId, slot: u32) -> Result<Bytes> {
-        self.inner.read_slot(bucket, slot)
-    }
-    fn read_bucket(&self, bucket: BucketId) -> Result<BucketSnapshot> {
-        self.inner.read_bucket(bucket)
-    }
-    fn write_bucket(&self, bucket: BucketId, slots: Vec<Bytes>) -> Result<Version> {
-        self.mutating(BUCKET_WRITE);
-        self.inner.write_bucket(bucket, slots)
-    }
-    fn bucket_version(&self, bucket: BucketId) -> Result<Version> {
-        self.inner.bucket_version(bucket)
-    }
-    fn revert_bucket(&self, bucket: BucketId, version: Version) -> Result<()> {
-        self.inner.revert_bucket(bucket, version)
-    }
-    fn put_meta(&self, key: &str, value: Bytes) -> Result<()> {
-        self.inner.put_meta(key, value)
-    }
-    fn get_meta(&self, key: &str) -> Result<Option<Bytes>> {
-        self.inner.get_meta(key)
-    }
-    fn append_log(&self, record: Bytes) -> Result<u64> {
-        self.mutating(record[0]);
-        self.inner.append_log(record)
-    }
-    fn read_log_from(&self, from: u64) -> Result<Vec<(u64, Bytes)>> {
-        let mut records = self.resurrected.lock().clone();
-        records.retain(|(seq, _)| *seq >= from);
-        records.extend(self.inner.read_log_from(from)?);
-        if let Some(epoch) = *self.withheld_delta.lock() {
-            let delta = WalRecordKind::CheckpointDelta;
-            records.retain(|(_, frame)| epoch_of(frame, delta) != Some(epoch));
-        }
-        Ok(records)
-    }
-    fn truncate_log(&self, up_to: u64) -> Result<()> {
-        self.mutating(TRUNCATION);
-        match self.truncation {
-            Truncation::Honest => self.inner.truncate_log(up_to),
-            Truncation::Ignored => Ok(()),
-            Truncation::ReServed => {
-                let retired = self.inner.read_log_from(0)?;
-                let retired = retired.into_iter().filter(|(seq, _)| *seq < up_to);
-                self.resurrected.lock().extend(retired.step_by(2));
-                self.inner.truncate_log(up_to)
+impl StoreService for LyingLog {
+    fn call(&self, request: StoreRequest) -> Result<StoreResponse> {
+        match &request {
+            StoreRequest::WriteBucket { .. } => self.mutating(BUCKET_WRITE),
+            StoreRequest::AppendLog { record } => self.mutating(record[0]),
+            StoreRequest::ReadLogFrom { from } => {
+                let mut records = self.resurrected.lock().clone();
+                records.retain(|(seq, _)| seq >= from);
+                records.extend(self.inner.read_log_from(*from)?);
+                if let Some(epoch) = *self.withheld_delta.lock() {
+                    let delta = WalRecordKind::CheckpointDelta;
+                    records.retain(|(_, frame)| epoch_of(frame, delta) != Some(epoch));
+                }
+                let truncated = false;
+                return Ok(StoreResponse::LogRecords { records, truncated });
             }
-            Truncation::Past(extra) => self.inner.truncate_log(up_to + extra),
+            StoreRequest::TruncateLog { up_to } => {
+                let up_to = *up_to;
+                self.mutating(TRUNCATION);
+                match self.truncation {
+                    Truncation::Honest => self.inner.truncate_log(up_to)?,
+                    Truncation::Ignored => {}
+                    Truncation::ReServed => {
+                        let retired = self.inner.read_log_from(0)?;
+                        let retired = retired.into_iter().filter(|(seq, _)| *seq < up_to);
+                        self.resurrected.lock().extend(retired.step_by(2));
+                        self.inner.truncate_log(up_to)?
+                    }
+                    Truncation::Past(extra) => self.inner.truncate_log(up_to + extra)?,
+                }
+                return Ok(StoreResponse::Unit);
+            }
+            StoreRequest::TruncateLogTail { from } => {
+                self.resurrected.lock().retain(|(seq, _)| seq < from);
+            }
+            _ => {}
         }
-    }
-    fn truncate_log_tail(&self, from: u64) -> Result<()> {
-        self.resurrected.lock().retain(|(seq, _)| *seq < from);
-        self.inner.truncate_log_tail(from)
-    }
-    fn stats(&self) -> StoreStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
+        request.apply(&self.inner)
     }
 }
 
