@@ -381,29 +381,17 @@ impl Pipeline {
 
     // ---- Executor transitions ----
 
-    fn sealed_fetch_queued(&self) -> bool {
-        self.sealed
-            .as_ref()
-            .is_some_and(|s| s.phase == Phase::Sealed && !s.fetch.pending.is_empty())
-    }
-
-    /// Whether a batch is worth firing ahead of the Δ rhythm: a full batch
-    /// of keys is queued, or the sealed epoch waits for spare slots.
-    pub(crate) fn backlog(&self) -> bool {
-        self.exec.fetch.pending.len() >= self.config.read_batch_size || self.sealed_fetch_queued()
-    }
-
     /// Whether a reserved batch (see [`is_reserved_batch`]) must wait: the
-    /// sealed epoch is not yet written back and has no fetch queued —
-    /// serving those is what the reservation is for.  The hold ends at
-    /// [`Pipeline::written_back`], not at publish: nothing a batch reads
-    /// depends on the checkpoint.
+    /// sealed epoch is not yet written back.  The hold ends at
+    /// [`Pipeline::written_back`] and at nothing else — not at publish
+    /// (nothing a batch reads depends on the checkpoint), and not on
+    /// demand: a queued fetch releases no batch.
     pub(crate) fn hold_reserved_batch(&self) -> bool {
         let writing_back = self
             .sealed
             .as_ref()
             .is_some_and(|s| s.phase < Phase::WrittenBack);
-        self.mode == Mode::Running && writing_back && !self.sealed_fetch_queued()
+        self.mode == Mode::Running && writing_back
     }
 
     /// Whether the executor must wait for the sealed epoch to publish.
@@ -688,11 +676,12 @@ impl Pipeline {
 }
 
 /// Whether batch `index` of an epoch's `read_batches` is in the reserved
-/// (second) half, which the executor holds back while the slot is occupied.
-/// If all batches burned out early, reads arriving later in the epoch —
-/// dependent chains need one batch per link — would abort `BatchFull`.  The
-/// split depends only on pipeline state, never on demand, so batch timing
-/// stays workload-independent.
+/// (second) half, which the executor holds back until the sealed epoch is
+/// written back ([`Pipeline::hold_reserved_batch`]).  If all batches burned
+/// out early, reads arriving later in the epoch — dependent chains need one
+/// batch per link — would abort `BatchFull`.  The split and the hold depend
+/// only on pipeline state, never on demand, so batch timing stays
+/// workload-independent.
 pub(crate) fn is_reserved_batch(read_batches: u32, index: u32) -> bool {
     index + read_batches.div_ceil(2) >= read_batches
 }
@@ -795,7 +784,6 @@ mod tests {
             assert_eq!(p.read(1, g, key), PARK);
         }
         assert_eq!(p.read(1, g, 0), PARK, "asking again costs nothing");
-        assert!(p.backlog());
 
         // A transaction joining the sealed epoch shares the queued fetch.
         p.begin(2, Some(g)).unwrap();
@@ -820,7 +808,6 @@ mod tests {
         assert!(p.begin(3, Some(g)).is_err());
         assert!(p.read(2, g, 9).is_err());
         assert_eq!(p.ingest(&in_flight, vec![None; 8]), 0);
-        assert!(!p.backlog());
     }
 
     #[test]
@@ -1132,11 +1119,12 @@ mod tests {
         let next = p.begin(2, None).unwrap();
         assert_eq!(p.read(2, next, 7), PARK);
 
-        // A queued sealed-epoch fetch releases the hold until it is planned.
+        // A queued sealed-epoch fetch does not release the hold: it waits
+        // for a batch on the grid like any other read.
         assert_eq!(p.read(1, g, 5), PARK);
-        assert!(p.slot_occupied() && !p.hold_reserved_batch() && p.backlog());
+        assert!(p.slot_occupied() && p.hold_reserved_batch());
         let plan = p.plan_batch();
-        assert!(p.hold_reserved_batch() && !p.backlog());
+        assert!(p.hold_reserved_batch());
         p.ingest(&plan, vec![None]);
 
         // The hold outlasts the decision ...
@@ -1161,13 +1149,6 @@ mod tests {
         assert_eq!(p.publish(g, true), Some(0));
         assert!(!p.slot_occupied() && !p.hold_reserved_batch());
         assert_eq!(p.read(2, next, 7), value(70));
-
-        // A full batch of queued keys is a backlog too.
-        for key in 10..18 {
-            assert!(!p.backlog());
-            assert_eq!(p.read(2, next, key), PARK);
-        }
-        assert!(p.backlog());
 
         // Nothing holds the executor once the proxy stops running.
         assert!(p.seal());

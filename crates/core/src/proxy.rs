@@ -204,7 +204,7 @@ struct ProxyInner {
     state: Mutex<Pipeline>,
     /// Wakes client threads waiting for read results or commit outcomes.
     client_wakeup: Condvar,
-    /// Wakes the epoch executor (backlog, freed slot, crash, recovery,
+    /// Wakes the epoch executor (freed slot, lifted hold, crash, recovery,
     /// shutdown).
     driver_wakeup: Condvar,
     /// Wakes the epoch decider when an epoch is sealed.
@@ -639,12 +639,7 @@ impl ObladiTxn<'_> {
         loop {
             match state.read(self.id, self.generation, key)? {
                 ReadStep::Value(value) => return Ok(value),
-                ReadStep::Park => {
-                    if state.backlog() {
-                        inner.driver_wakeup.notify_all();
-                    }
-                    inner.park(&mut state);
-                }
+                ReadStep::Park => inner.park(&mut state),
                 ReadStep::Declined(err) => {
                     obladi_obs::global()
                         .counter("proxy.late_read.declined")
@@ -766,7 +761,7 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
         // Exactly R padded batches, Δ apart, each run to its ingest (or to
         // its fate-sharing crash) before the next is planned — so every
         // batch lands before the seal.  The reserved half waits until the
-        // sealed epoch is written back or asks for a fetch.
+        // sealed epoch is written back, whatever reads are queued.
         for batch_index in 0..read_batches {
             if is_reserved_batch(read_batches, batch_index) {
                 let hold = Pipeline::hold_reserved_batch;
@@ -805,22 +800,22 @@ fn epoch_executor(inner: Arc<ProxyInner>) {
     }
 }
 
-/// When the next read batch is due, after one went out at `dispatched`
-/// against its grid slot `due`.  The slots are Δ apart, so a wake-up late
-/// by less than Δ pushes back no later batch: the next one keeps its slot,
-/// and goes out at once if that has passed.  A batch more than Δ late (a
-/// reserved batch held past its turn, the first after a recovery), or one
-/// a backlog fired ahead of its slot, starts a new grid at its dispatch.
+/// When the next read batch is due, after one went out at `dispatched`,
+/// never before its grid slot `due`.  The slots are Δ apart, so a wake-up
+/// late by less than Δ pushes back no later batch: the next one keeps its
+/// slot, and goes out at once if that has passed.  A batch more than Δ
+/// late (a reserved batch held past its turn, the first after a recovery)
+/// starts a new grid at its dispatch.
 fn next_due(due: Instant, dispatched: Instant, interval: Duration) -> Instant {
-    if dispatched < due || dispatched > due + interval {
+    if dispatched > due + interval {
         dispatched + interval
     } else {
         due + interval
     }
 }
 
-/// Waits until `due`, the batch's slot on the Δ grid — unless a backlog
-/// makes the batch worth firing early — then plans the next batch of the
+/// Waits until `due`, the batch's slot on the Δ grid — however many reads
+/// are queued, no batch goes out earlier — then plans the next batch of the
 /// executing epoch of `generation`.  Returns `None` once the proxy stopped
 /// running, or once a crash (and perhaps a recovery, while the previous
 /// batch ran) replaced that epoch.
@@ -833,7 +828,7 @@ fn plan_read_batch(
     let current =
         |state: &Pipeline| state.mode() == Mode::Running && state.stamp_targets().0 == generation;
     let mut state = inner.state.lock();
-    while !state.backlog() && current(&state) {
+    while current(&state) {
         let Some(left) = due.checked_duration_since(Instant::now()) else {
             break;
         };
@@ -1046,7 +1041,6 @@ fn decide_epoch(inner: &Arc<ProxyInner>, epoch: EpochId, generation: u64) -> Res
         state.decide(generation, permitted.as_ref(), early_ack)
     })?;
     count_acks("proxy.commit.acked_at_decision", decision.acked);
-    inner.driver_wakeup.notify_all();
     inner.client_wakeup.notify_all();
 
     // Decision durability: the record lands in the WAL before write-back
@@ -1194,11 +1188,8 @@ mod tests {
         for late in [ms(0), ms(4), ms(10)] {
             assert_eq!(next_due(origin, origin + late, delta), origin + delta);
         }
-        // Late by more than Δ, or early on a backlog: a new grid from the
-        // dispatch.
+        // Late by more than Δ: a new grid from the dispatch.
         assert_eq!(next_due(origin, origin + ms(11), delta), origin + ms(21));
-        let early = origin + ms(3);
-        assert_eq!(next_due(origin + ms(8), early, delta), early + delta);
         // A run of wake-ups each late by less than Δ never drifts.
         let mut due = origin;
         for k in 1..=100u32 {

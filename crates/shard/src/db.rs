@@ -990,16 +990,17 @@ mod tests {
 
     #[test]
     fn twin_replays_in_its_primarys_epoch_without_seeing_it() {
-        // One-key batches fire on backlog and the interval is an hour, so
-        // neither shard rolls over mid-test: the twin replays in the very
-        // epoch its primary read and wrote in.
+        // One-key batches 50 ms apart, 64 to an epoch: the test needs a
+        // handful of batches, and neither shard rolls over within the
+        // epoch's 3.2 s, so the twin replays in the very epoch its primary
+        // read and wrote in.
         let mut config = ShardConfig::small_for_tests(2, 256);
         config.shard.epoch = config
             .shard
             .epoch
-            .with_read_batches(8)
+            .with_read_batches(64)
             .with_read_batch_size(1)
-            .with_batch_interval(Duration::from_secs(3600));
+            .with_batch_interval(Duration::from_millis(50));
         let db = ShardedDb::open(config).unwrap();
         let on_shard = |shard| (0..).find(|&key| db.router().route(key) == shard).unwrap();
         let (a, b) = (on_shard(0), on_shard(1));

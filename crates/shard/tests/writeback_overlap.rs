@@ -86,8 +86,8 @@ impl GateTrace {
         spans
     }
 
-    /// The start of each batch of `epoch`, in dispatch order (without a
-    /// backlog one batch runs at a time, so the order is the index).
+    /// The start of each batch of `epoch`, in dispatch order (one batch
+    /// runs at a time, so the order is the index).
     fn starts_of(&self, epoch: EpochId) -> Vec<Instant> {
         let starts = self.batch_starts.iter().filter(|(e, _)| *e == epoch);
         starts.map(|&(_, start)| start).collect()
@@ -284,8 +284,8 @@ fn a_reserved_batch_starts_before_the_previous_checkpoint_ends() {
 /// proxy measures, so a batch within `jitter` of that threshold may have
 /// rebased or not: the check follows both readings, as the earliest and the
 /// latest slot the next batch may have, and holds each start to the
-/// earliest.  A batch never goes out before its slot (there is no backlog
-/// without clients), so the next slot is never more than Δ after a start;
+/// earliest.  A batch never goes out before its slot, so the next slot is
+/// never more than Δ after a start;
 /// before the first certain rebase the earliest slot is unknown.  Returns
 /// the number of certain rebases.
 fn assert_on_the_grid(starts: &[Instant], delta: Duration, jitter: Duration) -> usize {

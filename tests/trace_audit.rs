@@ -1,7 +1,8 @@
 //! End-to-end adversary-view audit, the repository's obliviousness gate: a
 //! sharded deployment over recording stores must produce indistinguishable
-//! traces under contrasting workloads at pipeline depths 1 and 2, and the
-//! auditor must catch an injected obliviousness leak at both depths.
+//! traces under contrasting workloads and under contrasting offered loads
+//! at pipeline depths 1 and 2, and the auditor must catch an injected
+//! obliviousness leak at both depths.
 //!
 //! Complements `tests/obliviousness.rs` (the same recorder under one ORAM
 //! client driven by hand): here it sits at the storage boundary of whole
@@ -15,13 +16,14 @@
 
 mod common;
 
+use obladi_common::config::ShardConfig;
 use obladi_obs::audit::{AuditTolerances, TraceShape};
 use obladi_shard::ShardedDb;
 use obladi_testkit::audit::{
     cached_bucket_op, cross_check, level_profile, recorded_shape, recording_stores, slot_reread,
     truncation_rhythm_failure,
 };
-use obladi_workloads::{run_deployment, YcsbConfig, YcsbWorkload};
+use obladi_workloads::{run_closed_loop, Workload, YcsbConfig, YcsbWorkload};
 use std::time::{Duration, Instant};
 
 /// Maximum total-variation distance between slot-read level profiles.
@@ -34,16 +36,53 @@ const MAX_LEVEL_TVD: f64 = 0.12;
 const CONTRASTS: [(&str, f64, f64); 3] =
     [("read", 1.0, 0.6), ("rw50", 0.5, 0.6), ("zipf", 1.0, 0.95)];
 
+/// The offered loads of the load contrast: one client, which leaves nearly
+/// every slot a dummy, and enough to fill every batch of [`run_load_cell`].
+const LOADS: [usize; 2] = [1, 96];
+
 /// A recorded cell: its adversary-view shape and slot-read level profile.
 type Cell = (TraceShape, Vec<u64>);
 
-/// Runs one recorded cell — a YCSB burst against a fresh deployment whose
-/// stores share an audit ring — and adds to `failures` whatever breaks
-/// §4's bucket invariant, the truncation rhythm or the tree-top cache in it.
+/// Runs one workload-contrast cell: 16 clients for 1 s on the shared
+/// deployment.
 fn run_cell(depth: u32, contrast: (&str, f64, f64), failures: &mut Vec<String>) -> Cell {
     let (label, read_proportion, zipf_theta) = contrast;
     let label = format!("{label}/d{depth}");
     let config = common::ycsb_shards(depth);
+    let mix = (read_proportion, zipf_theta);
+    record(label, config, mix, 16, Duration::from_secs(1), failures)
+}
+
+/// Runs one load-contrast cell: `clients` for 2 s of uniform reads on the
+/// shared deployment with a Δ grid slow enough (8-slot batches 20 ms apart)
+/// that [`LOADS`]' larger client count fills every batch.  Batches leave
+/// only on the grid, so the store must not tell the loads apart by epoch
+/// cadence or by any per-kind rate.
+fn run_load_cell(depth: u32, clients: usize, failures: &mut Vec<String>) -> Cell {
+    let label = format!("load-{clients}/d{depth}");
+    let mut config = common::ycsb_shards(depth);
+    config.shard.epoch.batch_interval = Duration::from_millis(20);
+    config.shard.epoch.read_batch_size = 8;
+    let (_, read_proportion, zipf_theta) = CONTRASTS[0];
+    let (mix, run_for) = ((read_proportion, zipf_theta), Duration::from_secs(2));
+    record(label, config, mix, clients, run_for, failures)
+}
+
+/// Records one cell — a YCSB burst of `clients` for `run_for`, with the
+/// `(read_proportion, zipf_theta)` of `mix`, against a fresh deployment
+/// whose stores share an audit ring — and adds to `failures` whatever
+/// breaks §4's bucket invariant, the truncation rhythm or the tree-top
+/// cache in it.  The trace starts after the workload's load phase, which is
+/// the same in every cell and would only dilute a contrast.
+fn record(
+    label: String,
+    config: ShardConfig,
+    mix: (f64, f64),
+    clients: usize,
+    run_for: Duration,
+    failures: &mut Vec<String>,
+) -> Cell {
+    let (read_proportion, zipf_theta) = mix;
     let (shards, checkpoint_every) = (config.shards, config.shard.epoch.checkpoint_every);
     let cached = obladi_core::proxy::cached_levels(&config.shard);
     if cached == 0 {
@@ -64,14 +103,16 @@ fn run_cell(depth: u32, contrast: (&str, f64, f64), failures: &mut Vec<String>) 
         zipf_theta,
         value_size: 64,
     });
-    let start = Instant::now();
-    run_deployment(&db, &workload, 16, Duration::from_secs(1), 42).unwrap();
-    let stats = db.stats();
+    workload.setup(&db).unwrap();
+    ring.reset();
+    let (start, loaded) = (Instant::now(), db.stats().global_epochs);
+    run_closed_loop(&db, &workload, clients, run_for, 42);
+    let epochs = db.stats().global_epochs - loaded;
     db.shutdown();
     let wall_us = start.elapsed().as_micros() as u64;
     let ops = ring.ops();
     assert!(!ops.is_empty(), "recorder captured nothing for {label}");
-    let shape = recorded_shape(&label, &ops, ring.dropped(), wall_us, stats.global_epochs);
+    let shape = recorded_shape(&label, &ops, ring.dropped(), wall_us, epochs);
     failures.extend(slot_reread(&ops).map(|reread| format!("{label}: {reread}")));
     failures.extend(cached_bucket_op(&ops, cached).map(|op| format!("{label}: {op}")));
     if skips() != cached_skips {
@@ -122,6 +163,14 @@ fn adversary_view_audit_end_to_end() {
             .map(|&contrast| run_cell(depth, contrast, &mut failures))
             .collect();
         failures.extend(cross_check(&clean, &tol, MAX_LEVEL_TVD));
+
+        // Load: a full batch of queued reads must not speed the clock.
+        let loads: Vec<Cell> = LOADS
+            .iter()
+            .map(|&clients| run_load_cell(depth, clients, &mut failures))
+            .collect();
+        failures.extend(cross_check(&loads, &tol, MAX_LEVEL_TVD));
+        cells.extend(loads);
 
         // Mutation: skipping dummy pads makes the physical read rate
         // occupancy-dependent; against the clean `read` cell the auditor
